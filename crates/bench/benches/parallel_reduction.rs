@@ -2,7 +2,7 @@
 //!
 //! Two sweeps over `1..=cores` workers:
 //!
-//! * `check-jobs` — within-system parallelism (`Checker::jobs`) on one big
+//! * `check-jobs` — within-system parallelism (`CheckOptions::jobs`) on one big
 //!   system, where the per-level closure and conflict scans dominate;
 //! * `batch-workers` — across-system parallelism (`Batch::workers`) on a
 //!   corpus of medium systems, the batch engine's home turf.

@@ -6,15 +6,27 @@
 //!   path every non-observing caller takes; the PR's contract is that it
 //!   stays within noise (<2%) of the pre-tracing reduction numbers
 //!   (EXPERIMENTS.md E18 records the comparison).
-//! * `stats` — `check_traced` into a [`compc_trace::TraceStats`] aggregate
-//!   sink (histograms only, no formatting or I/O).
-//! * `memory` — `check_traced` into a [`compc_trace::MemorySink`], the
-//!   per-item event capture the batch engine's `tracing(true)` uses.
+//! * `stats` — `Checker::try_check` into a [`compc_trace::TraceStats`]
+//!   aggregate sink (histograms only, no formatting or I/O).
+//! * `memory` — `Checker::try_check` into a [`compc_trace::MemorySink`],
+//!   the per-item event capture the batch engine's `tracing(true)` uses.
+//!
+//! Every variant allocates a fresh `CheckScratch` per check, as
+//! `Checker::check` does, so they differ only in the sink.
 
-use compc_core::Checker;
-use compc_trace::{MemorySink, TraceStats};
+use compc_core::{CheckCtx, CheckScratch, Checker};
+use compc_model::CompositeSystem;
+use compc_trace::{MemorySink, TraceSink, TraceStats};
 use compc_workload::random::{generate, GenParams, Shape};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+fn traced_check(checker: Checker, sys: &CompositeSystem, sink: &mut dyn TraceSink) -> bool {
+    let mut scratch = CheckScratch::new();
+    checker
+        .try_check(sys, &mut CheckCtx::new(&mut scratch).traced(sink))
+        .expect("no deadline set")
+        .is_correct()
+}
 
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
@@ -85,9 +97,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             |b, sys| {
                 b.iter(|| {
                     let mut stats = TraceStats::default();
-                    checker
-                        .check_traced(std::hint::black_box(sys), &mut stats)
-                        .is_correct()
+                    traced_check(checker, std::hint::black_box(sys), &mut stats)
                 })
             },
         );
@@ -97,9 +107,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             |b, sys| {
                 b.iter(|| {
                     let mut sink = MemorySink::new();
-                    checker
-                        .check_traced(std::hint::black_box(sys), &mut sink)
-                        .is_correct()
+                    traced_check(checker, std::hint::black_box(sys), &mut sink)
                 })
             },
         );

@@ -10,7 +10,7 @@
 //! set with [`crate::minimize`].
 
 use crate::minimize::minimize;
-use crate::reduce::{Checker, Counterexample, FailurePhase, FrontSnapshot, ReduceOptions};
+use crate::reduce::{CheckOptions, Checker, Counterexample, FailurePhase, FrontSnapshot};
 use compc_model::CompositeSystem;
 
 /// A rendered, self-contained account of why a system is not Comp-C.
@@ -51,10 +51,10 @@ fn closed_cycle(names: &[String]) -> Vec<String> {
 
 impl Counterexample {
     /// Explains this counterexample against the system it came from, under
-    /// default reduction options (the ones [`crate::check`] uses). See
+    /// default options (the ones [`crate::check`] uses). See
     /// [`Counterexample::explain_with`] for non-default options.
     pub fn explain(&self, sys: &CompositeSystem) -> Explanation {
-        self.explain_with(sys, ReduceOptions::default())
+        self.explain_with(sys, CheckOptions::default())
     }
 
     /// Explains this counterexample by re-running the reduction under
@@ -62,17 +62,8 @@ impl Counterexample {
     /// not reproduce a failure (e.g. the counterexample came from different
     /// options), the explanation falls back to this counterexample's own
     /// data and says so in the story.
-    pub fn explain_with(&self, sys: &CompositeSystem, options: ReduceOptions) -> Explanation {
-        let checker = Checker::with_options(
-            crate::reduce::CheckOptions::new()
-                .forgetting(options.forget_commuting)
-                .jobs(options.jobs)
-                .backend(crate::reduce::Backend::from_crossovers(
-                    options.dense_crossover,
-                    options.compressed_crossover,
-                )),
-        );
-        let mut reducer = checker.reducer(sys);
+    pub fn explain_with(&self, sys: &CompositeSystem, options: CheckOptions) -> Explanation {
+        let mut reducer = Checker::with_options(options).reducer(sys);
         let mut story = vec![format!(
             "level 0: front of {} leaf operation(s)",
             reducer.front().nodes.len()

@@ -2,6 +2,7 @@
 //! (Definition 13).
 
 use crate::par::{self, CheckScratch};
+use crate::reduce::Backend;
 use compc_graph::{find_cycle, DiGraph};
 use compc_model::{CompositeSystem, NodeId};
 use std::collections::BTreeSet;
@@ -45,23 +46,18 @@ impl Front {
     /// common schedule are observed in that schedule's weak output order,
     /// conflicting or not.
     pub fn level0(sys: &CompositeSystem) -> Front {
-        Self::level0_jobs(sys, 1, &mut CheckScratch::new())
+        Self::level0_with(sys, 1, Backend::Auto, &mut CheckScratch::new())
     }
 
-    /// [`Front::level0`] with `jobs` workers and reusable buffers: the
-    /// per-schedule output-order extraction runs one schedule per task and
-    /// the closing normalization uses the parallel closure. Identical output
-    /// to the sequential path for every `jobs`.
-    pub fn level0_jobs(sys: &CompositeSystem, jobs: usize, scratch: &mut CheckScratch) -> Front {
-        Self::level0_opts(sys, jobs, par::ClosureRouting::default(), scratch)
-    }
-
-    /// [`Front::level0_jobs`] with explicit backend crossovers for the
-    /// closing normalization (see `CheckOptions::backend`).
-    pub fn level0_opts(
+    /// [`Front::level0`] with `jobs` workers, a closure backend and
+    /// reusable buffers: the per-schedule output-order extraction runs one
+    /// schedule per task and the closing normalization uses the parallel
+    /// closure. Identical output to the sequential path for every `jobs`
+    /// and backend.
+    pub(crate) fn level0_with(
         sys: &CompositeSystem,
         jobs: usize,
-        routing: par::ClosureRouting,
+        backend: Backend,
         scratch: &mut CheckScratch,
     ) -> Front {
         let observed = level0_pre(sys, jobs);
@@ -69,7 +65,7 @@ impl Front {
         // intra-schedule and each schedule's output order is already closed —
         // but we normalize anyway so the invariant "observed is closed" holds
         // unconditionally.
-        let observed = par::transitive_closure_jobs(&observed, jobs, routing, scratch);
+        let observed = par::transitive_closure_jobs(&observed, jobs, backend, scratch);
         Front {
             level: 0,
             nodes: sys.leaves().collect(),
@@ -231,7 +227,7 @@ impl Front {
 /// The level-0 observed order *before* its closing normalization: every
 /// same-schedule leaf pair in the schedule's weak output order. The
 /// incremental session delta-closes this graph against its cached closure;
-/// [`Front::level0_opts`] closes it from scratch.
+/// [`Front::level0`] closes it from scratch.
 pub(crate) fn level0_pre(sys: &CompositeSystem, jobs: usize) -> DiGraph {
     let mut observed = DiGraph::with_nodes(sys.node_count());
     let leaves: BTreeSet<NodeId> = sys.leaves().collect();

@@ -84,11 +84,11 @@ pub use explain::Explanation;
 pub use front::Front;
 pub use minimize::{minimize, MinimalCounterexample};
 pub use par::{
-    effective_jobs, BackendCounts, CheckScratch, ClosureRouting, COMPRESSED_CROSSOVER_DEFAULT,
+    effective_jobs, BackendCounts, CheckScratch, COMPRESSED_CROSSOVER_DEFAULT,
     DENSE_CROSSOVER_DEFAULT,
 };
 pub use reduce::{
-    check, Backend, CheckOptions, Checker, Counterexample, Deadline, FailurePhase, FrontSnapshot,
-    Interrupted, Proof, ReduceOptions, Reducer, Verdict,
+    check, Backend, CheckCtx, CheckOptions, Checker, Counterexample, Deadline, FailurePhase,
+    FrontSnapshot, Interrupted, Proof, Reducer, Verdict,
 };
 pub use session::{Session, SessionError, SessionSnapshot, SessionStats};

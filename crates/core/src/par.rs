@@ -13,6 +13,7 @@
 //! directly, which keeps the engine dependency-free. Thread spawn costs
 //! ~10–50 µs, so small inputs stay on the sequential path.
 
+use crate::reduce::Backend;
 use compc_graph::{
     reachable_from_with, BitGraph, ChunkedBitGraph, DiGraph, ReachScratch, SccScratch,
 };
@@ -26,8 +27,8 @@ const CLOSURE_PAR_THRESHOLD: usize = 64;
 /// Measured on this container (EXPERIMENTS.md E21): the dense kernel wins
 /// from roughly one machine word of nodes upward once the sparse↔dense
 /// conversion is amortized by the closure itself; Figure-scale fronts
-/// (< 64 nodes) stay sparse with zero overhead. Override per check with
-/// `Checker::dense_crossover`.
+/// (< 64 nodes) stay sparse with zero overhead. [`Backend::Auto`] applies
+/// it; the other backends ignore it.
 pub const DENSE_CROSSOVER_DEFAULT: usize = 64;
 
 /// Default node-count crossover above which closures leave the flat dense
@@ -35,33 +36,12 @@ pub const DENSE_CROSSOVER_DEFAULT: usize = 64;
 /// closure). Dense rows cost `n²/64` words no matter how sparse the
 /// relation; from a few thousand nodes up the hybrid rows' `O(edges)`
 /// footprint and the condensation's shared per-component rows win
-/// (EXPERIMENTS.md E22 measures the crossover on this container). Override
-/// per check with `Backend::Compressed` or `CheckOptions::backend`.
+/// (EXPERIMENTS.md E22 measures the crossover on this container).
+/// [`Backend::Auto`] applies it; the other backends ignore it.
 pub const COMPRESSED_CROSSOVER_DEFAULT: usize = 4096;
 
 /// Below this many items a generic index map stays sequential.
 const MAP_PAR_THRESHOLD: usize = 16;
-
-/// Node-count thresholds that pick the closure representation: sparse DFS
-/// below `dense_crossover`, flat dense bitset rows from there up, and the
-/// compressed condensation backend at or above `compressed_crossover`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClosureRouting {
-    /// At or above this many nodes, closures use dense bitset rows.
-    pub dense_crossover: usize,
-    /// At or above this many nodes, closures use the compressed backend
-    /// (takes precedence over the dense threshold).
-    pub compressed_crossover: usize,
-}
-
-impl Default for ClosureRouting {
-    fn default() -> Self {
-        ClosureRouting {
-            dense_crossover: DENSE_CROSSOVER_DEFAULT,
-            compressed_crossover: COMPRESSED_CROSSOVER_DEFAULT,
-        }
-    }
-}
 
 /// How many transitive closures a [`CheckScratch`] has run on each backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -130,29 +110,35 @@ impl CheckScratch {
 
 /// Transitive closure with `jobs` workers, reusing `scratch` buffers.
 ///
-/// The routing thresholds pick the representation: graphs at or above
-/// `routing.compressed_crossover` nodes run on the compressed backend
-/// (hybrid chunked rows, SCC-condensed closure); from
-/// `routing.dense_crossover` up they run on the dense bitset backend — one
-/// sparse→dense conversion, then 64 edges per word OR — and with multiple
-/// jobs the rows are partitioned into contiguous source ranges per worker.
-/// Smaller graphs keep the sparse per-source DFS. Deterministic and
+/// `backend` and the node count pick the representation. Under
+/// [`Backend::Auto`], graphs of at least [`COMPRESSED_CROSSOVER_DEFAULT`]
+/// nodes run on the compressed backend (hybrid chunked rows, SCC-condensed
+/// closure); from [`DENSE_CROSSOVER_DEFAULT`] up they run on the dense
+/// bitset backend — one sparse→dense conversion, then 64 edges per word OR —
+/// and with multiple jobs the rows are partitioned into contiguous source
+/// ranges per worker. Smaller graphs keep the sparse per-source DFS; the
+/// other backends force one representation at every size. Deterministic and
 /// bit-identical across backends and every `jobs` value (pinned by
 /// `tests/bitgraph_equiv.rs` and the parallel-equivalence suite).
 pub(crate) fn transitive_closure_jobs(
     g: &DiGraph,
     jobs: usize,
-    routing: ClosureRouting,
+    backend: Backend,
     scratch: &mut CheckScratch,
 ) -> DiGraph {
     let n = g.node_count();
     let jobs = effective_jobs(jobs).min(n.max(1));
     scratch.ensure_workers(jobs);
-    if n >= routing.compressed_crossover {
+    let backend = match backend {
+        Backend::Auto if n >= COMPRESSED_CROSSOVER_DEFAULT => Backend::Compressed,
+        Backend::Auto if n >= DENSE_CROSSOVER_DEFAULT => Backend::Dense,
+        other => other,
+    };
+    if backend == Backend::Compressed {
         scratch.counts.compressed += 1;
         return compressed_closure_jobs(g, jobs, scratch);
     }
-    if n >= routing.dense_crossover {
+    if backend == Backend::Dense {
         scratch.counts.dense += 1;
         return dense_closure_jobs(g, jobs, scratch);
     }
@@ -312,29 +298,20 @@ mod tests {
             }
         }
         let seq = compc_graph::transitive_closure(&g);
-        let routings = [
-            // Force each backend outright, plus the default mix.
-            ClosureRouting {
-                dense_crossover: 0,
-                compressed_crossover: usize::MAX,
-            },
-            ClosureRouting {
-                dense_crossover: usize::MAX,
-                compressed_crossover: usize::MAX,
-            },
-            ClosureRouting {
-                dense_crossover: usize::MAX,
-                compressed_crossover: 0,
-            },
-            ClosureRouting::default(),
+        // Force each backend outright, plus the default mix.
+        let backends = [
+            Backend::Dense,
+            Backend::Sparse,
+            Backend::Compressed,
+            Backend::Auto,
         ];
         for jobs in [1, 2, 4, 8] {
-            for routing in routings {
-                let par = transitive_closure_jobs(&g, jobs, routing, &mut CheckScratch::new());
+            for backend in backends {
+                let par = transitive_closure_jobs(&g, jobs, backend, &mut CheckScratch::new());
                 assert_eq!(
                     seq.edges().collect::<Vec<_>>(),
                     par.edges().collect::<Vec<_>>(),
-                    "closure must be identical at jobs={jobs} routing={routing:?}"
+                    "closure must be identical at jobs={jobs} backend={backend}"
                 );
             }
         }
@@ -345,14 +322,14 @@ mod tests {
         let mut g = DiGraph::with_nodes(10);
         g.add_edge(0, 1);
         let mut scratch = CheckScratch::new();
-        let force = |dense_crossover, compressed_crossover| ClosureRouting {
-            dense_crossover,
-            compressed_crossover,
-        };
-        transitive_closure_jobs(&g, 1, force(usize::MAX, usize::MAX), &mut scratch);
-        transitive_closure_jobs(&g, 1, force(0, usize::MAX), &mut scratch);
-        transitive_closure_jobs(&g, 1, force(0, usize::MAX), &mut scratch);
-        transitive_closure_jobs(&g, 1, force(usize::MAX, 0), &mut scratch);
+        for backend in [
+            Backend::Sparse,
+            Backend::Dense,
+            Backend::Dense,
+            Backend::Compressed,
+        ] {
+            transitive_closure_jobs(&g, 1, backend, &mut scratch);
+        }
         assert_eq!(
             scratch.backend_counts(),
             BackendCounts {

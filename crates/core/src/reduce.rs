@@ -185,62 +185,10 @@ impl std::fmt::Display for Interrupted {
 
 impl std::error::Error for Interrupted {}
 
-/// Tuning knobs for the reduction. Build them fluently with [`Checker`];
-/// the struct itself stays public so options can be inspected and stored.
-#[derive(Clone, Copy, Debug)]
-pub struct ReduceOptions {
-    /// Definition 10's *forgetting*: a pulled-up pair whose endpoints land
-    /// in a common schedule survives only if that schedule declares the
-    /// pair conflicting. Disabling this (the ablation) keeps every pulled
-    /// pair binding — Figure 4's execution then flips to incorrect,
-    /// quantifying how much permissiveness the schedules' commutativity
-    /// knowledge buys.
-    pub forget_commuting: bool,
-    /// Worker threads for the within-level checks (closure, conflict scans,
-    /// per-schedule serialization pairs). `1` = fully sequential (the
-    /// default); `0` = one worker per available core. Every value yields an
-    /// identical [`Verdict`] — parallelism only changes wall-clock time.
-    pub jobs: usize,
-    /// Node-count crossover above which transitive closures run on the dense
-    /// word-parallel bitset backend (`0` forces dense everywhere,
-    /// `usize::MAX` forces sparse). Both backends produce bit-identical
-    /// closures; this knob only trades conversion overhead against
-    /// word-level parallelism. See [`par::DENSE_CROSSOVER_DEFAULT`].
-    pub dense_crossover: usize,
-    /// Node-count crossover at or above which transitive closures run on
-    /// the compressed backend (hybrid chunked rows + SCC-condensed closure)
-    /// instead of flat dense rows; takes precedence over `dense_crossover`.
-    /// `0` forces compressed everywhere, `usize::MAX` disables it. All
-    /// three backends produce bit-identical closures. See
-    /// [`par::COMPRESSED_CROSSOVER_DEFAULT`].
-    pub compressed_crossover: usize,
-}
-
-impl Default for ReduceOptions {
-    fn default() -> Self {
-        ReduceOptions {
-            forget_commuting: true,
-            jobs: 1,
-            dense_crossover: par::DENSE_CROSSOVER_DEFAULT,
-            compressed_crossover: par::COMPRESSED_CROSSOVER_DEFAULT,
-        }
-    }
-}
-
-impl ReduceOptions {
-    /// The closure-routing thresholds these options resolve to.
-    pub(crate) fn routing(&self) -> par::ClosureRouting {
-        par::ClosureRouting {
-            dense_crossover: self.dense_crossover,
-            compressed_crossover: self.compressed_crossover,
-        }
-    }
-}
-
 /// Which transitive-closure backend a check runs on. Every choice yields a
 /// bit-identical [`Verdict`]; the knob only trades per-node DFS against
 /// word-parallel bitset sweeps against compressed condensation rows (see
-/// `par::DENSE_CROSSOVER_DEFAULT`, `par::COMPRESSED_CROSSOVER_DEFAULT`,
+/// [`par::DENSE_CROSSOVER_DEFAULT`], [`par::COMPRESSED_CROSSOVER_DEFAULT`],
 /// and EXPERIMENTS.md E21/E22 for the measured break-evens).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
@@ -256,48 +204,9 @@ pub enum Backend {
     /// Compressed closures (hybrid chunked rows + SCC condensation)
     /// everywhere.
     Compressed,
-    /// Explicit node-count crossover: graphs with at least this many nodes
-    /// close on the dense backend, smaller ones sparse (never compressed).
-    Crossover(usize),
 }
 
 impl Backend {
-    /// The `(dense, compressed)` crossover pair this mode resolves to:
-    /// closures route compressed at or above the second threshold, dense at
-    /// or above the first, sparse below both.
-    pub fn crossovers(self) -> (usize, usize) {
-        match self {
-            Backend::Auto => (
-                par::DENSE_CROSSOVER_DEFAULT,
-                par::COMPRESSED_CROSSOVER_DEFAULT,
-            ),
-            Backend::Dense => (0, usize::MAX),
-            Backend::Sparse => (usize::MAX, usize::MAX),
-            Backend::Compressed => (usize::MAX, 0),
-            Backend::Crossover(n) => (n, usize::MAX),
-        }
-    }
-
-    /// The dense-backend crossover this mode resolves to.
-    pub fn crossover(self) -> usize {
-        self.crossovers().0
-    }
-
-    /// Reconstructs the mode that resolves to this `(dense, compressed)`
-    /// crossover pair — the inverse of [`Backend::crossovers`] on canonical
-    /// pairs. Non-canonical pairs fall back to `Crossover(dense)`; every
-    /// backend is verdict-neutral, so the fallback only loses the
-    /// compressed threshold, never correctness.
-    pub fn from_crossovers(dense: usize, compressed: usize) -> Backend {
-        match (dense, compressed) {
-            (par::DENSE_CROSSOVER_DEFAULT, par::COMPRESSED_CROSSOVER_DEFAULT) => Backend::Auto,
-            (0, usize::MAX) => Backend::Dense,
-            (usize::MAX, usize::MAX) => Backend::Sparse,
-            (usize::MAX, 0) => Backend::Compressed,
-            (n, _) => Backend::Crossover(n),
-        }
-    }
-
     /// Parses a CLI-style backend name (`auto`, `dense`, `sparse`,
     /// `compressed`).
     pub fn parse(name: &str) -> Option<Backend> {
@@ -318,7 +227,6 @@ impl std::fmt::Display for Backend {
             Backend::Dense => write!(f, "dense"),
             Backend::Sparse => write!(f, "sparse"),
             Backend::Compressed => write!(f, "compressed"),
-            Backend::Crossover(n) => write!(f, "crossover({n})"),
         }
     }
 }
@@ -344,14 +252,18 @@ impl std::fmt::Display for Backend {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckOptions {
-    /// Definition 10's commutativity forgetting (default `true`; `false`
-    /// is the conservative ablation). See [`ReduceOptions::forget_commuting`].
+    /// Definition 10's *forgetting*: a pulled-up pair whose endpoints land
+    /// in a common schedule survives only if that schedule declares the
+    /// pair conflicting (default `true`). Disabling it (the conservative
+    /// ablation) keeps every pulled pair binding — Figure 4's execution
+    /// then flips to incorrect, quantifying how much permissiveness the
+    /// schedules' commutativity knowledge buys.
     pub forgetting: bool,
     /// Worker threads for within-level checks: `1` sequential (default),
     /// `0` one per core, `n` exactly `n`. Verdict-neutral.
     pub jobs: usize,
-    /// Transitive-closure backend (auto crossover by default).
-    /// Verdict-neutral.
+    /// Transitive-closure backend (size-based [`Backend::Auto`] by
+    /// default). Verdict-neutral.
     pub backend: Backend,
     /// Per-check wall-clock budget, polled cooperatively at level
     /// boundaries. `None` (the default) never interrupts.
@@ -412,37 +324,60 @@ impl CheckOptions {
         self.oracle = on;
         self
     }
+}
 
-    /// The reduction-engine view of these options.
-    pub fn reduce_options(&self) -> ReduceOptions {
-        let (dense_crossover, compressed_crossover) = self.backend.crossovers();
-        ReduceOptions {
-            forget_commuting: self.forgetting,
-            jobs: self.jobs,
-            dense_crossover,
-            compressed_crossover,
+/// Per-call state for [`Checker::try_check`]: the caller's reusable
+/// [`CheckScratch`] and an optional [`TraceSink`].
+///
+/// A hot loop keeps one scratch per thread and wraps it in a fresh
+/// `CheckCtx` per system; the check moves the buffers into its [`Reducer`]
+/// and back, so nothing is reallocated once they have grown. With a sink
+/// attached the check emits `check_start`, one `level` event per
+/// reduction step and `check_end`; an interrupted check emits its
+/// `check_start` and completed `level` events but no `check_end`.
+pub struct CheckCtx<'a> {
+    /// Reusable graph buffers.
+    pub scratch: &'a mut CheckScratch,
+    /// Receives the check's structured events, if set.
+    pub sink: Option<&'a mut dyn TraceSink>,
+}
+
+impl<'a> CheckCtx<'a> {
+    /// A context over `scratch` with no sink.
+    pub fn new(scratch: &'a mut CheckScratch) -> Self {
+        CheckCtx {
+            scratch,
+            sink: None,
         }
+    }
+
+    /// Attaches a [`TraceSink`].
+    pub fn traced(mut self, sink: &'a mut dyn TraceSink) -> Self {
+        self.sink = Some(sink);
+        self
     }
 }
 
-/// Fluent, reusable configuration for Comp-C checks — the single entry point
-/// for anything beyond the plain [`check`] convenience wrapper.
+/// Reusable configuration for Comp-C checks — the single entry point for
+/// anything beyond the plain [`check`] convenience wrapper.
 ///
 /// ```
-/// use compc_core::{Checker, CheckOptions};
+/// use compc_core::{CheckCtx, CheckOptions, CheckScratch, Checker};
 /// # use compc_model::SystemBuilder;
 /// # let mut b = SystemBuilder::new();
 /// # let s = b.schedule("S");
 /// # let _t = b.root("T", s);
 /// # let sys = b.build().unwrap();
-/// let verdict = Checker::with_options(CheckOptions::new().jobs(4)).check(&sys);
-/// assert!(verdict.is_correct());
+/// let checker = Checker::with_options(CheckOptions::new().jobs(4));
+/// assert!(checker.check(&sys).is_correct());
+///
+/// // Hot loops reuse one scratch across systems and observe deadlines.
+/// let mut scratch = CheckScratch::new();
+/// let verdict = checker.try_check(&sys, &mut CheckCtx::new(&mut scratch));
+/// assert!(verdict.unwrap().is_correct());
 /// ```
 ///
-/// A `Checker` is `Copy` and cheap: it is just validated options. For
-/// high-throughput loops, pair it with a [`CheckScratch`] via
-/// [`Checker::check_reusing`] so graph buffers are reused between systems
-/// (the batch engine does this per worker).
+/// A `Checker` is `Copy` and cheap: it is just validated options.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Checker {
     options: CheckOptions,
@@ -460,157 +395,51 @@ impl Checker {
         Checker::default()
     }
 
-    /// A checker running with the given [`CheckOptions`] — the primary
-    /// constructor; the per-knob setters are deprecated forwarders.
+    /// A checker running with the given [`CheckOptions`].
     pub fn with_options(options: CheckOptions) -> Self {
         Checker { options }
     }
 
-    /// Enable/disable Definition 10's commutativity forgetting (default
-    /// `true`; `false` is the conservative ablation).
-    #[deprecated(note = "build a CheckOptions and use Checker::with_options")]
-    pub fn forgetting(mut self, on: bool) -> Self {
-        self.options.forgetting = on;
-        self
-    }
-
-    /// Worker threads for within-level checks: `1` sequential (default),
-    /// `0` one per core, `n` exactly `n`.
-    #[deprecated(note = "build a CheckOptions and use Checker::with_options")]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.options.jobs = jobs;
-        self
-    }
-
-    /// Node-count crossover for the dense bitset closure backend: graphs
-    /// with at least this many nodes are closed word-parallel. `0` forces
-    /// dense, `usize::MAX` forces sparse. The default is the measured
-    /// break-even point (EXPERIMENTS.md E21).
-    #[deprecated(note = "build a CheckOptions and use Checker::with_options")]
-    pub fn dense_crossover(mut self, nodes: usize) -> Self {
-        self.options.backend = Backend::Crossover(nodes);
-        self
-    }
-
-    /// A per-check wall-clock budget, checked cooperatively at level
-    /// boundaries. Use the `try_check*` variants to observe the resulting
-    /// [`Interrupted`]; the plain `check*` methods panic on interruption.
-    #[deprecated(note = "build a CheckOptions and use Checker::with_options")]
-    pub fn deadline(mut self, budget: std::time::Duration) -> Self {
-        self.options.deadline = Some(budget);
-        self
-    }
-
-    /// The reduction-engine options this checker runs with.
-    pub fn options(&self) -> ReduceOptions {
-        self.options.reduce_options()
-    }
-
-    /// The full [`CheckOptions`] this checker runs with.
-    pub fn check_options(&self) -> CheckOptions {
+    /// The options this checker runs with.
+    pub fn options(&self) -> CheckOptions {
         self.options
-    }
-
-    fn start_deadline(&self) -> Deadline {
-        self.options
-            .deadline
-            .map_or_else(Deadline::none, Deadline::after)
     }
 
     /// Decides Comp-C for `sys` (Theorem 1) under this configuration.
     ///
     /// # Panics
-    /// If a [`Checker::deadline`] is set and expires mid-check; use
+    /// If [`CheckOptions::deadline`] is set and expires mid-check; use
     /// [`Checker::try_check`] to handle interruption.
     pub fn check(&self, sys: &CompositeSystem) -> Verdict {
-        self.check_reusing(sys, &mut CheckScratch::new())
-    }
-
-    /// [`Checker::check`] that surfaces deadline/cancel interruption
-    /// instead of panicking.
-    pub fn try_check(&self, sys: &CompositeSystem) -> Result<Verdict, Interrupted> {
-        self.try_check_reusing(sys, &mut CheckScratch::new())
-    }
-
-    /// [`Checker::check`] reusing buffers from `scratch` — the hot-loop
-    /// variant for checking many systems on one thread/worker.
-    ///
-    /// # Panics
-    /// If a [`Checker::deadline`] is set and expires mid-check; use
-    /// [`Checker::try_check_reusing`] to handle interruption.
-    pub fn check_reusing(&self, sys: &CompositeSystem, scratch: &mut CheckScratch) -> Verdict {
-        self.try_check_reusing(sys, scratch)
+        self.try_check(sys, &mut CheckCtx::new(&mut CheckScratch::new()))
             .unwrap_or_else(interruption_panic)
     }
 
-    /// [`Checker::check_reusing`] that surfaces deadline/cancel
-    /// interruption instead of panicking.
-    pub fn try_check_reusing(
+    /// [`Checker::check`] reusing `ctx`'s buffers and emitting to its
+    /// sink, surfacing deadline/cancel interruption instead of panicking.
+    pub fn try_check(
         &self,
         sys: &CompositeSystem,
-        scratch: &mut CheckScratch,
+        ctx: &mut CheckCtx<'_>,
     ) -> Result<Verdict, Interrupted> {
-        let mut reducer =
-            Reducer::with_scratch(sys, self.options.reduce_options(), std::mem::take(scratch))
-                .deadline(self.start_deadline());
+        let mut reducer = Reducer::with_scratch(sys, self.options, std::mem::take(ctx.scratch));
+        if let Some(sink) = ctx.sink.as_deref_mut() {
+            reducer = reducer.traced(sink);
+        }
         let verdict = reducer.try_run();
-        *scratch = reducer.into_scratch();
-        verdict
-    }
-
-    /// [`Checker::check`] with a [`TraceSink`] receiving structured events:
-    /// `check_start`, one `level` per reduction step, `check_end`.
-    ///
-    /// # Panics
-    /// If a [`Checker::deadline`] is set and expires mid-check.
-    pub fn check_traced(&self, sys: &CompositeSystem, sink: &mut dyn TraceSink) -> Verdict {
-        self.check_reusing_traced(sys, &mut CheckScratch::new(), sink)
-    }
-
-    /// [`Checker::check_reusing`] with a [`TraceSink`] — the batch engine's
-    /// traced hot-loop variant.
-    ///
-    /// # Panics
-    /// If a [`Checker::deadline`] is set and expires mid-check; use
-    /// [`Checker::try_check_reusing_traced`] to handle interruption.
-    pub fn check_reusing_traced(
-        &self,
-        sys: &CompositeSystem,
-        scratch: &mut CheckScratch,
-        sink: &mut dyn TraceSink,
-    ) -> Verdict {
-        self.try_check_reusing_traced(sys, scratch, sink)
-            .unwrap_or_else(interruption_panic)
-    }
-
-    /// [`Checker::check_reusing_traced`] that surfaces deadline/cancel
-    /// interruption instead of panicking. An interrupted check emits its
-    /// `check_start` and completed `level` events but no `check_end`.
-    pub fn try_check_reusing_traced(
-        &self,
-        sys: &CompositeSystem,
-        scratch: &mut CheckScratch,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Verdict, Interrupted> {
-        let mut reducer =
-            Reducer::with_scratch(sys, self.options.reduce_options(), std::mem::take(scratch))
-                .deadline(self.start_deadline())
-                .traced(sink);
-        let verdict = reducer.try_run();
-        *scratch = reducer.into_scratch();
+        *ctx.scratch = reducer.into_scratch();
         verdict
     }
 
     /// A stepwise [`Reducer`] over `sys` under this configuration, for
     /// traces and per-level inspection.
     pub fn reducer<'a>(&self, sys: &'a CompositeSystem) -> Reducer<'a> {
-        Reducer::with_scratch(sys, self.options.reduce_options(), CheckScratch::new())
-            .deadline(self.start_deadline())
+        Reducer::with_scratch(sys, self.options, CheckScratch::new())
     }
 }
 
 fn interruption_panic(i: Interrupted) -> Verdict {
-    panic!("{i}; use a try_check* variant when setting Checker::deadline or a cancel token")
+    panic!("{i}; use Checker::try_check when setting a deadline or a cancel token")
 }
 
 /// Per-step counters carried to the `level` trace event (see
@@ -634,7 +463,7 @@ struct LevelCounts {
 pub struct Reducer<'a> {
     sys: &'a CompositeSystem,
     front: Front,
-    options: ReduceOptions,
+    options: CheckOptions,
     scratch: CheckScratch,
     /// Structured-event sink. `None` costs one branch per level — the
     /// `trace_overhead` bench pins the disabled path at <2% of a check.
@@ -649,24 +478,27 @@ pub struct Reducer<'a> {
 impl<'a> Reducer<'a> {
     /// Starts a reduction at the level-0 front with default options.
     pub fn new(sys: &'a CompositeSystem) -> Self {
-        Self::with_scratch(sys, ReduceOptions::default(), CheckScratch::new())
+        Self::with_scratch(sys, CheckOptions::default(), CheckScratch::new())
     }
 
     /// Starts a reduction with explicit options and pre-allocated buffers
-    /// (the [`Checker`] entry points construct reducers through this).
+    /// (the [`Checker`] entry points construct reducers through this). The
+    /// options' deadline, if any, starts counting now.
     pub(crate) fn with_scratch(
         sys: &'a CompositeSystem,
-        options: ReduceOptions,
+        options: CheckOptions,
         mut scratch: CheckScratch,
     ) -> Self {
-        let front = Front::level0_opts(sys, options.jobs, options.routing(), &mut scratch);
+        let front = Front::level0_with(sys, options.jobs, options.backend, &mut scratch);
         Reducer {
             sys,
             front,
             options,
             scratch,
             sink: None,
-            deadline: Deadline::none(),
+            deadline: options
+                .deadline
+                .map_or_else(Deadline::none, Deadline::after),
             cancel: None,
         }
     }
@@ -848,7 +680,7 @@ impl<'a> Reducer<'a> {
         let observed = par::transitive_closure_jobs(
             &pre.pre_observed,
             self.options.jobs,
-            self.options.routing(),
+            self.options.backend,
             &mut self.scratch,
         );
         let closure_edges = observed.edge_count().saturating_sub(pre_closure_edges);
@@ -1004,7 +836,7 @@ pub(crate) struct CalcFailure {
 pub(crate) fn step_pre_closure(
     sys: &CompositeSystem,
     front: &Front,
-    options: ReduceOptions,
+    options: CheckOptions,
     scheds: &[compc_model::SchedId],
     level: usize,
 ) -> Result<StepPre, CalcFailure> {
@@ -1033,7 +865,7 @@ pub(crate) fn step_pre_closure(
     // between two operations of one transaction also rules it out;
     // contraction alone cannot see those, it drops self-edges). Under
     // the no-forgetting ablation every observed pair constrains.
-    let constraint = if options.forget_commuting {
+    let constraint = if options.forgetting {
         front.constraint_graph_jobs(sys, options.jobs)
     } else {
         let mut g = front.input.clone();
@@ -1132,7 +964,7 @@ pub(crate) fn step_pre_closure(
         // conflict declaration (handled below from schedule data); a
         // cross-schedule pair is pushed unconditionally (rule 3). The
         // no-forgetting ablation pushes everything.
-        if !options.forget_commuting || sys.common_container(a, b).is_none() {
+        if !options.forgetting || sys.common_container(a, b).is_none() {
             observed.add_edge(big_a.index(), big_b.index());
         } else {
             pairs_forgotten += 1;
@@ -1265,12 +1097,14 @@ mod tests {
         let sys = flat_two_root_system();
         let checker =
             Checker::with_options(CheckOptions::new().deadline(std::time::Duration::ZERO));
+        let mut scratch = CheckScratch::new();
         assert!(matches!(
-            checker.try_check(&sys),
+            checker.try_check(&sys, &mut CheckCtx::new(&mut scratch)),
             Err(Interrupted { level: 1 })
         ));
-        // Without a deadline the same checker options complete normally.
-        assert!(Checker::new().try_check(&sys).unwrap().is_correct());
+        // Without a deadline the same scratch completes normally.
+        let v = Checker::new().try_check(&sys, &mut CheckCtx::new(&mut scratch));
+        assert!(v.unwrap().is_correct());
     }
 
     /// A generous deadline never fires; verdicts match the plain path.
@@ -1280,7 +1114,7 @@ mod tests {
         let v = Checker::with_options(
             CheckOptions::new().deadline(std::time::Duration::from_secs(3600)),
         )
-        .try_check(&sys)
+        .try_check(&sys, &mut CheckCtx::new(&mut CheckScratch::new()))
         .expect("an hour is plenty");
         assert!(v.is_correct());
     }
@@ -1306,7 +1140,8 @@ mod tests {
         let mut sink = MemorySink::new();
         let checker =
             Checker::with_options(CheckOptions::new().deadline(std::time::Duration::ZERO));
-        let r = checker.try_check_reusing_traced(&sys, &mut CheckScratch::new(), &mut sink);
+        let mut scratch = CheckScratch::new();
+        let r = checker.try_check(&sys, &mut CheckCtx::new(&mut scratch).traced(&mut sink));
         assert!(matches!(r, Err(Interrupted { level: 1 })));
         let kinds: Vec<&str> = sink.events.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["check_start"]);
@@ -1541,67 +1376,18 @@ mod tests {
         assert_eq!(cex.phase, FailurePhase::Calculation);
     }
 
-    /// The deprecated per-knob setters still forward into the unified
-    /// [`CheckOptions`] (they must keep working for one release).
+    /// Backend names round-trip through the CLI parser and display.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_forward_into_check_options() {
-        let legacy = Checker::new()
-            .forgetting(false)
-            .jobs(3)
-            .dense_crossover(7)
-            .deadline(std::time::Duration::from_millis(250));
-        let modern = CheckOptions::new()
-            .forgetting(false)
-            .jobs(3)
-            .backend(Backend::Crossover(7))
-            .deadline(std::time::Duration::from_millis(250));
-        assert_eq!(legacy.check_options(), modern);
-        assert_eq!(
-            Checker::from(modern).check_options(),
-            Checker::with_options(modern).check_options()
-        );
-        let reduce = legacy.options();
-        assert!(!reduce.forget_commuting);
-        assert_eq!(reduce.jobs, 3);
-        assert_eq!(reduce.dense_crossover, 7);
-    }
-
-    /// Backend names round-trip through the CLI parser and resolve to the
-    /// documented crossovers.
-    #[test]
-    fn backend_parse_and_crossover() {
-        assert_eq!(Backend::parse("auto"), Some(Backend::Auto));
-        assert_eq!(Backend::parse("dense"), Some(Backend::Dense));
-        assert_eq!(Backend::parse("sparse"), Some(Backend::Sparse));
-        assert_eq!(Backend::parse("compressed"), Some(Backend::Compressed));
+    fn backend_parse_and_display() {
         assert_eq!(Backend::parse("gpu"), None);
-        assert_eq!(Backend::Dense.crossover(), 0);
-        assert_eq!(Backend::Sparse.crossover(), usize::MAX);
-        assert_eq!(Backend::Auto.crossover(), par::DENSE_CROSSOVER_DEFAULT);
-        assert_eq!(Backend::Crossover(9).crossover(), 9);
-        assert_eq!(Backend::Auto.to_string(), "auto");
-        assert_eq!(Backend::Compressed.to_string(), "compressed");
-        assert_eq!(Backend::Dense.crossovers(), (0, usize::MAX));
-        assert_eq!(Backend::Compressed.crossovers(), (usize::MAX, 0));
-        assert_eq!(
-            Backend::Auto.crossovers(),
-            (
-                par::DENSE_CROSSOVER_DEFAULT,
-                par::COMPRESSED_CROSSOVER_DEFAULT
-            )
-        );
-        // Crossover(n) keeps the legacy two-way meaning: never compressed.
-        assert_eq!(Backend::Crossover(9).crossovers(), (9, usize::MAX));
-        for b in [
-            Backend::Auto,
-            Backend::Dense,
-            Backend::Sparse,
-            Backend::Compressed,
-            Backend::Crossover(9),
+        for (name, backend) in [
+            ("auto", Backend::Auto),
+            ("dense", Backend::Dense),
+            ("sparse", Backend::Sparse),
+            ("compressed", Backend::Compressed),
         ] {
-            let (d, c) = b.crossovers();
-            assert_eq!(Backend::from_crossovers(d, c), b, "round-trip of {b}");
+            assert_eq!(Backend::parse(name), Some(backend));
+            assert_eq!(backend.to_string(), name);
         }
     }
 
@@ -1659,6 +1445,13 @@ mod trace_tests {
     use compc_model::SystemBuilder;
     use compc_trace::{MemorySink, TraceEvent};
 
+    fn traced_check(sys: &CompositeSystem, sink: &mut MemorySink) -> Verdict {
+        let mut scratch = CheckScratch::new();
+        Checker::new()
+            .try_check(sys, &mut CheckCtx::new(&mut scratch).traced(sink))
+            .expect("no deadline set")
+    }
+
     fn two_level_correct() -> CompositeSystem {
         let mut b = SystemBuilder::new();
         let s_top = b.schedule("top");
@@ -1697,7 +1490,7 @@ mod trace_tests {
     fn traced_check_narrates_every_level() {
         let sys = two_level_correct();
         let mut sink = MemorySink::new();
-        let v = Checker::new().check_traced(&sys, &mut sink);
+        let v = traced_check(&sys, &mut sink);
         assert!(v.is_correct());
         assert_eq!(sink.events.len(), 2 + sys.order());
         assert!(matches!(
@@ -1741,7 +1534,7 @@ mod trace_tests {
     fn traced_failure_names_level_and_phase() {
         let sys = lost_update();
         let mut sink = MemorySink::new();
-        let v = Checker::new().check_traced(&sys, &mut sink);
+        let v = traced_check(&sys, &mut sink);
         assert!(!v.is_correct());
         let kinds: Vec<&str> = sink.events.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["check_start", "level", "check_end"]);
@@ -1770,7 +1563,7 @@ mod trace_tests {
     fn level_events_count_reduction_work() {
         let sys = two_level_correct();
         let mut sink = MemorySink::new();
-        Checker::new().check_traced(&sys, &mut sink);
+        traced_check(&sys, &mut sink);
         let TraceEvent::Level {
             serialization_pairs,
             schedules_reduced,
@@ -1791,10 +1584,8 @@ mod ablation_tests {
     use super::*;
     use compc_model::SystemBuilder;
 
-    /// The Figure-4 shape: correct with forgetting, incorrect without — the
-    /// ablation isolates exactly the schedules'-commutativity contribution.
-    #[test]
-    fn forgetting_ablation_flips_figure4() {
+    /// The Figure-4 shape: correct with forgetting, incorrect without.
+    fn figure4_shape() -> CompositeSystem {
         let mut b = SystemBuilder::new();
         let s_top = b.schedule("top");
         let s_m1 = b.schedule("M1");
@@ -1821,13 +1612,44 @@ mod ablation_tests {
         b.output_weak(x11, x21).unwrap();
         b.conflict(x22, x12).unwrap();
         b.output_weak(x22, x12).unwrap();
-        let sys = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    /// The ablation isolates exactly the schedules'-commutativity
+    /// contribution: forgetting accepts Figure 4's shape, the ablation
+    /// rejects it.
+    #[test]
+    fn forgetting_ablation_flips_figure4() {
+        let sys = figure4_shape();
         assert!(check(&sys).is_correct());
         let strict = Checker::with_options(CheckOptions::new().forgetting(false)).check(&sys);
         assert!(
             !strict.is_correct(),
             "without forgetting the opposing pulled-up orders must cycle"
         );
+    }
+
+    /// An explanation re-runs the reduction under the options the failing
+    /// check used: under the ablation it reproduces the failure and names
+    /// its level instead of falling back to the recorded counterexample.
+    #[test]
+    fn explain_with_ablation_options_reproduces_the_failure() {
+        let sys = figure4_shape();
+        let options = CheckOptions::new().forgetting(false);
+        let verdict = Checker::with_options(options).check(&sys);
+        let cex = verdict.counterexample().expect("the ablation rejects");
+        let explanation = cex.explain_with(&sys, options);
+        assert_eq!(explanation.level, cex.level);
+        assert_eq!(explanation.phase, cex.phase);
+        let story = explanation.story.join("\n");
+        assert!(
+            story.contains(&format!("level {}: FAILED", cex.level)),
+            "{story}"
+        );
+        assert!(!story.contains("did not reproduce"), "{story}");
+        // Default options accept the system, so they cannot reproduce it.
+        let fallback = cex.explain(&sys).story.join("\n");
+        assert!(fallback.contains("did not reproduce"), "{fallback}");
     }
 
     /// No-forgetting is strictly more conservative: it never accepts a

@@ -48,7 +48,7 @@ use crate::front::{self, Front};
 use crate::par::{self, CheckScratch};
 use crate::reduce::{
     front_snapshot, make_counterexample, serial_witness, step_pre_closure, CheckOptions, Deadline,
-    FailurePhase, FrontSnapshot, Interrupted, Proof, ReduceOptions, Verdict,
+    FailurePhase, FrontSnapshot, Interrupted, Proof, Verdict,
 };
 use compc_graph::{added_edges, delta_closure, DiGraph};
 use compc_model::{CompositeSystem, NodeId, SchedId, Schedule};
@@ -259,7 +259,6 @@ impl Session {
     /// resumes from the first uncached level.
     pub fn append(&mut self, sys: CompositeSystem) -> Result<&Verdict, SessionError> {
         self.validate_extension(&sys)?;
-        let reduce = self.options.reduce_options();
         let deadline = self
             .options
             .deadline
@@ -282,7 +281,7 @@ impl Session {
 
         let outcome = run_append(
             &sys,
-            reduce,
+            self.options,
             &old_levels,
             &touched,
             old_pairs_touched,
@@ -402,7 +401,7 @@ impl Session {
 #[allow(clippy::too_many_arguments)]
 fn run_append(
     sys: &CompositeSystem,
-    options: ReduceOptions,
+    options: CheckOptions,
     old_levels: &[LevelCache],
     touched: &BTreeSet<SchedId>,
     old_pairs_touched: bool,
@@ -539,7 +538,7 @@ fn run_append(
 fn close_incremental(
     base: Option<&LevelCache>,
     pre: &DiGraph,
-    options: ReduceOptions,
+    options: CheckOptions,
     scratch: &mut CheckScratch,
     stats: &mut SessionStats,
 ) -> DiGraph {
@@ -552,7 +551,7 @@ fn close_incremental(
         }
     }
     stats.rows_recomputed += pre.node_count() as u64;
-    par::transitive_closure_jobs(pre, options.jobs, options.routing(), scratch)
+    par::transitive_closure_jobs(pre, options.jobs, options.backend, scratch)
 }
 
 /// Structural front equality modulo trailing node-count padding: appends

@@ -44,7 +44,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use compc_core::{effective_jobs, CheckOptions, CheckScratch, Checker, Interrupted, Verdict};
+use compc_core::{
+    effective_jobs, CheckCtx, CheckOptions, CheckScratch, Checker, Interrupted, Verdict,
+};
 use compc_model::CompositeSystem;
 use compc_trace::{replay, Histogram, MemorySink, TraceEvent, TraceStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,7 +81,7 @@ pub enum BatchFault {
         /// The panic message (or a generic description).
         message: String,
     },
-    /// The check was cooperatively interrupted by [`Batch::deadline`]
+    /// The check was cooperatively interrupted by [`CheckOptions::deadline`]
     /// before reaching a verdict. The item is neither proven Comp-C nor
     /// refuted; the rest of the batch is unaffected.
     Timeout {
@@ -178,7 +180,7 @@ pub struct BatchStats {
     /// How many produced no verdict because their check panicked.
     pub faults: usize,
     /// How many produced no verdict because their check exceeded the
-    /// [`Batch::deadline`].
+    /// [`CheckOptions::deadline`].
     pub timeouts: usize,
     /// Total nodes across all systems.
     pub nodes: usize,
@@ -335,7 +337,7 @@ impl BatchReport {
             .collect()
     }
 
-    /// Labels of the items whose check exceeded the [`Batch::deadline`].
+    /// Labels of the items whose check exceeded the [`CheckOptions::deadline`].
     pub fn timeout_labels(&self) -> Vec<&str> {
         self.outcomes
             .iter()
@@ -349,7 +351,7 @@ impl BatchReport {
 /// [`compc_core::Checker`].
 ///
 /// `workers = 0` (the default) means one worker per available core — the
-/// same normalization as [`Checker::jobs`], via
+/// same normalization as [`CheckOptions::jobs`], via
 /// [`compc_core::effective_jobs`]; `workers = 1` checks sequentially on the
 /// calling thread (no pool spun up). Work is distributed by atomic index
 /// claiming, so stragglers don't serialize the tail; each worker keeps one
@@ -390,42 +392,6 @@ impl Batch {
         self
     }
 
-    /// Within-system `jobs` for each check.
-    #[deprecated(note = "build a CheckOptions and use Batch::with_options")]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.options = self.options.jobs(jobs);
-        self
-    }
-
-    /// Definition-10 forgetting toggle for each check.
-    #[deprecated(note = "build a CheckOptions and use Batch::with_options")]
-    pub fn forgetting(mut self, on: bool) -> Self {
-        self.options = self.options.forgetting(on);
-        self
-    }
-
-    /// Dense-backend crossover for each check.
-    #[deprecated(note = "build a CheckOptions and use Batch::with_options")]
-    pub fn dense_crossover(mut self, nodes: usize) -> Self {
-        self.options = self.options.backend(compc_core::Backend::Crossover(nodes));
-        self
-    }
-
-    /// Use a fully configured [`Checker`] for each check.
-    #[deprecated(note = "build a CheckOptions and use Batch::with_options")]
-    pub fn checker(mut self, checker: Checker) -> Self {
-        self.options = checker.check_options();
-        self
-    }
-
-    /// A per-item wall-clock budget: an item whose check exceeds it reports
-    /// [`BatchFault::Timeout`] and the rest of the batch completes normally.
-    #[deprecated(note = "build a CheckOptions and use Batch::with_options")]
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.options = self.options.deadline(budget);
-        self
-    }
-
     /// Record the reduction's structured trace events for every item (in
     /// [`BatchOutcome::events`]) and aggregate them into
     /// [`BatchMetrics::trace`].
@@ -441,30 +407,27 @@ impl Batch {
     pub fn check_all(&self, items: Vec<BatchItem>) -> BatchReport {
         let tracing = self.tracing;
         self.run(items, move |checker, item, scratch| {
+            let mut sink = MemorySink::new();
+            let mut ctx = CheckCtx::new(scratch);
             if tracing {
-                let mut sink = MemorySink::new();
-                let result = checker
-                    .try_check_reusing_traced(&item.system, scratch, &mut sink)
-                    .map_err(timeout_fault);
-                // A timed-out item keeps its partial trace (check_start and
-                // the completed levels, no check_end).
-                (result, sink.events)
-            } else {
-                let result = checker
-                    .try_check_reusing(&item.system, scratch)
-                    .map_err(timeout_fault);
-                (result, Vec::new())
+                ctx = ctx.traced(&mut sink);
             }
+            // A timed-out item keeps its partial trace (check_start and the
+            // completed levels, no check_end).
+            let result = checker
+                .try_check(&item.system, &mut ctx)
+                .map_err(timeout_fault);
+            (result, sink.events)
         })
     }
 
     /// [`Batch::check_all`] with a custom per-item work function — the seam
     /// for callers that wrap the check (extra validation, timeouts, fault
     /// injection in tests). The function runs under the same panic
-    /// isolation as the built-in check. A [`Batch::deadline`] reaches the
-    /// function through its `Checker` argument; call a `try_check*` variant
-    /// there to honor it (a plain `check*` panics on expiry, which the
-    /// batch then reports as [`BatchFault::Panic`]).
+    /// isolation as the built-in check. A [`CheckOptions::deadline`]
+    /// reaches the function through its `Checker` argument; call
+    /// [`Checker::try_check`] there to honor it ([`Checker::check`] panics
+    /// on expiry, which the batch then reports as [`BatchFault::Panic`]).
     pub fn check_all_with<F>(&self, items: Vec<BatchItem>, f: F) -> BatchReport
     where
         F: Fn(Checker, &BatchItem, &mut CheckScratch) -> Verdict + Sync,
@@ -760,26 +723,6 @@ mod tests {
         );
     }
 
-    /// The legacy builder setters must forward into the same
-    /// [`CheckOptions`] a direct construction produces.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_forward_into_check_options() {
-        let legacy = Batch::new()
-            .jobs(3)
-            .forgetting(false)
-            .dense_crossover(9)
-            .deadline(Duration::from_millis(125));
-        let direct = CheckOptions::new()
-            .jobs(3)
-            .forgetting(false)
-            .backend(compc_core::Backend::Crossover(9))
-            .deadline(Duration::from_millis(125));
-        assert_eq!(legacy.options(), direct);
-        let via_checker = Batch::new().checker(Checker::with_options(direct));
-        assert_eq!(via_checker.options(), direct);
-    }
-
     #[test]
     fn empty_batch_is_fine() {
         let report = Batch::new().check_all(Vec::new());
@@ -809,7 +752,9 @@ mod tests {
                     if item.label == "ok-9" {
                         panic!("deliberate test panic in {}", item.label);
                     }
-                    checker.check_reusing(&item.system, scratch)
+                    checker
+                        .try_check(&item.system, &mut CheckCtx::new(scratch))
+                        .expect("no deadline set")
                 },
             );
             assert_eq!(report.stats.systems, 18, "workers={workers}");
@@ -844,7 +789,9 @@ mod tests {
                     if item.label.ends_with('2') {
                         panic!("boom");
                     }
-                    checker.check_reusing(&item.system, scratch)
+                    checker
+                        .try_check(&item.system, &mut CheckCtx::new(scratch))
+                        .expect("no deadline set")
                 });
         // ok-2 and ok-12 panic.
         assert_eq!(report.stats.faults, 2);
@@ -932,7 +879,7 @@ mod tests {
     }
 
     /// `workers(0)` means one per core — same normalization as
-    /// `Checker::jobs(0)` — and still produces identical verdicts.
+    /// `CheckOptions::jobs(0)` — and still produces identical verdicts.
     #[test]
     fn auto_workers_normalize_like_checker_jobs() {
         let auto = Batch::new().workers(0).check_all(batch_items());

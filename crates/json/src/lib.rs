@@ -420,12 +420,19 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a valid &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run of plain characters up to the next
+                    // quote, escape or control byte. Those are ASCII, so
+                    // the run is whole UTF-8 scalars of the input `&str`.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -570,6 +577,15 @@ mod tests {
         assert_eq!(parse(&v.to_compact()).unwrap(), v);
         let surrogate = parse(r#""😀""#).unwrap();
         assert_eq!(surrogate.as_str().unwrap(), "\u{1F600}");
+    }
+
+    /// Plain runs between escapes keep multi-byte characters whole, and a
+    /// raw control character still ends the run with an error.
+    #[test]
+    fn plain_runs_keep_multibyte_characters() {
+        let v = parse("\"añ\\n日😀\\\"x\"").unwrap();
+        assert_eq!(v.as_str().unwrap(), "añ\n日😀\"x");
+        assert!(parse("\"a\u{01}b\"").is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum RunVerdict {
     Checked(compc_core::Verdict),
     /// The committed execution violates the model (Definition 3/4).
     ModelViolation(ExportError),
-    /// The check itself panicked or exceeded the [`Verifier::deadline`];
+    /// The check itself panicked or exceeded the [`CheckOptions::deadline`];
     /// the rest of the sweep still completed.
     Fault(BatchFault),
 }
@@ -56,7 +56,7 @@ pub struct VerifyReport {
     pub violations: usize,
     /// Runs whose check faulted (panicked).
     pub faults: usize,
-    /// Runs whose check exceeded the [`Verifier::deadline`].
+    /// Runs whose check exceeded the [`CheckOptions::deadline`].
     pub timeouts: usize,
     /// Simulator counters summed across the input runs: commits, aborts by
     /// reason, and — crucially for robustness audits — `failed`, the
@@ -74,7 +74,7 @@ pub struct VerifyReport {
     /// [`Verifier::explain`] is on.
     pub explanations: Vec<(usize, Explanation)>,
     /// Checked runs additionally cross-checked against the brute-force
-    /// oracle, when [`Verifier::oracle`] is on.
+    /// oracle, when [`CheckOptions::oracle`] is on.
     pub oracle_checked: usize,
     /// Checked runs skipped by the oracle (over its node cap).
     pub oracle_skipped: usize,
@@ -187,13 +187,6 @@ impl Verifier {
         self
     }
 
-    /// Within-system `jobs` for each check.
-    #[deprecated(note = "build a CheckOptions and use Verifier::with_options")]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.options = self.options.jobs(jobs);
-        self
-    }
-
     /// Record structured reduction trace events for every checked run and
     /// aggregate them into [`VerifyReport::metrics`].
     pub fn tracing(mut self, on: bool) -> Self {
@@ -204,27 +197,6 @@ impl Verifier {
     /// Render an [`Explanation`] for every run that checks as not Comp-C.
     pub fn explain(mut self, on: bool) -> Self {
         self.explain = on;
-        self
-    }
-
-    /// Cross-check every verdict against the brute-force definitional
-    /// oracle ([`compc_oracle::decide`]) on exports within
-    /// [`compc_oracle::RECOMMENDED_NODE_CAP`] nodes. Simulated executions
-    /// are usually small enough, so a sweep doubles as an end-to-end engine
-    /// audit; any disagreement lands in
-    /// [`VerifyReport::oracle_disagreements`].
-    #[deprecated(note = "set CheckOptions::oracle and use Verifier::with_options")]
-    pub fn oracle(mut self, on: bool) -> Self {
-        self.options = self.options.oracle(on);
-        self
-    }
-
-    /// A per-run wall-clock budget for each check: a run whose check
-    /// exceeds it is classified as a timeout, and the rest of the sweep
-    /// completes.
-    #[deprecated(note = "build a CheckOptions and use Verifier::with_options")]
-    pub fn deadline(mut self, budget: std::time::Duration) -> Self {
-        self.options = self.options.deadline(budget);
         self
     }
 
@@ -284,7 +256,8 @@ impl Verifier {
                 Ok(v) => {
                     if self.explain {
                         if let Some(cex) = v.counterexample() {
-                            explanations.push((idx, cex.explain(&systems[slot])));
+                            explanations
+                                .push((idx, cex.explain_with(&systems[slot], self.options)));
                         }
                     }
                     if self.options.oracle {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate + lint gate + CLI smoke test. Run from the workspace root.
 #
-#   scripts/ci.sh          # everything (tier-1, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, serve-smoke, serve-soak)
+#   scripts/ci.sh          # everything (tier-1, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, serve-smoke, serve-soak, perf-selftest)
 #   scripts/ci.sh tier1    # just the build + test gate
 #   scripts/ci.sh lint     # just clippy + rustfmt
 #   scripts/ci.sh smoke    # just the compc-check observability smoke test
@@ -18,6 +18,11 @@
 #                              # the journaled daemon at random points,
 #                              # assert zero acked-append loss and
 #                              # bit-identical recovered verdicts
+#   scripts/ci.sh perf-selftest # the repository benchmark's self-test: every
+#                              # workload at tiny size, metric names and
+#                              # units against BENCHMARK.json, planted wrong
+#                              # verdicts rejected (also catches public-API
+#                              # changes that break perfbench/driver)
 #   scripts/ci.sh explore-smoke # exhaustive sweep at CI bounds with the
 #                              # naive counting/constancy cross-checks:
 #                              # clean verdicts on every trace-inequivalent
@@ -442,6 +447,15 @@ explore_smoke() {
     echo "==> explore-smoke: OK"
 }
 
+# The benchmark's own tests (perfbench/selftest.py). perfbench/driver builds
+# against the public API by path, so this is where an API change that
+# breaks the benchmark shows up before the benchmark itself runs.
+perf_selftest() {
+    echo "==> perf-selftest: python3 perfbench/selftest.py"
+    python3 perfbench/selftest.py
+    echo "==> perf-selftest: OK"
+}
+
 case "$stage" in
     tier1) tier1 ;;
     lint) lint ;;
@@ -452,6 +466,7 @@ case "$stage" in
     serve-smoke) serve_smoke ;;
     serve-soak) serve_soak ;;
     explore-smoke) explore_smoke ;;
+    perf-selftest) perf_selftest ;;
     all)
         tier1
         lint
@@ -462,9 +477,10 @@ case "$stage" in
         explore_smoke
         serve_smoke
         serve_soak
+        perf_selftest
         ;;
     *)
-        echo "usage: scripts/ci.sh [tier1|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|all]" >&2
+        echo "usage: scripts/ci.sh [tier1|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|perf-selftest|all]" >&2
         exit 2
         ;;
 esac

@@ -43,7 +43,8 @@
 //! precedence over everything), 3 = some check exceeded `--deadline-ms`
 //! (takes precedence over 1).
 
-use compc::core::{Backend, CheckOptions, CheckScratch, Checker, Verdict};
+use compc::cli::parse_check_flag;
+use compc::core::{CheckCtx, CheckOptions, CheckScratch, Checker, Verdict};
 use compc::engine::{Batch, BatchItem, BatchMetrics, BatchStats};
 use compc::spec::SystemSpec;
 use compc::trace::{event_to_ndjson_line, replay, MemorySink, TraceStats};
@@ -51,41 +52,23 @@ use std::collections::HashSet;
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
 
 #[derive(Clone, Default)]
 struct Flags {
-    jobs: usize,
+    /// The one [`CheckOptions`] every mode checks with — single systems
+    /// ([`Checker::with_options`]), batches ([`Batch::with_options`]) and
+    /// explanations all read the same struct, so a flag cannot mean
+    /// different things in different modes. `--oracle` cross-checks every
+    /// verdict against the brute-force oracle (systems within
+    /// `compc::oracle::RECOMMENDED_NODE_CAP` nodes; larger ones are
+    /// reported as skipped); a disagreement is an engine bug, exit 2.
+    options: CheckOptions,
     trace: bool,
     stats: bool,
     explain: bool,
     dot: bool,
     minimize: bool,
-    deadline_ms: Option<u64>,
     checkpoint: Option<String>,
-    /// Cross-check every verdict against the brute-force oracle (systems
-    /// within `compc::oracle::RECOMMENDED_NODE_CAP` nodes; larger ones are
-    /// reported as skipped). A disagreement is an engine bug, exit 2.
-    oracle: bool,
-    /// Transitive-closure backend from `--backend` (default auto).
-    backend: Backend,
-}
-
-impl Flags {
-    /// The one [`CheckOptions`] every mode checks with — single systems
-    /// ([`Checker::with_options`]), batches ([`Batch::with_options`]) and
-    /// anything session-shaped all read the same struct, so a flag cannot
-    /// mean different things in different modes.
-    fn check_options(&self) -> CheckOptions {
-        let mut options = CheckOptions::new()
-            .jobs(self.jobs)
-            .backend(self.backend)
-            .oracle(self.oracle);
-        if let Some(ms) = self.deadline_ms {
-            options = options.deadline(Duration::from_millis(ms));
-        }
-        options
-    }
 }
 
 const USAGE: &str = "usage: compc-check <system.json | dir | corpus.ndjson>... \
@@ -155,12 +138,17 @@ fn version() -> &'static str {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<String> = Vec::new();
-    let mut flags = Flags {
-        jobs: 1,
-        ..Flags::default()
-    };
+    let mut flags = Flags::default();
     let mut i = 0;
     while i < args.len() {
+        match parse_check_flag(&args, &mut i, &mut flags.options) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(complaint) => {
+                eprintln!("{complaint}");
+                return usage();
+            }
+        }
         match args[i].as_str() {
             "--help" | "-h" => return help(),
             "--version" | "-V" => {
@@ -172,46 +160,6 @@ fn main() -> ExitCode {
             "--explain" => flags.explain = true,
             "--dot" => flags.dot = true,
             "--minimize" => flags.minimize = true,
-            "--oracle" => flags.oracle = true,
-            "--backend" => {
-                i += 1;
-                flags.backend = match args.get(i).map(String::as_str).and_then(Backend::parse) {
-                    Some(backend) => backend,
-                    None => {
-                        eprintln!(
-                            "--backend needs auto, dense, sparse, or compressed, got {}",
-                            args.get(i).map(String::as_str).unwrap_or("nothing")
-                        );
-                        return usage();
-                    }
-                };
-            }
-            "--jobs" => {
-                i += 1;
-                flags.jobs = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!(
-                            "--jobs needs a non-negative number (0 = one per core), got {}",
-                            args.get(i).map(String::as_str).unwrap_or("nothing")
-                        );
-                        return usage();
-                    }
-                };
-            }
-            "--deadline-ms" => {
-                i += 1;
-                flags.deadline_ms = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) => Some(n),
-                    None => {
-                        eprintln!(
-                            "--deadline-ms needs a number of milliseconds, got {}",
-                            args.get(i).map(String::as_str).unwrap_or("nothing")
-                        );
-                        return usage();
-                    }
-                };
-            }
             "--checkpoint" => {
                 i += 1;
                 flags.checkpoint = match args.get(i) {
@@ -352,28 +300,26 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
     if flags.dot {
         println!("{}", system.forest_dot());
     }
-    let checker = Checker::with_options(flags.check_options());
-    let result = if flags.trace || flags.stats {
-        let mut sink = MemorySink::new();
-        let mut scratch = CheckScratch::new();
-        let result = checker.try_check_reusing_traced(&system, &mut scratch, &mut sink);
-        if flags.trace {
-            print_ndjson(path, &sink.events);
-        }
-        if flags.stats {
-            let mut stats = TraceStats::default();
-            replay(&sink.events, &mut stats);
-            println!("{stats}");
-            let counts = scratch.backend_counts();
-            println!(
-                "closure backend: {}",
-                backend_line(counts.dense, counts.sparse, counts.compressed)
-            );
-        }
-        result
-    } else {
-        checker.try_check(&system)
-    };
+    let mut sink = MemorySink::new();
+    let mut scratch = CheckScratch::new();
+    let mut ctx = CheckCtx::new(&mut scratch);
+    if flags.trace || flags.stats {
+        ctx = ctx.traced(&mut sink);
+    }
+    let result = Checker::with_options(flags.options).try_check(&system, &mut ctx);
+    if flags.trace {
+        print_ndjson(path, &sink.events);
+    }
+    if flags.stats {
+        let mut stats = TraceStats::default();
+        replay(&sink.events, &mut stats);
+        println!("{stats}");
+        let counts = scratch.backend_counts();
+        println!(
+            "closure backend: {}",
+            backend_line(counts.dense, counts.sparse, counts.compressed)
+        );
+    }
     match result {
         Ok(Verdict::Correct(proof)) => {
             println!("verdict: Comp-C (correct)");
@@ -383,7 +329,7 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
                 .map(|&n| system.name(n))
                 .collect();
             println!("serial witness: {}", witness.join(" ; "));
-            if flags.oracle && oracle_cross_check(&system, true, "") == Some(true) {
+            if flags.options.oracle && oracle_cross_check(&system, true, "") == Some(true) {
                 return ExitCode::from(2);
             }
             ExitCode::SUCCESS
@@ -392,7 +338,7 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
             println!("verdict: NOT Comp-C");
             println!("{cex}");
             if flags.explain {
-                println!("{}", cex.explain(&system));
+                println!("{}", cex.explain_with(&system, flags.options));
             }
             if flags.minimize {
                 if let Some(min) = compc::core::minimize(&system) {
@@ -405,7 +351,7 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
                     );
                 }
             }
-            if flags.oracle && oracle_cross_check(&system, false, "") == Some(true) {
+            if flags.options.oracle && oracle_cross_check(&system, false, "") == Some(true) {
                 return ExitCode::from(2);
             }
             ExitCode::from(1)
@@ -499,7 +445,7 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
     // Explaining, minimizing, or oracle-checking a verdict needs the system
     // after the pool consumed the items, so keep a copy per item.
     let systems: Vec<compc::model::CompositeSystem> =
-        if flags.explain || flags.minimize || flags.oracle {
+        if flags.explain || flags.minimize || flags.options.oracle {
             items.iter().map(|it| it.system.clone()).collect()
         } else {
             Vec::new()
@@ -509,7 +455,7 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
     // items run in chunks so progress lands in the file at chunk
     // granularity and a killed run loses at most one chunk of work.
     let chunk_size = if checkpoint_file.is_some() {
-        (flags.jobs.max(1) * 4).max(16)
+        (flags.options.jobs.max(1) * 4).max(16)
     } else {
         items.len().max(1)
     };
@@ -527,8 +473,8 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
         let rest = remaining.split_off(chunk_size.min(remaining.len()));
         let chunk = std::mem::replace(&mut remaining, rest);
         let chunk_len = chunk.len();
-        let batch = Batch::with_options(flags.check_options())
-            .workers(flags.jobs)
+        let batch = Batch::with_options(flags.options)
+            .workers(flags.options.jobs)
             .tracing(flags.trace || flags.stats);
         let report = batch.check_all(chunk);
         for (i, o) in report.outcomes.iter().enumerate() {
@@ -551,7 +497,11 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
                 Ok(Verdict::Incorrect(cex)) => {
                     println!("{}: NOT Comp-C{backend} — {cex}", o.label);
                     if flags.explain {
-                        for line in cex.explain(&systems[idx]).to_string().lines() {
+                        for line in cex
+                            .explain_with(&systems[idx], flags.options)
+                            .to_string()
+                            .lines()
+                        {
                             println!("  {line}");
                         }
                     }
@@ -573,7 +523,7 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
                 }
                 Err(fault) => println!("{}: FAULT — {fault}", o.label),
             }
-            if flags.oracle {
+            if flags.options.oracle {
                 if let Ok(verdict) = &o.result {
                     match oracle_cross_check(&systems[idx], verdict.is_correct(), "  ") {
                         None => oracle_skipped += 1,
@@ -608,7 +558,7 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
     }
     if stats.systems > 0 {
         println!("{stats}");
-        if flags.oracle {
+        if flags.options.oracle {
             println!(
                 "oracle: {oracle_checked} cross-checked, {oracle_skipped} skipped \
                  (over the node cap), {oracle_disagreements} disagreement(s)"

@@ -35,7 +35,7 @@
 //! least one append was interrupted by `--deadline-ms` (takes precedence
 //! over 1).
 
-use compc::core::Backend;
+use compc::cli::parse_check_flag;
 use compc::json::Value;
 use compc::serve::client::{stream_requests, BackoffPolicy, Target};
 use compc::serve::{serve, ServeConfig};
@@ -165,13 +165,20 @@ fn main() -> ExitCode {
     let mut connect: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
+        match parse_check_flag(&args, &mut i, &mut config.options) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(complaint) => {
+                eprintln!("{complaint}");
+                return usage();
+            }
+        }
         match args[i].as_str() {
             "--help" | "-h" => return help(),
             "--version" | "-V" => {
                 println!("compc-serve {}", version());
                 return ExitCode::SUCCESS;
             }
-            "--oracle" => config.oracle = true,
             "--trace" => config.trace = true,
             "--once" => config.once = true,
             "--socket" => match take(&args, &mut i, "--socket needs a path") {
@@ -214,10 +221,6 @@ fn main() -> ExitCode {
                 Some(t) => config.inject_panic = Some(t),
                 None => return usage(),
             },
-            "--jobs" => match take_number(&args, &mut i, "--jobs") {
-                Some(n) => config.jobs = n as usize,
-                None => return usage(),
-            },
             "--max-conns" => match take_number(&args, &mut i, "--max-conns") {
                 Some(n) if n > 0 => config.max_conns = n as usize,
                 _ => {
@@ -254,23 +257,6 @@ fn main() -> ExitCode {
                     return usage();
                 }
             },
-            "--deadline-ms" => match take_number(&args, &mut i, "--deadline-ms") {
-                Some(n) => config.deadline_ms = Some(n),
-                None => return usage(),
-            },
-            "--backend" => {
-                i += 1;
-                config.backend = match args.get(i).map(String::as_str).and_then(Backend::parse) {
-                    Some(backend) => backend,
-                    None => {
-                        eprintln!(
-                            "--backend needs auto, dense, sparse, or compressed, got {}",
-                            args.get(i).map(String::as_str).unwrap_or("nothing")
-                        );
-                        return usage();
-                    }
-                };
-            }
             flag => {
                 eprintln!("unknown argument {flag}");
                 return usage();

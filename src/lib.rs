@@ -12,12 +12,14 @@
 //! * [`workload`] — figures, scenarios and random system generation
 //! * [`spec`] — the versioned JSON system format consumed by `compc-check`
 //! * [`session`] — incremental spec-level checking (backs `compc-serve`)
+//! * [`cli`] — the check flags `compc-check` and `compc-serve` share
 //! * [`serve`] — the daemon serving core: concurrent dispatch, write-ahead
 //!   journal, overload/drain control, and the resilient NDJSON client
 //! * [`json`] — the dependency-free JSON value/parser the spec format uses
 //! * [`trace`] — structured reduction events, NDJSON sinks and histograms
 //! * [`oracle`] — the brute-force Comp-C decision oracle (differential testing)
 
+pub mod cli;
 pub mod serve;
 pub mod session;
 pub mod spec;

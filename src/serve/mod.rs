@@ -71,7 +71,7 @@ mod journal;
 pub use dispatch::ServeReport;
 
 use crate::session::{restore_sessions, sessions_checkpoint_json, SpecSession, DEFAULT_SESSION};
-use compc_core::{Backend, CheckOptions};
+use compc_core::CheckOptions;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -98,14 +98,10 @@ pub struct ServeConfig {
     /// any of the batch's acks, replayed past the checkpoint at startup,
     /// truncated on compaction.
     pub journal: Option<String>,
-    /// Within-level parallelism per append (0 = one per core).
-    pub jobs: usize,
-    /// Transitive-closure backend.
-    pub backend: Backend,
-    /// Per-append budget in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Cross-check verdicts against the brute-force oracle.
-    pub oracle: bool,
+    /// What every append checks with: within-level parallelism, closure
+    /// backend, the per-append deadline and the brute-force oracle
+    /// cross-check.
+    pub options: CheckOptions,
     /// Mirror appends and serving gauges as `compc-trace` NDJSON on stdout.
     pub trace: bool,
     /// Exit after the first client disconnects.
@@ -138,10 +134,7 @@ impl Default for ServeConfig {
             listen: None,
             checkpoint: None,
             journal: None,
-            jobs: 1,
-            backend: Backend::default(),
-            deadline_ms: None,
-            oracle: false,
+            options: CheckOptions::default(),
             trace: false,
             once: false,
             max_conns: 64,
@@ -152,20 +145,6 @@ impl Default for ServeConfig {
             dispatch_shards: 1,
             inject_panic: None,
         }
-    }
-}
-
-impl ServeConfig {
-    /// The unified [`CheckOptions`] this configuration checks with.
-    pub fn check_options(&self) -> CheckOptions {
-        let mut options = CheckOptions::new()
-            .jobs(self.jobs)
-            .backend(self.backend)
-            .oracle(self.oracle);
-        if let Some(ms) = self.deadline_ms {
-            options = options.deadline(Duration::from_millis(ms));
-        }
-        options
     }
 }
 
@@ -289,11 +268,11 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, String> {
                 .to_string(),
         );
     }
-    let deadline = config.deadline_ms.map(Duration::from_millis);
+    let deadline = config.options.deadline;
     // Restore with the deadline stripped: replaying a checkpoint or a
     // journal suffix is catch-up work, not a client request, and must not
     // be interrupted by --deadline-ms.
-    let mut restore_options = config.check_options();
+    let mut restore_options = config.options;
     restore_options.deadline = None;
 
     let mut sessions: HashMap<String, SpecSession> = HashMap::new();
@@ -389,7 +368,7 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, String> {
         partitions[index].insert(name, session);
     }
 
-    let options = config.check_options();
+    let options = config.options;
     let per_shard_cap = (REQUEST_QUEUE_CAP / shards).max(64);
     let mut shard_txs = Vec::with_capacity(shards);
     let mut shard_handles = Vec::with_capacity(shards);

@@ -286,14 +286,11 @@ impl SpecSession {
     /// Serializes the session's accumulated spec as a versioned JSON
     /// checkpoint document (pretty-printed, trailing newline).
     pub fn checkpoint_json(&self) -> String {
-        let doc = Value::Object(vec![
-            ("version".into(), Value::from(SPEC_VERSION)),
-            ("appends".into(), Value::from(self.stats().appends)),
-            ("spec".into(), self.spec.to_json()),
-        ]);
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        text
+        sessions_checkpoint_json(vec![(
+            DEFAULT_SESSION.to_string(),
+            self.stats().appends,
+            self.spec.to_json(),
+        )])
     }
 
     /// Rebuilds a session from a [`SpecSession::checkpoint_json`] document:
@@ -305,41 +302,17 @@ impl SpecSession {
         text: &str,
         options: CheckOptions,
     ) -> Result<SpecSession, SpecSessionError> {
-        let doc = compc_json::parse(text)
-            .map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))?;
-        let entries = doc
-            .as_object()
-            .ok_or_else(|| SpecSessionError::Checkpoint("top level must be an object".into()))?;
-        let mut spec_value = None;
-        let mut recorded_appends = 0u64;
-        for (key, val) in entries {
-            match key.as_str() {
-                "version" => {
-                    let v = val.as_u64().ok_or_else(|| {
-                        SpecSessionError::Checkpoint("version must be an integer".into())
-                    })?;
-                    if v != SPEC_VERSION {
-                        return Err(SpecSessionError::Checkpoint(format!(
-                            "unsupported checkpoint version {v}"
-                        )));
-                    }
-                }
-                "appends" => {
-                    recorded_appends = val.as_u64().ok_or_else(|| {
-                        SpecSessionError::Checkpoint("appends must be an integer".into())
-                    })?;
-                }
-                "spec" => spec_value = Some(val),
-                other => {
-                    return Err(SpecSessionError::Checkpoint(format!(
-                        "unknown field \"{other}\""
-                    )))
-                }
+        let doc = parse_checkpoint(text)?;
+        match checkpoint_entries(&doc)?.as_slice() {
+            [entry] if entry.name.is_none() => {
+                SpecSession::from_parts(entry.appends, entry.spec, options)
             }
+            _ => Err(SpecSessionError::Checkpoint(
+                "a multi-session checkpoint holds named sessions; restore it with \
+                 restore_sessions"
+                    .into(),
+            )),
         }
-        let spec_value = spec_value
-            .ok_or_else(|| SpecSessionError::Checkpoint("missing \"spec\" field".into()))?;
-        SpecSession::from_parts(recorded_appends, spec_value, options)
     }
 
     /// Rebuilds one session from its checkpointed parts (shared by the
@@ -372,32 +345,28 @@ pub const DEFAULT_SESSION: &str = "default";
 /// sorted by name (deterministic, diffable).
 pub fn sessions_checkpoint_json(mut entries: Vec<(String, u64, Value)>) -> String {
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    if entries.len() == 1 && entries[0].0 == DEFAULT_SESSION {
+    let version = ("version".to_string(), Value::from(SPEC_VERSION));
+    let fields = if entries.len() == 1 && entries[0].0 == DEFAULT_SESSION {
         let (_, appends, spec) = entries.pop().expect("one entry");
-        let doc = Value::Object(vec![
-            ("version".into(), Value::from(SPEC_VERSION)),
+        vec![
+            version,
             ("appends".into(), Value::from(appends)),
             ("spec".into(), spec),
-        ]);
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        return text;
-    }
-    let sessions = entries
-        .into_iter()
-        .map(|(name, appends, spec)| {
-            Value::Object(vec![
-                ("session".into(), Value::from(name)),
-                ("appends".into(), Value::from(appends)),
-                ("spec".into(), spec),
-            ])
-        })
-        .collect::<Vec<_>>();
-    let doc = Value::Object(vec![
-        ("version".into(), Value::from(SPEC_VERSION)),
-        ("sessions".into(), Value::Array(sessions)),
-    ]);
-    let mut text = doc.to_pretty();
+        ]
+    } else {
+        let sessions = entries
+            .into_iter()
+            .map(|(name, appends, spec)| {
+                Value::Object(vec![
+                    ("session".into(), Value::from(name)),
+                    ("appends".into(), Value::from(appends)),
+                    ("spec".into(), spec),
+                ])
+            })
+            .collect();
+        vec![version, ("sessions".into(), Value::Array(sessions))]
+    };
+    let mut text = Value::Object(fields).to_pretty();
     text.push('\n');
     text
 }
@@ -412,87 +381,118 @@ pub fn restore_sessions(
     text: &str,
     options: CheckOptions,
 ) -> Result<Vec<(String, SpecSession)>, SpecSessionError> {
-    let doc = compc_json::parse(text)
-        .map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))?;
-    let entries = doc
-        .as_object()
-        .ok_or_else(|| SpecSessionError::Checkpoint("top level must be an object".into()))?;
-    if doc.get("sessions").is_none() {
-        return Ok(vec![(
-            DEFAULT_SESSION.to_string(),
-            SpecSession::from_checkpoint(text, options)?,
-        )]);
-    }
-    let mut sessions_value = None;
-    for (key, val) in entries {
+    let doc = parse_checkpoint(text)?;
+    checkpoint_entries(&doc)?
+        .into_iter()
+        .map(|entry| {
+            let name = entry.name.unwrap_or_else(|| DEFAULT_SESSION.to_string());
+            Ok((
+                name,
+                SpecSession::from_parts(entry.appends, entry.spec, options)?,
+            ))
+        })
+        .collect()
+}
+
+/// One session of a checkpoint document.
+struct CheckpointEntry<'v> {
+    /// The session's name; `None` in the single-session layout.
+    name: Option<String>,
+    /// The recorded append count.
+    appends: u64,
+    /// The session's accumulated spec.
+    spec: &'v Value,
+}
+
+fn parse_checkpoint(text: &str) -> Result<Value, SpecSessionError> {
+    compc_json::parse(text).map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))
+}
+
+/// Validates a checkpoint document in either layout and lists its
+/// sessions: one unnamed entry for the single-session layout, one named
+/// entry per element of `"sessions"` otherwise.
+fn checkpoint_entries(doc: &Value) -> Result<Vec<CheckpointEntry<'_>>, SpecSessionError> {
+    let fail = |what: String| Err(SpecSessionError::Checkpoint(what));
+    let Some(fields) = doc.as_object() else {
+        return fail("top level must be an object".into());
+    };
+    let Some(sessions) = doc.get("sessions") else {
+        return Ok(vec![checkpoint_entry(fields, None)?]);
+    };
+    for (key, val) in fields {
         match key.as_str() {
-            "version" => {
-                let v = val.as_u64().ok_or_else(|| {
-                    SpecSessionError::Checkpoint("version must be an integer".into())
-                })?;
-                if v != SPEC_VERSION {
-                    return Err(SpecSessionError::Checkpoint(format!(
-                        "unsupported checkpoint version {v}"
-                    )));
-                }
-            }
-            "sessions" => sessions_value = val.as_array(),
-            other => {
-                return Err(SpecSessionError::Checkpoint(format!(
-                    "unknown field \"{other}\""
-                )))
-            }
+            "version" => check_version(val).map_err(SpecSessionError::Checkpoint)?,
+            "sessions" => {}
+            other => return fail(format!("unknown field \"{other}\"")),
         }
     }
-    let sessions_value = sessions_value
-        .ok_or_else(|| SpecSessionError::Checkpoint("\"sessions\" must be an array".into()))?;
-    let mut restored: Vec<(String, SpecSession)> = Vec::with_capacity(sessions_value.len());
-    for (index, entry) in sessions_value.iter().enumerate() {
-        let fields = entry.as_object().ok_or_else(|| {
-            SpecSessionError::Checkpoint(format!("sessions[{index}] must be an object"))
-        })?;
-        let mut name = None;
-        let mut appends = 0u64;
-        let mut spec_value = None;
-        for (key, val) in fields {
-            match key.as_str() {
-                "session" => {
-                    name = val.as_str().filter(|s| !s.is_empty()).map(str::to_string);
-                    if name.is_none() {
-                        return Err(SpecSessionError::Checkpoint(format!(
-                            "sessions[{index}].session must be a non-empty string"
-                        )));
-                    }
-                }
-                "appends" => {
-                    appends = val.as_u64().ok_or_else(|| {
-                        SpecSessionError::Checkpoint(format!(
-                            "sessions[{index}].appends must be an integer"
-                        ))
-                    })?;
-                }
-                "spec" => spec_value = Some(val),
-                other => {
-                    return Err(SpecSessionError::Checkpoint(format!(
-                        "sessions[{index}] has unknown field \"{other}\""
-                    )))
-                }
-            }
+    let Some(sessions) = sessions.as_array() else {
+        return fail("\"sessions\" must be an array".into());
+    };
+    let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(sessions.len());
+    for (index, session) in sessions.iter().enumerate() {
+        let Some(fields) = session.as_object() else {
+            return fail(format!("sessions[{index}] must be an object"));
+        };
+        let entry = checkpoint_entry(fields, Some(index))?;
+        let Some(name) = &entry.name else {
+            return fail(format!("sessions[{index}] is missing \"session\""));
+        };
+        if entries.iter().any(|e| e.name.as_ref() == Some(name)) {
+            return fail(format!("duplicate session \"{name}\""));
         }
-        let name = name.ok_or_else(|| {
-            SpecSessionError::Checkpoint(format!("sessions[{index}] is missing \"session\""))
-        })?;
-        if restored.iter().any(|(n, _)| *n == name) {
-            return Err(SpecSessionError::Checkpoint(format!(
-                "duplicate session \"{name}\""
-            )));
-        }
-        let spec_value = spec_value.ok_or_else(|| {
-            SpecSessionError::Checkpoint(format!("sessions[{index}] is missing \"spec\""))
-        })?;
-        restored.push((name, SpecSession::from_parts(appends, spec_value, options)?));
+        entries.push(entry);
     }
-    Ok(restored)
+    Ok(entries)
+}
+
+/// Reads one session's fields: the whole single-session document
+/// (`index` = `None`: `version`, `appends`, `spec`) or element `index` of
+/// `"sessions"` (`session`, `appends`, `spec`). `spec` is required; any
+/// other field is an error.
+fn checkpoint_entry(
+    fields: &[(String, Value)],
+    index: Option<usize>,
+) -> Result<CheckpointEntry<'_>, SpecSessionError> {
+    let at = index.map_or_else(String::new, |i| format!("sessions[{i}]: "));
+    let fail = |what: &str| SpecSessionError::Checkpoint(format!("{at}{what}"));
+    let mut name = None;
+    let mut appends = 0u64;
+    let mut spec = None;
+    for (key, val) in fields {
+        match (key.as_str(), index) {
+            ("version", None) => check_version(val).map_err(|e| fail(&e))?,
+            ("session", Some(_)) => {
+                let text = val.as_str().filter(|s| !s.is_empty());
+                name = Some(
+                    text.ok_or_else(|| fail("session must be a non-empty string"))?
+                        .to_string(),
+                );
+            }
+            ("appends", _) => {
+                appends = val
+                    .as_u64()
+                    .ok_or_else(|| fail("appends must be an integer"))?;
+            }
+            ("spec", _) => spec = Some(val),
+            (other, _) => return Err(fail(&format!("unknown field \"{other}\""))),
+        }
+    }
+    let spec = spec.ok_or_else(|| fail("missing \"spec\" field"))?;
+    Ok(CheckpointEntry {
+        name,
+        appends,
+        spec,
+    })
+}
+
+/// Accepts only the checkpoint format version this build writes.
+fn check_version(val: &Value) -> Result<(), String> {
+    match val.as_u64() {
+        Some(SPEC_VERSION) => Ok(()),
+        Some(v) => Err(format!("unsupported checkpoint version {v}")),
+        None => Err("version must be an integer".into()),
+    }
 }
 
 #[cfg(test)]
@@ -617,6 +617,11 @@ mod tests {
         assert_eq!(restored[1].0, "beta");
         assert_eq!(restored[1].1.stats().appends, session.stats().appends);
         assert_eq!(restored[1].1.spec(), session.spec());
+        // The single-session restore refuses a document of named sessions.
+        assert!(matches!(
+            SpecSession::from_checkpoint(&doc, CheckOptions::default()),
+            Err(SpecSessionError::Checkpoint(_))
+        ));
 
         // Duplicate names and unknown fields are hard errors.
         let dup = sessions_checkpoint_json(vec![

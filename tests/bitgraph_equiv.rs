@@ -9,7 +9,7 @@
 //! equivalence of the checker across forced-sparse, forced-dense, and auto
 //! backends on random systems and the paper's Figure 1–4 examples.
 
-use compc::core::{check, Backend, CheckOptions, Checker, Verdict};
+use compc::core::{check, Backend, CheckOptions, Checker, Verdict, COMPRESSED_CROSSOVER_DEFAULT};
 use compc::graph::{
     reachable_from, transitive_closure, BitGraph, BitOrderRel, ChunkedBitGraph, DiGraph,
     PartialOrderRel,
@@ -194,12 +194,15 @@ proptest! {
             sound_abstractions: false,
             seed,
         });
+        // Below the compressed crossover `Auto` routes sparse and dense
+        // only, so the compressed backend is exercised by forcing it.
+        prop_assert!(sys.node_count() < COMPRESSED_CROSSOVER_DEFAULT);
         let baseline = fingerprint(&check(&sys));
         for backend in [
-            Backend::Crossover(0),
-            Backend::Crossover(64),
-            Backend::Crossover(usize::MAX),
+            Backend::Sparse,
+            Backend::Dense,
             Backend::Compressed,
+            Backend::Auto,
         ] {
             let v = Checker::with_options(CheckOptions::new().backend(backend)).check(&sys);
             prop_assert_eq!(
@@ -327,14 +330,13 @@ fn figure_examples_verdicts_unchanged_by_backend() {
         ("figure3", figure3_incorrect()),
         ("figure4", figure4_correct()),
     ] {
+        assert!(fig.system.node_count() < COMPRESSED_CROSSOVER_DEFAULT);
         let baseline = fingerprint(&check(&fig.system));
         for backend in [
-            Backend::Crossover(0),
-            Backend::Crossover(64),
-            Backend::Crossover(usize::MAX),
             Backend::Sparse,
             Backend::Dense,
             Backend::Compressed,
+            Backend::Auto,
         ] {
             let v = Checker::with_options(CheckOptions::new().backend(backend)).check(&fig.system);
             assert_eq!(
