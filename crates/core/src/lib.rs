@@ -91,4 +91,4 @@ pub use reduce::{
     check, Backend, CheckCtx, CheckOptions, Checker, Counterexample, Deadline, FailurePhase,
     FrontSnapshot, Interrupted, Proof, Reducer, Verdict,
 };
-pub use session::{Session, SessionError, SessionSnapshot, SessionStats};
+pub use session::{Session, SessionError, SessionStats};

@@ -32,6 +32,15 @@
 //! 4 fails every level recomputes, but each still delta-closes against its
 //! cached rows.
 //!
+//! # Two entry points, one computation
+//!
+//! [`Session::append`] takes a whole new system and finds what changed by
+//! diffing it against the current one (the touched schedules of
+//! conditions 3 and 4). [`Session::reopen`] hands the current system out
+//! as a [`SystemBuilder`] instead; the caller extends it in place, and
+//! [`Session::append_extension`] takes the builder's [`SystemDelta`] as
+//! is, with no diff. Both run the same `run_append`.
+//!
 //! # Why verdicts stay bit-identical
 //!
 //! Reused or delta-closed state can never change a verdict because (a) the
@@ -51,7 +60,7 @@ use crate::reduce::{
     FailurePhase, FrontSnapshot, Interrupted, Proof, Verdict,
 };
 use compc_graph::{added_edges, delta_closure, DiGraph};
-use compc_model::{CompositeSystem, NodeId, SchedId, Schedule};
+use compc_model::{CompositeSystem, NodeId, SchedId, Schedule, SystemBuilder, SystemDelta};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -121,18 +130,6 @@ struct LevelCache {
     pre_observed: DiGraph,
     /// The schedule ids reduced at this level (empty for level 0).
     sched_ids: Vec<SchedId>,
-}
-
-/// A restorable copy of a session's checked state (system, level caches,
-/// verdict, counters). Scratch buffers and the cancel token are not part of
-/// a snapshot; [`Session::restore`] keeps the live ones.
-#[derive(Clone, Debug)]
-pub struct SessionSnapshot {
-    options: CheckOptions,
-    sys: Option<CompositeSystem>,
-    levels: Vec<LevelCache>,
-    last_verdict: Option<Verdict>,
-    stats: SessionStats,
 }
 
 /// An incremental Comp-C checker over a growing composite system.
@@ -251,7 +248,9 @@ impl Session {
 
     /// Replaces the session's system with the given extension and returns
     /// the verdict for it, recomputing only what the append could have
-    /// changed.
+    /// changed. What changed is found by diffing `sys` against the current
+    /// system; [`Session::append_extension`] is the entry point for a
+    /// caller that extended the system in place and already knows.
     ///
     /// On [`SessionError::Invalid`] the session is left untouched. On
     /// [`SessionError::Interrupted`] the session keeps the new system and
@@ -259,33 +258,79 @@ impl Session {
     /// resumes from the first uncached level.
     pub fn append(&mut self, sys: CompositeSystem) -> Result<&Verdict, SessionError> {
         self.validate_extension(&sys)?;
+        let delta = match &self.sys {
+            None => from_scratch(),
+            Some(old) => diff_schedules(old, &sys),
+        };
+        self.append_extension(sys, &delta)
+    }
+
+    /// Moves the current system out so the caller can extend it in place
+    /// (an empty builder before the first append). The session has no
+    /// system until the extension comes back through
+    /// [`Session::append_extension`] (or [`Session::recheck`]); its cached
+    /// levels stay those of the system that was taken.
+    pub fn reopen(&mut self) -> SystemBuilder {
+        self.sys
+            .take()
+            .map_or_else(SystemBuilder::new, CompositeSystem::into_builder)
+    }
+
+    /// Puts back a rebuilt copy of the system [`Session::reopen`] took, for
+    /// an extension that failed before it was appended: the cached levels,
+    /// verdict and counters are still that system's.
+    pub fn reinstate(&mut self, sys: CompositeSystem) {
+        self.sys = Some(sys);
+    }
+
+    /// [`Session::append`] for a system extended in place from
+    /// [`Session::reopen`]'s builder, with the [`SystemDelta`] its
+    /// [`SystemBuilder::build_extension`] reported: no diff against the
+    /// previous system is needed, and none is possible (it was moved).
+    pub fn append_extension(
+        &mut self,
+        sys: CompositeSystem,
+        delta: &SystemDelta,
+    ) -> Result<&Verdict, SessionError> {
         let deadline = self
             .options
             .deadline
             .map_or_else(Deadline::none, Deadline::after);
+        self.stats.appends += 1;
+        self.run(sys, delta, deadline)
+    }
 
-        let old_sys = self.sys.take();
+    /// Discards the cached levels and checks `sys` from scratch without a
+    /// deadline, then sets the counters to `stats`: the slow path of a
+    /// rollback, which rebuilds an earlier system and must leave the
+    /// session as if the later appends never happened. `None` empties the
+    /// session.
+    pub fn recheck(&mut self, sys: Option<CompositeSystem>, stats: SessionStats) {
+        self.sys = None;
+        self.levels.clear();
+        self.last_verdict = None;
+        if let Some(sys) = sys {
+            // Only the cancel token can interrupt it; an interrupted check
+            // keeps its completed levels, and the next append resumes.
+            let _ = self.run(sys, &from_scratch(), Deadline::none());
+        }
+        self.stats = stats;
+    }
+
+    /// Installs `sys` and checks it against the cached levels.
+    fn run(
+        &mut self,
+        sys: CompositeSystem,
+        delta: &SystemDelta,
+        deadline: Deadline,
+    ) -> Result<&Verdict, SessionError> {
         let old_levels = std::mem::take(&mut self.levels);
         self.last_verdict = None;
-        self.stats.appends += 1;
-
-        let (touched, old_pairs_touched) = match &old_sys {
-            None => (BTreeSet::new(), true),
-            Some(old) => diff_schedules(old, &sys),
-        };
-        let unchanged = old_sys.as_ref().is_some_and(|old| {
-            touched.is_empty()
-                && old.node_count() == sys.node_count()
-                && old.schedule_count() == sys.schedule_count()
-        });
-
         let outcome = run_append(
             &sys,
             self.options,
             &old_levels,
-            &touched,
-            old_pairs_touched,
-            unchanged,
+            delta,
             &mut self.scratch,
             &mut self.stats,
             &self.cancel,
@@ -303,27 +348,6 @@ impl Session {
                 Err(SessionError::Interrupted(interrupted))
             }
         }
-    }
-
-    /// A restorable copy of the session's checked state.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            options: self.options,
-            sys: self.sys.clone(),
-            levels: self.levels.clone(),
-            last_verdict: self.last_verdict.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a state previously captured with [`Session::snapshot`],
-    /// keeping the live scratch buffers and cancel token.
-    pub fn restore(&mut self, snapshot: SessionSnapshot) {
-        self.options = snapshot.options;
-        self.sys = snapshot.sys;
-        self.levels = snapshot.levels;
-        self.last_verdict = snapshot.last_verdict;
-        self.stats = snapshot.stats;
     }
 
     /// Checks that `new` extends the current system: every existing node
@@ -395,17 +419,17 @@ impl Session {
     }
 }
 
-/// The append computation, separated from [`Session::append`] so the new
-/// system can be installed on the session regardless of the outcome. `Err`
-/// carries the completed level prefix alongside the interruption.
+/// The append computation, shared by both append entry points and
+/// separated from them so the new system can be installed on the session
+/// regardless of the outcome. `delta` is what changed since the system the
+/// cached `old_levels` belong to. `Err` carries the completed level prefix
+/// alongside the interruption.
 #[allow(clippy::too_many_arguments)]
 fn run_append(
     sys: &CompositeSystem,
     options: CheckOptions,
     old_levels: &[LevelCache],
-    touched: &BTreeSet<SchedId>,
-    old_pairs_touched: bool,
-    unchanged: bool,
+    delta: &SystemDelta,
     scratch: &mut CheckScratch,
     stats: &mut SessionStats,
     cancel: &AtomicBool,
@@ -415,10 +439,12 @@ fn run_append(
     let n = sys.node_count();
     let mut levels: Vec<LevelCache> = Vec::with_capacity(sys.order() + 1);
     let mut fronts: Vec<FrontSnapshot> = Vec::new();
+    let touched = &delta.touched;
 
     // --- Level 0. Reusable only when the system is structurally unchanged
-    // (its observed order reads every schedule's leaf output pairs).
-    if unchanged && !old_levels.is_empty() {
+    // (its observed order reads every schedule's leaf output pairs). New
+    // nodes and new schedules always touch a schedule.
+    if touched.is_empty() && !delta.old_pairs_touched && !old_levels.is_empty() {
         levels.push(old_levels[0].clone());
         stats.levels_reused += 1;
     } else {
@@ -455,7 +481,7 @@ fn run_append(
             return Err((levels, Interrupted { level }));
         }
         let scheds: Vec<SchedId> = sys.schedules_at_level(level).map(|s| s.id).collect();
-        let reusable = !old_pairs_touched
+        let reusable = !delta.old_pairs_touched
             && old_levels.len() > level
             && old_levels[level].sched_ids == scheds
             && scheds.iter().all(|sid| !touched.contains(sid))
@@ -578,11 +604,20 @@ fn grow_front(front: &mut Front, n: usize) {
     }
 }
 
+/// The delta that reuses nothing: for a system with no predecessor to
+/// compare against.
+fn from_scratch() -> SystemDelta {
+    SystemDelta {
+        touched: BTreeSet::new(),
+        old_pairs_touched: true,
+    }
+}
+
 /// Which schedules changed between `old` and `new` (by whole-schedule
 /// equality; new schedules always count), and whether any relation pair
 /// between two *pre-existing* nodes was added anywhere — the global reuse
 /// veto of condition 4 (see the module docs).
-fn diff_schedules(old: &CompositeSystem, new: &CompositeSystem) -> (BTreeSet<SchedId>, bool) {
+fn diff_schedules(old: &CompositeSystem, new: &CompositeSystem) -> SystemDelta {
     let old_n = old.node_count();
     let mut touched = BTreeSet::new();
     let mut old_pairs_touched = false;
@@ -600,7 +635,10 @@ fn diff_schedules(old: &CompositeSystem, new: &CompositeSystem) -> (BTreeSet<Sch
             old_pairs_touched = true;
         }
     }
-    (touched, old_pairs_touched)
+    SystemDelta {
+        touched,
+        old_pairs_touched,
+    }
 }
 
 /// Whether `s_new` declares a relation pair over two nodes that already
@@ -867,17 +905,40 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrip() {
+    fn recheck_rolls_back_to_an_earlier_system() {
         let mut session = Session::open(stack(false)).unwrap();
-        let snap = session.snapshot();
-        let extended = stack(true);
-        assert!(!session.append(extended).unwrap().is_correct());
-        session.restore(snap);
+        let stats = session.stats();
+        assert!(!session.append(stack(true)).unwrap().is_correct());
+        session.recheck(Some(stack(false)), stats);
         assert!(session.verdict().unwrap().is_correct());
-        // The restored session keeps checking correctly from the snapshot.
+        assert_eq!(session.stats(), stats);
+        // The rolled-back session keeps checking correctly from there.
         let v = session.append(stack(true)).unwrap().clone();
         let batch = Checker::new().check(&stack(true));
         assert_eq!(fingerprint(&v), fingerprint(&batch));
+    }
+
+    #[test]
+    fn extension_in_place_matches_the_diffing_append() {
+        let mut diffing = Session::open(stack(false)).unwrap();
+        let mut in_place = Session::open(stack(false)).unwrap();
+        let mut b = in_place.reopen();
+        let (u1, u2) = (NodeId(2), NodeId(3));
+        let o3 = b.leaf("o3", u1);
+        let o4 = b.leaf("o4", u2);
+        b.conflict(o3, o4).unwrap();
+        b.output_weak(o4, o3).unwrap();
+        let (sys, delta) = b.build_extension().unwrap();
+        assert_eq!(sys, stack(true), "the extension is the from-scratch build");
+        assert_eq!(
+            delta,
+            diff_schedules(diffing.system().unwrap(), &sys),
+            "the builder reports the delta a diff finds"
+        );
+        let v = in_place.append_extension(sys, &delta).unwrap().clone();
+        let w = diffing.append(stack(true)).unwrap();
+        assert_eq!(fingerprint(&v), fingerprint(w));
+        assert_eq!(in_place.stats(), diffing.stats());
     }
 
     #[test]

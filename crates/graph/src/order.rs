@@ -109,6 +109,20 @@ impl PartialOrderRel {
     /// a recompute-from-scratch strategy is benchmarked against both in
     /// `compc-bench` (`observed_order` bench, DESIGN.md §5.1).
     pub fn insert(&mut self, a: usize, b: usize) -> Result<(), OrderError> {
+        self.insert_tracked(a, b, 0).map(drop)
+    }
+
+    /// [`PartialOrderRel::insert`], reporting what the closure gained:
+    /// `(changed, gained_below)`, where `gained_below` says whether a new
+    /// pair has both elements below `old`. An append that extends a system
+    /// in place uses it to tell new pairs between pre-existing nodes apart
+    /// from pairs that involve a new node.
+    pub fn insert_tracked(
+        &mut self,
+        a: usize,
+        b: usize,
+        old: usize,
+    ) -> Result<(bool, bool), OrderError> {
         if a == b {
             return Err(OrderError::Reflexive(a));
         }
@@ -116,7 +130,7 @@ impl PartialOrderRel {
             return Err(OrderError::Contradiction { attempted: (a, b) });
         }
         if self.lt(a, b) {
-            return Ok(()); // already known
+            return Ok((false, false)); // already known
         }
         self.closure.ensure_node(a.max(b));
         self.preds.ensure_node(a.max(b));
@@ -125,17 +139,20 @@ impl PartialOrderRel {
         lhs.push(a);
         let mut rhs: Vec<usize> = self.closure.successors(b).collect();
         rhs.push(b);
+        let mut gained_below = false;
         for &x in &lhs {
             for &y in &rhs {
                 if x == y {
                     // Splicing would create x < x, i.e. a cycle.
                     return Err(OrderError::Contradiction { attempted: (a, b) });
                 }
-                self.closure.add_edge(x, y);
+                if self.closure.add_edge(x, y) {
+                    gained_below |= x < old && y < old;
+                }
                 self.preds.add_edge(y, x);
             }
         }
-        Ok(())
+        Ok((true, gained_below))
     }
 
     /// All pairs `(a, b)` with `a < b`, lexicographically.

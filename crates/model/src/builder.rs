@@ -2,9 +2,11 @@
 
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
+use crate::orders::OrderPair;
 use crate::schedule::{Schedule, Transaction};
 use crate::semantics::{CommutativityTable, OpSpec};
 use crate::system::{CompositeSystem, NodeInfo};
+use std::collections::BTreeSet;
 
 /// Incremental builder for a [`CompositeSystem`].
 ///
@@ -12,6 +14,11 @@ use crate::system::{CompositeSystem, NodeInfo};
 /// subtransactions, leaves) and the relational data second (conflicts,
 /// input/output orders); `build()` assembles and validates everything against
 /// Definitions 2–4.
+///
+/// [`CompositeSystem::into_builder`] reopens a built system for extension
+/// in place: the builder then records what the new items change (a
+/// [`SystemDelta`]), and [`SystemBuilder::build_extension`] re-validates
+/// only the schedules they touched.
 ///
 /// ```
 /// use compc_model::SystemBuilder;
@@ -34,6 +41,30 @@ pub struct SystemBuilder {
     schedules: Vec<Schedule>,
     /// Parallel to `schedules`: transactions under construction.
     txs: Vec<Vec<Transaction>>,
+    /// Set when reopened from a built (hence valid) system.
+    reopened: Option<Reopened>,
+}
+
+/// The state a reopened builder keeps about the system it extends.
+#[derive(Clone, Debug, Default)]
+struct Reopened {
+    /// Nodes the system had when it was reopened.
+    base_nodes: usize,
+    /// The system's children lists, extended by the new nodes on build.
+    children: Vec<Vec<NodeId>>,
+    delta: SystemDelta,
+}
+
+/// What extending a system in place changed: the input the incremental
+/// checker needs to decide which reduction levels it can reuse.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SystemDelta {
+    /// Schedules that are new or whose value changed.
+    pub touched: BTreeSet<SchedId>,
+    /// Whether a conflict, weak output or weak input pair was added between
+    /// two nodes that existed before the extension (directly or through a
+    /// transitive closure).
+    pub old_pairs_touched: bool,
 }
 
 impl SystemBuilder {
@@ -42,11 +73,34 @@ impl SystemBuilder {
         Self::default()
     }
 
+    /// Reopens a built system's parts; see [`CompositeSystem::into_builder`].
+    pub(crate) fn reopen(
+        nodes: Vec<NodeInfo>,
+        mut schedules: Vec<Schedule>,
+        children: Vec<Vec<NodeId>>,
+    ) -> Self {
+        let txs = schedules
+            .iter_mut()
+            .map(|s| std::mem::take(&mut s.transactions))
+            .collect();
+        SystemBuilder {
+            reopened: Some(Reopened {
+                base_nodes: nodes.len(),
+                children,
+                delta: SystemDelta::default(),
+            }),
+            nodes,
+            schedules,
+            txs,
+        }
+    }
+
     /// Declares a new schedule (scheduler component) and returns its id.
     pub fn schedule(&mut self, name: impl Into<String>) -> SchedId {
         let id = SchedId(self.schedules.len() as u32);
         self.schedules.push(Schedule::new(id, name));
         self.txs.push(Vec::new());
+        self.touch(id);
         id
     }
 
@@ -54,6 +108,7 @@ impl SystemBuilder {
     pub fn root(&mut self, name: impl Into<String>, home: SchedId) -> NodeId {
         let id = self.push_node(name, None, Some(home), None);
         self.txs[home.index()].push(Transaction::new(id));
+        self.touch(home);
         id
     }
 
@@ -67,6 +122,7 @@ impl SystemBuilder {
         let container = self.home_of(parent);
         let id = self.push_node(name, Some(parent), Some(home), Some(container));
         self.txs[home.index()].push(Transaction::new(id));
+        self.touch(home);
         self.attach_op(parent, id);
         id
     }
@@ -95,21 +151,19 @@ impl SystemBuilder {
     /// Records the weak intra-transaction order `a ≺_t b`; `a` and `b` must
     /// share a parent transaction.
     pub fn tx_weak_order(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
-        let tx = self.shared_parent(a, b)?;
-        self.tx_mut(tx)?.intra.add_weak(a, b)
+        self.tx_order(a, b, false)
     }
 
     /// Records the strong intra-transaction order `a ≪_t b`.
     pub fn tx_strong_order(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
-        let tx = self.shared_parent(a, b)?;
-        self.tx_mut(tx)?.intra.add_strong(a, b)
+        self.tx_order(a, b, true)
     }
 
     /// Declares a conflict `CON_S(a, b)`; the schedule is inferred from the
     /// (common) container of the two operations.
     pub fn conflict(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
         let s = self.shared_container(a, b)?;
-        self.schedules[s.index()].conflicts.insert(a, b);
+        self.add_conflict(s, a, b);
         Ok(())
     }
 
@@ -117,27 +171,27 @@ impl SystemBuilder {
     /// schedule.
     pub fn output_weak(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
         let s = self.shared_container(a, b)?;
-        self.schedules[s.index()].output.add_weak(a, b)
+        self.order_pair(s, |s| &mut s.output, a, b, false)
     }
 
     /// Records the strong output order `a ≪_S b` on the common container
     /// schedule.
     pub fn output_strong(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
         let s = self.shared_container(a, b)?;
-        self.schedules[s.index()].output.add_strong(a, b)
+        self.order_pair(s, |s| &mut s.output, a, b, true)
     }
 
     /// Records the weak input order `t → t'` on the common home schedule of
     /// two transactions.
     pub fn input_weak(&mut self, t: NodeId, t2: NodeId) -> Result<(), ModelError> {
         let s = self.shared_home(t, t2)?;
-        self.schedules[s.index()].input.add_weak(t, t2)
+        self.order_pair(s, |s| &mut s.input, t, t2, false)
     }
 
     /// Records the strong input order `t →→ t'`.
     pub fn input_strong(&mut self, t: NodeId, t2: NodeId) -> Result<(), ModelError> {
         let s = self.shared_home(t, t2)?;
-        self.schedules[s.index()].input.add_strong(t, t2)
+        self.order_pair(s, |s| &mut s.input, t, t2, true)
     }
 
     /// Derives each schedule's conflict predicate from leaf [`OpSpec`]s via a
@@ -154,7 +208,7 @@ impl SystemBuilder {
             for (i, &(a, sa)) in ops.iter().enumerate() {
                 for &(b, sb) in &ops[i + 1..] {
                     if table.conflicts(sa, sb) {
-                        self.schedules[s_idx].conflicts.insert(a, b);
+                        self.add_conflict(SchedId(s_idx as u32), a, b);
                     }
                 }
             }
@@ -164,12 +218,19 @@ impl SystemBuilder {
     /// Applies Definition 4.7 automatically: copies every output-order pair
     /// whose endpoints are both transactions of one schedule into that
     /// schedule's input orders. Call after declaring output orders to avoid
-    /// spelling the propagation out by hand.
+    /// spelling the propagation out by hand. A reopened builder reads only
+    /// the schedules the extension touched: the system it was reopened from
+    /// was valid, so every other schedule's pairs are already propagated.
     pub fn propagate_orders(&mut self) -> Result<(), ModelError> {
         // Collect first to appease the borrow checker; volumes are small.
         let mut weak = Vec::new();
         let mut strong = Vec::new();
         for s in &self.schedules {
+            if let Some(r) = &self.reopened {
+                if !r.delta.touched.contains(&s.id) {
+                    continue;
+                }
+            }
             for (a, b) in s.output.weak_pairs() {
                 if let Some(home) = self.common_home(a, b) {
                     weak.push((home, a, b));
@@ -182,20 +243,59 @@ impl SystemBuilder {
             }
         }
         for (home, a, b) in weak {
-            self.schedules[home.index()].input.add_weak(a, b)?;
+            self.order_pair(home, |s| &mut s.input, a, b, false)?;
         }
         for (home, a, b) in strong {
-            self.schedules[home.index()].input.add_strong(a, b)?;
+            self.order_pair(home, |s| &mut s.input, a, b, true)?;
         }
         Ok(())
     }
 
     /// Finalizes and validates the system.
-    pub fn build(mut self) -> Result<CompositeSystem, ModelError> {
+    pub fn build(self) -> Result<CompositeSystem, ModelError> {
+        self.build_extension().map(|(sys, _)| sys)
+    }
+
+    /// Finalizes and validates the system, and says what changed since it
+    /// was reopened. A reopened builder re-validates only the touched
+    /// schedules (an untouched schedule of a valid system stays valid: its
+    /// relations are unchanged and the input orders it propagates into only
+    /// grew). A fresh builder validates everything and reports every
+    /// schedule touched and an old pair added, since nothing is known to be
+    /// unchanged.
+    pub fn build_extension(mut self) -> Result<(CompositeSystem, SystemDelta), ModelError> {
         for (s_idx, txs) in self.txs.into_iter().enumerate() {
             self.schedules[s_idx].transactions = txs;
         }
-        CompositeSystem::assemble(self.nodes, self.schedules)
+        match self.reopened {
+            None => {
+                let delta = SystemDelta {
+                    touched: self.schedules.iter().map(|s| s.id).collect(),
+                    old_pairs_touched: true,
+                };
+                let sys = CompositeSystem::assemble(self.nodes, self.schedules)?;
+                Ok((sys, delta))
+            }
+            Some(Reopened {
+                base_nodes,
+                mut children,
+                delta,
+            }) => {
+                children.resize(self.nodes.len(), Vec::new());
+                for n in &self.nodes[base_nodes..] {
+                    if let Some(p) = n.parent {
+                        children[p.index()].push(n.id);
+                    }
+                }
+                let sys = CompositeSystem::assemble_extension(
+                    self.nodes,
+                    self.schedules,
+                    children,
+                    &delta.touched,
+                )?;
+                Ok((sys, delta))
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -221,6 +321,61 @@ impl SystemBuilder {
         id
     }
 
+    /// Marks schedule `s` changed (when `changed`) and notes whether a
+    /// pair between two old nodes was added (only a reopened builder keeps
+    /// track).
+    fn record(&mut self, s: SchedId, changed: bool, old_pair: bool) {
+        if let Some(r) = &mut self.reopened {
+            if changed {
+                r.delta.touched.insert(s);
+            }
+            r.delta.old_pairs_touched |= old_pair;
+        }
+    }
+
+    fn touch(&mut self, s: SchedId) {
+        self.record(s, true, false);
+    }
+
+    /// Nodes the builder was reopened with (0 for a fresh builder).
+    fn base_nodes(&self) -> usize {
+        self.reopened.as_ref().map_or(0, |r| r.base_nodes)
+    }
+
+    fn add_conflict(&mut self, s: SchedId, a: NodeId, b: NodeId) {
+        if self.schedules[s.index()].conflicts.insert(a, b) {
+            let old = self.base_nodes();
+            self.record(s, true, a.index() < old && b.index() < old);
+        }
+    }
+
+    fn tx_order(&mut self, a: NodeId, b: NodeId, strong: bool) -> Result<(), ModelError> {
+        let tx = self.shared_parent(a, b)?;
+        let (changed, _) = self.tx_mut(tx)?.intra.insert(a, b, strong, 0)?;
+        let home = self.nodes[tx.index()]
+            .home
+            .expect("tx_mut found a transaction");
+        self.record(home, changed, false);
+        Ok(())
+    }
+
+    /// Adds `a < b` (and `a ≪ b` when `strong`) to the output or input
+    /// orders of schedule `s`, as `orders` selects.
+    fn order_pair(
+        &mut self,
+        s: SchedId,
+        orders: fn(&mut Schedule) -> &mut OrderPair,
+        a: NodeId,
+        b: NodeId,
+        strong: bool,
+    ) -> Result<(), ModelError> {
+        let old = self.base_nodes();
+        let (changed, old_pair) =
+            orders(&mut self.schedules[s.index()]).insert(a, b, strong, old)?;
+        self.record(s, changed, old_pair);
+        Ok(())
+    }
+
     fn home_of(&self, parent: NodeId) -> SchedId {
         let info = self
             .nodes
@@ -232,11 +387,14 @@ impl SystemBuilder {
 
     fn attach_op(&mut self, parent: NodeId, op: NodeId) {
         let home = self.home_of(parent);
+        // Newest first: an operation usually joins a recent transaction.
         let tx = self.txs[home.index()]
             .iter_mut()
+            .rev()
             .find(|t| t.id == parent)
             .expect("parent transaction registered with its home schedule");
         tx.ops.push(op);
+        self.touch(home);
     }
 
     fn tx_mut(&mut self, tx: NodeId) -> Result<&mut Transaction, ModelError> {
@@ -245,6 +403,7 @@ impl SystemBuilder {
             .ok_or(ModelError::ParentIsLeaf { parent: tx })?;
         self.txs[home.index()]
             .iter_mut()
+            .rev()
             .find(|t| t.id == tx)
             .ok_or(ModelError::UnknownNode(tx))
     }

@@ -49,7 +49,7 @@ mod system;
 
 pub mod semantics;
 
-pub use builder::SystemBuilder;
+pub use builder::{SystemBuilder, SystemDelta};
 pub use conflict::ConflictRel;
 pub use error::ModelError;
 pub use ids::{ItemId, NodeId, SchedId};

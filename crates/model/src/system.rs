@@ -1,11 +1,13 @@
 //! Composite systems (Definitions 4–9).
 
+use crate::builder::SystemBuilder;
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
 use crate::orders::OrderKind;
 use crate::schedule::{Schedule, Transaction};
 use crate::semantics::OpSpec;
 use compc_graph::{find_cycle, longest_path_lengths, DiGraph};
+use std::collections::BTreeSet;
 
 /// The role a node plays in the computational forest: the sets `R`, `I`, `L`
 /// of Definition 4 (points 3–5).
@@ -57,7 +59,7 @@ impl NodeInfo {
 /// Construct via [`crate::SystemBuilder`]; the builder's `build()` runs
 /// [`CompositeSystem::validate`] so every value of this type satisfies
 /// Definitions 2–4.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompositeSystem {
     nodes: Vec<NodeInfo>,
     schedules: Vec<Schedule>,
@@ -87,6 +89,34 @@ impl CompositeSystem {
         sys.levels = sys.compute_levels()?;
         sys.validate()?;
         Ok(sys)
+    }
+
+    /// Assembles an extension of a valid system from its reopened parts
+    /// (see [`SystemBuilder::build_extension`]): the levels are recomputed,
+    /// but only the `touched` schedules are validated again.
+    pub(crate) fn assemble_extension(
+        nodes: Vec<NodeInfo>,
+        schedules: Vec<Schedule>,
+        children: Vec<Vec<NodeId>>,
+        touched: &BTreeSet<SchedId>,
+    ) -> Result<Self, ModelError> {
+        let mut sys = CompositeSystem {
+            nodes,
+            schedules,
+            children,
+            levels: Vec::new(),
+        };
+        sys.levels = sys.compute_levels()?;
+        sys.validate_where(|s| touched.contains(&s))?;
+        Ok(sys)
+    }
+
+    /// Reopens the system for extension in place, by move: the builder
+    /// declares new schedules, nodes and relation pairs on top of this
+    /// system, and [`SystemBuilder::build_extension`] re-validates only what
+    /// they touched and reports it as a [`crate::SystemDelta`].
+    pub fn into_builder(self) -> SystemBuilder {
+        SystemBuilder::reopen(self.nodes, self.schedules, self.children)
     }
 
     // ------------------------------------------------------------------
@@ -251,15 +281,21 @@ impl CompositeSystem {
 
     /// Validates Definitions 3 and 4 over the whole system.
     pub fn validate(&self) -> Result<(), ModelError> {
+        self.validate_where(|_| true)
+    }
+
+    /// Validates Definitions 3 and 4 for the schedules `check` selects.
+    fn validate_where(&self, check: impl Fn(SchedId) -> bool) -> Result<(), ModelError> {
+        let checked = || self.schedules.iter().filter(|s| check(s.id));
         // Definition 3 per schedule.
-        for s in &self.schedules {
+        for s in checked() {
             s.validate()?;
         }
         // Definition 4.6 second clause: no descendant of a transaction is a
         // transaction of the same schedule. (The IG acyclicity check in
         // `compute_levels` already covers most cases; this catches a
         // transaction invoking its own schedule through an intermediate.)
-        for s in &self.schedules {
+        for s in checked() {
             for t in &s.transactions {
                 for d in self.descendants(t.id) {
                     if self.nodes[d.index()].home == Some(s.id) {
@@ -274,7 +310,7 @@ impl CompositeSystem {
         }
         // Definition 4.7: output orders of S_i between two operations that
         // are both transactions of S_j must be passed to S_j as input orders.
-        for s in &self.schedules {
+        for s in checked() {
             let op_home = |o: NodeId| self.nodes[o.index()].home;
             let ops: Vec<NodeId> = s.ops().collect();
             for &a in &ops {

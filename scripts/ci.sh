@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate + lint gate + CLI smoke test. Run from the workspace root.
 #
-#   scripts/ci.sh          # everything (tier-1, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, serve-smoke, serve-soak, perf-selftest)
+#   scripts/ci.sh          # everything (tier-1, workspace tests, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, serve-smoke, serve-soak, perf-selftest)
 #   scripts/ci.sh tier1    # just the build + test gate
+#   scripts/ci.sh workspace-tests # every workspace crate's tests (tier-1's
+#                              # root `cargo test` runs only the compc package)
 #   scripts/ci.sh lint     # just clippy + rustfmt
 #   scripts/ci.sh smoke    # just the compc-check observability smoke test
 #   scripts/ci.sh soak     # chaos sweep + deadline smoke (robustness gate)
@@ -38,6 +40,14 @@ tier1() {
     cargo build --release
     echo "==> tier-1: cargo test -q"
     cargo test -q
+}
+
+# The root `cargo test` tests only the `compc` package; the unit tests of
+# the other workspace crates (compc-core's session, compc-model,
+# compc-graph, ...) run here.
+workspace_tests() {
+    echo "==> workspace-tests: cargo test -q --workspace"
+    cargo test -q --workspace
 }
 
 lint() {
@@ -458,6 +468,7 @@ perf_selftest() {
 
 case "$stage" in
     tier1) tier1 ;;
+    workspace-tests) workspace_tests ;;
     lint) lint ;;
     smoke) smoke ;;
     soak) soak ;;
@@ -469,6 +480,7 @@ case "$stage" in
     perf-selftest) perf_selftest ;;
     all)
         tier1
+        workspace_tests
         lint
         smoke
         soak
@@ -480,7 +492,7 @@ case "$stage" in
         perf_selftest
         ;;
     *)
-        echo "usage: scripts/ci.sh [tier1|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|perf-selftest|all]" >&2
+        echo "usage: scripts/ci.sh [tier1|workspace-tests|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|perf-selftest|all]" >&2
         exit 2
         ;;
 esac

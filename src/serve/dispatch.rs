@@ -17,13 +17,16 @@
 //! # Group commit
 //!
 //! A shard drains contiguous queued appends up to `--commit-batch`,
-//! applies each under `catch_unwind` (a panicking handler rolls back that
-//! one request and answers `internal`), then flushes: all the batch's
-//! journal records in one `write_all`, one `sync_data`, and only then the
-//! batch's responses, in order. A failed batch write rolls every touched
-//! session back to its pre-batch snapshot and converts every would-be ack
-//! into a structured `journal` error — no ack was sent, so no durability
-//! promise was broken, and the clients may simply retry.
+//! applies each under `catch_unwind` after taking its session's O(1)
+//! watermark (a panicking handler rolls that one request back to it and
+//! answers `internal`), then flushes: all the batch's journal records in
+//! one `write_all`, one `sync_data`, and only then the batch's responses,
+//! in order. Every append that changed its session is journaled, an
+//! interrupted one included. A failed batch write rolls every touched
+//! session back to its watermark from before the batch and converts every
+//! journaled response into a structured `journal` error — no ack was
+//! sent, so no durability promise was broken, and the clients may simply
+//! retry.
 //!
 //! # Freeze/resume
 //!
@@ -252,24 +255,31 @@ fn record_batch_size(gauges: &Gauges, records: u64) {
 // Shard threads
 // ---------------------------------------------------------------------------
 
-/// One applied-but-not-yet-acked batch member.
+/// One handled-but-not-yet-answered batch member.
 struct BatchEntry {
     resp: Sender<String>,
     response: Value,
-    /// `Some` when the response acks an applied append and must wait for
-    /// the batch's durability flush: `(session, seq, fragment)`.
-    record: Option<(String, u64, SystemSpec)>,
+    /// `Some` when the request changed its session: what must be
+    /// journaled before the response goes out.
+    record: Option<Record>,
+    /// The response acks an applied append (an interrupted append is
+    /// journaled, not acked).
+    acked: bool,
     violation: bool,
 }
 
-/// A forming commit batch.
-#[derive(Default)]
-struct Batch {
-    entries: Vec<BatchEntry>,
-    /// Earliest (pre-batch) snapshot per touched session, for whole-batch
-    /// rollback if the durability write fails.
-    snapshots: HashMap<String, SpecSnapshot>,
+/// An append that changed its session.
+struct Record {
+    session: String,
+    /// The session's append count after it, as journaled.
+    seq: u64,
+    fragment: SystemSpec,
+    /// The session's watermark from before it.
+    mark: SpecSnapshot,
 }
+
+/// A forming commit batch.
+type Batch = Vec<BatchEntry>;
 
 enum Flow {
     Continue,
@@ -292,7 +302,7 @@ pub(crate) struct Shard {
 /// Runs one shard to completion: serves until the control thread resumes
 /// it with `Exit` (or every sender is gone).
 pub(crate) fn shard_loop(rx: Receiver<ShardMsg>, mut shard: Shard) {
-    let mut batch = Batch::default();
+    let mut batch = Batch::new();
     loop {
         let msg = match rx.recv() {
             Ok(m) => m,
@@ -315,9 +325,7 @@ impl Shard {
                 // non-append flushes the batch first, which also ends the
                 // collection loop.
                 let mut deferred = None;
-                while !batch.entries.is_empty()
-                    && batch.entries.len() < self.config.commit_batch.max(1)
-                {
+                while !batch.is_empty() && batch.len() < self.config.commit_batch.max(1) {
                     match rx.try_recv() {
                         Ok(ShardMsg::Request(next)) => self.admit(next, batch),
                         Ok(other) => {
@@ -366,7 +374,7 @@ impl Shard {
             match rx.try_recv() {
                 Ok(ShardMsg::Request(req)) => {
                     self.admit(req, batch);
-                    if batch.entries.len() >= self.config.commit_batch.max(1) {
+                    if batch.len() >= self.config.commit_batch.max(1) {
                         self.flush(batch);
                     }
                 }
@@ -472,7 +480,7 @@ impl Shard {
 
     /// Applies one append to its session and stages the (unsent) response
     /// in the batch. A panic anywhere in the handler is confined to this
-    /// request: the session is rolled back to its pre-request snapshot and
+    /// request: the session is rolled back to its pre-request watermark and
     /// the entry becomes a structured `internal` error.
     fn stage_append(
         &mut self,
@@ -491,16 +499,7 @@ impl Shard {
             .sessions
             .entry(session_name.clone())
             .or_insert_with(|| SpecSession::with_options(options));
-        // One snapshot per touched session per *batch*, not per append:
-        // the snapshot clones the accumulated spec, so amortizing it is a
-        // large share of the group-commit win. Batch-failure rollback uses
-        // it directly; the per-request panic path reconstructs pre-request
-        // state from it plus the batch's staged fragments.
-        if !batch.snapshots.contains_key(&session_name) {
-            batch
-                .snapshots
-                .insert(session_name.clone(), session.snapshot());
-        }
+        let mark = session.snapshot();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if panic_flagged {
@@ -508,46 +507,40 @@ impl Shard {
             }
             session.append(&fragment).cloned()
         }));
-        let entry = match outcome {
+        let mut entry = BatchEntry {
+            resp,
+            response: Value::Null,
+            record: None,
+            acked: false,
+            violation: false,
+        };
+        match outcome {
             Ok(Ok(verdict)) => {
                 let elapsed_ns = started.elapsed().as_nanos() as u64;
                 emit_trace(&self.config, &session_name, session, &verdict, elapsed_ns);
-                let seq = session.stats().appends;
-                let response = verdict_response(&session_name, session, &verdict);
-                BatchEntry {
-                    resp,
-                    response,
-                    record: Some((session_name, seq, fragment)),
-                    violation: !verdict.is_correct(),
-                }
+                entry.response = verdict_response(&session_name, session, &verdict);
+                entry.acked = true;
+                entry.violation = !verdict.is_correct();
             }
             Ok(Err(SpecSessionError::Session(SessionError::Interrupted(e)))) => {
                 // The merged spec is kept for resume, so the session stays
                 // (even a fresh one) — re-appending the same fragment
-                // resumes from the completed levels.
+                // resumes from the completed levels. The state changed, so
+                // it is journaled like an acked append.
                 self.gauges.interruptions.fetch_add(1, Ordering::SeqCst);
                 let mut response = error_object("interrupted", e.to_string());
                 if let Value::Object(entries) = &mut response {
                     entries.push(("resumable".to_string(), Value::from(true)));
                 }
-                BatchEntry {
-                    resp,
-                    response,
-                    record: None,
-                    violation: false,
-                }
+                entry.response = response;
             }
             Ok(Err(SpecSessionError::OracleDisagreement { engine_correct })) => {
+                // The verdict is installed, so this too is journaled.
                 self.gauges.disagreements.fetch_add(1, Ordering::SeqCst);
-                BatchEntry {
-                    resp,
-                    response: error_object(
-                        "oracle-disagreement",
-                        SpecSessionError::OracleDisagreement { engine_correct }.to_string(),
-                    ),
-                    record: None,
-                    violation: false,
-                }
+                entry.response = error_object(
+                    "oracle-disagreement",
+                    SpecSessionError::OracleDisagreement { engine_correct }.to_string(),
+                );
             }
             Ok(Err(e)) => {
                 // Spec-level rejection leaves the session untouched; a
@@ -556,83 +549,44 @@ impl Shard {
                 if fresh {
                     self.remove_fresh(&session_name);
                 }
-                let response = match e {
+                entry.response = match e {
                     SpecSessionError::Session(e) => error_object("invalid", e.to_string()),
                     e => error_object("spec", e.to_string()),
                 };
-                BatchEntry {
-                    resp,
-                    response,
-                    record: None,
-                    violation: false,
-                }
+                batch.push(entry);
+                return;
             }
             Err(payload) => {
                 if fresh {
-                    // A session created by the panicking append itself has
-                    // no staged records; removing it is the restore.
+                    // A session created by the panicking append itself is
+                    // rolled back by removing it.
                     self.remove_fresh(&session_name);
                 } else {
-                    self.repair_after_panic(&session_name, batch);
+                    session.restore(mark);
                 }
                 self.gauges.internal_faults.fetch_add(1, Ordering::SeqCst);
                 let message = panic_message(payload);
                 eprintln!("request handler panicked (session restored): {message}");
-                BatchEntry {
-                    resp,
-                    response: error_object(
-                        "internal",
-                        format!("request handler panicked: {message}; session state restored"),
-                    ),
-                    record: None,
-                    violation: false,
-                }
+                entry.response = error_object(
+                    "internal",
+                    format!("request handler panicked: {message}; session state restored"),
+                );
+                batch.push(entry);
+                return;
             }
-        };
-        batch.entries.push(entry);
+        }
+        entry.record = Some(Record {
+            seq: session.stats().appends,
+            session: session_name,
+            fragment,
+            mark,
+        });
+        batch.push(entry);
     }
 
     fn remove_fresh(&mut self, name: &str) {
         if self.sessions.remove(name).is_some() {
             self.gauges.sessions.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Rebuilds a session's pre-request state after a handler panic
-    /// without a per-request snapshot: restore the pre-batch snapshot,
-    /// re-capture it for batch-failure rollback, then replay the batch's
-    /// staged fragments for that session (each succeeded deterministically
-    /// moments ago, so the replay lands exactly at the pre-request state,
-    /// seqs included). A panic *during that replay* would desynchronize
-    /// memory from the journal, so it is fail-stop: journal recovery on
-    /// restart rebuilds the state instead.
-    fn repair_after_panic(&mut self, session_name: &str, batch: &mut Batch) {
-        let Some(snapshot) = batch.snapshots.remove(session_name) else {
-            return;
-        };
-        let Some(session) = self.sessions.get_mut(session_name) else {
-            return;
-        };
-        session.restore(snapshot);
-        batch
-            .snapshots
-            .insert(session_name.to_string(), session.snapshot());
-        let replay = catch_unwind(AssertUnwindSafe(|| {
-            for entry in &batch.entries {
-                if let Some((name, _, fragment)) = &entry.record {
-                    if name == session_name {
-                        let _ = session.append(fragment);
-                    }
-                }
-            }
-        }));
-        if replay.is_err() {
-            eprintln!(
-                "fatal: replaying staged appends for session {session_name:?} panicked \
-                 while recovering from a handler panic; aborting so journal recovery \
-                 rebuilds the state"
-            );
-            std::process::abort();
         }
     }
 
@@ -642,19 +596,17 @@ impl Shard {
     /// rolls every touched session back and converts every would-be ack
     /// into a structured error.
     fn flush(&mut self, batch: &mut Batch) {
-        if batch.entries.is_empty() {
-            batch.snapshots.clear();
+        if batch.is_empty() {
             return;
         }
-        let record_count = batch.entries.iter().filter(|e| e.record.is_some()).count() as u64;
+        let record_count = batch.iter().filter(|e| e.record.is_some()).count() as u64;
         let mut failure: Option<(&'static str, String)> = None;
         if record_count > 0 {
             if let Some(journal) = &self.journal {
                 let records: Vec<BatchRecord<'_>> = batch
-                    .entries
                     .iter()
                     .filter_map(|e| e.record.as_ref())
-                    .map(|(s, q, f)| (s.as_str(), *q, f))
+                    .map(|r| (r.session.as_str(), r.seq, &r.fragment))
                     .collect();
                 match lock_journal(journal).append_batch(&records) {
                     Ok(()) => {
@@ -679,11 +631,17 @@ impl Shard {
         }
         match failure {
             Some((kind, e)) => {
-                for (name, snapshot) in batch.snapshots.drain() {
-                    if let Some(session) = self.sessions.get_mut(&name) {
-                        session.restore(snapshot);
+                // Each touched session goes back to its watermark from
+                // before its first record in the batch.
+                let mut marks: HashMap<&str, &SpecSnapshot> = HashMap::new();
+                for record in batch.iter().filter_map(|e| e.record.as_ref()) {
+                    marks.entry(&record.session).or_insert(&record.mark);
+                }
+                for (name, mark) in marks {
+                    if let Some(session) = self.sessions.get_mut(name) {
+                        session.restore(mark.clone());
                         if session.stats().appends == 0 && session.spec().nodes.is_empty() {
-                            self.remove_fresh(&name);
+                            self.remove_fresh(name);
                         }
                     }
                 }
@@ -691,7 +649,7 @@ impl Shard {
                     "commit batch of {record_count} append(s) failed ({e}); \
                      rolled back, no acks sent"
                 );
-                for entry in batch.entries.drain(..) {
+                for entry in batch.drain(..) {
                     let response = if entry.record.is_some() {
                         error_object(kind, e.clone())
                     } else {
@@ -701,8 +659,8 @@ impl Shard {
                 }
             }
             None => {
-                for entry in batch.entries.drain(..) {
-                    if entry.record.is_some() {
+                for entry in batch.drain(..) {
+                    if entry.acked {
                         self.gauges.appends.fetch_add(1, Ordering::SeqCst);
                         if entry.violation {
                             self.gauges.violations.fetch_add(1, Ordering::SeqCst);
@@ -710,7 +668,6 @@ impl Shard {
                     }
                     let _ = entry.resp.send(entry.response.to_compact());
                 }
-                batch.snapshots.clear();
             }
         }
     }

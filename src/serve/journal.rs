@@ -1,6 +1,7 @@
 //! The write-ahead append journal behind `--journal`.
 //!
-//! One NDJSON record per accepted append — `{"seq": N, "append": {...}}`
+//! One NDJSON record per append that changed its session (acked, or
+//! interrupted and kept for resume) — `{"seq": N, "append": {...}}`
 //! for the `"default"` session (byte-identical to the pre-multi-session
 //! format), `{"session": "name", "seq": N, "append": {...}}` for named
 //! sessions. Records are written in **commit batches**: a dispatch shard
@@ -14,7 +15,8 @@
 //!
 //! At startup [`replay`] applies the journal suffix past the restored
 //! checkpoint, demultiplexing records into their named sessions (records
-//! whose `seq` a session's checkpoint already covers are skipped) and
+//! whose `seq` a session's checkpoint already covers are skipped; each
+//! session's remaining records are merged and checked once) and
 //! repairs the file tail: a torn (unparseable, never-acked) trailing
 //! record from a crash mid-write is truncated away, and a whole-but-
 //! unterminated one gets its missing newline — either way the next
@@ -33,7 +35,7 @@ use crate::session::{SpecSession, DEFAULT_SESSION};
 use crate::spec::SystemSpec;
 use compc_core::CheckOptions;
 use compc_json::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 
 /// An open journal file in append mode, tracking its own size so the
@@ -87,7 +89,7 @@ impl Journal {
     /// Appends a commit batch as one contiguous write and one fsync. Must
     /// complete before *any* member's verdict is acked; an error fails the
     /// whole batch (the dispatcher rolls every touched session back to its
-    /// pre-batch snapshot, so the clients may simply retry).
+    /// pre-batch watermark, so the clients may simply retry).
     pub fn append_batch(&mut self, records: &[BatchRecord<'_>]) -> Result<(), String> {
         if records.is_empty() {
             return Ok(());
@@ -179,38 +181,38 @@ pub(crate) fn replay(
         skipped: 0,
         torn: false,
     };
-    let total = lines.len();
+    let mut records = Vec::with_capacity(lines.len() + 1);
     for (index, line) in lines.into_iter().enumerate() {
-        let (session, seq, fragment) = parse_record(line)
+        let record = parse_record(line)
             .map_err(|e| format!("journal {path} record {} is corrupt: {e}", index + 1))?;
-        apply_record(sessions, options, &session, seq, &fragment, &mut report)
-            .map_err(|e| format!("journal {path} record {} failed to replay: {e}", index + 1))?;
+        records.push(record);
     }
+    // A whole final record only lacks its newline; an unparseable one is
+    // the classic torn write. Its fsync never completed, so its append was
+    // never acked and dropping it loses nothing the contract promised.
+    let mut torn = false;
     if let Some(tail) = torn_candidate {
         match parse_record(tail) {
-            Ok((session, seq, fragment)) => {
-                apply_record(sessions, options, &session, seq, &fragment, &mut report).map_err(
-                    |e| format!("journal {path} record {} failed to replay: {e}", total + 1),
-                )?;
-                // The record is whole, only its newline is missing: add
-                // it, or the next batch would fuse with this record into
-                // one unparseable line the next restart hard-errors on.
-                terminate_tail(path)?;
-            }
-            // Unparseable and unterminated: the classic torn write. The
-            // record's fsync never completed, so its append was never
-            // acked and dropping it loses nothing the contract promised —
-            // but its bytes must go too, or the next batch would fuse
-            // with them into one poisoned line.
-            Err(_) => {
-                report.torn = true;
-                let clean_bytes = bytes
-                    .iter()
-                    .rposition(|&b| b == b'\n')
-                    .map_or(0, |i| i as u64 + 1);
-                truncate_tail(path, clean_bytes)?;
-            }
+            Ok(record) => records.push(record),
+            Err(_) => torn = true,
         }
+    }
+    apply_records(records, sessions, options, &mut report)
+        .map_err(|(number, e)| format!("journal {path} record {number} failed to replay: {e}"))?;
+    if torn {
+        // The torn record's bytes must go too, or the next batch would
+        // fuse with them into one poisoned line.
+        report.torn = true;
+        let clean_bytes = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i as u64 + 1);
+        truncate_tail(path, clean_bytes)?;
+    } else if torn_candidate.is_some() {
+        // The record is whole, only its newline is missing: add it, or
+        // the next batch would fuse with this record into one unparseable
+        // line the next restart hard-errors on.
+        terminate_tail(path)?;
     }
     Ok(report)
 }
@@ -259,23 +261,46 @@ fn parse_record(line: &[u8]) -> Result<(String, u64, SystemSpec), String> {
     Ok((session, seq, fragment))
 }
 
-fn apply_record(
+/// Applies parsed records, skipping those a session's checkpoint already
+/// covers. Each session's uncovered records are merged and checked once
+/// ([`SpecSession::append_all`]); if that fails, the session is rolled
+/// back and replayed record by record, so the error names the record
+/// (1-based) that fails.
+fn apply_records(
+    records: Vec<(String, u64, SystemSpec)>,
     sessions: &mut HashMap<String, SpecSession>,
     options: CheckOptions,
-    session: &str,
-    seq: u64,
-    fragment: &SystemSpec,
     report: &mut ReplayReport,
-) -> Result<(), String> {
-    let entry = sessions
-        .entry(session.to_string())
-        .or_insert_with(|| SpecSession::with_options(options));
-    if seq <= entry.stats().appends {
-        report.skipped += 1;
-        return Ok(());
+) -> Result<(), (usize, String)> {
+    let mut pending: BTreeMap<String, Vec<(usize, SystemSpec)>> = BTreeMap::new();
+    for (number, (name, seq, fragment)) in (1..).zip(records) {
+        let session = sessions
+            .entry(name.clone())
+            .or_insert_with(|| SpecSession::with_options(options));
+        let queued = pending.entry(name).or_default();
+        if seq <= session.stats().appends + queued.len() as u64 {
+            report.skipped += 1;
+        } else {
+            queued.push((number, fragment));
+        }
     }
-    entry.append(fragment).map_err(|e| e.to_string())?;
-    report.applied += 1;
+    for (name, queued) in pending {
+        if queued.is_empty() {
+            continue;
+        }
+        let session = sessions.get_mut(&name).expect("created above");
+        let mark = session.snapshot();
+        let (numbers, fragments): (Vec<usize>, Vec<SystemSpec>) = queued.into_iter().unzip();
+        if session.append_all(&fragments).is_err() {
+            session.restore(mark);
+            for (number, fragment) in numbers.into_iter().zip(&fragments) {
+                session
+                    .append(fragment)
+                    .map_err(|e| (number, e.to_string()))?;
+            }
+        }
+        report.applied += fragments.len() as u64;
+    }
     Ok(())
 }
 
@@ -308,4 +333,62 @@ pub(crate) fn write_checkpoint_file(path: &str, doc: &str) -> Result<(), String>
         let _ = d.sync_all();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fragments() -> Vec<SystemSpec> {
+        SystemSpec::parse(
+            r#"{
+                "schedules": ["S"],
+                "nodes": [
+                    {"name": "T1", "kind": "root", "home": "S"},
+                    {"name": "T2", "kind": "root", "home": "S"},
+                    {"name": "o1", "kind": "leaf", "parent": "T1"},
+                    {"name": "o2", "kind": "leaf", "parent": "T2"}
+                ],
+                "conflicts": [["o1", "o2"]],
+                "output_weak": [["o1", "o2"]]
+            }"#,
+        )
+        .unwrap()
+        .into_appends()
+    }
+
+    #[test]
+    fn replay_skips_covered_records_and_checks_the_rest_once() {
+        let fragments = fragments();
+        let path =
+            std::env::temp_dir().join(format!("compc-journal-{}.ndjson", std::process::id()));
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let mut journal = Journal::open(path).unwrap();
+        let records: Vec<BatchRecord<'_>> = vec![
+            ("covered", 1, &fragments[0]),
+            ("covered", 2, &fragments[1]),
+            (DEFAULT_SESSION, 1, &fragments[0]),
+            (DEFAULT_SESSION, 2, &fragments[1]),
+        ];
+        journal.append_batch(&records).unwrap();
+
+        // "covered" was checkpointed after both of its appends.
+        let mut covered = SpecSession::new();
+        for fragment in &fragments {
+            covered.append(fragment).unwrap();
+        }
+        let mut sessions = HashMap::from([("covered".to_string(), covered)]);
+        let report = replay(path, &mut sessions, CheckOptions::default()).unwrap();
+        assert_eq!((report.applied, report.skipped), (2, 2));
+        assert_eq!(sessions["covered"].stats().appends, 2);
+        let replayed = &sessions[DEFAULT_SESSION];
+        assert_eq!(replayed.stats().appends, 2);
+        assert_eq!(replayed.spec(), sessions["covered"].spec());
+        assert_eq!(
+            format!("{:?}", replayed.verdict()),
+            format!("{:?}", sessions["covered"].verdict())
+        );
+        std::fs::remove_file(path).unwrap();
+    }
 }

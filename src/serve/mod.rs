@@ -35,7 +35,8 @@
 //! # Durability contract
 //!
 //! **An acked verdict survives any single crash.** With `--journal FILE`
-//! every accepted append becomes one NDJSON journal record; records are
+//! every append that changed its session (acked, or interrupted and kept
+//! for resume) becomes one NDJSON journal record; records are
 //! written in **commit batches** (up to `--commit-batch` contiguous
 //! queued appends per shard) with one `write_all` and one fsync covering
 //! the whole batch, and *no* member's verdict is written to the socket
@@ -43,7 +44,7 @@
 //! weakening the contract: an ack still strictly follows the fsync that
 //! covers its record. Startup replays the checkpoint (if any) and then
 //! the journal suffix past it, demultiplexing records into their named
-//! sessions; `checkpoint` compacts (fsync-before-rename snapshot, then
+//! sessions and checking each session once; `checkpoint` compacts (fsync-before-rename snapshot, then
 //! journal truncation — in that order, so a crash between the two only
 //! leaves already-applied records that replay skips). A torn trailing
 //! journal record from a crash mid-write is truncated out of the file at

@@ -13,7 +13,7 @@
 //! disagreement surfaces as [`SpecSessionError::OracleDisagreement`] (an
 //! engine bug, never expected on a healthy build).
 
-use crate::spec::{SpecError, SystemSpec, SPEC_VERSION};
+use crate::spec::{SpecError, SpecIndex, SpecMark, SystemSpec, SPEC_VERSION};
 use compc_core::{CheckOptions, Checker, SessionError, SessionStats, Verdict};
 use compc_json::Value;
 
@@ -85,11 +85,14 @@ impl SpecSessionError {
     }
 }
 
-/// A restorable copy of a [`SpecSession`]'s state.
+/// A watermark of a [`SpecSession`]: where its append-only state stood.
+/// [`SpecSession::restore`] rolls the session back to it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecSnapshot {
-    spec: SystemSpec,
+    spec: SpecMark,
+    had_system: bool,
     appends_offset: u64,
-    inner: compc_core::SessionSnapshot,
+    stats: SessionStats,
 }
 
 /// An incremental Comp-C checker fed by JSON spec fragments.
@@ -114,6 +117,7 @@ pub struct SpecSnapshot {
 /// ```
 pub struct SpecSession {
     spec: SystemSpec,
+    index: SpecIndex,
     /// Appends recorded by a restored checkpoint beyond what the inner
     /// session saw (the restore replays the whole prefix as one batch
     /// append, but the counter must keep counting from where it was).
@@ -141,6 +145,7 @@ impl SpecSession {
                 auto_propagate: false,
                 ..SystemSpec::default()
             },
+            index: SpecIndex::default(),
             appends_offset: 0,
             inner: compc_core::Session::with_options(options),
         }
@@ -188,38 +193,62 @@ impl SpecSession {
         self.inner.cancel_token()
     }
 
-    /// Merges `fragment` into the accumulated spec, builds the extended
-    /// system and checks it incrementally. On a spec-level error (parse,
-    /// merge, build, invalid extension) the session is unchanged; on an
-    /// interruption the merged spec is kept and re-appending the same
-    /// fragment resumes from the completed levels.
+    /// Merges `fragment` into the accumulated spec, extends the system in
+    /// place by the new items and checks it incrementally. On a spec-level
+    /// error (parse, merge, build, invalid extension) the session is
+    /// unchanged; on an interruption the merged spec is kept and
+    /// re-appending the same fragment resumes from the completed levels.
     pub fn append(&mut self, fragment: &SystemSpec) -> Result<&Verdict, SpecSessionError> {
-        let mut merged = self.spec.clone();
-        merged.merge(fragment)?;
-        let sys = merged.build()?;
-        let oracle_input =
-            if self.options().oracle && sys.node_count() <= compc_oracle::RECOMMENDED_NODE_CAP {
-                Some(sys.clone())
-            } else {
-                None
-            };
-        match self.inner.append(sys) {
-            Ok(_) => {}
-            Err(e @ SessionError::Interrupted(_)) => {
-                self.spec = merged;
+        self.append_all(std::slice::from_ref(fragment))
+    }
+
+    /// Appends `fragments` as one extension and one check, counting one
+    /// append each (an empty list counts as one empty fragment): the end
+    /// state is the one appending them one by one reaches. Journal
+    /// recovery uses it to replay a session's records.
+    pub fn append_all(&mut self, fragments: &[SystemSpec]) -> Result<&Verdict, SpecSessionError> {
+        let mark = self.snapshot();
+        for fragment in fragments {
+            if let Err(e) = self.spec.merge_indexed(&mut self.index, fragment) {
+                self.spec.roll_back(&mark.spec, &mut self.index);
                 return Err(e.into());
             }
-            Err(e) => return Err(e.into()),
         }
-        self.spec = merged;
+        let builder = self.inner.reopen();
+        let (sys, delta) = match self.spec.extend(builder, &self.index, &mark.spec) {
+            Ok(extended) => extended,
+            Err(e) => {
+                // The builder consumed the system: rebuild it from the
+                // spec as it was. A full build reports the first error in
+                // declaration order, whatever order the extension met them.
+                let e = self.spec.build().err().unwrap_or(e);
+                self.spec.roll_back(&mark.spec, &mut self.index);
+                if mark.had_system {
+                    self.inner.reinstate(self.rebuild());
+                }
+                return Err(e.into());
+            }
+        };
+        self.appends_offset += fragments.len().saturating_sub(1) as u64;
+        self.inner.append_extension(sys, &delta)?;
         let verdict = self.inner.verdict().expect("append just completed");
-        if let Some(sys) = oracle_input {
-            let engine_correct = verdict.is_correct();
-            if compc_oracle::decide(&sys).accepted() != engine_correct {
-                return Err(SpecSessionError::OracleDisagreement { engine_correct });
+        if self.options().oracle {
+            let sys = self.inner.system().expect("append just completed");
+            if sys.node_count() <= compc_oracle::RECOMMENDED_NODE_CAP {
+                let engine_correct = verdict.is_correct();
+                if compc_oracle::decide(sys).accepted() != engine_correct {
+                    return Err(SpecSessionError::OracleDisagreement { engine_correct });
+                }
             }
         }
         Ok(verdict)
+    }
+
+    /// The system of the accumulated spec, which built before.
+    fn rebuild(&self) -> compc_model::CompositeSystem {
+        self.spec
+            .build()
+            .expect("a spec the session accepted builds again")
     }
 
     /// [`SpecSession::append`] from JSON text (one spec document).
@@ -251,6 +280,14 @@ impl SpecSession {
             let prefix = session
                 .system()
                 .ok_or_else(|| format!("no system after fragment {} appended", i + 1))?;
+            if session.spec.build().ok().as_ref() != Some(prefix) {
+                return Err(format!(
+                    "system after fragment {} of {} is not the from-scratch build of the \
+                     merged spec",
+                    i + 1,
+                    fragments.len()
+                ));
+            }
             let batch = Checker::with_options(options).check(prefix);
             if format!("{incremental:?}") != format!("{batch:?}") {
                 return Err(format!(
@@ -267,20 +304,29 @@ impl SpecSession {
         Ok(verdicts)
     }
 
-    /// A restorable copy of the session's state.
+    /// A watermark of the session's state: O(1), nothing is copied.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
-            spec: self.spec.clone(),
+            spec: self.spec.mark(),
+            had_system: self.inner.system().is_some(),
             appends_offset: self.appends_offset,
-            inner: self.inner.snapshot(),
+            stats: self.inner.stats(),
         }
     }
 
-    /// Restores a state previously captured with [`SpecSession::snapshot`].
-    pub fn restore(&mut self, snapshot: SpecSnapshot) {
-        self.spec = snapshot.spec;
-        self.appends_offset = snapshot.appends_offset;
-        self.inner.restore(snapshot.inner);
+    /// Rolls the session back to a watermark taken earlier with
+    /// [`SpecSession::snapshot`]: truncates the spec to it, rebuilds the
+    /// system and checks it from scratch, and resets the counters. That is
+    /// the slow path, for a failed journal write or a panicked handler; a
+    /// session still at the watermark is left as it is.
+    pub fn restore(&mut self, mark: SpecSnapshot) {
+        if self.snapshot() == mark {
+            return;
+        }
+        self.spec.roll_back(&mark.spec, &mut self.index);
+        self.appends_offset = mark.appends_offset;
+        let sys = mark.had_system.then(|| self.rebuild());
+        self.inner.recheck(sys, mark.stats);
     }
 
     /// Serializes the session's accumulated spec as a versioned JSON
@@ -638,6 +684,83 @@ mod tests {
             restore_sessions(&junk, CheckOptions::default()),
             Err(SpecSessionError::Checkpoint(_))
         ));
+    }
+
+    /// The verdict, the system and the counters a client can observe.
+    fn observed(session: &SpecSession) -> (String, Option<compc_model::CompositeSystem>, u64) {
+        (
+            format!("{:?}", session.verdict()),
+            session.system().cloned(),
+            session.stats().appends,
+        )
+    }
+
+    #[test]
+    fn watermark_restore_answers_like_a_session_that_never_rolled_back() {
+        let fragments = two_stack_spec().into_appends();
+        let mut steady = SpecSession::new();
+        let mut rolled = SpecSession::new();
+        steady.append(&fragments[0]).unwrap();
+        rolled.append(&fragments[0]).unwrap();
+        let mark = rolled.snapshot();
+        rolled.append(&fragments[1]).unwrap();
+        rolled.restore(mark.clone());
+        assert_eq!(rolled.snapshot(), mark);
+        assert_eq!(rolled.spec(), steady.spec());
+        assert_eq!(observed(&rolled), observed(&steady));
+        steady.append(&fragments[1]).unwrap();
+        rolled.append(&fragments[1]).unwrap();
+        assert_eq!(observed(&rolled), observed(&steady));
+
+        // Back to before the first append: no system at all.
+        let mut fresh = SpecSession::new();
+        let empty = fresh.snapshot();
+        fresh.append(&fragments[0]).unwrap();
+        fresh.restore(empty);
+        assert!(fresh.system().is_none() && fresh.spec().nodes.is_empty());
+        assert_eq!(fresh.stats().appends, 0);
+    }
+
+    #[test]
+    fn append_all_reaches_the_state_of_one_by_one_appends() {
+        let fragments = two_stack_spec().into_appends();
+        let mut one_by_one = SpecSession::new();
+        for fragment in &fragments {
+            one_by_one.append(fragment).unwrap();
+        }
+        let mut batched = SpecSession::new();
+        batched.append_all(&fragments).unwrap();
+        assert_eq!(batched.spec(), one_by_one.spec());
+        assert_eq!(observed(&batched), observed(&one_by_one));
+        // Both answer a further (idempotent) append alike, and an append
+        // that adds nothing reuses every level.
+        one_by_one.append(&fragments[0]).unwrap();
+        let reused = batched.stats().levels_reused;
+        batched.append(&fragments[0]).unwrap();
+        assert_eq!(observed(&batched), observed(&one_by_one));
+        let order = batched.system().unwrap().order() as u64;
+        assert_eq!(batched.stats().levels_reused, reused + order + 1);
+    }
+
+    #[test]
+    fn an_extension_that_fails_midway_leaves_the_session_untouched() {
+        let fragments = two_stack_spec().into_appends();
+        let mut session = SpecSession::new();
+        session.append(&fragments[0]).unwrap();
+        let before = (session.spec().clone(), observed(&session));
+        // Known names, but the pair spans two schedules: the builder
+        // rejects it only after the new nodes are in.
+        let mut bad = fragments[1].clone();
+        bad.conflicts.push(("T1".into(), "w2".into()));
+        let err = session.append(&bad).unwrap_err();
+        let batch_err = {
+            let mut merged = session.spec().clone();
+            merged.merge(&bad).unwrap();
+            merged.build().unwrap_err()
+        };
+        assert_eq!(err.to_string(), batch_err.to_string());
+        assert_eq!((session.spec().clone(), observed(&session)), before);
+        assert!(session.append(&fragments[1]).unwrap().is_correct());
     }
 
     #[test]

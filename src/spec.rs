@@ -27,8 +27,10 @@
 //! load error names the offending node or relation entry.
 
 use compc_json::Value;
-use compc_model::{CompositeSystem, ModelError, NodeId, SystemBuilder};
-use std::collections::BTreeMap;
+use compc_model::{CompositeSystem, ModelError, NodeId, SchedId, SystemBuilder, SystemDelta};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 
 /// The spec format version this build reads and writes.
 pub const SPEC_VERSION: u64 = 1;
@@ -354,72 +356,124 @@ impl SystemSpec {
 // Building the system
 // ---------------------------------------------------------------------------
 
+/// A spec's relation families, in the order [`SystemSpec::build`] applies
+/// them.
+const RELATIONS: [&str; 7] = [
+    "conflicts",
+    "tx_weak",
+    "tx_strong",
+    "output_weak",
+    "output_strong",
+    "input_weak",
+    "input_strong",
+];
+
 impl SystemSpec {
+    /// The relation families in [`RELATIONS`] order.
+    fn relations(&self) -> [&Vec<(String, String)>; 7] {
+        [
+            &self.conflicts,
+            &self.tx_weak,
+            &self.tx_strong,
+            &self.output_weak,
+            &self.output_strong,
+            &self.input_weak,
+            &self.input_strong,
+        ]
+    }
+
+    fn relations_mut(&mut self) -> [&mut Vec<(String, String)>; 7] {
+        [
+            &mut self.conflicts,
+            &mut self.tx_weak,
+            &mut self.tx_strong,
+            &mut self.output_weak,
+            &mut self.output_strong,
+            &mut self.input_weak,
+            &mut self.input_strong,
+        ]
+    }
+
     /// Builds and validates the composite system this spec describes.
     pub fn build(&self) -> Result<CompositeSystem, SpecError> {
+        let mut b = SystemBuilder::new();
+        self.declare(&mut b, &Names::of(self), &SpecMark::default())?;
+        b.build().map_err(|source| SpecError::Model {
+            context: "build".into(),
+            source,
+        })
+    }
+
+    /// Declares the items past `from` into `b`, which already holds the
+    /// items before it: the whole spec into a fresh builder
+    /// ([`SystemSpec::build`]), or an appended suffix into the session's
+    /// reopened system. Node `i` of the spec is `NodeId(i)` and schedule
+    /// `j` is `SchedId(j)`, so `names` resolves a name to its (first)
+    /// declaration; a node may name as parent only a node declared before
+    /// it. Errors name the entry by its index in the whole spec.
+    fn declare<K: Borrow<str> + Hash + Eq>(
+        &self,
+        b: &mut SystemBuilder,
+        names: &Names<K>,
+        from: &SpecMark,
+    ) -> Result<(), SpecError> {
         if self.version != SPEC_VERSION {
             return Err(SpecError::UnsupportedVersion(self.version));
         }
-        let mut b = SystemBuilder::new();
-        let mut scheds = BTreeMap::new();
-        for name in &self.schedules {
-            if scheds
-                .insert(name.clone(), b.schedule(name.clone()))
-                .is_some()
-            {
+        for (idx, name) in self.schedules.iter().enumerate().skip(from.schedules) {
+            if names.schedule(name) != Some(idx) {
                 return Err(SpecError::DuplicateName(name.clone()));
             }
+            b.schedule(name.clone());
         }
-        let mut nodes: BTreeMap<String, NodeId> = BTreeMap::new();
-        let mut is_tx: BTreeMap<String, bool> = BTreeMap::new();
-        for (idx, n) in self.nodes.iter().enumerate() {
+        for (idx, n) in self.nodes.iter().enumerate().skip(from.nodes) {
+            let declared = |name: &String| names.node(name).filter(|&i| i < idx);
             // The builder panics (by contract) when a leaf is used as a
             // parent; the data layer must turn that into a typed error.
             if let Some(parent) = &n.parent {
-                if is_tx.get(parent).copied() == Some(false) {
+                if declared(parent).is_some_and(|p| self.nodes[p].kind == "leaf") {
                     return Err(SpecError::BadNode(format!(
                         "nodes[{idx}] (\"{}\"): parent \"{parent}\" is a leaf",
                         n.name
                     )));
                 }
             }
-            let lookup_home = |home: &Option<String>| -> Result<_, SpecError> {
-                let home = home.as_ref().ok_or_else(|| {
+            let lookup_home = || -> Result<SchedId, SpecError> {
+                let home = n.home.as_ref().ok_or_else(|| {
                     SpecError::BadNode(format!(
                         "nodes[{idx}] (\"{}\"): kind \"{}\" requires \"home\"",
                         n.name, n.kind
                     ))
                 })?;
-                scheds
-                    .get(home)
-                    .copied()
+                names
+                    .schedule(home)
+                    .map(|s| SchedId(s as u32))
                     .ok_or_else(|| SpecError::UnknownName {
                         name: home.clone(),
                         context: format!("nodes[{idx}].home (\"{}\")", n.name),
                     })
             };
-            let lookup_parent = |nodes: &BTreeMap<String, NodeId>| -> Result<NodeId, SpecError> {
+            let lookup_parent = || -> Result<NodeId, SpecError> {
                 let parent = n.parent.as_ref().ok_or_else(|| {
                     SpecError::BadNode(format!(
                         "nodes[{idx}] (\"{}\"): kind \"{}\" requires \"parent\"",
                         n.name, n.kind
                     ))
                 })?;
-                nodes
-                    .get(parent)
-                    .copied()
+                declared(parent)
+                    .map(|p| NodeId(p as u32))
                     .ok_or_else(|| SpecError::UnknownName {
                         name: parent.clone(),
                         context: format!("nodes[{idx}].parent (\"{}\")", n.name),
                     })
             };
-            let id = match n.kind.as_str() {
-                "root" => b.root(n.name.clone(), lookup_home(&n.home)?),
+            match n.kind.as_str() {
+                "root" => b.root(n.name.clone(), lookup_home()?),
                 "subtx" => {
-                    let parent = lookup_parent(&nodes)?;
-                    b.subtx(n.name.clone(), parent, lookup_home(&n.home)?)
+                    let parent = lookup_parent()?;
+                    b.subtx(n.name.clone(), parent, lookup_home()?)
                 }
-                "leaf" => b.leaf(n.name.clone(), lookup_parent(&nodes)?),
+                "leaf" => b.leaf(n.name.clone(), lookup_parent()?),
                 other => {
                     return Err(SpecError::BadNode(format!(
                         "nodes[{idx}] (\"{}\"): unknown kind \"{other}\"",
@@ -427,45 +481,34 @@ impl SystemSpec {
                     )))
                 }
             };
-            if nodes.insert(n.name.clone(), id).is_some() {
+            if names.node(&n.name) != Some(idx) {
                 return Err(SpecError::DuplicateName(n.name.clone()));
             }
-            is_tx.insert(n.name.clone(), n.kind != "leaf");
         }
 
         type Apply = fn(&mut SystemBuilder, NodeId, NodeId) -> Result<(), ModelError>;
-        type Relation<'a> = (&'a str, &'a Vec<(String, String)>, Apply);
-        let relations: [Relation<'_>; 7] = [
-            ("conflicts", &self.conflicts, SystemBuilder::conflict),
-            ("tx_weak", &self.tx_weak, SystemBuilder::tx_weak_order),
-            ("tx_strong", &self.tx_strong, SystemBuilder::tx_strong_order),
-            ("output_weak", &self.output_weak, SystemBuilder::output_weak),
-            (
-                "output_strong",
-                &self.output_strong,
-                SystemBuilder::output_strong,
-            ),
-            ("input_weak", &self.input_weak, SystemBuilder::input_weak),
-            (
-                "input_strong",
-                &self.input_strong,
-                SystemBuilder::input_strong,
-            ),
+        let apply: [Apply; 7] = [
+            SystemBuilder::conflict,
+            SystemBuilder::tx_weak_order,
+            SystemBuilder::tx_strong_order,
+            SystemBuilder::output_weak,
+            SystemBuilder::output_strong,
+            SystemBuilder::input_weak,
+            SystemBuilder::input_strong,
         ];
-        for (rel_name, pairs, apply) in relations {
-            for (i, (from, to)) in pairs.iter().enumerate() {
-                let context = format!("{rel_name}[{i}] [{from}, {to}]");
+        for (r, pairs) in self.relations().into_iter().enumerate() {
+            for (i, (from, to)) in pairs.iter().enumerate().skip(from.relations[r]) {
+                let context = || format!("{}[{i}] [{from}, {to}]", RELATIONS[r]);
                 let look = |name: &String| -> Result<NodeId, SpecError> {
-                    nodes
-                        .get(name)
-                        .copied()
-                        .ok_or_else(|| SpecError::UnknownName {
+                    names.node(name).map(|n| NodeId(n as u32)).ok_or_else(|| {
+                        SpecError::UnknownName {
                             name: name.clone(),
-                            context: context.clone(),
-                        })
+                            context: context(),
+                        }
+                    })
                 };
-                apply(&mut b, look(from)?, look(to)?).map_err(|source| SpecError::Model {
-                    context: context.clone(),
+                apply[r](b, look(from)?, look(to)?).map_err(|source| SpecError::Model {
+                    context: context(),
                     source,
                 })?;
             }
@@ -476,7 +519,137 @@ impl SystemSpec {
                 source,
             })?;
         }
-        b.build().map_err(|source| SpecError::Model {
+        Ok(())
+    }
+}
+
+/// Where each name of a spec is first declared: node `i` is `NodeId(i)`,
+/// schedule `j` is `SchedId(j)`. `K` is `&str` for a one-off build and
+/// `Box<str>` for an index a session keeps across appends.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Names<K> {
+    schedules: HashMap<K, u32>,
+    nodes: HashMap<K, u32>,
+}
+
+impl<K: Borrow<str> + Hash + Eq> Names<K> {
+    fn schedule(&self, name: &str) -> Option<usize> {
+        self.schedules.get(name).map(|&i| i as usize)
+    }
+
+    fn node(&self, name: &str) -> Option<usize> {
+        self.nodes.get(name).map(|&i| i as usize)
+    }
+}
+
+impl<'a> Names<&'a str> {
+    fn of(spec: &'a SystemSpec) -> Self {
+        let mut names = Names::default();
+        for (i, s) in (0..).zip(&spec.schedules) {
+            names.schedules.entry(s.as_str()).or_insert(i);
+        }
+        for (i, n) in (0..).zip(&spec.nodes) {
+            names.nodes.entry(n.name.as_str()).or_insert(i);
+        }
+        names
+    }
+}
+
+/// Where an append-only spec stands: the lengths of its lists (where an
+/// appended suffix starts) and its `auto_propagate` flag (which a merge
+/// may only turn on). A session rolls back to it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SpecMark {
+    schedules: usize,
+    nodes: usize,
+    relations: [usize; 7],
+    auto_propagate: bool,
+}
+
+/// A spec's names and relation pairs, indexed so a fragment merges in time
+/// proportional to the fragment, not to the spec.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SpecIndex {
+    names: Names<Box<str>>,
+    /// Per relation family, its pairs by node position.
+    pairs: [HashSet<(u32, u32)>; 7],
+    /// Per relation family, how many pairs name an undeclared node. Such a
+    /// pair cannot be indexed by position, so while there are any, merging
+    /// falls back to comparing names.
+    unresolved: [usize; 7],
+}
+
+impl SpecIndex {
+    /// Indexes a whole spec.
+    pub(crate) fn of(spec: &SystemSpec) -> SpecIndex {
+        let mut index = SpecIndex::default();
+        for (i, s) in (0..).zip(&spec.schedules) {
+            index.names.schedules.entry(s.as_str().into()).or_insert(i);
+        }
+        for (i, n) in (0..).zip(&spec.nodes) {
+            index.names.nodes.entry(n.name.as_str().into()).or_insert(i);
+        }
+        for (r, pairs) in spec.relations().into_iter().enumerate() {
+            for pair in pairs {
+                index.note_pair(r, pair);
+            }
+        }
+        index
+    }
+
+    fn position(&self, pair: &(String, String)) -> Option<(u32, u32)> {
+        let node = |name: &String| self.names.nodes.get(name.as_str()).copied();
+        Some((node(&pair.0)?, node(&pair.1)?))
+    }
+
+    /// Records a pair of relation `r`; returns whether it was new.
+    fn note_pair(&mut self, r: usize, pair: &(String, String)) -> bool {
+        match self.position(pair) {
+            Some(at) => self.pairs[r].insert(at),
+            None => {
+                self.unresolved[r] += 1;
+                true
+            }
+        }
+    }
+}
+
+impl SystemSpec {
+    /// Where this spec stands.
+    pub(crate) fn mark(&self) -> SpecMark {
+        SpecMark {
+            schedules: self.schedules.len(),
+            nodes: self.nodes.len(),
+            relations: self.relations().map(Vec::len),
+            auto_propagate: self.auto_propagate,
+        }
+    }
+
+    /// Rolls the spec back to `mark` and re-indexes what is left.
+    pub(crate) fn roll_back(&mut self, mark: &SpecMark, index: &mut SpecIndex) {
+        if self.mark() == *mark {
+            return;
+        }
+        self.schedules.truncate(mark.schedules);
+        self.nodes.truncate(mark.nodes);
+        for (pairs, len) in self.relations_mut().into_iter().zip(mark.relations) {
+            pairs.truncate(len);
+        }
+        self.auto_propagate = mark.auto_propagate;
+        *index = SpecIndex::of(self);
+    }
+
+    /// Builds the system the spec's suffix past `from` extends `b` to:
+    /// `b` holds the system of the prefix, reopened (see
+    /// [`compc_model::CompositeSystem::into_builder`]).
+    pub(crate) fn extend(
+        &self,
+        mut b: SystemBuilder,
+        index: &SpecIndex,
+        from: &SpecMark,
+    ) -> Result<(CompositeSystem, SystemDelta), SpecError> {
+        self.declare(&mut b, &index.names, from)?;
+        b.build_extension().map_err(|source| SpecError::Model {
             context: "build".into(),
             source,
         })
@@ -638,19 +811,34 @@ impl SystemSpec {
     /// Merges an append `fragment` into this spec: new schedules, nodes and
     /// relation pairs are added, already-present entries are skipped
     /// (re-appending a fragment is idempotent). A fragment that re-declares
-    /// an existing node differently is rejected — appends may only extend.
+    /// an existing node differently is rejected, and leaves the spec as it
+    /// was — appends may only extend.
     pub fn merge(&mut self, fragment: &SystemSpec) -> Result<(), SpecError> {
+        let mut index = SpecIndex::of(self);
+        self.merge_indexed(&mut index, fragment)
+    }
+
+    /// [`SystemSpec::merge`] against an index of this spec, which it keeps
+    /// up to date.
+    pub(crate) fn merge_indexed(
+        &mut self,
+        index: &mut SpecIndex,
+        fragment: &SystemSpec,
+    ) -> Result<(), SpecError> {
         if fragment.version != SPEC_VERSION {
             return Err(SpecError::UnsupportedVersion(fragment.version));
         }
-        for s in &fragment.schedules {
-            if !self.schedules.contains(s) {
-                self.schedules.push(s.clone());
-            }
-        }
+        // Reject before changing anything.
+        let mut fresh: HashMap<&str, &NodeSpec> = HashMap::new();
         for n in &fragment.nodes {
-            match self.nodes.iter().find(|have| have.name == n.name) {
-                None => self.nodes.push(n.clone()),
+            let have = match index.names.node(&n.name) {
+                Some(i) => Some(&self.nodes[i]),
+                None => fresh.get(n.name.as_str()).copied(),
+            };
+            match have {
+                None => {
+                    fresh.insert(&n.name, n);
+                }
                 Some(have) if have == n => {}
                 Some(_) => {
                     return Err(SpecError::BadNode(format!(
@@ -660,17 +848,38 @@ impl SystemSpec {
                 }
             }
         }
-        for (have, add) in [
-            (&mut self.conflicts, &fragment.conflicts),
-            (&mut self.output_weak, &fragment.output_weak),
-            (&mut self.output_strong, &fragment.output_strong),
-            (&mut self.input_weak, &fragment.input_weak),
-            (&mut self.input_strong, &fragment.input_strong),
-            (&mut self.tx_weak, &fragment.tx_weak),
-            (&mut self.tx_strong, &fragment.tx_strong),
-        ] {
+        for s in &fragment.schedules {
+            if !index.names.schedules.contains_key(s.as_str()) {
+                let at = self.schedules.len() as u32;
+                index.names.schedules.insert(s.as_str().into(), at);
+                self.schedules.push(s.clone());
+            }
+        }
+        for n in &fragment.nodes {
+            if !index.names.nodes.contains_key(n.name.as_str()) {
+                let at = self.nodes.len() as u32;
+                index.names.nodes.insert(n.name.as_str().into(), at);
+                self.nodes.push(n.clone());
+            }
+        }
+        for (r, (have, add)) in self
+            .relations_mut()
+            .into_iter()
+            .zip(fragment.relations())
+            .enumerate()
+        {
             for pair in add {
-                if !have.contains(pair) {
+                // While unresolved pairs are around, a pair may sit in the
+                // spec without its position in the index: compare names.
+                let new = if index.unresolved[r] == 0 && index.position(pair).is_some() {
+                    index.note_pair(r, pair)
+                } else if have.contains(pair) {
+                    false
+                } else {
+                    index.note_pair(r, pair);
+                    true
+                };
+                if new {
                     have.push(pair.clone());
                 }
             }

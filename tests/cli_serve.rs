@@ -1327,3 +1327,174 @@ fn trace_stream_reports_batching_gauges() {
         .expect("per-shard queue depths");
     assert_eq!(depths.len(), 2);
 }
+
+/// SIGKILLs a daemon (no drain, no final checkpoint).
+fn sigkill(mut daemon: Daemon) {
+    daemon.0.kill().unwrap();
+    daemon.0.wait().unwrap();
+    std::mem::forget(daemon);
+}
+
+/// The verdict fields a from-scratch check of the first `count` Figure 3
+/// fragments, merged, must produce.
+fn figure3_batch_fields(count: usize) -> Vec<(&'static str, Option<String>)> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/corpus/figure3.incorrect.json"
+    );
+    let spec = SystemSpec::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let mut merged = SystemSpec {
+        auto_propagate: false,
+        ..SystemSpec::default()
+    };
+    for fragment in spec.into_appends().iter().take(count) {
+        merged.merge(fragment).unwrap();
+    }
+    let sys = merged.build().unwrap();
+    match compc::core::Checker::new().check(&sys) {
+        compc::core::Verdict::Correct(_) => vec![("verdict", Some("\"comp-c\"".into()))],
+        compc::core::Verdict::Incorrect(cex) => vec![
+            ("verdict", Some("\"not-comp-c\"".into())),
+            ("level", Some(cex.level.to_string())),
+            ("phase", Some(format!("\"{}\"", cex.phase.tag()))),
+        ],
+    }
+}
+
+fn assert_batch_verdict(response: &Value, count: usize) {
+    for (field, expected) in figure3_batch_fields(count) {
+        assert_eq!(
+            response.get(field).map(Value::to_compact),
+            expected,
+            "{field} after {count} fragments: {}",
+            response.to_compact()
+        );
+    }
+}
+
+/// Regression: an interrupted append keeps its merged spec (so a re-send
+/// resumes), but used not to be journaled. A later acked append could
+/// then depend on state the journal lacked, and the restart hard-errored
+/// replaying it (`unknown name "A" in nodes[3].home`).
+#[test]
+fn interrupted_appends_are_journaled_and_survive_a_kill() {
+    let dir = tmpdir();
+    let socket = dir.join("ij.sock");
+    let checkpoint = dir.join("ij.checkpoint.json");
+    let journal = dir.join("ij.journal.ndjson");
+    let fragments = figure3_fragments();
+    let durable = [
+        "--socket",
+        socket.to_str().unwrap(),
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
+    ];
+    let mut strict = durable.to_vec();
+    strict.extend(["--deadline-ms", "0"]);
+    let daemon = Daemon::spawn(&strict);
+    {
+        let stream = wait_for_socket(&socket);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        for request in &fragments[..2] {
+            let response = roundtrip(&mut reader, &mut writer, request);
+            assert_eq!(
+                str_field(&response, "kind"),
+                "interrupted",
+                "{}",
+                response.to_compact()
+            );
+        }
+        let stats = roundtrip(&mut reader, &mut writer, "{\"op\": \"stats\"}");
+        assert_eq!(
+            u64_field(&stats, "appends"),
+            0,
+            "interruptions are not acks"
+        );
+        assert_eq!(u64_field(&stats, "interruptions"), 2);
+        assert_eq!(u64_field(&stats, "journal_records"), 2);
+    }
+    sigkill(daemon);
+
+    let daemon = Daemon::spawn(&durable);
+    let stream = wait_for_socket(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let third = roundtrip(&mut reader, &mut writer, &fragments[2]);
+    assert_eq!(
+        third.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{}",
+        third.to_compact()
+    );
+    assert_eq!(u64_field(&third, "appends"), 3);
+    assert_batch_verdict(&third, 3);
+    roundtrip(&mut reader, &mut writer, "{\"op\": \"shutdown\"}");
+    assert_eq!(daemon.wait_code(), 1);
+}
+
+/// A handler panic inside a commit batch rolls back only its own request:
+/// the batch's earlier appends stay applied, acked and journaled, and a
+/// restart recovers exactly them.
+#[test]
+fn panic_mid_batch_rolls_back_only_its_own_request() {
+    let dir = tmpdir();
+    let socket = dir.join("pb.sock");
+    let checkpoint = dir.join("pb.checkpoint.json");
+    let journal = dir.join("pb.journal.ndjson");
+    let fragments = figure3_fragments();
+    let args = [
+        "--socket",
+        socket.to_str().unwrap(),
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
+        "--commit-batch",
+        "8",
+        "--inject-panic",
+        "0xDEADPANIC",
+    ];
+    let daemon = Daemon::spawn(&args);
+    {
+        let stream = wait_for_socket(&socket);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        // Pipelined in one write, so the shard drains them as one batch.
+        let poisoned =
+            fragments[2].replace("\"append\"", "\"comment\": \"0xDEADPANIC\", \"append\"");
+        let burst = format!("{}\n{}\n{poisoned}\n", fragments[0], fragments[1]);
+        writer.write_all(burst.as_bytes()).unwrap();
+        writer.flush().unwrap();
+        let mut responses = Vec::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            responses.push(parse(line.trim()).unwrap());
+        }
+        for (k, response) in responses[..2].iter().enumerate() {
+            assert_eq!(u64_field(response, "appends"), k as u64 + 1);
+        }
+        assert_eq!(str_field(&responses[2], "kind"), "internal");
+        let stats = roundtrip(&mut reader, &mut writer, "{\"op\": \"stats\"}");
+        assert_eq!(u64_field(&stats, "appends"), 2);
+        assert_eq!(u64_field(&stats, "session_appends"), 2);
+    }
+    let records = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(records.lines().count(), 2, "{records}");
+    sigkill(daemon);
+
+    let daemon = Daemon::spawn(&args);
+    let stream = wait_for_socket(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let stats = roundtrip(&mut reader, &mut writer, "{\"op\": \"stats\"}");
+    assert_eq!(u64_field(&stats, "session_appends"), 2);
+    let third = roundtrip(&mut reader, &mut writer, &fragments[2]);
+    assert_eq!(u64_field(&third, "appends"), 3);
+    assert_batch_verdict(&third, 3);
+    roundtrip(&mut reader, &mut writer, "{\"op\": \"shutdown\"}");
+    assert_eq!(daemon.wait_code(), 1);
+}

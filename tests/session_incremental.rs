@@ -8,12 +8,16 @@
 //! check of the same merged prefix system. Pinned on the committed
 //! 16-file adversarial corpus, on random generated systems under proptest,
 //! across the sparse and dense closure backends, and against the
-//! brute-force oracle on systems within its node cap.
+//! brute-force oracle on systems within its node cap. The system the
+//! session extends in place must equal a from-scratch build of the merged
+//! spec at every prefix, on the corpus and on simulator exports.
 
-use compc::core::{Backend, CheckOptions, Checker, Verdict};
+use compc::core::{Backend, CheckOptions, Checker, Session, Verdict};
 use compc::session::SpecSession;
+use compc::sim::{Engine, Protocol, SimConfig};
 use compc::spec::SystemSpec;
 use compc::workload::random::{generate, GenParams, Shape};
+use compc::workload::random_sim::{generate_sim, SimGenParams};
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -31,6 +35,10 @@ fn replay_and_pin(spec: &SystemSpec, options: CheckOptions, context: &str) -> Ve
     let fragments = spec.into_appends();
     assert!(!fragments.is_empty(), "{context}: no fragments");
     let mut session = SpecSession::with_options(options);
+    // The same prefixes through the diffing entry point: equal work
+    // counters mean the delta the in-place extension reported led to the
+    // same reuse decisions as a diff of the two systems.
+    let mut diffing = Session::with_options(options);
     for (k, fragment) in fragments.iter().enumerate() {
         let incremental = session
             .append(fragment)
@@ -43,11 +51,26 @@ fn replay_and_pin(spec: &SystemSpec, options: CheckOptions, context: &str) -> Ve
             })
             .clone();
         let prefix = session.system().expect("append installed a system");
+        assert_eq!(
+            Some(prefix),
+            session.spec().build().ok().as_ref(),
+            "{context}: prefix {}/{} extended in place differs from a from-scratch build",
+            k + 1,
+            fragments.len()
+        );
         let batch = Checker::with_options(options).check(prefix);
         assert_eq!(
             fingerprint(&incremental),
             fingerprint(&batch),
             "{context}: prefix {}/{} diverged from batch",
+            k + 1,
+            fragments.len()
+        );
+        diffing.append(prefix.clone()).unwrap();
+        assert_eq!(
+            session.stats(),
+            diffing.stats(),
+            "{context}: prefix {}/{} reused differently than the diffing append",
             k + 1,
             fragments.len()
         );
@@ -84,6 +107,40 @@ fn corpus_replays_bit_identically_on_both_backends() {
             );
         }
     }
+}
+
+/// Timestamp-ordering simulator exports (the shape a growing daemon
+/// session streams): extended in place, every prefix equals the
+/// from-scratch build and checks bit-identically.
+#[test]
+fn simulator_exports_extend_in_place_like_a_from_scratch_build() {
+    let mut checked = 0;
+    for seed in 0..6 {
+        let params = SimGenParams {
+            seed,
+            clients: 8,
+            ..SimGenParams::default()
+        };
+        let (topo, templates) = generate_sim(&params, Protocol::Timestamp);
+        let config = SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
+        let Ok(sys) = Engine::new(topo, templates, config).run().export_system() else {
+            continue;
+        };
+        let spec = SystemSpec::from_system(&sys);
+        let verdict = replay_and_pin(&spec, CheckOptions::default(), &format!("sim seed {seed}"));
+        assert!(
+            verdict.is_correct(),
+            "sim seed {seed}: Timestamp ordering is Comp-C"
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 3,
+        "only {checked} simulator runs exported a system"
+    );
 }
 
 /// An interrupted replay resumes: cancelling the session interrupts the
