@@ -4,7 +4,7 @@
 use crate::par::{self, CheckScratch};
 use crate::reduce::Backend;
 use compc_graph::{find_cycle, DiGraph};
-use compc_model::{CompositeSystem, NodeId};
+use compc_model::{CompositeSystem, NodeId, NodeRole, SchedId, Schedule};
 use std::collections::BTreeSet;
 
 /// A computational front `F = (O, →, <ₒ, CON)`: a maximal antichain of the
@@ -50,17 +50,15 @@ impl Front {
     }
 
     /// [`Front::level0`] with `jobs` workers, a closure backend and
-    /// reusable buffers: the per-schedule output-order extraction runs one
-    /// schedule per task and the closing normalization uses the parallel
-    /// closure. Identical output to the sequential path for every `jobs`
-    /// and backend.
+    /// reusable buffers for the closing normalization's parallel closure.
+    /// Identical output for every `jobs` and backend.
     pub(crate) fn level0_with(
         sys: &CompositeSystem,
         jobs: usize,
         backend: Backend,
         scratch: &mut CheckScratch,
     ) -> Front {
-        let observed = level0_pre(sys, jobs);
+        let observed = level0_pre(sys);
         // Rule 4 (transitivity) is a no-op here — all pairs are
         // intra-schedule and each schedule's output order is already closed —
         // but we normalize anyway so the invariant "observed is closed" holds
@@ -107,55 +105,52 @@ impl Front {
     ///   calculations is what makes Theorem 3 hold: a fork's top schedule
     ///   may declare subtransaction conflicts whose order merely
     ///   *constrains* without ever joining the observed order.
+    ///
+    /// Built from declared pairs: the observed edges and each container
+    /// schedule's conflicts, never a scan over all member pairs.
     pub fn constraint_graph(&self, sys: &CompositeSystem) -> DiGraph {
-        self.constraint_graph_jobs(sys, 1)
-    }
-
-    /// [`Front::constraint_graph`] with `jobs` workers: the observed-edge
-    /// conflict filter and the quadratic same-schedule member scan are split
-    /// across scoped threads. Identical output for every `jobs`.
-    pub fn constraint_graph_jobs(&self, sys: &CompositeSystem, jobs: usize) -> DiGraph {
         let mut g = self.input.clone();
         g.ensure_node(sys.node_count().saturating_sub(1));
-        let observed_edges: Vec<(usize, usize)> = self.observed.edges().collect();
-        let kept = par::map_indices(observed_edges.len(), jobs, |i| {
-            let (u, v) = observed_edges[i];
+        for (u, v) in self.observed.edges() {
             let (a, b) = (NodeId(u as u32), NodeId(v as u32));
-            self.nodes.contains(&a) && self.nodes.contains(&b) && self.gen_con(sys, a, b)
-        });
-        for (&(u, v), keep) in observed_edges.iter().zip(kept) {
-            if keep {
+            if self.nodes.contains(&a) && self.nodes.contains(&b) && self.gen_con(sys, a, b) {
                 g.add_edge(u, v);
             }
         }
         // Same-schedule conflicting pairs ordered by the schedule itself.
-        let members: Vec<NodeId> = self.nodes.iter().copied().collect();
-        let per_member = par::map_indices(members.len(), jobs, |i| {
-            let a = members[i];
-            let mut edges: Vec<(usize, usize)> = Vec::new();
-            for &b in &members[i + 1..] {
-                let Some(sched) = sys.common_container(a, b) else {
-                    continue;
-                };
-                let s = sys.schedule(sched);
-                if !s.conflicts.conflicts(a, b) {
-                    continue;
-                }
-                if s.output.weak_lt(a, b) {
-                    edges.push((a.index(), b.index()));
-                }
-                if s.output.weak_lt(b, a) {
-                    edges.push((b.index(), a.index()));
-                }
+        for (s, a, b) in self.declared_conflicts(sys) {
+            if s.output.weak_lt(a, b) {
+                g.add_edge(a.index(), b.index());
             }
-            edges
-        });
-        for edges in per_member {
-            for (u, v) in edges {
-                g.add_edge(u, v);
+            if s.output.weak_lt(b, a) {
+                g.add_edge(b.index(), a.index());
             }
         }
         g
+    }
+
+    /// The declared conflicts `(a, b)`, `a < b`, between two members whose
+    /// common container schedule declares them, with that schedule.
+    fn declared_conflicts<'s>(
+        &'s self,
+        sys: &'s CompositeSystem,
+    ) -> impl Iterator<Item = (&'s Schedule, NodeId, NodeId)> + 's {
+        let containers: BTreeSet<SchedId> = self
+            .nodes
+            .iter()
+            .filter_map(|&n| sys.node(n).container)
+            .collect();
+        containers.into_iter().flat_map(move |c| {
+            let s = sys.schedule(c);
+            s.conflicts
+                .iter()
+                .filter(move |&(a, b)| {
+                    self.nodes.contains(&a)
+                        && self.nodes.contains(&b)
+                        && sys.common_container(a, b) == Some(c)
+                })
+                .map(move |(a, b)| (s, a, b))
+        })
     }
 
     /// Conflict consistency (Definition 13, literal): the union of the
@@ -202,52 +197,43 @@ impl Front {
             .collect()
     }
 
-    /// Conflicting (generalized) pairs among front members, normalized.
+    /// Conflicting (generalized) pairs among front members, normalized and
+    /// sorted: the declared conflicts of a common container, plus the
+    /// observed pairs between members with no common container.
     pub fn conflict_pairs(&self, sys: &CompositeSystem) -> Vec<(NodeId, NodeId)> {
-        self.conflict_pairs_jobs(sys, 1)
-    }
-
-    /// [`Front::conflict_pairs`] with `jobs` workers over the quadratic scan.
-    pub fn conflict_pairs_jobs(&self, sys: &CompositeSystem, jobs: usize) -> Vec<(NodeId, NodeId)> {
-        let nodes: Vec<NodeId> = self.nodes.iter().copied().collect();
-        let per_node = par::map_indices(nodes.len(), jobs, |i| {
-            let a = nodes[i];
-            let mut out = Vec::new();
-            for &b in &nodes[i + 1..] {
-                if self.gen_con(sys, a, b) {
-                    out.push((a, b));
-                }
+        let mut out: Vec<(NodeId, NodeId)> = self
+            .declared_conflicts(sys)
+            .map(|(_, a, b)| (a, b))
+            .collect();
+        for (u, v) in self.observed.edges() {
+            let (a, b) = (NodeId(u as u32), NodeId(v as u32));
+            if a != b
+                && self.nodes.contains(&a)
+                && self.nodes.contains(&b)
+                && sys.common_container(a, b).is_none()
+            {
+                out.push((a.min(b), a.max(b)));
             }
-            out
-        });
-        per_node.into_iter().flatten().collect()
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
 /// The level-0 observed order *before* its closing normalization: every
-/// same-schedule leaf pair in the schedule's weak output order. The
-/// incremental session delta-closes this graph against its cached closure;
-/// [`Front::level0`] closes it from scratch.
-pub(crate) fn level0_pre(sys: &CompositeSystem, jobs: usize) -> DiGraph {
+/// same-schedule leaf pair in the schedule's weak output order, read off
+/// the output orders' pairs. The incremental session delta-closes this
+/// graph against its cached closure; [`Front::level0`] closes it from
+/// scratch.
+pub(crate) fn level0_pre(sys: &CompositeSystem) -> DiGraph {
     let mut observed = DiGraph::with_nodes(sys.node_count());
-    let leaves: BTreeSet<NodeId> = sys.leaves().collect();
-    let scheds: Vec<_> = sys.schedules().collect();
-    let per_sched = par::map_indices(scheds.len(), jobs, |i| {
-        let s = scheds[i];
-        let ops: Vec<NodeId> = s.ops().filter(|o| leaves.contains(o)).collect();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for &a in &ops {
-            for &b in &ops {
-                if a != b && s.output.weak_lt(a, b) {
-                    edges.push((a.index(), b.index()));
-                }
+    let leaf = |n: NodeId| sys.node(n).role() == NodeRole::Leaf;
+    for s in sys.schedules() {
+        for (a, b) in s.output.weak_pairs() {
+            if leaf(a) && leaf(b) {
+                observed.add_edge(a.index(), b.index());
             }
-        }
-        edges
-    });
-    for edges in per_sched {
-        for (u, v) in edges {
-            observed.add_edge(u, v);
         }
     }
     observed

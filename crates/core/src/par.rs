@@ -1,13 +1,14 @@
-//! Scoped-thread parallel helpers for the within-level checks.
+//! Scoped-thread parallel closure for the within-level checks.
 //!
 //! The reduction is strictly sequential *across* levels (level `i` needs the
-//! level-`i-1` front), but inside one level the expensive work — per-source
-//! reachability for the observed order's transitive closure, the `O(n²)`
-//! generalized-conflict scans, and the per-schedule serialization pairs — is
-//! embarrassingly parallel. These helpers split index ranges into contiguous
-//! chunks across `std::thread::scope` workers and reassemble results in
-//! chunk order, so the outcome is bit-identical to the sequential path for
-//! any `jobs` value (the verdict-equivalence property tests pin this down).
+//! level-`i-1` front). Inside one level the expensive work is the observed
+//! order's transitive closure: per-source reachability, embarrassingly
+//! parallel. The other scans (generalized conflicts, constraint edges,
+//! serialization pairs) walk declared pairs in O(pairs) and stay
+//! sequential. The closure splits row ranges into contiguous chunks across
+//! `std::thread::scope` workers and reassembles them in chunk order, so the
+//! outcome is bit-identical to the sequential path for any `jobs` value
+//! (the verdict-equivalence property tests pin this down).
 //!
 //! No thread pool is kept alive: scoped threads borrow the graph and scratch
 //! directly, which keeps the engine dependency-free. Thread spawn costs
@@ -39,9 +40,6 @@ pub const DENSE_CROSSOVER_DEFAULT: usize = 64;
 /// (EXPERIMENTS.md E22 measures the crossover on this container).
 /// [`Backend::Auto`] applies it; the other backends ignore it.
 pub const COMPRESSED_CROSSOVER_DEFAULT: usize = 4096;
-
-/// Below this many items a generic index map stays sequential.
-const MAP_PAR_THRESHOLD: usize = 16;
 
 /// How many transitive closures a [`CheckScratch`] has run on each backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -238,36 +236,6 @@ fn compressed_closure_jobs(g: &DiGraph, jobs: usize, scratch: &mut CheckScratch)
     BitGraph::from_rows(n, rows).to_digraph()
 }
 
-/// Maps `0..n` through `f` across `jobs` scoped workers, preserving index
-/// order in the result. Falls back to a plain sequential map for small `n`
-/// or `jobs <= 1`.
-pub(crate) fn map_indices<R, F>(n: usize, jobs: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let jobs = effective_jobs(jobs).min(n.max(1));
-    if jobs <= 1 || n < MAP_PAR_THRESHOLD {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(jobs);
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|i| {
-                let lo = (i * chunk).min(n);
-                let hi = ((i + 1) * chunk).min(n);
-                let f = &f;
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("map worker panicked"));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,14 +244,6 @@ mod tests {
     fn effective_jobs_resolves_auto() {
         assert!(effective_jobs(0) >= 1);
         assert_eq!(effective_jobs(3), 3);
-    }
-
-    #[test]
-    fn map_indices_preserves_order() {
-        for jobs in [1, 2, 3, 8] {
-            let out = map_indices(100, jobs, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
     }
 
     #[test]

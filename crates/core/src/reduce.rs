@@ -4,7 +4,7 @@
 use crate::front::Front;
 use crate::par::{self, CheckScratch};
 use compc_graph::{condense, find_cycle, topological_sort, DiGraph};
-use compc_model::{CompositeSystem, NodeId, Schedule};
+use compc_model::{CompositeSystem, NodeId};
 use compc_trace::{TraceEvent, TraceSink};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -544,7 +544,7 @@ impl<'a> Reducer<'a> {
 
     /// A snapshot of the current front.
     pub fn snapshot(&self) -> FrontSnapshot {
-        front_snapshot(self.sys, &self.front, self.options.jobs)
+        front_snapshot(self.sys, &self.front)
     }
 
     /// Runs the reduction to completion. Idempotent only from a fresh
@@ -761,12 +761,12 @@ impl<'a> Reducer<'a> {
 }
 
 /// A snapshot of `front` as recorded in proofs and traces.
-pub(crate) fn front_snapshot(sys: &CompositeSystem, front: &Front, jobs: usize) -> FrontSnapshot {
+pub(crate) fn front_snapshot(sys: &CompositeSystem, front: &Front) -> FrontSnapshot {
     FrontSnapshot {
         level: front.level,
         nodes: front.nodes.iter().copied().collect(),
         observed: front.observed_pairs(),
-        conflicts: front.conflict_pairs_jobs(sys, jobs),
+        conflicts: front.conflict_pairs(sys),
         input: front.input_pairs(),
     }
 }
@@ -866,7 +866,7 @@ pub(crate) fn step_pre_closure(
     // contraction alone cannot see those, it drops self-edges). Under
     // the no-forgetting ablation every observed pair constrains.
     let constraint = if options.forgetting {
-        front.constraint_graph_jobs(sys, options.jobs)
+        front.constraint_graph(sys)
     } else {
         let mut g = front.input.clone();
         g.ensure_node(sys.node_count().saturating_sub(1));
@@ -973,12 +973,9 @@ pub(crate) fn step_pre_closure(
     // Rule 2 for the schedules being reduced: conflicting operation
     // pairs executed `o ≺_S o'` serialize their parents. This also
     // covers conflicting internal pairs whose subtrees never interacted.
-    // Each schedule's quadratic pair scan is an independent task.
-    let per_sched = par::map_indices(scheds.len(), options.jobs, |i| {
-        sys.schedule(scheds[i]).serialization_pairs()
-    });
     let mut serialization_pairs = 0usize;
-    for pairs in per_sched {
+    for &sid in scheds {
+        let pairs = sys.schedule(sid).serialization_pairs();
         serialization_pairs += pairs.len();
         for (t, t2) in pairs {
             observed.add_edge(t.index(), t2.index());
@@ -1017,7 +1014,8 @@ pub(crate) fn step_pre_closure(
 /// deliberately NOT added to `<ₒ` — no rule derives them; their
 /// conflicting instances constrain calculations via
 /// [`Front::constraint_graph`] instead, and their parent-level effect is
-/// rule 2's serialization pairs.
+/// rule 2's serialization pairs. Reads only `t`'s row and transpose row in
+/// the container's output order.
 fn entry_pairs(
     sys: &CompositeSystem,
     t: NodeId,
@@ -1027,21 +1025,16 @@ fn entry_pairs(
     let Some(container) = sys.node(t).container else {
         return; // roots are operations of nothing
     };
-    let s: &Schedule = sys.schedule(container);
-    for other in s.ops() {
-        if other == t || !members.contains(&other) {
-            continue;
-        }
-        let other_is_leaf = sys.node(other).home.is_none();
-        if !other_is_leaf {
-            continue;
-        }
-        if s.output.weak_lt(t, other) {
-            observed.add_edge(t.index(), other.index());
-        }
-        if s.output.weak_lt(other, t) {
-            observed.add_edge(other.index(), t.index());
-        }
+    let weak = sys.schedule(container).output.weak();
+    let leaf_member = |o: usize| {
+        let o = NodeId(o as u32);
+        members.contains(&o) && sys.node(o).home.is_none()
+    };
+    for other in weak.above(t.index()).filter(|&o| leaf_member(o)) {
+        observed.add_edge(t.index(), other);
+    }
+    for other in weak.below(t.index()).filter(|&o| leaf_member(o)) {
+        observed.add_edge(other, t.index());
     }
 }
 

@@ -435,7 +435,6 @@ fn run_append(
     cancel: &AtomicBool,
     deadline: Deadline,
 ) -> Result<(Vec<LevelCache>, Verdict), (Vec<LevelCache>, Interrupted)> {
-    let jobs = options.jobs;
     let n = sys.node_count();
     let mut levels: Vec<LevelCache> = Vec::with_capacity(sys.order() + 1);
     let mut fronts: Vec<FrontSnapshot> = Vec::new();
@@ -448,7 +447,7 @@ fn run_append(
         levels.push(old_levels[0].clone());
         stats.levels_reused += 1;
     } else {
-        let pre0 = front::level0_pre(sys, jobs);
+        let pre0 = front::level0_pre(sys);
         let observed = close_incremental(old_levels.first(), &pre0, options, scratch, stats);
         stats.levels_computed += 1;
         levels.push(LevelCache {
@@ -462,7 +461,7 @@ fn run_append(
             sched_ids: Vec::new(),
         });
     }
-    fronts.push(front_snapshot(sys, &levels[0].front, jobs));
+    fronts.push(front_snapshot(sys, &levels[0].front));
     // Front 0 is CC by construction, but the batch path checks anyway so
     // the invariant is uniform — mirror it exactly.
     if let Some(cycle) = levels[0].front.is_cc() {
@@ -494,7 +493,7 @@ fn run_append(
             // the current node count so downstream comparisons line up.
             let mut cache = old_levels[level].clone();
             grow_front(&mut cache.front, n);
-            fronts.push(front_snapshot(sys, &cache.front, jobs));
+            fronts.push(front_snapshot(sys, &cache.front));
             levels.push(cache);
             stats.levels_reused += 1;
             continue;
@@ -538,7 +537,7 @@ fn run_append(
             ));
             return Ok((levels, verdict));
         }
-        fronts.push(front_snapshot(sys, &front, jobs));
+        fronts.push(front_snapshot(sys, &front));
         levels.push(LevelCache {
             front,
             pre_observed: pre.pre_observed,

@@ -6,7 +6,8 @@
 //! that closure on insertion and rejects any pair that would create a cycle
 //! (i.e. a contradiction `a < b` and `b < a`) or a reflexive pair.
 
-use crate::{transitive_reduction_with, DiGraph, ReachScratch};
+use crate::DiGraph;
+use std::collections::BTreeSet;
 
 /// Errors from mutating a [`PartialOrderRel`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,8 +36,15 @@ impl std::error::Error for OrderError {}
 
 /// A strict partial order over `usize` elements, closed under transitivity.
 ///
-/// Internally a [`DiGraph`] in which an edge `a -> b` means `a < b`; every
-/// insertion splices the new pair into the closure so `lt` stays O(1).
+/// The closure is stored as sorted successor rows (`a -> b` means `a < b`)
+/// plus the transposed predecessor rows, both covering only the *span*
+/// `[lo, lo + rows)` of elements the order relates: a transaction's intra
+/// order over three ops with ids near 4,000 holds three rows, not 4,000.
+/// `lt` stays one indexed row lookup, and every insertion splices the new
+/// pair into the closure.
+///
+/// Equality is "same pairs and same [`PartialOrderRel::element_count`]",
+/// whatever the insertion order.
 ///
 /// ```
 /// use compc_graph::PartialOrderRel;
@@ -46,15 +54,30 @@ impl std::error::Error for OrderError {}
 /// assert!(rel.lt(0, 2));               // transitive closure is maintained
 /// assert!(rel.insert(2, 0).is_err());  // contradictions are rejected
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct PartialOrderRel {
-    closure: DiGraph,
-    /// The transpose of `closure`, kept in lockstep so an insert reads
-    /// `pred(a)` directly instead of scanning all `n` nodes with
-    /// `has_edge(x, a)` (which made every insert O(n log n) even when `a`
-    /// had no predecessors at all).
-    preds: DiGraph,
+    /// The element row 0 describes.
+    lo: usize,
+    /// `above[i]`: the elements `b` with `lo + i < b`.
+    above: Vec<BTreeSet<usize>>,
+    /// `below[i]`: the elements `a` with `a < lo + i` — the transpose, kept
+    /// in lockstep so an insert reads `pred(a)` directly instead of
+    /// scanning every row.
+    below: Vec<BTreeSet<usize>>,
+    /// Max element index + 1, or the `with_elements` count if larger.
+    elements: usize,
+    pairs: usize,
 }
+
+impl PartialEq for PartialOrderRel {
+    fn eq(&self, other: &Self) -> bool {
+        self.elements == other.elements
+            && self.pairs == other.pairs
+            && self.pairs().eq(other.pairs())
+    }
+}
+
+impl Eq for PartialOrderRel {}
 
 impl PartialOrderRel {
     /// The empty order.
@@ -65,8 +88,8 @@ impl PartialOrderRel {
     /// An empty order over at least `n` elements.
     pub fn with_elements(n: usize) -> Self {
         PartialOrderRel {
-            closure: DiGraph::with_nodes(n),
-            preds: DiGraph::with_nodes(n),
+            elements: n,
+            ..Self::default()
         }
     }
 
@@ -83,22 +106,62 @@ impl PartialOrderRel {
 
     /// Number of elements the order currently spans (max index + 1).
     pub fn element_count(&self) -> usize {
-        self.closure.node_count()
+        self.elements
     }
 
     /// Number of related pairs in the closure.
     pub fn pair_count(&self) -> usize {
-        self.closure.edge_count()
+        self.pairs
+    }
+
+    fn row(&self, a: usize) -> Option<usize> {
+        a.checked_sub(self.lo).filter(|&i| i < self.above.len())
     }
 
     /// Whether `a < b` holds (in the transitive closure).
+    #[inline]
     pub fn lt(&self, a: usize, b: usize) -> bool {
-        self.closure.has_edge(a, b)
+        self.row(a).is_some_and(|i| self.above[i].contains(&b))
     }
 
     /// Whether `a` and `b` are comparable (in either direction).
     pub fn comparable(&self, a: usize, b: usize) -> bool {
         self.lt(a, b) || self.lt(b, a)
+    }
+
+    /// The elements above `a` (every `b` with `a < b`), ascending.
+    pub fn above(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(a)
+            .map(|i| &self.above[i])
+            .into_iter()
+            .flatten()
+            .copied()
+    }
+
+    /// The elements below `b` (every `a` with `a < b`), ascending.
+    pub fn below(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(b)
+            .map(|i| &self.below[i])
+            .into_iter()
+            .flatten()
+            .copied()
+    }
+
+    /// Grows the rows to cover `[lo, hi]`, prepending rows when `lo` lies
+    /// below the current span.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.above.is_empty() {
+            self.lo = lo;
+        } else if lo < self.lo {
+            let fresh = self.lo - lo;
+            self.above.splice(0..0, (0..fresh).map(|_| BTreeSet::new()));
+            self.below.splice(0..0, (0..fresh).map(|_| BTreeSet::new()));
+            self.lo = lo;
+        }
+        let len = (hi + 1).max(self.lo + self.above.len()) - self.lo;
+        self.above.resize_with(len, BTreeSet::new);
+        self.below.resize_with(len, BTreeSet::new);
+        self.elements = self.elements.max(hi + 1);
     }
 
     /// Inserts `a < b` and closes transitively.
@@ -132,24 +195,23 @@ impl PartialOrderRel {
         if self.lt(a, b) {
             return Ok((false, false)); // already known
         }
-        self.closure.ensure_node(a.max(b));
-        self.preds.ensure_node(a.max(b));
-        // preds(a) ∪ {a}  must all precede  succs(b) ∪ {b}.
-        let mut lhs: Vec<usize> = self.preds.successors(a).collect();
+        self.cover(a.min(b), a.max(b));
+        // preds(a) ∪ {a}  must all precede  succs(b) ∪ {b}. Both sides are
+        // inside the span, and they are disjoint: a shared element would
+        // mean b < a, which was rejected above.
+        let mut lhs: Vec<usize> = self.below(a).collect();
         lhs.push(a);
-        let mut rhs: Vec<usize> = self.closure.successors(b).collect();
+        let mut rhs: Vec<usize> = self.above(b).collect();
         rhs.push(b);
+        let lo = self.lo;
         let mut gained_below = false;
         for &x in &lhs {
             for &y in &rhs {
-                if x == y {
-                    // Splicing would create x < x, i.e. a cycle.
-                    return Err(OrderError::Contradiction { attempted: (a, b) });
-                }
-                if self.closure.add_edge(x, y) {
+                if self.above[x - lo].insert(y) {
+                    self.below[y - lo].insert(x);
+                    self.pairs += 1;
                     gained_below |= x < old && y < old;
                 }
-                self.preds.add_edge(y, x);
             }
         }
         Ok((true, gained_below))
@@ -157,18 +219,18 @@ impl PartialOrderRel {
 
     /// All pairs `(a, b)` with `a < b`, lexicographically.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.closure.edges()
+        let lo = self.lo;
+        self.above
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, row)| row.iter().map(move |&b| (lo + i, b)))
     }
 
-    /// The covering ("Hasse") pairs: the transitive reduction of the order.
+    /// The covering ("Hasse") pairs: the transitive reduction of the order,
+    /// lexicographically. `a < b` covers iff no `c` has `a < c < b`.
     pub fn covering_pairs(&self) -> Vec<(usize, usize)> {
-        self.covering_pairs_with(&mut ReachScratch::new())
-    }
-
-    /// [`PartialOrderRel::covering_pairs`] reusing traversal buffers.
-    pub fn covering_pairs_with(&self, scratch: &mut ReachScratch) -> Vec<(usize, usize)> {
-        transitive_reduction_with(&self.closure, scratch)
-            .edges()
+        self.pairs()
+            .filter(|&(a, b)| !self.above(a).any(|c| c != b && self.lt(c, b)))
             .collect()
     }
 
@@ -201,18 +263,19 @@ impl PartialOrderRel {
     }
 
     /// Restricts the order to the given elements (pairs with both endpoints
-    /// in `keep`). Membership is a flat boolean mask — no temporary
-    /// `BTreeSet` per call.
+    /// in `keep`). Membership is a flat boolean mask over the span — no
+    /// temporary `BTreeSet` per call.
     pub fn restricted_to(&self, keep: &[usize]) -> PartialOrderRel {
-        let mut mask = vec![false; self.closure.node_count()];
+        let mut mask = vec![false; self.above.len()];
         for &k in keep {
-            if let Some(slot) = mask.get_mut(k) {
-                *slot = true;
+            if let Some(i) = self.row(k) {
+                mask[i] = true;
             }
         }
+        let kept = |x: usize| mask[x - self.lo];
         let mut out = PartialOrderRel::new();
         for (a, b) in self.pairs() {
-            if mask[a] && mask[b] {
+            if kept(a) && kept(b) {
                 out.insert(a, b)
                     .expect("restriction of a valid order stays valid");
             }
@@ -220,15 +283,13 @@ impl PartialOrderRel {
         out
     }
 
-    /// Access the underlying closure graph (edge `a -> b` ⟺ `a < b`).
-    pub fn as_graph(&self) -> &DiGraph {
-        &self.closure
-    }
-
     /// A linear extension of the order over `0..element_count()`.
     pub fn linear_extension(&self) -> Vec<usize> {
-        crate::topological_sort(&self.closure)
-            .expect("a valid partial order is acyclic by construction")
+        let mut g = DiGraph::with_nodes(self.elements);
+        for (a, b) in self.pairs() {
+            g.add_edge(a, b);
+        }
+        crate::topological_sort(&g).expect("a valid partial order is acyclic by construction")
     }
 }
 
@@ -337,5 +398,80 @@ mod tests {
         let pos = |x: usize| ext.iter().position(|&e| e == x).unwrap();
         assert!(pos(2) < pos(0));
         assert!(pos(0) < pos(1));
+    }
+
+    /// The same shape over `0..5` and shifted to `10_000..10_005`.
+    fn shifted_pair(base: usize) -> PartialOrderRel {
+        PartialOrderRel::from_pairs(
+            [(0, 1), (1, 3), (0, 2), (4, 3)].map(|(a, b)| (base + a, base + b)),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn span_sized_rows_match_the_shifted_order() {
+        const BASE: usize = 10_000;
+        let near = shifted_pair(0);
+        let far = shifted_pair(BASE);
+        let shift = |v: Vec<(usize, usize)>| -> Vec<(usize, usize)> {
+            v.into_iter().map(|(a, b)| (a + BASE, b + BASE)).collect()
+        };
+        for a in 0..5 {
+            for b in 0..5 {
+                assert_eq!(far.lt(a + BASE, b + BASE), near.lt(a, b), "({a}, {b})");
+                assert!(!far.lt(a, b));
+            }
+        }
+        assert_eq!(
+            far.pairs().collect::<Vec<_>>(),
+            shift(near.pairs().collect())
+        );
+        assert_eq!(far.pair_count(), near.pair_count());
+        assert_eq!(far.element_count(), near.element_count() + BASE);
+        assert_eq!(far.covering_pairs(), shift(near.covering_pairs()));
+        assert_eq!(far.above.len(), 5, "rows cover the span only");
+        // Elements below the span come first, in index order, then the
+        // span's own extension shifted.
+        let ext = far.linear_extension();
+        assert_eq!(ext[..BASE], (0..BASE).collect::<Vec<_>>());
+        assert_eq!(
+            ext[BASE..],
+            near.linear_extension()
+                .iter()
+                .map(|&x| x + BASE)
+                .collect::<Vec<_>>()
+        );
+        let keep = [0, 1, 3];
+        assert_eq!(
+            far.restricted_to(&keep.map(|k| k + BASE)),
+            PartialOrderRel::from_pairs(shift(near.restricted_to(&keep).pairs().collect()))
+                .unwrap()
+        );
+    }
+
+    #[test]
+    fn insert_below_the_span_keeps_earlier_pairs() {
+        let mut rel = PartialOrderRel::from_pairs([(20, 21), (21, 25)]).unwrap();
+        rel.insert(3, 20).unwrap();
+        assert_eq!(
+            rel.pairs().collect::<Vec<_>>(),
+            vec![(3, 20), (3, 21), (3, 25), (20, 21), (20, 25), (21, 25)]
+        );
+        assert_eq!(rel.below(25).collect::<Vec<_>>(), vec![3, 20, 21]);
+        assert_eq!(rel.above(3).collect::<Vec<_>>(), vec![20, 21, 25]);
+        assert_eq!(rel.element_count(), 26);
+        assert!(rel.insert(25, 3).is_err());
+    }
+
+    #[test]
+    fn equality_ignores_insertion_order() {
+        let pairs = [(7, 9), (2, 7), (9, 12), (2, 4)];
+        let forward = PartialOrderRel::from_pairs(pairs).unwrap();
+        let backward = PartialOrderRel::from_pairs(pairs.into_iter().rev()).unwrap();
+        assert_eq!(forward, backward);
+        let mut wider = backward.clone();
+        wider.cover(0, 20);
+        assert_ne!(forward, wider, "element counts differ");
+        assert_ne!(forward, PartialOrderRel::from_pairs([(2, 7)]).unwrap());
     }
 }

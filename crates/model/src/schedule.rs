@@ -4,6 +4,7 @@ use crate::conflict::ConflictRel;
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
 use crate::orders::{OrderKind, OrderPair};
+use std::collections::HashMap;
 
 /// A transaction `t = (O_t, ≺_t, ≪_t)` (Definition 2).
 ///
@@ -102,19 +103,36 @@ impl Schedule {
     /// 3. strong input orders force strong output orders on all operation
     ///    pairs (axiom 3);
     /// 4. `≪ ⊆ ≺` — guaranteed structurally by [`OrderPair`].
+    ///
+    /// Axioms 1 and 3 walk the declared conflicts and strong input pairs,
+    /// so validation costs O(pairs + ops), not O(ops²). Among several
+    /// violations the one reported is the first in declaration order
+    /// (transactions, then their operations).
     pub fn validate(&self) -> Result<(), ModelError> {
-        // Axiom 1 over all conflicting cross-transaction operation pairs.
-        for (i, t) in self.transactions.iter().enumerate() {
-            for t2 in &self.transactions[i + 1..] {
-                for &o in &t.ops {
-                    for &o2 in &t2.ops {
-                        if !self.conflicts.conflicts(o, o2) {
-                            continue;
-                        }
-                        self.check_axiom1(t.id, t2.id, o, o2)?;
-                    }
-                }
+        let pos = self.op_positions();
+        // Axiom 1 over the conflicting cross-transaction operation pairs,
+        // oriented so the earlier-declared transaction comes first.
+        let mut first: Option<((usize, usize, usize, usize), ModelError)> = None;
+        for (x, y) in self.conflicts.iter() {
+            let (Some(&px), Some(&py)) = (pos.get(&x), pos.get(&y)) else {
+                continue;
+            };
+            let ((p, o), (p2, o2)) = if px < py {
+                ((px, x), (py, y))
+            } else {
+                ((py, y), (px, x))
+            };
+            let key = (p.0, p2.0, p.1, p2.1);
+            if p.0 == p2.0 || first.as_ref().is_some_and(|(k, _)| *k < key) {
+                continue;
             }
+            let (t, t2) = (self.transactions[p.0].id, self.transactions[p2.0].id);
+            if let Err(e) = self.check_axiom1(t, t2, o, o2) {
+                first = Some((key, e));
+            }
+        }
+        if let Some((_, e)) = first {
+            return Err(e);
         }
         // Axiom 2: intra-transaction orders reflected in the output.
         for t in &self.transactions {
@@ -143,27 +161,47 @@ impl Schedule {
         }
         // Axiom 3: strong input order means total strong output order
         // between the two transactions' operations.
-        for t in &self.transactions {
-            for t2 in &self.transactions {
-                if t.id == t2.id || !self.input.strong_lt(t.id, t2.id) {
-                    continue;
-                }
-                for &a in &t.ops {
-                    for &b in &t2.ops {
-                        if !self.output.strong_lt(a, b) {
-                            return Err(ModelError::StrongInputNotHonored {
-                                sched: self.id,
-                                first_tx: t.id,
-                                second_tx: t2.id,
-                                a,
-                                b,
-                            });
-                        }
+        let tx_index: HashMap<NodeId, usize> = self
+            .transactions
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.id, i))
+            .collect();
+        let mut strong: Vec<(usize, usize)> = self
+            .input
+            .strong_pairs()
+            .filter_map(|(a, b)| Some((*tx_index.get(&a)?, *tx_index.get(&b)?)))
+            .collect();
+        strong.sort_unstable();
+        for (i, j) in strong {
+            let (t, t2) = (&self.transactions[i], &self.transactions[j]);
+            for &a in &t.ops {
+                for &b in &t2.ops {
+                    if !self.output.strong_lt(a, b) {
+                        return Err(ModelError::StrongInputNotHonored {
+                            sched: self.id,
+                            first_tx: t.id,
+                            second_tx: t2.id,
+                            a,
+                            b,
+                        });
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Each operation's `(transaction index, index within the
+    /// transaction)`: ordering by it is declaration order over `O_S`.
+    pub(crate) fn op_positions(&self) -> HashMap<NodeId, (usize, usize)> {
+        let mut pos = HashMap::with_capacity(self.transactions.iter().map(|t| t.ops.len()).sum());
+        for (i, t) in self.transactions.iter().enumerate() {
+            for (j, &o) in t.ops.iter().enumerate() {
+                pos.insert(o, (i, j));
+            }
+        }
+        pos
     }
 
     fn check_axiom1(&self, t: NodeId, t2: NodeId, o: NodeId, o2: NodeId) -> Result<(), ModelError> {
@@ -202,22 +240,21 @@ impl Schedule {
     /// `o ∈ O_T`, `o' ∈ O_T'`. This is the classical serialization graph of
     /// the schedule and the source of Definition 10's rule 2.
     pub fn serialization_pairs(&self) -> Vec<(NodeId, NodeId)> {
+        let pos = self.op_positions();
+        let tx = |o: NodeId| pos.get(&o).map(|&(i, _)| self.transactions[i].id);
         let mut out = Vec::new();
-        for (i, t) in self.transactions.iter().enumerate() {
-            for t2 in &self.transactions[i + 1..] {
-                for &o in &t.ops {
-                    for &o2 in &t2.ops {
-                        if !self.conflicts.conflicts(o, o2) {
-                            continue;
-                        }
-                        if self.output.weak_lt(o, o2) {
-                            out.push((t.id, t2.id));
-                        }
-                        if self.output.weak_lt(o2, o) {
-                            out.push((t2.id, t.id));
-                        }
-                    }
-                }
+        for (o, o2) in self.conflicts.iter() {
+            let (Some(t), Some(t2)) = (tx(o), tx(o2)) else {
+                continue;
+            };
+            if t == t2 {
+                continue;
+            }
+            if self.output.weak_lt(o, o2) {
+                out.push((t, t2));
+            }
+            if self.output.weak_lt(o2, o) {
+                out.push((t2, t));
             }
         }
         out.sort_unstable();

@@ -310,40 +310,41 @@ impl CompositeSystem {
         }
         // Definition 4.7: output orders of S_i between two operations that
         // are both transactions of S_j must be passed to S_j as input orders.
+        // Walks the output order's pairs; among several violations the one
+        // reported is the first in declaration order over `O_S`.
         for s in checked() {
+            let pos = s.op_positions();
             let op_home = |o: NodeId| self.nodes[o.index()].home;
-            let ops: Vec<NodeId> = s.ops().collect();
-            for &a in &ops {
-                for &b in &ops {
-                    if a == b {
-                        continue;
-                    }
-                    let (Some(ha), Some(hb)) = (op_home(a), op_home(b)) else {
-                        continue;
-                    };
-                    if ha != hb {
-                        continue;
-                    }
-                    let target = self.schedule(ha);
-                    if s.output.weak_lt(a, b) && !target.input.weak_lt(a, b) {
-                        return Err(ModelError::OrderNotPropagated {
-                            from: s.id,
-                            to: ha,
-                            a,
-                            b,
-                            kind: OrderKind::Weak,
-                        });
-                    }
-                    if s.output.strong_lt(a, b) && !target.input.strong_lt(a, b) {
-                        return Err(ModelError::OrderNotPropagated {
-                            from: s.id,
-                            to: ha,
-                            a,
-                            b,
-                            kind: OrderKind::Strong,
-                        });
-                    }
+            let mut first = None;
+            for (a, b) in s.output.weak_pairs() {
+                let (Some(&pa), Some(&pb)) = (pos.get(&a), pos.get(&b)) else {
+                    continue;
+                };
+                let (Some(ha), Some(hb)) = (op_home(a), op_home(b)) else {
+                    continue;
+                };
+                if ha != hb || first.as_ref().is_some_and(|(k, _)| *k < (pa, pb)) {
+                    continue;
                 }
+                let target = self.schedule(ha);
+                let kind = if !target.input.weak_lt(a, b) {
+                    OrderKind::Weak
+                } else if s.output.strong_lt(a, b) && !target.input.strong_lt(a, b) {
+                    OrderKind::Strong
+                } else {
+                    continue;
+                };
+                let err = ModelError::OrderNotPropagated {
+                    from: s.id,
+                    to: ha,
+                    a,
+                    b,
+                    kind,
+                };
+                first = Some(((pa, pb), err));
+            }
+            if let Some((_, e)) = first {
+                return Err(e);
             }
         }
         Ok(())

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate + lint gate + CLI smoke test. Run from the workspace root.
 #
-#   scripts/ci.sh          # everything (tier-1, workspace tests, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, serve-smoke, serve-soak, perf-selftest)
+#   scripts/ci.sh          # everything (tier-1, workspace tests, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, scale-smoke, serve-smoke, serve-soak, perf-selftest)
 #   scripts/ci.sh tier1    # just the build + test gate
 #   scripts/ci.sh workspace-tests # every workspace crate's tests (tier-1's
 #                              # root `cargo test` runs only the compc package)
@@ -25,6 +25,10 @@
 #                              # units against BENCHMARK.json, planted wrong
 #                              # verdicts rejected (also catches public-API
 #                              # changes that break perfbench/driver)
+#   scripts/ci.sh scale-smoke  # an 18,420-node stack system must be found
+#                              # not Comp-C within 3 s (fails if a check
+#                              # scans all member pairs or sizes order rows
+#                              # by the largest node id again)
 #   scripts/ci.sh explore-smoke # exhaustive sweep at CI bounds with the
 #                              # naive counting/constancy cross-checks:
 #                              # clean verdicts on every trace-inequivalent
@@ -457,6 +461,28 @@ explore_smoke() {
     echo "==> explore-smoke: OK"
 }
 
+# Scale gate: validation and reduction cost follows the declared pairs, not
+# the square of the member count, and order rows cover only the elements an
+# order relates. An 18,420-node, 3.5 MB two-level stack (1,200 roots,
+# sparse conflicts) is checked in about 0.25 s; an all-pairs scan or rows
+# sized to the largest node id take about 10 s, past the 3 s timeout.
+scale_smoke() {
+    echo "==> scale-smoke: 18,420-node stack checked within 3 s"
+    cargo build --release -q -p compc --bin compc-gen --bin compc-check
+    big="$(mktemp /tmp/compc-scale-XXXXXX.json)"
+    trap 'rm -f "$big"' EXIT
+    ./target/release/compc-gen --shape stack --roots 1200 --density 0.0002 --seed 7 > "$big"
+    set +e
+    timeout 3 ./target/release/compc-check "$big" > /dev/null
+    code=$?
+    set -e
+    [ "$code" -ne 124 ] \
+        || { echo "scale-smoke: the check took longer than 3 s" >&2; exit 1; }
+    [ "$code" -eq 1 ] \
+        || { echo "scale-smoke: expected exit 1 (not Comp-C), got $code" >&2; exit 1; }
+    echo "==> scale-smoke: OK"
+}
+
 # The benchmark's own tests (perfbench/selftest.py). perfbench/driver builds
 # against the public API by path, so this is where an API change that
 # breaks the benchmark shows up before the benchmark itself runs.
@@ -477,6 +503,7 @@ case "$stage" in
     serve-smoke) serve_smoke ;;
     serve-soak) serve_soak ;;
     explore-smoke) explore_smoke ;;
+    scale-smoke) scale_smoke ;;
     perf-selftest) perf_selftest ;;
     all)
         tier1
@@ -487,12 +514,13 @@ case "$stage" in
         bench_smoke
         fuzz_smoke
         explore_smoke
+        scale_smoke
         serve_smoke
         serve_soak
         perf_selftest
         ;;
     *)
-        echo "usage: scripts/ci.sh [tier1|workspace-tests|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|perf-selftest|all]" >&2
+        echo "usage: scripts/ci.sh [tier1|workspace-tests|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|scale-smoke|perf-selftest|all]" >&2
         exit 2
         ;;
 esac

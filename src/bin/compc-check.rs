@@ -368,15 +368,15 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
 // ---------------------------------------------------------------------
 
 fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
-    let mut items: Vec<BatchItem> = Vec::new();
+    let mut sources: Vec<(String, String)> = Vec::new();
     let mut invalid = 0usize;
     for path in paths {
-        if let Err(e) = collect_items(Path::new(path), &mut items, &mut invalid) {
+        if let Err(e) = collect_sources(Path::new(path), &mut sources, &mut invalid) {
             eprintln!("{path}: {e}");
             invalid += 1;
         }
     }
-    if items.is_empty() {
+    if sources.is_empty() {
         eprintln!("no checkable systems found");
         return ExitCode::from(2);
     }
@@ -417,14 +417,26 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
             }
         }
         if !done.is_empty() {
-            let before = items.len();
-            items.retain(|it| !done.contains(&it.label));
+            let before = sources.len();
+            sources.retain(|(label, _)| !done.contains(label));
             eprintln!(
                 "checkpoint: {} of {before} item(s) already recorded in {cp} \
                  ({prior_violations} prior violation(s)), {} left",
-                before - items.len(),
-                items.len()
+                before - sources.len(),
+                sources.len()
             );
+        }
+    }
+    // Only items the checkpoint has not recorded are parsed and built.
+    // Invalid specs are reported and counted, not fatal.
+    let mut items: Vec<BatchItem> = Vec::with_capacity(sources.len());
+    for (label, text) in sources {
+        match load_spec(&text) {
+            Ok(sys) => items.push(BatchItem::new(label, sys)),
+            Err(e) => {
+                eprintln!("{label}: {e}");
+                invalid += 1;
+            }
         }
     }
     let mut checkpoint_file = match &flags.checkpoint {
@@ -596,13 +608,13 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
     }
 }
 
-/// Expands one path into batch items: directories contribute their `*.json`
-/// files (sorted), NDJSON files one item per non-empty line, plain files one
-/// item. Invalid specs are reported and counted, not fatal — the remaining
-/// lines and files are still checked.
-fn collect_items(
+/// Expands one path into `(label, source)` batch items: directories
+/// contribute their `*.json` files (sorted), NDJSON files one item per
+/// non-empty line, plain files one item. An unreadable file inside a
+/// directory is reported and counted, not fatal.
+fn collect_sources(
     path: &Path,
-    items: &mut Vec<BatchItem>,
+    sources: &mut Vec<(String, String)>,
     invalid: &mut usize,
 ) -> Result<(), String> {
     if path.is_dir() {
@@ -613,7 +625,7 @@ fn collect_items(
             .collect();
         files.sort();
         for file in files {
-            if let Err(e) = collect_items(&file, items, invalid) {
+            if let Err(e) = collect_sources(&file, sources, invalid) {
                 eprintln!("{}: {e}", file.display());
                 *invalid += 1;
             }
@@ -625,26 +637,12 @@ fn collect_items(
     if is_ndjson(path) {
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim_end_matches('\r');
-            if line.trim().is_empty() {
-                continue;
-            }
-            let label = format!("{label_base}:{}", lineno + 1);
-            match load_spec(line) {
-                Ok(sys) => items.push(BatchItem::new(label, sys)),
-                Err(e) => {
-                    eprintln!("{label}: {e}");
-                    *invalid += 1;
-                }
+            if !line.trim().is_empty() {
+                sources.push((format!("{label_base}:{}", lineno + 1), line.to_string()));
             }
         }
     } else {
-        match load_spec(&text) {
-            Ok(sys) => items.push(BatchItem::new(label_base, sys)),
-            Err(e) => {
-                eprintln!("{label_base}: {e}");
-                *invalid += 1;
-            }
-        }
+        sources.push((label_base, text));
     }
     Ok(())
 }

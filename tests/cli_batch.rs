@@ -398,6 +398,40 @@ fn checkpoint_records_a_fresh_run_and_skips_everything_on_rerun() {
 }
 
 #[test]
+fn fully_recorded_directory_still_reports_an_unrecorded_corrupt_file() {
+    // Recorded items are skipped before they are parsed, but an unrecorded
+    // file is still read, so a corrupt one is named and the run exits 2.
+    let dir = tmpfile("recorded-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("a.json");
+    let bad = dir.join("b.json");
+    std::fs::write(&good, spec_line(&correct_system("a"))).unwrap();
+    let cp = tmpfile("recorded-dir.checkpoint");
+    std::fs::write(&cp, format!("violation\t{}\n", good.display())).unwrap();
+    std::fs::write(&bad, "{\"version\":1,\"nodes\":[").unwrap();
+
+    let out = run(&[dir.to_str().unwrap(), "--checkpoint", cp.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(exit_code(&out), 2, "{stdout}\n{stderr}");
+    assert!(
+        stdout.contains("nothing left to check (1 prior violation(s) on record)"),
+        "{stdout}"
+    );
+    assert!(
+        stderr.contains(&format!("{}: ", bad.display())),
+        "the corrupt file is named: {stderr}"
+    );
+    assert!(stderr.contains("1 input(s) were invalid"), "{stderr}");
+    assert!(!stderr.contains("no checkable systems found"), "{stderr}");
+    assert!(
+        stderr.contains("1 of 2 item(s) already recorded"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn timed_out_items_are_not_checkpointed_and_rerun_on_resume() {
     let corpus = format!("{}\n", spec_line(&correct_system("a")));
     let corpus_path = tmpfile("timeout-cp.ndjson");
