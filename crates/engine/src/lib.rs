@@ -1,26 +1,35 @@
 //! Batch-checking engine: run Comp-C checks over many composite systems
-//! concurrently on a worker pool, reusing per-worker scratch buffers and
-//! reporting aggregate throughput.
+//! concurrently, one pipeline per item, reusing per-worker scratch buffers
+//! and reporting aggregate throughput.
 //!
-//! Two axes of parallelism compose here:
+//! Every item is a [`BatchJob`]: a label, a size and a source. A worker
+//! claims the largest unclaimed job, loads its system from the source,
+//! checks it, hands system and outcome to the caller's finishing step
+//! (rendering, explanation, oracle cross-check) and drops the system. So
+//! loading overlaps checking, only the systems in flight are alive, and the
+//! long items start first. [`Batch::pipeline`] is that loop;
+//! [`Batch::check_all`] is the case where every system is already built.
+//! Outcomes come back in input order whatever the claim order.
 //!
-//! * **across systems** — [`Batch`] distributes whole systems over
-//!   `workers` OS threads (one [`compc_core::CheckScratch`] per worker, kept
-//!   across systems so graph buffers amortize);
+//! Two axes of parallelism share one thread budget:
+//!
+//! * **across systems** — `workers` threads, the calling thread being one
+//!   of them (one [`compc_core::CheckScratch`] per worker, kept across
+//!   systems so graph buffers amortize);
 //! * **within a system** — the [`compc_core::Checker`]'s `jobs` knob
-//!   parallelizes the per-level closure and conflict scans *inside* one
-//!   check.
+//!   parallelizes the per-level closures *inside* one check.
 //!
-//! For many small systems use `workers = cores, jobs = 1` (the default); for
-//! a few large systems invert it. Both settings are deterministic: verdicts
-//! are independent of worker and job counts, and the report preserves input
-//! order.
+//! [`CheckOptions::jobs`] is the budget of the whole batch: with `w`
+//! workers each check runs at `max(1, jobs / w)`, so the axes divide the
+//! budget instead of multiplying it. One worker (or one item) runs inline
+//! on the calling thread with the whole budget. Verdicts are independent
+//! of worker and job counts.
 //!
-//! **Fault isolation:** a check that panics (a corrupted input, a bug in a
-//! custom work function) is caught per item — the panicking item reports a
-//! [`BatchFault`], its worker replaces its scratch buffers and moves on, and
-//! every other item still completes. A batch is never poisoned by one bad
-//! system.
+//! **Fault isolation:** an item whose load fails reports a
+//! [`BatchFault::Invalid`]; an item whose load, check or finishing step
+//! panics reports a [`BatchFault::Panic`], its worker replaces its scratch
+//! buffers and moves on, and every other item still completes. A batch is
+//! never poisoned by one bad system.
 //!
 //! **Observability:** [`Batch::tracing`] records the reduction's structured
 //! events per item (see [`compc_trace`]), and every report carries
@@ -49,11 +58,11 @@ use compc_core::{
 };
 use compc_model::CompositeSystem;
 use compc_trace::{replay, Histogram, MemorySink, TraceEvent, TraceStats};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// One unit of batch work: a labelled composite system.
+/// One unit of batch work whose system is already built.
 #[derive(Clone, Debug)]
 pub struct BatchItem {
     /// Where the system came from (file name, generator seed, report id…).
@@ -72,10 +81,40 @@ impl BatchItem {
     }
 }
 
+/// One unit of [`Batch::pipeline`] work: a labelled source that the
+/// pipeline's loader turns into a system on a worker.
+#[derive(Clone, Debug)]
+pub struct BatchJob<S> {
+    /// Where the system comes from (file name, NDJSON line, run id…).
+    pub label: String,
+    /// The job's expected cost (byte length, node count…). Workers claim
+    /// the largest jobs first; equal sizes are claimed in input order.
+    pub size: u64,
+    /// What the loader reads the system from.
+    pub source: S,
+}
+
+impl<S> BatchJob<S> {
+    /// A labelled job.
+    pub fn new(label: impl Into<String>, size: u64, source: S) -> Self {
+        BatchJob {
+            label: label.into(),
+            size,
+            source,
+        }
+    }
+}
+
 /// Why an item produced no verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchFault {
-    /// The check panicked (or its worker was lost). The message is the
+    /// The item's loader failed (an unreadable file, a malformed spec, a
+    /// model violation); no check ran.
+    Invalid {
+        /// The loader's error, rendered.
+        message: String,
+    },
+    /// The load, check or finishing step panicked. The message is the
     /// panic payload when one was recoverable.
     Panic {
         /// The panic message (or a generic description).
@@ -91,7 +130,8 @@ pub enum BatchFault {
 }
 
 impl BatchFault {
-    /// Whether this fault is a deadline timeout (as opposed to a panic).
+    /// Whether this fault is a deadline timeout (as opposed to a panic or
+    /// a loader error).
     pub fn is_timeout(&self) -> bool {
         matches!(self, BatchFault::Timeout { .. })
     }
@@ -100,6 +140,7 @@ impl BatchFault {
 impl std::fmt::Display for BatchFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            BatchFault::Invalid { message } => write!(f, "invalid input: {message}"),
             BatchFault::Panic { message } => write!(f, "check failed: {message}"),
             BatchFault::Timeout { level } => {
                 write!(f, "deadline exceeded before level {level}")
@@ -110,16 +151,19 @@ impl std::fmt::Display for BatchFault {
 
 impl std::error::Error for BatchFault {}
 
-/// The checked result for one [`BatchItem`], in input order.
+/// The checked result for one item, in input order.
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
     /// The item's label.
     pub label: String,
     /// The verdict — or the fault that prevented one.
     pub result: Result<Verdict, BatchFault>,
-    /// Wall-clock time this one check took on its worker.
+    /// Wall-clock time the check alone took on its worker (not the load).
     pub elapsed: Duration,
-    /// Node count of the system (for throughput normalization).
+    /// Wall-clock time the loader took (near zero for built items).
+    pub load: Duration,
+    /// Node count of the system (for throughput normalization; 0 when the
+    /// load failed).
     pub nodes: usize,
     /// Structured reduction events, when [`Batch::tracing`] is on (empty
     /// otherwise, and after a fault).
@@ -171,25 +215,28 @@ impl BatchOutcome {
 /// Aggregate statistics for a batch run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchStats {
-    /// Systems submitted (correct + incorrect + faults).
+    /// Systems loaded and submitted to the checker (correct + incorrect +
+    /// faults + timeouts); items whose load failed count in `invalid`.
     pub systems: usize,
     /// How many were Comp-C.
     pub correct: usize,
     /// How many were not.
     pub incorrect: usize,
-    /// How many produced no verdict because their check panicked.
+    /// How many produced no verdict because their load or check panicked.
     pub faults: usize,
     /// How many produced no verdict because their check exceeded the
     /// [`CheckOptions::deadline`].
     pub timeouts: usize,
+    /// How many items' loaders failed.
+    pub invalid: usize,
     /// Total nodes across all systems.
     pub nodes: usize,
-    /// Wall-clock time for the whole batch (pool start to pool end).
+    /// Wall-clock time for the whole batch, loads included.
     pub wall: Duration,
-    /// Summed per-check time across workers (≥ `wall` when the pool is
-    /// busy; `busy / wall / workers` approximates pool utilization).
+    /// Summed per-item load and check time across workers (≥ `wall` when
+    /// the pool is busy; `busy / wall / workers` approximates utilization).
     pub busy: Duration,
-    /// Worker threads used.
+    /// Worker threads used (the calling thread included).
     pub workers: usize,
 }
 
@@ -214,23 +261,7 @@ impl BatchStats {
         }
     }
 
-    /// Folds another batch's counters into this one — for aggregating
-    /// sequential chunked runs (e.g. a checkpointed corpus check) into one
-    /// summary. Wall and busy times add (the chunks ran back to back);
-    /// the worker count takes the max.
-    pub fn merge(&mut self, other: &BatchStats) {
-        self.systems += other.systems;
-        self.correct += other.correct;
-        self.incorrect += other.incorrect;
-        self.faults += other.faults;
-        self.timeouts += other.timeouts;
-        self.nodes += other.nodes;
-        self.wall += other.wall;
-        self.busy += other.busy;
-        self.workers = self.workers.max(other.workers);
-    }
-
-    /// Fraction of the pool's capacity that was doing check work (0..=1).
+    /// Fraction of the pool's capacity that was loading or checking (0..=1).
     pub fn utilization(&self) -> f64 {
         let cap = self.wall.as_secs_f64() * self.workers.max(1) as f64;
         if cap > 0.0 {
@@ -270,7 +301,7 @@ impl std::fmt::Display for BatchStats {
 }
 
 /// Distribution metrics for a batch run — the histogram companion to the
-/// flat [`BatchStats`] counters.
+/// flat [`BatchStats`] counters. Items whose load failed are not recorded.
 #[derive(Clone, Debug, Default)]
 pub struct BatchMetrics {
     /// Per-check wall time in nanoseconds.
@@ -282,17 +313,6 @@ pub struct BatchMetrics {
     /// Per-level aggregates from the reduction's own trace events
     /// (populated only when [`Batch::tracing`] is on).
     pub trace: TraceStats,
-}
-
-impl BatchMetrics {
-    /// Folds another batch's distributions into this one — the histogram
-    /// companion to [`BatchStats::merge`] for chunked runs.
-    pub fn merge(&mut self, other: &BatchMetrics) {
-        self.check_ns.merge(&other.check_ns);
-        self.nodes.merge(&other.nodes);
-        self.levels_completed.merge(&other.levels_completed);
-        self.trace.merge(&other.trace);
-    }
 }
 
 impl std::fmt::Display for BatchMetrics {
@@ -328,7 +348,7 @@ impl BatchReport {
             .collect()
     }
 
-    /// Labels of the items whose check faulted (panicked).
+    /// Labels of the items that faulted (panicked).
     pub fn fault_labels(&self) -> Vec<&str> {
         self.outcomes
             .iter()
@@ -353,8 +373,7 @@ impl BatchReport {
 /// `workers = 0` (the default) means one worker per available core — the
 /// same normalization as [`CheckOptions::jobs`], via
 /// [`compc_core::effective_jobs`]; `workers = 1` checks sequentially on the
-/// calling thread (no pool spun up). Work is distributed by atomic index
-/// claiming, so stragglers don't serialize the tail; each worker keeps one
+/// calling thread (no thread spawned). Each worker keeps one
 /// `CheckScratch` for its whole lifetime.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Batch {
@@ -370,9 +389,10 @@ impl Batch {
         Batch::default()
     }
 
-    /// A batch session whose every check runs with the given options — the
-    /// same [`CheckOptions`] accepted by [`Checker::with_options`] and
-    /// [`compc_core::Session::with_options`].
+    /// A batch session whose checks run with the given options — the same
+    /// [`CheckOptions`] accepted by [`Checker::with_options`] and
+    /// [`compc_core::Session::with_options`]. Its `jobs` is the thread
+    /// budget of the whole batch (see the crate docs).
     pub fn with_options(options: CheckOptions) -> Self {
         Batch {
             options,
@@ -380,7 +400,7 @@ impl Batch {
         }
     }
 
-    /// The per-check options this batch runs with.
+    /// The options this batch runs with.
     pub fn options(&self) -> CheckOptions {
         self.options
     }
@@ -400,141 +420,99 @@ impl Batch {
         self
     }
 
-    /// Checks every item, returning outcomes in input order plus aggregate
-    /// stats. Verdicts are identical to checking each item alone; a
-    /// panicking check yields a per-item [`BatchFault`] and the rest of the
-    /// batch completes.
+    /// Checks every built item, largest first, returning outcomes in input
+    /// order plus aggregate stats. Verdicts are identical to checking each
+    /// item alone; a panicking check yields a per-item [`BatchFault`] and
+    /// the rest of the batch completes.
     pub fn check_all(&self, items: Vec<BatchItem>) -> BatchReport {
-        let tracing = self.tracing;
-        self.run(items, move |checker, item, scratch| {
-            let mut sink = MemorySink::new();
-            let mut ctx = CheckCtx::new(scratch);
-            if tracing {
-                ctx = ctx.traced(&mut sink);
-            }
-            // A timed-out item keeps its partial trace (check_start and the
-            // completed levels, no check_end).
-            let result = checker
-                .try_check(&item.system, &mut ctx)
-                .map_err(timeout_fault);
-            (result, sink.events)
-        })
-    }
-
-    /// [`Batch::check_all`] with a custom per-item work function — the seam
-    /// for callers that wrap the check (extra validation, timeouts, fault
-    /// injection in tests). The function runs under the same panic
-    /// isolation as the built-in check. A [`CheckOptions::deadline`]
-    /// reaches the function through its `Checker` argument; call
-    /// [`Checker::try_check`] there to honor it ([`Checker::check`] panics
-    /// on expiry, which the batch then reports as [`BatchFault::Panic`]).
-    pub fn check_all_with<F>(&self, items: Vec<BatchItem>, f: F) -> BatchReport
-    where
-        F: Fn(Checker, &BatchItem, &mut CheckScratch) -> Verdict + Sync,
-    {
-        self.run(items, move |checker, item, scratch| {
-            (Ok(f(checker, item, scratch)), Vec::new())
-        })
-    }
-
-    fn run<F>(&self, items: Vec<BatchItem>, work: F) -> BatchReport
-    where
-        F: Fn(
-                Checker,
-                &BatchItem,
-                &mut CheckScratch,
-            ) -> (Result<Verdict, BatchFault>, Vec<TraceEvent>)
-            + Sync,
-    {
-        let workers = effective_jobs(self.workers).min(items.len().max(1));
-        let item_checker = Checker::with_options(self.options);
-        let start = Instant::now();
-        let mut slots: Vec<Option<BatchOutcome>> = Vec::new();
-        slots.resize_with(items.len(), || None);
-
-        if workers <= 1 {
-            let mut scratch = CheckScratch::new();
-            for (item, slot) in items.iter().zip(slots.iter_mut()) {
-                *slot = Some(guarded_check(item_checker, item, &mut scratch, &work));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let items = &items;
-            let work = &work;
-            let mut worker_results: Vec<(usize, BatchOutcome)> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let checker = item_checker;
-                        s.spawn(move || {
-                            let mut scratch = CheckScratch::new();
-                            let mut done: Vec<(usize, BatchOutcome)> = Vec::new();
-                            loop {
-                                let idx = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(item) = items.get(idx) else {
-                                    break;
-                                };
-                                done.push((idx, guarded_check(checker, item, &mut scratch, work)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // Per-item panic isolation makes a worker-level panic
-                    // unreachable in practice; if one happens anyway, its
-                    // claimed-but-unreported items become faults below
-                    // instead of aborting the batch.
-                    if let Ok(results) = h.join() {
-                        worker_results.extend(results);
-                    }
-                }
-            });
-            for (idx, outcome) in worker_results {
-                slots[idx] = Some(outcome);
-            }
-        }
-
-        let wall = start.elapsed();
-        let outcomes: Vec<BatchOutcome> = slots
+        let jobs = items
             .into_iter()
-            .zip(&items)
-            .map(|(slot, item)| {
-                slot.unwrap_or_else(|| BatchOutcome {
-                    label: item.label.clone(),
-                    result: Err(BatchFault::Panic {
-                        message: "batch worker terminated unexpectedly".into(),
-                    }),
-                    elapsed: Duration::ZERO,
-                    nodes: item.system.node_count(),
-                    events: Vec::new(),
-                    dense_closures: 0,
-                    sparse_closures: 0,
-                    compressed_closures: 0,
-                })
-            })
+            .map(|it| BatchJob::new(it.label, it.system.node_count() as u64, it.system))
             .collect();
+        self.pipeline(
+            jobs,
+            Ok::<_, std::convert::Infallible>,
+            |_, _, _| (),
+            |_, _, _| {},
+        )
+    }
 
-        let busy = outcomes.iter().map(|o| o.elapsed).sum();
-        let correct = outcomes.iter().filter(|o| o.is_correct()).count();
-        let timeouts = outcomes
-            .iter()
-            .filter(|o| matches!(&o.result, Err(f) if f.is_timeout()))
-            .count();
-        let faults = outcomes.iter().filter(|o| o.result.is_err()).count() - timeouts;
-        let nodes = outcomes.iter().map(|o| o.nodes).sum();
-        let stats = BatchStats {
-            systems: outcomes.len(),
-            correct,
-            incorrect: outcomes.len() - correct - faults - timeouts,
-            faults,
-            timeouts,
-            nodes,
-            wall,
-            busy,
-            workers,
+    /// Runs one pipeline per job on the worker pool: `load` turns the
+    /// job's source into a system, the checker checks it, and `finish`
+    /// sees the system (or the load error) with the outcome before the
+    /// system is dropped; what `finish` returns goes to `on_done`.
+    ///
+    /// Jobs are claimed largest first. `on_done(input index, outcome,
+    /// finished)` runs once per job, in completion order, one call at a
+    /// time, before this returns — the hook for streaming progress (a
+    /// checkpoint line, output in input order). `finished` is `None` when
+    /// the item panicked. The returned outcomes are in input order.
+    ///
+    /// A load error becomes that item's [`BatchFault::Invalid`] and is not
+    /// counted in [`BatchStats::systems`]. A panic in `load`, the check or
+    /// `finish` becomes its [`BatchFault::Panic`]; a panic in `on_done`
+    /// propagates to the caller. [`CheckOptions::deadline`] bounds the
+    /// check only, not the load.
+    pub fn pipeline<S, E, R, L, F, D>(
+        &self,
+        jobs: Vec<BatchJob<S>>,
+        load: L,
+        finish: F,
+        on_done: D,
+    ) -> BatchReport
+    where
+        S: Send,
+        E: std::fmt::Display,
+        L: Fn(S) -> Result<CompositeSystem, E> + Sync,
+        F: Fn(Checker, Result<&CompositeSystem, E>, &BatchOutcome) -> R + Sync,
+        D: FnMut(usize, &BatchOutcome, Option<R>) + Send,
+    {
+        let n = jobs.len();
+        let workers = effective_jobs(self.workers).min(n.max(1));
+        let per_check = (effective_jobs(self.options.jobs) / workers).max(1);
+        let checker = Checker::with_options(self.options.jobs(per_check));
+        let tracing = self.tracing;
+        let mut queue: Vec<(usize, BatchJob<S>)> = jobs.into_iter().enumerate().collect();
+        queue.sort_by_key(|(_, job)| std::cmp::Reverse(job.size));
+        let queue = Mutex::new(queue.into_iter());
+        let on_done = Mutex::new(on_done);
+
+        let work = || {
+            let mut scratch = CheckScratch::new();
+            let mut done: Vec<(usize, BatchOutcome)> = Vec::new();
+            loop {
+                let next = queue.lock().expect("claiming a job cannot panic").next();
+                let Some((idx, job)) = next else {
+                    break;
+                };
+                let (outcome, finished) =
+                    run_item(checker, tracing, job, &load, &finish, &mut scratch);
+                let mut on_done = on_done.lock().expect("the completion hook panicked");
+                on_done(idx, &outcome, finished);
+                done.push((idx, outcome));
+            }
+            done
         };
+
+        // The calling thread is the first worker; with one worker nothing
+        // is spawned.
+        let start = Instant::now();
+        let mut done = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for h in helpers {
+                match h.join() {
+                    Ok(more) => done.extend(more),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+            done
+        });
+        let wall = start.elapsed();
+
+        done.sort_unstable_by_key(|(idx, _)| *idx);
+        let outcomes: Vec<BatchOutcome> = done.into_iter().map(|(_, o)| o).collect();
+        let stats = collect_stats(&outcomes, wall, workers);
         let metrics = collect_metrics(&outcomes);
         BatchReport {
             outcomes,
@@ -544,9 +522,33 @@ impl Batch {
     }
 }
 
+fn collect_stats(outcomes: &[BatchOutcome], wall: Duration, workers: usize) -> BatchStats {
+    let mut stats = BatchStats {
+        wall,
+        workers,
+        ..BatchStats::default()
+    };
+    for o in outcomes {
+        stats.busy += o.load + o.elapsed;
+        stats.nodes += o.nodes;
+        match &o.result {
+            Ok(v) if v.is_correct() => stats.correct += 1,
+            Ok(_) => stats.incorrect += 1,
+            Err(BatchFault::Invalid { .. }) => stats.invalid += 1,
+            Err(BatchFault::Panic { .. }) => stats.faults += 1,
+            Err(BatchFault::Timeout { .. }) => stats.timeouts += 1,
+        }
+    }
+    stats.systems = outcomes.len() - stats.invalid;
+    stats
+}
+
 fn collect_metrics(outcomes: &[BatchOutcome]) -> BatchMetrics {
     let mut metrics = BatchMetrics::default();
     for o in outcomes {
+        if matches!(o.result, Err(BatchFault::Invalid { .. })) {
+            continue;
+        }
         metrics.check_ns.record(o.elapsed.as_nanos() as u64);
         metrics.nodes.record(o.nodes as u64);
         if let Ok(verdict) = &o.result {
@@ -561,50 +563,80 @@ fn collect_metrics(outcomes: &[BatchOutcome]) -> BatchMetrics {
     metrics
 }
 
-/// Runs one item's work under panic isolation. On a panic the scratch is
-/// discarded (its buffers may be mid-update) and the item reports a
-/// [`BatchFault`] carrying the panic message.
-fn guarded_check<F>(
+/// One item's pipeline — load, check, finish — under panic isolation. On a
+/// panic the scratch is discarded (its buffers may be mid-update) and the
+/// item reports a [`BatchFault::Panic`] carrying the panic message.
+fn run_item<S, E, R, L, F>(
     checker: Checker,
-    item: &BatchItem,
+    tracing: bool,
+    job: BatchJob<S>,
+    load: &L,
+    finish: &F,
     scratch: &mut CheckScratch,
-    work: &F,
-) -> BatchOutcome
+) -> (BatchOutcome, Option<R>)
 where
-    F: Fn(Checker, &BatchItem, &mut CheckScratch) -> (Result<Verdict, BatchFault>, Vec<TraceEvent>)
-        + Sync,
+    E: std::fmt::Display,
+    L: Fn(S) -> Result<CompositeSystem, E>,
+    F: Fn(Checker, Result<&CompositeSystem, E>, &BatchOutcome) -> R,
 {
-    let nodes = item.system.node_count();
-    let counts0 = scratch.backend_counts();
-    let t0 = Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| work(checker, item, scratch))) {
-        Ok((result, events)) => {
-            let counts1 = scratch.backend_counts();
-            BatchOutcome {
-                label: item.label.clone(),
-                result,
-                elapsed: t0.elapsed(),
-                nodes,
-                events,
-                dense_closures: counts1.dense - counts0.dense,
-                sparse_closures: counts1.sparse - counts0.sparse,
-                compressed_closures: counts1.compressed - counts0.compressed,
+    let BatchJob { label, source, .. } = job;
+    let mut outcome = BatchOutcome {
+        label,
+        result: Err(BatchFault::Panic {
+            message: String::new(),
+        }),
+        elapsed: Duration::ZERO,
+        load: Duration::ZERO,
+        nodes: 0,
+        events: Vec::new(),
+        dense_closures: 0,
+        sparse_closures: 0,
+        compressed_closures: 0,
+    };
+    let finished = catch_unwind(AssertUnwindSafe(|| {
+        let t0 = Instant::now();
+        let loaded = load(source);
+        outcome.load = t0.elapsed();
+        let system = match loaded {
+            Ok(system) => system,
+            Err(e) => {
+                outcome.result = Err(BatchFault::Invalid {
+                    message: e.to_string(),
+                });
+                return finish(checker, Err(e), &outcome);
             }
+        };
+        outcome.nodes = system.node_count();
+        let counts0 = scratch.backend_counts();
+        let mut sink = MemorySink::new();
+        let mut ctx = CheckCtx::new(scratch);
+        if tracing {
+            ctx = ctx.traced(&mut sink);
         }
+        // A timed-out item keeps its partial trace (check_start and the
+        // completed levels, no check_end).
+        let t1 = Instant::now();
+        outcome.result = checker.try_check(&system, &mut ctx).map_err(timeout_fault);
+        outcome.elapsed = t1.elapsed();
+        outcome.events = sink.events;
+        let counts1 = scratch.backend_counts();
+        outcome.dense_closures = counts1.dense - counts0.dense;
+        outcome.sparse_closures = counts1.sparse - counts0.sparse;
+        outcome.compressed_closures = counts1.compressed - counts0.compressed;
+        finish(checker, Ok(&system), &outcome)
+    }));
+    match finished {
+        Ok(r) => (outcome, Some(r)),
         Err(payload) => {
             *scratch = CheckScratch::new();
-            BatchOutcome {
-                label: item.label.clone(),
-                result: Err(BatchFault::Panic {
-                    message: panic_message(payload),
-                }),
-                elapsed: t0.elapsed(),
-                nodes,
-                events: Vec::new(),
-                dense_closures: 0,
-                sparse_closures: 0,
-                compressed_closures: 0,
-            }
+            outcome.result = Err(BatchFault::Panic {
+                message: panic_message(payload),
+            });
+            outcome.events.clear();
+            outcome.dense_closures = 0;
+            outcome.sparse_closures = 0;
+            outcome.compressed_closures = 0;
+            (outcome, None)
         }
     }
 }
@@ -700,11 +732,14 @@ mod tests {
         }
     }
 
+    /// Two workers under a `jobs` budget of two check at one job each;
+    /// verdicts do not change.
     #[test]
     fn inner_jobs_compose_with_outer_workers() {
         let report = Batch::with_options(CheckOptions::new().jobs(2))
             .workers(2)
             .check_all(batch_items());
+        assert_eq!(report.stats.workers, 2);
         assert_eq!(report.stats.incorrect, 1);
         assert_eq!(report.incorrect_labels(), vec!["bad"]);
     }
@@ -740,23 +775,33 @@ mod tests {
         assert!(!line.contains("faults"), "no faults, no mention: {line}");
     }
 
-    /// Regression (ISSUE 2): a panicking check must not poison the batch —
-    /// the panicking item reports a fault, everything else completes, and
-    /// this holds for sequential and parallel pools alike.
+    /// Built items as pipeline jobs whose loader panics on the labels
+    /// `panics` picks.
+    fn panicking_run(workers: usize, panics: impl Fn(&str) -> bool + Sync) -> BatchReport {
+        let jobs = batch_items()
+            .into_iter()
+            .map(|it| BatchJob::new(it.label.clone(), 1, it))
+            .collect();
+        Batch::new().workers(workers).pipeline(
+            jobs,
+            |item: BatchItem| {
+                if panics(&item.label) {
+                    panic!("deliberate test panic in {}", item.label);
+                }
+                Ok::<_, String>(item.system)
+            },
+            |_, _, _| (),
+            |_, _, _| {},
+        )
+    }
+
+    /// A panicking item must not poison the batch: it reports a fault,
+    /// everything else completes, and this holds for sequential and
+    /// parallel pools alike.
     #[test]
     fn panicking_item_does_not_poison_the_batch() {
         for workers in [1, 2, 4] {
-            let report = Batch::new().workers(workers).check_all_with(
-                batch_items(),
-                |checker, item, scratch| {
-                    if item.label == "ok-9" {
-                        panic!("deliberate test panic in {}", item.label);
-                    }
-                    checker
-                        .try_check(&item.system, &mut CheckCtx::new(scratch))
-                        .expect("no deadline set")
-                },
-            );
+            let report = panicking_run(workers, |label| label == "ok-9");
             assert_eq!(report.stats.systems, 18, "workers={workers}");
             assert_eq!(report.stats.faults, 1, "workers={workers}");
             assert_eq!(report.stats.correct, 16, "workers={workers}");
@@ -782,20 +827,123 @@ mod tests {
     /// still complete.
     #[test]
     fn repeated_faults_still_complete_everything_else() {
-        let report =
-            Batch::new()
-                .workers(3)
-                .check_all_with(batch_items(), |checker, item, scratch| {
-                    if item.label.ends_with('2') {
-                        panic!("boom");
-                    }
-                    checker
-                        .try_check(&item.system, &mut CheckCtx::new(scratch))
-                        .expect("no deadline set")
-                });
         // ok-2 and ok-12 panic.
+        let report = panicking_run(3, |label| label.ends_with('2'));
         assert_eq!(report.stats.faults, 2);
         assert_eq!(report.stats.correct + report.stats.incorrect, 16);
+    }
+
+    /// A panic anywhere in an item's pipeline replaces the worker's
+    /// scratch: buffers that may be mid-update are never reused.
+    #[test]
+    fn a_panicking_loader_replaces_the_worker_scratch() {
+        let mut scratch = CheckScratch::new();
+        let checker =
+            Checker::with_options(CheckOptions::new().backend(compc_core::Backend::Sparse));
+        checker
+            .try_check(&serializable(0), &mut CheckCtx::new(&mut scratch))
+            .expect("no deadline set");
+        assert!(scratch.backend_counts().sparse > 0);
+        let (outcome, finished) = run_item(
+            checker,
+            false,
+            BatchJob::new("boom", 1, ()),
+            &|()| -> Result<CompositeSystem, String> { panic!("loader panic") },
+            &|_, _, _| (),
+            &mut scratch,
+        );
+        assert!(finished.is_none());
+        assert!(
+            matches!(outcome.fault(), Some(BatchFault::Panic { message }) if message == "loader panic")
+        );
+        assert_eq!(
+            scratch.backend_counts(),
+            compc_core::BackendCounts::default()
+        );
+    }
+
+    /// Jobs sized smallest first in input order are claimed in reverse, yet
+    /// outcomes come back in input order at every worker count, and the
+    /// completion hook sees each item exactly once before the call returns.
+    #[test]
+    fn claim_order_differs_from_output_order() {
+        for workers in [1, 2, 4] {
+            let jobs: Vec<BatchJob<BatchItem>> = batch_items()
+                .into_iter()
+                .enumerate()
+                .map(|(i, it)| BatchJob::new(it.label.clone(), i as u64, it))
+                .collect();
+            let mut completed: Vec<usize> = Vec::new();
+            let report = Batch::new().workers(workers).pipeline(
+                jobs,
+                |it: BatchItem| Ok::<_, String>(it.system),
+                |_, _, o| o.label.clone(),
+                |idx, o, finished| {
+                    assert_eq!(finished.as_deref(), Some(o.label.as_str()));
+                    completed.push(idx);
+                },
+            );
+            let labels: Vec<&str> = report.outcomes.iter().map(|o| o.label.as_str()).collect();
+            let expect: Vec<String> = batch_items().into_iter().map(|it| it.label).collect();
+            assert_eq!(labels, expect, "workers={workers}");
+            let mut seen = completed.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..18).collect::<Vec<_>>(), "workers={workers}");
+            if workers == 1 {
+                // One inline worker claims (and completes) largest first.
+                assert_eq!(completed, (0..18).rev().collect::<Vec<_>>());
+            }
+            assert_eq!(report.stats.workers, workers);
+        }
+    }
+
+    /// A loader error is that item's invalid outcome: the finishing step
+    /// gets the typed error, the item is not counted as a checked system,
+    /// and the rest of the batch is unaffected.
+    #[test]
+    fn a_loader_error_becomes_an_invalid_outcome() {
+        for workers in [1, 2] {
+            let jobs: Vec<BatchJob<BatchItem>> = batch_items()
+                .into_iter()
+                .map(|it| BatchJob::new(it.label.clone(), 1, it))
+                .collect();
+            let mut invalid_seen = Vec::new();
+            let report = Batch::new().workers(workers).pipeline(
+                jobs,
+                |it: BatchItem| {
+                    if it.label == "ok-3" {
+                        Err(format!("{} is unreadable", it.label))
+                    } else {
+                        Ok(it.system)
+                    }
+                },
+                |_, system, _| system.err(),
+                |_, o, finished| {
+                    if let Some(Some(e)) = finished {
+                        invalid_seen.push((o.label.clone(), e));
+                    }
+                },
+            );
+            assert_eq!(
+                invalid_seen,
+                vec![("ok-3".to_string(), "ok-3 is unreadable".to_string())]
+            );
+            let o = &report.outcomes[3];
+            assert_eq!(
+                o.fault(),
+                Some(&BatchFault::Invalid {
+                    message: "ok-3 is unreadable".into()
+                })
+            );
+            assert_eq!(o.nodes, 0);
+            assert_eq!(report.stats.invalid, 1);
+            assert_eq!(report.stats.systems, 17);
+            assert_eq!(report.stats.correct, 16);
+            assert_eq!(report.stats.incorrect, 1);
+            assert_eq!(report.stats.faults, 0);
+            assert_eq!(report.metrics.check_ns.count(), 17);
+            assert!(report.fault_labels().is_empty());
+        }
     }
 
     /// A deadline-exceeding check reports `BatchFault::Timeout` without

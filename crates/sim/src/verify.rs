@@ -2,9 +2,11 @@
 //!
 //! A sweep produces many [`SimReport`]s; verifying them is embarrassingly
 //! parallel. [`Verifier`] exports each committed execution to a
-//! [`compc_model::CompositeSystem`] and pushes the exports through the
-//! [`compc_engine::Batch`] worker pool, so scratch buffers are reused across
-//! runs and the sweep scales with cores. Runs whose executions violate
+//! [`compc_model::CompositeSystem`] and checks it on the
+//! [`compc_engine::Batch`] worker pool: each worker exports, checks,
+//! explains and cross-checks the runs it claims, so scratch buffers are
+//! reused across runs, only the systems in flight are alive, and the sweep
+//! scales with cores. Runs whose executions violate
 //! Definition 3/4 (a component ignored an obligation) are flagged *before*
 //! reduction as model violations, exactly like the sequential path; a run
 //! whose check panics is reported as a per-run [`RunVerdict::Fault`] without
@@ -20,8 +22,9 @@
 use crate::engine::{Engine, SimMetrics, SimReport};
 use crate::export::ExportError;
 use crate::faults::FaultStats;
-use compc_core::{CheckOptions, Explanation};
-use compc_engine::{Batch, BatchFault, BatchItem, BatchMetrics, BatchStats};
+use compc_core::{CheckOptions, Checker, Explanation};
+use compc_engine::{Batch, BatchFault, BatchJob, BatchMetrics, BatchOutcome, BatchStats};
+use compc_model::CompositeSystem;
 use compc_trace::TraceSink;
 
 /// The verification outcome of one simulated run.
@@ -41,6 +44,19 @@ impl RunVerdict {
     pub fn is_comp_c(&self) -> bool {
         matches!(self, RunVerdict::Checked(v) if v.is_correct())
     }
+}
+
+/// What a run's worker hands back besides the batch outcome.
+enum Finished {
+    /// The export failed: the committed execution violates the model.
+    ModelViolation(ExportError),
+    /// The run was checked (or timed out): its explanation, and its
+    /// oracle cross-check — `Some(None)` when over the node cap,
+    /// `Some(Some(agrees))` when decided.
+    Checked {
+        explanation: Option<Explanation>,
+        oracle: Option<Option<bool>>,
+    },
 }
 
 /// Batch verification results, in input order.
@@ -65,7 +81,8 @@ pub struct VerifyReport {
     pub sim_metrics: SimMetrics,
     /// Injected-fault counters summed across the input runs.
     pub fault_stats: FaultStats,
-    /// Pool statistics for the checked (exported) runs.
+    /// Pool statistics for the checked (exported) runs; model violations
+    /// count in its `invalid`.
     pub stats: BatchStats,
     /// Latency/size/depth distributions for the checked runs (and per-level
     /// trace aggregates when [`Verifier::tracing`] is on).
@@ -200,20 +217,14 @@ impl Verifier {
         self
     }
 
-    fn batch(&self) -> Batch {
-        Batch::with_options(self.options)
-            .workers(self.workers)
-            .tracing(self.tracing)
-    }
-
-    /// Verifies every report: export, batch-check, classify. Order and
-    /// verdicts are identical to verifying each run alone, and a run whose
-    /// check faults does not stop the others.
+    /// Verifies every report: export, check, classify — one pipeline per
+    /// run on the batch pool, so each run is exported, checked, explained
+    /// and oracle-checked by the worker that claimed it and its system is
+    /// dropped there. Order and verdicts are identical to verifying each
+    /// run alone, and a run whose export or check faults does not stop the
+    /// others.
     pub fn verify<'r>(&self, reports: impl IntoIterator<Item = &'r SimReport>) -> VerifyReport {
-        let mut runs: Vec<Option<RunVerdict>> = Vec::new();
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut checked_slots: Vec<usize> = Vec::new();
-        let mut systems: Vec<compc_model::CompositeSystem> = Vec::new();
+        let mut jobs = Vec::new();
         let mut sim_metrics = SimMetrics::default();
         let mut fault_stats = FaultStats::default();
         let mut fault_trace: Vec<compc_trace::TraceEvent> = Vec::new();
@@ -221,19 +232,20 @@ impl Verifier {
             sim_metrics.merge(&report.metrics);
             fault_stats.merge(&report.fault_stats);
             fault_trace.extend(report.faults.iter().map(|e| e.to_trace()));
-            match report.export_system() {
-                Ok(sys) => {
-                    if self.explain || self.options.oracle {
-                        systems.push(sys.clone());
-                    }
-                    items.push(BatchItem::new(format!("run-{idx}"), sys));
-                    checked_slots.push(idx);
-                    runs.push(None);
-                }
-                Err(e) => runs.push(Some(RunVerdict::ModelViolation(e))),
-            }
+            let size = report.logs.iter().map(Vec::len).sum::<usize>() as u64;
+            jobs.push(BatchJob::new(format!("run-{idx}"), size, report));
         }
-        let batch_report = self.batch().check_all(items);
+        let mut finished: Vec<Option<Finished>> = Vec::new();
+        finished.resize_with(jobs.len(), || None);
+        let batch_report = Batch::with_options(self.options)
+            .workers(self.workers)
+            .tracing(self.tracing)
+            .pipeline(
+                jobs,
+                |report: &SimReport| report.export_system(),
+                |checker, system, outcome| self.finish(checker, system, outcome),
+                |idx, _, done| finished[idx] = done,
+            );
         let stats = batch_report.stats;
         let mut metrics = batch_report.metrics;
         // Injected-fault events share the sweep's trace aggregates, so one
@@ -246,41 +258,37 @@ impl Verifier {
         let mut oracle_checked = 0usize;
         let mut oracle_skipped = 0usize;
         let mut oracle_disagreements = Vec::new();
-        for (slot, (outcome, &idx)) in batch_report
-            .outcomes
-            .into_iter()
-            .zip(&checked_slots)
-            .enumerate()
+        let mut runs = Vec::with_capacity(finished.len());
+        for (idx, (outcome, finished)) in
+            batch_report.outcomes.into_iter().zip(finished).enumerate()
         {
-            let verdict = match outcome.result {
-                Ok(v) => {
-                    if self.explain {
-                        if let Some(cex) = v.counterexample() {
-                            explanations
-                                .push((idx, cex.explain_with(&systems[slot], self.options)));
-                        }
-                    }
-                    if self.options.oracle {
-                        let sys = &systems[slot];
-                        if sys.node_count() > compc_oracle::RECOMMENDED_NODE_CAP {
-                            oracle_skipped += 1;
-                        } else {
-                            oracle_checked += 1;
-                            if compc_oracle::decide(sys).accepted() != v.is_correct() {
-                                oracle_disagreements.push(idx);
-                            }
-                        }
-                    }
-                    RunVerdict::Checked(v)
+            let (explanation, oracle) = match finished {
+                Some(Finished::ModelViolation(e)) => {
+                    runs.push(RunVerdict::ModelViolation(e));
+                    continue;
                 }
-                Err(fault) => RunVerdict::Fault(fault),
+                Some(Finished::Checked {
+                    explanation,
+                    oracle,
+                }) => (explanation, oracle),
+                None => (None, None),
             };
-            runs[idx] = Some(verdict);
+            explanations.extend(explanation.map(|ex| (idx, ex)));
+            match oracle {
+                None => {}
+                Some(None) => oracle_skipped += 1,
+                Some(Some(agrees)) => {
+                    oracle_checked += 1;
+                    if !agrees {
+                        oracle_disagreements.push(idx);
+                    }
+                }
+            }
+            runs.push(match outcome.result {
+                Ok(v) => RunVerdict::Checked(v),
+                Err(fault) => RunVerdict::Fault(fault),
+            });
         }
-        let runs: Vec<RunVerdict> = runs
-            .into_iter()
-            .map(|r| r.expect("every run classified"))
-            .collect();
         let comp_c = runs.iter().filter(|r| r.is_comp_c()).count();
         let violations = runs
             .iter()
@@ -310,6 +318,38 @@ impl Verifier {
             oracle_checked,
             oracle_skipped,
             oracle_disagreements,
+        }
+    }
+
+    /// A run's worker-side finish: its explanation and oracle cross-check,
+    /// computed while the exported system is alive.
+    fn finish(
+        &self,
+        checker: Checker,
+        system: Result<&CompositeSystem, ExportError>,
+        outcome: &BatchOutcome,
+    ) -> Finished {
+        let system = match system {
+            Ok(system) => system,
+            Err(e) => return Finished::ModelViolation(e),
+        };
+        let Ok(verdict) = &outcome.result else {
+            return Finished::Checked {
+                explanation: None,
+                oracle: None,
+            };
+        };
+        let explanation = match (self.explain, verdict.counterexample()) {
+            (true, Some(cex)) => Some(cex.explain_with(system, checker.options())),
+            _ => None,
+        };
+        let oracle = self.options.oracle.then(|| {
+            (system.node_count() <= compc_oracle::RECOMMENDED_NODE_CAP)
+                .then(|| compc_oracle::decide(system).accepted() == verdict.is_correct())
+        });
+        Finished::Checked {
+            explanation,
+            oracle,
         }
     }
 

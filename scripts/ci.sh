@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate + lint gate + CLI smoke test. Run from the workspace root.
 #
-#   scripts/ci.sh          # everything (tier-1, workspace tests, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, scale-smoke, serve-smoke, serve-soak, perf-selftest)
+#   scripts/ci.sh          # everything (tier-1, workspace tests, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, scale-smoke, batch-smoke, serve-smoke, serve-soak, perf-selftest)
 #   scripts/ci.sh tier1    # just the build + test gate
 #   scripts/ci.sh workspace-tests # every workspace crate's tests (tier-1's
 #                              # root `cargo test` runs only the compc package)
@@ -29,6 +29,9 @@
 #                              # not Comp-C within 3 s (fails if a check
 #                              # scans all member pairs or sizes order rows
 #                              # by the largest node id again)
+#   scripts/ci.sh batch-smoke  # a mixed compc-gen corpus reports the same at
+#                              # --jobs 1 and 2, and a --checkpoint rerun
+#                              # has nothing left with the same exit code
 #   scripts/ci.sh explore-smoke # exhaustive sweep at CI bounds with the
 #                              # naive counting/constancy cross-checks:
 #                              # clean verdicts on every trace-inequivalent
@@ -234,6 +237,57 @@ fuzz_smoke() {
     ./target/release/compc-fuzz --seed 1 --seconds 30 --corpus tests/corpus \
         || { echo "fuzz-smoke: corpus replay or differential cross-check failed" >&2; exit 1; }
     echo "==> fuzz-smoke: OK"
+}
+
+# Batch gate: items are claimed largest first and run one pipeline each
+# (read, parse, build, check, render) on the workers, but are reported in
+# input order. A mixed compc-gen corpus (four shapes, six seeds, growing
+# sizes, Comp-C and violating) must give the same per-item report and exit
+# code at --jobs 1 and --jobs 2; a --checkpoint run must record every item,
+# and its rerun must find nothing left to check and keep the exit code.
+batch_smoke() {
+    echo "==> batch-smoke: mixed compc-gen corpus at --jobs 1 and --jobs 2"
+    cargo build --release -q -p compc --bin compc-gen --bin compc-check
+    local dir shape seed density items code1 code2 code3 code4
+    dir="$(mktemp -d /tmp/compc-batch-smoke-XXXXXX)"
+    trap 'rm -rf "$dir"' EXIT
+    mkdir "$dir/corpus"
+    for shape in stack fork join general; do
+        for seed in 1 2 3 4 5 6; do
+            if [ $((seed % 2)) -eq 0 ]; then density=0.3; else density=0.02; fi
+            ./target/release/compc-gen --shape "$shape" --seed "$seed" \
+                --roots $((seed * 3)) --density "$density" > "$dir/corpus/$shape-$seed.json"
+        done
+    done
+    items=24
+    set +e
+    ./target/release/compc-check "$dir/corpus" --jobs 1 > "$dir/jobs1.out"
+    code1=$?
+    ./target/release/compc-check "$dir/corpus" --jobs 2 > "$dir/jobs2.out"
+    code2=$?
+    set -e
+    grep -q ': Comp-C$' "$dir/jobs1.out" && grep -q ': NOT Comp-C' "$dir/jobs1.out" \
+        || { echo "batch-smoke: the corpus lacks a Comp-C or a violating item" >&2; exit 1; }
+    [ "$code1" -eq 1 ] && [ "$code2" -eq "$code1" ] \
+        || { echo "batch-smoke: exit codes $code1 (--jobs 1) and $code2 (--jobs 2), expected 1" >&2; exit 1; }
+    diff <(grep -v ' systems (' "$dir/jobs1.out") <(grep -v ' systems (' "$dir/jobs2.out") \
+        || { echo "batch-smoke: per-item reports differ between --jobs 1 and --jobs 2" >&2; exit 1; }
+    echo "==> batch-smoke: --checkpoint run, then a rerun with nothing left"
+    set +e
+    ./target/release/compc-check "$dir/corpus" --jobs 2 --checkpoint "$dir/cp.txt" > /dev/null
+    code3=$?
+    ./target/release/compc-check "$dir/corpus" --jobs 2 --checkpoint "$dir/cp.txt" > "$dir/rerun.out"
+    code4=$?
+    set -e
+    [ "$(wc -l < "$dir/cp.txt")" -eq "$items" ] \
+        || { echo "batch-smoke: the checkpoint does not record all $items items" >&2; exit 1; }
+    grep -q 'nothing left to check' "$dir/rerun.out" \
+        || { echo "batch-smoke: the rerun checked items again" >&2; exit 1; }
+    [ "$code3" -eq "$code1" ] && [ "$code4" -eq "$code3" ] \
+        || { echo "batch-smoke: checkpoint exit codes $code3 then $code4, expected $code1" >&2; exit 1; }
+    rm -rf "$dir"
+    trap - EXIT
+    echo "==> batch-smoke: OK"
 }
 
 # Daemon gate: split the Figure 3 scenario into per-root append requests,
@@ -504,6 +558,7 @@ case "$stage" in
     serve-soak) serve_soak ;;
     explore-smoke) explore_smoke ;;
     scale-smoke) scale_smoke ;;
+    batch-smoke) batch_smoke ;;
     perf-selftest) perf_selftest ;;
     all)
         tier1
@@ -515,12 +570,13 @@ case "$stage" in
         fuzz_smoke
         explore_smoke
         scale_smoke
+        batch_smoke
         serve_smoke
         serve_soak
         perf_selftest
         ;;
     *)
-        echo "usage: scripts/ci.sh [tier1|workspace-tests|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|scale-smoke|perf-selftest|all]" >&2
+        echo "usage: scripts/ci.sh [tier1|workspace-tests|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|scale-smoke|batch-smoke|perf-selftest|all]" >&2
         exit 2
         ;;
 esac

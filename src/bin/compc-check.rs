@@ -13,13 +13,19 @@
 //! ```
 //!
 //! Batch mode — a directory of `*.json` specs, an NDJSON file (one spec per
-//! line, `.ndjson`/`.jsonl`), or several paths at once. Systems are checked
-//! concurrently on a worker pool and an aggregate throughput line closes the
-//! report. `--trace`, `--stats`, `--explain` and `--minimize` apply per item
-//! (trace lines carry a `"label"` field naming the item); `--dot` is
-//! single-system only and is a usage error in batch mode. A system whose
-//! check panics is reported as a per-item fault and the rest of the batch
-//! still completes:
+//! line, `.ndjson`/`.jsonl`), or several paths at once. Each item runs as
+//! one pipeline on a worker: read (directory files), parse, build, check,
+//! render, drop. `--jobs N` means N workers, and the whole run uses at most
+//! N threads: with `w` workers each check runs at `max(1, N / w)` jobs, and
+//! a single item (or `--jobs 1`) runs inline with the whole budget. Items
+//! are claimed largest first (by byte length) and reported in input order;
+//! an aggregate throughput line closes the report, its wall time covering
+//! loading as well as checking. `--trace`, `--stats`, `--explain`,
+//! `--minimize` and `--oracle` apply per item (trace lines carry a
+//! `"label"` field naming the item); `--dot` is single-system only and is a
+//! usage error in batch mode. A spec that cannot be read or built is named
+//! on stderr and counted as invalid, and an item whose check panics is
+//! reported as a per-item fault; the rest of the batch still completes:
 //!
 //! ```sh
 //! compc-check specs/ --jobs 8
@@ -27,12 +33,13 @@
 //! compc-check a.json b.json --trace --explain
 //! ```
 //!
-//! Robustness controls: `--deadline-ms N` bounds each system's check — a
-//! check that exceeds the budget is reported as a timeout and the run exits
-//! 3 (unless something worse happened). `--checkpoint FILE` (batch mode)
-//! appends one `<status>\t<label>` line per finished item so an interrupted
-//! corpus run, restarted with the same flag, skips the items already
-//! recorded; timeouts and faults are *not* recorded and run again.
+//! Robustness controls: `--deadline-ms N` bounds each system's check (not
+//! its load) — a check that exceeds the budget is reported as a timeout and
+//! the run exits 3 (unless something worse happened). `--checkpoint FILE`
+//! (batch mode) appends and flushes one `<status>\t<label>` line as each
+//! item finishes, so a killed run loses at most the items in flight; a run
+//! restarted with the same flag drops the recorded items before reading
+//! their files. Timeouts and faults are *not* recorded and run again.
 //!
 //! `--oracle` cross-checks every verdict against the brute-force
 //! definitional oracle (`compc::oracle`) on systems within its recommended
@@ -45,23 +52,24 @@
 
 use compc::cli::parse_check_flag;
 use compc::core::{CheckCtx, CheckOptions, CheckScratch, Checker, Verdict};
-use compc::engine::{Batch, BatchItem, BatchMetrics, BatchStats};
+use compc::engine::{Batch, BatchFault, BatchJob, BatchOutcome};
 use compc::spec::SystemSpec;
 use compc::trace::{event_to_ndjson_line, replay, MemorySink, TraceStats};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 #[derive(Clone, Default)]
 struct Flags {
     /// The one [`CheckOptions`] every mode checks with — single systems
-    /// ([`Checker::with_options`]), batches ([`Batch::with_options`]) and
-    /// explanations all read the same struct, so a flag cannot mean
-    /// different things in different modes. `--oracle` cross-checks every
-    /// verdict against the brute-force oracle (systems within
-    /// `compc::oracle::RECOMMENDED_NODE_CAP` nodes; larger ones are
-    /// reported as skipped); a disagreement is an engine bug, exit 2.
+    /// ([`Checker::with_options`]), batches ([`Batch::with_options`], which
+    /// divides `jobs` among its workers) and explanations all read the same
+    /// struct, so a flag cannot mean different things in different modes.
+    /// `--oracle` cross-checks every verdict against the brute-force oracle
+    /// (systems within `compc::oracle::RECOMMENDED_NODE_CAP` nodes; larger
+    /// ones are reported as skipped); a disagreement is an engine bug, exit
+    /// 2.
     options: CheckOptions,
     trace: bool,
     stats: bool,
@@ -90,8 +98,10 @@ fn help() -> ExitCode {
     println!("{USAGE}");
     println!();
     println!("options:");
-    println!("  --jobs N          parallelism: within-level checks (single mode) or");
-    println!("                    worker-pool size (batch mode); 0 = one per core");
+    println!("  --jobs N          threads, 0 = one per core. Single mode: within-level");
+    println!("                    checks. Batch mode: N workers, each reading, building");
+    println!("                    and checking its own items, largest first; the run");
+    println!("                    uses at most N threads in all");
     println!("  --backend B       transitive-closure backend: auto (size-based");
     println!("                    crossovers, the default), dense (word-parallel");
     println!("                    bitsets everywhere), sparse (per-source DFS");
@@ -115,9 +125,10 @@ fn help() -> ExitCode {
     println!("                    that exceeds it is reported as a timeout without");
     println!("                    poisoning the rest of the batch");
     println!("  --checkpoint FILE batch mode: append each finished item's label to");
-    println!("                    FILE and, on restart, skip the items already");
-    println!("                    recorded so an interrupted corpus run resumes;");
-    println!("                    timeouts and faults are not recorded and re-run");
+    println!("                    FILE as it finishes and, on restart, skip the items");
+    println!("                    already recorded (their files are not read) so an");
+    println!("                    interrupted corpus run resumes; timeouts and faults");
+    println!("                    are not recorded and re-run");
     println!("  --version, -V     print the version and exit");
     println!("  --help, -h        print this help and exit");
     println!();
@@ -213,11 +224,14 @@ fn load_spec(text: &str) -> Result<compc::model::CompositeSystem, String> {
     spec.build().map_err(|e| e.to_string())
 }
 
-/// Prints one item's trace as NDJSON, each line tagged with the item label.
-fn print_ndjson(label: &str, events: &[compc::trace::TraceEvent]) {
+/// One item's trace as NDJSON, each line tagged with the item label.
+fn ndjson(label: &str, events: &[compc::trace::TraceEvent]) -> String {
+    let mut out = String::new();
     for event in events {
-        println!("{}", event_to_ndjson_line(event, Some(label)));
+        out.push_str(&event_to_ndjson_line(event, Some(label)));
+        out.push('\n');
     }
+    out
 }
 
 /// Formats closure-backend counts, e.g. `dense (4 closures)` or
@@ -240,41 +254,48 @@ fn plural(n: u64) -> &'static str {
     }
 }
 
-/// Cross-checks one verdict against the brute-force oracle. Returns `None`
-/// if the system exceeds the oracle's node cap (skipped), `Some(false)` on
-/// agreement, `Some(true)` on a disagreement — which is an engine bug.
+/// Cross-checks one verdict against the brute-force oracle. Returns the
+/// report line and `None` if the system exceeds the oracle's node cap
+/// (skipped), `Some(false)` on agreement, `Some(true)` on a disagreement —
+/// which is an engine bug.
 fn oracle_cross_check(
     system: &compc::model::CompositeSystem,
     engine_correct: bool,
-    indent: &str,
-) -> Option<bool> {
+) -> (String, Option<bool>) {
     let cap = compc::oracle::RECOMMENDED_NODE_CAP;
     if system.node_count() > cap {
-        println!(
-            "{indent}oracle: skipped ({} nodes exceed the {cap}-node cap)",
+        let line = format!(
+            "oracle: skipped ({} nodes exceed the {cap}-node cap)",
             system.node_count()
         );
-        return None;
+        return (line, None);
     }
     let accepted = compc::oracle::decide(system).accepted();
     if accepted == engine_correct {
-        println!(
-            "{indent}oracle: agrees ({})",
+        let line = format!(
+            "oracle: agrees ({})",
             if accepted { "Comp-C" } else { "not Comp-C" }
         );
-        Some(false)
+        (line, Some(false))
     } else {
-        println!(
-            "{indent}ORACLE DISAGREEMENT: engine says {engine_correct}, oracle says {accepted} \
+        let line = format!(
+            "ORACLE DISAGREEMENT: engine says {engine_correct}, oracle says {accepted} \
              — this is an engine bug; please report the input"
         );
-        Some(true)
+        (line, Some(true))
     }
 }
 
 // ---------------------------------------------------------------------
 // Single-system mode
 // ---------------------------------------------------------------------
+
+/// Prints the oracle's line for one system; true on a disagreement.
+fn single_oracle(system: &compc::model::CompositeSystem, engine_correct: bool) -> bool {
+    let (line, disagreement) = oracle_cross_check(system, engine_correct);
+    println!("{line}");
+    disagreement == Some(true)
+}
 
 fn check_single(path: &str, flags: &Flags) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
@@ -308,7 +329,7 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
     }
     let result = Checker::with_options(flags.options).try_check(&system, &mut ctx);
     if flags.trace {
-        print_ndjson(path, &sink.events);
+        print!("{}", ndjson(path, &sink.events));
     }
     if flags.stats {
         let mut stats = TraceStats::default();
@@ -329,7 +350,7 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
                 .map(|&n| system.name(n))
                 .collect();
             println!("serial witness: {}", witness.join(" ; "));
-            if flags.options.oracle && oracle_cross_check(&system, true, "") == Some(true) {
+            if flags.options.oracle && single_oracle(&system, true) {
                 return ExitCode::from(2);
             }
             ExitCode::SUCCESS
@@ -351,7 +372,7 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
                     );
                 }
             }
-            if flags.options.oracle && oracle_cross_check(&system, false, "") == Some(true) {
+            if flags.options.oracle && single_oracle(&system, false) {
                 return ExitCode::from(2);
             }
             ExitCode::from(1)
@@ -367,24 +388,110 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
 // Batch mode
 // ---------------------------------------------------------------------
 
+/// Where one batch item's spec text comes from.
+enum Source {
+    /// A spec file, read by the worker that checks it.
+    File(PathBuf),
+    /// One line of an NDJSON corpus, already in memory.
+    Line(String),
+}
+
+fn load_source(source: Source) -> Result<compc::model::CompositeSystem, String> {
+    match source {
+        Source::File(path) => load_spec(&std::fs::read_to_string(path).map_err(|e| e.to_string())?),
+        Source::Line(line) => load_spec(&line),
+    }
+}
+
+/// One item's report, rendered on its worker while its system is alive.
+struct Rendered {
+    stdout: String,
+    /// The `label: error` line of an item that failed to load.
+    stderr: Option<String>,
+    /// The oracle cross-check as [`oracle_cross_check`] returns it, when
+    /// one ran.
+    oracle: Option<Option<bool>>,
+}
+
+/// Renders one item: its trace, verdict line, explanation, minimal core and
+/// oracle cross-check. Without the system (the item panicked) only the
+/// trace and the verdict line are rendered.
+fn render(
+    flags: &Flags,
+    options: CheckOptions,
+    system: Option<&compc::model::CompositeSystem>,
+    o: &BatchOutcome,
+) -> Rendered {
+    let mut out = String::new();
+    let mut stderr = None;
+    let mut oracle = None;
+    if flags.trace {
+        out = ndjson(&o.label, &o.events);
+    }
+    // Which closure representation the item's check actually used — only
+    // worth a column when the user asked for stats.
+    let backend = if flags.stats {
+        format!(" [{}]", o.backend())
+    } else {
+        String::new()
+    };
+    let label = &o.label;
+    match &o.result {
+        Ok(Verdict::Correct(_)) => out.push_str(&format!("{label}: Comp-C{backend}\n")),
+        Ok(Verdict::Incorrect(cex)) => {
+            out.push_str(&format!("{label}: NOT Comp-C{backend} — {cex}\n"));
+            if let (true, Some(system)) = (flags.explain, system) {
+                for line in cex.explain_with(system, options).to_string().lines() {
+                    out.push_str(&format!("  {line}\n"));
+                }
+            }
+            if let (true, Some(system)) = (flags.minimize, system) {
+                if let Some(min) = compc::core::minimize(system) {
+                    let names: Vec<&str> = min.roots.iter().map(|&n| system.name(n)).collect();
+                    out.push_str(&format!(
+                        "  minimal violating transaction set ({} of {}): {}\n",
+                        min.roots.len(),
+                        system.roots().count(),
+                        names.join(", ")
+                    ));
+                }
+            }
+        }
+        Err(BatchFault::Invalid { message }) => stderr = Some(format!("{label}: {message}")),
+        Err(fault) if fault.is_timeout() => out.push_str(&format!("{label}: TIMEOUT — {fault}\n")),
+        Err(fault) => out.push_str(&format!("{label}: FAULT — {fault}\n")),
+    }
+    if let (true, Some(system), Ok(verdict)) = (flags.options.oracle, system, &o.result) {
+        let (line, result) = oracle_cross_check(system, verdict.is_correct());
+        out.push_str(&format!("  {line}\n"));
+        oracle = Some(result);
+    }
+    Rendered {
+        stdout: out,
+        stderr,
+        oracle,
+    }
+}
+
 fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
-    let mut sources: Vec<(String, String)> = Vec::new();
+    let mut jobs: Vec<BatchJob<Source>> = Vec::new();
     let mut invalid = 0usize;
     for path in paths {
-        if let Err(e) = collect_sources(Path::new(path), &mut sources, &mut invalid) {
+        if let Err(e) = collect_jobs(Path::new(path), &mut jobs, &mut invalid) {
             eprintln!("{path}: {e}");
             invalid += 1;
         }
     }
-    if sources.is_empty() {
+    if jobs.is_empty() {
         eprintln!("no checkable systems found");
         return ExitCode::from(2);
     }
 
     // A checkpoint file records `<status>\t<label>` per finished item
-    // (status `ok` or `violation`). On resume, recorded items are skipped
-    // and prior violations still count toward the exit code; timeouts and
-    // faults were never recorded, so they run again.
+    // (status `ok` or `violation`). On resume, recorded items are dropped
+    // before their files are read, and prior violations still count toward
+    // the exit code; timeouts and faults were never recorded, so they run
+    // again.
     let mut prior_violations = 0usize;
     if let Some(cp) = &flags.checkpoint {
         let mut done: HashSet<String> = HashSet::new();
@@ -417,26 +524,14 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
             }
         }
         if !done.is_empty() {
-            let before = sources.len();
-            sources.retain(|(label, _)| !done.contains(label));
+            let before = jobs.len();
+            jobs.retain(|job| !done.contains(&job.label));
             eprintln!(
                 "checkpoint: {} of {before} item(s) already recorded in {cp} \
                  ({prior_violations} prior violation(s)), {} left",
-                before - sources.len(),
-                sources.len()
+                before - jobs.len(),
+                jobs.len()
             );
-        }
-    }
-    // Only items the checkpoint has not recorded are parsed and built.
-    // Invalid specs are reported and counted, not fatal.
-    let mut items: Vec<BatchItem> = Vec::with_capacity(sources.len());
-    for (label, text) in sources {
-        match load_spec(&text) {
-            Ok(sys) => items.push(BatchItem::new(label, sys)),
-            Err(e) => {
-                eprintln!("{label}: {e}");
-                invalid += 1;
-            }
         }
     }
     let mut checkpoint_file = match &flags.checkpoint {
@@ -454,120 +549,60 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
         None => None,
     };
 
-    // Explaining, minimizing, or oracle-checking a verdict needs the system
-    // after the pool consumed the items, so keep a copy per item.
-    let systems: Vec<compc::model::CompositeSystem> =
-        if flags.explain || flags.minimize || flags.options.oracle {
-            items.iter().map(|it| it.system.clone()).collect()
-        } else {
-            Vec::new()
-        };
-
-    // Without a checkpoint everything goes to the pool at once. With one,
-    // items run in chunks so progress lands in the file at chunk
-    // granularity and a killed run loses at most one chunk of work.
-    let chunk_size = if checkpoint_file.is_some() {
-        (flags.options.jobs.max(1) * 4).max(16)
-    } else {
-        items.len().max(1)
-    };
-    let mut stats = BatchStats::default();
-    let mut metrics = BatchMetrics::default();
-    let mut total_dense = 0u64;
-    let mut total_sparse = 0u64;
-    let mut total_compressed = 0u64;
+    // Each worker reads, parses, builds, checks and renders its own items.
+    // Finished items reach the hook below in completion order: it appends
+    // and flushes their checkpoint lines at once (a killed run loses only
+    // the items in flight) and prints their reports in input order.
+    let mut pending: BTreeMap<usize, Rendered> = BTreeMap::new();
+    let mut next_to_print = 0usize;
+    let mut checkpoint_failed = false;
     let mut oracle_checked = 0u64;
     let mut oracle_skipped = 0u64;
     let mut oracle_disagreements = 0u64;
-    let mut remaining = items;
-    let mut offset = 0usize;
-    while !remaining.is_empty() {
-        let rest = remaining.split_off(chunk_size.min(remaining.len()));
-        let chunk = std::mem::replace(&mut remaining, rest);
-        let chunk_len = chunk.len();
-        let batch = Batch::with_options(flags.options)
-            .workers(flags.options.jobs)
-            .tracing(flags.trace || flags.stats);
-        let report = batch.check_all(chunk);
-        for (i, o) in report.outcomes.iter().enumerate() {
-            let idx = offset + i;
-            if flags.trace {
-                print_ndjson(&o.label, &o.events);
-            }
-            // Which closure representation the item's check actually used —
-            // only worth a column when the user asked for stats.
-            total_dense += o.dense_closures;
-            total_sparse += o.sparse_closures;
-            total_compressed += o.compressed_closures;
-            let backend = if flags.stats {
-                format!(" [{}]", o.backend())
-            } else {
-                String::new()
-            };
-            match &o.result {
-                Ok(Verdict::Correct(_)) => println!("{}: Comp-C{backend}", o.label),
-                Ok(Verdict::Incorrect(cex)) => {
-                    println!("{}: NOT Comp-C{backend} — {cex}", o.label);
-                    if flags.explain {
-                        for line in cex
-                            .explain_with(&systems[idx], flags.options)
-                            .to_string()
-                            .lines()
-                        {
-                            println!("  {line}");
-                        }
+    let report = Batch::with_options(flags.options)
+        .workers(flags.options.jobs)
+        .tracing(flags.trace || flags.stats)
+        .pipeline(
+            jobs,
+            load_source,
+            |checker, system, o| render(flags, checker.options(), system.ok(), o),
+            |idx, o, rendered| {
+                let rendered = rendered.unwrap_or_else(|| render(flags, flags.options, None, o));
+                match rendered.oracle {
+                    Some(None) => oracle_skipped += 1,
+                    Some(Some(false)) => oracle_checked += 1,
+                    Some(Some(true)) => {
+                        oracle_checked += 1;
+                        oracle_disagreements += 1;
                     }
-                    if flags.minimize {
-                        if let Some(min) = compc::core::minimize(&systems[idx]) {
-                            let names: Vec<&str> =
-                                min.roots.iter().map(|&n| systems[idx].name(n)).collect();
-                            println!(
-                                "  minimal violating transaction set ({} of {}): {}",
-                                min.roots.len(),
-                                systems[idx].roots().count(),
-                                names.join(", ")
-                            );
-                        }
-                    }
+                    None => {}
                 }
-                Err(fault) if fault.is_timeout() => {
-                    println!("{}: TIMEOUT — {fault}", o.label)
-                }
-                Err(fault) => println!("{}: FAULT — {fault}", o.label),
-            }
-            if flags.options.oracle {
-                if let Ok(verdict) = &o.result {
-                    match oracle_cross_check(&systems[idx], verdict.is_correct(), "  ") {
-                        None => oracle_skipped += 1,
-                        Some(false) => oracle_checked += 1,
-                        Some(true) => {
-                            oracle_checked += 1;
-                            oracle_disagreements += 1;
-                        }
-                    }
-                }
-            }
-            if let Some(f) = checkpoint_file.as_mut() {
                 let status = match &o.result {
                     Ok(Verdict::Correct(_)) => Some("ok"),
                     Ok(Verdict::Incorrect(_)) => Some("violation"),
                     Err(_) => None, // re-run on resume
                 };
-                if let Some(status) = status {
-                    if let Err(e) = writeln!(f, "{status}\t{}", o.label) {
+                if let (Some(f), Some(status), false) =
+                    (checkpoint_file.as_mut(), status, checkpoint_failed)
+                {
+                    if let Err(e) = writeln!(f, "{status}\t{}", o.label).and_then(|()| f.flush()) {
                         eprintln!("cannot append to checkpoint: {e}");
-                        return ExitCode::from(2);
+                        checkpoint_failed = true;
                     }
                 }
-            }
-        }
-        if let Some(f) = checkpoint_file.as_mut() {
-            let _ = f.flush();
-        }
-        stats.merge(&report.stats);
-        metrics.merge(&report.metrics);
-        offset += chunk_len;
-    }
+                pending.insert(idx, rendered);
+                while let Some(r) = pending.remove(&next_to_print) {
+                    print!("{}", r.stdout);
+                    if let Some(line) = r.stderr {
+                        eprintln!("{line}");
+                    }
+                    next_to_print += 1;
+                }
+            },
+        );
+
+    let stats = report.stats;
+    invalid += stats.invalid;
     if stats.systems > 0 {
         println!("{stats}");
         if flags.options.oracle {
@@ -577,17 +612,22 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
             );
         }
         if flags.stats {
-            println!("{metrics}");
+            let total = |f: fn(&BatchOutcome) -> u64| report.outcomes.iter().map(f).sum::<u64>();
+            println!("{}", report.metrics);
             println!(
                 "closure backends: {}",
-                backend_line(total_dense, total_sparse, total_compressed)
+                backend_line(
+                    total(|o| o.dense_closures),
+                    total(|o| o.sparse_closures),
+                    total(|o| o.compressed_closures)
+                )
             );
         }
     } else {
         println!("nothing left to check ({prior_violations} prior violation(s) on record)");
     }
 
-    if invalid > 0 || stats.faults > 0 || oracle_disagreements > 0 {
+    if invalid > 0 || stats.faults > 0 || oracle_disagreements > 0 || checkpoint_failed {
         if invalid > 0 {
             eprintln!("{invalid} input(s) were invalid");
         }
@@ -608,13 +648,14 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
     }
 }
 
-/// Expands one path into `(label, source)` batch items: directories
-/// contribute their `*.json` files (sorted), NDJSON files one item per
-/// non-empty line, plain files one item. An unreadable file inside a
-/// directory is reported and counted, not fatal.
-fn collect_sources(
+/// Expands one path into batch jobs, each sized by its byte length:
+/// directories contribute their `*.json` files (sorted by name, read later
+/// by the worker that checks them), NDJSON files one in-memory job per
+/// non-empty line, plain files one job. A file inside a directory whose
+/// size cannot be read is reported and counted, not fatal.
+fn collect_jobs(
     path: &Path,
-    sources: &mut Vec<(String, String)>,
+    jobs: &mut Vec<BatchJob<Source>>,
     invalid: &mut usize,
 ) -> Result<(), String> {
     if path.is_dir() {
@@ -625,24 +666,34 @@ fn collect_sources(
             .collect();
         files.sort();
         for file in files {
-            if let Err(e) = collect_sources(&file, sources, invalid) {
+            if let Err(e) = collect_jobs(&file, jobs, invalid) {
                 eprintln!("{}: {e}", file.display());
                 *invalid += 1;
             }
         }
         return Ok(());
     }
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let label_base = path.display().to_string();
     if is_ndjson(path) {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim_end_matches('\r');
             if !line.trim().is_empty() {
-                sources.push((format!("{label_base}:{}", lineno + 1), line.to_string()));
+                let label = format!("{label_base}:{}", lineno + 1);
+                jobs.push(BatchJob::new(
+                    label,
+                    line.len() as u64,
+                    Source::Line(line.to_string()),
+                ));
             }
         }
     } else {
-        sources.push((label_base, text));
+        let size = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
+        jobs.push(BatchJob::new(
+            label_base,
+            size,
+            Source::File(path.to_path_buf()),
+        ));
     }
     Ok(())
 }

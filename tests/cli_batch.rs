@@ -617,3 +617,117 @@ fn dot_is_a_usage_error_in_batch_mode() {
     assert_eq!(exit_code(&out), 1, "incorrect system, valid flags");
     assert!(String::from_utf8_lossy(&out.stdout).contains("digraph"));
 }
+
+/// A Comp-C system of `roots` transactions writing one item in turn.
+fn serial_writers(roots: usize) -> CompositeSystem {
+    let mut b = compc::model::SystemBuilder::new();
+    let s = b.schedule("db");
+    let writes: Vec<_> = (0..roots)
+        .map(|i| {
+            let t = b.root(format!("T{i}"), s);
+            b.leaf(format!("w{i}(x)"), t)
+        })
+        .collect();
+    for pair in writes.windows(2) {
+        b.conflict(pair[0], pair[1]).unwrap();
+        b.output_weak(pair[0], pair[1]).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// A fresh directory of spec files whose largest file sorts last by name,
+/// with one violating and one invalid file among them.
+fn mixed_dir(name: &str) -> PathBuf {
+    let dir = tmpfile(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("a.json"), spec_line(&correct_system("a"))).unwrap();
+    std::fs::write(
+        dir.join("b-lost-update.json"),
+        spec_line(&incorrect_system()),
+    )
+    .unwrap();
+    std::fs::write(dir.join("c-broken.json"), "{\"version\":1,\"nodes\":[").unwrap();
+    for i in 0..5 {
+        let sys = serial_writers(3 + i);
+        std::fs::write(dir.join(format!("d{i}.json")), spec_line(&sys)).unwrap();
+    }
+    std::fs::write(dir.join("z-largest.json"), spec_line(&serial_writers(60))).unwrap();
+    dir
+}
+
+#[test]
+fn batch_output_is_identical_at_every_jobs_count() {
+    // Items are claimed largest first (z-largest.json, last by name, runs
+    // first) but printed in input order, so stdout (bar the timing summary),
+    // stderr and the exit code do not depend on --jobs.
+    let dir = mixed_dir("jobs-invariance");
+    let dir = dir.to_str().unwrap();
+    for extra in [&[][..], &["--explain", "--minimize"][..], &["--oracle"][..]] {
+        let mut runs = Vec::new();
+        for jobs in ["1", "2", "0"] {
+            let mut args = vec![dir, "--jobs", jobs];
+            args.extend_from_slice(extra);
+            let out = run(&args);
+            let stdout: Vec<String> = String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .filter(|l| !l.contains(" systems ("))
+                .map(str::to_string)
+                .collect();
+            let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+            runs.push((jobs, exit_code(&out), stdout, stderr));
+        }
+        let (_, code, stdout, stderr) = &runs[0];
+        assert_eq!(*code, 2, "the broken file wins: {stdout:?}\n{stderr}");
+        assert!(stderr.contains("c-broken.json: "), "{stderr}");
+        assert!(stderr.contains("1 input(s) were invalid"), "{stderr}");
+        let verdicts: Vec<&String> = stdout
+            .iter()
+            .filter(|l| l.starts_with(dir) && l.contains("Comp-C"))
+            .collect();
+        assert_eq!(verdicts.len(), 8, "{stdout:?}");
+        assert!(verdicts[0].contains("a.json: Comp-C"), "{stdout:?}");
+        assert!(
+            verdicts[1].contains("b-lost-update.json: NOT Comp-C"),
+            "{stdout:?}"
+        );
+        assert!(verdicts[7].contains("z-largest.json: Comp-C"), "{stdout:?}");
+        for (jobs, other_code, other_stdout, other_stderr) in &runs[1..] {
+            assert_eq!(other_code, code, "--jobs {jobs} {extra:?}");
+            assert_eq!(other_stdout, stdout, "--jobs {jobs} {extra:?}");
+            assert_eq!(other_stderr, stderr, "--jobs {jobs} {extra:?}");
+        }
+    }
+}
+
+#[test]
+fn recorded_items_are_never_read_on_resume() {
+    let dir = mixed_dir("recorded-unread");
+    std::fs::remove_file(dir.join("c-broken.json")).unwrap();
+    let cp = tmpfile("recorded-unread.checkpoint");
+    let _ = std::fs::remove_file(&cp);
+    let args = [
+        dir.to_str().unwrap(),
+        "--checkpoint",
+        cp.to_str().unwrap(),
+        "--jobs",
+        "2",
+    ];
+    let first = run(&args);
+    assert_eq!(exit_code(&first), 1, "the lost update is recorded");
+    let recorded = std::fs::read_to_string(&cp).unwrap();
+    assert_eq!(recorded.lines().count(), 8, "{recorded}");
+
+    // A recorded file that is no longer even readable text is not read: the
+    // rerun has nothing left to check and keeps the recorded exit code.
+    std::fs::write(dir.join("z-largest.json"), [0xff, 0xfe, 0x00, 0x80]).unwrap();
+    let again = run(&args);
+    let stdout = String::from_utf8_lossy(&again.stdout);
+    let stderr = String::from_utf8_lossy(&again.stderr);
+    assert_eq!(exit_code(&again), 1, "{stdout}\n{stderr}");
+    assert!(
+        stdout.contains("nothing left to check (1 prior violation(s) on record)"),
+        "{stdout}"
+    );
+    assert!(!stderr.contains("invalid"), "{stderr}");
+}
