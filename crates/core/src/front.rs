@@ -24,10 +24,7 @@ use std::collections::BTreeSet;
 /// function of the system and `observed` (see [`Front::gen_con`]).
 ///
 /// Equality is structural (same level, members, closed observed order and
-/// input order) and is what the incremental session uses to decide whether
-/// a cached level can be reused after an append. Note `DiGraph` equality
-/// includes the node count, so compare fronts only after growing the older
-/// one's graphs to the same node count (`ensure_node`).
+/// input order). Note `DiGraph` equality includes the node count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Front {
     /// Which reduction step produced this front (0 = all leaves).
@@ -58,7 +55,17 @@ impl Front {
         backend: Backend,
         scratch: &mut CheckScratch,
     ) -> Front {
-        let observed = level0_pre(sys);
+        // Every same-schedule leaf pair in the schedule's weak output
+        // order, read off the output orders' pairs.
+        let mut observed = DiGraph::with_nodes(sys.node_count());
+        let leaf = |n: NodeId| sys.node(n).role() == NodeRole::Leaf;
+        for s in sys.schedules() {
+            for (a, b) in s.output.weak_pairs() {
+                if leaf(a) && leaf(b) {
+                    observed.add_edge(a.index(), b.index());
+                }
+            }
+        }
         // Rule 4 (transitivity) is a no-op here — all pairs are
         // intra-schedule and each schedule's output order is already closed —
         // but we normalize anyway so the invariant "observed is closed" holds
@@ -219,24 +226,6 @@ impl Front {
         out.dedup();
         out
     }
-}
-
-/// The level-0 observed order *before* its closing normalization: every
-/// same-schedule leaf pair in the schedule's weak output order, read off
-/// the output orders' pairs. The incremental session delta-closes this
-/// graph against its cached closure; [`Front::level0`] closes it from
-/// scratch.
-pub(crate) fn level0_pre(sys: &CompositeSystem) -> DiGraph {
-    let mut observed = DiGraph::with_nodes(sys.node_count());
-    let leaf = |n: NodeId| sys.node(n).role() == NodeRole::Leaf;
-    for s in sys.schedules() {
-        for (a, b) in s.output.weak_pairs() {
-            if leaf(a) && leaf(b) {
-                observed.add_edge(a.index(), b.index());
-            }
-        }
-    }
-    observed
 }
 
 #[cfg(test)]

@@ -232,7 +232,7 @@ impl std::fmt::Display for Backend {
 }
 
 /// The one options struct every entry point shares: [`Checker`], the batch
-/// engine (`compc-engine`), the incremental [`crate::Session`], the sweep
+/// engine (`compc-engine`), the long-lived [`crate::Session`], the sweep
 /// verifier (`compc-sim`), and the `compc-check`/`compc-serve` CLIs all
 /// configure from a `CheckOptions`, so a setting means the same thing
 /// everywhere.
@@ -544,7 +544,13 @@ impl<'a> Reducer<'a> {
 
     /// A snapshot of the current front.
     pub fn snapshot(&self) -> FrontSnapshot {
-        front_snapshot(self.sys, &self.front)
+        FrontSnapshot {
+            level: self.front.level,
+            nodes: self.front.nodes.iter().copied().collect(),
+            observed: self.front.observed_pairs(),
+            conflicts: self.front.conflict_pairs(self.sys),
+            input: self.front.input_pairs(),
+        }
     }
 
     /// Runs the reduction to completion. Idempotent only from a fresh
@@ -649,56 +655,200 @@ impl<'a> Reducer<'a> {
         level: usize,
     ) -> Result<(), Counterexample> {
         let t0 = self.sink.is_some().then(Instant::now);
-        let front_before = self.front.nodes.len();
-        let pre = match step_pre_closure(self.sys, &self.front, self.options, scheds, level) {
-            Ok(pre) => pre,
-            Err(fail) => {
-                self.emit_level(
-                    t0,
-                    LevelCounts {
-                        level,
-                        schedules_reduced: scheds.len(),
-                        front_before,
-                        front_after: front_before,
-                        constraint_edges: fail.constraint_edges,
-                        closure_edges: 0,
-                        pairs_forgotten: 0,
-                        serialization_pairs: 0,
-                        ok: false,
-                    },
-                );
-                return Err(make_counterexample(
-                    self.sys,
-                    level,
-                    FailurePhase::Calculation,
-                    fail.cycle,
-                ));
+        let sys = self.sys;
+        let front = &self.front;
+        let front_before = front.nodes.len();
+        // The transactions to reduce. `replaced` maps each of their
+        // operations to the owning transaction.
+        let mut replaced: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+        let mut new_txs: Vec<NodeId> = Vec::new();
+        for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
+            for t in &s.transactions {
+                new_txs.push(t.id);
+                for &o in &t.ops {
+                    debug_assert!(
+                        front.nodes.contains(&o),
+                        "operation {o} of {t:?} must be in the level-{} front",
+                        level - 1
+                    );
+                    replaced.insert(o, t.id);
+                }
             }
+        }
+
+        // --- Step 1: simultaneous calculations exist iff the constraint
+        // graph, contracted by transaction grouping, is acyclic — and each
+        // group's *internal* constraints are acyclic too (a calculation is a
+        // single execution sequence, so a contradictory non-reorderable pair
+        // between two operations of one transaction also rules it out;
+        // contraction alone cannot see those, it drops self-edges). Under
+        // the no-forgetting ablation every observed pair constrains.
+        let constraint = if self.options.forgetting {
+            front.constraint_graph(sys)
+        } else {
+            let mut g = front.input.clone();
+            g.ensure_node(sys.node_count().saturating_sub(1));
+            g.union_with(&front.observed);
+            g
         };
+        // Definition 14 constrains a calculation only through *pairs of
+        // front members*. Accumulated input pairs keep their original
+        // endpoints (step 6 stores them verbatim), so an endpoint reduced
+        // away at an earlier level is not a node of the serialization
+        // problem any more — it acts as a pass-through: a chain
+        // `a ≺ stale ≺ b` with `a`, `b` on the front induces the front
+        // obligation `a ≺ b` by transitivity of →, nothing else. Keeping
+        // stale nodes as distinct vertices instead would manufacture
+        // phantom group -> stale -> group cycles out of chains that live
+        // entirely inside one transaction (and break Theorem 2 on stacks).
+        let in_front = |i: usize| front.nodes.contains(&NodeId(i as u32));
+        let mut calc = DiGraph::with_nodes(sys.node_count());
+        for (u, v) in constraint.edges() {
+            if in_front(u) && in_front(v) {
+                calc.add_edge(u, v);
+            }
+        }
+        for &a in &front.nodes {
+            let mut stack: Vec<usize> = constraint
+                .successors(a.index())
+                .filter(|&s| !in_front(s))
+                .collect();
+            let mut seen: BTreeSet<usize> = stack.iter().copied().collect();
+            while let Some(s) = stack.pop() {
+                for t in constraint.successors(s) {
+                    if in_front(t) {
+                        calc.add_edge(a.index(), t);
+                    } else if seen.insert(t) {
+                        stack.push(t);
+                    }
+                }
+            }
+        }
+        let node_to_comp: Vec<usize> = (0..sys.node_count())
+            .map(|i| replaced.get(&NodeId(i as u32)).map_or(i, |t| t.index()))
+            .collect();
+        let constraint_edges = constraint.edge_count();
+        let contracted = condense(&calc, &node_to_comp, sys.node_count());
+        let calc_cycle = find_cycle(&contracted).or_else(|| {
+            let mut internal = DiGraph::with_nodes(sys.node_count());
+            let mut nonempty = false;
+            for (u, v) in calc.edges() {
+                if u != v && node_to_comp[u] == node_to_comp[v] {
+                    internal.add_edge(u, v);
+                    nonempty = true;
+                }
+            }
+            nonempty.then(|| find_cycle(&internal)).flatten()
+        });
+        if let Some(cycle) = calc_cycle {
+            let cycle: Vec<NodeId> = cycle.nodes.into_iter().map(|i| NodeId(i as u32)).collect();
+            self.emit_level(
+                t0,
+                LevelCounts {
+                    level,
+                    schedules_reduced: scheds.len(),
+                    front_before,
+                    front_after: front_before,
+                    constraint_edges,
+                    closure_edges: 0,
+                    pairs_forgotten: 0,
+                    serialization_pairs: 0,
+                    ok: false,
+                },
+            );
+            return Err(self.counterexample(level, FailurePhase::Calculation, cycle));
+        }
+
+        // --- Steps 2–4: replace operations by their transactions and pull
+        // the observed order up (Definition 10 rules 2–4, Definition 11).
+        let mut new_nodes: BTreeSet<NodeId> = front
+            .nodes
+            .iter()
+            .filter(|n| !replaced.contains_key(n))
+            .copied()
+            .collect();
+        // Step 5 (propagation): kept nodes stay; the new transactions enter.
+        new_nodes.extend(new_txs.iter().copied());
+
+        let mut observed = DiGraph::with_nodes(sys.node_count());
+        let mut pairs_forgotten = 0usize;
+        let map = |n: NodeId| replaced.get(&n).copied().unwrap_or(n);
+        for (u, v) in front.observed.edges() {
+            let (a, b) = (NodeId(u as u32), NodeId(v as u32));
+            if !front.nodes.contains(&a) || !front.nodes.contains(&b) {
+                continue;
+            }
+            let (big_a, big_b) = (map(a), map(b));
+            if big_a == big_b {
+                continue; // absorbed into one transaction
+            }
+            let pushed = big_a != a || big_b != b;
+            if !pushed {
+                // Neither endpoint replaced: the pair simply persists.
+                observed.add_edge(big_a.index(), big_b.index());
+                continue;
+            }
+            // Definition 10: a pair whose endpoints sit in a common schedule
+            // is pushed only via rule 2 — the schedule's own order and
+            // conflict declaration (handled below from schedule data); a
+            // cross-schedule pair is pushed unconditionally (rule 3). The
+            // no-forgetting ablation pushes everything.
+            if !self.options.forgetting || sys.common_container(a, b).is_none() {
+                observed.add_edge(big_a.index(), big_b.index());
+            } else {
+                pairs_forgotten += 1;
+            }
+        }
+        // Rule 2 for the schedules being reduced: conflicting operation
+        // pairs executed `o ≺_S o'` serialize their parents. This also
+        // covers conflicting internal pairs whose subtrees never interacted.
+        let mut serialization_pairs = 0usize;
+        for &sid in scheds {
+            let pairs = sys.schedule(sid).serialization_pairs();
+            serialization_pairs += pairs.len();
+            for (t, t2) in pairs {
+                observed.add_edge(t.index(), t2.index());
+            }
+        }
+        // Entry-time observed pairs between new transactions and other
+        // members of their *container* schedules (rule 1 when the other
+        // member is a leaf; the conflicting-output rule otherwise).
+        for &t in &new_txs {
+            entry_pairs(sys, t, &new_nodes, &mut observed);
+        }
         // Rule 4: transitive closure.
-        let pre_closure_edges = pre.pre_observed.edge_count();
+        let pre_closure_edges = observed.edge_count();
         let observed = par::transitive_closure_jobs(
-            &pre.pre_observed,
+            &observed,
             self.options.jobs,
             self.options.backend,
             &mut self.scratch,
         );
         let closure_edges = observed.edge_count().saturating_sub(pre_closure_edges);
+
+        // --- Step 6: add the level's input orders and check CC.
+        let mut input = front.input.clone();
+        input.ensure_node(sys.node_count().saturating_sub(1));
+        for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
+            for (a, b) in s.input.weak_pairs() {
+                input.add_edge(a.index(), b.index());
+            }
+        }
         self.front = Front {
             level,
-            nodes: pre.new_nodes,
+            nodes: new_nodes,
             observed,
-            input: pre.input,
+            input,
         };
         let counts = LevelCounts {
             level,
             schedules_reduced: scheds.len(),
             front_before,
             front_after: self.front.nodes.len(),
-            constraint_edges: pre.constraint_edges,
+            constraint_edges,
             closure_edges,
-            pairs_forgotten: pre.pairs_forgotten,
-            serialization_pairs: pre.serialization_pairs,
+            pairs_forgotten,
+            serialization_pairs,
             ok: true,
         };
         if let Some(cycle) = self.front.is_cc() {
@@ -709,12 +859,7 @@ impl<'a> Reducer<'a> {
                     ..counts
                 },
             );
-            return Err(make_counterexample(
-                self.sys,
-                level,
-                FailurePhase::ConflictConsistency,
-                cycle,
-            ));
+            return Err(self.counterexample(level, FailurePhase::ConflictConsistency, cycle));
         }
         self.emit_level(t0, counts);
         Ok(())
@@ -747,264 +892,36 @@ impl<'a> Reducer<'a> {
     /// proof ("by topological sorting, we convert (<ₒ, →) into a total
     /// order").
     fn serial_witness(&self) -> Vec<NodeId> {
-        serial_witness(self.sys, &self.front)
+        let mut g = self.front.input.clone();
+        g.union_with(&self.front.observed);
+        g.ensure_node(self.sys.node_count().saturating_sub(1));
+        let order =
+            topological_sort(&g).expect("a conflict-consistent front's order union is acyclic");
+        order
+            .into_iter()
+            .map(|i| NodeId(i as u32))
+            .filter(|n| self.front.nodes.contains(n))
+            .collect()
     }
 
+    /// Resolves a failure cycle's names against the system.
     fn counterexample(
         &self,
         level: usize,
         phase: FailurePhase,
         cycle: Vec<NodeId>,
     ) -> Counterexample {
-        make_counterexample(self.sys, level, phase, cycle)
-    }
-}
-
-/// A snapshot of `front` as recorded in proofs and traces.
-pub(crate) fn front_snapshot(sys: &CompositeSystem, front: &Front) -> FrontSnapshot {
-    FrontSnapshot {
-        level: front.level,
-        nodes: front.nodes.iter().copied().collect(),
-        observed: front.observed_pairs(),
-        conflicts: front.conflict_pairs(sys),
-        input: front.input_pairs(),
-    }
-}
-
-/// The Theorem-1 serial witness over `front`'s members: a topological sort
-/// of `<ₒ ∪ →` restricted to the front.
-pub(crate) fn serial_witness(sys: &CompositeSystem, front: &Front) -> Vec<NodeId> {
-    let mut g = front.input.clone();
-    g.union_with(&front.observed);
-    g.ensure_node(sys.node_count().saturating_sub(1));
-    let order = topological_sort(&g).expect("a conflict-consistent front's order union is acyclic");
-    order
-        .into_iter()
-        .map(|i| NodeId(i as u32))
-        .filter(|n| front.nodes.contains(n))
-        .collect()
-}
-
-/// Resolves a failure cycle's names against the system.
-pub(crate) fn make_counterexample(
-    sys: &CompositeSystem,
-    level: usize,
-    phase: FailurePhase,
-    cycle: Vec<NodeId>,
-) -> Counterexample {
-    let cycle_names = cycle.iter().map(|&n| sys.name(n).to_string()).collect();
-    Counterexample {
-        level,
-        phase,
-        cycle,
-        cycle_names,
-    }
-}
-
-/// Everything reduction step `level` computes *before* the closing
-/// transitive closure. The batch [`Reducer`] and the incremental
-/// [`crate::Session`] both run this exact code and differ only in how the
-/// closure is then obtained (full vs delta over cached rows) — which is
-/// what keeps session verdicts bit-identical to from-scratch checks.
-pub(crate) struct StepPre {
-    /// The next front's members.
-    pub new_nodes: BTreeSet<NodeId>,
-    /// The next front's observed graph, before transitive closure.
-    pub pre_observed: DiGraph,
-    /// The next front's accumulated input orders.
-    pub input: DiGraph,
-    /// Constraint-graph edge count (trace counter).
-    pub constraint_edges: usize,
-    /// Pull-up pairs dropped by Definition 10 forgetting (trace counter).
-    pub pairs_forgotten: usize,
-    /// Rule-2 serialization pairs added (trace counter).
-    pub serialization_pairs: usize,
-}
-
-/// Why step 1 failed: the offending cycle over group representatives, plus
-/// the constraint-edge counter for the failing trace event.
-pub(crate) struct CalcFailure {
-    pub cycle: Vec<NodeId>,
-    pub constraint_edges: usize,
-}
-
-/// Runs Definition 16 steps 1–5 plus step 6's input accumulation for the
-/// given schedules against `front`; `Err` is a step-1 calculation failure.
-/// The caller finishes the step by transitively closing `pre_observed`,
-/// assembling the level-`level` [`Front`], and checking conflict
-/// consistency.
-pub(crate) fn step_pre_closure(
-    sys: &CompositeSystem,
-    front: &Front,
-    options: CheckOptions,
-    scheds: &[compc_model::SchedId],
-    level: usize,
-) -> Result<StepPre, CalcFailure> {
-    // The transactions to reduce. `replaced` maps each of their
-    // operations to the owning transaction.
-    let mut replaced: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    let mut new_txs: Vec<NodeId> = Vec::new();
-    for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
-        for t in &s.transactions {
-            new_txs.push(t.id);
-            for &o in &t.ops {
-                debug_assert!(
-                    front.nodes.contains(&o),
-                    "operation {o} of {t:?} must be in the level-{} front",
-                    level - 1
-                );
-                replaced.insert(o, t.id);
-            }
-        }
-    }
-
-    // --- Step 1: simultaneous calculations exist iff the constraint
-    // graph, contracted by transaction grouping, is acyclic — and each
-    // group's *internal* constraints are acyclic too (a calculation is a
-    // single execution sequence, so a contradictory non-reorderable pair
-    // between two operations of one transaction also rules it out;
-    // contraction alone cannot see those, it drops self-edges). Under
-    // the no-forgetting ablation every observed pair constrains.
-    let constraint = if options.forgetting {
-        front.constraint_graph(sys)
-    } else {
-        let mut g = front.input.clone();
-        g.ensure_node(sys.node_count().saturating_sub(1));
-        g.union_with(&front.observed);
-        g
-    };
-    // Definition 14 constrains a calculation only through *pairs of
-    // front members*. Accumulated input pairs keep their original
-    // endpoints (step 6 stores them verbatim), so an endpoint reduced
-    // away at an earlier level is not a node of the serialization
-    // problem any more — it acts as a pass-through: a chain
-    // `a ≺ stale ≺ b` with `a`, `b` on the front induces the front
-    // obligation `a ≺ b` by transitivity of →, nothing else. Keeping
-    // stale nodes as distinct vertices instead would manufacture
-    // phantom group -> stale -> group cycles out of chains that live
-    // entirely inside one transaction (and break Theorem 2 on stacks).
-    let in_front = |i: usize| front.nodes.contains(&NodeId(i as u32));
-    let mut calc = DiGraph::with_nodes(sys.node_count());
-    for (u, v) in constraint.edges() {
-        if in_front(u) && in_front(v) {
-            calc.add_edge(u, v);
-        }
-    }
-    for &a in &front.nodes {
-        let mut stack: Vec<usize> = constraint
-            .successors(a.index())
-            .filter(|&s| !in_front(s))
+        let cycle_names = cycle
+            .iter()
+            .map(|&n| self.sys.name(n).to_string())
             .collect();
-        let mut seen: BTreeSet<usize> = stack.iter().copied().collect();
-        while let Some(s) = stack.pop() {
-            for t in constraint.successors(s) {
-                if in_front(t) {
-                    calc.add_edge(a.index(), t);
-                } else if seen.insert(t) {
-                    stack.push(t);
-                }
-            }
-        }
-    }
-    let node_to_comp: Vec<usize> = (0..sys.node_count())
-        .map(|i| replaced.get(&NodeId(i as u32)).map_or(i, |t| t.index()))
-        .collect();
-    let constraint_edges = constraint.edge_count();
-    let contracted = condense(&calc, &node_to_comp, sys.node_count());
-    let calc_cycle = find_cycle(&contracted).or_else(|| {
-        let mut internal = DiGraph::with_nodes(sys.node_count());
-        let mut nonempty = false;
-        for (u, v) in calc.edges() {
-            if u != v && node_to_comp[u] == node_to_comp[v] {
-                internal.add_edge(u, v);
-                nonempty = true;
-            }
-        }
-        nonempty.then(|| find_cycle(&internal)).flatten()
-    });
-    if let Some(cycle) = calc_cycle {
-        let cycle: Vec<NodeId> = cycle.nodes.into_iter().map(|i| NodeId(i as u32)).collect();
-        return Err(CalcFailure {
+        Counterexample {
+            level,
+            phase,
             cycle,
-            constraint_edges,
-        });
-    }
-
-    // --- Steps 2–4: replace operations by their transactions and pull
-    // the observed order up (Definition 10 rules 2–4, Definition 11).
-    let mut new_nodes: BTreeSet<NodeId> = front
-        .nodes
-        .iter()
-        .filter(|n| !replaced.contains_key(n))
-        .copied()
-        .collect();
-    // Step 5 (propagation): kept nodes stay; the new transactions enter.
-    new_nodes.extend(new_txs.iter().copied());
-
-    let mut observed = DiGraph::with_nodes(sys.node_count());
-    let mut pairs_forgotten = 0usize;
-    let map = |n: NodeId| replaced.get(&n).copied().unwrap_or(n);
-    for (u, v) in front.observed.edges() {
-        let (a, b) = (NodeId(u as u32), NodeId(v as u32));
-        if !front.nodes.contains(&a) || !front.nodes.contains(&b) {
-            continue;
-        }
-        let (big_a, big_b) = (map(a), map(b));
-        if big_a == big_b {
-            continue; // absorbed into one transaction
-        }
-        let pushed = big_a != a || big_b != b;
-        if !pushed {
-            // Neither endpoint replaced: the pair simply persists.
-            observed.add_edge(big_a.index(), big_b.index());
-            continue;
-        }
-        // Definition 10: a pair whose endpoints sit in a common schedule
-        // is pushed only via rule 2 — the schedule's own order and
-        // conflict declaration (handled below from schedule data); a
-        // cross-schedule pair is pushed unconditionally (rule 3). The
-        // no-forgetting ablation pushes everything.
-        if !options.forgetting || sys.common_container(a, b).is_none() {
-            observed.add_edge(big_a.index(), big_b.index());
-        } else {
-            pairs_forgotten += 1;
+            cycle_names,
         }
     }
-    // Rule 2 for the schedules being reduced: conflicting operation
-    // pairs executed `o ≺_S o'` serialize their parents. This also
-    // covers conflicting internal pairs whose subtrees never interacted.
-    let mut serialization_pairs = 0usize;
-    for &sid in scheds {
-        let pairs = sys.schedule(sid).serialization_pairs();
-        serialization_pairs += pairs.len();
-        for (t, t2) in pairs {
-            observed.add_edge(t.index(), t2.index());
-        }
-    }
-    // Entry-time observed pairs between new transactions and other
-    // members of their *container* schedules (rule 1 when the other
-    // member is a leaf; the conflicting-output rule otherwise).
-    for &t in &new_txs {
-        entry_pairs(sys, t, &new_nodes, &mut observed);
-    }
-
-    // --- Step 6's input accumulation (the CC check itself runs after the
-    // caller closes `pre_observed`).
-    let mut input = front.input.clone();
-    input.ensure_node(sys.node_count().saturating_sub(1));
-    for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
-        for (a, b) in s.input.weak_pairs() {
-            input.add_edge(a.index(), b.index());
-        }
-    }
-    Ok(StepPre {
-        new_nodes,
-        pre_observed: observed,
-        input,
-        constraint_edges,
-        pairs_forgotten,
-        serialization_pairs,
-    })
 }
 
 /// Observed pairs created when `t` enters the front, against members of

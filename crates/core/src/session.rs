@@ -1,68 +1,27 @@
-//! Incremental Comp-C checking: a long-lived [`Session`] that re-checks a
-//! growing composite system after every append, reusing the previous
-//! append's per-level reduction state instead of starting from scratch.
+//! A long-lived [`Session`] over a growing composite system: every append
+//! installs the extended system and checks it from scratch with the
+//! ordinary [`crate::Reducer`], so a session verdict is bit-identical to
+//! [`crate::Checker`]'s on the same system by construction.
 //!
-//! # What is cached, and when it is safe to reuse
+//! # Two entry points
 //!
-//! A from-scratch check (see [`crate::Reducer`]) computes a [`Front`] per
-//! level; the expensive part of each level is the transitive closure of the
-//! pulled-up observed order. The session caches, per level, the front and
-//! its *pre-closure* observed graph. On append it recomputes a level only
-//! when the append could have changed it, and even then re-closes only the
-//! *dirty* `BitGraph` rows via [`compc_graph::delta_closure`] (a closure
-//! row can change only if its node reaches the source of an added edge).
+//! [`Session::append`] takes a whole new system and first validates that it
+//! extends the current one. [`Session::reopen`] hands the current system out
+//! as a [`SystemBuilder`] instead; the caller extends it in place and hands
+//! the result back through [`Session::append_extension`].
 //!
-//! A cached level `k ≥ 1` is reused wholesale iff **all** of:
+//! # Why there is no level cache
 //!
-//! 1. the incoming level-`k-1` front is identical to the cached one
-//!    (modulo node-count padding — appends only add trailing nodes);
-//! 2. the set of schedules reduced at level `k` is unchanged;
-//! 3. none of those schedules was touched by the append;
-//! 4. globally, the append added **no** relation pair (conflict or weak
-//!    order) between two *pre-existing* nodes.
-//!
-//! Condition 4 is the subtle one: the constraint graph and generalized
-//! conflicts at step `k` consult conflict declarations and output orders of
-//! *container* schedules at any level ≥ `k` (`Front::gen_con`,
-//! `entry_pairs`), so a pair added between old nodes in a high-level
-//! schedule can change a low-level step even when the incoming front is
-//! identical. Pairs involving a *new* node are covered by condition 1
-//! instead — a new node sits in every front below its reduction level, so
-//! any level it can influence sees a changed incoming front. When condition
-//! 4 fails every level recomputes, but each still delta-closes against its
-//! cached rows.
-//!
-//! # Two entry points, one computation
-//!
-//! [`Session::append`] takes a whole new system and finds what changed by
-//! diffing it against the current one (the touched schedules of
-//! conditions 3 and 4). [`Session::reopen`] hands the current system out
-//! as a [`SystemBuilder`] instead; the caller extends it in place, and
-//! [`Session::append_extension`] takes the builder's [`SystemDelta`] as
-//! is, with no diff. Both run the same `run_append`.
-//!
-//! # Why verdicts stay bit-identical
-//!
-//! Reused or delta-closed state can never change a verdict because (a) the
-//! non-closure work of a step runs through the *same*
-//! `reduce::step_pre_closure` code as the batch checker, (b) a transitive
-//! closure's edge set is uniquely determined by its input graph, so the
-//! delta path and the from-scratch path produce equal graphs, and (c) a
-//! [`Verdict`] is built only from front-membership-filtered pair lists,
-//! cycle searches and topological sorts over those graphs — all
-//! deterministic functions of the edge sets, insensitive to trailing
-//! node-count padding. DESIGN.md §8 spells out the full argument.
+//! On streamed growth every append adds a root whose subtree reaches every
+//! level, so every level's incoming front changes and no cached level could
+//! be reused; a per-level cache with delta closure lost to a from-scratch
+//! check at every measured size (DESIGN.md §8.2, EXPERIMENTS.md E24 and
+//! E27).
 
-use crate::front::{self, Front};
-use crate::par::{self, CheckScratch};
-use crate::reduce::{
-    front_snapshot, make_counterexample, serial_witness, step_pre_closure, CheckOptions, Deadline,
-    FailurePhase, FrontSnapshot, Interrupted, Proof, Verdict,
-};
-use compc_graph::{added_edges, delta_closure, DiGraph};
-use compc_model::{CompositeSystem, NodeId, SchedId, Schedule, SystemBuilder, SystemDelta};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::par::CheckScratch;
+use crate::reduce::{CheckOptions, Deadline, Interrupted, Reducer, Verdict};
+use compc_model::{CompositeSystem, NodeId, Schedule, SystemBuilder};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Why a [`Session`] operation failed.
@@ -72,9 +31,9 @@ pub enum SessionError {
     /// current system (renamed/re-parented nodes, dropped schedules,
     /// removed relation pairs, …). The session state is unchanged.
     Invalid(String),
-    /// The append's re-check was interrupted by the session deadline or
-    /// cancel token. The session keeps the appended system and every
-    /// completed level; re-appending the same system resumes from there.
+    /// The append's check was interrupted by the session deadline or
+    /// cancel token. The session keeps the appended system with no verdict;
+    /// re-appending the same system checks it again from scratch.
     Interrupted(Interrupted),
 }
 
@@ -102,37 +61,24 @@ impl From<Interrupted> for SessionError {
     }
 }
 
-/// Counters describing how much work the incremental path actually saved.
+/// Session counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Appends accepted (including ones that ended in an incorrect verdict
     /// or an interruption).
     pub appends: u64,
-    /// Levels recomputed across all appends.
-    pub levels_computed: u64,
-    /// Levels reused wholesale from the previous append.
+    /// Always 0: sessions reuse no level. Kept because the repository
+    /// benchmark's driver still reads it.
     pub levels_reused: u64,
-    /// Closure rows recomputed (dirty rows, plus every row of a
-    /// full-closure fallback).
+    /// Always 0: sessions keep no closure rows to recompute. Kept because
+    /// the repository benchmark's driver still reads it.
     pub rows_recomputed: u64,
-    /// Closure rows spliced unchanged from a cached closure.
+    /// Always 0: sessions splice no closure rows. Kept because the
+    /// repository benchmark's driver still reads it.
     pub rows_spliced: u64,
 }
 
-/// One completed reduction level, cached across appends.
-#[derive(Clone, Debug)]
-struct LevelCache {
-    /// The level's front; `front.observed` is the transitive closure of
-    /// `pre_observed` (possibly padded with trailing edge-free nodes).
-    front: Front,
-    /// The level's observed graph before closure — the delta base for the
-    /// next append's closure at this level.
-    pre_observed: DiGraph,
-    /// The schedule ids reduced at this level (empty for level 0).
-    sched_ids: Vec<SchedId>,
-}
-
-/// An incremental Comp-C checker over a growing composite system.
+/// A Comp-C checker over a growing composite system.
 ///
 /// ```
 /// use compc_core::Session;
@@ -150,14 +96,11 @@ struct LevelCache {
 ///
 /// Every append replaces the session's system with the given *extension*
 /// (same nodes plus new ones, same relations plus new ones) and returns the
-/// verdict for the extended system — bit-identical to what
-/// [`crate::Checker`] would produce from scratch, but computed against the
-/// previous append's cached fronts.
+/// verdict for the extended system, checked from scratch.
 #[derive(Debug)]
 pub struct Session {
     options: CheckOptions,
     sys: Option<CompositeSystem>,
-    levels: Vec<LevelCache>,
     scratch: CheckScratch,
     cancel: Arc<AtomicBool>,
     last_verdict: Option<Verdict>,
@@ -183,7 +126,6 @@ impl Session {
         Session {
             options,
             sys: None,
-            levels: Vec::new(),
             scratch: CheckScratch::new(),
             cancel: Arc::new(AtomicBool::new(false)),
             last_verdict: None,
@@ -214,8 +156,7 @@ impl Session {
     /// Replaces the per-append wall-clock budget (`None` disables it).
     ///
     /// The deadline is read afresh at the start of every append, so this
-    /// is safe mid-session — unlike the backend or forgetting options,
-    /// which shape the cached level state and are fixed at construction.
+    /// is safe mid-session.
     /// `compc-serve` uses this to replay its write-ahead journal at
     /// startup without the replay itself being interrupted by
     /// `--deadline-ms`.
@@ -241,35 +182,29 @@ impl Session {
         self.last_verdict.as_ref()
     }
 
-    /// Work counters for the incremental path.
+    /// Session counters.
     pub fn stats(&self) -> SessionStats {
         self.stats
     }
 
     /// Replaces the session's system with the given extension and returns
-    /// the verdict for it, recomputing only what the append could have
-    /// changed. What changed is found by diffing `sys` against the current
-    /// system; [`Session::append_extension`] is the entry point for a
-    /// caller that extended the system in place and already knows.
+    /// the verdict for it, after checking that `sys` extends the current
+    /// system. [`Session::append_extension`] is the entry point for a
+    /// caller that extended the system in place.
     ///
     /// On [`SessionError::Invalid`] the session is left untouched. On
-    /// [`SessionError::Interrupted`] the session keeps the new system and
-    /// the completed level prefix; re-appending the identical system
-    /// resumes from the first uncached level.
+    /// [`SessionError::Interrupted`] the session keeps the new system with
+    /// no verdict; re-appending the identical system checks it again.
     pub fn append(&mut self, sys: CompositeSystem) -> Result<&Verdict, SessionError> {
         self.validate_extension(&sys)?;
-        let delta = match &self.sys {
-            None => from_scratch(),
-            Some(old) => diff_schedules(old, &sys),
-        };
-        self.append_extension(sys, &delta)
+        self.append_extension(sys)
     }
 
     /// Moves the current system out so the caller can extend it in place
     /// (an empty builder before the first append). The session has no
     /// system until the extension comes back through
-    /// [`Session::append_extension`] (or [`Session::recheck`]); its cached
-    /// levels stay those of the system that was taken.
+    /// [`Session::append_extension`] (or [`Session::reinstate`] or
+    /// [`Session::recheck`]).
     pub fn reopen(&mut self) -> SystemBuilder {
         self.sys
             .take()
@@ -277,77 +212,50 @@ impl Session {
     }
 
     /// Puts back a rebuilt copy of the system [`Session::reopen`] took, for
-    /// an extension that failed before it was appended: the cached levels,
-    /// verdict and counters are still that system's.
+    /// an extension that failed before it was appended: the verdict and
+    /// counters are still that system's.
     pub fn reinstate(&mut self, sys: CompositeSystem) {
         self.sys = Some(sys);
     }
 
     /// [`Session::append`] for a system extended in place from
-    /// [`Session::reopen`]'s builder, with the [`SystemDelta`] its
-    /// [`SystemBuilder::build_extension`] reported: no diff against the
+    /// [`Session::reopen`]'s builder: no extension check against the
     /// previous system is needed, and none is possible (it was moved).
-    pub fn append_extension(
-        &mut self,
-        sys: CompositeSystem,
-        delta: &SystemDelta,
-    ) -> Result<&Verdict, SessionError> {
+    pub fn append_extension(&mut self, sys: CompositeSystem) -> Result<&Verdict, SessionError> {
         let deadline = self
             .options
             .deadline
             .map_or_else(Deadline::none, Deadline::after);
         self.stats.appends += 1;
-        self.run(sys, delta, deadline)
+        self.run(sys, deadline)
     }
 
-    /// Discards the cached levels and checks `sys` from scratch without a
-    /// deadline, then sets the counters to `stats`: the slow path of a
-    /// rollback, which rebuilds an earlier system and must leave the
-    /// session as if the later appends never happened. `None` empties the
-    /// session.
+    /// Checks `sys` without a deadline, then sets the counters to `stats`:
+    /// the slow path of a rollback, which rebuilds an earlier system and
+    /// must leave the session as if the later appends never happened.
+    /// `None` empties the session.
     pub fn recheck(&mut self, sys: Option<CompositeSystem>, stats: SessionStats) {
         self.sys = None;
-        self.levels.clear();
         self.last_verdict = None;
         if let Some(sys) = sys {
             // Only the cancel token can interrupt it; an interrupted check
-            // keeps its completed levels, and the next append resumes.
-            let _ = self.run(sys, &from_scratch(), Deadline::none());
+            // leaves the system installed with no verdict.
+            let _ = self.run(sys, Deadline::none());
         }
         self.stats = stats;
     }
 
-    /// Installs `sys` and checks it against the cached levels.
-    fn run(
-        &mut self,
-        sys: CompositeSystem,
-        delta: &SystemDelta,
-        deadline: Deadline,
-    ) -> Result<&Verdict, SessionError> {
-        let old_levels = std::mem::take(&mut self.levels);
+    /// Installs `sys` and checks it from scratch.
+    fn run(&mut self, sys: CompositeSystem, deadline: Deadline) -> Result<&Verdict, SessionError> {
         self.last_verdict = None;
-        let outcome = run_append(
-            &sys,
-            self.options,
-            &old_levels,
-            delta,
-            &mut self.scratch,
-            &mut self.stats,
-            &self.cancel,
-            deadline,
-        );
-        self.sys = Some(sys);
-        match outcome {
-            Ok((levels, verdict)) => {
-                self.levels = levels;
-                self.last_verdict = Some(verdict);
-                Ok(self.last_verdict.as_ref().expect("just set"))
-            }
-            Err((levels, interrupted)) => {
-                self.levels = levels;
-                Err(SessionError::Interrupted(interrupted))
-            }
-        }
+        let sys = self.sys.insert(sys);
+        let mut reducer =
+            Reducer::with_scratch(sys, self.options, std::mem::take(&mut self.scratch))
+                .deadline(deadline)
+                .cancel_token(&self.cancel);
+        let outcome = reducer.try_run();
+        self.scratch = reducer.into_scratch();
+        Ok(self.last_verdict.insert(outcome?))
     }
 
     /// Checks that `new` extends the current system: every existing node
@@ -419,248 +327,6 @@ impl Session {
     }
 }
 
-/// The append computation, shared by both append entry points and
-/// separated from them so the new system can be installed on the session
-/// regardless of the outcome. `delta` is what changed since the system the
-/// cached `old_levels` belong to. `Err` carries the completed level prefix
-/// alongside the interruption.
-#[allow(clippy::too_many_arguments)]
-fn run_append(
-    sys: &CompositeSystem,
-    options: CheckOptions,
-    old_levels: &[LevelCache],
-    delta: &SystemDelta,
-    scratch: &mut CheckScratch,
-    stats: &mut SessionStats,
-    cancel: &AtomicBool,
-    deadline: Deadline,
-) -> Result<(Vec<LevelCache>, Verdict), (Vec<LevelCache>, Interrupted)> {
-    let n = sys.node_count();
-    let mut levels: Vec<LevelCache> = Vec::with_capacity(sys.order() + 1);
-    let mut fronts: Vec<FrontSnapshot> = Vec::new();
-    let touched = &delta.touched;
-
-    // --- Level 0. Reusable only when the system is structurally unchanged
-    // (its observed order reads every schedule's leaf output pairs). New
-    // nodes and new schedules always touch a schedule.
-    if touched.is_empty() && !delta.old_pairs_touched && !old_levels.is_empty() {
-        levels.push(old_levels[0].clone());
-        stats.levels_reused += 1;
-    } else {
-        let pre0 = front::level0_pre(sys);
-        let observed = close_incremental(old_levels.first(), &pre0, options, scratch, stats);
-        stats.levels_computed += 1;
-        levels.push(LevelCache {
-            front: Front {
-                level: 0,
-                nodes: sys.leaves().collect(),
-                observed,
-                input: DiGraph::with_nodes(n),
-            },
-            pre_observed: pre0,
-            sched_ids: Vec::new(),
-        });
-    }
-    fronts.push(front_snapshot(sys, &levels[0].front));
-    // Front 0 is CC by construction, but the batch path checks anyway so
-    // the invariant is uniform — mirror it exactly.
-    if let Some(cycle) = levels[0].front.is_cc() {
-        let verdict = Verdict::Incorrect(make_counterexample(
-            sys,
-            0,
-            FailurePhase::ConflictConsistency,
-            cycle,
-        ));
-        return Ok((levels, verdict));
-    }
-
-    for level in 1..=sys.order() {
-        if deadline.expired() || cancel.load(Ordering::Relaxed) {
-            levels.truncate(level);
-            return Err((levels, Interrupted { level }));
-        }
-        let scheds: Vec<SchedId> = sys.schedules_at_level(level).map(|s| s.id).collect();
-        let reusable = !delta.old_pairs_touched
-            && old_levels.len() > level
-            && old_levels[level].sched_ids == scheds
-            && scheds.iter().all(|sid| !touched.contains(sid))
-            && fronts_equal(&levels[level - 1].front, &old_levels[level - 1].front);
-        if reusable {
-            // The cached level was computed from an identical incoming
-            // front by untouched schedules, with no old-node relation pair
-            // added anywhere the step could consult — so it is *the* result
-            // of this step, already conflict-consistent. Grow its graphs to
-            // the current node count so downstream comparisons line up.
-            let mut cache = old_levels[level].clone();
-            grow_front(&mut cache.front, n);
-            fronts.push(front_snapshot(sys, &cache.front));
-            levels.push(cache);
-            stats.levels_reused += 1;
-            continue;
-        }
-        let pre = match step_pre_closure(sys, &levels[level - 1].front, options, &scheds, level) {
-            Ok(pre) => pre,
-            Err(fail) => {
-                let verdict = Verdict::Incorrect(make_counterexample(
-                    sys,
-                    level,
-                    FailurePhase::Calculation,
-                    fail.cycle,
-                ));
-                return Ok((levels, verdict));
-            }
-        };
-        // Delta-close against this level's previous closure whenever the
-        // old pre-closure graph is a subgraph of the new one; otherwise
-        // (shape changed, relation removed) fall back to a full closure —
-        // correctness never depends on the extension being well-behaved.
-        let observed = close_incremental(
-            old_levels.get(level),
-            &pre.pre_observed,
-            options,
-            scratch,
-            stats,
-        );
-        stats.levels_computed += 1;
-        let front = Front {
-            level,
-            nodes: pre.new_nodes,
-            observed,
-            input: pre.input,
-        };
-        if let Some(cycle) = front.is_cc() {
-            let verdict = Verdict::Incorrect(make_counterexample(
-                sys,
-                level,
-                FailurePhase::ConflictConsistency,
-                cycle,
-            ));
-            return Ok((levels, verdict));
-        }
-        fronts.push(front_snapshot(sys, &front));
-        levels.push(LevelCache {
-            front,
-            pre_observed: pre.pre_observed,
-            sched_ids: scheds,
-        });
-    }
-
-    debug_assert_eq!(
-        levels.last().map(|c| c.front.nodes.clone()),
-        Some(sys.roots().collect::<BTreeSet<_>>()),
-        "a completed reduction must leave exactly the roots"
-    );
-    let witness = serial_witness(sys, &levels.last().expect("level 0 always present").front);
-    let verdict = Verdict::Correct(Proof {
-        fronts,
-        serial_witness: witness,
-    });
-    Ok((levels, verdict))
-}
-
-/// Transitively closes `pre`, reusing `base`'s cached closure rows when
-/// `base.pre_observed` is a subgraph of `pre` (the append-only fast path).
-fn close_incremental(
-    base: Option<&LevelCache>,
-    pre: &DiGraph,
-    options: CheckOptions,
-    scratch: &mut CheckScratch,
-    stats: &mut SessionStats,
-) -> DiGraph {
-    if let Some(cache) = base {
-        if let Some(added) = added_edges(&cache.pre_observed, pre) {
-            let delta = delta_closure(&cache.front.observed, pre, &added);
-            stats.rows_recomputed += delta.dirty_rows as u64;
-            stats.rows_spliced += (pre.node_count() - delta.dirty_rows) as u64;
-            return delta.closed;
-        }
-    }
-    stats.rows_recomputed += pre.node_count() as u64;
-    par::transitive_closure_jobs(pre, options.jobs, options.backend, scratch)
-}
-
-/// Structural front equality modulo trailing node-count padding: appends
-/// only ever add edge-free trailing nodes to cached graphs, so membership
-/// plus ordered edge-set equality is exact.
-fn fronts_equal(new: &Front, old: &Front) -> bool {
-    new.level == old.level
-        && new.nodes == old.nodes
-        && graph_edges_equal(&new.observed, &old.observed)
-        && graph_edges_equal(&new.input, &old.input)
-}
-
-fn graph_edges_equal(a: &DiGraph, b: &DiGraph) -> bool {
-    a.edge_count() == b.edge_count() && a.edges().eq(b.edges())
-}
-
-/// Pads a cached front's graphs with edge-free nodes up to the current
-/// node count, so unions and cycle searches downstream see graphs of the
-/// same shape a from-scratch check would build.
-fn grow_front(front: &mut Front, n: usize) {
-    if n > 0 {
-        front.observed.ensure_node(n - 1);
-        front.input.ensure_node(n - 1);
-    }
-}
-
-/// The delta that reuses nothing: for a system with no predecessor to
-/// compare against.
-fn from_scratch() -> SystemDelta {
-    SystemDelta {
-        touched: BTreeSet::new(),
-        old_pairs_touched: true,
-    }
-}
-
-/// Which schedules changed between `old` and `new` (by whole-schedule
-/// equality; new schedules always count), and whether any relation pair
-/// between two *pre-existing* nodes was added anywhere — the global reuse
-/// veto of condition 4 (see the module docs).
-fn diff_schedules(old: &CompositeSystem, new: &CompositeSystem) -> SystemDelta {
-    let old_n = old.node_count();
-    let mut touched = BTreeSet::new();
-    let mut old_pairs_touched = false;
-    for s_new in new.schedules() {
-        if s_new.id.index() >= old.schedule_count() {
-            touched.insert(s_new.id);
-            continue;
-        }
-        let s_old = old.schedule(s_new.id);
-        if s_old == s_new {
-            continue;
-        }
-        touched.insert(s_new.id);
-        if added_pair_between_old_nodes(s_old, s_new, old_n) {
-            old_pairs_touched = true;
-        }
-    }
-    SystemDelta {
-        touched,
-        old_pairs_touched,
-    }
-}
-
-/// Whether `s_new` declares a relation pair over two nodes that already
-/// existed, absent from `s_old`. Only the relations the reduction step
-/// consults matter: conflicts and *weak* output/input orders (strong orders
-/// are contained in weak by Definition 3; intra-transaction orders must be
-/// reflected in the output order by axiom 2).
-fn added_pair_between_old_nodes(s_old: &Schedule, s_new: &Schedule, old_n: usize) -> bool {
-    let both_old = |a: NodeId, b: NodeId| a.index() < old_n && b.index() < old_n;
-    s_new
-        .conflicts
-        .iter()
-        .any(|(a, b)| both_old(a, b) && !s_old.conflicts.conflicts(a, b))
-        || s_new
-            .output
-            .weak_pairs()
-            .any(|(a, b)| both_old(a, b) && !s_old.output.weak_lt(a, b))
-        || s_new
-            .input
-            .weak_pairs()
-            .any(|(a, b)| both_old(a, b) && !s_old.input.weak_lt(a, b))
-}
-
 /// The first relation pair present in `s_old` but missing from `s_new`, if
 /// any — extensions may only add pairs.
 fn first_removed_pair(s_old: &Schedule, s_new: &Schedule) -> Option<(NodeId, NodeId)> {
@@ -687,6 +353,7 @@ mod tests {
     use super::*;
     use crate::reduce::Checker;
     use compc_model::SystemBuilder;
+    use std::sync::atomic::Ordering;
 
     /// A compact structural fingerprint of a verdict, for bit-identity
     /// assertions between the session and the from-scratch checker.
@@ -754,103 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_reappend_reuses_every_level() {
-        let sys = stack(false);
-        let mut session = Session::open(sys.clone()).unwrap();
-        let computed_before = session.stats().levels_computed;
-        let v = session.append(sys).unwrap();
-        assert!(v.is_correct());
-        let stats = session.stats();
-        assert_eq!(stats.levels_computed, computed_before);
-        assert_eq!(stats.levels_reused, 3, "levels 0..=2 all reused");
-    }
-
-    #[test]
-    fn growing_append_reuses_untouched_levels() {
-        // Two independent stacks side by side; extending one must not
-        // recompute... actually level sets are shared, but the delta path
-        // must splice the untouched stack's closure rows.
-        let mut b = SystemBuilder::new();
-        let s_top = b.schedule("top");
-        let s_bot = b.schedule("bot");
-        let t1 = b.root("T1", s_top);
-        let t2 = b.root("T2", s_top);
-        let u1 = b.subtx("u1", t1, s_bot);
-        let u2 = b.subtx("u2", t2, s_bot);
-        let o1 = b.leaf("o1", u1);
-        let o2 = b.leaf("o2", u2);
-        b.conflict(o1, o2).unwrap();
-        b.output_weak(o1, o2).unwrap();
-        let mut session = Session::open(b.build().unwrap()).unwrap();
-
-        // Extend: a third root with its own subtransaction and leaf, no new
-        // relations between old nodes.
-        let mut b2 = SystemBuilder::new();
-        let s_top = b2.schedule("top");
-        let s_bot = b2.schedule("bot");
-        let t1 = b2.root("T1", s_top);
-        let t2 = b2.root("T2", s_top);
-        let u1 = b2.subtx("u1", t1, s_bot);
-        let u2 = b2.subtx("u2", t2, s_bot);
-        let o1 = b2.leaf("o1", u1);
-        let o2 = b2.leaf("o2", u2);
-        b2.conflict(o1, o2).unwrap();
-        b2.output_weak(o1, o2).unwrap();
-        let t3 = b2.root("T3", s_top);
-        let u3 = b2.subtx("u3", t3, s_bot);
-        let o3 = b2.leaf("o3", u3);
-        b2.conflict(o2, o3).unwrap();
-        b2.output_weak(o2, o3).unwrap();
-        let extended = b2.build().unwrap();
-
-        let batch = Checker::new().check(&extended);
-        let incremental = session.append(extended).unwrap().clone();
-        assert_eq!(fingerprint(&incremental), fingerprint(&batch));
-        let stats = session.stats();
-        assert!(
-            stats.rows_spliced > 0,
-            "the untouched rows must be spliced, not recomputed: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn pair_between_old_nodes_vetoes_reuse_but_stays_identical() {
-        // stack(true) adds o3/o4 with a *new-node* conflict; here no node is
-        // added at all — the append declares a conflict and order between
-        // two OLD leaves, the condition-4 veto, so every level must
-        // recompute and the verdict must still match from-scratch.
-        let build = |declare: bool| {
-            let mut b = SystemBuilder::new();
-            let s_top = b.schedule("top");
-            let s_bot = b.schedule("bot");
-            let mut leaves = Vec::new();
-            for i in 1..=3 {
-                let t = b.root(format!("T{i}"), s_top);
-                let u = b.subtx(format!("u{i}"), t, s_bot);
-                leaves.push(b.leaf(format!("o{i}"), u));
-            }
-            b.conflict(leaves[0], leaves[1]).unwrap();
-            b.output_weak(leaves[0], leaves[1]).unwrap();
-            if declare {
-                b.conflict(leaves[1], leaves[2]).unwrap();
-                b.output_weak(leaves[1], leaves[2]).unwrap();
-            }
-            b.build().unwrap()
-        };
-        let mut session = Session::open(build(false)).unwrap();
-        let reused_before = session.stats().levels_reused;
-        let extended = build(true);
-        let batch = Checker::new().check(&extended);
-        let incremental = session.append(extended).unwrap().clone();
-        assert_eq!(fingerprint(&incremental), fingerprint(&batch));
-        assert_eq!(
-            session.stats().levels_reused,
-            reused_before,
-            "an old-old relation pair must veto every level reuse"
-        );
-    }
-
-    #[test]
     fn invalid_extension_is_rejected_and_state_kept() {
         let mut session = Session::open(stack(false)).unwrap();
         // A different system entirely: same node count but renamed nodes.
@@ -870,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_append_resumes_from_completed_levels() {
+    fn cancelled_append_checks_again_when_resent() {
         let sys = stack(false);
         let mut session = Session::open(sys.clone()).unwrap();
         let token = session.cancel_token();
@@ -918,8 +488,8 @@ mod tests {
     }
 
     #[test]
-    fn extension_in_place_matches_the_diffing_append() {
-        let mut diffing = Session::open(stack(false)).unwrap();
+    fn extension_in_place_matches_a_whole_system_append() {
+        let mut whole = Session::open(stack(false)).unwrap();
         let mut in_place = Session::open(stack(false)).unwrap();
         let mut b = in_place.reopen();
         let (u1, u2) = (NodeId(2), NodeId(3));
@@ -927,17 +497,12 @@ mod tests {
         let o4 = b.leaf("o4", u2);
         b.conflict(o3, o4).unwrap();
         b.output_weak(o4, o3).unwrap();
-        let (sys, delta) = b.build_extension().unwrap();
+        let sys = b.build().unwrap();
         assert_eq!(sys, stack(true), "the extension is the from-scratch build");
-        assert_eq!(
-            delta,
-            diff_schedules(diffing.system().unwrap(), &sys),
-            "the builder reports the delta a diff finds"
-        );
-        let v = in_place.append_extension(sys, &delta).unwrap().clone();
-        let w = diffing.append(stack(true)).unwrap();
+        let v = in_place.append_extension(sys).unwrap().clone();
+        let w = whole.append(stack(true)).unwrap();
         assert_eq!(fingerprint(&v), fingerprint(w));
-        assert_eq!(in_place.stats(), diffing.stats());
+        assert_eq!(in_place.stats(), whole.stats());
     }
 
     #[test]

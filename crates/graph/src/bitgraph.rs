@@ -487,8 +487,9 @@ impl BitOrderRel {
     /// Inserts `a < b` and closes transitively by row splicing:
     /// `succ(x) |= rhs` for every `x ∈ pred(a) ∪ {a}` and
     /// `pred(y) |= lhs` for every `y ∈ succ(b) ∪ {b}` — word-wise ORs in
-    /// place of [`PartialOrderRel::insert`]'s nested scalar loops.
-    pub fn insert(&mut self, a: usize, b: usize) -> Result<(), OrderError> {
+    /// place of [`PartialOrderRel::insert`]'s nested scalar loops. Returns
+    /// whether the pair was new.
+    pub fn insert(&mut self, a: usize, b: usize) -> Result<bool, OrderError> {
         if a == b {
             return Err(OrderError::Reflexive(a));
         }
@@ -497,7 +498,7 @@ impl BitOrderRel {
             return Err(OrderError::Contradiction { attempted: (a, b) });
         }
         if self.lt(a, b) {
-            return Ok(());
+            return Ok(false);
         }
         let w = self.words;
         let mut lhs: Vec<u64> = self.pred[a * w..(a + 1) * w].to_vec();
@@ -519,7 +520,7 @@ impl BitOrderRel {
                 *pw |= lw;
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// All pairs `(a, b)` with `a < b`, lexicographically.

@@ -16,7 +16,6 @@
 mod algo;
 mod bitgraph;
 mod chunked;
-mod delta;
 mod digraph;
 mod dot;
 mod order;
@@ -29,7 +28,6 @@ pub use algo::{
 };
 pub use bitgraph::{BitGraph, BitOrderRel};
 pub use chunked::{ChunkedBitGraph, CondensedClosure};
-pub use delta::{added_edges, delta_closure, DeltaClosure};
 pub use digraph::DiGraph;
 pub use dot::dot_string;
 pub use order::{OrderError, PartialOrderRel};

@@ -164,28 +164,15 @@ impl PartialOrderRel {
         self.elements = self.elements.max(hi + 1);
     }
 
-    /// Inserts `a < b` and closes transitively.
+    /// Inserts `a < b` and closes transitively. Returns whether the pair
+    /// was new.
     ///
     /// Cost is O(|pred(a)| · |succ(b)|) per insertion — predecessors come
     /// from the maintained transpose, not a full node scan. The dense
     /// [`crate::BitOrderRel`] splices the same closure with row-wide ORs;
     /// a recompute-from-scratch strategy is benchmarked against both in
     /// `compc-bench` (`observed_order` bench, DESIGN.md §5.1).
-    pub fn insert(&mut self, a: usize, b: usize) -> Result<(), OrderError> {
-        self.insert_tracked(a, b, 0).map(drop)
-    }
-
-    /// [`PartialOrderRel::insert`], reporting what the closure gained:
-    /// `(changed, gained_below)`, where `gained_below` says whether a new
-    /// pair has both elements below `old`. An append that extends a system
-    /// in place uses it to tell new pairs between pre-existing nodes apart
-    /// from pairs that involve a new node.
-    pub fn insert_tracked(
-        &mut self,
-        a: usize,
-        b: usize,
-        old: usize,
-    ) -> Result<(bool, bool), OrderError> {
+    pub fn insert(&mut self, a: usize, b: usize) -> Result<bool, OrderError> {
         if a == b {
             return Err(OrderError::Reflexive(a));
         }
@@ -193,7 +180,7 @@ impl PartialOrderRel {
             return Err(OrderError::Contradiction { attempted: (a, b) });
         }
         if self.lt(a, b) {
-            return Ok((false, false)); // already known
+            return Ok(false); // already known
         }
         self.cover(a.min(b), a.max(b));
         // preds(a) ∪ {a}  must all precede  succs(b) ∪ {b}. Both sides are
@@ -204,17 +191,15 @@ impl PartialOrderRel {
         let mut rhs: Vec<usize> = self.above(b).collect();
         rhs.push(b);
         let lo = self.lo;
-        let mut gained_below = false;
         for &x in &lhs {
             for &y in &rhs {
                 if self.above[x - lo].insert(y) {
                     self.below[y - lo].insert(x);
                     self.pairs += 1;
-                    gained_below |= x < old && y < old;
                 }
             }
         }
-        Ok((true, gained_below))
+        Ok(true)
     }
 
     /// All pairs `(a, b)` with `a < b`, lexicographically.

@@ -16,9 +16,8 @@ use std::collections::BTreeSet;
 /// Definitions 2–4.
 ///
 /// [`CompositeSystem::into_builder`] reopens a built system for extension
-/// in place: the builder then records what the new items change (a
-/// [`SystemDelta`]), and [`SystemBuilder::build_extension`] re-validates
-/// only the schedules they touched.
+/// in place: the builder then records which schedules the new items touch,
+/// and `build()` re-validates only those.
 ///
 /// ```
 /// use compc_model::SystemBuilder;
@@ -52,19 +51,8 @@ struct Reopened {
     base_nodes: usize,
     /// The system's children lists, extended by the new nodes on build.
     children: Vec<Vec<NodeId>>,
-    delta: SystemDelta,
-}
-
-/// What extending a system in place changed: the input the incremental
-/// checker needs to decide which reduction levels it can reuse.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SystemDelta {
-    /// Schedules that are new or whose value changed.
-    pub touched: BTreeSet<SchedId>,
-    /// Whether a conflict, weak output or weak input pair was added between
-    /// two nodes that existed before the extension (directly or through a
-    /// transitive closure).
-    pub old_pairs_touched: bool,
+    /// Schedules that are new or whose value changed since the reopen.
+    touched: BTreeSet<SchedId>,
 }
 
 impl SystemBuilder {
@@ -87,7 +75,7 @@ impl SystemBuilder {
             reopened: Some(Reopened {
                 base_nodes: nodes.len(),
                 children,
-                delta: SystemDelta::default(),
+                touched: BTreeSet::new(),
             }),
             nodes,
             schedules,
@@ -227,7 +215,7 @@ impl SystemBuilder {
         let mut strong = Vec::new();
         for s in &self.schedules {
             if let Some(r) = &self.reopened {
-                if !r.delta.touched.contains(&s.id) {
+                if !r.touched.contains(&s.id) {
                     continue;
                 }
             }
@@ -251,51 +239,29 @@ impl SystemBuilder {
         Ok(())
     }
 
-    /// Finalizes and validates the system.
-    pub fn build(self) -> Result<CompositeSystem, ModelError> {
-        self.build_extension().map(|(sys, _)| sys)
-    }
-
-    /// Finalizes and validates the system, and says what changed since it
-    /// was reopened. A reopened builder re-validates only the touched
-    /// schedules (an untouched schedule of a valid system stays valid: its
-    /// relations are unchanged and the input orders it propagates into only
-    /// grew). A fresh builder validates everything and reports every
-    /// schedule touched and an old pair added, since nothing is known to be
-    /// unchanged.
-    pub fn build_extension(mut self) -> Result<(CompositeSystem, SystemDelta), ModelError> {
+    /// Finalizes and validates the system. A reopened builder re-validates
+    /// only the schedules the extension touched (an untouched schedule of a
+    /// valid system stays valid: its relations are unchanged and the input
+    /// orders it propagates into only grew).
+    pub fn build(mut self) -> Result<CompositeSystem, ModelError> {
         for (s_idx, txs) in self.txs.into_iter().enumerate() {
             self.schedules[s_idx].transactions = txs;
         }
-        match self.reopened {
-            None => {
-                let delta = SystemDelta {
-                    touched: self.schedules.iter().map(|s| s.id).collect(),
-                    old_pairs_touched: true,
-                };
-                let sys = CompositeSystem::assemble(self.nodes, self.schedules)?;
-                Ok((sys, delta))
-            }
-            Some(Reopened {
-                base_nodes,
-                mut children,
-                delta,
-            }) => {
-                children.resize(self.nodes.len(), Vec::new());
-                for n in &self.nodes[base_nodes..] {
-                    if let Some(p) = n.parent {
-                        children[p.index()].push(n.id);
-                    }
-                }
-                let sys = CompositeSystem::assemble_extension(
-                    self.nodes,
-                    self.schedules,
-                    children,
-                    &delta.touched,
-                )?;
-                Ok((sys, delta))
+        let Some(Reopened {
+            base_nodes,
+            mut children,
+            touched,
+        }) = self.reopened
+        else {
+            return CompositeSystem::assemble(self.nodes, self.schedules);
+        };
+        children.resize(self.nodes.len(), Vec::new());
+        for n in &self.nodes[base_nodes..] {
+            if let Some(p) = n.parent {
+                children[p.index()].push(n.id);
             }
         }
+        CompositeSystem::assemble_extension(self.nodes, self.schedules, children, &touched)
     }
 
     // ------------------------------------------------------------------
@@ -321,41 +287,27 @@ impl SystemBuilder {
         id
     }
 
-    /// Marks schedule `s` changed (when `changed`) and notes whether a
-    /// pair between two old nodes was added (only a reopened builder keeps
-    /// track).
-    fn record(&mut self, s: SchedId, changed: bool, old_pair: bool) {
-        if let Some(r) = &mut self.reopened {
-            if changed {
-                r.delta.touched.insert(s);
-            }
-            r.delta.old_pairs_touched |= old_pair;
-        }
-    }
-
+    /// Marks schedule `s` changed (only a reopened builder keeps track).
     fn touch(&mut self, s: SchedId) {
-        self.record(s, true, false);
-    }
-
-    /// Nodes the builder was reopened with (0 for a fresh builder).
-    fn base_nodes(&self) -> usize {
-        self.reopened.as_ref().map_or(0, |r| r.base_nodes)
+        if let Some(r) = &mut self.reopened {
+            r.touched.insert(s);
+        }
     }
 
     fn add_conflict(&mut self, s: SchedId, a: NodeId, b: NodeId) {
         if self.schedules[s.index()].conflicts.insert(a, b) {
-            let old = self.base_nodes();
-            self.record(s, true, a.index() < old && b.index() < old);
+            self.touch(s);
         }
     }
 
     fn tx_order(&mut self, a: NodeId, b: NodeId, strong: bool) -> Result<(), ModelError> {
         let tx = self.shared_parent(a, b)?;
-        let (changed, _) = self.tx_mut(tx)?.intra.insert(a, b, strong, 0)?;
-        let home = self.nodes[tx.index()]
-            .home
-            .expect("tx_mut found a transaction");
-        self.record(home, changed, false);
+        if self.tx_mut(tx)?.intra.insert(a, b, strong)? {
+            let home = self.nodes[tx.index()]
+                .home
+                .expect("tx_mut found a transaction");
+            self.touch(home);
+        }
         Ok(())
     }
 
@@ -369,10 +321,9 @@ impl SystemBuilder {
         b: NodeId,
         strong: bool,
     ) -> Result<(), ModelError> {
-        let old = self.base_nodes();
-        let (changed, old_pair) =
-            orders(&mut self.schedules[s.index()]).insert(a, b, strong, old)?;
-        self.record(s, changed, old_pair);
+        if orders(&mut self.schedules[s.index()]).insert(a, b, strong)? {
+            self.touch(s);
+        }
         Ok(())
     }
 

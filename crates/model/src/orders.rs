@@ -42,41 +42,28 @@ impl OrderPair {
 
     /// Adds a weak pair `a < b`.
     pub fn add_weak(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
-        self.insert(a, b, false, 0).map(drop)
+        self.insert(a, b, false).map(drop)
     }
 
     /// Adds a strong pair `a ≪ b`; this also records `a < b` so the
     /// inclusion `≪ ⊆ <` holds by construction.
     pub fn add_strong(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
-        self.insert(a, b, true, 0).map(drop)
+        self.insert(a, b, true).map(drop)
     }
 
-    /// Adds `a < b`, and `a ≪ b` too when `strong`. Returns
-    /// `(changed, old_pair)`: whether either closure grew, and whether the
-    /// weak closure gained a pair between two nodes below `old`.
-    pub fn insert(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        strong: bool,
-        old: usize,
-    ) -> Result<(bool, bool), ModelError> {
+    /// Adds `a < b`, and `a ≪ b` too when `strong`. Returns whether either
+    /// relation gained the pair.
+    pub fn insert(&mut self, a: NodeId, b: NodeId, strong: bool) -> Result<bool, ModelError> {
         let fail = |kind| move |source| ModelError::OrderViolation { a, b, kind, source };
+        let (x, y) = (a.index(), b.index());
         // Weak first: if the weak insert succeeds, the strong insert cannot
         // fail (strong ⊆ weak means any strong contradiction is also a weak
         // one), so the inclusion invariant survives the error path.
-        let (mut changed, old_pair) = self
-            .weak
-            .insert_tracked(a.index(), b.index(), old)
-            .map_err(fail(OrderKind::Weak))?;
+        let mut changed = self.weak.insert(x, y).map_err(fail(OrderKind::Weak))?;
         if strong {
-            changed |= self
-                .strong
-                .insert_tracked(a.index(), b.index(), 0)
-                .map_err(fail(OrderKind::Strong))?
-                .0;
+            changed |= self.strong.insert(x, y).map_err(fail(OrderKind::Strong))?;
         }
-        Ok((changed, old_pair))
+        Ok(changed)
     }
 
     /// Whether `a < b` (weakly ordered, closure included).

@@ -92,8 +92,8 @@ impl CompositeSystem {
     }
 
     /// Assembles an extension of a valid system from its reopened parts
-    /// (see [`SystemBuilder::build_extension`]): the levels are recomputed,
-    /// but only the `touched` schedules are validated again.
+    /// (see [`SystemBuilder::build`]): the levels are recomputed, but only
+    /// the `touched` schedules are validated again.
     pub(crate) fn assemble_extension(
         nodes: Vec<NodeInfo>,
         schedules: Vec<Schedule>,
@@ -113,8 +113,8 @@ impl CompositeSystem {
 
     /// Reopens the system for extension in place, by move: the builder
     /// declares new schedules, nodes and relation pairs on top of this
-    /// system, and [`SystemBuilder::build_extension`] re-validates only what
-    /// they touched and reports it as a [`crate::SystemDelta`].
+    /// system, and [`SystemBuilder::build`] re-validates only the schedules
+    /// they touched.
     pub fn into_builder(self) -> SystemBuilder {
         SystemBuilder::reopen(self.nodes, self.schedules, self.children)
     }

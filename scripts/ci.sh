@@ -62,6 +62,11 @@ lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     echo "==> lint: cargo fmt --check"
     cargo fmt --check
+    echo "==> lint: every stage 'all' runs has a job in .github/workflows/ci.yml"
+    for fn in $(sed -n '/^    all)$/,/;;/p' scripts/ci.sh | grep -E '^ +[a-z_0-9]+$'); do
+        grep -q "scripts/ci.sh ${fn//_/-}\$" .github/workflows/ci.yml \
+            || { echo "lint: stage ${fn//_/-} has no CI job" >&2; exit 1; }
+    done
 }
 
 # End-to-end observability smoke: the Figure 3 scenario must fail at level 3

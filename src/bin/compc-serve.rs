@@ -1,4 +1,4 @@
-//! `compc-serve` — long-lived incremental Comp-C checking daemon.
+//! `compc-serve` — long-lived Comp-C checking daemon.
 //!
 //! This binary is a thin flag parser over [`compc::serve`], which holds
 //! the actual serving core: a concurrent accept/reader/writer edge around
@@ -20,9 +20,9 @@
 //! → {"op": "shutdown"}     ← {"ok": true, "shutdown": true, "saved": false}   (drains, exits)
 //! ```
 //!
-//! Each `append` merges its fragment into the accumulated spec, rebuilds
-//! the system, and rechecks it *incrementally* — verdicts are bit-identical
-//! to a from-scratch `compc-check` run of the merged spec. With
+//! Each `append` merges its fragment into the accumulated spec, extends
+//! the system in place, and checks it from scratch — verdicts are
+//! bit-identical to a `compc-check` run of the merged spec. With
 //! `--journal FILE` every accepted append is fsynced to a write-ahead
 //! journal before its verdict is acked, so **an acked verdict survives any
 //! single crash**; `--checkpoint FILE` adds snapshot/restore and journal
@@ -58,7 +58,7 @@ fn usage() -> ExitCode {
 
 fn help() -> ExitCode {
     println!(
-        "compc-serve {} — incremental Comp-C checking daemon",
+        "compc-serve {} — long-lived Comp-C checking daemon",
         version()
     );
     println!();
@@ -74,7 +74,7 @@ fn help() -> ExitCode {
     println!("  --backend B       transitive-closure backend: auto | dense | sparse |");
     println!("                    compressed");
     println!("  --deadline-ms N   per-append budget; an interrupted append keeps its");
-    println!("                    completed levels and resumes when re-sent");
+    println!("                    merged fragment, and a re-send checks it again");
     println!("  --oracle          cross-check every verdict against the brute-force");
     println!("                    oracle (small systems); a disagreement exits 2");
     println!("  --checkpoint FILE restore the session from FILE at startup; rewritten");
@@ -118,7 +118,7 @@ fn help() -> ExitCode {
     println!("  --help, -h        print this help and exit");
     println!();
     println!("protocol (NDJSON over the socket, one response line per request):");
-    println!("  {{\"append\": {{<spec fragment>}}}}  merge + incremental recheck; with");
+    println!("  {{\"append\": {{<spec fragment>}}}}  merge + check; with");
     println!("                                  --journal, fsynced before the ack");
     println!("  {{\"session\": \"name\", \"append\": ...}}  address a named session: each");
     println!("                                  session is an independent spec/checker;");
@@ -135,7 +135,7 @@ fn help() -> ExitCode {
     println!();
     println!("error kinds ({{\"ok\": false, \"kind\": ..., \"error\": ...}}):");
     println!("  spec | invalid    the fragment was rejected; session unchanged");
-    println!("  interrupted       --deadline-ms hit; resumable, re-send the fragment");
+    println!("  interrupted       --deadline-ms hit; fragment kept, a re-send checks again");
     println!("  overloaded        shed at --max-conns capacity; retry with backoff");
     println!("  oversize          request line over --max-line-bytes; discarded");
     println!("  timeout           connection idle past --idle-timeout-ms; closed");

@@ -2,7 +2,7 @@
 //!
 //! Measures what the serve path actually delivers under load: acked
 //! appends/sec and ack-latency percentiles through the full daemon stack
-//! (socket → reader parse/classify → shard dispatch → incremental check
+//! (socket → reader parse/classify → shard dispatch → session check
 //! → journal group commit → fsync → ack). The harness spawns its own
 //! journaled daemon per configuration, drives it with pipelining
 //! connections spread over named sessions, and emits a machine-readable

@@ -11,7 +11,7 @@
 //! * [`sim`] — the composite-system simulator
 //! * [`workload`] — figures, scenarios and random system generation
 //! * [`spec`] — the versioned JSON system format consumed by `compc-check`
-//! * [`session`] — incremental spec-level checking (backs `compc-serve`)
+//! * [`session`] — spec-level session checking (backs `compc-serve`)
 //! * [`cli`] — the check flags `compc-check` and `compc-serve` share
 //! * [`serve`] — the daemon serving core: concurrent dispatch, write-ahead
 //!   journal, overload/drain control, and the resilient NDJSON client

@@ -267,9 +267,11 @@ pub fn stream_requests_observed(
                     continue;
                 }
                 if !ok && kind == "interrupted" {
-                    // Deadline interruption is resumable: re-send the same
-                    // line; the session picks up from its completed levels.
+                    // Deadline interruption: the daemon kept the merged
+                    // fragment, so re-sending the line is safe, but the
+                    // re-send checks the whole system again. Back off first.
                     attempts += 1;
+                    std::thread::sleep(backoff_delay(policy, attempts, &mut jitter));
                     continue;
                 }
                 if value.get("verdict").and_then(Value::as_str) == Some("not-comp-c") {

@@ -523,10 +523,10 @@ impl Shard {
                 entry.violation = !verdict.is_correct();
             }
             Ok(Err(SpecSessionError::Session(SessionError::Interrupted(e)))) => {
-                // The merged spec is kept for resume, so the session stays
-                // (even a fresh one) — re-appending the same fragment
-                // resumes from the completed levels. The state changed, so
-                // it is journaled like an acked append.
+                // The merged spec is kept, so the session stays (even a
+                // fresh one) — re-appending the same fragment merges
+                // nothing new and checks the system again. The state
+                // changed, so it is journaled like an acked append.
                 self.gauges.interruptions.fetch_add(1, Ordering::SeqCst);
                 let mut response = error_object("interrupted", e.to_string());
                 if let Value::Object(entries) = &mut response {
@@ -689,10 +689,10 @@ impl Shard {
     fn stats_response(&self, session_name: &str) -> Value {
         let gauges = &self.gauges;
         let load = |g: &std::sync::atomic::AtomicU64| Value::from(g.load(Ordering::SeqCst));
-        let session_stats = self.sessions.get(session_name).map(SpecSession::stats);
-        let s = |f: fn(&compc_core::SessionStats) -> u64| {
-            Value::from(session_stats.as_ref().map_or(0, f))
-        };
+        let session_appends = self
+            .sessions
+            .get(session_name)
+            .map_or(0, |session| session.stats().appends);
         let (journal_records, journal_bytes) = match &self.journal {
             Some(j) => {
                 let guard = lock_journal(j);
@@ -704,11 +704,7 @@ impl Shard {
             ("appends".to_string(), load(&gauges.appends)),
             ("session".to_string(), Value::from(session_name)),
             ("shard".to_string(), Value::from(self.index)),
-            ("session_appends".to_string(), s(|st| st.appends)),
-            ("levels_computed".to_string(), s(|st| st.levels_computed)),
-            ("levels_reused".to_string(), s(|st| st.levels_reused)),
-            ("rows_recomputed".to_string(), s(|st| st.rows_recomputed)),
-            ("rows_spliced".to_string(), s(|st| st.rows_spliced)),
+            ("session_appends".to_string(), Value::from(session_appends)),
             ("violations".to_string(), load(&gauges.violations)),
             ("interruptions".to_string(), load(&gauges.interruptions)),
             ("internal_faults".to_string(), load(&gauges.internal_faults)),
@@ -740,10 +736,9 @@ impl Shard {
     }
 }
 
-/// The one verdict line per append: the stats ride along so a client can
-/// watch the incremental path work (`levels_reused` growing).
+/// The one verdict line per append, with the session's append count and
+/// size.
 fn verdict_response(session_name: &str, session: &SpecSession, verdict: &Verdict) -> Value {
-    let stats = session.stats();
     let mut fields = vec![
         (
             "verdict".to_string(),
@@ -754,17 +749,12 @@ fn verdict_response(session_name: &str, session: &SpecSession, verdict: &Verdict
             }),
         ),
         ("session".to_string(), Value::from(session_name)),
-        ("appends".to_string(), Value::from(stats.appends)),
+        ("appends".to_string(), Value::from(session.stats().appends)),
     ];
     if let Some(sys) = session.system() {
         fields.push(("nodes".to_string(), Value::from(sys.node_count())));
         fields.push(("order".to_string(), Value::from(sys.order())));
     }
-    fields.push((
-        "levels_reused".to_string(),
-        Value::from(stats.levels_reused),
-    ));
-    fields.push(("rows_spliced".to_string(), Value::from(stats.rows_spliced)));
     if let Verdict::Incorrect(cex) = verdict {
         fields.push(("level".to_string(), Value::from(cex.level)));
         fields.push(("phase".to_string(), Value::from(cex.phase.tag())));

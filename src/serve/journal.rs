@@ -1,7 +1,7 @@
 //! The write-ahead append journal behind `--journal`.
 //!
 //! One NDJSON record per append that changed its session (acked, or
-//! interrupted and kept for resume) — `{"seq": N, "append": {...}}`
+//! interrupted with its fragment kept) — `{"seq": N, "append": {...}}`
 //! for the `"default"` session (byte-identical to the pre-multi-session
 //! format), `{"session": "name", "seq": N, "append": {...}}` for named
 //! sessions. Records are written in **commit batches**: a dispatch shard

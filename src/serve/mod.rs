@@ -35,8 +35,8 @@
 //! # Durability contract
 //!
 //! **An acked verdict survives any single crash.** With `--journal FILE`
-//! every append that changed its session (acked, or interrupted and kept
-//! for resume) becomes one NDJSON journal record; records are
+//! every append that changed its session (acked, or interrupted with its
+//! fragment kept) becomes one NDJSON journal record; records are
 //! written in **commit batches** (up to `--commit-batch` contiguous
 //! queued appends per shard) with one `write_all` and one fsync covering
 //! the whole batch, and *no* member's verdict is written to the socket

@@ -2,10 +2,10 @@
 //!
 //! [`SpecSession`] is the data-layer face of [`compc_core::Session`]: it
 //! accumulates [`SystemSpec`] *fragments* (the same versioned JSON format
-//! `compc-check` reads — see [`SystemSpec::merge`]), builds the merged
-//! system after each append, and hands it to the core session, which
-//! recomputes only the reduction levels the append could have changed. The
-//! `compc-serve` daemon speaks exactly this layer over a socket.
+//! `compc-check` reads — see [`SystemSpec::merge`]), extends the system in
+//! place by each append's new items, and hands it to the core session,
+//! which checks it from scratch. The `compc-serve` daemon speaks exactly
+//! this layer over a socket.
 //!
 //! With [`compc_core::CheckOptions::oracle`] set, every verdict on a system
 //! within [`compc_oracle::RECOMMENDED_NODE_CAP`] nodes is additionally
@@ -75,8 +75,9 @@ impl From<SessionError> for SpecSessionError {
 }
 
 impl SpecSessionError {
-    /// Whether this error leaves the session resumable (a deadline or
-    /// cancellation, as opposed to a rejected input).
+    /// Whether this error was a deadline or cancellation (the merged spec
+    /// is kept and a re-send checks it again), as opposed to a rejected
+    /// input.
     pub fn is_interrupted(&self) -> bool {
         matches!(
             self,
@@ -95,7 +96,7 @@ pub struct SpecSnapshot {
     stats: SessionStats,
 }
 
-/// An incremental Comp-C checker fed by JSON spec fragments.
+/// A Comp-C checker fed by JSON spec fragments.
 ///
 /// ```
 /// use compc::session::SpecSession;
@@ -178,9 +179,9 @@ impl SpecSession {
         self.inner.verdict()
     }
 
-    /// Work counters for the incremental path. `appends` counts across
-    /// checkpoint restores: a session rebuilt with
-    /// [`SpecSession::from_checkpoint`] resumes the recorded count.
+    /// Session counters. `appends` counts across checkpoint restores: a
+    /// session rebuilt with [`SpecSession::from_checkpoint`] resumes the
+    /// recorded count.
     pub fn stats(&self) -> SessionStats {
         let mut stats = self.inner.stats();
         stats.appends += self.appends_offset;
@@ -194,10 +195,11 @@ impl SpecSession {
     }
 
     /// Merges `fragment` into the accumulated spec, extends the system in
-    /// place by the new items and checks it incrementally. On a spec-level
-    /// error (parse, merge, build, invalid extension) the session is
-    /// unchanged; on an interruption the merged spec is kept and
-    /// re-appending the same fragment resumes from the completed levels.
+    /// place by the new items and checks it. On a spec-level error (parse,
+    /// merge, build, invalid extension) the session is unchanged; on an
+    /// interruption the merged spec is kept with no verdict, and
+    /// re-appending the same fragment merges nothing new and checks the
+    /// system again.
     pub fn append(&mut self, fragment: &SystemSpec) -> Result<&Verdict, SpecSessionError> {
         self.append_all(std::slice::from_ref(fragment))
     }
@@ -215,7 +217,7 @@ impl SpecSession {
             }
         }
         let builder = self.inner.reopen();
-        let (sys, delta) = match self.spec.extend(builder, &self.index, &mark.spec) {
+        let sys = match self.spec.extend(builder, &self.index, &mark.spec) {
             Ok(extended) => extended,
             Err(e) => {
                 // The builder consumed the system: rebuild it from the
@@ -230,7 +232,7 @@ impl SpecSession {
             }
         };
         self.appends_offset += fragments.len().saturating_sub(1) as u64;
-        self.inner.append_extension(sys, &delta)?;
+        self.inner.append_extension(sys)?;
         let verdict = self.inner.verdict().expect("append just completed");
         if self.options().oracle {
             let sys = self.inner.system().expect("append just completed");
@@ -258,7 +260,7 @@ impl SpecSession {
     }
 
     /// Replays `fragments` append-by-append through a fresh session with
-    /// `options`, demanding after **every** append that the incremental
+    /// `options`, demanding after **every** append that the session's
     /// verdict is bit-identical (full `Debug` structure: fronts, witness,
     /// cycle) to a from-scratch batch check of the merged prefix. This is
     /// [`SystemSpec::into_appends`] prefix-validity as an executable
@@ -340,9 +342,8 @@ impl SpecSession {
     }
 
     /// Rebuilds a session from a [`SpecSession::checkpoint_json`] document:
-    /// the checkpointed spec is re-appended as one batch, restoring the
-    /// per-level caches so subsequent appends are incremental again. The
-    /// recorded append count is resumed, so `stats().appends` keeps
+    /// the checkpointed spec is re-appended as one batch and checked once.
+    /// The recorded append count is resumed, so `stats().appends` keeps
     /// counting across the restore.
     pub fn from_checkpoint(
         text: &str,
@@ -732,14 +733,10 @@ mod tests {
         batched.append_all(&fragments).unwrap();
         assert_eq!(batched.spec(), one_by_one.spec());
         assert_eq!(observed(&batched), observed(&one_by_one));
-        // Both answer a further (idempotent) append alike, and an append
-        // that adds nothing reuses every level.
+        // Both answer a further (idempotent) append alike.
         one_by_one.append(&fragments[0]).unwrap();
-        let reused = batched.stats().levels_reused;
         batched.append(&fragments[0]).unwrap();
         assert_eq!(observed(&batched), observed(&one_by_one));
-        let order = batched.system().unwrap().order() as u64;
-        assert_eq!(batched.stats().levels_reused, reused + order + 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! load error names the offending node or relation entry.
 
 use compc_json::Value;
-use compc_model::{CompositeSystem, ModelError, NodeId, SchedId, SystemBuilder, SystemDelta};
+use compc_model::{CompositeSystem, ModelError, NodeId, SchedId, SystemBuilder};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hash;
@@ -647,9 +647,9 @@ impl SystemSpec {
         mut b: SystemBuilder,
         index: &SpecIndex,
         from: &SpecMark,
-    ) -> Result<(CompositeSystem, SystemDelta), SpecError> {
+    ) -> Result<CompositeSystem, SpecError> {
         self.declare(&mut b, &index.names, from)?;
-        b.build_extension().map_err(|source| SpecError::Model {
+        b.build().map_err(|source| SpecError::Model {
             context: "build".into(),
             source,
         })

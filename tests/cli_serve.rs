@@ -1006,6 +1006,45 @@ fn deadline_interruption_is_resumable_and_exits_3() {
     assert_eq!(daemon.wait_code(), 3);
 }
 
+/// The client backs off on `interrupted` and gives up after its attempt
+/// budget: every re-send checks the whole system again, so it must not
+/// retry at once and forever.
+#[test]
+fn client_gives_up_on_a_request_interrupted_every_attempt() {
+    use compc::serve::client::{stream_requests, BackoffPolicy, Target};
+    let dir = tmpdir();
+    let socket = dir.join("c.sock");
+    let _daemon = Daemon::spawn(&["--socket", socket.to_str().unwrap(), "--deadline-ms", "0"]);
+    let stream = wait_for_socket(&socket);
+    let policy = BackoffPolicy {
+        base: Duration::from_millis(10),
+        cap: Duration::from_secs(1),
+        max_attempts: 3,
+        ..BackoffPolicy::default()
+    };
+    let target = Target::Unix(socket.to_str().unwrap().to_string());
+    let started = std::time::Instant::now();
+    let report = stream_requests(&target, &figure3_fragments(), &policy, |_, _| {});
+    // Attempt k sleeps at least base * 2^(k-1): 10 + 20 + 40 ms in all.
+    assert!(
+        started.elapsed() >= Duration::from_millis(70),
+        "no backoff between re-sends: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(report.acked, 0);
+    let gave_up = report.gave_up.expect("every attempt is interrupted");
+    assert!(gave_up.contains("request 1 "), "{gave_up}");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let stats = roundtrip(&mut reader, &mut writer, "{\"op\": \"stats\"}");
+    assert_eq!(
+        u64_field(&stats, "interruptions"),
+        3,
+        "{}",
+        stats.to_compact()
+    );
+}
+
 /// Fragments of a corpus spec as request lines, optionally addressed to a
 /// named session.
 fn corpus_fragments(file: &str, session: Option<&str>) -> Vec<String> {
