@@ -1,16 +1,12 @@
 //! Criterion bench: scaling of the parallel checking engine.
 //!
-//! Two sweeps over `1..=cores` workers:
-//!
-//! * `check-jobs` — within-system parallelism (`CheckOptions::jobs`) on one big
-//!   system, where the per-level closure and conflict scans dominate;
-//! * `batch-workers` — across-system parallelism (`Batch::workers`) on a
-//!   corpus of medium systems, the batch engine's home turf.
+//! One sweep over `1..=cores` workers: `batch-workers` — across-system
+//! parallelism (`Batch::workers`) on a corpus of medium systems. Each check
+//! runs sequentially on its worker, so this is the only parallel axis.
 //!
 //! Run with `cargo bench --bench parallel_reduction`; each line is one
 //! worker count, so the scaling curve reads straight off the report.
 
-use compc_core::{CheckOptions, Checker};
 use compc_engine::{Batch, BatchItem};
 use compc_workload::random::{generate, GenParams, Shape};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -23,25 +19,6 @@ fn sweep_max() -> usize {
         .map(|n| n.get())
         .unwrap_or(4)
         .max(4)
-}
-
-/// One deliberately large system: deep general shape, many roots, long
-/// transactions, so each level carries a big front and the closure dominates.
-fn big_system() -> compc_model::CompositeSystem {
-    generate(&GenParams {
-        shape: Shape::General {
-            levels: 4,
-            scheds_per_level: 3,
-        },
-        roots: 48,
-        ops_per_tx: (2, 4),
-        conflict_density: 0.25,
-        sequential_tx_prob: 0.7,
-        client_input_prob: 0.0,
-        strong_input_prob: 0.0,
-        sound_abstractions: false,
-        seed: 11,
-    })
 }
 
 fn corpus(n: u64) -> Vec<BatchItem> {
@@ -66,20 +43,6 @@ fn corpus(n: u64) -> Vec<BatchItem> {
         .collect()
 }
 
-fn bench_jobs_sweep(c: &mut Criterion) {
-    let sys = big_system();
-    let mut group = c.benchmark_group("parallel_reduction");
-    for jobs in 1..=sweep_max() {
-        let checker = Checker::with_options(CheckOptions::new().jobs(jobs));
-        group.bench_with_input(
-            BenchmarkId::new("check-jobs", format!("{jobs}j/{}n", sys.node_count())),
-            &sys,
-            |b, sys| b.iter(|| checker.check(std::hint::black_box(sys)).is_correct()),
-        );
-    }
-    group.finish();
-}
-
 fn bench_batch_sweep(c: &mut Criterion) {
     let items = corpus(64);
     let mut group = c.benchmark_group("parallel_reduction");
@@ -94,5 +57,5 @@ fn bench_batch_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_jobs_sweep, bench_batch_sweep);
+criterion_group!(benches, bench_batch_sweep);
 criterion_main!(benches);

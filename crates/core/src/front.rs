@@ -43,15 +43,14 @@ impl Front {
     /// common schedule are observed in that schedule's weak output order,
     /// conflicting or not.
     pub fn level0(sys: &CompositeSystem) -> Front {
-        Self::level0_with(sys, 1, Backend::Auto, &mut CheckScratch::new())
+        Self::level0_with(sys, Backend::Auto, &mut CheckScratch::new())
     }
 
-    /// [`Front::level0`] with `jobs` workers, a closure backend and
-    /// reusable buffers for the closing normalization's parallel closure.
-    /// Identical output for every `jobs` and backend.
+    /// [`Front::level0`] with a closure backend and reusable buffers for
+    /// the closing normalization's closure. Identical output for every
+    /// backend.
     pub(crate) fn level0_with(
         sys: &CompositeSystem,
-        jobs: usize,
         backend: Backend,
         scratch: &mut CheckScratch,
     ) -> Front {
@@ -70,7 +69,7 @@ impl Front {
         // intra-schedule and each schedule's output order is already closed —
         // but we normalize anyway so the invariant "observed is closed" holds
         // unconditionally.
-        let observed = par::transitive_closure_jobs(&observed, jobs, backend, scratch);
+        let observed = par::transitive_closure(&observed, backend, scratch);
         Front {
             level: 0,
             nodes: sys.leaves().collect(),

@@ -1,27 +1,15 @@
-//! Scoped-thread parallel closure for the within-level checks.
+//! Closure backend routing for the within-level checks.
 //!
 //! The reduction is strictly sequential *across* levels (level `i` needs the
-//! level-`i-1` front). Inside one level the expensive work is the observed
-//! order's transitive closure: per-source reachability, embarrassingly
-//! parallel. The other scans (generalized conflicts, constraint edges,
-//! serialization pairs) walk declared pairs in O(pairs) and stay
-//! sequential. The closure splits row ranges into contiguous chunks across
-//! `std::thread::scope` workers and reassembles them in chunk order, so the
-//! outcome is bit-identical to the sequential path for any `jobs` value
-//! (the verdict-equivalence property tests pin this down).
-//!
-//! No thread pool is kept alive: scoped threads borrow the graph and scratch
-//! directly, which keeps the engine dependency-free. Thread spawn costs
-//! ~10–50 µs, so small inputs stay on the sequential path.
+//! level-`i-1` front), and each level runs on the calling thread. The
+//! observed order's transitive closure is the one step with several
+//! representations: this module picks sparse, dense or compressed rows by
+//! backend and node count, and every choice gives the same closure (the
+//! backend-equivalence property tests pin this down). Parallelism lives one
+//! layer up, across the items of a batch.
 
 use crate::reduce::Backend;
-use compc_graph::{
-    reachable_from_with, BitGraph, ChunkedBitGraph, DiGraph, ReachScratch, SccScratch,
-};
-
-/// Below this many nodes a transitive closure is not worth spawning threads
-/// for (the closure is `O(V·E)`, the spawn overhead a few tens of µs).
-const CLOSURE_PAR_THRESHOLD: usize = 64;
+use compc_graph::{BitGraph, ChunkedBitGraph, DiGraph, ReachScratch, SccScratch};
 
 /// Default node-count crossover above which closures run on the dense
 /// word-parallel [`BitGraph`] backend instead of the sparse per-source DFS.
@@ -52,7 +40,8 @@ pub struct BackendCounts {
     pub compressed: u64,
 }
 
-/// Resolves a `jobs` knob: `0` means one worker per available core.
+/// Resolves a worker count (`--jobs`, `Batch::workers`): `0` means one per
+/// available core.
 pub fn effective_jobs(jobs: usize) -> usize {
     match jobs {
         0 => std::thread::available_parallelism()
@@ -64,13 +53,13 @@ pub fn effective_jobs(jobs: usize) -> usize {
 
 /// Reusable allocation state for one checking session.
 ///
-/// Holds per-worker reachability buffers (epoch-stamped visited sets) and a
-/// Tarjan scratch. A `CheckScratch` kept across systems — as the batch
-/// engine's workers do — makes repeated checks allocation-light: buffers grow
-/// to the largest system seen and are then reused.
+/// Holds a reachability buffer (epoch-stamped visited set) and a Tarjan
+/// scratch. A `CheckScratch` kept across systems — as the batch engine's
+/// workers do — makes repeated checks allocation-light: buffers grow to the
+/// largest system seen and are then reused.
 #[derive(Debug, Default)]
 pub struct CheckScratch {
-    pub(crate) reach: Vec<ReachScratch>,
+    pub(crate) reach: ReachScratch,
     /// Exposed for callers that interleave their own SCC passes with checks.
     pub scc: SccScratch,
     /// Reusable dense adjacency rows for the word-parallel closure backend:
@@ -89,14 +78,6 @@ impl CheckScratch {
         CheckScratch::default()
     }
 
-    /// Make sure at least `jobs` per-worker reachability buffers exist.
-    pub(crate) fn ensure_workers(&mut self, jobs: usize) {
-        let want = jobs.max(1);
-        while self.reach.len() < want {
-            self.reach.push(ReachScratch::new());
-        }
-    }
-
     /// How many transitive closures this scratch has run on each backend
     /// since creation — the engine snapshots these around each item so
     /// `compc-check --stats` can report which representation a check
@@ -106,134 +87,45 @@ impl CheckScratch {
     }
 }
 
-/// Transitive closure with `jobs` workers, reusing `scratch` buffers.
+/// Transitive closure on the calling thread, reusing `scratch` buffers.
 ///
 /// `backend` and the node count pick the representation. Under
 /// [`Backend::Auto`], graphs of at least [`COMPRESSED_CROSSOVER_DEFAULT`]
 /// nodes run on the compressed backend (hybrid chunked rows, SCC-condensed
 /// closure); from [`DENSE_CROSSOVER_DEFAULT`] up they run on the dense
-/// bitset backend — one sparse→dense conversion, then 64 edges per word OR —
-/// and with multiple jobs the rows are partitioned into contiguous source
-/// ranges per worker. Smaller graphs keep the sparse per-source DFS; the
-/// other backends force one representation at every size. Deterministic and
-/// bit-identical across backends and every `jobs` value (pinned by
-/// `tests/bitgraph_equiv.rs` and the parallel-equivalence suite).
-pub(crate) fn transitive_closure_jobs(
+/// bitset backend — one sparse→dense conversion, then 64 edges per word OR.
+/// Smaller graphs keep the sparse per-source DFS; the other backends force
+/// one representation at every size. Deterministic and bit-identical across
+/// backends (pinned by `tests/bitgraph_equiv.rs`).
+pub(crate) fn transitive_closure(
     g: &DiGraph,
-    jobs: usize,
     backend: Backend,
     scratch: &mut CheckScratch,
 ) -> DiGraph {
     let n = g.node_count();
-    let jobs = effective_jobs(jobs).min(n.max(1));
-    scratch.ensure_workers(jobs);
     let backend = match backend {
         Backend::Auto if n >= COMPRESSED_CROSSOVER_DEFAULT => Backend::Compressed,
         Backend::Auto if n >= DENSE_CROSSOVER_DEFAULT => Backend::Dense,
         other => other,
     };
-    if backend == Backend::Compressed {
-        scratch.counts.compressed += 1;
-        return compressed_closure_jobs(g, jobs, scratch);
-    }
-    if backend == Backend::Dense {
-        scratch.counts.dense += 1;
-        return dense_closure_jobs(g, jobs, scratch);
-    }
-    scratch.counts.sparse += 1;
-    if jobs <= 1 || n < CLOSURE_PAR_THRESHOLD {
-        return compc_graph::transitive_closure_with(g, &mut scratch.reach[0]);
-    }
-    let chunk = n.div_ceil(jobs);
-    let mut rows: Vec<Vec<usize>> = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = scratch
-            .reach
-            .iter_mut()
-            .take(jobs)
-            .enumerate()
-            .map(|(i, sc)| {
-                let lo = (i * chunk).min(n);
-                let hi = ((i + 1) * chunk).min(n);
-                s.spawn(move || {
-                    (lo..hi)
-                        .map(|u| reachable_from_with(g, u, sc))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            rows.extend(h.join().expect("closure worker panicked"));
+    match backend {
+        Backend::Compressed => {
+            scratch.counts.compressed += 1;
+            let CheckScratch { chunked, scc, .. } = scratch;
+            chunked.load_from(g);
+            chunked.condensed_closure_with(scc).to_digraph()
         }
-    });
-    let mut out = DiGraph::with_nodes(n);
-    for (u, row) in rows.iter().enumerate() {
-        for &v in row {
-            out.add_edge(u, v);
+        Backend::Dense => {
+            scratch.counts.dense += 1;
+            scratch.dense.load_from(g);
+            scratch.dense.close_transitively();
+            scratch.dense.to_digraph()
+        }
+        Backend::Sparse | Backend::Auto => {
+            scratch.counts.sparse += 1;
+            compc_graph::transitive_closure_with(g, &mut scratch.reach)
         }
     }
-    out
-}
-
-/// The dense closure path: load the scratch [`BitGraph`] from `g`, close
-/// word-parallel, convert back once. With multiple jobs, workers compute
-/// closed rows for disjoint contiguous source ranges of the shared
-/// read-only graph (row-range partitioning instead of source-list chunks).
-fn dense_closure_jobs(g: &DiGraph, jobs: usize, scratch: &mut CheckScratch) -> DiGraph {
-    let n = g.node_count();
-    scratch.dense.load_from(g);
-    if jobs <= 1 || n < CLOSURE_PAR_THRESHOLD {
-        scratch.dense.close_transitively();
-        return scratch.dense.to_digraph();
-    }
-    let words = scratch.dense.words_per_row();
-    let bits = &scratch.dense;
-    let chunk = n.div_ceil(jobs);
-    let mut rows = vec![0u64; n * words];
-    std::thread::scope(|s| {
-        let mut rest = rows.as_mut_slice();
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let (mine, tail) = rest.split_at_mut((hi - lo) * words);
-            rest = tail;
-            s.spawn(move || bits.closure_rows_range(lo, hi, mine));
-            lo = hi;
-        }
-    });
-    BitGraph::from_rows(n, rows).to_digraph()
-}
-
-/// The compressed closure path: load the scratch [`ChunkedBitGraph`] from
-/// `g`, close via SCC condensation (one shared closed row per strong
-/// component), then expand. With one job the expansion reuses the
-/// component-shared rows directly (`CondensedClosure::to_digraph`); with
-/// multiple jobs workers expand disjoint contiguous source ranges through
-/// the same `rows_range` contract the dense path partitions.
-fn compressed_closure_jobs(g: &DiGraph, jobs: usize, scratch: &mut CheckScratch) -> DiGraph {
-    let n = g.node_count();
-    let CheckScratch { chunked, scc, .. } = scratch;
-    chunked.load_from(g);
-    let closed = chunked.condensed_closure_with(scc);
-    if jobs <= 1 || n < CLOSURE_PAR_THRESHOLD {
-        return closed.to_digraph();
-    }
-    let words = closed.words_per_row();
-    let chunk = n.div_ceil(jobs);
-    let mut rows = vec![0u64; n * words];
-    std::thread::scope(|s| {
-        let closed = &closed;
-        let mut rest = rows.as_mut_slice();
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let (mine, tail) = rest.split_at_mut((hi - lo) * words);
-            rest = tail;
-            s.spawn(move || closed.rows_range(lo, hi, mine));
-            lo = hi;
-        }
-    });
-    BitGraph::from_rows(n, rows).to_digraph()
 }
 
 #[cfg(test)]
@@ -248,7 +140,7 @@ mod tests {
 
     #[test]
     fn parallel_closure_matches_sequential() {
-        // A graph big enough to cross the threshold, with interesting SCCs.
+        // A graph past the dense crossover, with interesting SCCs.
         let n = 150;
         let mut g = DiGraph::with_nodes(n);
         for i in 0..n {
@@ -265,15 +157,13 @@ mod tests {
             Backend::Compressed,
             Backend::Auto,
         ];
-        for jobs in [1, 2, 4, 8] {
-            for backend in backends {
-                let par = transitive_closure_jobs(&g, jobs, backend, &mut CheckScratch::new());
-                assert_eq!(
-                    seq.edges().collect::<Vec<_>>(),
-                    par.edges().collect::<Vec<_>>(),
-                    "closure must be identical at jobs={jobs} backend={backend}"
-                );
-            }
+        for backend in backends {
+            let closed = transitive_closure(&g, backend, &mut CheckScratch::new());
+            assert_eq!(
+                seq.edges().collect::<Vec<_>>(),
+                closed.edges().collect::<Vec<_>>(),
+                "closure must be identical on backend={backend}"
+            );
         }
     }
 
@@ -288,7 +178,7 @@ mod tests {
             Backend::Dense,
             Backend::Compressed,
         ] {
-            transitive_closure_jobs(&g, 1, backend, &mut scratch);
+            transitive_closure(&g, backend, &mut scratch);
         }
         assert_eq!(
             scratch.backend_counts(),

@@ -246,7 +246,7 @@ impl std::fmt::Display for Backend {
 /// # let s = b.schedule("S");
 /// # let _t = b.root("T", s);
 /// # let sys = b.build().unwrap();
-/// let options = CheckOptions::new().jobs(4).backend(Backend::Auto);
+/// let options = CheckOptions::new().backend(Backend::Auto);
 /// let verdict = Checker::with_options(options).check(&sys);
 /// assert!(verdict.is_correct());
 /// ```
@@ -259,9 +259,6 @@ pub struct CheckOptions {
     /// then flips to incorrect, quantifying how much permissiveness the
     /// schedules' commutativity knowledge buys.
     pub forgetting: bool,
-    /// Worker threads for within-level checks: `1` sequential (default),
-    /// `0` one per core, `n` exactly `n`. Verdict-neutral.
-    pub jobs: usize,
     /// Transitive-closure backend (size-based [`Backend::Auto`] by
     /// default). Verdict-neutral.
     pub backend: Backend,
@@ -280,7 +277,6 @@ impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
             forgetting: true,
-            jobs: 1,
             backend: Backend::Auto,
             deadline: None,
             oracle: false,
@@ -298,12 +294,6 @@ impl CheckOptions {
     /// Enable/disable Definition 10's commutativity forgetting.
     pub fn forgetting(mut self, on: bool) -> Self {
         self.forgetting = on;
-        self
-    }
-
-    /// Worker threads for within-level checks.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
         self
     }
 
@@ -368,7 +358,7 @@ impl<'a> CheckCtx<'a> {
 /// # let s = b.schedule("S");
 /// # let _t = b.root("T", s);
 /// # let sys = b.build().unwrap();
-/// let checker = Checker::with_options(CheckOptions::new().jobs(4));
+/// let checker = Checker::with_options(CheckOptions::new());
 /// assert!(checker.check(&sys).is_correct());
 ///
 /// // Hot loops reuse one scratch across systems and observe deadlines.
@@ -489,7 +479,7 @@ impl<'a> Reducer<'a> {
         options: CheckOptions,
         mut scratch: CheckScratch,
     ) -> Self {
-        let front = Front::level0_with(sys, options.jobs, options.backend, &mut scratch);
+        let front = Front::level0_with(sys, options.backend, &mut scratch);
         Reducer {
             sys,
             front,
@@ -818,12 +808,7 @@ impl<'a> Reducer<'a> {
         }
         // Rule 4: transitive closure.
         let pre_closure_edges = observed.edge_count();
-        let observed = par::transitive_closure_jobs(
-            &observed,
-            self.options.jobs,
-            self.options.backend,
-            &mut self.scratch,
-        );
+        let observed = par::transitive_closure(&observed, self.options.backend, &mut self.scratch);
         let closure_edges = observed.edge_count().saturating_sub(pre_closure_edges);
 
         // --- Step 6: add the level's input orders and check CC.

@@ -11,19 +11,10 @@
 //! [`Batch::check_all`] is the case where every system is already built.
 //! Outcomes come back in input order whatever the claim order.
 //!
-//! Two axes of parallelism share one thread budget:
-//!
-//! * **across systems** — `workers` threads, the calling thread being one
-//!   of them (one [`compc_core::CheckScratch`] per worker, kept across
-//!   systems so graph buffers amortize);
-//! * **within a system** — the [`compc_core::Checker`]'s `jobs` knob
-//!   parallelizes the per-level closures *inside* one check.
-//!
-//! [`CheckOptions::jobs`] is the budget of the whole batch: with `w`
-//! workers each check runs at `max(1, jobs / w)`, so the axes divide the
-//! budget instead of multiplying it. One worker (or one item) runs inline
-//! on the calling thread with the whole budget. Verdicts are independent
-//! of worker and job counts.
+//! A batch runs on `workers` threads, the calling thread being one of
+//! them, and each check runs sequentially on its worker's thread with one
+//! [`compc_core::CheckScratch`] kept across systems; verdicts are
+//! independent of the worker count.
 //!
 //! **Fault isolation:** an item whose load fails reports a
 //! [`BatchFault::Invalid`]; an item whose load, check or finishing step
@@ -370,8 +361,7 @@ impl BatchReport {
 /// A configured batch-checking session — the across-systems counterpart of
 /// [`compc_core::Checker`].
 ///
-/// `workers = 0` (the default) means one worker per available core — the
-/// same normalization as [`CheckOptions::jobs`], via
+/// `workers = 0` (the default) means one worker per available core, via
 /// [`compc_core::effective_jobs`]; `workers = 1` checks sequentially on the
 /// calling thread (no thread spawned). Each worker keeps one
 /// `CheckScratch` for its whole lifetime.
@@ -391,8 +381,7 @@ impl Batch {
 
     /// A batch session whose checks run with the given options — the same
     /// [`CheckOptions`] accepted by [`Checker::with_options`] and
-    /// [`compc_core::Session::with_options`]. Its `jobs` is the thread
-    /// budget of the whole batch (see the crate docs).
+    /// [`compc_core::Session::with_options`].
     pub fn with_options(options: CheckOptions) -> Self {
         Batch {
             options,
@@ -469,8 +458,7 @@ impl Batch {
     {
         let n = jobs.len();
         let workers = effective_jobs(self.workers).min(n.max(1));
-        let per_check = (effective_jobs(self.options.jobs) / workers).max(1);
-        let checker = Checker::with_options(self.options.jobs(per_check));
+        let checker = Checker::with_options(self.options);
         let tracing = self.tracing;
         let mut queue: Vec<(usize, BatchJob<S>)> = jobs.into_iter().enumerate().collect();
         queue.sort_by_key(|(_, job)| std::cmp::Reverse(job.size));
@@ -716,6 +704,7 @@ mod tests {
         let seq = Batch::new().workers(1).check_all(batch_items());
         for workers in [2, 4, 8] {
             let par = Batch::new().workers(workers).check_all(batch_items());
+            assert_eq!(par.stats.workers, workers);
             assert_eq!(par.stats.systems, seq.stats.systems);
             assert_eq!(par.stats.correct, seq.stats.correct);
             let verdicts: Vec<(String, bool)> = par
@@ -730,18 +719,6 @@ mod tests {
                 .collect();
             assert_eq!(verdicts, expect, "workers={workers}");
         }
-    }
-
-    /// Two workers under a `jobs` budget of two check at one job each;
-    /// verdicts do not change.
-    #[test]
-    fn inner_jobs_compose_with_outer_workers() {
-        let report = Batch::with_options(CheckOptions::new().jobs(2))
-            .workers(2)
-            .check_all(batch_items());
-        assert_eq!(report.stats.workers, 2);
-        assert_eq!(report.stats.incorrect, 1);
-        assert_eq!(report.incorrect_labels(), vec!["bad"]);
     }
 
     #[test]
@@ -1027,7 +1004,7 @@ mod tests {
     }
 
     /// `workers(0)` means one per core — same normalization as
-    /// `CheckOptions::jobs(0)` — and still produces identical verdicts.
+    /// `compc-check --jobs 0` — and still produces identical verdicts.
     #[test]
     fn auto_workers_normalize_like_checker_jobs() {
         let auto = Batch::new().workers(0).check_all(batch_items());

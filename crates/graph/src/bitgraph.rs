@@ -80,14 +80,6 @@ impl BitGraph {
         }
     }
 
-    /// Rebuilds a graph from raw row words (length must be `n * words`
-    /// for `words = ceil(n/64)`; trailing bits past `n` must be zero).
-    pub fn from_rows(n: usize, rows: Vec<u64>) -> Self {
-        let words = words_for(n);
-        assert_eq!(rows.len(), n * words, "row buffer has the wrong shape");
-        BitGraph { n, words, rows }
-    }
-
     /// Converts back to the sparse representation.
     pub fn to_digraph(&self) -> DiGraph {
         let succs: Vec<BTreeSet<usize>> = (0..self.n)
@@ -347,29 +339,6 @@ impl BitGraph {
         let mut row = vec![0u64; self.words];
         self.reachable_into(start, &mut row);
         row_bits(&row).collect()
-    }
-
-    /// Computes closed rows for sources `lo..hi` into `out` (a buffer of
-    /// `(hi - lo) * words_per_row` words). This is the unit the parallel
-    /// engine partitions across workers: disjoint row ranges of one shared
-    /// read-only graph.
-    ///
-    /// Panics when `out` is not exactly `(hi - lo) * words_per_row()` words:
-    /// a mis-sized buffer would mis-slice rows (corrupting neighbours) or
-    /// panic mid-write after partial output.
-    pub fn closure_rows_range(&self, lo: usize, hi: usize, out: &mut [u64]) {
-        assert!(
-            lo <= hi && hi <= self.n,
-            "row range {lo}..{hi} out of bounds"
-        );
-        assert_eq!(
-            out.len(),
-            (hi - lo) * self.words,
-            "closure_rows_range needs (hi - lo) * words_per_row() words"
-        );
-        for (i, u) in (lo..hi).enumerate() {
-            self.reachable_into(u, &mut out[i * self.words..(i + 1) * self.words]);
-        }
     }
 
     /// Whether any node reaches itself through a nonempty path — in a
@@ -716,25 +685,6 @@ mod tests {
         assert_eq!(g.reachable_from(6), Vec::<usize>::new());
         // 1 reaches itself through the 1->2->3->1 cycle.
         assert!(g.reachable_from(1).contains(&1));
-    }
-
-    #[test]
-    fn closure_rows_range_partitions() {
-        let mut g = BitGraph::with_nodes(7);
-        for (u, v) in [(0, 1), (1, 2), (4, 5)] {
-            g.add_edge(u, v);
-        }
-        let w = g.words_per_row();
-        let mut lo = vec![0u64; 3 * w];
-        let mut hi = vec![0u64; 4 * w];
-        g.closure_rows_range(0, 3, &mut lo);
-        g.closure_rows_range(3, 7, &mut hi);
-        let mut rows = lo;
-        rows.extend(hi);
-        let closed = BitGraph::from_rows(7, rows);
-        let mut reference = g.clone();
-        reference.close_transitively();
-        assert_eq!(closed, reference);
     }
 
     #[test]

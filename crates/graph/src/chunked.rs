@@ -14,10 +14,9 @@
 //! the condensation sweep `BitGraph::close_transitively` runs.
 //!
 //! The row-extraction contract mirrors `BitGraph` exactly —
-//! [`ChunkedBitGraph::reachable_into`] and [`CondensedClosure::rows_range`]
-//! take the same word buffers as `BitGraph::reachable_into` /
-//! `closure_rows_range` — so the parallel engine in `compc-core` partitions
-//! this backend with the machinery it already has.
+//! [`ChunkedBitGraph::reachable_into`] and [`CondensedClosure::row_into`]
+//! fill the same word buffers as `BitGraph::reachable_into` — so the
+//! backends compare row for row.
 
 use crate::bitgraph::{row_bits, words_for};
 use crate::{DiGraph, SccScratch};
@@ -312,25 +311,6 @@ impl ChunkedBitGraph {
         }
     }
 
-    /// Computes closed rows for sources `lo..hi` into `out` — the
-    /// `BitGraph::closure_rows_range` contract, so the parallel engine can
-    /// partition the compressed backend unchanged.
-    pub fn closure_rows_range(&self, lo: usize, hi: usize, out: &mut [u64]) {
-        let words = self.words_per_row();
-        assert!(
-            lo <= hi && hi <= self.n,
-            "row range {lo}..{hi} out of bounds"
-        );
-        assert_eq!(
-            out.len(),
-            (hi - lo) * words,
-            "closure_rows_range needs (hi - lo) * words_per_row() words"
-        );
-        for (i, u) in (lo..hi).enumerate() {
-            self.reachable_into(u, &mut out[i * words..(i + 1) * words]);
-        }
-    }
-
     /// The transitive closure as a [`CondensedClosure`]: Tarjan's components
     /// (shared generic implementation, identical emission order to the
     /// sparse and dense backends), closed at component granularity so all
@@ -487,25 +467,6 @@ impl CondensedClosure {
         }
     }
 
-    /// Expands closed rows for sources `lo..hi` into `out` — the
-    /// `BitGraph::closure_rows_range` contract, partitionable across
-    /// workers on disjoint output ranges.
-    pub fn rows_range(&self, lo: usize, hi: usize, out: &mut [u64]) {
-        let words = self.words_per_row();
-        assert!(
-            lo <= hi && hi <= self.n,
-            "row range {lo}..{hi} out of bounds"
-        );
-        assert_eq!(
-            out.len(),
-            (hi - lo) * words,
-            "rows_range needs (hi - lo) * words_per_row() words"
-        );
-        for (i, u) in (lo..hi).enumerate() {
-            self.row_into(u, &mut out[i * words..(i + 1) * words]);
-        }
-    }
-
     /// Converts to the sparse representation. Each component's successor
     /// set is built once and cloned to its members (their rows are
     /// identical), so cost is `O(output)`, not `O(members × output)` work
@@ -631,23 +592,6 @@ mod tests {
         assert_eq!(closed.to_digraph(), transitive_closure(&g));
         assert!(closed.has_edge(7, 7), "self-loop is cyclic");
         assert!(!closed.has_edge(11, 11), "isolated node reaches nothing");
-    }
-
-    #[test]
-    fn rows_range_partitions_match_full_expansion() {
-        let g = graph(67, &[(0, 1), (1, 0), (1, 66), (66, 65), (5, 6)]);
-        let closed = ChunkedBitGraph::from_digraph(&g).condensed_closure();
-        let words = closed.words_per_row();
-        let mut lo = vec![0u64; 30 * words];
-        let mut hi = vec![0u64; 37 * words];
-        closed.rows_range(0, 30, &mut lo);
-        closed.rows_range(30, 67, &mut hi);
-        let mut rows = lo;
-        rows.extend(hi);
-        assert_eq!(
-            BitGraph::from_rows(67, rows).to_digraph(),
-            transitive_closure(&g)
-        );
     }
 
     #[test]

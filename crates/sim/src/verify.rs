@@ -440,9 +440,7 @@ mod tests {
             .map(|seed| run_once(Protocol::None, seed, 5))
             .collect();
         let seq = Verifier::new().workers(1).verify(&reports);
-        let par = Verifier::with_options(CheckOptions::new().jobs(2))
-            .workers(4)
-            .verify(&reports);
+        let par = Verifier::new().workers(4).verify(&reports);
         assert_eq!(seq.runs.len(), par.runs.len());
         for (a, b) in seq.runs.iter().zip(par.runs.iter()) {
             assert_eq!(

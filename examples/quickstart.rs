@@ -58,10 +58,10 @@ fn main() {
     );
 
     // `Checker` is the configurable entry point: `forgetting` toggles the
-    // Definition-10 ablation and `jobs` parallelizes the within-level
-    // checks (plain `compc::check(&system)` is the shorthand for the
-    // defaults).
-    match Checker::with_options(CheckOptions::new().jobs(0)).check(&system) {
+    // Definition-10 ablation and `backend` picks the closure
+    // representation (plain `compc::check(&system)` is the shorthand for
+    // the defaults).
+    match Checker::with_options(CheckOptions::new().forgetting(true)).check(&system) {
         Verdict::Correct(proof) => {
             println!("verdict: Comp-C (correct)");
             println!("reduction trace:");

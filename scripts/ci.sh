@@ -5,7 +5,7 @@
 #   scripts/ci.sh tier1    # just the build + test gate
 #   scripts/ci.sh workspace-tests # every workspace crate's tests (tier-1's
 #                              # root `cargo test` runs only the compc package)
-#   scripts/ci.sh lint     # just clippy + rustfmt
+#   scripts/ci.sh lint     # clippy + rustfmt + no threads inside a check
 #   scripts/ci.sh smoke    # just the compc-check observability smoke test
 #   scripts/ci.sh soak     # chaos sweep + deadline smoke (robustness gate)
 #   scripts/ci.sh bench-smoke  # E21 kernel table + capped E22 scaling sweep +
@@ -62,6 +62,15 @@ lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     echo "==> lint: cargo fmt --check"
     cargo fmt --check
+    echo "==> lint: no threads inside a check (crates/core, crates/graph, crates/model)"
+    # Each check runs on its caller's thread; parallelism lives across batch
+    # items. Threads inside one check bought nothing measured (EXPERIMENTS.md
+    # E17, E28), so bringing them back takes a measured change that also
+    # removes this guard.
+    if grep -rnE 'thread::(scope|spawn|Builder)' crates/core/src crates/graph/src crates/model/src; then
+        echo "lint: thread spawn inside the checking crates (see above)" >&2
+        exit 1
+    fi
     echo "==> lint: every stage 'all' runs has a job in .github/workflows/ci.yml"
     for fn in $(sed -n '/^    all)$/,/;;/p' scripts/ci.sh | grep -E '^ +[a-z_0-9]+$'); do
         grep -q "scripts/ci.sh ${fn//_/-}\$" .github/workflows/ci.yml \

@@ -9,16 +9,15 @@
 //! compc-check system.json --explain   # narrate a failing reduction
 //! compc-check system.json --dot       # also print the forest in DOT
 //! compc-check system.json --minimize  # shrink a violation to its core
-//! compc-check system.json --jobs 8    # parallelize the within-level checks
 //! ```
 //!
 //! Batch mode — a directory of `*.json` specs, an NDJSON file (one spec per
 //! line, `.ndjson`/`.jsonl`), or several paths at once. Each item runs as
 //! one pipeline on a worker: read (directory files), parse, build, check,
-//! render, drop. `--jobs N` means N workers, and the whole run uses at most
-//! N threads: with `w` workers each check runs at `max(1, N / w)` jobs, and
-//! a single item (or `--jobs 1`) runs inline with the whole budget. Items
-//! are claimed largest first (by byte length) and reported in input order;
+//! render, drop. `--jobs N` means N workers and at most N threads; each
+//! check runs sequentially on its worker, and a single item (or `--jobs 1`,
+//! the default) runs inline on the main thread. Items are claimed largest
+//! first (by byte length) and reported in input order;
 //! an aggregate throughput line closes the report, its wall time covering
 //! loading as well as checking. `--trace`, `--stats`, `--explain`,
 //! `--minimize` and `--oracle` apply per item (trace lines carry a
@@ -63,14 +62,17 @@ use std::process::ExitCode;
 #[derive(Clone, Default)]
 struct Flags {
     /// The one [`CheckOptions`] every mode checks with — single systems
-    /// ([`Checker::with_options`]), batches ([`Batch::with_options`], which
-    /// divides `jobs` among its workers) and explanations all read the same
-    /// struct, so a flag cannot mean different things in different modes.
+    /// ([`Checker::with_options`]), batches ([`Batch::with_options`]) and
+    /// explanations all read the same struct, so a flag cannot mean
+    /// different things in different modes.
     /// `--oracle` cross-checks every verdict against the brute-force oracle
     /// (systems within `compc::oracle::RECOMMENDED_NODE_CAP` nodes; larger
     /// ones are reported as skipped); a disagreement is an engine bug, exit
     /// 2.
     options: CheckOptions,
+    /// `--jobs N`: batch workers, `0` one per core. Single mode checks on
+    /// the main thread whatever it says.
+    workers: usize,
     trace: bool,
     stats: bool,
     explain: bool,
@@ -98,10 +100,10 @@ fn help() -> ExitCode {
     println!("{USAGE}");
     println!();
     println!("options:");
-    println!("  --jobs N          threads, 0 = one per core. Single mode: within-level");
-    println!("                    checks. Batch mode: N workers, each reading, building");
-    println!("                    and checking its own items, largest first; the run");
-    println!("                    uses at most N threads in all");
+    println!("  --jobs N          batch workers, 0 = one per core (default 1): each");
+    println!("                    reads, builds and checks its own items, largest");
+    println!("                    first; the run uses at most N threads in all. Every");
+    println!("                    check is sequential, so single mode ignores it");
     println!("  --backend B       transitive-closure backend: auto (size-based");
     println!("                    crossovers, the default), dense (word-parallel");
     println!("                    bitsets everywhere), sparse (per-source DFS");
@@ -149,7 +151,10 @@ fn version() -> &'static str {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<String> = Vec::new();
-    let mut flags = Flags::default();
+    let mut flags = Flags {
+        workers: 1,
+        ..Flags::default()
+    };
     let mut i = 0;
     while i < args.len() {
         match parse_check_flag(&args, &mut i, &mut flags.options) {
@@ -171,6 +176,16 @@ fn main() -> ExitCode {
             "--explain" => flags.explain = true,
             "--dot" => flags.dot = true,
             "--minimize" => flags.minimize = true,
+            "--jobs" => {
+                i += 1;
+                let value = args.get(i).map(String::as_str);
+                let Some(workers) = value.and_then(|v| v.parse().ok()) else {
+                    let got = value.unwrap_or("nothing");
+                    eprintln!("--jobs needs a non-negative number (0 = one per core), got {got}");
+                    return usage();
+                };
+                flags.workers = workers;
+            }
             "--checkpoint" => {
                 i += 1;
                 flags.checkpoint = match args.get(i) {
@@ -560,7 +575,7 @@ fn check_batch(paths: &[String], flags: &Flags) -> ExitCode {
     let mut oracle_skipped = 0u64;
     let mut oracle_disagreements = 0u64;
     let report = Batch::with_options(flags.options)
-        .workers(flags.options.jobs)
+        .workers(flags.workers)
         .tracing(flags.trace || flags.stats)
         .pipeline(
             jobs,

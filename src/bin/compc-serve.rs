@@ -43,7 +43,7 @@ use compc::spec::SystemSpec;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: compc-serve (--socket PATH | --listen ADDR) \
-[--jobs N] [--backend auto|dense|sparse|compressed] [--deadline-ms N] [--oracle] \
+[--backend auto|dense|sparse|compressed] [--deadline-ms N] [--oracle] \
 [--checkpoint FILE] [--journal FILE] [--max-conns N] [--idle-timeout-ms N] \
 [--max-line-bytes N] [--drain-timeout-ms N] [--commit-batch N] [--dispatch-shards N] \
 [--trace] [--once]
@@ -70,7 +70,6 @@ fn help() -> ExitCode {
     println!("  --listen ADDR     listen on a TCP address, e.g. 127.0.0.1:7878");
     println!("                    (port 0 picks a free port; the chosen address is");
     println!("                    printed on stderr)");
-    println!("  --jobs N          within-level parallelism per append; 0 = one per core");
     println!("  --backend B       transitive-closure backend: auto | dense | sparse |");
     println!("                    compressed");
     println!("  --deadline-ms N   per-append budget; an interrupted append keeps its");

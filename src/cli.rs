@@ -5,7 +5,7 @@ use compc_core::{Backend, CheckOptions};
 use std::time::Duration;
 
 /// Parses `args[*i]` if it is one of the check flags both binaries accept —
-/// `--jobs N`, `--backend B`, `--deadline-ms N` or `--oracle` — into
+/// `--backend B`, `--deadline-ms N` or `--oracle` — into
 /// `options`, advancing `*i` past the flag and its value.
 ///
 /// Returns `Ok(false)`, leaving `*i` alone, when `args[*i]` is no check
@@ -22,29 +22,21 @@ pub fn parse_check_flag(
         *i += 1;
         return Ok(true);
     }
-    if !matches!(flag, "--jobs" | "--backend" | "--deadline-ms") {
+    if !matches!(flag, "--backend" | "--deadline-ms") {
         return Ok(false);
     }
     *i += 1;
     let value = args.get(*i).map(String::as_str);
     let got = value.unwrap_or("nothing");
-    match flag {
-        "--jobs" => {
-            options.jobs = value.and_then(|v| v.parse().ok()).ok_or_else(|| {
-                format!("--jobs needs a non-negative number (0 = one per core), got {got}")
-            })?;
-        }
-        "--backend" => {
-            options.backend = value.and_then(Backend::parse).ok_or_else(|| {
-                format!("--backend needs auto, dense, sparse, or compressed, got {got}")
-            })?;
-        }
-        _ => {
-            let ms = value.and_then(|v| v.parse().ok()).ok_or_else(|| {
-                format!("--deadline-ms needs a number of milliseconds, got {got}")
-            })?;
-            options.deadline = Some(Duration::from_millis(ms));
-        }
+    if flag == "--backend" {
+        options.backend = value.and_then(Backend::parse).ok_or_else(|| {
+            format!("--backend needs auto, dense, sparse, or compressed, got {got}")
+        })?;
+    } else {
+        let ms = value
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("--deadline-ms needs a number of milliseconds, got {got}"))?;
+        options.deadline = Some(Duration::from_millis(ms));
     }
     *i += 1;
     Ok(true)
@@ -68,18 +60,8 @@ mod tests {
 
     #[test]
     fn check_flags_build_the_options() {
-        let options = parse(&[
-            "--jobs",
-            "3",
-            "--backend",
-            "dense",
-            "--deadline-ms",
-            "250",
-            "--oracle",
-        ])
-        .unwrap();
+        let options = parse(&["--backend", "dense", "--deadline-ms", "250", "--oracle"]).unwrap();
         let want = CheckOptions::new()
-            .jobs(3)
             .backend(Backend::Dense)
             .deadline(Duration::from_millis(250))
             .oracle(true);
@@ -90,10 +72,8 @@ mod tests {
     #[test]
     fn bad_values_name_the_flag_and_what_it_got() {
         for (args, complaint) in [
-            (&["--jobs"][..], "--jobs needs a non-negative number"),
-            (&["--jobs", "-3"], "got -3"),
             (
-                &["--backend", "fast"],
+                &["--backend", "fast"][..],
                 "--backend needs auto, dense, sparse, or compressed, got fast",
             ),
             (
@@ -104,8 +84,8 @@ mod tests {
             let err = parse(args).unwrap_err();
             assert!(err.contains(complaint), "{args:?}: {err}");
         }
-        assert!(parse(&["--trace"])
-            .unwrap_err()
-            .contains("not a check flag"));
+        for flag in ["--trace", "--jobs"] {
+            assert!(parse(&[flag]).unwrap_err().contains("not a check flag"));
+        }
     }
 }

@@ -525,14 +525,20 @@ impl Shard {
             Ok(Err(SpecSessionError::Session(SessionError::Interrupted(e)))) => {
                 // The merged spec is kept, so the session stays (even a
                 // fresh one) — re-appending the same fragment merges
-                // nothing new and checks the system again. The state
-                // changed, so it is journaled like an acked append.
+                // nothing new and checks the system again. An append that
+                // merged something changed the state, so it is journaled
+                // like an acked append; one that merged nothing is
+                // uncounted and journals nothing, which keeps `seq` dense.
                 self.gauges.interruptions.fetch_add(1, Ordering::SeqCst);
                 let mut response = error_object("interrupted", e.to_string());
                 if let Value::Object(entries) = &mut response {
                     entries.push(("resumable".to_string(), Value::from(true)));
                 }
                 entry.response = response;
+                if session.uncount_unmerged(&mark) {
+                    batch.push(entry);
+                    return;
+                }
             }
             Ok(Err(SpecSessionError::OracleDisagreement { engine_correct })) => {
                 // The verdict is installed, so this too is journaled.

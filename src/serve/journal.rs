@@ -1,7 +1,8 @@
 //! The write-ahead append journal behind `--journal`.
 //!
 //! One NDJSON record per append that changed its session (acked, or
-//! interrupted with its fragment kept) — `{"seq": N, "append": {...}}`
+//! interrupted after merging something new; an interrupted re-send that
+//! merged nothing is not recorded) — `{"seq": N, "append": {...}}`
 //! for the `"default"` session (byte-identical to the pre-multi-session
 //! format), `{"session": "name", "seq": N, "append": {...}}` for named
 //! sessions. Records are written in **commit batches**: a dispatch shard

@@ -99,9 +99,8 @@ pub struct ServeConfig {
     /// any of the batch's acks, replayed past the checkpoint at startup,
     /// truncated on compaction.
     pub journal: Option<String>,
-    /// What every append checks with: within-level parallelism, closure
-    /// backend, the per-append deadline and the brute-force oracle
-    /// cross-check.
+    /// What every append checks with: the closure backend, the per-append
+    /// deadline and the brute-force oracle cross-check.
     pub options: CheckOptions,
     /// Mirror appends and serving gauges as `compc-trace` NDJSON on stdout.
     pub trace: bool,

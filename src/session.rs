@@ -92,7 +92,7 @@ impl SpecSessionError {
 pub struct SpecSnapshot {
     spec: SpecMark,
     had_system: bool,
-    appends_offset: u64,
+    appends: u64,
     stats: SessionStats,
 }
 
@@ -119,10 +119,10 @@ pub struct SpecSnapshot {
 pub struct SpecSession {
     spec: SystemSpec,
     index: SpecIndex,
-    /// Appends recorded by a restored checkpoint beyond what the inner
-    /// session saw (the restore replays the whole prefix as one batch
-    /// append, but the counter must keep counting from where it was).
-    appends_offset: u64,
+    /// Appends counted so far. The inner session counts only the
+    /// extensions it saw; a checkpoint restore replays the whole prefix as
+    /// one, but this counter resumes where the recorded one stood.
+    appends: u64,
     inner: compc_core::Session,
 }
 
@@ -147,7 +147,7 @@ impl SpecSession {
                 ..SystemSpec::default()
             },
             index: SpecIndex::default(),
-            appends_offset: 0,
+            appends: 0,
             inner: compc_core::Session::with_options(options),
         }
     }
@@ -183,9 +183,10 @@ impl SpecSession {
     /// session rebuilt with [`SpecSession::from_checkpoint`] resumes the
     /// recorded count.
     pub fn stats(&self) -> SessionStats {
-        let mut stats = self.inner.stats();
-        stats.appends += self.appends_offset;
-        stats
+        SessionStats {
+            appends: self.appends,
+            ..self.inner.stats()
+        }
     }
 
     /// The cooperative cancel token (see
@@ -231,7 +232,7 @@ impl SpecSession {
                 return Err(e.into());
             }
         };
-        self.appends_offset += fragments.len().saturating_sub(1) as u64;
+        self.appends += fragments.len().max(1) as u64;
         self.inner.append_extension(sys)?;
         let verdict = self.inner.verdict().expect("append just completed");
         if self.options().oracle {
@@ -311,7 +312,7 @@ impl SpecSession {
         SpecSnapshot {
             spec: self.spec.mark(),
             had_system: self.inner.system().is_some(),
-            appends_offset: self.appends_offset,
+            appends: self.appends,
             stats: self.inner.stats(),
         }
     }
@@ -326,9 +327,21 @@ impl SpecSession {
             return;
         }
         self.spec.roll_back(&mark.spec, &mut self.index);
-        self.appends_offset = mark.appends_offset;
+        self.appends = mark.appends;
         let sys = mark.had_system.then(|| self.rebuild());
         self.inner.recheck(sys, mark.stats);
+    }
+
+    /// Uncounts an append that merged nothing since `mark` — an interrupted
+    /// re-send of fragments the session already holds — and returns
+    /// whether it did. Such an append changed no state a restart has to
+    /// rebuild, so it needs no journal record and keeps no `seq`.
+    pub fn uncount_unmerged(&mut self, mark: &SpecSnapshot) -> bool {
+        let unmerged = self.spec.mark() == mark.spec;
+        if unmerged {
+            self.appends = mark.appends;
+        }
+        unmerged
     }
 
     /// Serializes the session's accumulated spec as a versioned JSON
@@ -374,7 +387,7 @@ impl SpecSession {
         if !spec.nodes.is_empty() {
             session.append(&spec)?;
         }
-        session.appends_offset = recorded_appends.saturating_sub(session.inner.stats().appends);
+        session.appends = recorded_appends.max(session.appends);
         Ok(session)
     }
 }

@@ -243,11 +243,15 @@ fn usage_errors_exit_2() {
         Some(2),
         "no listener flag is a usage error"
     );
-    let out = Command::new(env!("CARGO_BIN_EXE_compc-serve"))
-        .args(["--socket", "/tmp/x.sock", "--backend", "bogus"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    // Every check is sequential, so the daemon takes no --jobs.
+    for bad in [["--backend", "bogus"], ["--jobs", "1"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_compc-serve"))
+            .args(["--socket", "/tmp/x.sock"])
+            .args(bad)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+    }
 
     // --help documents the protocol and the exit codes.
     let out = Command::new(env!("CARGO_BIN_EXE_compc-serve"))
@@ -259,6 +263,7 @@ fn usage_errors_exit_2() {
     for needle in ["append", "shutdown", "exit codes", "checkpoint"] {
         assert!(help.contains(needle), "--help missing {needle}");
     }
+    assert!(!help.contains("--jobs"), "--help still offers --jobs");
 }
 
 #[test]
@@ -1414,7 +1419,9 @@ fn assert_batch_verdict(response: &Value, count: usize) {
 /// Regression: an interrupted append keeps its merged spec (so a re-send
 /// resumes), but used not to be journaled. A later acked append could
 /// then depend on state the journal lacked, and the restart hard-errored
-/// replaying it (`unknown name "A" in nodes[3].home`).
+/// replaying it (`unknown name "A" in nodes[3].home`). An interrupted
+/// re-send that merges nothing changes no state, so it costs no fsync and
+/// takes no `seq`: the restart still counts three appends.
 #[test]
 fn interrupted_appends_are_journaled_and_survive_a_kill() {
     let dir = tmpdir();
@@ -1437,7 +1444,9 @@ fn interrupted_appends_are_journaled_and_survive_a_kill() {
         let stream = wait_for_socket(&socket);
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        for request in &fragments[..2] {
+        // The two re-sends of the second fragment merge nothing new, so
+        // they are neither journaled nor counted.
+        for request in [&fragments[0], &fragments[1], &fragments[1], &fragments[1]] {
             let response = roundtrip(&mut reader, &mut writer, request);
             assert_eq!(
                 str_field(&response, "kind"),
@@ -1452,8 +1461,9 @@ fn interrupted_appends_are_journaled_and_survive_a_kill() {
             0,
             "interruptions are not acks"
         );
-        assert_eq!(u64_field(&stats, "interruptions"), 2);
+        assert_eq!(u64_field(&stats, "interruptions"), 4);
         assert_eq!(u64_field(&stats, "journal_records"), 2);
+        assert_eq!(u64_field(&stats, "fsyncs"), 2);
     }
     sigkill(daemon);
 

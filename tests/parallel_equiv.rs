@@ -1,14 +1,13 @@
-//! Verdict equivalence of the parallel checking engine.
+//! Verdict equivalence of the parallel batch engine.
 //!
-//! The within-level parallelization splits index ranges into contiguous
-//! chunks and reassembles results in order, so every `jobs` value must give
-//! not just the same accept/reject answer but the *identical* verdict —
-//! same fronts, same serial witness, same counterexample cycle. These tests
-//! pin that down on random systems across shapes, densities and input
-//! orders, at `jobs ∈ {1, 2, 8}`, and additionally require that minimized
-//! counterexamples classify identically under every `jobs` value.
+//! A batch spreads items across worker threads and checks each one
+//! sequentially, so every worker count must give not just the same
+//! accept/reject answer but the *identical* verdict per item — same fronts,
+//! same serial witness, same counterexample cycle — as checking that item
+//! alone. This test pins that down on random systems across densities, at
+//! `workers ∈ {1, 2, 4}`.
 
-use compc::core::{check, minimize, CheckOptions, Checker, FrontSnapshot, Verdict};
+use compc::core::{check, FrontSnapshot, Verdict};
 use compc::engine::{Batch, BatchItem};
 use compc::workload::random::{generate, GenParams, Shape};
 use proptest::prelude::*;
@@ -25,22 +24,6 @@ fn params(shape: Shape, roots: usize, density: f64, orders: f64, seed: u64) -> G
         sound_abstractions: false,
         seed,
     }
-}
-
-fn arb_shape() -> impl Strategy<Value = Shape> {
-    prop_oneof![
-        Just(Shape::Stack { depth: 3 }),
-        Just(Shape::Fork { branches: 3 }),
-        Just(Shape::Join { branches: 3 }),
-        Just(Shape::General {
-            levels: 3,
-            scheds_per_level: 2
-        }),
-        Just(Shape::General {
-            levels: 4,
-            scheds_per_level: 2
-        }),
-    ]
 }
 
 fn snapshot_fingerprint(f: &FrontSnapshot) -> String {
@@ -71,68 +54,8 @@ fn fingerprint(v: &Verdict) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// The parallel checker is observationally identical to the sequential
-    /// one: same proof or same counterexample, bit for bit, at every jobs
-    /// count.
-    #[test]
-    fn parallel_verdict_identical_to_sequential(
-        seed in 0u64..100_000,
-        shape in arb_shape(),
-        roots in 2usize..=6,
-        density in 0u8..=90,
-        orders in 0u8..=30,
-    ) {
-        let sys = generate(&params(
-            shape,
-            roots,
-            density as f64 / 100.0,
-            orders as f64 / 100.0,
-            seed,
-        ));
-        let baseline = fingerprint(&check(&sys));
-        for jobs in [1usize, 2, 8] {
-            let v = Checker::with_options(CheckOptions::new().jobs(jobs)).check(&sys);
-            prop_assert_eq!(
-                &fingerprint(&v),
-                &baseline,
-                "verdict diverged at jobs={}", jobs
-            );
-        }
-    }
-
-    /// Minimized counterexamples classify identically under every jobs
-    /// value: the shrunken core is still rejected, in the same phase at the
-    /// same level, whether checked sequentially or in parallel.
-    #[test]
-    fn minimized_counterexamples_classify_identically(
-        seed in 0u64..100_000,
-        roots in 3usize..=6,
-        density in 40u8..=90,
-    ) {
-        let sys = generate(&params(
-            Shape::General { levels: 3, scheds_per_level: 2 },
-            roots,
-            density as f64 / 100.0,
-            0.0,
-            seed,
-        ));
-        let v = check(&sys);
-        prop_assume!(!v.is_correct());
-        let min = minimize(&sys).expect("incorrect systems minimize");
-        let base = fingerprint(&check(&min.system));
-        prop_assert!(base.starts_with("incorrect"), "minimized core must stay broken");
-        for jobs in [1usize, 2, 8] {
-            let mv = Checker::with_options(CheckOptions::new().jobs(jobs)).check(&min.system);
-            prop_assert_eq!(
-                &fingerprint(&mv),
-                &base,
-                "minimized classification diverged at jobs={}", jobs
-            );
-        }
-    }
-
     /// The batch engine preserves per-item verdicts exactly, regardless of
-    /// worker count and per-check jobs.
+    /// worker count.
     #[test]
     fn batch_outcomes_identical_to_solo_checks(
         seed in 0u64..100_000,
@@ -148,21 +71,19 @@ proptest! {
             )))
             .collect();
         let solo: Vec<String> = systems.iter().map(|s| fingerprint(&check(s))).collect();
-        for (workers, jobs) in [(1usize, 1usize), (4, 1), (2, 2)] {
+        for workers in [1usize, 2, 4] {
             let items: Vec<BatchItem> = systems
                 .iter()
                 .enumerate()
                 .map(|(i, s)| BatchItem::new(format!("sys-{i}"), s.clone()))
                 .collect();
-            let report = Batch::with_options(CheckOptions::new().jobs(jobs))
-                .workers(workers)
-                .check_all(items);
+            let report = Batch::new().workers(workers).check_all(items);
             let got: Vec<String> = report
                 .outcomes
                 .iter()
                 .map(|o| fingerprint(o.verdict().expect("no faults in this batch")))
                 .collect();
-            prop_assert_eq!(&got, &solo, "workers={} jobs={}", workers, jobs);
+            prop_assert_eq!(&got, &solo, "workers={}", workers);
         }
     }
 }

@@ -7,7 +7,7 @@
 //! the serial witness, the counterexample cycle) to a from-scratch batch
 //! check of the same merged prefix system. Pinned on the committed
 //! 16-file adversarial corpus (under the sparse and dense closure
-//! backends, without forgetting, and with two jobs), on random generated
+//! backends and without forgetting), on random generated
 //! systems under proptest, and against the brute-force oracle on systems
 //! within its node cap. The system the
 //! session extends in place must equal a from-scratch build of the merged
@@ -67,8 +67,8 @@ fn replay_and_pin(spec: &SystemSpec, options: CheckOptions, context: &str) -> Ve
     session.verdict().expect("at least one append").clone()
 }
 
-/// Every committed corpus file, prefix-by-prefix, on both forced backends,
-/// without forgetting, and with two jobs. The filename encodes the expected
+/// Every committed corpus file, prefix-by-prefix, on both forced backends
+/// and without forgetting. The filename encodes the expected
 /// acceptance (`.correct.json` / `.incorrect.json`) under default
 /// forgetting, so those replays are also checked against ground truth.
 #[test]
@@ -91,7 +91,6 @@ fn corpus_replays_bit_identically_on_both_backends() {
             ("sparse", CheckOptions::new().backend(Backend::Sparse)),
             ("dense", CheckOptions::new().backend(Backend::Dense)),
             ("no forgetting", CheckOptions::new().forgetting(false)),
-            ("2 jobs", CheckOptions::new().jobs(2)),
         ];
         for (row, options) in rows {
             let context = format!("{name} [{row}]");
