@@ -6,10 +6,7 @@ use crate::table::Table;
 use compc_classic::{is_llsr_stack, is_opsr_stack};
 use compc_configs::{is_fcc, is_jcc, is_scc};
 use compc_core::{check, Backend, CheckOptions, Checker, Reducer};
-use compc_graph::{
-    transitive_closure_with, BitGraph, BitOrderRel, ChunkedBitGraph, DiGraph, PartialOrderRel,
-    ReachScratch,
-};
+use compc_graph::{transitive_closure_with, BitGraph, ChunkedBitGraph, DiGraph, ReachScratch};
 use compc_json::{object, Value};
 use compc_model::CompositeSystem;
 use compc_sim::{Engine, LockScope, Protocol, SimConfig, SimReport};
@@ -684,7 +681,7 @@ mod tests {
         // Includes a word-boundary size; the in-experiment assertions are
         // the real check (backends must agree before timing).
         let rows = kernel_experiment(&[16, 65], 2, 7);
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 6);
         assert!(rows.iter().all(|r| r.btree_ns > 0.0 && r.bit_ns > 0.0));
         let doc = kernel_report_json(&rows, 2, 7);
         assert_eq!(doc.get("bench").and_then(Value::as_str), Some("BENCH_4"));
@@ -692,7 +689,7 @@ mod tests {
             doc.get("kernels")
                 .and_then(Value::as_array)
                 .map(<[Value]>::len),
-            Some(8)
+            Some(6)
         );
     }
 
@@ -839,7 +836,7 @@ mod more_tests {
 /// actually pays when it routes a closure through [`BitGraph`].
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// Kernel name (`closure-dag`, `closure-cyclic`, `reach`, `order-insert`).
+    /// Kernel name (`closure-dag`, `closure-cyclic`, `reach`).
     pub kernel: String,
     /// Nodes in the input graph.
     pub nodes: usize,
@@ -869,7 +866,7 @@ fn random_dag(n: usize, avg_degree: f64, rng: &mut StdRng) -> DiGraph {
 }
 
 /// A random directed graph with both edge directions allowed (almost surely
-/// cyclic at these densities) — exercises the Warshall fallback.
+/// cyclic at these densities) — exercises the SCC-condensation closure.
 fn random_cyclic(n: usize, avg_degree: f64, rng: &mut StdRng) -> DiGraph {
     let p = (avg_degree / n.max(1) as f64).min(1.0);
     let mut g = DiGraph::with_nodes(n);
@@ -901,7 +898,7 @@ fn dense_closure(g: &DiGraph, bits: &mut BitGraph) -> DiGraph {
     bits.to_digraph()
 }
 
-/// E21: times the four relation kernels on both backends across `sizes`.
+/// E21: times the three relation kernels on both backends across `sizes`.
 ///
 /// Before timing, every kernel's outputs are asserted pair-for-pair equal
 /// across backends — a benchmark of two implementations that disagree would
@@ -937,7 +934,7 @@ pub fn kernel_experiment(sizes: &[usize], iters: usize, seed: u64) -> Vec<Kernel
             speedup: btree_ns / bit_ns,
         });
 
-        // closure-cyclic: bitset Warshall vs per-source DFS.
+        // closure-cyclic: bitset SCC-condensation closure vs per-source DFS.
         assert_eq!(
             transitive_closure_with(&cyc, &mut reach),
             dense_closure(&cyc, &mut bits),
@@ -991,42 +988,6 @@ pub fn kernel_experiment(sizes: &[usize], iters: usize, seed: u64) -> Vec<Kernel
             kernel: "reach".into(),
             nodes: n,
             edges: cyc.edge_count(),
-            btree_ns,
-            bit_ns,
-            speedup: btree_ns / bit_ns,
-        });
-
-        // order-insert: building a closed strict order pair by pair (the
-        // observed-order maintenance pattern). DAG edges are cycle-free, so
-        // every insert succeeds on both backends.
-        let edges: Vec<(usize, usize)> = dag.edges().collect();
-        let sparse_rel = PartialOrderRel::from_pairs(edges.iter().copied())
-            .expect("DAG edges form a valid strict order");
-        let dense_rel = BitOrderRel::from_pairs(edges.iter().copied())
-            .expect("DAG edges form a valid strict order");
-        assert_eq!(
-            sparse_rel.pairs().collect::<Vec<_>>(),
-            dense_rel.pairs().collect::<Vec<_>>(),
-            "order-insert backends disagree at n={n}"
-        );
-        let btree_ns = time_ns(iters, || {
-            let mut rel = PartialOrderRel::with_elements(n);
-            for &(a, b) in &edges {
-                rel.insert(a, b).unwrap();
-            }
-            black_box(&rel);
-        });
-        let bit_ns = time_ns(iters, || {
-            let mut rel = BitOrderRel::with_elements(n);
-            for &(a, b) in &edges {
-                rel.insert(a, b).unwrap();
-            }
-            black_box(&rel);
-        });
-        rows.push(KernelRow {
-            kernel: "order-insert".into(),
-            nodes: n,
-            edges: edges.len(),
             btree_ns,
             bit_ns,
             speedup: btree_ns / bit_ns,

@@ -1,7 +1,7 @@
 //! Brute-force existence check for calculations (Definition 14), used to
 //! cross-validate the contraction-based check on small fronts.
 
-use compc_graph::{BitGraph, DiGraph};
+use compc_graph::DiGraph;
 use compc_model::NodeId;
 use std::collections::BTreeMap;
 
@@ -19,27 +19,6 @@ pub fn calculations_exist_bruteforce(
     constraint: &DiGraph,
     groups: &BTreeMap<NodeId, NodeId>,
 ) -> bool {
-    calculations_exist_oracle(nodes, &|u, v| constraint.has_edge(u, v), groups)
-}
-
-/// [`calculations_exist_bruteforce`] over a dense [`BitGraph`] constraint —
-/// the same search with `O(1)` word-indexed edge probes, used by the
-/// differential tests to pin down sparse/dense agreement.
-pub fn calculations_exist_bruteforce_dense(
-    nodes: &[NodeId],
-    constraint: &BitGraph,
-    groups: &BTreeMap<NodeId, NodeId>,
-) -> bool {
-    calculations_exist_oracle(nodes, &|u, v| constraint.has_edge(u, v), groups)
-}
-
-/// The search itself, generic over an edge oracle so both graph
-/// representations share one implementation.
-fn calculations_exist_oracle(
-    nodes: &[NodeId],
-    has_edge: &dyn Fn(usize, usize) -> bool,
-    groups: &BTreeMap<NodeId, NodeId>,
-) -> bool {
     // Depth-first search over linearization prefixes. State: which nodes are
     // placed, and (for contiguity) the currently "open" group, if any.
     fn group_of(groups: &BTreeMap<NodeId, NodeId>, n: NodeId) -> NodeId {
@@ -48,7 +27,7 @@ fn calculations_exist_oracle(
 
     fn dfs(
         nodes: &[NodeId],
-        has_edge: &dyn Fn(usize, usize) -> bool,
+        constraint: &DiGraph,
         groups: &BTreeMap<NodeId, NodeId>,
         placed: &mut Vec<bool>,
         placed_count: usize,
@@ -73,7 +52,7 @@ fn calculations_exist_oracle(
             let ready = nodes
                 .iter()
                 .enumerate()
-                .all(|(j, &m)| placed[j] || !has_edge(m.index(), n.index()));
+                .all(|(j, &m)| placed[j] || !constraint.has_edge(m.index(), n.index()));
             if !ready {
                 continue;
             }
@@ -89,7 +68,7 @@ fn calculations_exist_oracle(
             };
             if dfs(
                 nodes,
-                has_edge,
+                constraint,
                 groups,
                 placed,
                 placed_count + 1,
@@ -108,7 +87,15 @@ fn calculations_exist_oracle(
         *group_sizes.entry(group_of(groups, n)).or_insert(0) += 1;
     }
     let mut placed = vec![false; nodes.len()];
-    dfs(nodes, has_edge, groups, &mut placed, 0, None, &group_sizes)
+    dfs(
+        nodes,
+        constraint,
+        groups,
+        &mut placed,
+        0,
+        None,
+        &group_sizes,
+    )
 }
 
 #[cfg(test)]
@@ -190,20 +177,6 @@ mod tests {
             &g,
             &groups
         ));
-    }
-
-    #[test]
-    fn dense_oracle_agrees_with_sparse() {
-        let mut g = DiGraph::with_nodes(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        let groups: BTreeMap<NodeId, NodeId> = [(n(0), n(9)), (n(2), n(9))].into_iter().collect();
-        let dense = BitGraph::from_digraph(&g);
-        let nodes = [n(0), n(1), n(2)];
-        assert_eq!(
-            calculations_exist_bruteforce(&nodes, &g, &groups),
-            calculations_exist_bruteforce_dense(&nodes, &dense, &groups),
-        );
     }
 
     #[test]

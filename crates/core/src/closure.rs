@@ -1,12 +1,9 @@
-//! Closure backend routing for the within-level checks.
-//!
-//! The reduction is strictly sequential *across* levels (level `i` needs the
-//! level-`i-1` front), and each level runs on the calling thread. The
-//! observed order's transitive closure is the one step with several
-//! representations: this module picks sparse, dense or compressed rows by
-//! backend and node count, and every choice gives the same closure (the
-//! backend-equivalence property tests pin this down). Parallelism lives one
-//! layer up, across the items of a batch.
+//! Closure backend routing: the observed order's transitive closure is the
+//! one step of a check with several representations. This module picks
+//! sparse, dense or compressed rows by [`Backend`] and node count, counts
+//! the choices, and holds the reusable buffers each backend closes in
+//! ([`CheckScratch`]). Every choice gives the same closure (the
+//! backend-equivalence property tests pin this down).
 
 use crate::reduce::Backend;
 use compc_graph::{BitGraph, ChunkedBitGraph, DiGraph, ReachScratch, SccScratch};
@@ -38,17 +35,6 @@ pub struct BackendCounts {
     pub sparse: u64,
     /// Closures on the compressed (chunked rows + SCC condensation) backend.
     pub compressed: u64,
-}
-
-/// Resolves a worker count (`--jobs`, `Batch::workers`): `0` means one per
-/// available core.
-pub fn effective_jobs(jobs: usize) -> usize {
-    match jobs {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
 }
 
 /// Reusable allocation state for one checking session.
@@ -133,13 +119,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn effective_jobs_resolves_auto() {
-        assert!(effective_jobs(0) >= 1);
-        assert_eq!(effective_jobs(3), 3);
-    }
-
-    #[test]
-    fn parallel_closure_matches_sequential() {
+    fn closure_identical_on_every_backend() {
         // A graph past the dense crossover, with interesting SCCs.
         let n = 150;
         let mut g = DiGraph::with_nodes(n);

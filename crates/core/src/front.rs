@@ -1,7 +1,7 @@
 //! Computational fronts (Definition 12) and conflict consistency
 //! (Definition 13).
 
-use crate::par::{self, CheckScratch};
+use crate::closure::{self, CheckScratch};
 use crate::reduce::Backend;
 use compc_graph::{find_cycle, DiGraph};
 use compc_model::{CompositeSystem, NodeId, NodeRole, SchedId, Schedule};
@@ -69,7 +69,7 @@ impl Front {
         // intra-schedule and each schedule's output order is already closed —
         // but we normalize anyway so the invariant "observed is closed" holds
         // unconditionally.
-        let observed = par::transitive_closure(&observed, backend, scratch);
+        let observed = closure::transitive_closure(&observed, backend, scratch);
         Front {
             level: 0,
             nodes: sys.leaves().collect(),
@@ -176,13 +176,6 @@ impl Front {
         let mut g = self.input.clone();
         g.union_with(&self.observed);
         find_cycle(&g).map(|c| c.nodes.into_iter().map(|i| NodeId(i as u32)).collect())
-    }
-
-    /// The ablation variant of [`Front::is_cc`] that lets commuting observed
-    /// pairs be reordered (only generalized conflicts constrain). Strictly
-    /// more permissive; the `criteria` bench quantifies the gap.
-    pub fn is_cc_commuting(&self, sys: &CompositeSystem) -> bool {
-        find_cycle(&self.constraint_graph(sys)).is_none()
     }
 
     /// Observed pairs restricted to front members, as `NodeId` tuples.
@@ -293,7 +286,6 @@ mod tests {
         let (sys, _, _) = flat();
         let f = Front::level0(&sys);
         assert!(f.is_cc().is_none());
-        assert!(f.is_cc_commuting(&sys));
     }
 
     #[test]

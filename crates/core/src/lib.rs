@@ -37,8 +37,7 @@
 //!   conflicting same-schedule pairs (which never join `<ₒ` themselves —
 //!   see [`Front::constraint_graph`]). The per-front conflict-consistency
 //!   check ([`Front::is_cc`]) is the literal `<ₒ ∪ →` acyclicity of
-//!   Definition 13; [`Front::is_cc_commuting`] is the more permissive
-//!   ablation variant.
+//!   Definition 13: every observed pair counts, commuting or not.
 //! * **Order forgetting.** Pulled-up pairs whose endpoints land in a common
 //!   schedule survive only if that schedule declares the pair conflicting
 //!   (Figure 4's "forgotten" orders; Figure 3(f)→(g)'s vanishing conflict).
@@ -72,21 +71,20 @@
 #![warn(missing_docs)]
 
 mod calculation;
+mod closure;
 mod explain;
 mod front;
 mod minimize;
-mod par;
 mod reduce;
 mod session;
 
-pub use calculation::{calculations_exist_bruteforce, calculations_exist_bruteforce_dense};
+pub use calculation::calculations_exist_bruteforce;
+pub use closure::{
+    BackendCounts, CheckScratch, COMPRESSED_CROSSOVER_DEFAULT, DENSE_CROSSOVER_DEFAULT,
+};
 pub use explain::Explanation;
 pub use front::Front;
 pub use minimize::{minimize, MinimalCounterexample};
-pub use par::{
-    effective_jobs, BackendCounts, CheckScratch, COMPRESSED_CROSSOVER_DEFAULT,
-    DENSE_CROSSOVER_DEFAULT,
-};
 pub use reduce::{
     check, Backend, CheckCtx, CheckOptions, Checker, Counterexample, Deadline, FailurePhase,
     FrontSnapshot, Interrupted, Proof, Reducer, Verdict,

@@ -1,8 +1,8 @@
 //! The level-by-level reduction (Definition 16) and the Comp-C decision
 //! procedure (Definition 20 / Theorem 1).
 
+use crate::closure::{self, CheckScratch};
 use crate::front::Front;
-use crate::par::{self, CheckScratch};
 use compc_graph::{condense, find_cycle, topological_sort, DiGraph};
 use compc_model::{CompositeSystem, NodeId};
 use compc_trace::{TraceEvent, TraceSink};
@@ -151,17 +151,6 @@ impl Deadline {
         }
     }
 
-    /// Expires at an absolute instant (for sharing one deadline across many
-    /// checks).
-    pub fn at(instant: Instant) -> Self {
-        Deadline { at: Some(instant) }
-    }
-
-    /// Whether a deadline is set at all.
-    pub fn is_set(&self) -> bool {
-        self.at.is_some()
-    }
-
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         self.at.is_some_and(|t| Instant::now() >= t)
@@ -188,7 +177,7 @@ impl std::error::Error for Interrupted {}
 /// Which transitive-closure backend a check runs on. Every choice yields a
 /// bit-identical [`Verdict`]; the knob only trades per-node DFS against
 /// word-parallel bitset sweeps against compressed condensation rows (see
-/// [`par::DENSE_CROSSOVER_DEFAULT`], [`par::COMPRESSED_CROSSOVER_DEFAULT`],
+/// [`closure::DENSE_CROSSOVER_DEFAULT`], [`closure::COMPRESSED_CROSSOVER_DEFAULT`],
 /// and EXPERIMENTS.md E21/E22 for the measured break-evens).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
@@ -808,7 +797,8 @@ impl<'a> Reducer<'a> {
         }
         // Rule 4: transitive closure.
         let pre_closure_edges = observed.edge_count();
-        let observed = par::transitive_closure(&observed, self.options.backend, &mut self.scratch);
+        let observed =
+            closure::transitive_closure(&observed, self.options.backend, &mut self.scratch);
         let closure_edges = observed.edge_count().saturating_sub(pre_closure_edges);
 
         // --- Step 6: add the level's input orders and check CC.

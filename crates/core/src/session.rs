@@ -18,7 +18,7 @@
 //! check at every measured size (DESIGN.md §8.2, EXPERIMENTS.md E24 and
 //! E27).
 
-use crate::par::CheckScratch;
+use crate::closure::CheckScratch;
 use crate::reduce::{CheckOptions, Deadline, Interrupted, Reducer, Verdict};
 use compc_model::{CompositeSystem, NodeId, Schedule, SystemBuilder};
 use std::sync::atomic::AtomicBool;

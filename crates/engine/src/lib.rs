@@ -44,9 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use compc_core::{
-    effective_jobs, CheckCtx, CheckOptions, CheckScratch, Checker, Interrupted, Verdict,
-};
+use compc_core::{CheckCtx, CheckOptions, CheckScratch, Checker, Interrupted, Verdict};
 use compc_model::CompositeSystem;
 use compc_trace::{replay, Histogram, MemorySink, TraceEvent, TraceStats};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -361,10 +359,9 @@ impl BatchReport {
 /// A configured batch-checking session — the across-systems counterpart of
 /// [`compc_core::Checker`].
 ///
-/// `workers = 0` (the default) means one worker per available core, via
-/// [`compc_core::effective_jobs`]; `workers = 1` checks sequentially on the
-/// calling thread (no thread spawned). Each worker keeps one
-/// `CheckScratch` for its whole lifetime.
+/// `workers = 0` (the default) means one worker per available core;
+/// `workers = 1` checks sequentially on the calling thread (no thread
+/// spawned). Each worker keeps one `CheckScratch` for its whole lifetime.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Batch {
     options: CheckOptions,
@@ -626,6 +623,17 @@ where
             outcome.compressed_closures = 0;
             (outcome, None)
         }
+    }
+}
+
+/// Resolves a worker count (`--jobs`, [`Batch::workers`]): `0` means one per
+/// available core.
+fn effective_jobs(jobs: usize) -> usize {
+    match jobs {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
     }
 }
 
@@ -1001,6 +1009,12 @@ mod tests {
         assert!(report.metrics.nodes.max() >= 6);
         let text = report.metrics.to_string();
         assert!(text.contains("levels completed"), "{text}");
+    }
+
+    #[test]
+    fn effective_jobs_resolves_auto() {
+        assert!(effective_jobs(0) >= 1);
+        assert_eq!(effective_jobs(3), 3);
     }
 
     /// `workers(0)` means one per core — same normalization as

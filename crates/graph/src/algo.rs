@@ -122,27 +122,6 @@ pub fn find_cycle(g: &DiGraph) -> Option<CycleInfo> {
     None
 }
 
-/// Whether there is a directed path `u ->* v` (including `u == v` with a path
-/// of length ≥ 1 only if a cycle exists through `u`; a trivial zero-length
-/// path does *not* count — callers of strict orders need `u < u` to be false).
-pub fn has_path(g: &DiGraph, u: usize, v: usize) -> bool {
-    if u >= g.node_count() {
-        return false;
-    }
-    let mut seen = vec![false; g.node_count()];
-    let mut stack: Vec<usize> = g.successors(u).collect();
-    while let Some(x) = stack.pop() {
-        if x == v {
-            return true;
-        }
-        if !seen[x] {
-            seen[x] = true;
-            stack.extend(g.successors(x));
-        }
-    }
-    false
-}
-
 /// The set of nodes reachable from `start` by paths of length ≥ 1.
 pub fn reachable_from(g: &DiGraph, start: usize) -> Vec<usize> {
     reachable_from_with(g, start, &mut ReachScratch::new())
@@ -216,31 +195,6 @@ pub fn transitive_closure_with(g: &DiGraph, scratch: &mut ReachScratch) -> DiGra
     let mut out = DiGraph::with_nodes(g.node_count());
     for u in 0..g.node_count() {
         for v in reachable_from_with(g, u, scratch) {
-            out.add_edge(u, v);
-        }
-    }
-    out
-}
-
-/// Transitive reduction of a DAG: the unique minimal graph with the same
-/// closure. Panics if `g` is cyclic (reduction is not unique then).
-pub fn transitive_reduction(g: &DiGraph) -> DiGraph {
-    transitive_reduction_with(g, &mut ReachScratch::new())
-}
-
-/// [`transitive_reduction`] reusing traversal buffers from `scratch` for the
-/// internal closure, instead of allocating a fresh visited set per call.
-pub fn transitive_reduction_with(g: &DiGraph, scratch: &mut ReachScratch) -> DiGraph {
-    assert!(
-        find_cycle(g).is_none(),
-        "transitive reduction requires a DAG"
-    );
-    let closure = transitive_closure_with(g, scratch);
-    let mut out = DiGraph::with_nodes(g.node_count());
-    for (u, v) in g.edges() {
-        // u -> v is redundant iff some other successor w of u reaches v.
-        let redundant = g.successors(u).any(|w| w != v && closure.has_edge(w, v));
-        if !redundant {
             out.add_edge(u, v);
         }
     }
@@ -464,22 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn has_path_basics() {
-        let g = chain(4);
-        assert!(has_path(&g, 0, 3));
-        assert!(!has_path(&g, 3, 0));
-        // Zero-length paths do not count.
-        assert!(!has_path(&g, 2, 2));
-    }
-
-    #[test]
-    fn has_path_self_via_cycle() {
-        let mut g = chain(3);
-        g.add_edge(2, 0);
-        assert!(has_path(&g, 1, 1));
-    }
-
-    #[test]
     fn closure_of_chain_is_full_upper_triangle() {
         let c = transitive_closure(&chain(4));
         for u in 0..4 {
@@ -487,26 +425,6 @@ mod tests {
                 assert_eq!(c.has_edge(u, v), u < v, "({u},{v})");
             }
         }
-    }
-
-    #[test]
-    fn reduction_removes_shortcuts() {
-        let mut g = chain(3);
-        g.add_edge(0, 2); // shortcut
-        let r = transitive_reduction(&g);
-        assert!(r.has_edge(0, 1));
-        assert!(r.has_edge(1, 2));
-        assert!(!r.has_edge(0, 2));
-    }
-
-    #[test]
-    fn reduction_closure_roundtrip() {
-        let mut g = DiGraph::with_nodes(5);
-        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4), (1, 4)] {
-            g.add_edge(u, v);
-        }
-        let r = transitive_reduction(&g);
-        assert_eq!(transitive_closure(&r), transitive_closure(&g));
     }
 
     #[test]

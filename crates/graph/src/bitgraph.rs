@@ -1,18 +1,14 @@
 //! Dense word-parallel relation kernels.
 //!
 //! [`BitGraph`] stores adjacency as row-major `u64` words — 64 successors
-//! per AND/OR — so the three kernels every Comp-C verdict bottoms out in
-//! (transitive closure, reachability, incremental order splicing) become
-//! word-parallel sweeps instead of pointer-chasing `BTreeSet` walks.
-//! [`BitOrderRel`] is the dense counterpart of [`PartialOrderRel`]: the same
-//! strict-partial-order semantics with inserts spliced by row OR.
+//! per AND/OR — so transitive closure and reachability become word-parallel
+//! sweeps instead of pointer-chasing `BTreeSet` walks.
 //!
 //! [`DiGraph`] stays the sparse build-time representation; callers convert
 //! at a size-based crossover (see `compc-core`'s checker options and
 //! DESIGN.md's two-representation policy). The differential property suite
 //! (`tests/bitgraph_equiv.rs`) pins both backends pair-for-pair identical.
 
-use crate::order::{OrderError, PartialOrderRel};
 use crate::DiGraph;
 use std::collections::BTreeSet;
 
@@ -340,276 +336,6 @@ impl BitGraph {
         self.reachable_into(start, &mut row);
         row_bits(&row).collect()
     }
-
-    /// Whether any node reaches itself through a nonempty path — in a
-    /// transitively closed graph this is just a diagonal-bit scan.
-    pub fn has_diagonal(&self) -> bool {
-        (0..self.n).any(|u| self.has_edge(u, u))
-    }
-}
-
-/// The dense counterpart of [`PartialOrderRel`]: a strict partial order
-/// whose transitive closure is maintained by word-parallel row splices.
-///
-/// Successor *and* predecessor rows are kept (the transpose), so an insert
-/// is `O(|pred(a)| + |succ(b)|)` row ORs instead of nested scalar loops,
-/// and `contains`/`restricted_to` are word-wise subset/mask operations.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BitOrderRel {
-    n: usize,
-    words: usize,
-    succ: Vec<u64>,
-    pred: Vec<u64>,
-}
-
-impl BitOrderRel {
-    /// The empty order.
-    pub fn new() -> Self {
-        BitOrderRel::default()
-    }
-
-    /// An empty order over at least `n` elements.
-    pub fn with_elements(n: usize) -> Self {
-        let words = words_for(n);
-        BitOrderRel {
-            n,
-            words,
-            succ: vec![0; n * words],
-            pred: vec![0; n * words],
-        }
-    }
-
-    /// Builds an order from pairs, failing on the first violation —
-    /// identical semantics to [`PartialOrderRel::from_pairs`].
-    pub fn from_pairs<I: IntoIterator<Item = (usize, usize)>>(
-        pairs: I,
-    ) -> Result<Self, OrderError> {
-        let mut rel = BitOrderRel::new();
-        for (a, b) in pairs {
-            rel.insert(a, b)?;
-        }
-        Ok(rel)
-    }
-
-    /// Imports a sparse order (closure copied row by row).
-    pub fn from_partial_order(rel: &PartialOrderRel) -> Self {
-        let mut out = BitOrderRel::with_elements(rel.element_count());
-        for (a, b) in rel.pairs() {
-            out.set_pair(a, b);
-        }
-        out
-    }
-
-    /// Exports to the sparse representation.
-    pub fn to_partial_order(&self) -> PartialOrderRel {
-        PartialOrderRel::from_pairs(self.pairs()).expect("a valid order round-trips")
-    }
-
-    /// Number of elements the order spans.
-    pub fn element_count(&self) -> usize {
-        self.n
-    }
-
-    /// Number of related pairs in the closure.
-    pub fn pair_count(&self) -> usize {
-        self.succ.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether `a < b` holds (in the transitive closure).
-    #[inline]
-    pub fn lt(&self, a: usize, b: usize) -> bool {
-        a < self.n && b < self.n && self.succ[a * self.words + b / 64] & (1u64 << (b % 64)) != 0
-    }
-
-    /// Whether `a` and `b` are comparable in either direction.
-    pub fn comparable(&self, a: usize, b: usize) -> bool {
-        self.lt(a, b) || self.lt(b, a)
-    }
-
-    /// Grows the element set so `idx` is valid, re-laying rows if the word
-    /// width changes.
-    pub fn ensure_element(&mut self, idx: usize) {
-        if idx < self.n {
-            return;
-        }
-        let n2 = idx + 1;
-        let w2 = words_for(n2);
-        let relayout = |rows: &Vec<u64>, n: usize, w: usize| {
-            let mut out = vec![0u64; n2 * w2];
-            for u in 0..n {
-                out[u * w2..u * w2 + w].copy_from_slice(&rows[u * w..(u + 1) * w]);
-            }
-            out
-        };
-        self.succ = relayout(&self.succ, self.n, self.words);
-        self.pred = relayout(&self.pred, self.n, self.words);
-        self.n = n2;
-        self.words = w2;
-    }
-
-    #[inline]
-    fn set_pair(&mut self, a: usize, b: usize) {
-        self.succ[a * self.words + b / 64] |= 1u64 << (b % 64);
-        self.pred[b * self.words + a / 64] |= 1u64 << (a % 64);
-    }
-
-    /// Inserts `a < b` and closes transitively by row splicing:
-    /// `succ(x) |= rhs` for every `x ∈ pred(a) ∪ {a}` and
-    /// `pred(y) |= lhs` for every `y ∈ succ(b) ∪ {b}` — word-wise ORs in
-    /// place of [`PartialOrderRel::insert`]'s nested scalar loops. Returns
-    /// whether the pair was new.
-    pub fn insert(&mut self, a: usize, b: usize) -> Result<bool, OrderError> {
-        if a == b {
-            return Err(OrderError::Reflexive(a));
-        }
-        self.ensure_element(a.max(b));
-        if self.lt(b, a) {
-            return Err(OrderError::Contradiction { attempted: (a, b) });
-        }
-        if self.lt(a, b) {
-            return Ok(false);
-        }
-        let w = self.words;
-        let mut lhs: Vec<u64> = self.pred[a * w..(a + 1) * w].to_vec();
-        lhs[a / 64] |= 1u64 << (a % 64);
-        let mut rhs: Vec<u64> = self.succ[b * w..(b + 1) * w].to_vec();
-        rhs[b / 64] |= 1u64 << (b % 64);
-        // A common element would splice x < x; unreachable given the
-        // `lt(b, a)` check above, but kept for parity with the sparse path.
-        if lhs.iter().zip(&rhs).any(|(l, r)| l & r != 0) {
-            return Err(OrderError::Contradiction { attempted: (a, b) });
-        }
-        for x in row_bits(&lhs) {
-            for (sw, rw) in self.succ[x * w..(x + 1) * w].iter_mut().zip(&rhs) {
-                *sw |= rw;
-            }
-        }
-        for y in row_bits(&rhs) {
-            for (pw, lw) in self.pred[y * w..(y + 1) * w].iter_mut().zip(&lhs) {
-                *pw |= lw;
-            }
-        }
-        Ok(true)
-    }
-
-    /// All pairs `(a, b)` with `a < b`, lexicographically.
-    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.n).flat_map(move |a| {
-            row_bits(&self.succ[a * self.words..(a + 1) * self.words]).map(move |b| (a, b))
-        })
-    }
-
-    /// Whether every pair of `other` is contained in `self` — a word-wise
-    /// subset test per row.
-    pub fn contains(&self, other: &BitOrderRel) -> bool {
-        for a in 0..other.n {
-            let orow = &other.succ[a * other.words..(a + 1) * other.words];
-            if a >= self.n {
-                if orow.iter().any(|&w| w != 0) {
-                    return false;
-                }
-                continue;
-            }
-            let srow = &self.succ[a * self.words..(a + 1) * self.words];
-            for (i, &ow) in orow.iter().enumerate() {
-                let sw = srow.get(i).copied().unwrap_or(0);
-                if ow & !sw != 0 {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Union with another order; fails if the union is contradictory.
-    ///
-    /// The fast path ORs the two closures row-wise, re-closes with the
-    /// word-parallel Warshall sweep and scans the diagonal; only a
-    /// contradictory union falls back to pair-at-a-time insertion so the
-    /// reported offending pair matches [`PartialOrderRel::try_union`].
-    pub fn try_union(&self, other: &BitOrderRel) -> Result<BitOrderRel, OrderError> {
-        let mut out = self.clone();
-        if other.n > 0 {
-            out.ensure_element(other.n - 1);
-        }
-        let w = out.words;
-        for a in 0..other.n {
-            let orow = &other.succ[a * other.words..(a + 1) * other.words];
-            for (i, &ow) in orow.iter().enumerate() {
-                out.succ[a * w + i] |= ow;
-            }
-        }
-        // Word-parallel Warshall on the union, then a diagonal scan.
-        let mut g = BitGraph {
-            n: out.n,
-            words: w,
-            rows: std::mem::take(&mut out.succ),
-        };
-        g.close_transitively();
-        if g.has_diagonal() {
-            // Contradictory: redo sequentially for the exact error pair.
-            let mut redo = self.clone();
-            for (a, b) in other.pairs() {
-                redo.insert(a, b)?;
-            }
-            unreachable!("diagonal bit implies some insert must fail");
-        }
-        out.succ = g.rows;
-        // Rebuild the transpose.
-        out.pred.clear();
-        out.pred.resize(out.n * w, 0);
-        for a in 0..out.n {
-            for b in row_bits(&out.succ[a * w..(a + 1) * w]) {
-                out.pred[b * w + a / 64] |= 1u64 << (a % 64);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Whether the order is total over the given elements.
-    pub fn is_total_over(&self, elements: &[usize]) -> bool {
-        for (i, &a) in elements.iter().enumerate() {
-            for &b in &elements[i + 1..] {
-                if !self.comparable(a, b) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Restricts the order to the given elements — a row mask: the
-    /// restriction of a transitively closed relation is itself closed, so
-    /// no re-closure is needed.
-    pub fn restricted_to(&self, keep: &[usize]) -> BitOrderRel {
-        let mut mask = vec![0u64; self.words];
-        for &k in keep {
-            if k < self.n {
-                mask[k / 64] |= 1u64 << (k % 64);
-            }
-        }
-        let mut out = BitOrderRel::with_elements(self.n);
-        let w = self.words;
-        for u in row_bits(&mask) {
-            for (i, &m) in mask.iter().enumerate() {
-                out.succ[u * w + i] = self.succ[u * w + i] & m;
-                out.pred[u * w + i] = self.pred[u * w + i] & m;
-            }
-        }
-        out
-    }
-
-    /// A linear extension (deterministic smallest-ready-first topological
-    /// order over `0..element_count()`).
-    pub fn linear_extension(&self) -> Vec<usize> {
-        BitGraph {
-            n: self.n,
-            words: self.words,
-            rows: self.succ.clone(),
-        }
-        .topo_order()
-        .expect("a valid partial order is acyclic by construction")
-    }
 }
 
 #[cfg(test)]
@@ -671,7 +397,6 @@ mod tests {
                 assert!(g.has_edge(u, v), "({u},{v})");
             }
         }
-        assert!(g.has_diagonal());
     }
 
     #[test]
@@ -695,71 +420,5 @@ mod tests {
         let mut c = chain_bits(3);
         c.add_edge(2, 0);
         assert!(c.topo_order().is_none());
-    }
-
-    #[test]
-    fn order_insert_splices_closure() {
-        let mut rel = BitOrderRel::new();
-        rel.insert(0, 1).unwrap();
-        rel.insert(2, 3).unwrap();
-        assert!(!rel.lt(0, 3));
-        rel.insert(1, 2).unwrap();
-        assert!(rel.lt(0, 3) && rel.lt(0, 2) && rel.lt(1, 3));
-        assert_eq!(
-            rel.insert(3, 0),
-            Err(OrderError::Contradiction { attempted: (3, 0) })
-        );
-        assert_eq!(rel.insert(1, 1), Err(OrderError::Reflexive(1)));
-    }
-
-    #[test]
-    fn order_grows_across_word_boundary() {
-        let mut rel = BitOrderRel::new();
-        rel.insert(0, 63).unwrap();
-        rel.insert(63, 64).unwrap();
-        rel.insert(64, 130).unwrap();
-        assert!(rel.lt(0, 130));
-        assert_eq!(rel.element_count(), 131);
-        let sparse = rel.to_partial_order();
-        assert_eq!(
-            sparse.pairs().collect::<Vec<_>>(),
-            rel.pairs().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn union_and_containment() {
-        let a = BitOrderRel::from_pairs([(0, 1)]).unwrap();
-        let b = BitOrderRel::from_pairs([(1, 2)]).unwrap();
-        let u = a.try_union(&b).unwrap();
-        assert!(u.lt(0, 2));
-        assert!(u.contains(&a) && u.contains(&b) && !a.contains(&u));
-        let c = BitOrderRel::from_pairs([(1, 0)]).unwrap();
-        assert_eq!(
-            a.try_union(&c),
-            Err(OrderError::Contradiction { attempted: (1, 0) })
-        );
-    }
-
-    #[test]
-    fn restriction_is_mask() {
-        let rel = BitOrderRel::from_pairs([(0, 1), (1, 2), (3, 4)]).unwrap();
-        let r = rel.restricted_to(&[0, 2, 3]);
-        assert!(r.lt(0, 2));
-        assert!(!r.lt(3, 4) && !r.lt(0, 1));
-        // Parity with the sparse restriction.
-        let sparse = rel.to_partial_order().restricted_to(&[0, 2, 3]);
-        assert_eq!(
-            sparse.pairs().collect::<Vec<_>>(),
-            r.pairs().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn linear_extension_respects_order() {
-        let rel = BitOrderRel::from_pairs([(2, 0), (0, 1)]).unwrap();
-        let ext = rel.linear_extension();
-        let pos = |x: usize| ext.iter().position(|&e| e == x).unwrap();
-        assert!(pos(2) < pos(0) && pos(0) < pos(1));
     }
 }

@@ -409,11 +409,6 @@ impl CondensedClosure {
         words_for(self.n)
     }
 
-    /// The component index of `u`.
-    pub fn component_of(&self, u: usize) -> usize {
-        self.comp_of[u] as usize
-    }
-
     /// Whether the closure has edge `u -> v` — an `O(1)`/`O(log)` lookup,
     /// no row materialization.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {

@@ -54,12 +54,6 @@ impl DiGraph {
         self.edge_count
     }
 
-    /// Adds a fresh node and returns its index.
-    pub fn add_node(&mut self) -> usize {
-        self.succs.push(BTreeSet::new());
-        self.succs.len() - 1
-    }
-
     /// Grows the graph so `idx` is a valid node.
     pub fn ensure_node(&mut self, idx: usize) {
         if idx >= self.succs.len() {
@@ -78,16 +72,6 @@ impl DiGraph {
         fresh
     }
 
-    /// Removes edge `u -> v` if present; returns whether it existed.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
-        if u < self.succs.len() && self.succs[u].remove(&v) {
-            self.edge_count -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Whether edge `u -> v` exists.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         u < self.succs.len() && self.succs[u].contains(&v)
@@ -104,11 +88,6 @@ impl DiGraph {
             .iter()
             .enumerate()
             .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
-    }
-
-    /// Out-degree of `u`.
-    pub fn out_degree(&self, u: usize) -> usize {
-        self.succs.get(u).map_or(0, BTreeSet::len)
     }
 
     /// In-degrees of all nodes.
@@ -151,15 +130,6 @@ impl DiGraph {
         g.union_with(other);
         g
     }
-
-    /// Graph with every edge reversed.
-    pub fn reversed(&self) -> DiGraph {
-        let mut g = DiGraph::with_nodes(self.node_count());
-        for (u, v) in self.edges() {
-            g.add_edge(v, u);
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +159,6 @@ mod tests {
         assert!(g.add_edge(0, 1));
         assert!(!g.add_edge(0, 1));
         assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn remove_edge_roundtrip() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(0, 1);
-        assert!(g.remove_edge(0, 1));
-        assert!(!g.remove_edge(0, 1));
-        assert_eq!(g.edge_count(), 0);
     }
 
     #[test]
@@ -242,15 +203,6 @@ mod tests {
         assert_eq!(g.node_count(), 6); // grown to cover successor 5
         assert_eq!(g.edge_count(), 3);
         assert!(g.has_edge(0, 5) && g.has_edge(2, 0));
-    }
-
-    #[test]
-    fn reversed_flips_edges() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(0, 1);
-        let r = g.reversed();
-        assert!(r.has_edge(1, 0));
-        assert!(!r.has_edge(0, 1));
     }
 
     #[test]

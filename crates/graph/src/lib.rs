@@ -21,12 +21,11 @@ mod dot;
 mod order;
 
 pub use algo::{
-    condense, find_cycle, has_path, longest_path_lengths, reachable_from, reachable_from_with,
+    condense, find_cycle, longest_path_lengths, reachable_from, reachable_from_with,
     strongly_connected_components, strongly_connected_components_with, topological_sort,
-    transitive_closure, transitive_closure_with, transitive_reduction, transitive_reduction_with,
-    CycleInfo, ReachScratch, SccScratch, TopoError,
+    transitive_closure, transitive_closure_with, CycleInfo, ReachScratch, SccScratch, TopoError,
 };
-pub use bitgraph::{BitGraph, BitOrderRel};
+pub use bitgraph::BitGraph;
 pub use chunked::{ChunkedBitGraph, CondensedClosure};
 pub use digraph::DiGraph;
 pub use dot::dot_string;

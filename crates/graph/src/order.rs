@@ -124,11 +124,6 @@ impl PartialOrderRel {
         self.row(a).is_some_and(|i| self.above[i].contains(&b))
     }
 
-    /// Whether `a` and `b` are comparable (in either direction).
-    pub fn comparable(&self, a: usize, b: usize) -> bool {
-        self.lt(a, b) || self.lt(b, a)
-    }
-
     /// The elements above `a` (every `b` with `a < b`), ascending.
     pub fn above(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
         self.row(a)
@@ -168,9 +163,8 @@ impl PartialOrderRel {
     /// was new.
     ///
     /// Cost is O(|pred(a)| · |succ(b)|) per insertion — predecessors come
-    /// from the maintained transpose, not a full node scan. The dense
-    /// [`crate::BitOrderRel`] splices the same closure with row-wide ORs;
-    /// a recompute-from-scratch strategy is benchmarked against both in
+    /// from the maintained transpose, not a full node scan. A
+    /// recompute-from-scratch strategy is benchmarked against it in
     /// `compc-bench` (`observed_order` bench, DESIGN.md §5.1).
     pub fn insert(&mut self, a: usize, b: usize) -> Result<bool, OrderError> {
         if a == b {
@@ -217,34 +211,6 @@ impl PartialOrderRel {
         self.pairs()
             .filter(|&(a, b)| !self.above(a).any(|c| c != b && self.lt(c, b)))
             .collect()
-    }
-
-    /// Whether every pair of `other` is contained in `self` (i.e.
-    /// `other ⊆ self` as relations). Definitions 2–4 repeatedly require
-    /// `≪ ⊆ ≺` and `→→ ⊆ →`.
-    pub fn contains(&self, other: &PartialOrderRel) -> bool {
-        other.pairs().all(|(a, b)| self.lt(a, b))
-    }
-
-    /// Union with another order; fails if the union is contradictory.
-    pub fn try_union(&self, other: &PartialOrderRel) -> Result<PartialOrderRel, OrderError> {
-        let mut out = self.clone();
-        for (a, b) in other.pairs() {
-            out.insert(a, b)?;
-        }
-        Ok(out)
-    }
-
-    /// Whether the order is total over the given elements.
-    pub fn is_total_over(&self, elements: &[usize]) -> bool {
-        for (i, &a) in elements.iter().enumerate() {
-            for &b in &elements[i + 1..] {
-                if !self.comparable(a, b) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Restricts the order to the given elements (pairs with both endpoints
@@ -331,33 +297,6 @@ mod tests {
         rel.insert(0, 1).unwrap();
         rel.insert(0, 1).unwrap();
         assert_eq!(rel.pair_count(), 1);
-    }
-
-    #[test]
-    fn contains_checks_inclusion() {
-        let big = PartialOrderRel::from_pairs([(0, 1), (1, 2)]).unwrap();
-        let small = PartialOrderRel::from_pairs([(0, 2)]).unwrap();
-        assert!(big.contains(&small)); // 0<2 is in the closure of big
-        assert!(!small.contains(&big));
-    }
-
-    #[test]
-    fn union_merges_or_fails() {
-        let a = PartialOrderRel::from_pairs([(0, 1)]).unwrap();
-        let b = PartialOrderRel::from_pairs([(1, 2)]).unwrap();
-        let u = a.try_union(&b).unwrap();
-        assert!(u.lt(0, 2));
-        let c = PartialOrderRel::from_pairs([(1, 0)]).unwrap();
-        assert!(a.try_union(&c).is_err());
-    }
-
-    #[test]
-    fn totality_check() {
-        let chain = PartialOrderRel::from_pairs([(0, 1), (1, 2)]).unwrap();
-        assert!(chain.is_total_over(&[0, 1, 2]));
-        let v = PartialOrderRel::from_pairs([(0, 1), (0, 2)]).unwrap();
-        assert!(!v.is_total_over(&[0, 1, 2]));
-        assert!(v.is_total_over(&[0, 1]));
     }
 
     #[test]

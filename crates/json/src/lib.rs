@@ -55,14 +55,6 @@ impl Value {
         }
     }
 
-    /// `f64` view if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// Slice view if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {

@@ -30,11 +30,6 @@ impl Transaction {
             intra: OrderPair::new(),
         }
     }
-
-    /// Whether `op` belongs to `O_t`.
-    pub fn contains_op(&self, op: NodeId) -> bool {
-        self.ops.contains(&op)
-    }
 }
 
 /// A schedule `S = (T, →, →→, ≺, ≪, CON_S)` (Definition 3).
@@ -77,19 +72,9 @@ impl Schedule {
         self.transactions.iter().flat_map(|t| t.ops.iter().copied())
     }
 
-    /// The transaction ids `T_S`.
-    pub fn tx_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.transactions.iter().map(|t| t.id)
-    }
-
     /// Looks up a transaction of this schedule by node id.
     pub fn transaction(&self, id: NodeId) -> Option<&Transaction> {
         self.transactions.iter().find(|t| t.id == id)
-    }
-
-    /// The transaction owning operation `op`, if any.
-    pub fn tx_of_op(&self, op: NodeId) -> Option<&Transaction> {
-        self.transactions.iter().find(|t| t.contains_op(op))
     }
 
     /// Validates the four Definition-3 axioms for this schedule in

@@ -106,15 +106,6 @@ impl SimMetrics {
         }
     }
 
-    /// Aborted attempts per commit.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.committed == 0 {
-            self.aborts as f64
-        } else {
-            self.aborts as f64 / self.committed as f64
-        }
-    }
-
     /// Sums another run's counters into this one (sweep summaries). Times
     /// aggregate as max end time and summed latency.
     pub fn merge(&mut self, other: &SimMetrics) {

@@ -5,7 +5,7 @@
 #   scripts/ci.sh tier1    # just the build + test gate
 #   scripts/ci.sh workspace-tests # every workspace crate's tests (tier-1's
 #                              # root `cargo test` runs only the compc package)
-#   scripts/ci.sh lint     # clippy + rustfmt + no threads inside a check
+#   scripts/ci.sh lint     # clippy + rustfmt + rustdoc links + no threads inside a check
 #   scripts/ci.sh smoke    # just the compc-check observability smoke test
 #   scripts/ci.sh soak     # chaos sweep + deadline smoke (robustness gate)
 #   scripts/ci.sh bench-smoke  # E21 kernel table + capped E22 scaling sweep +
@@ -62,6 +62,8 @@ lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     echo "==> lint: cargo fmt --check"
     cargo fmt --check
+    echo "==> lint: cargo doc with warnings denied (no broken or private doc links)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand --exclude criterion
     echo "==> lint: no threads inside a check (crates/core, crates/graph, crates/model)"
     # Each check runs on its caller's thread; parallelism lives across batch
     # items. Threads inside one check bought nothing measured (EXPERIMENTS.md

@@ -22,7 +22,7 @@
 //!
 //! Each **dispatch shard** owns a disjoint partition of the named
 //! sessions (requests are routed by a stable hash of their session name,
-//! [`shard_of`]), so the checking path needs no locks and per-session
+//! `shard_of`), so the checking path needs no locks and per-session
 //! request order is preserved end to end: readers assign shards in line
 //! order, `std::sync::mpsc` is FIFO per sender, and responses are routed
 //! back through per-connection writer channels. With the default

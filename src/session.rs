@@ -254,12 +254,6 @@ impl SpecSession {
             .expect("a spec the session accepted builds again")
     }
 
-    /// [`SpecSession::append`] from JSON text (one spec document).
-    pub fn append_json(&mut self, text: &str) -> Result<&Verdict, SpecSessionError> {
-        let fragment = SystemSpec::parse(text)?;
-        self.append(&fragment)
-    }
-
     /// Replays `fragments` append-by-append through a fresh session with
     /// `options`, demanding after **every** append that the session's
     /// verdict is bit-identical (full `Debug` structure: fronts, witness,

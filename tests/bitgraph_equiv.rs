@@ -1,17 +1,18 @@
-//! Differential equivalence of the dense bitset relation kernels.
+//! Differential equivalence of the relation kernels.
 //!
-//! `BitGraph`/`BitOrderRel` are drop-in word-parallel replacements for the
-//! BTree-backed `DiGraph` closure and `PartialOrderRel`. These tests pin the
-//! replacement down pair-for-pair on random DAGs and cyclic graphs — closure,
-//! reachability, incremental insert (including the exact `OrderError` on
-//! every failing step), and `try_union` — plus the crossover boundary sizes
-//! 63/64/65 where the row layout changes word count, and end-to-end verdict
-//! equivalence of the checker across forced-sparse, forced-dense, and auto
-//! backends on random systems and the paper's Figure 1–4 examples.
+//! `BitGraph` and `ChunkedBitGraph` are word-parallel replacements for the
+//! BTree-backed `DiGraph` closure. These tests pin them down pair-for-pair on
+//! random DAGs and cyclic graphs (closure and reachability), plus the
+//! crossover boundary sizes 63/64/65 where the row layout changes word
+//! count, and end-to-end verdict equivalence of the checker across
+//! forced-sparse, forced-dense, forced-compressed and auto backends on
+//! random systems and the paper's Figure 1–4 examples. `PartialOrderRel`'s
+//! incremental insert is checked against a brute-force reference closure,
+//! including the exact `OrderError` on every failing step.
 
 use compc::core::{check, Backend, CheckOptions, Checker, Verdict, COMPRESSED_CROSSOVER_DEFAULT};
 use compc::graph::{
-    reachable_from, transitive_closure, BitGraph, BitOrderRel, ChunkedBitGraph, DiGraph,
+    reachable_from, transitive_closure, BitGraph, ChunkedBitGraph, DiGraph, OrderError,
     PartialOrderRel,
 };
 use compc::workload::figures::{figure1, figure2, figure3_incorrect, figure4_correct};
@@ -61,6 +62,40 @@ fn fingerprint(v: &Verdict) -> String {
     }
 }
 
+/// The brute-force reference for [`PartialOrderRel::insert`]: the accepted
+/// pairs as a plain graph, closed from scratch by [`transitive_closure`]
+/// after every accepted pair.
+struct ReferenceOrder {
+    accepted: DiGraph,
+    closed: DiGraph,
+}
+
+impl ReferenceOrder {
+    fn with_elements(n: usize) -> Self {
+        ReferenceOrder {
+            accepted: DiGraph::with_nodes(n),
+            closed: DiGraph::with_nodes(n),
+        }
+    }
+
+    /// `a == b` is reflexive, `b ≺* a` contradicts, `a ≺* b` is already
+    /// known; anything else is accepted.
+    fn insert(&mut self, a: usize, b: usize) -> Result<bool, OrderError> {
+        if a == b {
+            return Err(OrderError::Reflexive(a));
+        }
+        if self.closed.has_edge(b, a) {
+            return Err(OrderError::Contradiction { attempted: (a, b) });
+        }
+        if self.closed.has_edge(a, b) {
+            return Ok(false);
+        }
+        self.accepted.add_edge(a, b);
+        self.closed = transitive_closure(&self.accepted);
+        Ok(true)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
 
@@ -103,11 +138,11 @@ proptest! {
         }
     }
 
-    /// Inserting the same pair sequence into both order representations
-    /// gives step-identical results: the same `Ok`/`Err` — with the *same*
-    /// error value — at every step, and identical closed pair sets at the
-    /// end. Includes reflexive and contradiction error paths (the pair
-    /// stream is unfiltered, so cycles and self-pairs occur routinely).
+    /// Inserting an unfiltered pair sequence gives, at every step, exactly
+    /// the result the brute-force reference predicts — the same `Ok`/`Err`
+    /// with the *same* error value — and the same closed pair set at the
+    /// end. Self-pairs and cycle-closing pairs occur routinely, so every
+    /// error path is exercised.
     #[test]
     fn order_insert_step_identical(
         seed in 0u64..100_000,
@@ -115,26 +150,27 @@ proptest! {
         pairs in 1usize..=120,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sparse = PartialOrderRel::with_elements(n);
-        let mut dense = BitOrderRel::with_elements(n);
+        let mut rel = PartialOrderRel::with_elements(n);
+        let mut reference = ReferenceOrder::with_elements(n);
         for step in 0..pairs {
             let a = rng.gen_range(0..n);
             let b = rng.gen_range(0..n);
             prop_assert_eq!(
-                dense.insert(a, b),
-                sparse.insert(a, b),
+                rel.insert(a, b),
+                reference.insert(a, b),
                 "step {} inserting ({}, {})", step, a, b
             );
         }
         prop_assert_eq!(
-            dense.pairs().collect::<Vec<_>>(),
-            sparse.pairs().collect::<Vec<_>>()
+            rel.pairs().collect::<Vec<_>>(),
+            reference.closed.edges().collect::<Vec<_>>()
         );
-        prop_assert_eq!(dense.pair_count(), sparse.pair_count());
+        prop_assert_eq!(rel.pair_count(), reference.closed.edge_count());
+        prop_assert_eq!(rel.element_count(), reference.closed.node_count());
     }
 
-    /// `try_union`, `contains`, and `restricted_to` agree across backends,
-    /// including the exact error when the union is contradictory.
+    /// `restricted_to` keeps exactly the reference closure's pairs whose
+    /// endpoints are both kept.
     #[test]
     fn union_contains_restrict_identical(
         seed in 0u64..100_000,
@@ -142,35 +178,20 @@ proptest! {
         pairs in 1usize..=40,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let grow = |rng: &mut StdRng| {
-            let mut rel = PartialOrderRel::with_elements(n);
-            for _ in 0..pairs {
-                let _ = rel.insert(rng.gen_range(0..n), rng.gen_range(0..n));
-            }
-            rel
-        };
-        let s1 = grow(&mut rng);
-        let s2 = grow(&mut rng);
-        let d1 = BitOrderRel::from_partial_order(&s1);
-        let d2 = BitOrderRel::from_partial_order(&s2);
-
-        prop_assert_eq!(d1.contains(&d2), s1.contains(&s2));
-        prop_assert_eq!(d2.contains(&d1), s2.contains(&s1));
-
-        match (s1.try_union(&s2), d1.try_union(&d2)) {
-            (Ok(su), Ok(du)) => prop_assert_eq!(
-                du.pairs().collect::<Vec<_>>(),
-                su.pairs().collect::<Vec<_>>()
-            ),
-            (Err(se), Err(de)) => prop_assert_eq!(de, se, "union error must match exactly"),
-            (s, d) => prop_assert!(false, "union outcome diverged: sparse={:?} dense={:?}",
-                s.map(|u| u.pair_count()), d.map(|u| u.pair_count())),
+        let mut rel = PartialOrderRel::with_elements(n);
+        let mut reference = ReferenceOrder::with_elements(n);
+        for _ in 0..pairs {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            prop_assert_eq!(rel.insert(a, b), reference.insert(a, b));
         }
-
         let keep: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.5)).collect();
         prop_assert_eq!(
-            d1.restricted_to(&keep).pairs().collect::<Vec<_>>(),
-            s1.restricted_to(&keep).pairs().collect::<Vec<_>>()
+            rel.restricted_to(&keep).pairs().collect::<Vec<_>>(),
+            reference
+                .closed
+                .edges()
+                .filter(|(a, b)| keep.contains(a) && keep.contains(b))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -387,26 +408,28 @@ fn grow_across_word_boundary_then_query() {
         assert_eq!(bits.node_count(), small);
         assert_eq!(bits.edge_count(), 2, "{big}->{small} shrink edge count");
 
-        // Same boundary crossing for the order relation's `ensure_element`
-        // relayout (insert auto-grows the element universe).
-        let mut sparse_rel = PartialOrderRel::with_elements(small);
-        let mut dense_rel = BitOrderRel::with_elements(small);
-        for (a, b) in [(0, small - 1), (small - 1, small - 2)] {
-            assert_eq!(dense_rel.insert(a, b), sparse_rel.insert(a, b));
-        }
-        for (a, b) in [(small - 2, big - 1), (big - 1, big - 2)] {
+        // The same boundary crossing for an order that grows by insertion.
+        let mut rel = PartialOrderRel::with_elements(small);
+        let mut reference = ReferenceOrder::with_elements(small);
+        for (a, b) in [
+            (0, small - 1),
+            (small - 1, small - 2),
+            (small - 2, big - 1),
+            (big - 1, big - 2),
+        ] {
             assert_eq!(
-                dense_rel.insert(a, b),
-                sparse_rel.insert(a, b),
+                rel.insert(a, b),
+                reference.insert(a, b),
                 "{small}->{big} grow-insert ({a}, {b})"
             );
         }
         assert_eq!(
-            dense_rel.pairs().collect::<Vec<_>>(),
-            sparse_rel.pairs().collect::<Vec<_>>(),
-            "{small}->{big} pairs after ensure_element regrow"
+            rel.pairs().collect::<Vec<_>>(),
+            reference.closed.edges().collect::<Vec<_>>(),
+            "{small}->{big} pairs after the regrow"
         );
-        assert!(dense_rel.lt(0, big - 2), "transitivity across the regrow");
+        assert_eq!(rel.element_count(), reference.closed.node_count());
+        assert!(rel.lt(0, big - 2), "transitivity across the regrow");
     }
 
     // The chunked backend's reload path crosses the same boundaries.

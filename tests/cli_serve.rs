@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Kills the daemon if a test panics before shutting it down.
 struct Daemon(Child);
@@ -233,24 +233,37 @@ fn tcp_listener_serves_the_same_protocol() {
     assert_eq!(daemon.wait_code(), 1);
 }
 
+/// Runs `compc-serve args` and returns its exit code. A daemon still
+/// running after 10 s is killed and fails the test, so an argument list the
+/// daemon wrongly accepts (it would then serve forever) cannot hang the run.
+fn exit_code_within_10s(args: &[&str]) -> Option<i32> {
+    let mut daemon = Daemon::spawn(args);
+    let start = Instant::now();
+    loop {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
+            return status.code();
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "compc-serve {args:?} still running after 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
 fn usage_errors_exit_2() {
-    let out = Command::new(env!("CARGO_BIN_EXE_compc-serve"))
-        .output()
-        .unwrap();
     assert_eq!(
-        out.status.code(),
+        exit_code_within_10s(&[]),
         Some(2),
         "no listener flag is a usage error"
     );
     // Every check is sequential, so the daemon takes no --jobs.
+    let socket = tmpdir().join("usage.sock");
     for bad in [["--backend", "bogus"], ["--jobs", "1"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_compc-serve"))
-            .args(["--socket", "/tmp/x.sock"])
-            .args(bad)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        let mut args = vec!["--socket", socket.to_str().unwrap()];
+        args.extend(bad);
+        assert_eq!(exit_code_within_10s(&args), Some(2), "{bad:?}");
     }
 
     // --help documents the protocol and the exit codes.
