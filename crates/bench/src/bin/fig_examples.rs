@@ -4,12 +4,26 @@
 //! the verdict with its witness — the machine-checked counterpart of the
 //! paper's §3.6/§3.7 walkthroughs.
 
-use compc_core::check;
+use compc_core::{check, Checker, Front};
+use compc_model::CompositeSystem;
 use compc_workload::figures::{figure1, figure2, figure3_incorrect, figure4_correct, Figure};
 
+/// Fronts 0..=N of a Comp-C system, by stepping the reduction.
+fn fronts(sys: &CompositeSystem) -> Vec<Front> {
+    let mut reducer = Checker::new().reducer(sys);
+    let mut fronts = vec![reducer.front().clone()];
+    for level in 1..=sys.order() {
+        reducer
+            .step(level)
+            .expect("a Comp-C system reduces every level");
+        fronts.push(reducer.front().clone());
+    }
+    fronts
+}
+
 fn dump_dots(fig: &Figure, tag: &str, dir: &str) {
-    if let compc_core::Verdict::Correct(proof) = check(&fig.system) {
-        for front in &proof.fronts {
+    if check(&fig.system).is_correct() {
+        for front in fronts(&fig.system) {
             let path = format!("{dir}/{tag}_front{}.dot", front.level);
             let _ = std::fs::write(&path, front.to_dot(&fig.system));
         }
@@ -40,17 +54,18 @@ fn describe(fig: &Figure, title: &str, expect_correct: bool) {
         compc_core::Verdict::Correct(proof) => {
             assert!(expect_correct, "{title}: expected incorrect, got correct");
             println!("verdict: Comp-C (correct)");
-            for f in &proof.fronts {
+            for f in fronts(sys) {
+                let observed = f.observed_pairs();
                 println!(
                     "  level-{} front: {} nodes, {} observed pairs, {} conflicts, {} input pairs",
                     f.level,
                     f.nodes.len(),
-                    f.observed.len(),
-                    f.conflicts.len(),
-                    f.input.len()
+                    observed.len(),
+                    f.conflict_pairs(sys).len(),
+                    f.input_pairs().len()
                 );
-                for (a, b) in &f.observed {
-                    println!("    {} <o {}", sys.name(*a), sys.name(*b));
+                for (a, b) in observed {
+                    println!("    {} <o {}", sys.name(a), sys.name(b));
                 }
             }
             let witness: Vec<&str> = proof.serial_witness.iter().map(|&n| sys.name(n)).collect();
@@ -95,16 +110,9 @@ fn main() {
     // Figure 2's specific claim: the observed order relates (T1,T2) and
     // (T1,T3) at the top front.
     let fig2 = figure2();
-    let v = check(&fig2.system);
-    let top = v
-        .proof()
-        .expect("figure 2 is correct")
-        .fronts
-        .last()
-        .unwrap()
-        .clone();
+    let top = fronts(&fig2.system).pop().unwrap().observed_pairs();
     let t1 = fig2.node("T1");
-    assert!(top.observed.contains(&(t1, fig2.node("T2"))));
-    assert!(top.observed.contains(&(t1, fig2.node("T3"))));
+    assert!(top.contains(&(t1, fig2.node("T2"))));
+    assert!(top.contains(&(t1, fig2.node("T3"))));
     println!("figure 2 check: (T1,T2) and (T1,T3) related, as the paper states ✓");
 }

@@ -1041,9 +1041,10 @@ pub fn kernel_report_json(rows: &[KernelRow], iters: usize, seed: u64) -> Value 
 
 /// Backend verdict-equivalence spot check: `samples` random general systems
 /// are checked with the closure forced sparse, forced dense, forced
-/// compressed, and on the default crossovers; returns the number of verdict
-/// disagreements (must be 0 — every backend computes the same closure, so
-/// Theorem 1's reduction cannot tell them apart).
+/// compressed, and on the default crossovers; returns the number of systems
+/// whose verdict or stepped fronts disagree (must be 0 — every backend
+/// computes the same closure, so Theorem 1's reduction cannot tell them
+/// apart).
 pub fn backend_equivalence(samples: usize, seed: u64) -> usize {
     let mut mismatches = 0;
     for i in 0..samples as u64 {
@@ -1061,11 +1062,33 @@ pub fn backend_equivalence(samples: usize, seed: u64) -> usize {
             sound_abstractions: false,
             seed: seed.wrapping_add(i.wrapping_mul(2_654_435_761)),
         });
+        // The verdict and every front a stepped reduction reaches.
         let fingerprint = |backend: Backend| -> String {
-            match Checker::with_options(CheckOptions::new().backend(backend)).check(&sys) {
+            let checker = Checker::with_options(CheckOptions::new().backend(backend));
+            let mut out = match checker.check(&sys) {
                 compc_core::Verdict::Correct(p) => format!("ok:{:?}", p.serial_witness),
                 compc_core::Verdict::Incorrect(c) => format!("cex:{c}"),
+            };
+            let mut reducer = checker.reducer(&sys);
+            let mut push = |f: &compc_core::Front| {
+                out += &format!(
+                    "|L{}:{:?}o{:?}c{:?}i{:?}",
+                    f.level,
+                    f.nodes,
+                    f.observed_pairs(),
+                    f.conflict_pairs(&sys),
+                    f.input_pairs()
+                );
+            };
+            push(reducer.front());
+            for level in 1..=sys.order() {
+                let stepped = reducer.step(level);
+                push(reducer.front());
+                if stepped.is_err() {
+                    break;
+                }
             }
+            out
         };
         let sparse = fingerprint(Backend::Sparse);
         if sparse != fingerprint(Backend::Dense)

@@ -4,13 +4,14 @@
 //! Theorem 1's decision procedure is level-by-level, so a failure has a
 //! natural narrative: which levels reduced cleanly (and what they did to
 //! the front), which level broke, in which phase, and on which cycle. An
-//! [`Explanation`] re-runs the reduction to recover that story, renders the
-//! front at the point of failure as Graphviz DOT (via
-//! [`FrontSnapshot::to_dot`]), and shrinks the blame to a 1-minimal root
+//! [`Explanation`] re-runs the reduction by stepping a [`crate::Reducer`]
+//! to recover that story, keeps the front at the point of failure (render
+//! it with [`Front::to_dot`]), and shrinks the blame to a 1-minimal root
 //! set with [`crate::minimize`].
 
+use crate::front::Front;
 use crate::minimize::minimize;
-use crate::reduce::{CheckOptions, Checker, Counterexample, FailurePhase, FrontSnapshot};
+use crate::reduce::{CheckOptions, Checker, Counterexample, FailurePhase};
 use compc_model::CompositeSystem;
 
 /// A rendered, self-contained account of why a system is not Comp-C.
@@ -31,9 +32,7 @@ pub struct Explanation {
     /// The front the failure is about: the pre-step front for calculation
     /// failures (the cycle lives in its contracted constraint graph), the
     /// new cyclic front for conflict-consistency failures.
-    pub failing_front: FrontSnapshot,
-    /// [`Explanation::failing_front`] rendered as Graphviz DOT.
-    pub front_dot: String,
+    pub failing_front: Front,
     /// A 1-minimal set of root-transaction names whose projection is still
     /// incorrect (empty when minimization does not apply).
     pub minimal_roots: Vec<String>,
@@ -68,7 +67,6 @@ impl Counterexample {
             "level 0: front of {} leaf operation(s)",
             reducer.front().nodes.len()
         )];
-        let mut failing_front = reducer.snapshot();
         let mut failed: Option<Counterexample> = None;
 
         if let Some(cycle_nodes) = reducer.front().is_cc() {
@@ -94,7 +92,6 @@ impl Counterexample {
                     .map(|s| s.name.as_str())
                     .collect();
                 let before = reducer.front().nodes.len();
-                let before_snapshot = reducer.snapshot();
                 match reducer.step(level) {
                     Ok(()) => {
                         story.push(format!(
@@ -102,7 +99,6 @@ impl Counterexample {
                             sched_names.join(", "),
                             reducer.front().nodes.len()
                         ));
-                        failing_front = reducer.snapshot();
                     }
                     Err(cex) => {
                         let cyc = closed_cycle(&cex.cycle_names).join(" -> ");
@@ -115,7 +111,6 @@ impl Counterexample {
                                      leaves cycle {cyc}",
                                     sched_names.join(", ")
                                 ));
-                                failing_front = before_snapshot;
                             }
                             FailurePhase::ConflictConsistency => {
                                 story.push(format!(
@@ -124,7 +119,6 @@ impl Counterexample {
                                      close into cycle {cyc}",
                                     sched_names.join(", ")
                                 ));
-                                failing_front = reducer.snapshot();
                             }
                         }
                         failed = Some(cex);
@@ -151,8 +145,9 @@ impl Counterexample {
             total_levels: sys.order(),
             cycle: closed_cycle(&cex.cycle_names),
             story,
-            front_dot: failing_front.to_dot(sys),
-            failing_front,
+            // A failed step leaves the front the failure is about (see
+            // `Reducer::step`); a run that reproduced no failure, its last.
+            failing_front: reducer.front().clone(),
             minimal_roots,
             root_count: sys.roots().count(),
         }
@@ -243,8 +238,11 @@ mod tests {
             text.contains("minimal violating transaction set (2 of 3 roots)"),
             "{text}"
         );
-        // The failing front renders as DOT.
-        assert!(ex.front_dot.starts_with("digraph"), "{}", ex.front_dot);
+        // The failing front is the pre-step level-0 front, and renders as
+        // DOT.
+        assert_eq!(ex.failing_front.level, 0);
+        let dot = ex.failing_front.to_dot(&sys);
+        assert!(dot.starts_with("digraph"), "{dot}");
     }
 
     #[test]
@@ -327,11 +325,18 @@ mod tests {
             crate::Verdict::Correct(p) => p,
             crate::Verdict::Incorrect(c) => panic!("unexpected counterexample: {c}"),
         };
-        // The reduction climbed the whole ladder: fronts 0..=N inclusive.
+        // The reduction climbs the whole ladder: fronts 0..=N inclusive.
         assert_eq!(sys.order(), 3);
-        assert_eq!(proof.fronts.len(), sys.order() + 1);
-        assert_eq!(proof.fronts.first().unwrap().level, 0);
-        assert_eq!(proof.fronts.last().unwrap().level, sys.order());
+        let mut reducer = Checker::new().reducer(&sys);
+        assert_eq!(reducer.front().level, 0);
+        for level in 1..=sys.order() {
+            reducer.step(level).unwrap();
+            assert_eq!(reducer.front().level, level);
+        }
+        assert_eq!(
+            reducer.front().nodes,
+            std::collections::BTreeSet::from([t1, t2])
+        );
         // The witness serializes exactly the roots.
         assert_eq!(proof.serial_witness.len(), 2);
         for &n in &proof.serial_witness {

@@ -3,7 +3,7 @@
 
 use crate::closure::{self, CheckScratch};
 use crate::reduce::Backend;
-use compc_graph::{find_cycle, DiGraph};
+use compc_graph::{dot_escape, find_cycle, DiGraph};
 use compc_model::{CompositeSystem, NodeId, NodeRole, SchedId, Schedule};
 use std::collections::BTreeSet;
 
@@ -218,6 +218,36 @@ impl Front {
         out.dedup();
         out
     }
+
+    /// Renders the front as Graphviz DOT: solid edges for observed-order
+    /// pairs, dashed edges for input orders, bold red edges where the pair
+    /// is also a generalized conflict.
+    pub fn to_dot(&self, sys: &CompositeSystem) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        writeln!(out, "digraph \"front-{}\" {{", self.level).unwrap();
+        writeln!(out, "  rankdir=LR; label=\"level-{} front\";", self.level).unwrap();
+        for &n in &self.nodes {
+            writeln!(out, "  n{} [label=\"{}\"];", n.0, dot_escape(sys.name(n))).unwrap();
+        }
+        let conflicts: BTreeSet<(NodeId, NodeId)> = self.conflict_pairs(sys).into_iter().collect();
+        for (a, b) in self.observed_pairs() {
+            let hot = conflicts.contains(&(a.min(b), a.max(b)));
+            writeln!(
+                out,
+                "  n{} -> n{}{};",
+                a.0,
+                b.0,
+                if hot { " [color=red, penwidth=2]" } else { "" }
+            )
+            .unwrap();
+        }
+        for (a, b) in self.input_pairs() {
+            writeln!(out, "  n{} -> n{} [style=dashed];", a.0, b.0).unwrap();
+        }
+        out.push_str("}\n");
+        out
+    }
 }
 
 #[cfg(test)]
@@ -293,5 +323,25 @@ mod tests {
         let (sys, o1, o2) = flat();
         let f = Front::level0(&sys);
         assert_eq!(f.conflict_pairs(&sys), vec![(o1, o2)]);
+    }
+
+    #[test]
+    fn to_dot_renders_nodes_and_edge_styles() {
+        let (sys, _, _) = flat();
+        let dot = Front::level0(&sys).to_dot(&sys);
+        assert!(dot.contains("level-0 front"));
+        assert!(dot.contains("[label=\"o1\"]"));
+        assert!(dot.contains("color=red"), "conflicting pair rendered hot");
+    }
+
+    #[test]
+    fn to_dot_escapes_backslashes_and_quotes() {
+        let mut b = SystemBuilder::new();
+        let s = b.schedule("S");
+        let t = b.root("T", s);
+        b.leaf("q\"x\\", t);
+        let sys = b.build().unwrap();
+        let dot = Front::level0(&sys).to_dot(&sys);
+        assert!(dot.contains(r#"[label="q\"x\\"];"#), "{dot}");
     }
 }

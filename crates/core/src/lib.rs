@@ -20,7 +20,8 @@
 //! *conflict consistent* (Definition 13). If the process reaches a level-`N`
 //! front (roots only), the execution is Comp-C and a serial witness — a
 //! topological order of the roots — is produced; otherwise a counterexample
-//! cycle pinpoints the failure.
+//! cycle pinpoints the failure. The [`Verdict`] carries only that witness or
+//! cycle; the fronts are read by stepping a [`Reducer`].
 //!
 //! # Interpretive notes (see DESIGN.md §5)
 //!
@@ -87,6 +88,6 @@ pub use front::Front;
 pub use minimize::{minimize, MinimalCounterexample};
 pub use reduce::{
     check, Backend, CheckCtx, CheckOptions, Checker, Counterexample, Deadline, FailurePhase,
-    FrontSnapshot, Interrupted, Proof, Reducer, Verdict,
+    Interrupted, Proof, Reducer, Verdict,
 };
 pub use session::{Session, SessionError, SessionStats};

@@ -65,33 +65,17 @@ impl std::fmt::Display for Counterexample {
     }
 }
 
-/// A per-level record of the reduction, for traces and the figure harness.
-#[derive(Clone, Debug)]
-pub struct FrontSnapshot {
-    /// The front's level.
-    pub level: usize,
-    /// Front members in id order.
-    pub nodes: Vec<NodeId>,
-    /// Observed pairs among members.
-    pub observed: Vec<(NodeId, NodeId)>,
-    /// Generalized-conflict pairs among members (normalized `(min, max)`).
-    pub conflicts: Vec<(NodeId, NodeId)>,
-    /// Input-order pairs among members.
-    pub input: Vec<(NodeId, NodeId)>,
-}
-
-/// Evidence of correctness: every front of the successful reduction plus a
-/// serial witness — a total order of the roots to which the execution is
-/// conflict equivalent (the topological sort from Theorem 1's proof).
+/// Evidence of correctness: a serial witness — a total order of the roots
+/// to which the execution is conflict equivalent (the topological sort of
+/// the level-N front's `<ₒ ∪ →` from Theorem 1's proof). The fronts that
+/// lead there are recomputed by stepping a [`Reducer`].
 #[derive(Clone, Debug)]
 pub struct Proof {
-    /// Snapshots of fronts 0..=N.
-    pub fronts: Vec<FrontSnapshot>,
     /// The equivalent serial order over the root transactions.
     pub serial_witness: Vec<NodeId>,
 }
 
-/// The outcome of a Comp-C check.
+/// The outcome of a Comp-C check: the certificate, witness or cycle.
 #[derive(Clone, Debug)]
 pub enum Verdict {
     /// The composite schedule is Comp-C (has a level-N front, Theorem 1).
@@ -438,7 +422,8 @@ struct LevelCounts {
 }
 
 /// The stepwise reduction engine. Use [`check`] for the one-shot API; the
-/// `Reducer` itself exposes per-level stepping for traces and the examples.
+/// `Reducer` itself exposes per-level stepping, the one way to inspect the
+/// fronts ([`Reducer::step`], then [`Reducer::front`]).
 pub struct Reducer<'a> {
     sys: &'a CompositeSystem,
     front: Front,
@@ -521,17 +506,6 @@ impl<'a> Reducer<'a> {
         self.scratch
     }
 
-    /// A snapshot of the current front.
-    pub fn snapshot(&self) -> FrontSnapshot {
-        FrontSnapshot {
-            level: self.front.level,
-            nodes: self.front.nodes.iter().copied().collect(),
-            observed: self.front.observed_pairs(),
-            conflicts: self.front.conflict_pairs(self.sys),
-            input: self.front.input_pairs(),
-        }
-    }
-
     /// Runs the reduction to completion. Idempotent only from a fresh
     /// reducer: a completed run leaves the front at the final level.
     ///
@@ -560,7 +534,7 @@ impl<'a> Reducer<'a> {
         let verdict = self.run_levels()?;
         if let Some(sink) = self.sink.as_deref_mut() {
             let (correct, levels_completed, failed_level, failed_phase) = match &verdict {
-                Verdict::Correct(p) => (true, p.fronts.len().saturating_sub(1), None, None),
+                Verdict::Correct(_) => (true, self.sys.order(), None, None),
                 Verdict::Incorrect(c) => (
                     false,
                     c.level.saturating_sub(1),
@@ -580,7 +554,6 @@ impl<'a> Reducer<'a> {
     }
 
     fn run_levels(&mut self) -> Result<Verdict, Interrupted> {
-        let mut fronts = vec![self.snapshot()];
         // Front 0 is CC by construction (per-schedule partial orders), but we
         // check anyway so the invariant is uniform across levels.
         if let Some(cycle) = self.front.is_cc() {
@@ -596,9 +569,8 @@ impl<'a> Reducer<'a> {
             if self.interrupted() {
                 return Err(Interrupted { level });
             }
-            match self.step(level) {
-                Ok(()) => fronts.push(self.snapshot()),
-                Err(cex) => return Ok(Verdict::Incorrect(cex)),
+            if let Err(cex) = self.step(level) {
+                return Ok(Verdict::Incorrect(cex));
             }
         }
         debug_assert_eq!(
@@ -606,16 +578,17 @@ impl<'a> Reducer<'a> {
             self.sys.roots().collect::<BTreeSet<_>>(),
             "a completed reduction must leave exactly the roots"
         );
-        let witness = self.serial_witness();
         Ok(Verdict::Correct(Proof {
-            fronts,
-            serial_witness: witness,
+            serial_witness: self.serial_witness(),
         }))
     }
 
     /// Performs reduction step `level` (Definition 16), replacing the
     /// current front by the level-`level` front or failing with a
-    /// counterexample.
+    /// counterexample. After a failure the front is the one the failure is
+    /// about: unchanged for a calculation failure (the cycle lives in its
+    /// contracted constraint graph), the new cyclic front for a
+    /// conflict-consistency failure.
     pub fn step(&mut self, level: usize) -> Result<(), Counterexample> {
         let scheds: Vec<compc_model::SchedId> =
             self.sys.schedules_at_level(level).map(|s| s.id).collect();
@@ -956,7 +929,7 @@ mod tests {
         assert!(v.is_correct(), "{:?}", v.counterexample());
         let proof = v.proof().unwrap();
         assert_eq!(proof.serial_witness, vec![t1, t2]);
-        assert_eq!(proof.fronts.len(), 2); // level 0 and level 1
+        assert_eq!(sys.order(), 1); // one step: level 0 to level 1
     }
 
     fn flat_two_root_system() -> compc_model::CompositeSystem {
@@ -1286,9 +1259,9 @@ mod tests {
         assert!(check(&sys).is_correct());
     }
 
-    /// Snapshots record the pulled-up conflicts (Figure 2's shape).
+    /// Stepped fronts carry the pulled-up conflicts (Figure 2's shape).
     #[test]
-    fn snapshots_expose_front_evolution() {
+    fn stepping_exposes_front_evolution() {
         let mut b = SystemBuilder::new();
         let s_top = b.schedule("top");
         let s_bot = b.schedule("bot");
@@ -1307,20 +1280,21 @@ mod tests {
         b.output_weak(u1, u2).unwrap();
         b.propagate_orders().unwrap();
         let sys = b.build().unwrap();
-        let v = check(&sys);
-        let proof = v.proof().unwrap();
-        assert_eq!(proof.fronts.len(), 3);
+        assert_eq!(sys.order(), 2);
+        let mut reducer = Checker::new().reducer(&sys);
         // Level-1 front: u1, u2 with a (declared) conflict and the
         // serialization order pulled up by Definition 10 rule 2.
-        let f1 = &proof.fronts[1];
-        assert_eq!(f1.nodes, vec![u1, u2]);
-        assert!(f1.observed.contains(&(u1, u2)));
-        assert!(f1.conflicts.contains(&(u1, u2)));
+        reducer.step(1).unwrap();
+        let f1 = reducer.front();
+        assert_eq!(f1.nodes, BTreeSet::from([u1, u2]));
+        assert!(f1.observed_pairs().contains(&(u1, u2)));
+        assert!(f1.conflict_pairs(&sys).contains(&(u1, u2)));
         // Level-2 front: the roots, serialized T1 before T2.
-        let f2 = &proof.fronts[2];
-        assert_eq!(f2.nodes, vec![t1, t2]);
-        assert!(f2.observed.contains(&(t1, t2)));
-        assert_eq!(proof.serial_witness, vec![t1, t2]);
+        reducer.step(2).unwrap();
+        let f2 = reducer.front();
+        assert_eq!(f2.nodes, BTreeSet::from([t1, t2]));
+        assert!(f2.observed_pairs().contains(&(t1, t2)));
+        assert_eq!(check(&sys).proof().unwrap().serial_witness, vec![t1, t2]);
     }
 }
 
@@ -1571,71 +1545,5 @@ mod ablation_tests {
             }
             assert_eq!(default, correct_first);
         }
-    }
-}
-
-impl FrontSnapshot {
-    /// Renders the front as Graphviz DOT: solid edges for observed-order
-    /// pairs, dashed edges for input orders, bold red edges where the pair
-    /// is also a generalized conflict.
-    pub fn to_dot(&self, sys: &CompositeSystem) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        writeln!(out, "digraph \"front-{}\" {{", self.level).unwrap();
-        writeln!(out, "  rankdir=LR; label=\"level-{} front\";", self.level).unwrap();
-        for &n in &self.nodes {
-            writeln!(
-                out,
-                "  n{} [label=\"{}\"];",
-                n.0,
-                sys.name(n).replace('"', "\\\"")
-            )
-            .unwrap();
-        }
-        let conflicts: std::collections::BTreeSet<(NodeId, NodeId)> =
-            self.conflicts.iter().copied().collect();
-        for &(a, b) in &self.observed {
-            let hot = conflicts.contains(&(a.min(b), a.max(b)));
-            writeln!(
-                out,
-                "  n{} -> n{}{};",
-                a.0,
-                b.0,
-                if hot { " [color=red, penwidth=2]" } else { "" }
-            )
-            .unwrap();
-        }
-        for &(a, b) in &self.input {
-            writeln!(out, "  n{} -> n{} [style=dashed];", a.0, b.0).unwrap();
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use compc_model::SystemBuilder;
-
-    #[test]
-    fn front_dot_renders_nodes_and_edge_styles() {
-        let mut b = SystemBuilder::new();
-        let s = b.schedule("S");
-        let t1 = b.root("T1", s);
-        let t2 = b.root("T2", s);
-        let o1 = b.leaf("o1", t1);
-        let o2 = b.leaf("o2", t2);
-        b.conflict(o1, o2).unwrap();
-        b.output_weak(o1, o2).unwrap();
-        let sys = b.build().unwrap();
-        let proof = match check(&sys) {
-            Verdict::Correct(p) => p,
-            Verdict::Incorrect(c) => panic!("{c}"),
-        };
-        let dot = proof.fronts[0].to_dot(&sys);
-        assert!(dot.contains("level-0 front"));
-        assert!(dot.contains("[label=\"o1\"]"));
-        assert!(dot.contains("color=red"), "conflicting pair rendered hot");
     }
 }

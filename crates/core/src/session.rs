@@ -359,17 +359,7 @@ mod tests {
     /// assertions between the session and the from-scratch checker.
     fn fingerprint(v: &Verdict) -> String {
         match v {
-            Verdict::Correct(p) => {
-                let mut out = String::from("correct;");
-                for f in &p.fronts {
-                    out.push_str(&format!(
-                        "L{}:{:?}|o{:?}|c{:?}|i{:?};",
-                        f.level, f.nodes, f.observed, f.conflicts, f.input
-                    ));
-                }
-                out.push_str(&format!("w{:?}", p.serial_witness));
-                out
-            }
+            Verdict::Correct(p) => format!("correct;w{:?}", p.serial_witness),
             Verdict::Incorrect(c) => format!(
                 "incorrect;L{};{};{:?};{:?}",
                 c.level,
@@ -505,15 +495,49 @@ mod tests {
         assert_eq!(in_place.stats(), whole.stats());
     }
 
+    /// Every front a stepped reduction of `sys` under `options` reaches,
+    /// up to the first failing step: level, members, member observed
+    /// pairs, conflict pairs and member input pairs.
+    fn stepped_fronts(sys: &CompositeSystem, options: CheckOptions) -> Vec<String> {
+        let mut reducer = Checker::with_options(options).reducer(sys);
+        let render = |f: &crate::Front| {
+            format!(
+                "L{}:{:?}|o{:?}|c{:?}|i{:?}",
+                f.level,
+                f.nodes,
+                f.observed_pairs(),
+                f.conflict_pairs(sys),
+                f.input_pairs()
+            )
+        };
+        let mut out = vec![render(reducer.front())];
+        for level in 1..=sys.order() {
+            let stepped = reducer.step(level);
+            out.push(render(reducer.front()));
+            if stepped.is_err() {
+                break;
+            }
+        }
+        out
+    }
+
     #[test]
     fn backend_choice_does_not_change_session_verdicts() {
         use crate::reduce::Backend;
         for backend in [Backend::Dense, Backend::Sparse] {
-            let mut session = Session::with_options(CheckOptions::new().backend(backend));
+            let options = CheckOptions::new().backend(backend);
+            let mut session = Session::with_options(options);
             session.append(stack(false)).unwrap();
             let v = session.append(stack(true)).unwrap().clone();
             let batch = Checker::new().check(&stack(true));
             assert_eq!(fingerprint(&v), fingerprint(&batch), "{backend}");
+            for sys in [stack(false), stack(true)] {
+                assert_eq!(
+                    stepped_fronts(&sys, options),
+                    stepped_fronts(&sys, CheckOptions::new()),
+                    "{backend}"
+                );
+            }
         }
     }
 }

@@ -165,6 +165,9 @@ pub struct BatchOutcome {
     /// Transitive closures this check ran on the compressed
     /// (chunked + SCC-condensed) backend.
     pub compressed_closures: u64,
+    /// Reduction levels the check completed: the system's order `N` for a
+    /// Comp-C verdict, one less than the failing level otherwise.
+    levels_completed: usize,
 }
 
 impl BatchOutcome {
@@ -536,12 +539,8 @@ fn collect_metrics(outcomes: &[BatchOutcome]) -> BatchMetrics {
         }
         metrics.check_ns.record(o.elapsed.as_nanos() as u64);
         metrics.nodes.record(o.nodes as u64);
-        if let Ok(verdict) = &o.result {
-            let levels = match verdict {
-                Verdict::Correct(p) => p.fronts.len().saturating_sub(1),
-                Verdict::Incorrect(c) => c.level.saturating_sub(1),
-            };
-            metrics.levels_completed.record(levels as u64);
+        if o.result.is_ok() {
+            metrics.levels_completed.record(o.levels_completed as u64);
         }
         replay(&o.events, &mut metrics.trace);
     }
@@ -577,6 +576,7 @@ where
         dense_closures: 0,
         sparse_closures: 0,
         compressed_closures: 0,
+        levels_completed: 0,
     };
     let finished = catch_unwind(AssertUnwindSafe(|| {
         let t0 = Instant::now();
@@ -603,6 +603,11 @@ where
         let t1 = Instant::now();
         outcome.result = checker.try_check(&system, &mut ctx).map_err(timeout_fault);
         outcome.elapsed = t1.elapsed();
+        outcome.levels_completed = match &outcome.result {
+            Ok(Verdict::Correct(_)) => system.order(),
+            Ok(Verdict::Incorrect(c)) => c.level.saturating_sub(1),
+            Err(_) => 0,
+        };
         outcome.events = sink.events;
         let counts1 = scratch.backend_counts();
         outcome.dense_closures = counts1.dense - counts0.dense;

@@ -421,31 +421,25 @@ fn check_representative(
     }
 
     // Real stack. First the strengthened backend gate: the three closure
-    // backends must be *bit-identical* (full Debug structure), not merely
-    // agree on acceptance.
-    let rendered: Vec<String> = corpus::BACKENDS
-        .iter()
-        .map(|&(_, b)| {
-            format!(
-                "{:?}",
-                Checker::with_options(CheckOptions::new().backend(b)).check(sys)
-            )
-        })
-        .collect();
-    if rendered.iter().any(|r| *r != rendered[0]) {
+    // backends must be *bit-identical* (full Debug structure of the verdict
+    // and of every stepped front), not merely agree on acceptance.
+    let diverges = |s: &CompositeSystem| {
+        let rendered: Vec<String> = corpus::BACKENDS
+            .iter()
+            .map(|&(_, b)| {
+                let options = CheckOptions::new().backend(b);
+                format!(
+                    "{:?} {:?}",
+                    Checker::with_options(options).check(s),
+                    corpus::stepped_fronts(s, options)
+                )
+            })
+            .collect();
+        rendered.iter().any(|r| *r != rendered[0])
+    };
+    if diverges(sys) {
         let labels: Vec<&str> = corpus::BACKENDS.iter().map(|&(l, _)| l).collect();
-        let shrunk = shrink::shrink_system(sys, &|s| {
-            let r: Vec<String> = corpus::BACKENDS
-                .iter()
-                .map(|&(_, b)| {
-                    format!(
-                        "{:?}",
-                        Checker::with_options(CheckOptions::new().backend(b)).check(s)
-                    )
-                })
-                .collect();
-            r.iter().any(|x| *x != r[0])
-        });
+        let shrunk = shrink::shrink_system(sys, &diverges);
         record(
             cfg,
             report,

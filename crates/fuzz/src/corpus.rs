@@ -5,7 +5,7 @@
 use crate::shrink;
 use compc::spec::SystemSpec;
 use compc_core::{check, Backend, CheckOptions, Checker, FailurePhase};
-use compc_model::CompositeSystem;
+use compc_model::{CompositeSystem, NodeId};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -18,6 +18,38 @@ pub const BACKENDS: [(&str, Backend); 3] = [
     ("dense", Backend::Dense),
     ("compressed", Backend::Compressed),
 ];
+
+type Pairs = Vec<(NodeId, NodeId)>;
+
+/// One front, as comparable data: level, members, member observed pairs,
+/// conflict pairs and member input pairs.
+pub type FrontFields = (usize, Vec<NodeId>, Pairs, Pairs, Pairs);
+
+/// Every front a reduction of `sys` under `options` reaches, by stepping
+/// it: level 0, then the front after each step, up to and including the
+/// first failing one. Backend comparisons use it to compare complete
+/// fronts, not only verdicts.
+pub fn stepped_fronts(sys: &CompositeSystem, options: CheckOptions) -> Vec<FrontFields> {
+    let mut reducer = Checker::with_options(options).reducer(sys);
+    let fields = |f: &compc_core::Front| -> FrontFields {
+        (
+            f.level,
+            f.nodes.iter().copied().collect(),
+            f.observed_pairs(),
+            f.conflict_pairs(sys),
+            f.input_pairs(),
+        )
+    };
+    let mut fronts = vec![fields(reducer.front())];
+    for level in 1..=sys.order() {
+        let stepped = reducer.step(level);
+        fronts.push(fields(reducer.front()));
+        if stepped.is_err() {
+            break;
+        }
+    }
+    fronts
+}
 
 /// The expected Comp-C verdict encoded in a corpus filename, if any.
 pub fn expected_from_name(name: &str) -> Option<bool> {

@@ -49,11 +49,6 @@ pub enum Budget {
 }
 
 impl Budget {
-    /// Whether this budget is the `0` sentinel ("no limit").
-    pub fn is_unlimited(&self) -> bool {
-        matches!(self, Budget::Count(0) | Budget::Seconds(0))
-    }
-
     /// The stop condition given work done so far. `Count(0)` and
     /// `Seconds(0)` both mean "no limit" and are never exhausted.
     pub fn exhausted(&self, systems: u64, elapsed: std::time::Duration) -> bool {
@@ -249,7 +244,6 @@ mod tests {
     fn zero_budgets_are_unlimited_sentinels() {
         // Both `--count 0` and `--seconds 0` mean "no limit", consistently.
         for b in [Budget::Count(0), Budget::Seconds(0)] {
-            assert!(b.is_unlimited());
             assert!(!b.exhausted(0, Duration::ZERO));
             assert!(!b.exhausted(u64::MAX, Duration::from_secs(u64::MAX)));
         }
@@ -258,12 +252,10 @@ mod tests {
     #[test]
     fn nonzero_budgets_exhaust_at_their_bound() {
         let count = Budget::Count(3);
-        assert!(!count.is_unlimited());
         assert!(!count.exhausted(2, Duration::from_secs(u64::MAX)));
         assert!(count.exhausted(3, Duration::ZERO));
 
         let secs = Budget::Seconds(5);
-        assert!(!secs.is_unlimited());
         assert!(!secs.exhausted(u64::MAX, Duration::from_secs(4)));
         assert!(secs.exhausted(0, Duration::from_secs(5)));
     }

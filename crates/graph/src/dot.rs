@@ -13,7 +13,7 @@ pub fn dot_string(g: &DiGraph, name: &str, label: impl Fn(usize) -> String) -> S
     writeln!(out, "digraph \"{name}\" {{").unwrap();
     writeln!(out, "  rankdir=LR;").unwrap();
     for i in 0..g.node_count() {
-        writeln!(out, "  n{i} [label=\"{}\"];", escape(&label(i))).unwrap();
+        writeln!(out, "  n{i} [label=\"{}\"];", dot_escape(&label(i))).unwrap();
     }
     for (u, v) in g.edges() {
         writeln!(out, "  n{u} -> n{v};").unwrap();
@@ -22,7 +22,9 @@ pub fn dot_string(g: &DiGraph, name: &str, label: impl Fn(usize) -> String) -> S
     out
 }
 
-fn escape(s: &str) -> String {
+/// Escapes a label for a double-quoted DOT string: backslashes first, then
+/// quotes.
+pub fn dot_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 

@@ -28,5 +28,5 @@ pub use algo::{
 pub use bitgraph::BitGraph;
 pub use chunked::{ChunkedBitGraph, CondensedClosure};
 pub use digraph::DiGraph;
-pub use dot::dot_string;
+pub use dot::{dot_escape, dot_string};
 pub use order::{OrderError, PartialOrderRel};

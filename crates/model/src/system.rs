@@ -164,12 +164,6 @@ impl CompositeSystem {
         &self.children[n.index()]
     }
 
-    /// The parent per Definition 5 — for roots, the paper defines
-    /// `parent(t) = t`.
-    pub fn parent_or_self(&self, n: NodeId) -> NodeId {
-        self.nodes[n.index()].parent.unwrap_or(n)
-    }
-
     /// The root transactions `R`.
     pub fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
@@ -183,14 +177,6 @@ impl CompositeSystem {
         self.nodes
             .iter()
             .filter(|n| n.role() == NodeRole::Leaf)
-            .map(|n| n.id)
-    }
-
-    /// The internal nodes `I`.
-    pub fn internal_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .filter(|n| n.role() == NodeRole::Internal)
             .map(|n| n.id)
     }
 

@@ -155,8 +155,8 @@ impl LockTable {
     }
 
     /// Whether `(tx)` currently holds any lock.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn holds_any(&self, tx: u32) -> bool {
+    #[cfg(test)]
+    fn holds_any(&self, tx: u32) -> bool {
         self.items
             .values()
             .any(|l| l.granted.iter().any(|g| g.tx == tx))

@@ -3,12 +3,11 @@
 //! The reduction of Theorem 1 is inherently narratable — it proceeds level
 //! by level, and each level has measurable work (front sizes, closure
 //! edges, forgotten commutations, wall time). This crate defines the event
-//! vocabulary ([`TraceEvent`]), the sink abstraction ([`TraceSink`]), and
-//! three ready-made sinks:
+//! vocabulary ([`TraceEvent`]), the sink abstraction ([`TraceSink`]), the
+//! NDJSON line format ([`event_to_ndjson_line`]: one compact JSON object
+//! per event, via the workspace's own `compc-json`), and two ready-made
+//! sinks:
 //!
-//! * [`NdjsonSink`] — one compact JSON object per event, newline-delimited,
-//!   to any `io::Write` (no external deps; uses the workspace's own
-//!   `compc-json`);
 //! * [`MemorySink`] — collects events in a `Vec` for tests and replay;
 //! * [`TraceStats`] — aggregates events into [`Histogram`]s (per-level
 //!   timings, front sizes, closure-edge counts) for batch reports.
@@ -22,7 +21,6 @@
 #![warn(missing_docs)]
 
 use compc_json::{object, Value};
-use std::io::Write;
 
 /// One structured event emitted by the reduction engine.
 ///
@@ -266,63 +264,16 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Writes one compact JSON object per event, newline-delimited (NDJSON).
-///
-/// An optional `label` is injected into every object (the batch engine uses
-/// it to attribute events to items). IO errors are counted, not propagated:
-/// a tracing layer must never fail the check it observes.
-pub struct NdjsonSink<W: Write> {
-    writer: W,
-    label: Option<String>,
-    /// Write errors swallowed so far (a broken pipe stops being retried but
-    /// never aborts the check).
-    pub io_errors: usize,
-}
-
-impl<W: Write> NdjsonSink<W> {
-    /// A sink writing to `writer` with no label field.
-    pub fn new(writer: W) -> Self {
-        NdjsonSink {
-            writer,
-            label: None,
-            io_errors: 0,
-        }
-    }
-
-    /// A sink that adds `"label": label` to every emitted object.
-    pub fn with_label(writer: W, label: impl Into<String>) -> Self {
-        NdjsonSink {
-            writer,
-            label: Some(label.into()),
-            io_errors: 0,
-        }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
 /// Renders one event as a compact JSON line (without the trailing newline),
-/// injecting `label` when given. This is the exact format [`NdjsonSink`]
-/// writes; exposed so replaying callers (the CLI's batch mode) can produce
-/// identical lines from stored events.
+/// injecting `label` when given (the batch engine's callers use it to
+/// attribute events to items): tag first, label second. Callers write the
+/// lines themselves, one per event (NDJSON).
 pub fn event_to_ndjson_line(event: &TraceEvent, label: Option<&str>) -> String {
     let mut value = event.to_json();
     if let (Some(label), Value::Object(entries)) = (label, &mut value) {
         entries.insert(1, ("label".to_string(), Value::Str(label.to_string())));
     }
     value.to_compact()
-}
-
-impl<W: Write> TraceSink for NdjsonSink<W> {
-    fn emit(&mut self, event: &TraceEvent) {
-        let line = event_to_ndjson_line(event, self.label.as_deref());
-        if writeln!(self.writer, "{line}").is_err() {
-            self.io_errors += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -622,22 +573,21 @@ mod tests {
 
     #[test]
     fn ndjson_lines_parse_back() {
-        let mut sink = NdjsonSink::new(Vec::new());
-        for e in sample_events() {
-            sink.emit(&e);
-        }
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines: Vec<String> = sample_events()
+            .iter()
+            .map(|e| event_to_ndjson_line(e, None))
+            .collect();
         assert_eq!(lines.len(), 3);
         for line in &lines {
+            assert!(!line.contains('\n'), "one line per event: {line}");
             let v = compc_json::parse(line).expect("valid JSON");
             assert!(v.get("event").is_some());
         }
         assert_eq!(
-            compc_json::parse(lines[0]).unwrap().get("event"),
+            compc_json::parse(&lines[0]).unwrap().get("event"),
             Some(&Value::Str("check_start".into()))
         );
-        let end = compc_json::parse(lines[2]).unwrap();
+        let end = compc_json::parse(&lines[2]).unwrap();
         assert_eq!(end.get("failed_level").and_then(|v| v.as_u64()), Some(2));
         assert_eq!(
             end.get("failed_phase").and_then(|v| v.as_str()),
@@ -647,10 +597,8 @@ mod tests {
 
     #[test]
     fn label_is_injected_after_event_tag() {
-        let mut sink = NdjsonSink::with_label(Vec::new(), "item-7");
-        sink.emit(&sample_events()[1]);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let v = compc_json::parse(text.trim()).unwrap();
+        let line = event_to_ndjson_line(&sample_events()[1], Some("item-7"));
+        let v = compc_json::parse(&line).unwrap();
         assert_eq!(v.get("label").and_then(|l| l.as_str()), Some("item-7"));
         // Tag first, label second — stable column order for eyeballing.
         let entries = v.as_object().unwrap();

@@ -255,7 +255,18 @@ pub fn figure4_correct() -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compc_core::{check, FailurePhase};
+    use compc_core::{check, Checker, FailurePhase, Front};
+
+    /// The level-N front of a Comp-C system, by stepping the reduction.
+    fn top_front(sys: &CompositeSystem) -> Front {
+        let mut reducer = Checker::new().reducer(sys);
+        for level in 1..=sys.order() {
+            reducer
+                .step(level)
+                .expect("a Comp-C system reduces every level");
+        }
+        reducer.front().clone()
+    }
 
     #[test]
     fn figure1_structure_and_verdict() {
@@ -290,16 +301,17 @@ mod tests {
     #[test]
     fn figure2_observed_order_relates_roots() {
         let fig = figure2();
-        let v = check(&fig.system);
-        let proof = v.proof().expect("figure 2 is correct");
-        let last = proof.fronts.last().unwrap();
+        assert!(check(&fig.system).is_correct(), "figure 2 is correct");
+        let last = top_front(&fig.system);
+        let observed = last.observed_pairs();
         let (t1, t2, t3) = (fig.node("T1"), fig.node("T2"), fig.node("T3"));
-        assert!(last.observed.contains(&(t1, t2)));
-        assert!(last.observed.contains(&(t1, t3)));
-        assert!(!last.observed.contains(&(t2, t3)));
+        assert!(observed.contains(&(t1, t2)));
+        assert!(observed.contains(&(t1, t3)));
+        assert!(!observed.contains(&(t2, t3)));
         // And the generalized conflict relation contains the same pairs.
-        assert!(last.conflicts.contains(&(t1, t2)));
-        assert!(last.conflicts.contains(&(t1, t3)));
+        let conflicts = last.conflict_pairs(&fig.system);
+        assert!(conflicts.contains(&(t1, t2)));
+        assert!(conflicts.contains(&(t1, t3)));
     }
 
     #[test]
@@ -320,12 +332,14 @@ mod tests {
         let fig = figure4_correct();
         let v = check(&fig.system);
         assert!(v.is_correct(), "{:?}", v.counterexample());
-        let proof = v.proof().unwrap();
         // The final front holds exactly the two roots, unordered (all
         // pulled-up orders were forgotten at the top schedule).
-        let last = proof.fronts.last().unwrap();
-        assert_eq!(last.nodes, vec![fig.node("T1"), fig.node("T2")]);
-        assert!(last.conflicts.is_empty());
+        let last = top_front(&fig.system);
+        assert_eq!(
+            last.nodes.iter().copied().collect::<Vec<_>>(),
+            vec![fig.node("T1"), fig.node("T2")]
+        );
+        assert!(last.conflict_pairs(&fig.system).is_empty());
     }
 
     #[test]

@@ -61,11 +61,21 @@ fn main() {
     // Definition-10 ablation and `backend` picks the closure
     // representation (plain `compc::check(&system)` is the shorthand for
     // the defaults).
-    match Checker::with_options(CheckOptions::new().forgetting(true)).check(&system) {
+    let checker = Checker::with_options(CheckOptions::new().forgetting(true));
+    match checker.check(&system) {
         Verdict::Correct(proof) => {
             println!("verdict: Comp-C (correct)");
+            // The verdict carries only the witness; stepping a reducer
+            // recomputes the fronts that lead to it.
             println!("reduction trace:");
-            for front in &proof.fronts {
+            let mut reducer = checker.reducer(&system);
+            for level in 0..=system.order() {
+                if level > 0 {
+                    reducer
+                        .step(level)
+                        .expect("a Comp-C system reduces every level");
+                }
+                let front = reducer.front();
                 let names: Vec<&str> = front.nodes.iter().map(|&n| system.name(n)).collect();
                 println!("  level-{} front: [{}]", front.level, names.join(", "));
             }

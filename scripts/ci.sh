@@ -6,7 +6,8 @@
 #   scripts/ci.sh workspace-tests # every workspace crate's tests (tier-1's
 #                              # root `cargo test` runs only the compc package)
 #   scripts/ci.sh lint     # clippy + rustfmt + rustdoc links + no threads inside a check
-#   scripts/ci.sh smoke    # just the compc-check observability smoke test
+#   scripts/ci.sh smoke    # compc-check observability smoke test + Figures 1-4
+#                          # output and DOT diffed against docs/results/
 #   scripts/ci.sh soak     # chaos sweep + deadline smoke (robustness gate)
 #   scripts/ci.sh bench-smoke  # E21 kernel table + capped E22 scaling sweep +
 #                              # tri-backend verdict equivalence + BENCH schemas
@@ -82,7 +83,9 @@ lint() {
 
 # End-to-end observability smoke: the Figure 3 scenario must fail at level 3
 # with a T1/T2 witness cycle, --trace must narrate every reduction level as
-# NDJSON, and --explain must name the failing level.
+# NDJSON, and --explain must name the failing level. fig_examples must then
+# reproduce the committed Figures 1-4 report and front DOT byte for byte
+# (only the "DOT files written to" line names a different directory).
 smoke() {
     echo "==> smoke: compc-check --trace --explain on Figure 3"
     cargo build --release -q --bin compc-check
@@ -97,6 +100,18 @@ smoke() {
         || { echo "smoke: --explain does not name failing level 3" >&2; exit 1; }
     echo "$out" | grep -q 'witness cycle: T1 -> T2 -> T1' \
         || { echo "smoke: --explain does not render the witness cycle" >&2; exit 1; }
+    echo "==> smoke: fig_examples reproduces the committed Figures 1-4 output and DOT"
+    cargo build --release -q -p compc-bench --bin fig_examples
+    tmp="$(mktemp -d /tmp/compc-figs-XXXXXX)"
+    trap 'rm -rf "$tmp"' EXIT
+    ./target/release/fig_examples --dot "$tmp/dot" > "$tmp/figures.txt"
+    diff <(grep -v '^DOT files written to ' docs/results/e1_e4_figures.txt) \
+        <(grep -v '^DOT files written to ' "$tmp/figures.txt") \
+        || { echo "smoke: fig_examples output differs from docs/results/e1_e4_figures.txt" >&2; exit 1; }
+    diff -r docs/results/dot "$tmp/dot" \
+        || { echo "smoke: fig_examples DOT differs from docs/results/dot" >&2; exit 1; }
+    rm -rf "$tmp"
+    trap - EXIT
     echo "==> smoke: OK"
 }
 

@@ -74,18 +74,6 @@ impl From<SessionError> for SpecSessionError {
     }
 }
 
-impl SpecSessionError {
-    /// Whether this error was a deadline or cancellation (the merged spec
-    /// is kept and a re-send checks it again), as opposed to a rejected
-    /// input.
-    pub fn is_interrupted(&self) -> bool {
-        matches!(
-            self,
-            SpecSessionError::Session(SessionError::Interrupted(_))
-        )
-    }
-}
-
 /// A watermark of a [`SpecSession`]: where its append-only state stood.
 /// [`SpecSession::restore`] rolls the session back to it.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -10,13 +10,15 @@
 //! incremental insert is checked against a brute-force reference closure,
 //! including the exact `OrderError` on every failing step.
 
-use compc::core::{check, Backend, CheckOptions, Checker, Verdict, COMPRESSED_CROSSOVER_DEFAULT};
+use compc::core::{Backend, CheckOptions, Checker, Verdict, COMPRESSED_CROSSOVER_DEFAULT};
 use compc::graph::{
     reachable_from, transitive_closure, BitGraph, ChunkedBitGraph, DiGraph, OrderError,
     PartialOrderRel,
 };
+use compc::model::CompositeSystem;
 use compc::workload::figures::{figure1, figure2, figure3_incorrect, figure4_correct};
 use compc::workload::random::{generate, GenParams, Shape};
+use compc_fuzz::corpus::stepped_fronts;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,15 +53,18 @@ fn arb_nodes() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Everything observable about a verdict, as comparable data.
-fn fingerprint(v: &Verdict) -> String {
-    match v {
+/// Everything observable about a check of `sys` under `options`, as
+/// comparable data: the verdict and every front a stepped reduction
+/// reaches.
+fn fingerprint(sys: &CompositeSystem, options: CheckOptions) -> String {
+    let verdict = match Checker::with_options(options).check(sys) {
         Verdict::Correct(p) => format!("correct|witness={:?}", p.serial_witness),
         Verdict::Incorrect(c) => format!(
             "incorrect|level={}|phase={:?}|cycle={:?}",
             c.level, c.phase, c.cycle
         ),
-    }
+    };
+    format!("{verdict}|fronts={:?}", stepped_fronts(sys, options))
 }
 
 /// The brute-force reference for [`PartialOrderRel::insert`]: the accepted
@@ -218,16 +223,15 @@ proptest! {
         // Below the compressed crossover `Auto` routes sparse and dense
         // only, so the compressed backend is exercised by forcing it.
         prop_assert!(sys.node_count() < COMPRESSED_CROSSOVER_DEFAULT);
-        let baseline = fingerprint(&check(&sys));
+        let baseline = fingerprint(&sys, CheckOptions::new());
         for backend in [
             Backend::Sparse,
             Backend::Dense,
             Backend::Compressed,
             Backend::Auto,
         ] {
-            let v = Checker::with_options(CheckOptions::new().backend(backend)).check(&sys);
             prop_assert_eq!(
-                &fingerprint(&v),
+                &fingerprint(&sys, CheckOptions::new().backend(backend)),
                 &baseline,
                 "verdict diverged at backend={}", backend
             );
@@ -347,16 +351,15 @@ fn figure_examples_verdicts_unchanged_by_backend() {
         ("figure4", figure4_correct()),
     ] {
         assert!(fig.system.node_count() < COMPRESSED_CROSSOVER_DEFAULT);
-        let baseline = fingerprint(&check(&fig.system));
+        let baseline = fingerprint(&fig.system, CheckOptions::new());
         for backend in [
             Backend::Sparse,
             Backend::Dense,
             Backend::Compressed,
             Backend::Auto,
         ] {
-            let v = Checker::with_options(CheckOptions::new().backend(backend)).check(&fig.system);
             assert_eq!(
-                fingerprint(&v),
+                fingerprint(&fig.system, CheckOptions::new().backend(backend)),
                 baseline,
                 "{name} verdict changed at backend={backend}"
             );

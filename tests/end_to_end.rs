@@ -2,7 +2,7 @@
 //! generate → spec round trip → check → minimize → visualize → simulate →
 //! export → replay.
 
-use compc::core::{check, minimize, Verdict};
+use compc::core::{check, minimize, Checker, Verdict};
 use compc::sim::{Engine, LockScope, Protocol, SimConfig};
 use compc::spec::SystemSpec;
 use compc::workload::random::{generate, GenParams, Shape};
@@ -40,12 +40,17 @@ fn full_pipeline_on_static_systems() {
         );
 
         match check(&sys) {
-            Verdict::Correct(proof) => {
+            Verdict::Correct(_) => {
                 correct += 1;
                 // Every front renders to DOT.
-                for front in &proof.fronts {
-                    let dot = front.to_dot(&sys);
-                    assert!(dot.starts_with("digraph"));
+                let mut reducer = Checker::new().reducer(&sys);
+                for level in 0..=sys.order() {
+                    if level > 0 {
+                        reducer
+                            .step(level)
+                            .expect("a Comp-C system reduces every level");
+                    }
+                    assert!(reducer.front().to_dot(&sys).starts_with("digraph"));
                 }
             }
             Verdict::Incorrect(cex) => {

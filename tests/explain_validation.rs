@@ -41,6 +41,11 @@ fn validate_cycle(sys: &CompositeSystem, ex: &compc::core::Explanation) {
         );
     }
     let front = &ex.failing_front;
+    let (observed, conflicts, input) = (
+        front.observed_pairs(),
+        front.conflict_pairs(sys),
+        front.input_pairs(),
+    );
     let edges: Vec<(NodeId, NodeId)> = ex.cycle[..ex.cycle.len().saturating_sub(1)]
         .iter()
         .zip(&ex.cycle[1..])
@@ -53,7 +58,7 @@ fn validate_cycle(sys: &CompositeSystem, ex: &compc::core::Explanation) {
         FailurePhase::ConflictConsistency => {
             for &(a, b) in &edges {
                 assert!(
-                    front.observed.contains(&(a, b)) || front.input.contains(&(a, b)),
+                    observed.contains(&(a, b)) || input.contains(&(a, b)),
                     "cycle edge {} -> {} is in neither the observed nor the input \
                      relation of the failing front",
                     sys.name(a),
@@ -69,11 +74,11 @@ fn validate_cycle(sys: &CompositeSystem, ex: &compc::core::Explanation) {
                             return false;
                         }
                         let norm = if a < b { (a, b) } else { (b, a) };
-                        let gen_con = front.conflicts.contains(&norm);
-                        if front.input.contains(&(a, b)) {
+                        let gen_con = conflicts.contains(&norm);
+                        if input.contains(&(a, b)) {
                             return true;
                         }
-                        if gen_con && front.observed.contains(&(a, b)) {
+                        if gen_con && observed.contains(&(a, b)) {
                             return true;
                         }
                         // Same-schedule declared conflict, executed a-then-b.

@@ -2,12 +2,11 @@
 //!
 //! A batch spreads items across worker threads and checks each one
 //! sequentially, so every worker count must give not just the same
-//! accept/reject answer but the *identical* verdict per item — same fronts,
-//! same serial witness, same counterexample cycle — as checking that item
-//! alone. This test pins that down on random systems across densities, at
+//! accept/reject answer but the *identical* verdict per item — same serial
+//! witness, same counterexample cycle — as checking that item alone. This test pins that down on random systems across densities, at
 //! `workers ∈ {1, 2, 4}`.
 
-use compc::core::{check, FrontSnapshot, Verdict};
+use compc::core::{check, Verdict};
 use compc::engine::{Batch, BatchItem};
 use compc::workload::random::{generate, GenParams, Shape};
 use proptest::prelude::*;
@@ -26,24 +25,10 @@ fn params(shape: Shape, roots: usize, density: f64, orders: f64, seed: u64) -> G
     }
 }
 
-fn snapshot_fingerprint(f: &FrontSnapshot) -> String {
-    format!(
-        "L{}|{:?}|{:?}|{:?}|{:?}",
-        f.level, f.nodes, f.observed, f.conflicts, f.input
-    )
-}
-
 /// Everything observable about a verdict, as comparable data.
 fn fingerprint(v: &Verdict) -> String {
     match v {
-        Verdict::Correct(p) => format!(
-            "correct|witness={:?}|fronts={:?}",
-            p.serial_witness,
-            p.fronts
-                .iter()
-                .map(snapshot_fingerprint)
-                .collect::<Vec<_>>()
-        ),
+        Verdict::Correct(p) => format!("correct|witness={:?}", p.serial_witness),
         Verdict::Incorrect(c) => format!(
             "incorrect|level={}|phase={:?}|cycle={:?}",
             c.level, c.phase, c.cycle

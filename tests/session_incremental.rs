@@ -3,9 +3,10 @@
 //! The contract under test (DESIGN.md §8): feeding a system to a
 //! [`SpecSession`] fragment-by-fragment — one fragment per root subtree,
 //! via [`SystemSpec::into_appends`] — produces, after every prefix, a
-//! verdict *bit-identical* (full `Debug` structure: every front snapshot,
-//! the serial witness, the counterexample cycle) to a from-scratch batch
-//! check of the same merged prefix system. Pinned on the committed
+//! verdict *bit-identical* (full `Debug` structure: the serial witness or
+//! the counterexample cycle) to a from-scratch batch check of the same
+//! merged prefix system, and the forced-backend rows step through the same
+//! complete fronts as the default backend. Pinned on the committed
 //! 16-file adversarial corpus (under the sparse and dense closure
 //! backends and without forgetting), on random generated
 //! systems under proptest, and against the brute-force oracle on systems
@@ -13,25 +14,28 @@
 //! session extends in place must equal a from-scratch build of the merged
 //! spec at every prefix, on the corpus and on simulator exports.
 
-use compc::core::{Backend, CheckOptions, Checker, Verdict};
-use compc::session::SpecSession;
+use compc::core::{Backend, CheckOptions, Checker, SessionError, Verdict};
+use compc::session::{SpecSession, SpecSessionError};
 use compc::sim::{Engine, Protocol, SimConfig};
 use compc::spec::SystemSpec;
 use compc::workload::random::{generate, GenParams, Shape};
 use compc::workload::random_sim::{generate_sim, SimGenParams};
+use compc_fuzz::corpus::stepped_fronts;
 use proptest::prelude::*;
 use std::path::Path;
 
 /// Everything observable about a verdict. `Debug` covers the whole proof
-/// (all front snapshots + witness) or counterexample (level, phase, cycle),
-/// so equality here is bit-identity of the structures.
+/// (the witness) or counterexample (level, phase, cycle), so equality here
+/// is bit-identity of the structures.
 fn fingerprint(v: &Verdict) -> String {
     format!("{v:?}")
 }
 
 /// Replays `spec` through a session with `options`, asserting after every
 /// fragment that the session's verdict equals a from-scratch check of the
-/// session's merged system. Returns the final verdict.
+/// session's merged system and, when `options` only force a backend, that
+/// the stepped fronts equal the default backend's. Returns the final
+/// verdict.
 fn replay_and_pin(spec: &SystemSpec, options: CheckOptions, context: &str) -> Verdict {
     let fragments = spec.into_appends();
     assert!(!fragments.is_empty(), "{context}: no fragments");
@@ -63,6 +67,15 @@ fn replay_and_pin(spec: &SystemSpec, options: CheckOptions, context: &str) -> Ve
             k + 1,
             fragments.len()
         );
+        if options.forgetting {
+            assert_eq!(
+                stepped_fronts(prefix, options),
+                stepped_fronts(prefix, CheckOptions::new()),
+                "{context}: prefix {}/{} fronts differ from the default backend's",
+                k + 1,
+                fragments.len()
+            );
+        }
     }
     session.verdict().expect("at least one append").clone()
 }
@@ -155,7 +168,10 @@ fn corpus_replay_resumes_after_interruption() {
         .cancel_token()
         .store(true, std::sync::atomic::Ordering::Relaxed);
     let err = session.append(&fragments[0]).unwrap_err();
-    assert!(err.is_interrupted(), "cancel must interrupt: {err}");
+    assert!(
+        matches!(err, SpecSessionError::Session(SessionError::Interrupted(_))),
+        "cancel must interrupt: {err}"
+    );
     assert!(session.verdict().is_none());
 
     session

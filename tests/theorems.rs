@@ -10,7 +10,7 @@
 //!   linearization search (Definition 14/16 cross-validation).
 
 use compc::configs::{is_fcc, is_jcc, is_scc};
-use compc::core::{calculations_exist_bruteforce, check, FailurePhase, Reducer};
+use compc::core::{calculations_exist_bruteforce, check, Checker, FailurePhase, Reducer};
 use compc::model::NodeId;
 use compc::workload::random::{generate, GenParams, Shape};
 use proptest::prelude::*;
@@ -138,8 +138,13 @@ proptest! {
             witness.sort_unstable();
             roots.sort_unstable();
             prop_assert_eq!(&witness, &roots, "witness must be a permutation of the roots");
-            let last = proof.fronts.last().unwrap();
-            for &(a, b) in last.observed.iter().chain(last.input.iter()) {
+            // The level-N front, by stepping the reduction.
+            let mut reducer = Checker::new().reducer(&sys);
+            for level in 1..=sys.order() {
+                prop_assert!(reducer.step(level).is_ok(), "a Comp-C system reduces level {}", level);
+            }
+            let last = reducer.front();
+            for (a, b) in last.observed_pairs().into_iter().chain(last.input_pairs()) {
                 prop_assert!(
                     pos[&a] < pos[&b],
                     "witness violates required order {:?} < {:?}",
