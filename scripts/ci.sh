@@ -112,7 +112,20 @@ smoke() {
         || { echo "smoke: fig_examples DOT differs from docs/results/dot" >&2; exit 1; }
     rm -rf "$tmp"
     trap - EXIT
+    echo "==> smoke: per-level trace counters over tests/corpus match docs/results/level_counts.txt"
+    diff docs/results/level_counts.txt <(level_counts) \
+        || { echo "smoke: per-level trace counters differ from docs/results/level_counts.txt" >&2; exit 1; }
     echo "==> smoke: OK"
+}
+
+# The trace events of every corpus system, timings stripped: the per-level
+# counters (constraint_edges, observed_edges, closure_edges, pairs_forgotten,
+# serialization_pairs, front sizes) that docs/results/level_counts.txt pins.
+level_counts() {
+    for f in tests/corpus/*.json; do
+        { ./target/release/compc-check "$f" --trace || true; } \
+            | grep '^{"event"' | sed -E 's/,"elapsed_ns":[0-9]+//'
+    done
 }
 
 # Robustness soak: a fixed-seed chaos sweep of faulted simulator runs
