@@ -147,6 +147,8 @@ soak() {
     ./target/release/compc-check "$big" --deadline-ms 0 > /dev/null
     code=$?
     set -e
+    rm -f "$big"
+    trap - EXIT
     [ "$code" -eq 3 ] \
         || { echo "soak: expected exit 3 on timeout, got $code" >&2; exit 1; }
     echo "==> soak: OK"
@@ -574,6 +576,8 @@ scale_smoke() {
     timeout 3 ./target/release/compc-check "$big" > /dev/null
     code=$?
     set -e
+    rm -f "$big"
+    trap - EXIT
     [ "$code" -ne 124 ] \
         || { echo "scale-smoke: the check took longer than 3 s" >&2; exit 1; }
     [ "$code" -eq 1 ] \

@@ -4,7 +4,8 @@
 
 use compc::model::CompositeSystem;
 use compc::spec::SystemSpec;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::process::{Command, Output};
 
 /// A tiny correct system: two conflicting writes, serialized consistently.
@@ -49,10 +50,45 @@ fn run(args: &[&str]) -> Output {
     bin().args(args).output().expect("compc-check runs")
 }
 
-fn tmpfile(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("compc-cli-{}", std::process::id()));
+/// A path `name` inside a fresh directory under the temp dir; the directory
+/// is removed with its contents on drop.
+struct TmpFile {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl Drop for TmpFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+impl std::ops::Deref for TmpFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for TmpFile {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+fn tmpfile(name: &str) -> TmpFile {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "compc-cli-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    TmpFile {
+        path: dir.join(name),
+        dir,
+    }
 }
 
 fn figure3_path() -> String {
@@ -637,7 +673,7 @@ fn serial_writers(roots: usize) -> CompositeSystem {
 
 /// A fresh directory of spec files whose largest file sorts last by name,
 /// with one violating and one invalid file among them.
-fn mixed_dir(name: &str) -> PathBuf {
+fn mixed_dir(name: &str) -> TmpFile {
     let dir = tmpfile(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

@@ -7,8 +7,9 @@ use compc::json::{parse, Value};
 use compc::spec::SystemSpec;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Kills the daemon if a test panics before shutting it down.
@@ -41,14 +42,32 @@ impl Daemon {
     }
 }
 
-fn tmpdir() -> PathBuf {
+/// A fresh directory under the temp dir, removed with its contents on drop.
+struct TmpDir(PathBuf);
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn tmpdir() -> TmpDir {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "compc-serve-{}-{:?}",
+        "compc-serve-{}-{}",
         std::process::id(),
-        std::thread::current().id()
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TmpDir(dir)
 }
 
 fn wait_for_socket(path: &PathBuf) -> UnixStream {
@@ -259,7 +278,8 @@ fn usage_errors_exit_2() {
         "no listener flag is a usage error"
     );
     // Every check is sequential, so the daemon takes no --jobs.
-    let socket = tmpdir().join("usage.sock");
+    let dir = tmpdir();
+    let socket = dir.join("usage.sock");
     for bad in [["--backend", "bogus"], ["--jobs", "1"]] {
         let mut args = vec!["--socket", socket.to_str().unwrap()];
         args.extend(bad);
