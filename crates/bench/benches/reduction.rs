@@ -1,7 +1,10 @@
 //! Criterion bench: cost of the Comp-C reduction (E10's timing companion).
 
 use compc_bench::bench_check;
+use compc_model::CompositeSystem;
+use compc_sim::{Engine, Protocol, SimConfig};
 use compc_workload::random::{generate, GenParams, Shape};
+use compc_workload::random_sim::{generate_sim, SimGenParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_reduction(c: &mut Criterion) {
@@ -97,5 +100,46 @@ fn bench_reduction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_reduction);
+/// A Timestamp-ordering simulator export of `clients` composite
+/// transactions (Comp-C by construction), from the first seed at or after
+/// `seed` whose run exports.
+fn timestamp_export(clients: usize, seed: u64) -> CompositeSystem {
+    (seed..seed + 64)
+        .find_map(|seed| {
+            let params = SimGenParams {
+                seed,
+                clients,
+                ..SimGenParams::default()
+            };
+            let (topo, templates) = generate_sim(&params, Protocol::Timestamp);
+            let config = SimConfig {
+                seed,
+                ..SimConfig::default()
+            };
+            Engine::new(topo, templates, config)
+                .run()
+                .export_system()
+                .ok()
+        })
+        .expect("a Timestamp run exports within 64 seeds")
+}
+
+/// Whole checks of Timestamp simulator exports: one of 165 nodes, the
+/// size `grow` sessions reach, and one of 1,241 nodes, where the per-level
+/// phases around the closure dominate.
+fn bench_timestamp_export(c: &mut Criterion) {
+    let mut group = c.benchmark_group("timestamp-export");
+    for (clients, seed) in [(28, 1), (300, 5)] {
+        let sys = timestamp_export(clients, seed);
+        assert!(bench_check(&sys), "a Timestamp export is Comp-C");
+        group.bench_with_input(
+            BenchmarkId::new("check", format!("{clients}c/{}n", sys.node_count())),
+            &sys,
+            |b, sys| b.iter(|| bench_check(std::hint::black_box(sys))),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_reduction, bench_timestamp_export);
 criterion_main!(benches);

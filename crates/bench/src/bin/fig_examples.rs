@@ -24,7 +24,7 @@ fn fronts(sys: &CompositeSystem) -> Vec<Front> {
 fn dump_dots(fig: &Figure, tag: &str, dir: &str) {
     if check(&fig.system).is_correct() {
         for front in fronts(&fig.system) {
-            let path = format!("{dir}/{tag}_front{}.dot", front.level);
+            let path = format!("{dir}/{tag}_front{}.dot", front.level());
             let _ = std::fs::write(&path, front.to_dot(&fig.system));
         }
     }
@@ -58,8 +58,8 @@ fn describe(fig: &Figure, title: &str, expect_correct: bool) {
                 let observed = f.observed_pairs();
                 println!(
                     "  level-{} front: {} nodes, {} observed pairs, {} conflicts, {} input pairs",
-                    f.level,
-                    f.nodes.len(),
+                    f.level(),
+                    f.member_count(),
                     observed.len(),
                     f.conflict_pairs(sys).len(),
                     f.input_pairs().len()

@@ -1073,8 +1073,8 @@ pub fn backend_equivalence(samples: usize, seed: u64) -> usize {
             let mut push = |f: &compc_core::Front| {
                 out += &format!(
                     "|L{}:{:?}o{:?}c{:?}i{:?}",
-                    f.level,
-                    f.nodes,
+                    f.level(),
+                    f.members().collect::<std::collections::BTreeSet<_>>(),
                     f.observed_pairs(),
                     f.conflict_pairs(&sys),
                     f.input_pairs()

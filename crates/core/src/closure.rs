@@ -1,12 +1,12 @@
 //! Closure backend routing: the observed order's transitive closure is the
-//! one step of a check with several representations. This module picks
-//! sparse, dense or compressed rows by [`Backend`] and node count, counts
-//! the choices, and holds the reusable buffers each backend closes in
-//! ([`CheckScratch`]). Every choice gives the same closure (the
-//! backend-equivalence property tests pin this down).
+//! one step of a check with several algorithms. This module picks the
+//! per-source, dense or condensed closure of the front's rows by
+//! [`Backend`] and node count, counts the choices, and holds the reusable
+//! buffers the backends close in ([`CheckScratch`]). Every choice gives the
+//! same closure (the backend-equivalence property tests pin this down).
 
 use crate::reduce::Backend;
-use compc_graph::{BitGraph, ChunkedBitGraph, DiGraph, ReachScratch, SccScratch};
+use compc_graph::{BitGraph, ChunkedBitGraph, SccScratch};
 
 /// Default node-count crossover above which closures run on the dense
 /// word-parallel [`BitGraph`] backend instead of the sparse per-source DFS.
@@ -39,22 +39,18 @@ pub struct BackendCounts {
 
 /// Reusable allocation state for one checking session.
 ///
-/// Holds a reachability buffer (epoch-stamped visited set) and a Tarjan
-/// scratch. A `CheckScratch` kept across systems — as the batch engine's
-/// workers do — makes repeated checks allocation-light: buffers grow to the
-/// largest system seen and are then reused.
+/// Holds the dense backend's flat rows and a Tarjan scratch. A
+/// `CheckScratch` kept across systems — as the batch engine's workers do —
+/// makes repeated checks allocation-light: buffers grow to the largest
+/// system seen and are then reused.
 #[derive(Debug, Default)]
 pub struct CheckScratch {
-    pub(crate) reach: ReachScratch,
     /// Exposed for callers that interleave their own SCC passes with checks.
     pub scc: SccScratch,
-    /// Reusable dense adjacency rows for the word-parallel closure backend:
-    /// one sparse→dense load per level reuses this allocation, so batch
-    /// items reallocate nothing once the buffer has grown.
+    /// Reusable flat rows for the word-parallel dense closure: one load
+    /// per closure reuses this allocation, so batch items reallocate
+    /// nothing once the buffer has grown.
     pub(crate) dense: BitGraph,
-    /// Reusable hybrid rows for the compressed closure backend; like
-    /// `dense`, grown once and then reused across batch items.
-    pub(crate) chunked: ChunkedBitGraph,
     counts: BackendCounts,
 }
 
@@ -73,21 +69,22 @@ impl CheckScratch {
     }
 }
 
-/// Transitive closure on the calling thread, reusing `scratch` buffers.
+/// Closes `g` transitively in place on the calling thread, reusing
+/// `scratch` buffers.
 ///
-/// `backend` and the node count pick the representation. Under
+/// `backend` and the node count pick the algorithm. Under
 /// [`Backend::Auto`], graphs of at least [`COMPRESSED_CROSSOVER_DEFAULT`]
-/// nodes run on the compressed backend (hybrid chunked rows, SCC-condensed
-/// closure); from [`DENSE_CROSSOVER_DEFAULT`] up they run on the dense
-/// bitset backend — one sparse→dense conversion, then 64 edges per word OR.
-/// Smaller graphs keep the sparse per-source DFS; the other backends force
-/// one representation at every size. Deterministic and bit-identical across
-/// backends (pinned by `tests/bitgraph_equiv.rs`).
+/// nodes close through their SCC condensation (one closed row per strong
+/// component); from [`DENSE_CROSSOVER_DEFAULT`] up they close on flat
+/// dense rows, 64 edges per word OR. Smaller graphs take one reachability
+/// pass per source; the other backends force one algorithm at every size.
+/// Deterministic and identical across backends (pinned by
+/// `tests/bitgraph_equiv.rs`).
 pub(crate) fn transitive_closure(
-    g: &DiGraph,
+    g: &mut ChunkedBitGraph,
     backend: Backend,
     scratch: &mut CheckScratch,
-) -> DiGraph {
+) {
     let n = g.node_count();
     let backend = match backend {
         Backend::Auto if n >= COMPRESSED_CROSSOVER_DEFAULT => Backend::Compressed,
@@ -97,19 +94,15 @@ pub(crate) fn transitive_closure(
     match backend {
         Backend::Compressed => {
             scratch.counts.compressed += 1;
-            let CheckScratch { chunked, scc, .. } = scratch;
-            chunked.load_from(g);
-            chunked.condensed_closure_with(scc).to_digraph()
+            g.close_condensed(&mut scratch.scc);
         }
         Backend::Dense => {
             scratch.counts.dense += 1;
-            scratch.dense.load_from(g);
-            scratch.dense.close_transitively();
-            scratch.dense.to_digraph()
+            g.close_dense(&mut scratch.dense);
         }
         Backend::Sparse | Backend::Auto => {
             scratch.counts.sparse += 1;
-            compc_graph::transitive_closure_with(g, &mut scratch.reach)
+            g.close_by_dfs();
         }
     }
 }
@@ -120,6 +113,7 @@ mod tests {
 
     #[test]
     fn closure_identical_on_every_backend() {
+        use compc_graph::DiGraph;
         // A graph past the dense crossover, with interesting SCCs.
         let n = 150;
         let mut g = DiGraph::with_nodes(n);
@@ -130,6 +124,7 @@ mod tests {
             }
         }
         let seq = compc_graph::transitive_closure(&g);
+        let rows = ChunkedBitGraph::from_digraph(&g);
         // Force each backend outright, plus the default mix.
         let backends = [
             Backend::Dense,
@@ -138,7 +133,8 @@ mod tests {
             Backend::Auto,
         ];
         for backend in backends {
-            let closed = transitive_closure(&g, backend, &mut CheckScratch::new());
+            let mut closed = rows.clone();
+            transitive_closure(&mut closed, backend, &mut CheckScratch::new());
             assert_eq!(
                 seq.edges().collect::<Vec<_>>(),
                 closed.edges().collect::<Vec<_>>(),
@@ -149,7 +145,7 @@ mod tests {
 
     #[test]
     fn backend_counters_track_routing() {
-        let mut g = DiGraph::with_nodes(10);
+        let mut g = ChunkedBitGraph::with_nodes(10);
         g.add_edge(0, 1);
         let mut scratch = CheckScratch::new();
         for backend in [
@@ -158,7 +154,7 @@ mod tests {
             Backend::Dense,
             Backend::Compressed,
         ] {
-            transitive_closure(&g, backend, &mut scratch);
+            transitive_closure(&mut g, backend, &mut scratch);
         }
         assert_eq!(
             scratch.backend_counts(),

@@ -65,7 +65,7 @@ impl Counterexample {
         let mut reducer = Checker::with_options(options).reducer(sys);
         let mut story = vec![format!(
             "level 0: front of {} leaf operation(s)",
-            reducer.front().nodes.len()
+            reducer.front().member_count()
         )];
         let mut failed: Option<Counterexample> = None;
 
@@ -91,13 +91,13 @@ impl Counterexample {
                     .schedules_at_level(level)
                     .map(|s| s.name.as_str())
                     .collect();
-                let before = reducer.front().nodes.len();
+                let before = reducer.front().member_count();
                 match reducer.step(level) {
                     Ok(()) => {
                         story.push(format!(
                             "level {level}: reduced [{}]; front {before} -> {} node(s)",
                             sched_names.join(", "),
-                            reducer.front().nodes.len()
+                            reducer.front().member_count()
                         ));
                     }
                     Err(cex) => {
@@ -240,7 +240,7 @@ mod tests {
         );
         // The failing front is the pre-step level-0 front, and renders as
         // DOT.
-        assert_eq!(ex.failing_front.level, 0);
+        assert_eq!(ex.failing_front.level(), 0);
         let dot = ex.failing_front.to_dot(&sys);
         assert!(dot.starts_with("digraph"), "{dot}");
     }
@@ -276,7 +276,7 @@ mod tests {
         assert!(ex.to_string().contains("not conflict consistent"));
         // The failing front is the new (root-level) front, where the cycle
         // lives.
-        assert_eq!(ex.failing_front.level, cex.level);
+        assert_eq!(ex.failing_front.level(), cex.level);
     }
 
     #[test]
@@ -328,15 +328,12 @@ mod tests {
         // The reduction climbs the whole ladder: fronts 0..=N inclusive.
         assert_eq!(sys.order(), 3);
         let mut reducer = Checker::new().reducer(&sys);
-        assert_eq!(reducer.front().level, 0);
+        assert_eq!(reducer.front().level(), 0);
         for level in 1..=sys.order() {
             reducer.step(level).unwrap();
-            assert_eq!(reducer.front().level, level);
+            assert_eq!(reducer.front().level(), level);
         }
-        assert_eq!(
-            reducer.front().nodes,
-            std::collections::BTreeSet::from([t1, t2])
-        );
+        assert_eq!(reducer.front().members().collect::<Vec<_>>(), vec![t1, t2]);
         // The witness serializes exactly the roots.
         assert_eq!(proof.serial_witness.len(), 2);
         for &n in &proof.serial_witness {

@@ -3,38 +3,39 @@
 
 use crate::closure::{self, CheckScratch};
 use crate::reduce::Backend;
-use compc_graph::{dot_escape, find_cycle, DiGraph};
-use compc_model::{CompositeSystem, NodeId, NodeRole, SchedId, Schedule};
+use compc_graph::{dot_escape, find_cycle_by, ChunkedBitGraph, ChunkedRow};
+use compc_model::{CompositeSystem, NodeId, NodeRole, Schedule};
 use std::collections::BTreeSet;
 
 /// A computational front `F = (O, →, <ₒ, CON)`: a maximal antichain of the
 /// computational forest together with the orders known among its members.
 ///
-/// * `nodes` — the independent node set `O` (no member descends from
+/// * the members — the independent node set `O` (no member descends from
 ///   another);
-/// * `observed` — the observed order `<ₒ` among front members
-///   (Definition 10), kept transitively closed; it *may* be cyclic, exactly
-///   as the paper warns, which is what the conflict-consistency check
-///   detects;
-/// * `input` — the weak input orders `→` applicable to front members (the
-///   strong orders `→→` are contained in `→` by Definition 3 and need no
-///   separate treatment, as §2 of the paper notes).
+/// * the observed order `<ₒ` among members (Definition 10), kept
+///   transitively closed; it *may* be cyclic, exactly as the paper warns,
+///   which is what the conflict-consistency check detects;
+/// * the weak input orders `→` applicable to members (the strong orders
+///   `→→` are contained in `→` by Definition 3 and need no separate
+///   treatment, as §2 of the paper notes). Input pairs keep their original
+///   endpoints, so an endpoint reduced away at an earlier level stays in.
+///
+/// All three are rows over the system's node ids ([`ChunkedRow`], one per
+/// node for the two orders): a row stays a sorted id list while cold and
+/// becomes dense words once hot, so memory follows the pairs, and the
+/// reduction step combines whole rows with word operations.
 ///
 /// Generalized conflicts (Definition 11) are not materialized: they are a
-/// function of the system and `observed` (see [`Front::gen_con`]).
+/// function of the system and the observed order (see [`Front::gen_con`]).
 ///
-/// Equality is structural (same level, members, closed observed order and
-/// input order). Note `DiGraph` equality includes the node count.
+/// Equality is structural: same level, members, closed observed order and
+/// input order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Front {
-    /// Which reduction step produced this front (0 = all leaves).
-    pub level: usize,
-    /// The node set `O`.
-    pub nodes: BTreeSet<NodeId>,
-    /// The observed order `<ₒ`, transitively closed, possibly cyclic.
-    pub observed: DiGraph,
-    /// The applicable weak input orders `→`.
-    pub input: DiGraph,
+    level: usize,
+    members: ChunkedRow,
+    observed: ChunkedBitGraph,
+    input: ChunkedBitGraph,
 }
 
 impl Front {
@@ -56,7 +57,8 @@ impl Front {
     ) -> Front {
         // Every same-schedule leaf pair in the schedule's weak output
         // order, read off the output orders' pairs.
-        let mut observed = DiGraph::with_nodes(sys.node_count());
+        let n = sys.node_count();
+        let mut observed = ChunkedBitGraph::with_nodes(n);
         let leaf = |n: NodeId| sys.node(n).role() == NodeRole::Leaf;
         for s in sys.schedules() {
             for (a, b) in s.output.weak_pairs() {
@@ -69,13 +71,74 @@ impl Front {
         // intra-schedule and each schedule's output order is already closed —
         // but we normalize anyway so the invariant "observed is closed" holds
         // unconditionally.
-        let observed = closure::transitive_closure(&observed, backend, scratch);
-        Front {
-            level: 0,
-            nodes: sys.leaves().collect(),
-            observed,
-            input: DiGraph::with_nodes(sys.node_count()),
+        closure::transitive_closure(&mut observed, backend, scratch);
+        let mut members = ChunkedRow::new();
+        for l in sys.leaves() {
+            members.insert(l.index(), n);
         }
+        Front::new(0, members, observed, ChunkedBitGraph::with_nodes(n))
+    }
+
+    /// A front from its rows, all over the system's node count.
+    pub(crate) fn new(
+        level: usize,
+        members: ChunkedRow,
+        observed: ChunkedBitGraph,
+        input: ChunkedBitGraph,
+    ) -> Front {
+        Front {
+            level,
+            members,
+            observed,
+            input,
+        }
+    }
+
+    /// Which reduction step produced this front (0 = all leaves).
+    pub fn level(&self) -> usize {
+        self.level
+    }
+
+    /// The members `O`, ascending.
+    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.members.iter().map(|i| NodeId(i as u32))
+    }
+
+    /// How many members the front has.
+    pub fn member_count(&self) -> usize {
+        self.members.count()
+    }
+
+    /// Whether `n` is a member.
+    pub fn contains(&self, n: NodeId) -> bool {
+        self.members.contains(n.index())
+    }
+
+    /// Whether `a <ₒ b`.
+    pub fn has_observed(&self, a: NodeId, b: NodeId) -> bool {
+        self.observed.has_edge(a.index(), b.index())
+    }
+
+    /// The member set as one row over node ids.
+    pub(crate) fn member_row(&self) -> &ChunkedRow {
+        &self.members
+    }
+
+    /// The observed order `<ₒ`, transitively closed, possibly cyclic: one
+    /// row per node id, nonempty only for members.
+    pub fn observed(&self) -> &ChunkedBitGraph {
+        &self.observed
+    }
+
+    /// The applicable weak input orders `→`, one row per node id.
+    pub fn input(&self) -> &ChunkedBitGraph {
+        &self.input
+    }
+
+    /// Moves the input order out, leaving it empty (for the reduction step
+    /// that extends it into the next front's).
+    pub(crate) fn take_input(&mut self) -> ChunkedBitGraph {
+        std::mem::take(&mut self.input)
     }
 
     /// The generalized conflict relation (Definition 11) between two front
@@ -89,10 +152,7 @@ impl Front {
         }
         match sys.common_container(a, b) {
             Some(s) => sys.schedule(s).conflicts.conflicts(a, b),
-            None => {
-                self.observed.has_edge(a.index(), b.index())
-                    || self.observed.has_edge(b.index(), a.index())
-            }
+            None => self.has_observed(a, b) || self.has_observed(b, a),
         }
     }
 
@@ -112,51 +172,92 @@ impl Front {
     ///   may declare subtransaction conflicts whose order merely
     ///   *constrains* without ever joining the observed order.
     ///
-    /// Built from declared pairs: the observed edges and each container
-    /// schedule's conflicts, never a scan over all member pairs.
-    pub fn constraint_graph(&self, sys: &CompositeSystem) -> DiGraph {
+    /// Built from rows and declared pairs, never a scan over all member
+    /// pairs: a member `u`'s row is `input[u] ∪ (observed[u] ∖ same[u])`,
+    /// where `same[u]` holds the members of `u`'s container schedule, and
+    /// then every declared conflict of a container adds its
+    /// schedule-ordered and observed directions.
+    pub fn constraint_graph(&self, sys: &CompositeSystem) -> ChunkedBitGraph {
+        let n = self.observed.node_count();
         let mut g = self.input.clone();
-        g.ensure_node(sys.node_count().saturating_sub(1));
-        for (u, v) in self.observed.edges() {
-            let (a, b) = (NodeId(u as u32), NodeId(v as u32));
-            if self.nodes.contains(&a) && self.nodes.contains(&b) && self.gen_con(sys, a, b) {
-                g.add_edge(u, v);
+        let by_container = self.members_by_container(sys);
+        for u in self.members.iter() {
+            let row = self.observed.row(u);
+            if row.is_empty() {
+                continue;
             }
+            let same = sys
+                .node(NodeId(u as u32))
+                .container
+                .map(|c| &by_container[c.index()]);
+            g.row_mut(u).or_masked(row, None, same, n);
         }
-        // Same-schedule conflicting pairs ordered by the schedule itself.
-        for (s, a, b) in self.declared_conflicts(sys) {
-            if s.output.weak_lt(a, b) {
+        for (s, a, b) in self.declared_conflicts(sys, &by_container) {
+            if s.output.weak_lt(a, b) || self.has_observed(a, b) {
                 g.add_edge(a.index(), b.index());
             }
-            if s.output.weak_lt(b, a) {
+            if s.output.weak_lt(b, a) || self.has_observed(b, a) {
                 g.add_edge(b.index(), a.index());
             }
         }
         g
     }
 
-    /// The declared conflicts `(a, b)`, `a < b`, between two members whose
-    /// common container schedule declares them, with that schedule.
+    /// Per schedule id, the members whose container it is.
+    fn members_by_container(&self, sys: &CompositeSystem) -> Vec<ChunkedRow> {
+        let n = self.observed.node_count();
+        let mut rows = vec![ChunkedRow::new(); sys.schedule_count()];
+        for m in self.members.iter() {
+            if let Some(c) = sys.node(NodeId(m as u32)).container {
+                rows[c.index()].insert(m, n);
+            }
+        }
+        rows
+    }
+
+    /// The declared conflicts `(a, b)` between two members whose common
+    /// container schedule declares them, with that schedule;
+    /// `by_container` is [`Front::members_by_container`].
     fn declared_conflicts<'s>(
         &'s self,
         sys: &'s CompositeSystem,
+        by_container: &'s [ChunkedRow],
     ) -> impl Iterator<Item = (&'s Schedule, NodeId, NodeId)> + 's {
-        let containers: BTreeSet<SchedId> = self
-            .nodes
-            .iter()
-            .filter_map(|&n| sys.node(n).container)
-            .collect();
-        containers.into_iter().flat_map(move |c| {
-            let s = sys.schedule(c);
-            s.conflicts
-                .iter()
-                .filter(move |&(a, b)| {
-                    self.nodes.contains(&a)
-                        && self.nodes.contains(&b)
-                        && sys.common_container(a, b) == Some(c)
-                })
-                .map(move |(a, b)| (s, a, b))
-        })
+        sys.schedules()
+            .filter(|s| !by_container[s.id.index()].is_empty())
+            .flat_map(move |s| {
+                let members = &by_container[s.id.index()];
+                s.conflicts
+                    .iter()
+                    .filter(move |&(a, b)| {
+                        members.contains(a.index()) && members.contains(b.index())
+                    })
+                    .map(move |(a, b)| (s, a, b))
+            })
+    }
+
+    /// Calls `f(v)` for every `v` with `u <ₒ v` or `u → v`, ascending: the
+    /// successors of `u` in `<ₒ ∪ →`.
+    fn order_successors(&self, u: usize, out: &mut Vec<usize>) {
+        let (mut o, mut i) = (
+            self.observed.successors(u).peekable(),
+            self.input.successors(u).peekable(),
+        );
+        loop {
+            let next = match (o.peek(), i.peek()) {
+                (Some(&a), Some(&b)) if a == b => {
+                    i.next();
+                    o.next()
+                }
+                (Some(&a), Some(&b)) if b < a => i.next(),
+                (Some(_), _) => o.next(),
+                (None, _) => i.next(),
+            };
+            match next {
+                Some(v) => out.push(v),
+                None => return,
+            }
+        }
     }
 
     /// Conflict consistency (Definition 13, literal): the union of the
@@ -173,44 +274,60 @@ impl Front {
     /// (b) to the calculation search (Definition 16 step 1), not to this
     /// check.
     pub fn is_cc(&self) -> Option<Vec<NodeId>> {
-        let mut g = self.input.clone();
-        g.union_with(&self.observed);
-        find_cycle(&g).map(|c| c.nodes.into_iter().map(|i| NodeId(i as u32)).collect())
+        find_cycle_by(self.observed.node_count(), |u, out| {
+            self.order_successors(u, out)
+        })
+        .map(|c| c.nodes.into_iter().map(|i| NodeId(i as u32)).collect())
+    }
+
+    /// A total order of the members that extends `<ₒ ∪ →`: the topological
+    /// sort that prefers the smallest ready node id. `None` if the union
+    /// is cyclic.
+    pub(crate) fn serial_order(&self) -> Option<Vec<NodeId>> {
+        let order = compc_graph::topological_sort_by(self.observed.node_count(), |u, out| {
+            self.order_successors(u, out)
+        })
+        .ok()?;
+        Some(
+            order
+                .into_iter()
+                .filter(|&i| self.members.contains(i))
+                .map(|i| NodeId(i as u32))
+                .collect(),
+        )
     }
 
     /// Observed pairs restricted to front members, as `NodeId` tuples.
     pub fn observed_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        self.observed
-            .edges()
-            .map(|(u, v)| (NodeId(u as u32), NodeId(v as u32)))
-            .filter(|(a, b)| self.nodes.contains(a) && self.nodes.contains(b))
-            .collect()
+        self.member_pairs(&self.observed)
     }
 
     /// Input pairs restricted to front members.
     pub fn input_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        self.input
-            .edges()
-            .map(|(u, v)| (NodeId(u as u32), NodeId(v as u32)))
-            .filter(|(a, b)| self.nodes.contains(a) && self.nodes.contains(b))
-            .collect()
+        self.member_pairs(&self.input)
+    }
+
+    fn member_pairs(&self, g: &ChunkedBitGraph) -> Vec<(NodeId, NodeId)> {
+        let mut out = Vec::new();
+        for u in self.members.iter() {
+            g.row(u).for_each_masked(Some(&self.members), None, |v| {
+                out.push((NodeId(u as u32), NodeId(v as u32)));
+            });
+        }
+        out
     }
 
     /// Conflicting (generalized) pairs among front members, normalized and
     /// sorted: the declared conflicts of a common container, plus the
     /// observed pairs between members with no common container.
     pub fn conflict_pairs(&self, sys: &CompositeSystem) -> Vec<(NodeId, NodeId)> {
+        let by_container = self.members_by_container(sys);
         let mut out: Vec<(NodeId, NodeId)> = self
-            .declared_conflicts(sys)
+            .declared_conflicts(sys, &by_container)
             .map(|(_, a, b)| (a, b))
             .collect();
-        for (u, v) in self.observed.edges() {
-            let (a, b) = (NodeId(u as u32), NodeId(v as u32));
-            if a != b
-                && self.nodes.contains(&a)
-                && self.nodes.contains(&b)
-                && sys.common_container(a, b).is_none()
-            {
+        for (a, b) in self.observed_pairs() {
+            if a != b && sys.common_container(a, b).is_none() {
                 out.push((a.min(b), a.max(b)));
             }
         }
@@ -227,7 +344,7 @@ impl Front {
         let mut out = String::new();
         writeln!(out, "digraph \"front-{}\" {{", self.level).unwrap();
         writeln!(out, "  rankdir=LR; label=\"level-{} front\";", self.level).unwrap();
-        for &n in &self.nodes {
+        for n in self.members() {
             writeln!(out, "  n{} [label=\"{}\"];", n.0, dot_escape(sys.name(n))).unwrap();
         }
         let conflicts: BTreeSet<(NodeId, NodeId)> = self.conflict_pairs(sys).into_iter().collect();
@@ -272,17 +389,17 @@ mod tests {
     fn level0_contains_all_leaves() {
         let (sys, o1, o2) = flat();
         let f = Front::level0(&sys);
-        assert_eq!(f.level, 0);
-        assert!(f.nodes.contains(&o1) && f.nodes.contains(&o2));
-        assert_eq!(f.nodes.len(), 2);
+        assert_eq!(f.level(), 0);
+        assert!(f.contains(o1) && f.contains(o2));
+        assert_eq!(f.member_count(), 2);
     }
 
     #[test]
     fn level0_observed_follows_schedule_order() {
         let (sys, o1, o2) = flat();
         let f = Front::level0(&sys);
-        assert!(f.observed.has_edge(o1.index(), o2.index()));
-        assert!(!f.observed.has_edge(o2.index(), o1.index()));
+        assert!(f.has_observed(o1, o2));
+        assert!(!f.has_observed(o2, o1));
         let _ = &sys;
     }
 
@@ -306,7 +423,7 @@ mod tests {
         b.output_weak(o1, o2).unwrap();
         let sys = b.build().unwrap();
         let f = Front::level0(&sys);
-        assert!(f.observed.has_edge(o1.index(), o2.index()));
+        assert!(f.has_observed(o1, o2));
         let c = f.constraint_graph(&sys);
         assert!(!c.has_edge(o1.index(), o2.index()));
     }

@@ -3,10 +3,9 @@
 
 use crate::closure::{self, CheckScratch};
 use crate::front::Front;
-use compc_graph::{condense, find_cycle, topological_sort, DiGraph};
+use compc_graph::{find_cycle_by, ChunkedBitGraph, ChunkedRow};
 use compc_model::{CompositeSystem, NodeId};
 use compc_trace::{TraceEvent, TraceSink};
-use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// Which phase of a reduction step failed.
@@ -574,8 +573,8 @@ impl<'a> Reducer<'a> {
             }
         }
         debug_assert_eq!(
-            self.front.nodes,
-            self.sys.roots().collect::<BTreeSet<_>>(),
+            self.front.members().collect::<Vec<_>>(),
+            self.sys.roots().collect::<Vec<_>>(),
             "a completed reduction must leave exactly the roots"
         );
         Ok(Verdict::Correct(Proof {
@@ -607,23 +606,31 @@ impl<'a> Reducer<'a> {
         level: usize,
     ) -> Result<(), Counterexample> {
         let t0 = self.sink.is_some().then(Instant::now);
+        let traced = t0.is_some();
         let sys = self.sys;
+        let n = sys.node_count();
         let front = &self.front;
-        let front_before = front.nodes.len();
-        // The transactions to reduce. `replaced` maps each of their
-        // operations to the owning transaction.
-        let mut replaced: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+        let members = front.member_row();
+        let front_before = front.member_count();
+        // The transactions to reduce. `comp` maps each of their operations
+        // to the owning transaction and every other node to itself;
+        // `replaced` holds those operations, `ops_of` them per schedule.
+        let mut comp: Vec<usize> = (0..n).collect();
+        let mut replaced = ChunkedRow::new();
+        let mut ops_of = vec![ChunkedRow::new(); sys.schedule_count()];
         let mut new_txs: Vec<NodeId> = Vec::new();
         for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
             for t in &s.transactions {
                 new_txs.push(t.id);
                 for &o in &t.ops {
                     debug_assert!(
-                        front.nodes.contains(&o),
+                        front.contains(o),
                         "operation {o} of {t:?} must be in the level-{} front",
                         level - 1
                     );
-                    replaced.insert(o, t.id);
+                    comp[o.index()] = t.id.index();
+                    replaced.insert(o.index(), n);
+                    ops_of[s.id.index()].insert(o.index(), n);
                 }
             }
         }
@@ -638,9 +645,10 @@ impl<'a> Reducer<'a> {
         let constraint = if self.options.forgetting {
             front.constraint_graph(sys)
         } else {
-            let mut g = front.input.clone();
-            g.ensure_node(sys.node_count().saturating_sub(1));
-            g.union_with(&front.observed);
+            let mut g = front.input().clone();
+            for u in members.iter() {
+                g.row_mut(u).or_from(front.observed().row(u), n);
+            }
             g
         };
         // Definition 14 constrains a calculation only through *pairs of
@@ -653,45 +661,61 @@ impl<'a> Reducer<'a> {
         // stale nodes as distinct vertices instead would manufacture
         // phantom group -> stale -> group cycles out of chains that live
         // entirely inside one transaction (and break Theorem 2 on stacks).
-        let in_front = |i: usize| front.nodes.contains(&NodeId(i as u32));
-        let mut calc = DiGraph::with_nodes(sys.node_count());
-        for (u, v) in constraint.edges() {
-            if in_front(u) && in_front(v) {
-                calc.add_edge(u, v);
-            }
-        }
-        for &a in &front.nodes {
-            let mut stack: Vec<usize> = constraint
-                .successors(a.index())
-                .filter(|&s| !in_front(s))
-                .collect();
-            let mut seen: BTreeSet<usize> = stack.iter().copied().collect();
+        // So a member's row is its constraint row on members, plus the
+        // members reached through non-members only.
+        let mut calc = ChunkedBitGraph::with_nodes(n);
+        let mut seen = vec![usize::MAX; n];
+        let mut stack: Vec<usize> = Vec::new();
+        for a in members.iter() {
+            let row = constraint.row(a);
+            calc.row_mut(a).or_masked(row, Some(members), None, n);
+            row.for_each_masked(None, Some(members), |s| {
+                seen[s] = a;
+                stack.push(s);
+            });
             while let Some(s) = stack.pop() {
                 for t in constraint.successors(s) {
-                    if in_front(t) {
-                        calc.add_edge(a.index(), t);
-                    } else if seen.insert(t) {
+                    if members.contains(t) {
+                        calc.add_edge(a, t);
+                    } else if seen[t] != a {
+                        seen[t] = a;
                         stack.push(t);
                     }
                 }
             }
         }
-        let node_to_comp: Vec<usize> = (0..sys.node_count())
-            .map(|i| replaced.get(&NodeId(i as u32)).map_or(i, |t| t.index()))
-            .collect();
-        let constraint_edges = constraint.edge_count();
-        let contracted = condense(&calc, &node_to_comp, sys.node_count());
-        let calc_cycle = find_cycle(&contracted).or_else(|| {
-            let mut internal = DiGraph::with_nodes(sys.node_count());
-            let mut nonempty = false;
-            for (u, v) in calc.edges() {
-                if u != v && node_to_comp[u] == node_to_comp[v] {
-                    internal.add_edge(u, v);
-                    nonempty = true;
+        // Contraction: each member row lands on its transaction's row
+        // (itself when kept), replaced targets mapped the same way, and
+        // self-edges dropped.
+        let mut contracted = ChunkedBitGraph::with_nodes(n);
+        for u in members.iter() {
+            let row = calc.row(u);
+            let c = comp[u];
+            let dst = contracted.row_mut(c);
+            dst.or_masked(row, None, Some(&replaced), n);
+            row.for_each_masked(Some(&replaced), None, |v| {
+                dst.insert(comp[v], n);
+            });
+            dst.remove(c);
+        }
+        let constraint_edges = if traced { constraint.edge_count() } else { 0 };
+        let calc_cycle =
+            find_cycle_by(n, |v, out| out.extend(contracted.successors(v))).or_else(|| {
+                let mut internal = ChunkedBitGraph::with_nodes(n);
+                let mut nonempty = false;
+                for u in replaced.iter() {
+                    let dst = internal.row_mut(u);
+                    calc.row(u).for_each_masked(Some(&replaced), None, |v| {
+                        if u != v && comp[u] == comp[v] {
+                            dst.insert(v, n);
+                            nonempty = true;
+                        }
+                    });
                 }
-            }
-            nonempty.then(|| find_cycle(&internal)).flatten()
-        });
+                nonempty
+                    .then(|| find_cycle_by(n, |v, out| out.extend(internal.successors(v))))
+                    .flatten()
+            });
         if let Some(cycle) = calc_cycle {
             let cycle: Vec<NodeId> = cycle.nodes.into_iter().map(|i| NodeId(i as u32)).collect();
             self.emit_level(
@@ -713,42 +737,55 @@ impl<'a> Reducer<'a> {
 
         // --- Steps 2–4: replace operations by their transactions and pull
         // the observed order up (Definition 10 rules 2–4, Definition 11).
-        let mut new_nodes: BTreeSet<NodeId> = front
-            .nodes
-            .iter()
-            .filter(|n| !replaced.contains_key(n))
-            .copied()
-            .collect();
         // Step 5 (propagation): kept nodes stay; the new transactions enter.
-        new_nodes.extend(new_txs.iter().copied());
+        let mut new_members = ChunkedRow::new();
+        new_members.or_masked(members, None, Some(&replaced), n);
+        for &t in &new_txs {
+            new_members.insert(t.index(), n);
+        }
 
-        let mut observed = DiGraph::with_nodes(sys.node_count());
+        // Per observed row: a pair between kept members persists, and a
+        // pair from a replaced operation to a kept member is pushed to the
+        // transaction (rule 3: no reduced schedule contains a kept member,
+        // so no such pair crosses a common schedule). A pair to a replaced
+        // operation is pushed to both transactions, except that under
+        // Definition 10's forgetting a pair between two transactions of one
+        // schedule is pushed only via rule 2 — the schedule's own order and
+        // conflict declaration, added below from schedule data. Pairs inside
+        // one transaction are absorbed.
+        let mut observed = ChunkedBitGraph::with_nodes(n);
         let mut pairs_forgotten = 0usize;
-        let map = |n: NodeId| replaced.get(&n).copied().unwrap_or(n);
-        for (u, v) in front.observed.edges() {
-            let (a, b) = (NodeId(u as u32), NodeId(v as u32));
-            if !front.nodes.contains(&a) || !front.nodes.contains(&b) {
+        for a in members.iter() {
+            let row = front.observed().row(a);
+            if row.is_empty() {
                 continue;
             }
-            let (big_a, big_b) = (map(a), map(b));
-            if big_a == big_b {
-                continue; // absorbed into one transaction
-            }
-            let pushed = big_a != a || big_b != b;
-            if !pushed {
-                // Neither endpoint replaced: the pair simply persists.
-                observed.add_edge(big_a.index(), big_b.index());
-                continue;
-            }
-            // Definition 10: a pair whose endpoints sit in a common schedule
-            // is pushed only via rule 2 — the schedule's own order and
-            // conflict declaration (handled below from schedule data); a
-            // cross-schedule pair is pushed unconditionally (rule 3). The
-            // no-forgetting ablation pushes everything.
-            if !self.options.forgetting || sys.common_container(a, b).is_none() {
-                observed.add_edge(big_a.index(), big_b.index());
+            let big_a = comp[a];
+            let dst = observed.row_mut(big_a);
+            dst.or_masked(row, None, Some(&replaced), n);
+            if big_a == a {
+                dst.remove(a); // absorbed: a pair of a with itself
+                row.for_each_masked(Some(&replaced), None, |b| {
+                    dst.insert(comp[b], n);
+                });
+            } else if self.options.forgetting {
+                let container = sys.node(NodeId(a as u32)).container;
+                let same = &ops_of[container.expect("an operation has a container").index()];
+                let absorbed = sys
+                    .children(NodeId(big_a as u32))
+                    .iter()
+                    .filter(|o| row.contains(o.index()))
+                    .count();
+                pairs_forgotten += row.count_and(same) - absorbed;
+                row.for_each_masked(Some(&replaced), Some(same), |b| {
+                    dst.insert(comp[b], n);
+                });
             } else {
-                pairs_forgotten += 1;
+                row.for_each_masked(Some(&replaced), None, |b| {
+                    if comp[b] != big_a {
+                        dst.insert(comp[b], n);
+                    }
+                });
             }
         }
         // Rule 2 for the schedules being reduced: conflicting operation
@@ -766,33 +803,30 @@ impl<'a> Reducer<'a> {
         // members of their *container* schedules (rule 1 when the other
         // member is a leaf; the conflicting-output rule otherwise).
         for &t in &new_txs {
-            entry_pairs(sys, t, &new_nodes, &mut observed);
+            entry_pairs(sys, t, &new_members, &mut observed);
         }
         // Rule 4: transitive closure.
-        let pre_closure_edges = observed.edge_count();
-        let observed =
-            closure::transitive_closure(&observed, self.options.backend, &mut self.scratch);
-        let closure_edges = observed.edge_count().saturating_sub(pre_closure_edges);
+        let pre_closure_edges = if traced { observed.edge_count() } else { 0 };
+        closure::transitive_closure(&mut observed, self.options.backend, &mut self.scratch);
+        let closure_edges = if traced {
+            observed.edge_count().saturating_sub(pre_closure_edges)
+        } else {
+            0
+        };
 
         // --- Step 6: add the level's input orders and check CC.
-        let mut input = front.input.clone();
-        input.ensure_node(sys.node_count().saturating_sub(1));
+        let mut input = self.front.take_input();
         for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
             for (a, b) in s.input.weak_pairs() {
                 input.add_edge(a.index(), b.index());
             }
         }
-        self.front = Front {
-            level,
-            nodes: new_nodes,
-            observed,
-            input,
-        };
+        self.front = Front::new(level, new_members, observed, input);
         let counts = LevelCounts {
             level,
             schedules_reduced: scheds.len(),
             front_before,
-            front_after: self.front.nodes.len(),
+            front_after: self.front.member_count(),
             constraint_edges,
             closure_edges,
             pairs_forgotten,
@@ -817,8 +851,8 @@ impl<'a> Reducer<'a> {
     /// sink). `observed_edges` and `elapsed_ns` are resolved here so the
     /// callers stay branch-free.
     fn emit_level(&mut self, t0: Option<Instant>, counts: LevelCounts) {
-        let observed_edges = self.front.observed.edge_count();
         if let Some(sink) = self.sink.as_deref_mut() {
+            let observed_edges = self.front.observed().edge_count();
             sink.emit(&TraceEvent::Level {
                 level: counts.level,
                 schedules_reduced: counts.schedules_reduced,
@@ -840,16 +874,9 @@ impl<'a> Reducer<'a> {
     /// proof ("by topological sorting, we convert (<ₒ, →) into a total
     /// order").
     fn serial_witness(&self) -> Vec<NodeId> {
-        let mut g = self.front.input.clone();
-        g.union_with(&self.front.observed);
-        g.ensure_node(self.sys.node_count().saturating_sub(1));
-        let order =
-            topological_sort(&g).expect("a conflict-consistent front's order union is acyclic");
-        order
-            .into_iter()
-            .map(|i| NodeId(i as u32))
-            .filter(|n| self.front.nodes.contains(n))
-            .collect()
+        self.front
+            .serial_order()
+            .expect("a conflict-consistent front's order union is acyclic")
     }
 
     /// Resolves a failure cycle's names against the system.
@@ -884,17 +911,14 @@ impl<'a> Reducer<'a> {
 fn entry_pairs(
     sys: &CompositeSystem,
     t: NodeId,
-    members: &BTreeSet<NodeId>,
-    observed: &mut DiGraph,
+    members: &ChunkedRow,
+    observed: &mut ChunkedBitGraph,
 ) {
     let Some(container) = sys.node(t).container else {
         return; // roots are operations of nothing
     };
     let weak = sys.schedule(container).output.weak();
-    let leaf_member = |o: usize| {
-        let o = NodeId(o as u32);
-        members.contains(&o) && sys.node(o).home.is_none()
-    };
+    let leaf_member = |o: usize| members.contains(o) && sys.node(NodeId(o as u32)).home.is_none();
     for other in weak.above(t.index()).filter(|&o| leaf_member(o)) {
         observed.add_edge(t.index(), other);
     }
@@ -1286,13 +1310,13 @@ mod tests {
         // serialization order pulled up by Definition 10 rule 2.
         reducer.step(1).unwrap();
         let f1 = reducer.front();
-        assert_eq!(f1.nodes, BTreeSet::from([u1, u2]));
+        assert_eq!(f1.members().collect::<Vec<_>>(), vec![u1, u2]);
         assert!(f1.observed_pairs().contains(&(u1, u2)));
         assert!(f1.conflict_pairs(&sys).contains(&(u1, u2)));
         // Level-2 front: the roots, serialized T1 before T2.
         reducer.step(2).unwrap();
         let f2 = reducer.front();
-        assert_eq!(f2.nodes, BTreeSet::from([t1, t2]));
+        assert_eq!(f2.members().collect::<Vec<_>>(), vec![t1, t2]);
         assert!(f2.observed_pairs().contains(&(t1, t2)));
         assert_eq!(check(&sys).proof().unwrap().serial_witness, vec![t1, t2]);
     }

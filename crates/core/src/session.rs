@@ -503,8 +503,8 @@ mod tests {
         let render = |f: &crate::Front| {
             format!(
                 "L{}:{:?}|o{:?}|c{:?}|i{:?}",
-                f.level,
-                f.nodes,
+                f.level(),
+                f.members().collect::<Vec<_>>(),
                 f.observed_pairs(),
                 f.conflict_pairs(sys),
                 f.input_pairs()

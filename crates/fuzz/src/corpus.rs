@@ -33,8 +33,8 @@ pub fn stepped_fronts(sys: &CompositeSystem, options: CheckOptions) -> Vec<Front
     let mut reducer = Checker::with_options(options).reducer(sys);
     let fields = |f: &compc_core::Front| -> FrontFields {
         (
-            f.level,
-            f.nodes.iter().copied().collect(),
+            f.level(),
+            f.members().collect(),
             f.observed_pairs(),
             f.conflict_pairs(sys),
             f.input_pairs(),

@@ -47,16 +47,34 @@ impl std::error::Error for TopoError {}
 /// the same graph always yields the same order (important for reproducible
 /// serial witnesses in the reduction engine).
 pub fn topological_sort(g: &DiGraph) -> Result<Vec<usize>, TopoError> {
-    let n = g.node_count();
-    let mut indeg = g.in_degrees();
+    topological_sort_by(g.node_count(), |v, out| out.extend(g.successors(v)))
+}
+
+/// [`topological_sort`] over any adjacency source on `0..n`: `succs(v, out)`
+/// pushes `v`'s successors, ascending, into `out`. The same relation gives
+/// the same order (or cycle) as a [`DiGraph`] holding it.
+pub fn topological_sort_by<F>(n: usize, mut succs: F) -> Result<Vec<usize>, TopoError>
+where
+    F: FnMut(usize, &mut Vec<usize>),
+{
+    let mut indeg = vec![0usize; n];
+    let mut buf = Vec::new();
+    for v in 0..n {
+        buf.clear();
+        succs(v, &mut buf);
+        for &w in &buf {
+            indeg[w] += 1;
+        }
+    }
     // A BinaryHeap<Reverse<_>> would be asymptotically nicer for huge graphs,
     // but fronts here are small; a BTreeSet keeps the code simple and ordered.
     let mut ready: std::collections::BTreeSet<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
     let mut out = Vec::with_capacity(n);
-    while let Some(&v) = ready.iter().next() {
-        ready.remove(&v);
+    while let Some(v) = ready.pop_first() {
         out.push(v);
-        for w in g.successors(v) {
+        buf.clear();
+        succs(v, &mut buf);
+        for &w in &buf {
             indeg[w] -= 1;
             if indeg[w] == 0 {
                 ready.insert(w);
@@ -67,30 +85,49 @@ pub fn topological_sort(g: &DiGraph) -> Result<Vec<usize>, TopoError> {
         Ok(out)
     } else {
         Err(TopoError(
-            find_cycle(g).expect("Kahn's algorithm stalled, so a cycle must exist"),
+            find_cycle_by(n, succs).expect("Kahn's algorithm stalled, so a cycle must exist"),
         ))
     }
 }
 
 /// Finds some directed cycle, if any, via iterative DFS with colors.
 pub fn find_cycle(g: &DiGraph) -> Option<CycleInfo> {
+    find_cycle_by(g.node_count(), |v, out| out.extend(g.successors(v)))
+}
+
+/// [`find_cycle`] over any adjacency source on `0..n`: `succs(v, out)`
+/// pushes `v`'s successors, ascending, into `out`. Starts are tried in
+/// ascending order and each node's successors are explored from the
+/// largest down, so the same relation gives the same witness as a
+/// [`DiGraph`] holding it.
+pub fn find_cycle_by<F>(n: usize, mut succs: F) -> Option<CycleInfo>
+where
+    F: FnMut(usize, &mut Vec<usize>),
+{
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
         Gray,
         Black,
     }
-    let n = g.node_count();
     let mut color = vec![Color::White; n];
     let mut parent = vec![usize::MAX; n];
+    // Successor buffers of finished frames, reused by later ones.
+    let mut spare: Vec<Vec<usize>> = Vec::new();
+    let mut frame = |v: usize, spare: &mut Vec<Vec<usize>>| {
+        let mut out = spare.pop().unwrap_or_default();
+        out.clear();
+        succs(v, &mut out);
+        (v, out)
+    };
     for start in 0..n {
         if color[start] != Color::White {
             continue;
         }
-        // Iterative DFS; stack entries are (node, successor iterator state).
+        // Iterative DFS; stack entries are (node, successors left to visit).
         let mut stack: Vec<(usize, Vec<usize>)> = Vec::new();
         color[start] = Color::Gray;
-        stack.push((start, g.successors(start).collect()));
+        stack.push(frame(start, &mut spare));
         while let Some((u, succ)) = stack.last_mut() {
             if let Some(v) = succ.pop() {
                 let u = *u;
@@ -98,7 +135,7 @@ pub fn find_cycle(g: &DiGraph) -> Option<CycleInfo> {
                     Color::White => {
                         parent[v] = u;
                         color[v] = Color::Gray;
-                        stack.push((v, g.successors(v).collect()));
+                        stack.push(frame(v, &mut spare));
                     }
                     Color::Gray => {
                         // Back edge u -> v closes a cycle v ..-> u -> v.
@@ -115,7 +152,9 @@ pub fn find_cycle(g: &DiGraph) -> Option<CycleInfo> {
                 }
             } else {
                 color[*u] = Color::Black;
-                stack.pop();
+                if let Some((_, buf)) = stack.pop() {
+                    spare.push(buf);
+                }
             }
         }
     }

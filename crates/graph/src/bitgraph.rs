@@ -66,14 +66,18 @@ impl BitGraph {
     /// Reloads this graph from a sparse one, reusing the row allocation —
     /// the per-worker scratch path of the checking engine.
     pub fn load_from(&mut self, g: &DiGraph) {
-        let n = g.node_count();
+        self.reset(g.node_count());
+        for (u, v) in g.edges() {
+            self.rows[u * self.words + v / 64] |= 1u64 << (v % 64);
+        }
+    }
+
+    /// Clears the graph to `n` nodes and no edges, keeping the allocation.
+    pub(crate) fn reset(&mut self, n: usize) {
         self.n = n;
         self.words = words_for(n);
         self.rows.clear();
         self.rows.resize(n * self.words, 0);
-        for (u, v) in g.edges() {
-            self.rows[u * self.words + v / 64] |= 1u64 << (v % 64);
-        }
     }
 
     /// Converts back to the sparse representation.

@@ -19,11 +19,11 @@
 //! backends compare row for row.
 
 use crate::bitgraph::{row_bits, words_for};
-use crate::{DiGraph, SccScratch};
+use crate::{BitGraph, DiGraph, SccScratch};
 use std::collections::BTreeSet;
 
 /// Sparse rows promote to dense words once they hold more than
-/// `columns / SPARSE_BYTES_PER_ENTRY_RATIO` entries: a sorted `u32` entry
+/// `columns / 32` entries: a sorted `u32` entry
 /// costs 4 bytes, a dense row `columns / 8` bytes, so the break-even is at
 /// `columns / 32` set bits (floored at a small constant so tiny rows never
 /// flap representations).
@@ -36,13 +36,18 @@ const fn promote_cap(columns: usize) -> usize {
     }
 }
 
-/// One adjacency row: sorted sparse indices while cold, dense words once
-/// hot. All operations take the column count context from the caller.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum ChunkedRow {
-    /// Ascending column indices; at most [`promote_cap`] entries.
+/// One relation row (or one set of node ids): sorted sparse indices while
+/// cold, dense words once hot. Every operation takes the column count from
+/// the caller, and costs `O(min(entries, columns/64))` per operand row, so
+/// a cold row of a large relation never scans its full word width.
+///
+/// Equality is by content: a sparse and a dense row holding the same
+/// columns are equal.
+#[derive(Clone, Debug)]
+pub enum ChunkedRow {
+    /// Ascending column indices; at most `max(columns / 32, 8)` entries.
     Sparse(Vec<u32>),
-    /// `words_for(columns)` words, trailing bits past the column count zero.
+    /// `ceil(columns / 64)` words, trailing bits past the column count zero.
     Dense(Vec<u64>),
 }
 
@@ -52,7 +57,34 @@ impl Default for ChunkedRow {
     }
 }
 
+impl PartialEq for ChunkedRow {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (ChunkedRow::Sparse(a), ChunkedRow::Sparse(b)) => a == b,
+            (ChunkedRow::Dense(a), ChunkedRow::Dense(b)) => a == b,
+            _ => self.count() == other.count() && self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl Eq for ChunkedRow {}
+
 impl ChunkedRow {
+    /// An empty row.
+    pub fn new() -> Self {
+        ChunkedRow::default()
+    }
+
+    /// The row holding the set bits of `words`, sparse when they are few.
+    pub fn from_words(words: &[u64], columns: usize) -> Self {
+        let count: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        if count > promote_cap(columns) {
+            ChunkedRow::Dense(words.to_vec())
+        } else {
+            ChunkedRow::Sparse(row_bits(words).map(|v| v as u32).collect())
+        }
+    }
+
     fn clear(&mut self) {
         *self = ChunkedRow::Sparse(match std::mem::take(self) {
             ChunkedRow::Sparse(mut v) => {
@@ -63,17 +95,40 @@ impl ChunkedRow {
         });
     }
 
-    fn contains(&self, v: usize) -> bool {
+    /// Whether column `v` is set.
+    #[inline]
+    pub fn contains(&self, v: usize) -> bool {
         match self {
             ChunkedRow::Sparse(s) => s.binary_search(&(v as u32)).is_ok(),
-            ChunkedRow::Dense(w) => w[v / 64] & (1u64 << (v % 64)) != 0,
+            ChunkedRow::Dense(w) => w.get(v / 64).is_some_and(|x| x & (1u64 << (v % 64)) != 0),
         }
     }
 
-    fn count(&self) -> usize {
+    /// Number of set columns.
+    pub fn count(&self) -> usize {
         match self {
             ChunkedRow::Sparse(s) => s.len(),
             ChunkedRow::Dense(w) => w.iter().map(|x| x.count_ones() as usize).sum(),
+        }
+    }
+
+    /// Whether no column is set.
+    pub fn is_empty(&self) -> bool {
+        match self {
+            ChunkedRow::Sparse(s) => s.is_empty(),
+            ChunkedRow::Dense(w) => w.iter().all(|&x| x == 0),
+        }
+    }
+
+    /// The set columns, ascending.
+    pub fn iter(&self) -> RowIter<'_> {
+        match self {
+            ChunkedRow::Sparse(s) => RowIter::Sparse(s.iter()),
+            ChunkedRow::Dense(w) => RowIter::Dense {
+                words: w,
+                base: 0,
+                word: 0,
+            },
         }
     }
 
@@ -88,18 +143,23 @@ impl ChunkedRow {
     }
 
     /// Inserts column `v`; promotes past the cap. Returns whether it is new.
-    fn insert(&mut self, v: usize, columns: usize) -> bool {
+    pub fn insert(&mut self, v: usize, columns: usize) -> bool {
         match self {
-            ChunkedRow::Sparse(s) => match s.binary_search(&(v as u32)) {
-                Ok(_) => false,
-                Err(pos) => {
-                    s.insert(pos, v as u32);
-                    if s.len() > promote_cap(columns) {
-                        self.promote(columns);
-                    }
-                    true
+            ChunkedRow::Sparse(s) => {
+                // Ascending pushes, the common case, skip the search.
+                let pos = match s.last() {
+                    Some(&last) if (last as usize) < v => s.len(),
+                    _ => match s.binary_search(&(v as u32)) {
+                        Ok(_) => return false,
+                        Err(pos) => pos,
+                    },
+                };
+                s.insert(pos, v as u32);
+                if s.len() > promote_cap(columns) {
+                    self.promote(columns);
                 }
-            },
+                true
+            }
             ChunkedRow::Dense(w) => {
                 let slot = &mut w[v / 64];
                 let bit = 1u64 << (v % 64);
@@ -110,11 +170,32 @@ impl ChunkedRow {
         }
     }
 
+    /// Removes column `v`. Returns whether it was set.
+    pub fn remove(&mut self, v: usize) -> bool {
+        match self {
+            ChunkedRow::Sparse(s) => match s.binary_search(&(v as u32)) {
+                Ok(pos) => {
+                    s.remove(pos);
+                    true
+                }
+                Err(_) => false,
+            },
+            ChunkedRow::Dense(w) => {
+                let slot = &mut w[v / 64];
+                let bit = 1u64 << (v % 64);
+                let was = *slot & bit != 0;
+                *slot &= !bit;
+                was
+            }
+        }
+    }
+
     /// `self |= other`, promoting when the merged sparse form would exceed
     /// the cap (or when the other side is already dense — a dense operand
     /// means the union is hot anyway, and word ORs beat element merges).
-    fn or_from(&mut self, other: &ChunkedRow, columns: usize) {
+    pub fn or_from(&mut self, other: &ChunkedRow, columns: usize) {
         match (&mut *self, other) {
+            (_, ChunkedRow::Sparse(o)) if o.is_empty() => {}
             (ChunkedRow::Dense(d), ChunkedRow::Dense(o)) => {
                 for (dw, ow) in d.iter_mut().zip(o) {
                     *dw |= *ow;
@@ -125,11 +206,18 @@ impl ChunkedRow {
                     d[v as usize / 64] |= 1u64 << (v % 64);
                 }
             }
+            (ChunkedRow::Sparse(s), ChunkedRow::Dense(o)) if s.is_empty() => {
+                *self = ChunkedRow::Dense(o.clone());
+            }
             (ChunkedRow::Sparse(_), ChunkedRow::Dense(_)) => {
                 self.promote(columns);
                 self.or_from(other, columns);
             }
             (ChunkedRow::Sparse(s), ChunkedRow::Sparse(o)) => {
+                if s.is_empty() {
+                    s.extend_from_slice(o);
+                    return;
+                }
                 if s.len() + o.len() > promote_cap(columns) {
                     self.promote(columns);
                     self.or_from(other, columns);
@@ -164,18 +252,163 @@ impl ChunkedRow {
         }
     }
 
-    /// Calls `f` for every set column, ascending.
-    fn for_each<F: FnMut(usize)>(&self, mut f: F) {
-        match self {
+    /// `self |= src ∩ keep ∖ drop`, where an absent `keep` keeps every
+    /// column and an absent `drop` drops none. A dense `src` is combined
+    /// word by word; a sparse one entry by entry.
+    pub fn or_masked(
+        &mut self,
+        src: &ChunkedRow,
+        keep: Option<&ChunkedRow>,
+        drop: Option<&ChunkedRow>,
+        columns: usize,
+    ) {
+        match src {
             ChunkedRow::Sparse(s) => {
                 for &v in s {
-                    f(v as usize);
+                    let v = v as usize;
+                    if keep.is_none_or(|k| k.contains(v)) && !drop.is_some_and(|d| d.contains(v)) {
+                        self.insert(v, columns);
+                    }
                 }
             }
             ChunkedRow::Dense(w) => {
-                for v in row_bits(w) {
-                    f(v);
+                self.promote(columns);
+                let ChunkedRow::Dense(d) = self else {
+                    unreachable!("promoted above")
+                };
+                let (mut keep, mut drop) = (WordCursor::new(keep, !0), WordCursor::new(drop, 0));
+                for (k, (dw, &sw)) in d.iter_mut().zip(w).enumerate() {
+                    if sw != 0 {
+                        *dw |= sw & keep.word(k) & !drop.word(k);
+                    }
                 }
+            }
+        }
+    }
+
+    /// Calls `f` for every column of `self ∩ keep ∖ drop`, ascending (an
+    /// absent `keep` keeps every column, an absent `drop` drops none).
+    pub fn for_each_masked<F: FnMut(usize)>(
+        &self,
+        keep: Option<&ChunkedRow>,
+        drop: Option<&ChunkedRow>,
+        mut f: F,
+    ) {
+        match self {
+            ChunkedRow::Sparse(s) => {
+                for &v in s {
+                    let v = v as usize;
+                    if keep.is_none_or(|k| k.contains(v)) && !drop.is_some_and(|d| d.contains(v)) {
+                        f(v);
+                    }
+                }
+            }
+            ChunkedRow::Dense(w) => {
+                let (mut keep, mut drop) = (WordCursor::new(keep, !0), WordCursor::new(drop, 0));
+                for (k, &sw) in w.iter().enumerate() {
+                    if sw == 0 {
+                        continue;
+                    }
+                    let mut bits = sw & keep.word(k) & !drop.word(k);
+                    while bits != 0 {
+                        f(k * 64 + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `|self ∩ other|`: a popcount when both rows are dense.
+    pub fn count_and(&self, other: &ChunkedRow) -> usize {
+        match (self, other) {
+            (ChunkedRow::Dense(a), ChunkedRow::Dense(b)) => a
+                .iter()
+                .zip(b)
+                .map(|(x, y)| (x & y).count_ones() as usize)
+                .sum(),
+            (ChunkedRow::Sparse(s), row) | (row, ChunkedRow::Sparse(s)) => {
+                s.iter().filter(|&&v| row.contains(v as usize)).count()
+            }
+        }
+    }
+}
+
+/// Reads a mask row one word at a time, in ascending word order: a dense
+/// mask by index, a sparse one by a cursor over its entries, so a pass over
+/// all words costs `O(words + entries)`. An absent mask reads `absent`.
+struct WordCursor<'a> {
+    row: Option<&'a ChunkedRow>,
+    absent: u64,
+    next: usize,
+}
+
+impl<'a> WordCursor<'a> {
+    fn new(row: Option<&'a ChunkedRow>, absent: u64) -> Self {
+        WordCursor {
+            row,
+            absent,
+            next: 0,
+        }
+    }
+
+    /// Word `k`; calls must not go back to a smaller `k`.
+    #[inline]
+    fn word(&mut self, k: usize) -> u64 {
+        match self.row {
+            None => self.absent,
+            Some(ChunkedRow::Dense(w)) => w[k],
+            Some(ChunkedRow::Sparse(s)) => {
+                let mut word = 0u64;
+                while let Some(&v) = s.get(self.next) {
+                    let v = v as usize;
+                    if v / 64 > k {
+                        break;
+                    }
+                    if v / 64 == k {
+                        word |= 1u64 << (v % 64);
+                    }
+                    self.next += 1;
+                }
+                word
+            }
+        }
+    }
+}
+
+/// Ascending iterator over a [`ChunkedRow`]'s set columns.
+pub enum RowIter<'a> {
+    /// Over sparse entries.
+    Sparse(std::slice::Iter<'a, u32>),
+    /// Over dense words: `word` holds the unvisited bits of the word that
+    /// ends just before column `base`.
+    Dense {
+        /// The words not yet loaded.
+        words: &'a [u64],
+        /// Column just past the current word.
+        base: usize,
+        /// Unvisited bits of the current word.
+        word: u64,
+    },
+}
+
+impl Iterator for RowIter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            RowIter::Sparse(it) => it.next().map(|&v| v as usize),
+            RowIter::Dense { words, base, word } => {
+                while *word == 0 {
+                    let (&first, rest) = words.split_first()?;
+                    *word = first;
+                    *words = rest;
+                    *base += 64;
+                }
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                Some(*base - 64 + bit)
             }
         }
     }
@@ -237,9 +470,7 @@ impl ChunkedBitGraph {
             .iter()
             .map(|row| {
                 let mut set = BTreeSet::new();
-                row.for_each(|v| {
-                    set.insert(v);
-                });
+                set.extend(row.iter());
                 set
             })
             .collect();
@@ -277,11 +508,90 @@ impl ChunkedBitGraph {
         u < self.n && v < self.n && self.rows[u].contains(v)
     }
 
+    /// Removes edge `u -> v`. Returns whether it existed.
+    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
+        u < self.n && v < self.n && self.rows[u].remove(v)
+    }
+
     /// Successors of `u` in ascending order.
-    pub fn successors(&self, u: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.rows[u].for_each(|v| out.push(v));
-        out
+    pub fn successors(&self, u: usize) -> RowIter<'_> {
+        self.rows[u].iter()
+    }
+
+    /// All edges `(u, v)` in lexicographic order.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(u, row)| row.iter().map(move |v| (u, v)))
+    }
+
+    /// Row `u`: the successors of `u` over `node_count()` columns.
+    pub fn row(&self, u: usize) -> &ChunkedRow {
+        &self.rows[u]
+    }
+
+    /// Row `u`, mutably; operations on it take `node_count()` as their
+    /// column count.
+    pub fn row_mut(&mut self, u: usize) -> &mut ChunkedRow {
+        &mut self.rows[u]
+    }
+
+    /// Closes the relation transitively in place, one reachability pass
+    /// per source (the sparse backend). A row already closed only adds
+    /// reachable nodes to later passes, so rewriting rows as it goes keeps
+    /// every pass exact.
+    pub fn close_by_dfs(&mut self) {
+        let mut reach = vec![0u64; self.words_per_row()];
+        for u in 0..self.n {
+            self.reachable_into(u, &mut reach);
+            self.rows[u] = ChunkedRow::from_words(&reach, self.n);
+        }
+    }
+
+    /// Closes the relation transitively in place on the flat dense rows of
+    /// `dense`, a reusable buffer (the dense backend).
+    pub fn close_dense(&mut self, dense: &mut BitGraph) {
+        dense.reset(self.n);
+        for (u, row) in self.rows.iter().enumerate() {
+            for v in row.iter() {
+                dense.add_edge(u, v);
+            }
+        }
+        dense.close_transitively();
+        for (u, row) in self.rows.iter_mut().enumerate() {
+            *row = ChunkedRow::from_words(dense.row(u), self.n);
+        }
+    }
+
+    /// Closes the relation transitively in place through its
+    /// [`CondensedClosure`] (the compressed backend): each strong
+    /// component's closed row is built once and copied to its members.
+    pub fn close_condensed(&mut self, scratch: &mut SccScratch) {
+        let closed = self.condensed_closure_with(scratch);
+        let mut row: Vec<u32> = Vec::new();
+        for (c, members) in closed.members.iter().enumerate() {
+            row.clear();
+            for d in closed.closed[c].iter() {
+                row.extend(&closed.members[d]);
+            }
+            if closed.cyclic[c] {
+                row.extend(members);
+            }
+            row.sort_unstable();
+            let shared = if row.len() > promote_cap(self.n) {
+                let mut words = vec![0u64; words_for(self.n)];
+                for &v in &row {
+                    words[v as usize / 64] |= 1u64 << (v % 64);
+                }
+                ChunkedRow::Dense(words)
+            } else {
+                ChunkedRow::Sparse(row.clone())
+            };
+            for &m in members {
+                self.rows[m as usize] = shared.clone();
+            }
+        }
     }
 
     /// Writes the nodes reachable from `start` by paths of length ≥ 1 into
@@ -295,7 +605,7 @@ impl ChunkedBitGraph {
             "reachable_into needs a buffer of exactly words_per_row() words"
         );
         out.fill(0);
-        let mut stack: Vec<usize> = self.successors(start);
+        let mut stack: Vec<usize> = self.successors(start).collect();
         while let Some(v) = stack.pop() {
             let slot = &mut out[v / 64];
             let bit = 1u64 << (v % 64);
@@ -303,11 +613,11 @@ impl ChunkedBitGraph {
                 continue;
             }
             *slot |= bit;
-            self.rows[v].for_each(|w| {
+            for w in self.rows[v].iter() {
                 if out[w / 64] & (1u64 << (w % 64)) == 0 {
                     stack.push(w);
                 }
-            });
+            }
         }
     }
 
@@ -323,7 +633,7 @@ impl ChunkedBitGraph {
     pub fn condensed_closure_with(&self, scratch: &mut SccScratch) -> CondensedClosure {
         let comps_usize = crate::algo::scc_with_successors(
             self.n,
-            |v, out| self.rows[v].for_each(|w| out.push(w)),
+            |v, out| out.extend(self.rows[v].iter()),
             scratch,
         );
         let ncomps = comps_usize.len();
@@ -346,7 +656,7 @@ impl ChunkedBitGraph {
             cyclic[c] = comp.len() > 1;
             succ_comps.clear();
             for &m in comp {
-                self.rows[m].for_each(|v| {
+                for v in self.rows[m].iter() {
                     let d = comp_of[v] as usize;
                     if d == c {
                         cyclic[c] = true;
@@ -354,7 +664,7 @@ impl ChunkedBitGraph {
                         seen[d] = c as u32;
                         succ_comps.push(d);
                     }
-                });
+                }
             }
             let (head, tail) = closed.split_at_mut(c);
             let row_c = &mut tail[0];
@@ -429,8 +739,7 @@ impl CondensedClosure {
     pub fn edge_count(&self) -> usize {
         let mut total = 0usize;
         for (c, members) in self.members.iter().enumerate() {
-            let mut per_member = 0usize;
-            self.closed[c].for_each(|d| per_member += self.members[d].len());
+            let mut per_member: usize = self.closed[c].iter().map(|d| self.members[d].len()).sum();
             if self.cyclic[c] {
                 per_member += members.len();
             }
@@ -450,11 +759,11 @@ impl CondensedClosure {
         );
         out.fill(0);
         let c = self.comp_of[u] as usize;
-        self.closed[c].for_each(|d| {
+        for d in self.closed[c].iter() {
             for &m in &self.members[d] {
                 out[m as usize / 64] |= 1u64 << (m % 64);
             }
-        });
+        }
         if self.cyclic[c] {
             for &m in &self.members[c] {
                 out[m as usize / 64] |= 1u64 << (m % 64);
@@ -470,11 +779,9 @@ impl CondensedClosure {
         let mut comp_sets: Vec<BTreeSet<usize>> = Vec::with_capacity(self.members.len());
         for (c, members) in self.members.iter().enumerate() {
             let mut set = BTreeSet::new();
-            self.closed[c].for_each(|d| {
-                for &m in &self.members[d] {
-                    set.insert(m as usize);
-                }
-            });
+            for d in self.closed[c].iter() {
+                set.extend(self.members[d].iter().map(|&m| m as usize));
+            }
             if self.cyclic[c] {
                 for &m in members {
                     set.insert(m as usize);
@@ -523,7 +830,7 @@ mod tests {
         assert_eq!(c.to_digraph(), g);
         assert_eq!(c.edge_count(), 4);
         assert!(c.has_edge(0, 129) && !c.has_edge(129, 0));
-        assert_eq!(c.successors(129), vec![64]);
+        assert_eq!(c.successors(129).collect::<Vec<_>>(), vec![64]);
     }
 
     #[test]

@@ -336,7 +336,7 @@ mod tests {
         // pulled-up orders were forgotten at the top schedule).
         let last = top_front(&fig.system);
         assert_eq!(
-            last.nodes.iter().copied().collect::<Vec<_>>(),
+            last.members().collect::<Vec<_>>(),
             vec![fig.node("T1"), fig.node("T2")]
         );
         assert!(last.conflict_pairs(&fig.system).is_empty());

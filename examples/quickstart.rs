@@ -76,8 +76,8 @@ fn main() {
                         .expect("a Comp-C system reduces every level");
                 }
                 let front = reducer.front();
-                let names: Vec<&str> = front.nodes.iter().map(|&n| system.name(n)).collect();
-                println!("  level-{} front: [{}]", front.level, names.join(", "));
+                let names: Vec<&str> = front.members().map(|n| system.name(n)).collect();
+                println!("  level-{} front: [{}]", front.level(), names.join(", "));
             }
             let witness: Vec<&str> = proof
                 .serial_witness

@@ -5,8 +5,8 @@
 use compc::model::CompositeSystem;
 use compc::spec::SystemSpec;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A tiny correct system: two conflicting writes, serialized consistently.
 fn correct_system(tag: &str) -> CompositeSystem {

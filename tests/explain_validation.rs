@@ -68,8 +68,8 @@ fn validate_cycle(sys: &CompositeSystem, ex: &compc::core::Explanation) {
         }
         FailurePhase::Calculation => {
             for &(big_a, big_b) in &edges {
-                let witnessed = front.nodes.iter().any(|&a| {
-                    front.nodes.iter().any(|&b| {
+                let witnessed = front.members().any(|a| {
+                    front.members().any(|b| {
                         if !within(sys, big_a, a) || !within(sys, big_b, b) {
                             return false;
                         }

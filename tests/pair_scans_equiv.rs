@@ -87,7 +87,51 @@ fn ref_serialization_pairs(s: &Schedule) -> Vec<(NodeId, NodeId)> {
     out
 }
 
-fn ref_conflict_pairs(front: &Front, sys: &CompositeSystem) -> Vec<(NodeId, NodeId)> {
+/// A front in the references' own representation: a `BTreeSet` of
+/// members and `DiGraph` orders, read off a [`Front`] through its accessors
+/// or produced by [`ref_step`].
+#[derive(Clone, Debug)]
+struct RefFront {
+    level: usize,
+    nodes: BTreeSet<NodeId>,
+    observed: DiGraph,
+    input: DiGraph,
+}
+
+impl RefFront {
+    fn of(front: &Front) -> RefFront {
+        RefFront {
+            level: front.level(),
+            nodes: front.members().collect(),
+            observed: digraph(front.observed().edges()),
+            input: digraph(front.input().edges()),
+        }
+    }
+
+    /// Definition 11, pair by pair.
+    fn gen_con(&self, sys: &CompositeSystem, a: NodeId, b: NodeId) -> bool {
+        if a == b {
+            return false;
+        }
+        match sys.common_container(a, b) {
+            Some(s) => sys.schedule(s).conflicts.conflicts(a, b),
+            None => {
+                self.observed.has_edge(a.index(), b.index())
+                    || self.observed.has_edge(b.index(), a.index())
+            }
+        }
+    }
+}
+
+fn digraph(edges: impl Iterator<Item = (usize, usize)>) -> DiGraph {
+    let mut g = DiGraph::new();
+    for (u, v) in edges {
+        g.add_edge(u, v);
+    }
+    g
+}
+
+fn ref_conflict_pairs(front: &RefFront, sys: &CompositeSystem) -> Vec<(NodeId, NodeId)> {
     let nodes: Vec<NodeId> = front.nodes.iter().copied().collect();
     let mut out = Vec::new();
     for (i, &a) in nodes.iter().enumerate() {
@@ -100,9 +144,8 @@ fn ref_conflict_pairs(front: &Front, sys: &CompositeSystem) -> Vec<(NodeId, Node
     out
 }
 
-fn ref_constraint_graph(front: &Front, sys: &CompositeSystem) -> DiGraph {
+fn ref_constraint_graph(front: &RefFront, sys: &CompositeSystem) -> DiGraph {
     let mut g = front.input.clone();
-    g.ensure_node(sys.node_count().saturating_sub(1));
     for (u, v) in front.observed.edges() {
         let (a, b) = (n(u), n(v));
         if front.nodes.contains(&a) && front.nodes.contains(&b) && front.gen_con(sys, a, b) {
@@ -171,7 +214,7 @@ fn ref_entry_pairs(
 
 /// Definition 16 steps 2–6 from `front` for the level-`level` schedules,
 /// from the all-pairs scans; the caller has already seen step 1 succeed.
-fn ref_step(sys: &CompositeSystem, front: &Front, level: usize) -> Front {
+fn ref_step(sys: &CompositeSystem, front: &RefFront, level: usize) -> RefFront {
     let scheds: Vec<&Schedule> = sys.schedules_at_level(level).collect();
     let mut replaced: BTreeMap<NodeId, NodeId> = BTreeMap::new();
     let mut new_txs = Vec::new();
@@ -212,13 +255,12 @@ fn ref_step(sys: &CompositeSystem, front: &Front, level: usize) -> Front {
         ref_entry_pairs(sys, t, &nodes, &mut observed);
     }
     let mut input = front.input.clone();
-    input.ensure_node(sys.node_count().saturating_sub(1));
     for s in &scheds {
         for (a, b) in s.input.weak_pairs() {
             input.add_edge(a.index(), b.index());
         }
     }
-    Front {
+    RefFront {
         level,
         nodes,
         observed: transitive_closure(&observed),
@@ -232,20 +274,20 @@ type Pairs = Vec<(NodeId, NodeId)>;
 /// member input pairs.
 type FrontFields = (usize, Vec<NodeId>, Pairs, Pairs, Pairs);
 
-/// [`FrontFields`] from the front's own pair methods.
+/// [`FrontFields`] from the front's own accessors and pair methods.
 fn fields(sys: &CompositeSystem, front: &Front) -> FrontFields {
     (
-        front.level,
-        front.nodes.iter().copied().collect(),
+        front.level(),
+        front.members().collect(),
         front.observed_pairs(),
         front.conflict_pairs(sys),
         front.input_pairs(),
     )
 }
 
-/// [`FrontFields`] recomputed from the front's graphs and the all-pairs
+/// [`FrontFields`] recomputed from the reference graphs and the all-pairs
 /// conflict reference.
-fn ref_fields(sys: &CompositeSystem, front: &Front) -> FrontFields {
+fn ref_fields(sys: &CompositeSystem, front: &RefFront) -> FrontFields {
     let member_pairs = |g: &DiGraph| -> Pairs {
         g.edges()
             .map(|(u, v)| (n(u), n(v)))
@@ -259,6 +301,84 @@ fn ref_fields(sys: &CompositeSystem, front: &Front) -> FrontFields {
         ref_conflict_pairs(front, sys),
         member_pairs(&front.input),
     )
+}
+
+/// Serialization pairs, level 0, and per level the constraint graph, the
+/// conflict pairs, the `has_observed` lookups and the next front of `sys`
+/// all equal their all-pairs references.
+fn check_against_references(sys: &CompositeSystem) -> Result<(), String> {
+    for s in sys.schedules() {
+        prop_assert_eq!(s.serialization_pairs(), ref_serialization_pairs(s));
+    }
+    let mut red = Reducer::new(sys);
+    prop_assert_eq!(
+        red.front().observed().edges().collect::<Vec<_>>(),
+        edges(&ref_level0_observed(sys))
+    );
+    for level in 1..=sys.order() {
+        let front = red.front().clone();
+        let reference = RefFront::of(&front);
+        prop_assert_eq!(fields(sys, &front), ref_fields(sys, &reference));
+        prop_assert_eq!(
+            front.constraint_graph(sys).edges().collect::<Vec<_>>(),
+            edges(&ref_constraint_graph(&reference, sys)),
+            "constraint graph at level {}",
+            level
+        );
+        for &a in &reference.nodes {
+            for &b in &reference.nodes {
+                prop_assert_eq!(
+                    front.has_observed(a, b),
+                    reference.observed.has_edge(a.index(), b.index())
+                );
+            }
+        }
+        if red.step(level).is_err() {
+            break;
+        }
+        let expected = ref_fields(sys, &ref_step(sys, &reference, level));
+        prop_assert_eq!(
+            fields(sys, red.front()),
+            expected,
+            "front {} differs",
+            level
+        );
+    }
+    Ok(())
+}
+
+/// A random system of exactly `nodes` nodes: the largest the generator
+/// yields for `seed` with at most `nodes - 3` nodes, grown by a flat
+/// filler schedule. The filler's two roots split a chain of conflicting
+/// leaves (all of the first root's before the second's, so it stays
+/// serializable), and its leaves take the highest node ids, so its rows
+/// and the member set reach into the last word.
+fn system_of_size(pick: u8, nodes: usize, density: u8, seed: u64) -> CompositeSystem {
+    let base = (2..nodes)
+        .map(|roots| system(pick, roots, density, seed))
+        .take_while(|sys| sys.node_count() + 3 <= nodes)
+        .last()
+        .expect("two roots make fewer nodes than the filler leaves room for");
+    let leaves = nodes - base.node_count() - 2;
+    let mut b = base.into_builder();
+    let s = b.schedule("filler");
+    let roots = [b.root("F0", s), b.root("F1", s)];
+    let mut chain: Vec<NodeId> = Vec::new();
+    for i in 0..leaves {
+        let leaf = b.leaf(format!("f{i}"), roots[usize::from(2 * i >= leaves)]);
+        if let Some(&last) = chain.last() {
+            b.output_weak(last, leaf).unwrap();
+        }
+        chain.push(leaf);
+    }
+    for &first in chain.iter().take(leaves.div_ceil(2)) {
+        for &second in chain.iter().skip(leaves.div_ceil(2)) {
+            b.conflict(first, second).unwrap();
+        }
+    }
+    let sys = b.build().unwrap();
+    assert_eq!(sys.node_count(), nodes);
+    sys
 }
 
 /// Definition 3 axioms 1–3 over every pair of operations.
@@ -537,26 +657,22 @@ proptest! {
         density in 0u8..=60,
         seed in 0u64..100_000,
     ) {
-        let sys = system(pick, roots, density, seed);
-        for s in sys.schedules() {
-            prop_assert_eq!(s.serialization_pairs(), ref_serialization_pairs(s));
-        }
-        let mut red = Reducer::new(&sys);
-        prop_assert_eq!(edges(&red.front().observed), edges(&ref_level0_observed(&sys)));
-        for level in 1..=sys.order() {
-            let front = red.front().clone();
-            prop_assert_eq!(fields(&sys, &front), ref_fields(&sys, &front));
-            prop_assert_eq!(
-                edges(&front.constraint_graph(&sys)),
-                edges(&ref_constraint_graph(&front, &sys)),
-                "constraint graph at level {}", level
-            );
-            if red.step(level).is_err() {
-                break;
-            }
-            let expected = ref_fields(&sys, &ref_step(&sys, &front, level));
-            prop_assert_eq!(fields(&sys, red.front()), expected, "front {} differs", level);
-        }
+        check_against_references(&system(pick, roots, density, seed))?;
+    }
+
+    /// The same references on systems whose node counts straddle the row
+    /// word boundaries (63/64/65 and 127/128/129 columns), where a masked
+    /// row operation that mishandles a word's first or last bit, or the
+    /// trailing bits of the last word, shows.
+    #[test]
+    fn row_word_boundaries_match_all_pairs_references(
+        pick in 0u8..8,
+        size in 0usize..6,
+        density in 10u8..=60,
+        seed in 0u64..100_000,
+    ) {
+        let nodes = [63, 64, 65, 127, 128, 129][size];
+        check_against_references(&system_of_size(pick, nodes, density, seed))?;
     }
 
     /// Planted violations: the pair-driven validation reports exactly the

@@ -197,9 +197,9 @@ proptest! {
                 })
                 .collect();
             let front = red.front();
-            let nodes: Vec<NodeId> = front.nodes.iter().copied().collect();
+            let nodes: Vec<NodeId> = front.members().collect();
             prop_assume!(nodes.len() <= 14); // keep the search tractable
-            let constraint = front.constraint_graph(&sys);
+            let constraint = front.constraint_graph(&sys).to_digraph();
             let expected = calculations_exist_bruteforce(&nodes, &constraint, &groups);
             match red.step(level) {
                 Ok(()) => prop_assert!(
