@@ -32,10 +32,10 @@ use std::collections::BTreeSet;
 /// input order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Front {
-    level: usize,
-    members: ChunkedRow,
-    observed: ChunkedBitGraph,
-    input: ChunkedBitGraph,
+    pub(crate) level: usize,
+    pub(crate) members: ChunkedRow,
+    pub(crate) observed: ChunkedBitGraph,
+    pub(crate) input: ChunkedBitGraph,
 }
 
 impl Front {
@@ -76,21 +76,11 @@ impl Front {
         for l in sys.leaves() {
             members.insert(l.index(), n);
         }
-        Front::new(0, members, observed, ChunkedBitGraph::with_nodes(n))
-    }
-
-    /// A front from its rows, all over the system's node count.
-    pub(crate) fn new(
-        level: usize,
-        members: ChunkedRow,
-        observed: ChunkedBitGraph,
-        input: ChunkedBitGraph,
-    ) -> Front {
         Front {
-            level,
+            level: 0,
             members,
             observed,
-            input,
+            input: ChunkedBitGraph::with_nodes(n),
         }
     }
 
@@ -109,19 +99,9 @@ impl Front {
         self.members.count()
     }
 
-    /// Whether `n` is a member.
-    pub fn contains(&self, n: NodeId) -> bool {
-        self.members.contains(n.index())
-    }
-
     /// Whether `a <ₒ b`.
     pub fn has_observed(&self, a: NodeId, b: NodeId) -> bool {
         self.observed.has_edge(a.index(), b.index())
-    }
-
-    /// The member set as one row over node ids.
-    pub(crate) fn member_row(&self) -> &ChunkedRow {
-        &self.members
     }
 
     /// The observed order `<ₒ`, transitively closed, possibly cyclic: one
@@ -133,12 +113,6 @@ impl Front {
     /// The applicable weak input orders `→`, one row per node id.
     pub fn input(&self) -> &ChunkedBitGraph {
         &self.input
-    }
-
-    /// Moves the input order out, leaving it empty (for the reduction step
-    /// that extends it into the next front's).
-    pub(crate) fn take_input(&mut self) -> ChunkedBitGraph {
-        std::mem::take(&mut self.input)
     }
 
     /// The generalized conflict relation (Definition 11) between two front
@@ -182,15 +156,11 @@ impl Front {
         let mut g = self.input.clone();
         let by_container = self.members_by_container(sys);
         for u in self.members.iter() {
-            let row = self.observed.row(u);
-            if row.is_empty() {
-                continue;
-            }
             let same = sys
                 .node(NodeId(u as u32))
                 .container
                 .map(|c| &by_container[c.index()]);
-            g.row_mut(u).or_masked(row, None, same, n);
+            g.row_mut(u).or_masked(self.observed.row(u), None, same, n);
         }
         for (s, a, b) in self.declared_conflicts(sys, &by_container) {
             if s.output.weak_lt(a, b) || self.has_observed(a, b) {
@@ -236,27 +206,15 @@ impl Front {
             })
     }
 
-    /// Calls `f(v)` for every `v` with `u <ₒ v` or `u → v`, ascending: the
-    /// successors of `u` in `<ₒ ∪ →`.
-    fn order_successors(&self, u: usize, out: &mut Vec<usize>) {
-        let (mut o, mut i) = (
-            self.observed.successors(u).peekable(),
-            self.input.successors(u).peekable(),
-        );
-        loop {
-            let next = match (o.peek(), i.peek()) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i.next();
-                    o.next()
-                }
-                (Some(&a), Some(&b)) if b < a => i.next(),
-                (Some(_), _) => o.next(),
-                (None, _) => i.next(),
-            };
-            match next {
-                Some(v) => out.push(v),
-                None => return,
-            }
+    /// Pushes the successors of `u` in `<ₒ ∪ →` onto `out`, ascending.
+    pub(crate) fn order_successors(&self, u: usize, out: &mut Vec<usize>) {
+        out.extend(self.observed.successors(u));
+        let input = self.input.row(u);
+        if !input.is_empty() {
+            out.extend(input.iter());
+            // Two ascending runs: the stable sort merges them in one pass.
+            out.sort();
+            out.dedup();
         }
     }
 
@@ -278,23 +236,6 @@ impl Front {
             self.order_successors(u, out)
         })
         .map(|c| c.nodes.into_iter().map(|i| NodeId(i as u32)).collect())
-    }
-
-    /// A total order of the members that extends `<ₒ ∪ →`: the topological
-    /// sort that prefers the smallest ready node id. `None` if the union
-    /// is cyclic.
-    pub(crate) fn serial_order(&self) -> Option<Vec<NodeId>> {
-        let order = compc_graph::topological_sort_by(self.observed.node_count(), |u, out| {
-            self.order_successors(u, out)
-        })
-        .ok()?;
-        Some(
-            order
-                .into_iter()
-                .filter(|&i| self.members.contains(i))
-                .map(|i| NodeId(i as u32))
-                .collect(),
-        )
     }
 
     /// Observed pairs restricted to front members, as `NodeId` tuples.
@@ -390,7 +331,7 @@ mod tests {
         let (sys, o1, o2) = flat();
         let f = Front::level0(&sys);
         assert_eq!(f.level(), 0);
-        assert!(f.contains(o1) && f.contains(o2));
+        assert!(f.members.contains(o1.index()) && f.members.contains(o2.index()));
         assert_eq!(f.member_count(), 2);
     }
 

@@ -3,7 +3,7 @@
 
 use crate::closure::{self, CheckScratch};
 use crate::front::Front;
-use compc_graph::{find_cycle_by, ChunkedBitGraph, ChunkedRow};
+use compc_graph::{find_cycle_by, topological_sort_by, ChunkedBitGraph, ChunkedRow};
 use compc_model::{CompositeSystem, NodeId};
 use compc_trace::{TraceEvent, TraceSink};
 use std::time::Instant;
@@ -606,11 +606,10 @@ impl<'a> Reducer<'a> {
         level: usize,
     ) -> Result<(), Counterexample> {
         let t0 = self.sink.is_some().then(Instant::now);
-        let traced = t0.is_some();
         let sys = self.sys;
         let n = sys.node_count();
         let front = &self.front;
-        let members = front.member_row();
+        let members = &front.members;
         let front_before = front.member_count();
         // The transactions to reduce. `comp` maps each of their operations
         // to the owning transaction and every other node to itself;
@@ -624,7 +623,7 @@ impl<'a> Reducer<'a> {
                 new_txs.push(t.id);
                 for &o in &t.ops {
                     debug_assert!(
-                        front.contains(o),
+                        members.contains(o.index()),
                         "operation {o} of {t:?} must be in the level-{} front",
                         level - 1
                     );
@@ -661,60 +660,16 @@ impl<'a> Reducer<'a> {
         // stale nodes as distinct vertices instead would manufacture
         // phantom group -> stale -> group cycles out of chains that live
         // entirely inside one transaction (and break Theorem 2 on stacks).
-        // So a member's row is its constraint row on members, plus the
-        // members reached through non-members only.
-        let mut calc = ChunkedBitGraph::with_nodes(n);
-        let mut seen = vec![usize::MAX; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for a in members.iter() {
-            let row = constraint.row(a);
-            calc.row_mut(a).or_masked(row, Some(members), None, n);
-            row.for_each_masked(None, Some(members), |s| {
-                seen[s] = a;
-                stack.push(s);
-            });
-            while let Some(s) = stack.pop() {
-                for t in constraint.successors(s) {
-                    if members.contains(t) {
-                        calc.add_edge(a, t);
-                    } else if seen[t] != a {
-                        seen[t] = a;
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-        // Contraction: each member row lands on its transaction's row
-        // (itself when kept), replaced targets mapped the same way, and
-        // self-edges dropped.
-        let mut contracted = ChunkedBitGraph::with_nodes(n);
-        for u in members.iter() {
-            let row = calc.row(u);
-            let c = comp[u];
-            let dst = contracted.row_mut(c);
-            dst.or_masked(row, None, Some(&replaced), n);
-            row.for_each_masked(Some(&replaced), None, |v| {
-                dst.insert(comp[v], n);
-            });
-            dst.remove(c);
-        }
-        let constraint_edges = if traced { constraint.edge_count() } else { 0 };
+        let calc = constraint.shortcut_outside(members);
+        let contracted = calc.contract(&comp, &replaced);
+        let constraint_edges = constraint.edge_count();
         let calc_cycle =
             find_cycle_by(n, |v, out| out.extend(contracted.successors(v))).or_else(|| {
-                let mut internal = ChunkedBitGraph::with_nodes(n);
-                let mut nonempty = false;
-                for u in replaced.iter() {
-                    let dst = internal.row_mut(u);
-                    calc.row(u).for_each_masked(Some(&replaced), None, |v| {
-                        if u != v && comp[u] == comp[v] {
-                            dst.insert(v, n);
-                            nonempty = true;
-                        }
-                    });
-                }
-                nonempty
-                    .then(|| find_cycle_by(n, |v, out| out.extend(internal.successors(v))))
-                    .flatten()
+                // The edges inside one transaction (only replaced operations
+                // share a transaction).
+                find_cycle_by(n, |u, out| {
+                    out.extend(calc.successors(u).filter(|&v| v != u && comp[v] == comp[u]))
+                })
             });
         if let Some(cycle) = calc_cycle {
             let cycle: Vec<NodeId> = cycle.nodes.into_iter().map(|i| NodeId(i as u32)).collect();
@@ -756,37 +711,23 @@ impl<'a> Reducer<'a> {
         let mut observed = ChunkedBitGraph::with_nodes(n);
         let mut pairs_forgotten = 0usize;
         for a in members.iter() {
-            let row = front.observed().row(a);
-            if row.is_empty() {
-                continue;
-            }
+            let row = front.observed.row(a);
             let big_a = comp[a];
+            let same = match sys.node(NodeId(a as u32)).container {
+                Some(c) if self.options.forgetting && big_a != a => Some(&ops_of[c.index()]),
+                _ => None,
+            };
+            if let Some(same) = same {
+                let absorbed = sys.children(NodeId(big_a as u32));
+                pairs_forgotten += row.count_and(same)
+                    - absorbed.iter().filter(|o| row.contains(o.index())).count();
+            }
             let dst = observed.row_mut(big_a);
             dst.or_masked(row, None, Some(&replaced), n);
-            if big_a == a {
-                dst.remove(a); // absorbed: a pair of a with itself
-                row.for_each_masked(Some(&replaced), None, |b| {
-                    dst.insert(comp[b], n);
-                });
-            } else if self.options.forgetting {
-                let container = sys.node(NodeId(a as u32)).container;
-                let same = &ops_of[container.expect("an operation has a container").index()];
-                let absorbed = sys
-                    .children(NodeId(big_a as u32))
-                    .iter()
-                    .filter(|o| row.contains(o.index()))
-                    .count();
-                pairs_forgotten += row.count_and(same) - absorbed;
-                row.for_each_masked(Some(&replaced), Some(same), |b| {
-                    dst.insert(comp[b], n);
-                });
-            } else {
-                row.for_each_masked(Some(&replaced), None, |b| {
-                    if comp[b] != big_a {
-                        dst.insert(comp[b], n);
-                    }
-                });
-            }
+            row.for_each_masked(Some(&replaced), same, |b| {
+                dst.insert(comp[b], n);
+            });
+            dst.remove(big_a);
         }
         // Rule 2 for the schedules being reduced: conflicting operation
         // pairs executed `o ≺_S o'` serialize their parents. This also
@@ -806,22 +747,23 @@ impl<'a> Reducer<'a> {
             entry_pairs(sys, t, &new_members, &mut observed);
         }
         // Rule 4: transitive closure.
-        let pre_closure_edges = if traced { observed.edge_count() } else { 0 };
+        let pre_closure_edges = observed.edge_count();
         closure::transitive_closure(&mut observed, self.options.backend, &mut self.scratch);
-        let closure_edges = if traced {
-            observed.edge_count().saturating_sub(pre_closure_edges)
-        } else {
-            0
-        };
+        let closure_edges = observed.edge_count().saturating_sub(pre_closure_edges);
 
         // --- Step 6: add the level's input orders and check CC.
-        let mut input = self.front.take_input();
+        let mut input = std::mem::take(&mut self.front.input);
         for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
             for (a, b) in s.input.weak_pairs() {
                 input.add_edge(a.index(), b.index());
             }
         }
-        self.front = Front::new(level, new_members, observed, input);
+        self.front = Front {
+            level,
+            members: new_members,
+            observed,
+            input,
+        };
         let counts = LevelCounts {
             level,
             schedules_reduced: scheds.len(),
@@ -874,9 +816,16 @@ impl<'a> Reducer<'a> {
     /// proof ("by topological sorting, we convert (<ₒ, →) into a total
     /// order").
     fn serial_witness(&self) -> Vec<NodeId> {
-        self.front
-            .serial_order()
-            .expect("a conflict-consistent front's order union is acyclic")
+        let front = &self.front;
+        let order = topological_sort_by(self.sys.node_count(), |u, out| {
+            front.order_successors(u, out)
+        })
+        .expect("a conflict-consistent front's order union is acyclic");
+        order
+            .into_iter()
+            .filter(|&i| front.members.contains(i))
+            .map(|i| NodeId(i as u32))
+            .collect()
     }
 
     /// Resolves a failure cycle's names against the system.

@@ -363,20 +363,6 @@ where
     comps
 }
 
-/// Condensation of `g`: contracts each node to its SCC representative per
-/// `node_to_comp`, dropping self-edges. Returns the contracted graph over
-/// component indices.
-pub fn condense(g: &DiGraph, node_to_comp: &[usize], comp_count: usize) -> DiGraph {
-    let mut out = DiGraph::with_nodes(comp_count);
-    for (u, v) in g.edges() {
-        let (cu, cv) = (node_to_comp[u], node_to_comp[v]);
-        if cu != cv {
-            out.add_edge(cu, cv);
-        }
-    }
-    out
-}
-
 /// For a DAG, the length of the longest path *starting* at each node
 /// (counted in edges). This is exactly the paper's Definition 9 level
 /// computation (level = longest path + 1) applied to the invocation graph.
@@ -490,22 +476,6 @@ mod tests {
         // 0 -> 1 -> 2; components must be emitted sink-first.
         let comps = strongly_connected_components(&chain(3));
         assert_eq!(comps, vec![vec![2], vec![1], vec![0]]);
-    }
-
-    #[test]
-    fn condense_contracts() {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        // components: {0,1} -> comp 0, {2} -> comp 1, {3} -> comp 2
-        let node_to_comp = vec![0, 0, 1, 2];
-        let c = condense(&g, &node_to_comp, 3);
-        assert!(c.has_edge(0, 1));
-        assert!(c.has_edge(1, 2));
-        assert!(!c.has_edge(0, 0));
-        assert_eq!(c.edge_count(), 2);
     }
 
     #[test]

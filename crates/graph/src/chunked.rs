@@ -121,7 +121,7 @@ impl ChunkedRow {
     }
 
     /// The set columns, ascending.
-    pub fn iter(&self) -> RowIter<'_> {
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         match self {
             ChunkedRow::Sparse(s) => RowIter::Sparse(s.iter()),
             ChunkedRow::Dense(w) => RowIter::Dense {
@@ -377,17 +377,13 @@ impl<'a> WordCursor<'a> {
 }
 
 /// Ascending iterator over a [`ChunkedRow`]'s set columns.
-pub enum RowIter<'a> {
-    /// Over sparse entries.
+enum RowIter<'a> {
     Sparse(std::slice::Iter<'a, u32>),
-    /// Over dense words: `word` holds the unvisited bits of the word that
-    /// ends just before column `base`.
+    /// `word` holds the unvisited bits of the word that ends just before
+    /// column `base`; `words` are the words not yet loaded.
     Dense {
-        /// The words not yet loaded.
         words: &'a [u64],
-        /// Column just past the current word.
         base: usize,
-        /// Unvisited bits of the current word.
         word: u64,
     },
 }
@@ -508,13 +504,8 @@ impl ChunkedBitGraph {
         u < self.n && v < self.n && self.rows[u].contains(v)
     }
 
-    /// Removes edge `u -> v`. Returns whether it existed.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
-        u < self.n && v < self.n && self.rows[u].remove(v)
-    }
-
     /// Successors of `u` in ascending order.
-    pub fn successors(&self, u: usize) -> RowIter<'_> {
+    pub fn successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
         self.rows[u].iter()
     }
 
@@ -535,6 +526,59 @@ impl ChunkedBitGraph {
     /// column count.
     pub fn row_mut(&mut self, u: usize) -> &mut ChunkedRow {
         &mut self.rows[u]
+    }
+
+    /// The graph on `keep`'s nodes in which `u -> v` iff this graph has a
+    /// path from `u` to `v` whose inner nodes all lie outside `keep`: paths
+    /// through other nodes are cut short at their first node in `keep`, and
+    /// rows of nodes outside `keep` are empty.
+    pub fn shortcut_outside(&self, keep: &ChunkedRow) -> ChunkedBitGraph {
+        let n = self.n;
+        let mut out = ChunkedBitGraph::with_nodes(n);
+        let mut seen = vec![usize::MAX; n];
+        let mut stack: Vec<usize> = Vec::new();
+        for a in keep.iter() {
+            let (row, dst) = (&self.rows[a], &mut out.rows[a]);
+            dst.or_masked(row, Some(keep), None, n);
+            row.for_each_masked(None, Some(keep), |s| {
+                seen[s] = a;
+                stack.push(s);
+            });
+            while let Some(s) = stack.pop() {
+                for t in self.rows[s].iter() {
+                    if keep.contains(t) {
+                        dst.insert(t, n);
+                    } else if seen[t] != a {
+                        seen[t] = a;
+                        stack.push(t);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The graph with every node `u` merged into `comp[u]`: an edge
+    /// `comp[u] -> comp[v]` for each edge `u -> v` with `comp[u] !=
+    /// comp[v]`. `moved` holds the nodes with `comp[u] != u`; the rest of a
+    /// row moves with word operations.
+    pub fn contract(&self, comp: &[usize], moved: &ChunkedRow) -> ChunkedBitGraph {
+        let n = self.n;
+        let mut out = ChunkedBitGraph::with_nodes(n);
+        for (u, row) in self.rows.iter().enumerate() {
+            if row.is_empty() {
+                continue;
+            }
+            let c = comp[u];
+            let dst = &mut out.rows[c];
+            dst.or_masked(row, None, Some(moved), n);
+            row.for_each_masked(Some(moved), None, |v| {
+                dst.insert(comp[v], n);
+            });
+            // Every edge into `c` from a node merged into `c` is internal.
+            dst.remove(c);
+        }
+        out
     }
 
     /// Closes the relation transitively in place, one reachability pass
@@ -894,6 +938,33 @@ mod tests {
         assert_eq!(closed.to_digraph(), transitive_closure(&g));
         assert!(closed.has_edge(7, 7), "self-loop is cyclic");
         assert!(!closed.has_edge(11, 11), "isolated node reaches nothing");
+    }
+
+    #[test]
+    fn shortcut_outside_passes_through_dropped_nodes() {
+        // 0 -> 5 -> 6 -> 1, 0 -> 2, 6 -> 0, 3 -> 5; keep {0, 1, 2, 3}.
+        let g = graph(7, &[(0, 5), (5, 6), (6, 1), (0, 2), (6, 0), (3, 5)]);
+        let mut keep = ChunkedRow::new();
+        for v in [0, 1, 2, 3] {
+            keep.insert(v, 7);
+        }
+        let cut = ChunkedBitGraph::from_digraph(&g).shortcut_outside(&keep);
+        let edges: Vec<_> = cut.edges().collect();
+        assert_eq!(edges, vec![(0, 0), (0, 1), (0, 2), (3, 0), (3, 1)]);
+    }
+
+    #[test]
+    fn contract_merges_rows_and_drops_internal_edges() {
+        // {0, 1} -> 4 and {2} -> 5; 3 stays.
+        let g = graph(6, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 3)]);
+        let comp = [4, 4, 5, 3, 4, 5];
+        let mut moved = ChunkedRow::new();
+        for v in [0, 1, 2] {
+            moved.insert(v, 6);
+        }
+        let c = ChunkedBitGraph::from_digraph(&g).contract(&comp, &moved);
+        let edges: Vec<_> = c.edges().collect();
+        assert_eq!(edges, vec![(3, 4), (4, 3), (4, 5), (5, 3)]);
     }
 
     #[test]

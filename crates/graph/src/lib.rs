@@ -21,13 +21,13 @@ mod dot;
 mod order;
 
 pub use algo::{
-    condense, find_cycle, find_cycle_by, longest_path_lengths, reachable_from, reachable_from_with,
+    find_cycle, find_cycle_by, longest_path_lengths, reachable_from, reachable_from_with,
     strongly_connected_components, strongly_connected_components_with, topological_sort,
     topological_sort_by, transitive_closure, transitive_closure_with, CycleInfo, ReachScratch,
     SccScratch, TopoError,
 };
 pub use bitgraph::BitGraph;
-pub use chunked::{ChunkedBitGraph, ChunkedRow, CondensedClosure, RowIter};
+pub use chunked::{ChunkedBitGraph, ChunkedRow, CondensedClosure};
 pub use digraph::DiGraph;
 pub use dot::{dot_escape, dot_string};
 pub use order::{OrderError, PartialOrderRel};

@@ -6,14 +6,17 @@
 //! crossover boundary sizes 63/64/65 where the row layout changes word
 //! count, and end-to-end verdict equivalence of the checker across
 //! forced-sparse, forced-dense, forced-compressed and auto backends on
-//! random systems and the paper's Figure 1–4 examples. `PartialOrderRel`'s
+//! random systems and the paper's Figure 1–4 examples. The hybrid rows'
+//! masked operations are checked against set algebra at the 63/64/65 and
+//! 127/128/129 word boundaries, in every mix of sparse and dense operands,
+//! and each in-place row closure against the sparse closure. `PartialOrderRel`'s
 //! incremental insert is checked against a brute-force reference closure,
 //! including the exact `OrderError` on every failing step.
 
 use compc::core::{Backend, CheckOptions, Checker, Verdict, COMPRESSED_CROSSOVER_DEFAULT};
 use compc::graph::{
-    reachable_from, transitive_closure, BitGraph, ChunkedBitGraph, DiGraph, OrderError,
-    PartialOrderRel,
+    reachable_from, transitive_closure, BitGraph, ChunkedBitGraph, ChunkedRow, DiGraph, OrderError,
+    PartialOrderRel, SccScratch,
 };
 use compc::model::CompositeSystem;
 use compc::workload::figures::{figure1, figure2, figure3_incorrect, figure4_correct};
@@ -22,6 +25,7 @@ use compc_fuzz::corpus::stepped_fronts;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// A random graph over `n` nodes: forward-only edges when `dag` (acyclic by
 /// construction), any direction otherwise (almost surely cyclic when dense).
@@ -101,6 +105,48 @@ impl ReferenceOrder {
     }
 }
 
+/// A random column set over `n` columns that favours the columns next to a
+/// word boundary, as a sparse-first row (it promotes itself past its cap)
+/// or as dense words whatever its size.
+fn boundary_row(n: usize, dense: bool, rng: &mut StdRng) -> (ChunkedRow, BTreeSet<usize>) {
+    let edges = [0, 1, 62, 63, 64, 65, 126, 127, 128, n - 2, n - 1];
+    let mut set = BTreeSet::new();
+    for _ in 0..rng.gen_range(0..=2 * n / 3) {
+        let v = if rng.gen_bool(0.5) {
+            edges[rng.gen_range(0..edges.len())]
+        } else {
+            rng.gen_range(0..n)
+        };
+        if v < n {
+            set.insert(v);
+        }
+    }
+    let row = if dense {
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for &v in &set {
+            words[v / 64] |= 1 << (v % 64);
+        }
+        ChunkedRow::Dense(words)
+    } else {
+        let mut row = ChunkedRow::new();
+        for &v in &set {
+            row.insert(v, n);
+        }
+        row
+    };
+    (row, set)
+}
+
+/// The row's columns, checked against the dense-words invariant that no
+/// bit past the column count is set.
+fn columns_of(row: &ChunkedRow, n: usize) -> Vec<usize> {
+    if let ChunkedRow::Dense(words) = row {
+        assert_eq!(words.len(), n.div_ceil(64), "dense row width");
+        assert!((n..words.len() * 64).all(|v| words[v / 64] >> (v % 64) & 1 == 0));
+    }
+    row.iter().collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
 
@@ -123,6 +169,66 @@ proptest! {
         reused.load_from(&g);
         reused.close_transitively();
         prop_assert_eq!(&reused.to_digraph(), &sparse);
+    }
+
+    /// The hybrid rows' operations equal set algebra on columns around the
+    /// word boundaries, for every mix of sparse and dense operands and with
+    /// each mask present or absent.
+    #[test]
+    fn masked_row_operations_match_set_algebra(
+        seed in 0u64..100_000,
+        size in 0usize..6,
+        dense in 0u8..32,
+    ) {
+        let n = [63, 64, 65, 127, 128, 129][size];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pick = |bit: u8| boundary_row(n, dense >> bit & 1 == 1, &mut rng);
+        let (src, src_set) = pick(0);
+        let (keep, keep_set) = pick(1);
+        let (drop, drop_set) = pick(2);
+        let (dst, dst_set) = pick(3);
+        let (other, other_set) = pick(4);
+        prop_assert_eq!(columns_of(&src, n), src_set.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(src.count(), src_set.len());
+        prop_assert_eq!(src.is_empty(), src_set.is_empty());
+        for v in 0..n {
+            prop_assert_eq!(src.contains(v), src_set.contains(&v), "column {}", v);
+        }
+        prop_assert_eq!(src.count_and(&keep), src_set.intersection(&keep_set).count());
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for &v in &dst_set {
+            words[v / 64] |= 1 << (v % 64);
+        }
+        prop_assert_eq!(&ChunkedRow::from_words(&words, n), &dst);
+        prop_assert_eq!(&ChunkedRow::Dense(words), &dst);
+        for (k, d) in [(None, None), (Some(&keep), None), (None, Some(&drop)), (Some(&keep), Some(&drop))] {
+            let expected: Vec<usize> = src_set
+                .iter()
+                .copied()
+                .filter(|v| k.is_none() || keep_set.contains(v))
+                .filter(|v| d.is_none() || !drop_set.contains(v))
+                .collect();
+            let mut seen = Vec::new();
+            src.for_each_masked(k, d, |v| seen.push(v));
+            prop_assert_eq!(&seen, &expected, "for_each_masked keep={} drop={}", k.is_some(), d.is_some());
+            let mut merged = dst.clone();
+            merged.or_masked(&src, k, d, n);
+            let union: BTreeSet<usize> = dst_set.iter().chain(&expected).copied().collect();
+            prop_assert_eq!(columns_of(&merged, n), union.into_iter().collect::<Vec<_>>(), "or_masked");
+        }
+        let mut merged = dst.clone();
+        merged.or_from(&other, n);
+        prop_assert_eq!(columns_of(&merged, n), dst_set.union(&other_set).copied().collect::<Vec<_>>());
+        let mut edited = src.clone();
+        let mut edited_set = src_set.clone();
+        for v in [0, 63, 64, 127, 128, n - 1].into_iter().filter(|&v| v < n) {
+            prop_assert_eq!(edited.remove(v), edited_set.remove(&v));
+            if rng.gen_bool(0.5) {
+                prop_assert_eq!(edited.insert(v, n), edited_set.insert(v));
+            }
+        }
+        prop_assert_eq!(columns_of(&edited, n), edited_set.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(dst == other, dst_set == other_set);
     }
 
     /// Per-source bitset BFS reaches exactly the nodes the sparse DFS does.
@@ -256,6 +362,17 @@ proptest! {
         prop_assert_eq!(&condensed.to_digraph(), &sparse, "n={} dag={}", n, dag);
         prop_assert_eq!(&dense.to_digraph(), &sparse);
         prop_assert_eq!(condensed.edge_count(), sparse.edge_count());
+        // The in-place row closures of all three backends.
+        let expected: Vec<(usize, usize)> = sparse.edges().collect();
+        let rows = ChunkedBitGraph::from_digraph(&g);
+        let (mut by_dfs, mut by_dense, mut by_condensed) = (rows.clone(), rows.clone(), rows);
+        by_dfs.close_by_dfs();
+        by_dense.close_dense(&mut BitGraph::new());
+        by_condensed.close_condensed(&mut SccScratch::new());
+        for closed in [&by_dfs, &by_dense, &by_condensed] {
+            prop_assert_eq!(&closed.edges().collect::<Vec<_>>(), &expected);
+            prop_assert_eq!(closed.edge_count(), expected.len());
+        }
         // And the chunked graph's own BFS reachability matches the closure.
         let chunked = ChunkedBitGraph::from_digraph(&g);
         let mut row = vec![0u64; chunked.words_per_row()];
