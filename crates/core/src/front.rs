@@ -160,7 +160,9 @@ impl Front {
                 .node(NodeId(u as u32))
                 .container
                 .map(|c| &by_container[c.index()]);
-            g.row_mut(u).or_masked(self.observed.row(u), None, same, n);
+            let row = g.row_mut(u);
+            row.or_masked(self.observed.row(u), None, same, n);
+            row.remove(u); // no pair of a member with itself conflicts
         }
         for (s, a, b) in self.declared_conflicts(sys, &by_container) {
             if s.output.weak_lt(a, b) || self.has_observed(a, b) {

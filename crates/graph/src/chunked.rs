@@ -13,6 +13,11 @@
 //! `O(n + E)` instead of `Θ(n²)` — the representation-level counterpart of
 //! the condensation sweep `BitGraph::close_transitively` runs.
 //!
+//! [`ChunkedRow`] is also the reduction's row type: a front's member set
+//! and its order rows are `ChunkedRow`s, combined by masked ORs and
+//! masked iteration that cost `O(min(entries, n/64))` per row, and the
+//! closures write their result back into the rows in place.
+//!
 //! The row-extraction contract mirrors `BitGraph` exactly —
 //! [`ChunkedBitGraph::reachable_into`] and [`CondensedClosure::row_into`]
 //! fill the same word buffers as `BitGraph::reachable_into` — so the
@@ -122,14 +127,14 @@ impl ChunkedRow {
 
     /// The set columns, ascending.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        match self {
-            ChunkedRow::Sparse(s) => RowIter::Sparse(s.iter()),
-            ChunkedRow::Dense(w) => RowIter::Dense {
-                words: w,
-                base: 0,
-                word: 0,
-            },
-        }
+        let (sparse, dense) = match self {
+            ChunkedRow::Sparse(s) => (Some(s.iter().map(|&v| v as usize)), None),
+            ChunkedRow::Dense(w) => (None, Some(row_bits(w))),
+        };
+        sparse
+            .into_iter()
+            .flatten()
+            .chain(dense.into_iter().flatten())
     }
 
     fn promote(&mut self, columns: usize) {
@@ -262,26 +267,19 @@ impl ChunkedRow {
         drop: Option<&ChunkedRow>,
         columns: usize,
     ) {
-        match src {
-            ChunkedRow::Sparse(s) => {
-                for &v in s {
-                    let v = v as usize;
-                    if keep.is_none_or(|k| k.contains(v)) && !drop.is_some_and(|d| d.contains(v)) {
-                        self.insert(v, columns);
-                    }
-                }
-            }
-            ChunkedRow::Dense(w) => {
-                self.promote(columns);
-                let ChunkedRow::Dense(d) = self else {
-                    unreachable!("promoted above")
-                };
-                let (mut keep, mut drop) = (WordCursor::new(keep, !0), WordCursor::new(drop, 0));
-                for (k, (dw, &sw)) in d.iter_mut().zip(w).enumerate() {
-                    if sw != 0 {
-                        *dw |= sw & keep.word(k) & !drop.word(k);
-                    }
-                }
+        let ChunkedRow::Dense(w) = src else {
+            return src.for_each_masked(keep, drop, |v| {
+                self.insert(v, columns);
+            });
+        };
+        self.promote(columns);
+        let ChunkedRow::Dense(d) = self else {
+            unreachable!("promoted above")
+        };
+        let (mut keep, mut drop) = (WordCursor::new(keep, !0), WordCursor::new(drop, 0));
+        for (k, (dw, &sw)) in d.iter_mut().zip(w).enumerate() {
+            if sw != 0 {
+                *dw |= sw & keep.word(k) & !drop.word(k);
             }
         }
     }
@@ -371,40 +369,6 @@ impl<'a> WordCursor<'a> {
                     self.next += 1;
                 }
                 word
-            }
-        }
-    }
-}
-
-/// Ascending iterator over a [`ChunkedRow`]'s set columns.
-enum RowIter<'a> {
-    Sparse(std::slice::Iter<'a, u32>),
-    /// `word` holds the unvisited bits of the word that ends just before
-    /// column `base`; `words` are the words not yet loaded.
-    Dense {
-        words: &'a [u64],
-        base: usize,
-        word: u64,
-    },
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            RowIter::Sparse(it) => it.next().map(|&v| v as usize),
-            RowIter::Dense { words, base, word } => {
-                while *word == 0 {
-                    let (&first, rest) = words.split_first()?;
-                    *word = first;
-                    *words = rest;
-                    *base += 64;
-                }
-                let bit = word.trailing_zeros() as usize;
-                *word &= *word - 1;
-                Some(*base - 64 + bit)
             }
         }
     }
