@@ -644,9 +644,9 @@ impl<'a> Reducer<'a> {
         let constraint = if self.options.forgetting {
             front.constraint_graph(sys)
         } else {
-            let mut g = front.input().clone();
+            let mut g = front.input.clone();
             for u in members.iter() {
-                g.row_mut(u).or_from(front.observed().row(u), n);
+                g.row_mut(u).or_from(front.observed.row(u), n);
             }
             g
         };
@@ -794,7 +794,7 @@ impl<'a> Reducer<'a> {
     /// callers stay branch-free.
     fn emit_level(&mut self, t0: Option<Instant>, counts: LevelCounts) {
         if let Some(sink) = self.sink.as_deref_mut() {
-            let observed_edges = self.front.observed().edge_count();
+            let observed_edges = self.front.observed.edge_count();
             sink.emit(&TraceEvent::Level {
                 level: counts.level,
                 schedules_reduced: counts.schedules_reduced,
