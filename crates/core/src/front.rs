@@ -1,10 +1,8 @@
 //! Computational fronts (Definition 12) and conflict consistency
 //! (Definition 13).
 
-use crate::closure::{self, CheckScratch};
-use crate::reduce::Backend;
 use compc_graph::{dot_escape, find_cycle_by, ChunkedBitGraph, ChunkedRow};
-use compc_model::{CompositeSystem, NodeId, NodeRole, Schedule};
+use compc_model::{CompositeSystem, NodeId, Schedule};
 use std::collections::BTreeSet;
 
 /// A computational front `F = (O, →, <ₒ, CON)`: a maximal antichain of the
@@ -43,38 +41,27 @@ impl Front {
     /// observed order seeded by Definition 10 rule 1 — leaf pairs of a
     /// common schedule are observed in that schedule's weak output order,
     /// conflicting or not.
+    ///
+    /// A leaf's observed row is its row of its container's weak output
+    /// order masked by the leaves: one masked OR per leaf. Rule 4
+    /// (transitivity) adds nothing here: each schedule's output order is
+    /// closed, so is its restriction to the schedule's leaves, and no pair
+    /// relates two schedules.
     pub fn level0(sys: &CompositeSystem) -> Front {
-        Self::level0_with(sys, Backend::Auto, &mut CheckScratch::new())
-    }
-
-    /// [`Front::level0`] with a closure backend and reusable buffers for
-    /// the closing normalization's closure. Identical output for every
-    /// backend.
-    pub(crate) fn level0_with(
-        sys: &CompositeSystem,
-        backend: Backend,
-        scratch: &mut CheckScratch,
-    ) -> Front {
-        // Every same-schedule leaf pair in the schedule's weak output
-        // order, read off the output orders' pairs.
         let n = sys.node_count();
-        let mut observed = ChunkedBitGraph::with_nodes(n);
-        let leaf = |n: NodeId| sys.node(n).role() == NodeRole::Leaf;
-        for s in sys.schedules() {
-            for (a, b) in s.output.weak_pairs() {
-                if leaf(a) && leaf(b) {
-                    observed.add_edge(a.index(), b.index());
-                }
-            }
-        }
-        // Rule 4 (transitivity) is a no-op here — all pairs are
-        // intra-schedule and each schedule's output order is already closed —
-        // but we normalize anyway so the invariant "observed is closed" holds
-        // unconditionally.
-        closure::transitive_closure(&mut observed, backend, scratch);
         let mut members = ChunkedRow::new();
         for l in sys.leaves() {
             members.insert(l.index(), n);
+        }
+        let mut observed = ChunkedBitGraph::with_nodes(n);
+        for l in members.iter() {
+            let Some(c) = sys.node(NodeId(l as u32)).container else {
+                continue;
+            };
+            let row = sys.schedule(c).output.weak().above_row(l);
+            if !row.is_empty() {
+                observed.row_mut(l).or_masked(row, Some(&members), None, n);
+            }
         }
         Front {
             level: 0,

@@ -426,6 +426,8 @@ struct LevelCounts {
 pub struct Reducer<'a> {
     sys: &'a CompositeSystem,
     front: Front,
+    /// The system's leaves (the level-0 members).
+    leaves: ChunkedRow,
     options: CheckOptions,
     scratch: CheckScratch,
     /// Structured-event sink. `None` costs one branch per level — the
@@ -450,10 +452,11 @@ impl<'a> Reducer<'a> {
     pub(crate) fn with_scratch(
         sys: &'a CompositeSystem,
         options: CheckOptions,
-        mut scratch: CheckScratch,
+        scratch: CheckScratch,
     ) -> Self {
-        let front = Front::level0_with(sys, options.backend, &mut scratch);
+        let front = Front::level0(sys);
         Reducer {
+            leaves: front.members.clone(),
             sys,
             front,
             options,
@@ -553,15 +556,10 @@ impl<'a> Reducer<'a> {
     }
 
     fn run_levels(&mut self) -> Result<Verdict, Interrupted> {
-        // Front 0 is CC by construction (per-schedule partial orders), but we
-        // check anyway so the invariant is uniform across levels.
-        if let Some(cycle) = self.front.is_cc() {
-            return Ok(Verdict::Incorrect(self.counterexample(
-                0,
-                FailurePhase::ConflictConsistency,
-                cycle,
-            )));
-        }
+        // Front 0 is CC by construction: its observed order is a union of
+        // strict partial orders over disjoint leaf sets (one per schedule),
+        // and it has no input orders.
+        debug_assert!(self.front.is_cc().is_none(), "front 0 is acyclic");
         for level in 1..=self.sys.order() {
             // The cooperative cancellation point: one branch per level when
             // no deadline/token is set.
@@ -732,19 +730,39 @@ impl<'a> Reducer<'a> {
         // Rule 2 for the schedules being reduced: conflicting operation
         // pairs executed `o ≺_S o'` serialize their parents. This also
         // covers conflicting internal pairs whose subtrees never interacted.
+        // (`Schedule::serialization_pairs`, read through this step's own
+        // operation rows and transaction map.)
         let mut serialization_pairs = 0usize;
         for &sid in scheds {
-            let pairs = sys.schedule(sid).serialization_pairs();
+            let s = sys.schedule(sid);
+            let (ops, weak) = (&ops_of[sid.index()], s.output.weak());
+            let mut pairs = Vec::new();
+            for (o, o2) in s.conflicts.iter() {
+                let (o, o2) = (o.index(), o2.index());
+                if comp[o] == comp[o2] || !ops.contains(o) || !ops.contains(o2) {
+                    continue;
+                }
+                if weak.lt(o, o2) {
+                    pairs.push((comp[o], comp[o2]));
+                }
+                if weak.lt(o2, o) {
+                    pairs.push((comp[o2], comp[o]));
+                }
+            }
+            pairs.sort_unstable();
+            pairs.dedup();
             serialization_pairs += pairs.len();
             for (t, t2) in pairs {
-                observed.add_edge(t.index(), t2.index());
+                observed.add_edge(t, t2);
             }
         }
         // Entry-time observed pairs between new transactions and other
         // members of their *container* schedules (rule 1 when the other
         // member is a leaf; the conflicting-output rule otherwise).
+        let mut leaf_members = ChunkedRow::new();
+        leaf_members.or_masked(&new_members, Some(&self.leaves), None, n);
         for &t in &new_txs {
-            entry_pairs(sys, t, &new_members, &mut observed);
+            entry_pairs(sys, t, &leaf_members, &mut observed);
         }
         // Rule 4: transitive closure.
         let pre_closure_edges = observed.edge_count();
@@ -754,8 +772,8 @@ impl<'a> Reducer<'a> {
         // --- Step 6: add the level's input orders and check CC.
         let mut input = std::mem::take(&mut self.front.input);
         for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
-            for (a, b) in s.input.weak_pairs() {
-                input.add_edge(a.index(), b.index());
+            for (a, row) in s.input.weak().rows() {
+                input.row_mut(a).or_from(row, n);
             }
         }
         self.front = Front {
@@ -856,24 +874,26 @@ impl<'a> Reducer<'a> {
 /// conflicting instances constrain calculations via
 /// [`Front::constraint_graph`] instead, and their parent-level effect is
 /// rule 2's serialization pairs. Reads only `t`'s row and transpose row in
-/// the container's output order.
+/// the container's output order, masked by the leaf members: `t`'s own
+/// row is one masked OR.
 fn entry_pairs(
     sys: &CompositeSystem,
     t: NodeId,
-    members: &ChunkedRow,
+    leaf_members: &ChunkedRow,
     observed: &mut ChunkedBitGraph,
 ) {
     let Some(container) = sys.node(t).container else {
         return; // roots are operations of nothing
     };
     let weak = sys.schedule(container).output.weak();
-    let leaf_member = |o: usize| members.contains(o) && sys.node(NodeId(o as u32)).home.is_none();
-    for other in weak.above(t.index()).filter(|&o| leaf_member(o)) {
-        observed.add_edge(t.index(), other);
-    }
-    for other in weak.below(t.index()).filter(|&o| leaf_member(o)) {
-        observed.add_edge(other, t.index());
-    }
+    let (t, n) = (t.index(), observed.node_count());
+    observed
+        .row_mut(t)
+        .or_masked(weak.above_row(t), Some(leaf_members), None, n);
+    weak.below_row(t)
+        .for_each_masked(Some(leaf_members), None, |other| {
+            observed.add_edge(other, t);
+        });
 }
 
 #[cfg(test)]

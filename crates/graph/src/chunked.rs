@@ -46,6 +46,10 @@ const fn promote_cap(columns: usize) -> usize {
 /// the caller, and costs `O(min(entries, columns/64))` per operand row, so
 /// a cold row of a large relation never scans its full word width.
 ///
+/// A dense row may be narrower than the caller's column count (a row
+/// promoted while its relation spanned fewer columns): its missing words
+/// read as zero, and an insert or OR past its end widens it.
+///
 /// Equality is by content: a sparse and a dense row holding the same
 /// columns are equal.
 #[derive(Clone, Debug)]
@@ -66,7 +70,12 @@ impl PartialEq for ChunkedRow {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (ChunkedRow::Sparse(a), ChunkedRow::Sparse(b)) => a == b,
-            (ChunkedRow::Dense(a), ChunkedRow::Dense(b)) => a == b,
+            // Dense rows of one relation may differ in width (an order's
+            // rows widen as it grows): the longer row's extra words are zero.
+            (ChunkedRow::Dense(a), ChunkedRow::Dense(b)) => {
+                let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+                long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+            }
             _ => self.count() == other.count() && self.iter().eq(other.iter()),
         }
     }
@@ -139,7 +148,8 @@ impl ChunkedRow {
 
     fn promote(&mut self, columns: usize) {
         if let ChunkedRow::Sparse(s) = self {
-            let mut words = vec![0u64; words_for(columns)];
+            let width = s.last().map_or(0, |&v| v as usize + 1).max(columns);
+            let mut words = vec![0u64; words_for(width)];
             for &v in s.iter() {
                 words[v as usize / 64] |= 1u64 << (v % 64);
             }
@@ -166,6 +176,9 @@ impl ChunkedRow {
                 true
             }
             ChunkedRow::Dense(w) => {
+                if v / 64 >= w.len() {
+                    w.resize(v / 64 + 1, 0);
+                }
                 let slot = &mut w[v / 64];
                 let bit = 1u64 << (v % 64);
                 let fresh = *slot & bit == 0;
@@ -186,7 +199,9 @@ impl ChunkedRow {
                 Err(_) => false,
             },
             ChunkedRow::Dense(w) => {
-                let slot = &mut w[v / 64];
+                let Some(slot) = w.get_mut(v / 64) else {
+                    return false;
+                };
                 let bit = 1u64 << (v % 64);
                 let was = *slot & bit != 0;
                 *slot &= !bit;
@@ -202,13 +217,16 @@ impl ChunkedRow {
         match (&mut *self, other) {
             (_, ChunkedRow::Sparse(o)) if o.is_empty() => {}
             (ChunkedRow::Dense(d), ChunkedRow::Dense(o)) => {
+                if d.len() < o.len() {
+                    d.resize(o.len(), 0);
+                }
                 for (dw, ow) in d.iter_mut().zip(o) {
                     *dw |= *ow;
                 }
             }
-            (ChunkedRow::Dense(d), ChunkedRow::Sparse(o)) => {
+            (ChunkedRow::Dense(_), ChunkedRow::Sparse(o)) => {
                 for &v in o {
-                    d[v as usize / 64] |= 1u64 << (v % 64);
+                    self.insert(v as usize, columns);
                 }
             }
             (ChunkedRow::Sparse(s), ChunkedRow::Dense(o)) if s.is_empty() => {
@@ -228,28 +246,7 @@ impl ChunkedRow {
                     self.or_from(other, columns);
                     return;
                 }
-                let mut merged = Vec::with_capacity(s.len() + o.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < s.len() && j < o.len() {
-                    match s[i].cmp(&o[j]) {
-                        std::cmp::Ordering::Less => {
-                            merged.push(s[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            merged.push(o[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            merged.push(s[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                merged.extend_from_slice(&s[i..]);
-                merged.extend_from_slice(&o[j..]);
-                *s = merged;
+                merge_in_place(s, o);
                 if s.len() > promote_cap(columns) {
                     self.promote(columns);
                 }
@@ -259,7 +256,8 @@ impl ChunkedRow {
 
     /// `self |= src ∩ keep ∖ drop`, where an absent `keep` keeps every
     /// column and an absent `drop` drops none. A dense `src` is combined
-    /// word by word; a sparse one entry by entry.
+    /// word by word; a sparse one entry by entry. A sparse `self` stays
+    /// sparse while the union fits under its cap.
     pub fn or_masked(
         &mut self,
         src: &ChunkedRow,
@@ -272,10 +270,27 @@ impl ChunkedRow {
                 self.insert(v, columns);
             });
         };
+        if let ChunkedRow::Sparse(s) = self {
+            let (mut k, mut d) = (WordCursor::new(keep, !0), WordCursor::new(drop, 0));
+            let mut total = s.len();
+            let fits = w.iter().enumerate().all(|(i, &sw)| {
+                total += (sw & k.word(i) & !d.word(i)).count_ones() as usize;
+                total <= promote_cap(columns)
+            });
+            if fits {
+                let mut add = Vec::new();
+                src.for_each_masked(keep, drop, |v| add.push(v as u32));
+                merge_in_place(s, &add);
+                return;
+            }
+        }
         self.promote(columns);
         let ChunkedRow::Dense(d) = self else {
             unreachable!("promoted above")
         };
+        if d.len() < w.len() {
+            d.resize(w.len(), 0);
+        }
         let (mut keep, mut drop) = (WordCursor::new(keep, !0), WordCursor::new(drop, 0));
         for (k, (dw, &sw)) in d.iter_mut().zip(w).enumerate() {
             if sw != 0 {
@@ -332,6 +347,33 @@ impl ChunkedRow {
     }
 }
 
+/// `s ∪= o` for two ascending lists, merged from the back into `s`'s own
+/// buffer: no allocation beyond `s` growing by `o.len()`.
+fn merge_in_place(s: &mut Vec<u32>, o: &[u32]) {
+    let (mut i, mut j) = (s.len(), o.len());
+    s.resize(i + j, 0);
+    let mut w = s.len();
+    while j > 0 {
+        w -= 1;
+        if i > 0 && s[i - 1] >= o[j - 1] {
+            if s[i - 1] == o[j - 1] {
+                j -= 1;
+            }
+            i -= 1;
+            s[w] = s[i];
+        } else {
+            j -= 1;
+            s[w] = o[j];
+        }
+    }
+    // Duplicates left a gap of `w - i` slots between the untouched prefix
+    // `s[..i]` and the merged tail `s[w..]`.
+    if w > i {
+        s.copy_within(w.., i);
+        s.truncate(s.len() - (w - i));
+    }
+}
+
 /// Reads a mask row one word at a time, in ascending word order: a dense
 /// mask by index, a sparse one by a cursor over its entries, so a pass over
 /// all words costs `O(words + entries)`. An absent mask reads `absent`.
@@ -355,7 +397,7 @@ impl<'a> WordCursor<'a> {
     fn word(&mut self, k: usize) -> u64 {
         match self.row {
             None => self.absent,
-            Some(ChunkedRow::Dense(w)) => w[k],
+            Some(ChunkedRow::Dense(w)) => w.get(k).copied().unwrap_or(0),
             Some(ChunkedRow::Sparse(s)) => {
                 let mut word = 0u64;
                 while let Some(&v) = s.get(self.next) {

@@ -268,11 +268,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a complete JSON document, rejecting trailing garbage.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a bound a line of `[`s would overflow the stack; the
+/// deepest document this workspace reads (a daemon request carrying a
+/// spec) nests 5 levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse a complete JSON document, rejecting trailing garbage and arrays
+/// or objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -286,6 +294,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -328,8 +338,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err(format!(
+                "arrays and objects nested deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -338,6 +351,16 @@ impl Parser<'_> {
             Some(b) => Err(self.err(format!("unexpected character '{}'", b as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
@@ -578,6 +601,25 @@ mod tests {
         let v = parse("\"añ\\n日😀\\\"x\"").unwrap();
         assert_eq!(v.as_str().unwrap(), "añ\n日😀\"x");
         assert!(parse("\"a\u{01}b\"").is_err());
+    }
+
+    /// Nesting up to the limit parses; one level more fails at the
+    /// offending bracket instead of overflowing the stack, however deep
+    /// the input goes.
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 100_000] {
+            let err = parse(&arrays(n)).unwrap_err();
+            assert_eq!((err.line, err.col), (1, MAX_DEPTH + 1));
+            assert!(err.msg.contains("nested deeper than 64"), "{}", err.msg);
+        }
+        // Objects count toward the same limit.
+        let objects = |n: usize| r#"{"k":"#.repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&objects(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.col, 5 * MAX_DEPTH + 1);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::orders::OrderPair;
 use crate::schedule::{Schedule, Transaction};
 use crate::semantics::{CommutativityTable, OpSpec};
 use crate::system::{CompositeSystem, NodeInfo};
+use compc_graph::ChunkedRow;
 use std::collections::BTreeSet;
 
 /// Incremental builder for a [`CompositeSystem`].
@@ -18,6 +19,10 @@ use std::collections::BTreeSet;
 /// [`CompositeSystem::into_builder`] reopens a built system for extension
 /// in place: the builder then records which schedules the new items touch,
 /// and `build()` re-validates only those.
+///
+/// A builder from [`SystemBuilder::new`] closes each order relation on
+/// every pair; one from [`SystemBuilder::bulk`] declares all pairs first
+/// and closes each relation once.
 ///
 /// ```
 /// use compc_model::SystemBuilder;
@@ -40,8 +45,33 @@ pub struct SystemBuilder {
     schedules: Vec<Schedule>,
     /// Parallel to `schedules`: transactions under construction.
     txs: Vec<Vec<Transaction>>,
+    /// Per node, its index in its home schedule's `txs` (0 for leaves).
+    slot: Vec<u32>,
     /// Set when reopened from a built (hence valid) system.
     reopened: Option<Reopened>,
+    /// Set for a [`SystemBuilder::bulk`] builder: the order pairs declared
+    /// and not closed yet, in declaration order.
+    pending: Option<Vec<Declared>>,
+}
+
+/// An order relation of the system under construction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Relation {
+    /// A schedule's output orders.
+    Output(SchedId),
+    /// A schedule's input orders.
+    Input(SchedId),
+    /// A transaction's intra-transaction orders.
+    Intra(NodeId),
+}
+
+/// A declared order pair `a < b` (also `a ≪ b` when `strong`).
+#[derive(Clone, Copy, Debug)]
+struct Declared {
+    rel: Relation,
+    a: NodeId,
+    b: NodeId,
+    strong: bool,
 }
 
 /// The state a reopened builder keeps about the system it extends.
@@ -61,16 +91,40 @@ impl SystemBuilder {
         Self::default()
     }
 
+    /// A fresh, empty builder that closes each order relation once: the
+    /// order methods record their pairs, and [`SystemBuilder::build`]
+    /// closes every relation with one sweep (the output orders close
+    /// earlier, when [`SystemBuilder::propagate_orders`] reads them).
+    ///
+    /// The pair methods then report only structural errors (unknown
+    /// nodes, pairs outside a schedule). A reflexive or contradictory pair
+    /// fails `build` instead, as the first offending pair of the first
+    /// relation that has one (outputs, then inputs, by schedule; then
+    /// intra orders, by transaction) — which need not be the pair a
+    /// [`SystemBuilder::new`] builder would have rejected first.
+    pub fn bulk() -> Self {
+        SystemBuilder {
+            pending: Some(Vec::new()),
+            ..Self::default()
+        }
+    }
+
     /// Reopens a built system's parts; see [`CompositeSystem::into_builder`].
     pub(crate) fn reopen(
         nodes: Vec<NodeInfo>,
         mut schedules: Vec<Schedule>,
         children: Vec<Vec<NodeId>>,
     ) -> Self {
-        let txs = schedules
+        let txs: Vec<Vec<Transaction>> = schedules
             .iter_mut()
             .map(|s| std::mem::take(&mut s.transactions))
             .collect();
+        let mut slot = vec![0; nodes.len()];
+        for list in &txs {
+            for (i, t) in (0..).zip(list) {
+                slot[t.id.index()] = i;
+            }
+        }
         SystemBuilder {
             reopened: Some(Reopened {
                 base_nodes: nodes.len(),
@@ -80,6 +134,8 @@ impl SystemBuilder {
             nodes,
             schedules,
             txs,
+            slot,
+            pending: None,
         }
     }
 
@@ -95,8 +151,7 @@ impl SystemBuilder {
     /// Declares a root transaction homed at `home`.
     pub fn root(&mut self, name: impl Into<String>, home: SchedId) -> NodeId {
         let id = self.push_node(name, None, Some(home), None);
-        self.txs[home.index()].push(Transaction::new(id));
-        self.touch(home);
+        self.push_tx(id, home);
         id
     }
 
@@ -109,8 +164,7 @@ impl SystemBuilder {
     pub fn subtx(&mut self, name: impl Into<String>, parent: NodeId, home: SchedId) -> NodeId {
         let container = self.home_of(parent);
         let id = self.push_node(name, Some(parent), Some(home), Some(container));
-        self.txs[home.index()].push(Transaction::new(id));
-        self.touch(home);
+        self.push_tx(id, home);
         self.attach_op(parent, id);
         id
     }
@@ -159,27 +213,27 @@ impl SystemBuilder {
     /// schedule.
     pub fn output_weak(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
         let s = self.shared_container(a, b)?;
-        self.order_pair(s, |s| &mut s.output, a, b, false)
+        self.order_pair(Relation::Output(s), a, b, false)
     }
 
     /// Records the strong output order `a ≪_S b` on the common container
     /// schedule.
     pub fn output_strong(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
         let s = self.shared_container(a, b)?;
-        self.order_pair(s, |s| &mut s.output, a, b, true)
+        self.order_pair(Relation::Output(s), a, b, true)
     }
 
     /// Records the weak input order `t → t'` on the common home schedule of
     /// two transactions.
     pub fn input_weak(&mut self, t: NodeId, t2: NodeId) -> Result<(), ModelError> {
         let s = self.shared_home(t, t2)?;
-        self.order_pair(s, |s| &mut s.input, t, t2, false)
+        self.order_pair(Relation::Input(s), t, t2, false)
     }
 
     /// Records the strong input order `t →→ t'`.
     pub fn input_strong(&mut self, t: NodeId, t2: NodeId) -> Result<(), ModelError> {
         let s = self.shared_home(t, t2)?;
-        self.order_pair(s, |s| &mut s.input, t, t2, true)
+        self.order_pair(Relation::Input(s), t, t2, true)
     }
 
     /// Derives each schedule's conflict predicate from leaf [`OpSpec`]s via a
@@ -210,31 +264,45 @@ impl SystemBuilder {
     /// the schedules the extension touched: the system it was reopened from
     /// was valid, so every other schedule's pairs are already propagated.
     pub fn propagate_orders(&mut self) -> Result<(), ModelError> {
-        // Collect first to appease the borrow checker; volumes are small.
+        self.close_pending(|rel| matches!(rel, Relation::Output(_)))?;
+        // Collect first to appease the borrow checker. Each row is read
+        // masked by the operations homed where its own operation is, so
+        // the pairs come out lexicographically.
         let mut weak = Vec::new();
         let mut strong = Vec::new();
-        for s in &self.schedules {
+        for (s, txs) in self.schedules.iter().zip(&self.txs) {
             if let Some(r) = &self.reopened {
                 if !r.touched.contains(&s.id) {
                     continue;
                 }
             }
-            for (a, b) in s.output.weak_pairs() {
-                if let Some(home) = self.common_home(a, b) {
-                    weak.push((home, a, b));
-                }
+            let homed = homed_ops(&self.nodes, txs.iter().flat_map(|t| &t.ops).copied());
+            if homed.is_empty() {
+                continue;
             }
-            for (a, b) in s.output.strong_pairs() {
-                if let Some(home) = self.common_home(a, b) {
-                    strong.push((home, a, b));
+            for (rel, out) in [
+                (s.output.weak(), &mut weak),
+                (s.output.strong(), &mut strong),
+            ] {
+                for (a, row) in rel.rows() {
+                    let Some(home) = self.nodes[a].home else {
+                        continue;
+                    };
+                    let Some((_, same)) = homed.iter().find(|(h, _)| *h == home) else {
+                        continue;
+                    };
+                    let a = NodeId(a as u32);
+                    row.for_each_masked(Some(same), None, |b| {
+                        out.push((home, a, NodeId(b as u32)));
+                    });
                 }
             }
         }
         for (home, a, b) in weak {
-            self.order_pair(home, |s| &mut s.input, a, b, false)?;
+            self.order_pair(Relation::Input(home), a, b, false)?;
         }
         for (home, a, b) in strong {
-            self.order_pair(home, |s| &mut s.input, a, b, true)?;
+            self.order_pair(Relation::Input(home), a, b, true)?;
         }
         Ok(())
     }
@@ -244,6 +312,7 @@ impl SystemBuilder {
     /// valid system stays valid: its relations are unchanged and the input
     /// orders it propagates into only grew).
     pub fn build(mut self) -> Result<CompositeSystem, ModelError> {
+        self.close_pending(|_| true)?;
         for (s_idx, txs) in self.txs.into_iter().enumerate() {
             self.schedules[s_idx].transactions = txs;
         }
@@ -268,6 +337,48 @@ impl SystemBuilder {
     // Internals
     // ------------------------------------------------------------------
 
+    /// Closes the pending pairs of the relations `which` selects, each
+    /// relation once; the others stay pending.
+    fn close_pending(&mut self, which: fn(Relation) -> bool) -> Result<(), ModelError> {
+        let Some(pending) = &mut self.pending else {
+            return Ok(());
+        };
+        let (mut closing, rest): (Vec<Declared>, Vec<Declared>) =
+            pending.drain(..).partition(|d| which(d.rel));
+        *pending = rest;
+        // Stable: each relation's pairs stay in declaration order.
+        closing.sort_by_key(|d| d.rel);
+        let mut pairs = Vec::new();
+        for (i, d) in closing.iter().enumerate() {
+            pairs.push((d.a, d.b, d.strong));
+            if closing.get(i + 1).is_some_and(|next| next.rel == d.rel) {
+                continue;
+            }
+            self.relation_mut(d.rel).extend_closing_once(&pairs)?;
+            pairs.clear();
+        }
+        Ok(())
+    }
+
+    fn relation_mut(&mut self, rel: Relation) -> &mut OrderPair {
+        match rel {
+            Relation::Output(s) => &mut self.schedules[s.index()].output,
+            Relation::Input(s) => &mut self.schedules[s.index()].input,
+            Relation::Intra(tx) => {
+                let home = self.nodes[tx.index()]
+                    .home
+                    .expect("intra orders belong to a transaction");
+                &mut self.txs[home.index()][self.slot[tx.index()] as usize].intra
+            }
+        }
+    }
+
+    fn push_tx(&mut self, id: NodeId, home: SchedId) {
+        self.slot[id.index()] = self.txs[home.index()].len() as u32;
+        self.txs[home.index()].push(Transaction::new(id));
+        self.touch(home);
+    }
+
     fn push_node(
         &mut self,
         name: impl Into<String>,
@@ -276,6 +387,7 @@ impl SystemBuilder {
         container: Option<SchedId>,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        self.slot.push(0);
         self.nodes.push(NodeInfo {
             id,
             name: name.into(),
@@ -302,26 +414,27 @@ impl SystemBuilder {
 
     fn tx_order(&mut self, a: NodeId, b: NodeId, strong: bool) -> Result<(), ModelError> {
         let tx = self.shared_parent(a, b)?;
-        if self.tx_mut(tx)?.intra.insert(a, b, strong)? {
-            let home = self.nodes[tx.index()]
-                .home
-                .expect("tx_mut found a transaction");
-            self.touch(home);
-        }
-        Ok(())
+        self.order_pair(Relation::Intra(tx), a, b, strong)
     }
 
-    /// Adds `a < b` (and `a ≪ b` when `strong`) to the output or input
-    /// orders of schedule `s`, as `orders` selects.
+    /// Adds `a < b` (and `a ≪ b` when `strong`) to relation `rel`, or
+    /// declares it for a bulk builder.
     fn order_pair(
         &mut self,
-        s: SchedId,
-        orders: fn(&mut Schedule) -> &mut OrderPair,
+        rel: Relation,
         a: NodeId,
         b: NodeId,
         strong: bool,
     ) -> Result<(), ModelError> {
-        if orders(&mut self.schedules[s.index()]).insert(a, b, strong)? {
+        if let Some(pending) = &mut self.pending {
+            pending.push(Declared { rel, a, b, strong });
+            return Ok(());
+        }
+        if self.relation_mut(rel).insert(a, b, strong)? {
+            let s = match rel {
+                Relation::Output(s) | Relation::Input(s) => s,
+                Relation::Intra(tx) => self.nodes[tx.index()].home.expect("a transaction"),
+            };
             self.touch(s);
         }
         Ok(())
@@ -338,25 +451,10 @@ impl SystemBuilder {
 
     fn attach_op(&mut self, parent: NodeId, op: NodeId) {
         let home = self.home_of(parent);
-        // Newest first: an operation usually joins a recent transaction.
-        let tx = self.txs[home.index()]
-            .iter_mut()
-            .rev()
-            .find(|t| t.id == parent)
-            .expect("parent transaction registered with its home schedule");
-        tx.ops.push(op);
+        self.txs[home.index()][self.slot[parent.index()] as usize]
+            .ops
+            .push(op);
         self.touch(home);
-    }
-
-    fn tx_mut(&mut self, tx: NodeId) -> Result<&mut Transaction, ModelError> {
-        let home = self.nodes[tx.index()]
-            .home
-            .ok_or(ModelError::ParentIsLeaf { parent: tx })?;
-        self.txs[home.index()]
-            .iter_mut()
-            .rev()
-            .find(|t| t.id == tx)
-            .ok_or(ModelError::UnknownNode(tx))
     }
 
     fn shared_parent(&self, a: NodeId, b: NodeId) -> Result<NodeId, ModelError> {
@@ -394,19 +492,32 @@ impl SystemBuilder {
         }
     }
 
-    fn common_home(&self, a: NodeId, b: NodeId) -> Option<SchedId> {
-        match (
-            self.nodes.get(a.index()).and_then(|n| n.home),
-            self.nodes.get(b.index()).and_then(|n| n.home),
-        ) {
-            (Some(x), Some(y)) if x == y => Some(x),
-            _ => None,
-        }
-    }
-
     fn info(&self, n: NodeId) -> Result<&NodeInfo, ModelError> {
         self.nodes.get(n.index()).ok_or(ModelError::UnknownNode(n))
     }
+}
+
+/// Per home schedule, the operations among `ops` that are transactions of
+/// it (in order of first appearance), as rows over node ids.
+pub(crate) fn homed_ops(
+    nodes: &[NodeInfo],
+    ops: impl Iterator<Item = NodeId>,
+) -> Vec<(SchedId, ChunkedRow)> {
+    let mut homed: Vec<(SchedId, ChunkedRow)> = Vec::new();
+    for o in ops {
+        let Some(home) = nodes[o.index()].home else {
+            continue;
+        };
+        let at = match homed.iter().position(|(h, _)| *h == home) {
+            Some(at) => at,
+            None => {
+                homed.push((home, ChunkedRow::new()));
+                homed.len() - 1
+            }
+        };
+        homed[at].1.insert(o.index(), nodes.len());
+    }
+    homed
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 use crate::error::ModelError;
 use crate::ids::NodeId;
-use compc_graph::PartialOrderRel;
+use compc_graph::{OrderError, PartialOrderRel};
 
 /// The three Definition-1 relations between two nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -64,6 +64,40 @@ impl OrderPair {
             changed |= self.strong.insert(x, y).map_err(fail(OrderKind::Strong))?;
         }
         Ok(changed)
+    }
+
+    /// Adds the pairs `(a, b, strong)` as [`OrderPair::insert`] would, one
+    /// after the other, but closes each relation once
+    /// ([`PartialOrderRel::from_pairs`]); on a violation it fails with
+    /// the error the first offending insert would return, and leaves the
+    /// orders as they were.
+    pub fn extend_closing_once(
+        &mut self,
+        pairs: &[(NodeId, NodeId, bool)],
+    ) -> Result<(), ModelError> {
+        let fail = |kind| {
+            move |source: OrderError| {
+                let (a, b) = match source {
+                    OrderError::Reflexive(a) => (a, a),
+                    OrderError::Contradiction { attempted } => attempted,
+                };
+                let (a, b) = (NodeId(a as u32), NodeId(b as u32));
+                ModelError::OrderViolation { a, b, kind, source }
+            }
+        };
+        let close = |rel: &PartialOrderRel, strong_only: bool| {
+            let added = pairs
+                .iter()
+                .filter(|p| p.2 || !strong_only)
+                .map(|&(a, b, _)| (a.index(), b.index()));
+            PartialOrderRel::from_pairs(rel.pairs().chain(added))
+        };
+        let weak = close(&self.weak, false).map_err(fail(OrderKind::Weak))?;
+        if pairs.iter().any(|p| p.2) {
+            self.strong = close(&self.strong, true).map_err(fail(OrderKind::Strong))?;
+        }
+        self.weak = weak;
+        Ok(())
     }
 
     /// Whether `a < b` (weakly ordered, closure included).

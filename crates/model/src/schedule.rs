@@ -90,7 +90,8 @@ impl Schedule {
     /// 4. `≪ ⊆ ≺` — guaranteed structurally by [`OrderPair`].
     ///
     /// Axioms 1 and 3 walk the declared conflicts and strong input pairs,
-    /// so validation costs O(pairs + ops), not O(ops²). Among several
+    /// and axiom 2 the intra orders' rows against the output's, so
+    /// validation costs O(pairs + ops), not O(ops²). Among several
     /// violations the one reported is the first in declaration order
     /// (transactions, then their operations).
     pub fn validate(&self) -> Result<(), ModelError> {
@@ -119,28 +120,29 @@ impl Schedule {
         if let Some((_, e)) = first {
             return Err(e);
         }
-        // Axiom 2: intra-transaction orders reflected in the output.
+        // Axiom 2: intra-transaction orders reflected in the output. Per
+        // intra row, the first element the output row of the same
+        // operation lacks: the lexicographically first unhonored pair.
         for t in &self.transactions {
-            for (a, b) in t.intra.weak_pairs() {
-                if !self.output.weak_lt(a, b) {
-                    return Err(ModelError::IntraTxOrderNotHonored {
-                        sched: self.id,
-                        tx: t.id,
-                        a,
-                        b,
-                        kind: OrderKind::Weak,
+            let kinds = [
+                (OrderKind::Weak, t.intra.weak(), self.output.weak()),
+                (OrderKind::Strong, t.intra.strong(), self.output.strong()),
+            ];
+            for (kind, intra, output) in kinds {
+                for (a, row) in intra.rows() {
+                    let mut missing = None;
+                    row.for_each_masked(None, Some(output.above_row(a)), |b| {
+                        missing.get_or_insert(b);
                     });
-                }
-            }
-            for (a, b) in t.intra.strong_pairs() {
-                if !self.output.strong_lt(a, b) {
-                    return Err(ModelError::IntraTxOrderNotHonored {
-                        sched: self.id,
-                        tx: t.id,
-                        a,
-                        b,
-                        kind: OrderKind::Strong,
-                    });
+                    if let Some(b) = missing {
+                        return Err(ModelError::IntraTxOrderNotHonored {
+                            sched: self.id,
+                            tx: t.id,
+                            a: NodeId(a as u32),
+                            b: NodeId(b as u32),
+                            kind,
+                        });
+                    }
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Composite systems (Definitions 4–9).
 
-use crate::builder::SystemBuilder;
+use crate::builder::{homed_ops, SystemBuilder};
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
 use crate::orders::OrderKind;
@@ -281,7 +281,24 @@ impl CompositeSystem {
         // transaction of the same schedule. (The IG acyclicity check in
         // `compute_levels` already covers most cases; this catches a
         // transaction invoking its own schedule through an intermediate.)
-        for s in checked() {
+        // Walking up from every checked transaction finds whether there is
+        // a violation; only then are the descendants listed, to report the
+        // first in declaration order.
+        let homed_above = |d: &NodeInfo| {
+            let mut up = d.parent;
+            while let Some(p) = up {
+                if self.nodes[p.index()].home == d.home {
+                    return true;
+                }
+                up = self.nodes[p.index()].parent;
+            }
+            false
+        };
+        let violated = self
+            .nodes
+            .iter()
+            .any(|d| d.home.is_some_and(&check) && homed_above(d));
+        for s in checked().filter(|_| violated) {
             for t in &s.transactions {
                 for d in self.descendants(t.id) {
                     if self.nodes[d.index()].home == Some(s.id) {
@@ -296,41 +313,53 @@ impl CompositeSystem {
         }
         // Definition 4.7: output orders of S_i between two operations that
         // are both transactions of S_j must be passed to S_j as input orders.
-        // Walks the output order's pairs; among several violations the one
-        // reported is the first in declaration order over `O_S`.
+        // Per operation `a` homed at S_j, its output rows masked by the
+        // operations homed there, minus S_j's input rows of `a`; among
+        // several violations the one reported is the first in declaration
+        // order over `O_S`.
         for s in checked() {
-            let pos = s.op_positions();
-            let op_home = |o: NodeId| self.nodes[o.index()].home;
-            let mut first = None;
-            for (a, b) in s.output.weak_pairs() {
-                let (Some(&pa), Some(&pb)) = (pos.get(&a), pos.get(&b)) else {
+            let homed = homed_ops(&self.nodes, s.ops());
+            if homed.is_empty() {
+                continue;
+            }
+            for a in s.ops() {
+                let Some((to, same)) = self.nodes[a.index()]
+                    .home
+                    .and_then(|h| homed.iter().find(|(x, _)| *x == h))
+                else {
                     continue;
                 };
-                let (Some(ha), Some(hb)) = (op_home(a), op_home(b)) else {
-                    continue;
-                };
-                if ha != hb || first.as_ref().is_some_and(|(k, _)| *k < (pa, pb)) {
+                let input = &self.schedule(*to).input;
+                let mut missing = Vec::new();
+                s.output.weak().above_row(a.index()).for_each_masked(
+                    Some(same),
+                    Some(input.weak().above_row(a.index())),
+                    |b| missing.push((NodeId(b as u32), OrderKind::Weak)),
+                );
+                s.output.strong().above_row(a.index()).for_each_masked(
+                    Some(same),
+                    Some(input.strong().above_row(a.index())),
+                    |b| {
+                        if input.weak_lt(a, NodeId(b as u32)) {
+                            missing.push((NodeId(b as u32), OrderKind::Strong));
+                        }
+                    },
+                );
+                if missing.is_empty() {
                     continue;
                 }
-                let target = self.schedule(ha);
-                let kind = if !target.input.weak_lt(a, b) {
-                    OrderKind::Weak
-                } else if s.output.strong_lt(a, b) && !target.input.strong_lt(a, b) {
-                    OrderKind::Strong
-                } else {
-                    continue;
-                };
-                let err = ModelError::OrderNotPropagated {
+                let pos = s.op_positions();
+                let (b, kind) = missing
+                    .into_iter()
+                    .min_by_key(|(b, _)| pos[b])
+                    .expect("nonempty");
+                return Err(ModelError::OrderNotPropagated {
                     from: s.id,
-                    to: ha,
+                    to: *to,
                     a,
                     b,
                     kind,
-                };
-                first = Some(((pa, pb), err));
-            }
-            if let Some((_, e)) = first {
-                return Err(e);
+                });
             }
         }
         Ok(())

@@ -155,30 +155,33 @@ fn parse_err(msg: impl Into<String>) -> SpecError {
     SpecError::Parse(msg.into())
 }
 
-fn expect_string(v: &Value, ctx: &str) -> Result<String, SpecError> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| parse_err(format!("{ctx}: expected a string, got {}", v.type_name())))
+/// `v` as a string. The error context is built only on failure: a load
+/// reads a string per node field and pair endpoint.
+fn expect_string(v: &Value, ctx: impl FnOnce() -> String) -> Result<String, SpecError> {
+    v.as_str().map(str::to_string).ok_or_else(|| {
+        parse_err(format!(
+            "{}: expected a string, got {}",
+            ctx(),
+            v.type_name()
+        ))
+    })
+}
+
+fn expect_array<'v>(v: &'v Value, ctx: &str) -> Result<&'v [Value], SpecError> {
+    v.as_array()
+        .ok_or_else(|| parse_err(format!("{ctx}: expected an array, got {}", v.type_name())))
 }
 
 fn expect_string_list(v: &Value, ctx: &str) -> Result<Vec<String>, SpecError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| parse_err(format!("{ctx}: expected an array, got {}", v.type_name())))?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| expect_string(item, &format!("{ctx}[{i}]")))
+    (0..)
+        .zip(expect_array(v, ctx)?)
+        .map(|(i, item)| expect_string(item, || format!("{ctx}[{i}]")))
         .collect()
 }
 
 fn expect_pair_list(v: &Value, ctx: &str) -> Result<Vec<(String, String)>, SpecError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| parse_err(format!("{ctx}: expected an array, got {}", v.type_name())))?;
-    items
-        .iter()
-        .enumerate()
+    (0..)
+        .zip(expect_array(v, ctx)?)
         .map(|(i, item)| {
             let pair = item
                 .as_array()
@@ -190,35 +193,41 @@ fn expect_pair_list(v: &Value, ctx: &str) -> Result<Vec<(String, String)>, SpecE
                 )));
             }
             Ok((
-                expect_string(&pair[0], &format!("{ctx}[{i}][0]"))?,
-                expect_string(&pair[1], &format!("{ctx}[{i}][1]"))?,
+                expect_string(&pair[0], || format!("{ctx}[{i}][0]"))?,
+                expect_string(&pair[1], || format!("{ctx}[{i}][1]"))?,
             ))
         })
         .collect()
 }
 
 fn node_from_json(v: &Value, idx: usize) -> Result<NodeSpec, SpecError> {
-    let ctx = format!("nodes[{idx}]");
-    let entries = v
-        .as_object()
-        .ok_or_else(|| parse_err(format!("{ctx}: expected an object, got {}", v.type_name())))?;
+    let ctx = || format!("nodes[{idx}]");
+    let entries = v.as_object().ok_or_else(|| {
+        parse_err(format!(
+            "{}: expected an object, got {}",
+            ctx(),
+            v.type_name()
+        ))
+    })?;
     let mut name = None;
     let mut kind = None;
     let mut parent = None;
     let mut home = None;
     for (key, val) in entries {
+        let field = || format!("{}.{key}", ctx());
         match key.as_str() {
-            "name" => name = Some(expect_string(val, &format!("{ctx}.name"))?),
-            "kind" => kind = Some(expect_string(val, &format!("{ctx}.kind"))?),
-            "parent" => parent = Some(expect_string(val, &format!("{ctx}.parent"))?),
-            "home" => home = Some(expect_string(val, &format!("{ctx}.home"))?),
+            "name" => name = Some(expect_string(val, field)?),
+            "kind" => kind = Some(expect_string(val, field)?),
+            "parent" => parent = Some(expect_string(val, field)?),
+            "home" => home = Some(expect_string(val, field)?),
             other => {
-                return Err(parse_err(format!("{ctx}: unknown field \"{other}\"")));
+                return Err(parse_err(format!("{}: unknown field \"{other}\"", ctx())));
             }
         }
     }
-    let name = name.ok_or_else(|| parse_err(format!("{ctx}: missing \"name\"")))?;
-    let kind = kind.ok_or_else(|| parse_err(format!("{ctx} (\"{name}\"): missing \"kind\"")))?;
+    let name = name.ok_or_else(|| parse_err(format!("{}: missing \"name\"", ctx())))?;
+    let kind =
+        kind.ok_or_else(|| parse_err(format!("{} (\"{name}\"): missing \"kind\"", ctx())))?;
     Ok(NodeSpec {
         name,
         kind,
@@ -260,10 +269,7 @@ impl SystemSpec {
                 }
                 "schedules" => spec.schedules = expect_string_list(val, "schedules")?,
                 "nodes" => {
-                    let items = val.as_array().ok_or_else(|| {
-                        parse_err(format!("nodes: expected an array, got {}", val.type_name()))
-                    })?;
-                    spec.nodes = items
+                    spec.nodes = expect_array(val, "nodes")?
                         .iter()
                         .enumerate()
                         .map(|(i, item)| node_from_json(item, i))
@@ -395,13 +401,21 @@ impl SystemSpec {
     }
 
     /// Builds and validates the composite system this spec describes.
+    ///
+    /// Every pair is declared first and each order relation closed once
+    /// ([`SystemBuilder::bulk`]). On any error the spec is declared again
+    /// into a builder that closes pair by pair, so the error names the
+    /// first offending entry in declaration order.
     pub fn build(&self) -> Result<CompositeSystem, SpecError> {
-        let mut b = SystemBuilder::new();
-        self.declare(&mut b, &Names::of(self), &SpecMark::default())?;
-        b.build().map_err(|source| SpecError::Model {
-            context: "build".into(),
-            source,
-        })
+        let names = Names::of(self);
+        let build = |mut b: SystemBuilder| {
+            self.declare(&mut b, &names, &SpecMark::default())?;
+            b.build().map_err(|source| SpecError::Model {
+                context: "build".into(),
+                source,
+            })
+        };
+        build(SystemBuilder::bulk()).or_else(|_| build(SystemBuilder::new()))
     }
 
     /// Declares the items past `from` into `b`, which already holds the
@@ -1066,6 +1080,94 @@ mod tests {
 
         let err = SystemSpec::parse(r#"{"schedules": [], "nodes": [], "mystery": 3}"#).unwrap_err();
         assert!(err.to_string().contains("mystery"), "{err}");
+    }
+
+    /// Every error context form `from_json` builds, byte for byte: the
+    /// contexts are formatted only on the error path, and must read as
+    /// they did when every field and pair endpoint formatted its own.
+    #[test]
+    fn from_json_error_text_is_pinned() {
+        let cases = [
+            (r#"{"nodes": 3}"#, "nodes: expected an array, got number"),
+            (
+                r#"{"nodes": [{"name": "T", "kind": "root", "home": "S"}, 7]}"#,
+                "nodes[1]: expected an object, got number",
+            ),
+            (
+                r#"{"nodes": [{"name": 3, "kind": "root"}]}"#,
+                "nodes[0].name: expected a string, got number",
+            ),
+            (
+                r#"{"nodes": [{"name": "T", "kind": null}]}"#,
+                "nodes[0].kind: expected a string, got null",
+            ),
+            (
+                r#"{"nodes": [{"name": "o", "kind": "leaf", "parent": ["T"]}]}"#,
+                "nodes[0].parent: expected a string, got array",
+            ),
+            (
+                r#"{"nodes": [{"name": "T", "kind": "root", "home": false}]}"#,
+                "nodes[0].home: expected a string, got boolean",
+            ),
+            (
+                r#"{"nodes": [{"name": "T", "kind": "root", "colour": "red"}]}"#,
+                r#"nodes[0]: unknown field "colour""#,
+            ),
+            (
+                r#"{"nodes": [{"kind": "root"}]}"#,
+                r#"nodes[0]: missing "name""#,
+            ),
+            (
+                r#"{"nodes": [{"name": "T"}]}"#,
+                r#"nodes[0] ("T"): missing "kind""#,
+            ),
+            (
+                r#"{"schedules": "S"}"#,
+                "schedules: expected an array, got string",
+            ),
+            (
+                r#"{"schedules": ["S", 5]}"#,
+                "schedules[1]: expected a string, got number",
+            ),
+            (
+                r#"{"conflicts": {"a": "b"}}"#,
+                "conflicts: expected an array, got object",
+            ),
+            (
+                r#"{"conflicts": [["a", "b"], "c"]}"#,
+                "conflicts[1]: expected a [from, to] pair",
+            ),
+            (
+                r#"{"output_weak": [["a", "b", "c"]]}"#,
+                "output_weak[0]: expected exactly 2 names, got 3",
+            ),
+            (
+                r#"{"input_strong": [[1, "b"]]}"#,
+                "input_strong[0][0]: expected a string, got number",
+            ),
+            (
+                r#"{"tx_weak": [["a", "b"], ["a", {}]]}"#,
+                "tx_weak[1][1]: expected a string, got object",
+            ),
+            (
+                r#"{"version": -1}"#,
+                "version: expected a non-negative integer",
+            ),
+            (
+                r#"{"auto_propagate": "yes"}"#,
+                "auto_propagate: expected a boolean",
+            ),
+            (r#"{"mystery": 1}"#, r#"top level: unknown field "mystery""#),
+            ("[1, 2]", "top level: expected an object, got array"),
+        ];
+        for (input, want) in cases {
+            let err = SystemSpec::parse(input).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("spec parse error: {want}"),
+                "{input}"
+            );
+        }
     }
 
     #[test]

@@ -280,6 +280,44 @@ proptest! {
         prop_assert_eq!(rel.element_count(), reference.closed.node_count());
     }
 
+    /// Closing once (`from_pairs`) gives what inserting each pair gives:
+    /// the same order — pairs, transpose rows and element count — or the
+    /// same first error. Pairs mostly follow a random topological order,
+    /// so the sweep closes long acyclic inputs; a few go backwards, so
+    /// cycles (and reflexive pairs) send it to the per-pair replay.
+    #[test]
+    fn order_from_pairs_matches_inserting_each(
+        seed in 0u64..100_000,
+        n in 2usize..=140,
+        count in 0usize..=200,
+        backwards in 0u32..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rank: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rank.swap(i, rng.gen_range(0..=i));
+        }
+        let pairs: Vec<(usize, usize)> = (0..count)
+            .map(|_| {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let forward = rank[a] <= rank[b];
+                if forward || rng.gen_range(0u32..400) < backwards { (a, b) } else { (b, a) }
+            })
+            .collect();
+        let mut each = PartialOrderRel::new();
+        let expected = pairs.iter().try_for_each(|&(a, b)| each.insert(a, b).map(drop));
+        let once = PartialOrderRel::from_pairs(pairs.iter().copied());
+        match (once, expected) {
+            (Ok(once), Ok(())) => {
+                prop_assert_eq!(&once, &each);
+                for x in 0..n {
+                    prop_assert!(once.below(x).eq(each.below(x)), "transpose row {}", x);
+                }
+            }
+            (once, expected) => prop_assert_eq!(once.map(drop), expected),
+        }
+    }
+
     /// `restricted_to` keeps exactly the reference closure's pairs whose
     /// endpoints are both kept.
     #[test]

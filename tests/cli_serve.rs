@@ -471,6 +471,51 @@ fn hostile_input_answers_structured_errors_and_daemon_keeps_serving() {
     assert_eq!(daemon.wait_code(), 0);
 }
 
+/// A 200 KB line of 100,000 `[` then 100,000 `]` fits under the default
+/// `--max-line-bytes` and used to overflow the reader thread's stack,
+/// aborting the daemon with every session on it. It is now a protocol
+/// error naming the nesting limit, and another session's verdict survives.
+#[test]
+fn deeply_nested_line_is_an_error_and_other_sessions_survive() {
+    let dir = tmpdir();
+    let socket = dir.join("deep.sock");
+    let daemon = Daemon::spawn(&["--socket", socket.to_str().unwrap()]);
+    let alpha = corpus_fragments("figure3.incorrect.json", Some("alpha"));
+    let stream = wait_for_socket(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut before = None;
+    for request in &alpha {
+        before = Some(roundtrip(&mut reader, &mut writer, request));
+    }
+    let before = before.unwrap();
+    assert_eq!(str_field(&before, "verdict"), "not-comp-c");
+
+    {
+        let stream = wait_for_socket(&socket);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let response = roundtrip(&mut reader, &mut writer, &deep);
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+        assert_eq!(str_field(&response, "kind"), "protocol");
+        assert!(
+            str_field(&response, "error").contains("nested deeper than 64"),
+            "{}",
+            response.to_compact()
+        );
+    }
+
+    // Re-appending the last fragment merges nothing and reports the same
+    // verdict at the same level.
+    let after = roundtrip(&mut reader, &mut writer, alpha.last().unwrap());
+    assert_eq!(str_field(&after, "verdict"), "not-comp-c");
+    assert_eq!(u64_field(&after, "level"), u64_field(&before, "level"));
+    roundtrip(&mut reader, &mut writer, "{\"op\": \"shutdown\"}");
+    // A violation verdict was served: exit code 1.
+    assert_eq!(daemon.wait_code(), 1);
+}
+
 #[test]
 fn idle_client_is_timed_out_without_stalling_the_daemon() {
     let dir = tmpdir();
