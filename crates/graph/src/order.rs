@@ -123,13 +123,15 @@ impl PartialOrderRel {
                 return Ok(rel);
             }
         }
+        // One allocation for the span, not one per insert that widens it.
+        // (On success some pair holds the largest element, so the element
+        // count is what the inserts alone would reach.)
         let mut rel = PartialOrderRel::new();
         if let (Some(lo), Some(hi)) = (
             pairs.iter().map(|&(a, b)| a.min(b)).min(),
             pairs.iter().map(|&(a, b)| a.max(b)).max(),
         ) {
             rel.cover(lo, hi);
-            rel.elements = 0;
         }
         for (a, b) in pairs {
             rel.insert(a, b)?;
