@@ -730,30 +730,12 @@ impl<'a> Reducer<'a> {
         // Rule 2 for the schedules being reduced: conflicting operation
         // pairs executed `o ≺_S o'` serialize their parents. This also
         // covers conflicting internal pairs whose subtrees never interacted.
-        // (`Schedule::serialization_pairs`, read through this step's own
-        // operation rows and transaction map.)
         let mut serialization_pairs = 0usize;
         for &sid in scheds {
-            let s = sys.schedule(sid);
-            let (ops, weak) = (&ops_of[sid.index()], s.output.weak());
-            let mut pairs = Vec::new();
-            for (o, o2) in s.conflicts.iter() {
-                let (o, o2) = (o.index(), o2.index());
-                if comp[o] == comp[o2] || !ops.contains(o) || !ops.contains(o2) {
-                    continue;
-                }
-                if weak.lt(o, o2) {
-                    pairs.push((comp[o], comp[o2]));
-                }
-                if weak.lt(o2, o) {
-                    pairs.push((comp[o2], comp[o]));
-                }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
+            let pairs = sys.schedule(sid).serialization_pairs();
             serialization_pairs += pairs.len();
             for (t, t2) in pairs {
-                observed.add_edge(t, t2);
+                observed.add_edge(t.index(), t2.index());
             }
         }
         // Entry-time observed pairs between new transactions and other

@@ -92,16 +92,19 @@ impl SystemBuilder {
     }
 
     /// A fresh, empty builder that closes each order relation once: the
-    /// order methods record their pairs, and [`SystemBuilder::build`]
-    /// closes every relation with one sweep (the output orders close
-    /// earlier, when [`SystemBuilder::propagate_orders`] reads them).
+    /// order methods record their pairs, and [`SystemBuilder::close_orders`]
+    /// (which [`SystemBuilder::build`] calls) closes every relation with
+    /// one sweep (the output orders close earlier, when
+    /// [`SystemBuilder::propagate_orders`] reads them).
     ///
     /// The pair methods then report only structural errors (unknown
     /// nodes, pairs outside a schedule). A reflexive or contradictory pair
-    /// fails `build` instead, as the first offending pair of the first
-    /// relation that has one (outputs, then inputs, by schedule; then
-    /// intra orders, by transaction) — which need not be the pair a
-    /// [`SystemBuilder::new`] builder would have rejected first.
+    /// fails `close_orders` instead, naming some offending pair: which one
+    /// is unspecified. A caller that must name the pair a
+    /// [`SystemBuilder::new`] builder rejects first declares again into
+    /// such a builder when declaring or closing fails. Once `close_orders`
+    /// succeeds, the builder holds the relations a `new` builder would, so
+    /// `build` reports the same validation errors.
     pub fn bulk() -> Self {
         SystemBuilder {
             pending: Some(Vec::new()),
@@ -307,12 +310,18 @@ impl SystemBuilder {
         Ok(())
     }
 
+    /// Closes every order relation declared so far: a no-op except for a
+    /// [`SystemBuilder::bulk`] builder, whose contradictions fail here.
+    pub fn close_orders(&mut self) -> Result<(), ModelError> {
+        self.close_pending(|_| true)
+    }
+
     /// Finalizes and validates the system. A reopened builder re-validates
     /// only the schedules the extension touched (an untouched schedule of a
     /// valid system stays valid: its relations are unchanged and the input
     /// orders it propagates into only grew).
     pub fn build(mut self) -> Result<CompositeSystem, ModelError> {
-        self.close_pending(|_| true)?;
+        self.close_orders()?;
         for (s_idx, txs) in self.txs.into_iter().enumerate() {
             self.schedules[s_idx].transactions = txs;
         }

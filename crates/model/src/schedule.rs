@@ -100,7 +100,7 @@ impl Schedule {
         // oriented so the earlier-declared transaction comes first.
         let mut first: Option<((usize, usize, usize, usize), ModelError)> = None;
         for (x, y) in self.conflicts.iter() {
-            let (Some(&px), Some(&py)) = (pos.get(&x), pos.get(&y)) else {
+            let (Some(px), Some(py)) = (pos.get(x), pos.get(y)) else {
                 continue;
             };
             let ((p, o), (p2, o2)) = if px < py {
@@ -181,14 +181,16 @@ impl Schedule {
 
     /// Each operation's `(transaction index, index within the
     /// transaction)`: ordering by it is declaration order over `O_S`.
-    pub(crate) fn op_positions(&self) -> HashMap<NodeId, (usize, usize)> {
-        let mut pos = HashMap::with_capacity(self.transactions.iter().map(|t| t.ops.len()).sum());
+    pub(crate) fn op_positions(&self) -> OpPositions {
+        let mut pos = Vec::with_capacity(self.transactions.iter().map(|t| t.ops.len()).sum());
         for (i, t) in self.transactions.iter().enumerate() {
             for (j, &o) in t.ops.iter().enumerate() {
-                pos.insert(o, (i, j));
+                pos.push((o, (i, j)));
             }
         }
-        pos
+        // Operations are mostly declared in id order: a nearly sorted sort.
+        pos.sort_unstable_by_key(|&(o, _)| o);
+        OpPositions(pos)
     }
 
     fn check_axiom1(&self, t: NodeId, t2: NodeId, o: NodeId, o2: NodeId) -> Result<(), ModelError> {
@@ -228,7 +230,7 @@ impl Schedule {
     /// the schedule and the source of Definition 10's rule 2.
     pub fn serialization_pairs(&self) -> Vec<(NodeId, NodeId)> {
         let pos = self.op_positions();
-        let tx = |o: NodeId| pos.get(&o).map(|&(i, _)| self.transactions[i].id);
+        let tx = |o: NodeId| pos.get(o).map(|(i, _)| self.transactions[i].id);
         let mut out = Vec::new();
         for (o, o2) in self.conflicts.iter() {
             let (Some(t), Some(t2)) = (tx(o), tx(o2)) else {
@@ -265,6 +267,18 @@ impl Schedule {
             g.add_edge(a.index(), b.index());
         }
         compc_graph::find_cycle(&g).is_none()
+    }
+}
+
+/// [`Schedule::op_positions`]: each operation's position, sorted by
+/// operation id (a binary search, no hashing).
+pub(crate) struct OpPositions(Vec<(NodeId, (usize, usize))>);
+
+impl OpPositions {
+    /// The position of operation `o`, if it is one of the schedule's.
+    pub(crate) fn get(&self, o: NodeId) -> Option<(usize, usize)> {
+        let i = self.0.binary_search_by_key(&o, |&(x, _)| x).ok()?;
+        Some(self.0[i].1)
     }
 }
 

@@ -281,24 +281,7 @@ impl CompositeSystem {
         // transaction of the same schedule. (The IG acyclicity check in
         // `compute_levels` already covers most cases; this catches a
         // transaction invoking its own schedule through an intermediate.)
-        // Walking up from every checked transaction finds whether there is
-        // a violation; only then are the descendants listed, to report the
-        // first in declaration order.
-        let homed_above = |d: &NodeInfo| {
-            let mut up = d.parent;
-            while let Some(p) = up {
-                if self.nodes[p.index()].home == d.home {
-                    return true;
-                }
-                up = self.nodes[p.index()].parent;
-            }
-            false
-        };
-        let violated = self
-            .nodes
-            .iter()
-            .any(|d| d.home.is_some_and(&check) && homed_above(d));
-        for s in checked().filter(|_| violated) {
+        for s in checked() {
             for t in &s.transactions {
                 for d in self.descendants(t.id) {
                     if self.nodes[d.index()].home == Some(s.id) {
@@ -351,7 +334,7 @@ impl CompositeSystem {
                 let pos = s.op_positions();
                 let (b, kind) = missing
                     .into_iter()
-                    .min_by_key(|(b, _)| pos[b])
+                    .min_by_key(|(b, _)| pos.get(*b))
                     .expect("nonempty");
                 return Err(ModelError::OrderNotPropagated {
                     from: s.id,

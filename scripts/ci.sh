@@ -32,7 +32,11 @@
 #                              # by the largest node id again), a 3,000-node
 #                              # general system within 0.25 s and a
 #                              # 4,000-leaf chain within 0.2 s (fail if a
-#                              # load closes orders pair by pair again)
+#                              # load closes orders pair by pair again);
+#                              # the chain closing a cycle within 1.5 s and
+#                              # against its input order within 0.1 s, both
+#                              # exit 2 (fail if an invalid spec's replay
+#                              # gets slow again)
 #   scripts/ci.sh batch-smoke  # a mixed compc-gen corpus reports the same at
 #                              # --jobs 1 and 2, and a --checkpoint rerun
 #                              # has nothing left with the same exit code
@@ -574,7 +578,7 @@ explore_smoke() {
 scale_case() {
     local what="$1" secs="$2" want="$3" file="$4" code
     set +e
-    timeout "$secs" ./target/release/compc-check "$file" > /dev/null
+    timeout "$secs" ./target/release/compc-check "$file" > /dev/null 2>&1
     code=$?
     set -e
     [ "$code" -ne 124 ] \
@@ -584,22 +588,31 @@ scale_case() {
 }
 
 # A chain: one schedule, N roots with one leaf each, and `output_weak` a
-# chain over the leaves (its closure holds N(N-1)/2 pairs).
+# chain over the leaves (its closure holds N(N-1)/2 pairs). FAULT makes it
+# invalid: `back` ends the chain with a pair back to its first leaf (a
+# cycle, found when the order closes); `input` adds a conflict between the
+# first two leaves and an input order against the chain's (found by
+# validation, after the order closes).
 chain_spec() {
-    awk -v n="$1" 'BEGIN {
+    awk -v n="$1" -v fault="${2:-}" 'BEGIN {
         printf "{\"version\":1,\"schedules\":[\"S\"],\"nodes\":[";
         for (i = 0; i < n; i++)
             printf "%s{\"name\":\"T%d\",\"kind\":\"root\",\"home\":\"S\"},{\"name\":\"o%d\",\"kind\":\"leaf\",\"parent\":\"T%d\"}", (i ? "," : ""), i, i, i;
         printf "],\"output_weak\":[";
         for (i = 0; i + 1 < n; i++)
             printf "%s[\"o%d\",\"o%d\"]", (i ? "," : ""), i, i + 1;
-        print "]}";
+        if (fault == "back")
+            printf ",[\"o%d\",\"o0\"]", n - 1;
+        printf "]";
+        if (fault == "input")
+            printf ",\"conflicts\":[[\"o0\",\"o1\"]],\"input_weak\":[[\"T1\",\"T0\"]]";
+        print "}";
     }'
 }
 
 # Timeouts are about 3x the measured wall time on a 2-vCPU host
-# (EXPERIMENTS.md E32); the load path used to take 2.9 s and 9.9 s on
-# the last two.
+# (EXPERIMENTS.md E32); the load path used to take 2.9 s on the general
+# system and 7.8-9.9 s on each chain.
 scale_smoke() {
     echo "==> scale-smoke: large stack, general and chain systems checked in time"
     cargo build --release -q -p compc --bin compc-gen --bin compc-check
@@ -610,10 +623,14 @@ scale_smoke() {
     ./target/release/compc-gen --shape general --roots 400 --density 0.05 --seed 3 \
         > "$dir/general.json"
     chain_spec 4000 > "$dir/chain.json"
+    chain_spec 4000 back > "$dir/chain-back.json"
+    chain_spec 4000 input > "$dir/chain-input.json"
     status=0
     scale_case "18,420-node stack" 3 1 "$dir/stack.json" || status=1
     scale_case "3,000-node general system" 0.25 1 "$dir/general.json" || status=1
     scale_case "4,000-leaf chain" 0.2 0 "$dir/chain.json" || status=1
+    scale_case "4,000-leaf chain closing a cycle" 1.5 2 "$dir/chain-back.json" || status=1
+    scale_case "4,000-leaf chain against its input order" 0.1 2 "$dir/chain-input.json" || status=1
     rm -rf "$dir"
     trap - EXIT
     [ "$status" -eq 0 ] || exit 1

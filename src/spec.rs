@@ -403,19 +403,29 @@ impl SystemSpec {
     /// Builds and validates the composite system this spec describes.
     ///
     /// Every pair is declared first and each order relation closed once
-    /// ([`SystemBuilder::bulk`]). On any error the spec is declared again
-    /// into a builder that closes pair by pair, so the error names the
-    /// first offending entry in declaration order.
+    /// ([`SystemBuilder::bulk`]). If declaring or closing fails, the spec
+    /// is declared again into a builder that closes pair by pair, so the
+    /// error names the first offending entry in declaration order; a
+    /// validation error after the close is already that builder's.
     pub fn build(&self) -> Result<CompositeSystem, SpecError> {
         let names = Names::of(self);
-        let build = |mut b: SystemBuilder| {
-            self.declare(&mut b, &names, &SpecMark::default())?;
-            b.build().map_err(|source| SpecError::Model {
-                context: "build".into(),
-                source,
-            })
+        let model = |source| SpecError::Model {
+            context: "build".into(),
+            source,
         };
-        build(SystemBuilder::bulk()).or_else(|_| build(SystemBuilder::new()))
+        let mut bulk = SystemBuilder::bulk();
+        let b = match self
+            .declare(&mut bulk, &names, &SpecMark::default())
+            .and_then(|()| bulk.close_orders().map_err(model))
+        {
+            Ok(()) => bulk,
+            Err(_) => {
+                let mut b = SystemBuilder::new();
+                self.declare(&mut b, &names, &SpecMark::default())?;
+                b
+            }
+        };
+        b.build().map_err(model)
     }
 
     /// Declares the items past `from` into `b`, which already holds the

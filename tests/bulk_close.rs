@@ -1,11 +1,13 @@
 //! `SystemSpec::build` declares every pair first and closes each order
-//! relation once; on any error it declares the spec again pair by pair.
+//! relation once; if declaring or closing fails it declares the spec again
+//! pair by pair.
 //! These properties pin it to a pair-by-pair reference (a
 //! `SystemBuilder::new` builder, which closes on every pair):
 //!
 //! * specs with planted faults — contradictions whose cycle closes across
-//!   declaration order, pairs outside a schedule, unknown names and
-//!   reflexive pairs — fail with exactly the same `SpecError`;
+//!   declaration order, pairs outside a schedule, unknown names, reflexive
+//!   pairs, and dropped pairs whose absence validation finds after the
+//!   close — fail with exactly the same `SpecError`;
 //! * on valid specs, the system built fresh equals the system a session
 //!   reaches append by append.
 
@@ -131,7 +133,7 @@ fn plant_faults(sys: &CompositeSystem, spec: &mut SystemSpec, count: usize, rng:
     let name = |n: NodeId| spec.nodes[n.index()].name.clone();
     let leaves: Vec<NodeId> = sys.leaves().collect();
     for _ in 0..count {
-        match rng.gen_range(0..6) {
+        match rng.gen_range(0..8) {
             // A reversed closure pair of an output, input or intra order:
             // the pairs that imply the original may be declared after the
             // plant, so the cycle closes at a later entry.
@@ -175,6 +177,19 @@ fn plant_faults(sys: &CompositeSystem, spec: &mut SystemSpec, count: usize, rng:
                 let a = leaves[rng.gen_range(0..leaves.len())];
                 let pair = (name(a), "no-such-node".to_string());
                 plant(&mut spec.output_strong, pair, rng);
+            }
+            // A dropped output or input pair: the relations close, and
+            // validation may find a conflict, intra order or propagated
+            // pair the remaining ones no longer cover.
+            kind @ 6..=7 => {
+                let list = if kind == 6 {
+                    &mut spec.output_weak
+                } else {
+                    &mut spec.input_weak
+                };
+                if !list.is_empty() {
+                    list.remove(rng.gen_range(0..list.len()));
+                }
             }
             // A reflexive pair.
             _ => {
