@@ -9,10 +9,9 @@
 use super::dispatch::{
     error_object, panic_message, Conns, CtrlMsg, Request, RequestBody, ShardMsg,
 };
+use super::envelope::Envelope;
 use super::{Gauges, ServeConfig};
 use crate::session::DEFAULT_SESSION;
-use crate::spec::SystemSpec;
-use compc_json::Value;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -517,8 +516,8 @@ fn deliver_line(
 /// without a `"session"` field is the `"default"` session — the entire
 /// pre-multi-session protocol, unchanged.
 fn classify(line: &str, inject_panic: &Option<String>) -> (Option<String>, bool, RequestBody) {
-    let request = match compc_json::parse(line) {
-        Ok(v) => v,
+    let request = match Envelope::read(line) {
+        Ok(request) => request,
         Err(e) => {
             return (
                 None,
@@ -536,32 +535,27 @@ fn classify(line: &str, inject_panic: &Option<String>) -> (Option<String>, bool,
     let flagged = inject_panic
         .as_ref()
         .is_some_and(|token| !token.is_empty() && line.contains(token.as_str()));
-    let session = match request.get("session") {
+    let session = match request.session {
         None => DEFAULT_SESSION.to_string(),
-        Some(value) => match value.as_str().filter(|s| !s.is_empty()) {
-            Some(name) => name.to_string(),
-            None => {
-                return (
-                    None,
-                    flagged,
-                    RequestBody::Malformed {
-                        kind: "protocol",
-                        error: "\"session\" must be a non-empty string".to_string(),
-                    },
-                )
-            }
-        },
-    };
-    let body = if let Some(fragment) = request.get("append") {
-        match SystemSpec::from_json(fragment) {
-            Ok(spec) => RequestBody::Append(Box::new(spec)),
-            Err(e) => RequestBody::Malformed {
-                kind: "spec",
-                error: e.to_string(),
-            },
+        Some(Some(name)) => name,
+        Some(None) => {
+            return (
+                None,
+                flagged,
+                RequestBody::Malformed {
+                    kind: "protocol",
+                    error: "\"session\" must be a non-empty string".to_string(),
+                },
+            )
         }
-    } else {
-        match request.get("op").and_then(Value::as_str) {
+    };
+    let body = match request.append {
+        Some(Ok(spec)) => RequestBody::Append(Box::new(spec)),
+        Some(Err(e)) => RequestBody::Malformed {
+            kind: "spec",
+            error: e.to_string(),
+        },
+        None => match request.op.as_deref() {
             Some("stats") => RequestBody::Stats,
             Some("checkpoint") => RequestBody::Checkpoint,
             Some("shutdown") => RequestBody::Shutdown,
@@ -573,7 +567,7 @@ fn classify(line: &str, inject_panic: &Option<String>) -> (Option<String>, bool,
                 kind: "protocol",
                 error: "request must be {\"append\": {...}} or {\"op\": \"...\"}".to_string(),
             },
-        }
+        },
     };
     (Some(session), flagged, body)
 }
@@ -632,4 +626,162 @@ fn writer_loop(mut stream: Stream, rx: Receiver<String>) {
         }
     }
     let _ = stream.shutdown();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// How a classified request line reads: its session, whether the
+    /// panic token flagged it, and its body.
+    fn render(line: &str) -> String {
+        let (session, flagged, body) = classify(line, &Some("PANIC-TOKEN".to_string()));
+        let body = match body {
+            RequestBody::Append(spec) => format!("append {}", spec.to_json().to_compact()),
+            RequestBody::Stats => "stats".into(),
+            RequestBody::Checkpoint => "checkpoint".into(),
+            RequestBody::Shutdown => "shutdown".into(),
+            RequestBody::Malformed { kind, error } => format!("{kind}: {error}"),
+        };
+        format!("{session:?} {flagged} {body}")
+    }
+
+    /// Every request line's session, kind and error, pinned: not JSON
+    /// outranks a bad `"session"`, which outranks a bad `"append"` spec,
+    /// which outranks `"op"`; unknown keys are ignored and duplicate keys
+    /// are not JSON.
+    #[test]
+    fn classify_results_are_pinned() {
+        let cases: &[(&str, &str)] = &[
+            (
+                r#"not json"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:1: invalid literal (expected 'null')"#,
+            ),
+            (
+                r#"{"op": "stats""#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:15: expected ',' or '}' in object"#,
+            ),
+            (
+                r#"{"session": 5, "op": "stats""#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:29: expected ',' or '}' in object"#,
+            ),
+            (
+                r#"{"session": 5, "op": "stats"} x"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:31: unexpected trailing characters"#,
+            ),
+            (
+                r#"{"session": "", "append": {"nodes": 3}}"#,
+                r#"None false protocol: "session" must be a non-empty string"#,
+            ),
+            (
+                r#"{"append": {"nodes": 3}, "session": 7}"#,
+                r#"None false protocol: "session" must be a non-empty string"#,
+            ),
+            (
+                r#"{"append": {"nodes": 3}, "session": null, "op": "stats"}"#,
+                r#"None false protocol: "session" must be a non-empty string"#,
+            ),
+            (
+                r#"{"append": {"nodes": 3}} x"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:26: unexpected trailing characters"#,
+            ),
+            (
+                r#"{"append": {"nodes": [{"name": "T", "kind": null}]}, "op": "#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:60: unexpected end of input"#,
+            ),
+            (
+                r#"{"append": {"nodes": [{"name": "T", "kind": null}], "x": 1,}}"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:60: expected '"'"#,
+            ),
+            (
+                r#"{"append": {"nodes": 3}, "op": "stats"}"#,
+                r#"Some("default") false spec: spec parse error: nodes: expected an array, got number"#,
+            ),
+            (
+                r#"{"op": "stats", "append": {"mystery": 1}}"#,
+                r#"Some("default") false spec: spec parse error: top level: unknown field "mystery""#,
+            ),
+            (
+                r#"{"append": 5}"#,
+                r#"Some("default") false spec: spec parse error: top level: expected an object, got number"#,
+            ),
+            (
+                r#"{"append": {"version": 2}, "session": "s"}"#,
+                r#"Some("s") false spec: unsupported spec version 2 (this build reads version 1)"#,
+            ),
+            (
+                r#"{"append": {"version": 1e400}}"#,
+                r#"Some("default") false spec: spec parse error: version: expected a non-negative integer"#,
+            ),
+            (
+                r#"{"op": "stats", "op": "shutdown"}"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:21: duplicate object key "op""#,
+            ),
+            (
+                r#"{"session": "a", "session": "b", "op": "stats"}"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:27: duplicate object key "session""#,
+            ),
+            (
+                r#"{"append": {}, "extra": {"a": 1, "a": 2}}"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:37: duplicate object key "a""#,
+            ),
+            (
+                r#"{"append": {"nodes": [], "nodes": []}}"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:33: duplicate object key "nodes""#,
+            ),
+            (
+                r#"{"op": "stats", "extra": {"deep": [1, {"x": null}], "n": -2.5e3}}"#,
+                r#"Some("default") false stats"#,
+            ),
+            (
+                r#"{"op": "stats", "extra": [[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:89: arrays and objects nested deeper than 64 levels"#,
+            ),
+            (r#"{"op": "stats"}"#, r#"Some("default") false stats"#),
+            (
+                r#"{"op": "checkpoint", "session": "s"}"#,
+                r#"Some("s") false checkpoint"#,
+            ),
+            (r#"{"op": "shutdown"}"#, r#"Some("default") false shutdown"#),
+            (
+                r#"{"op": "bogus"}"#,
+                r#"Some("default") false protocol: unknown op "bogus""#,
+            ),
+            (
+                r#"{"op": 5}"#,
+                r#"Some("default") false protocol: request must be {"append": {...}} or {"op": "..."}"#,
+            ),
+            (
+                r#"{"op": "stats", "x": "PANIC-TOKEN"}"#,
+                r#"Some("default") true stats"#,
+            ),
+            (
+                r#"{"op": "stats", "x": "PANIC-TOKEN""#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:35: expected ',' or '}' in object"#,
+            ),
+            (
+                r#"{}"#,
+                r#"Some("default") false protocol: request must be {"append": {...}} or {"op": "..."}"#,
+            ),
+            (
+                r#"[1, 2]"#,
+                r#"Some("default") false protocol: request must be {"append": {...}} or {"op": "..."}"#,
+            ),
+            (
+                r#""text""#,
+                r#"Some("default") false protocol: request must be {"append": {...}} or {"op": "..."}"#,
+            ),
+            (
+                r#"{"session": "s1", "append": {"schedules": ["S\"q\\é😀"], "nodes": []}}"#,
+                r#"Some("s1") false append {"version":1,"schedules":["S\"q\\é😀"],"nodes":[],"auto_propagate":true}"#,
+            ),
+            (
+                r#"{"append": {"schedules": ["S"], "nodes": [{"name": "T", "kind": "root", "home": "S"}], "auto_propagate": false}, "seq": "x"}"#,
+                r#"Some("default") false append {"version":1,"schedules":["S"],"nodes":[{"name":"T","kind":"root","home":"S"}],"auto_propagate":false}"#,
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(render(line), *want, "{line}");
+        }
+    }
 }

@@ -32,6 +32,7 @@
 //! journal second, so a crash between the two only leaves records the
 //! next replay skips.
 
+use super::envelope::Envelope;
 use crate::session::{SpecSession, DEFAULT_SESSION};
 use crate::spec::SystemSpec;
 use compc_core::CheckOptions;
@@ -244,21 +245,16 @@ fn terminate_tail(path: &str) -> Result<(), String> {
 
 fn parse_record(line: &[u8]) -> Result<(String, u64, SystemSpec), String> {
     let text = std::str::from_utf8(line).map_err(|e| format!("not UTF-8: {e}"))?;
-    let doc = compc_json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    let session = match doc.get("session") {
+    let record = Envelope::read(text).map_err(|e| format!("not JSON: {e}"))?;
+    let session = match record.session {
         None => DEFAULT_SESSION.to_string(),
-        Some(v) => v
-            .as_str()
-            .filter(|s| !s.is_empty())
-            .ok_or("\"session\" must be a non-empty string")?
-            .to_string(),
+        Some(name) => name.ok_or("\"session\" must be a non-empty string")?,
     };
-    let seq = doc
-        .get("seq")
-        .and_then(Value::as_u64)
-        .ok_or("missing integer \"seq\" field")?;
-    let append = doc.get("append").ok_or("missing \"append\" field")?;
-    let fragment = SystemSpec::from_json(append).map_err(|e| format!("bad fragment: {e}"))?;
+    let seq = record.seq.ok_or("missing integer \"seq\" field")?;
+    let fragment = record
+        .append
+        .ok_or("missing \"append\" field")?
+        .map_err(|e| format!("bad fragment: {e}"))?;
     Ok((session, seq, fragment))
 }
 
@@ -391,5 +387,111 @@ mod tests {
             format!("{:?}", sessions["covered"].verdict())
         );
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// Every record's parse result or corruption message, pinned: not
+    /// UTF-8, then not JSON, then a bad `"session"`, a missing or
+    /// non-integer `"seq"`, a missing `"append"` and a bad fragment.
+    #[test]
+    fn parse_record_results_are_pinned() {
+        let cases: &[(&[u8], &str)] = &[
+            (
+                b"\xff{\"seq\": 1}",
+                r#"not UTF-8: invalid utf-8 sequence of 1 bytes from index 0"#,
+            ),
+            (
+                b"not json",
+                r#"not JSON: JSON parse error at 1:1: invalid literal (expected 'null')"#,
+            ),
+            (
+                b"{\"seq\": 1, \"append\": {}",
+                r#"not JSON: JSON parse error at 1:24: expected ',' or '}' in object"#,
+            ),
+            (
+                b"{\"session\": \"\", \"seq\": 1, \"append\": {}}",
+                r#""session" must be a non-empty string"#,
+            ),
+            (
+                b"{\"session\": 3, \"append\": {\"nodes\": 3}}",
+                r#""session" must be a non-empty string"#,
+            ),
+            (
+                b"{\"append\": {\"nodes\": 3}, \"seq\": 1, \"session\": \"\"} x",
+                r#"not JSON: JSON parse error at 1:51: unexpected trailing characters"#,
+            ),
+            (
+                b"{\"append\": {}}",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"seq\": -1, \"append\": {}}",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"seq\": 1.5, \"append\": {}}",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"seq\": \"1\", \"append\": {}}",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"seq\": 1e400, \"append\": {}}",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"seq\": 1}",
+                r#"missing "append" field"#,
+            ),
+            (
+                b"{\"seq\": 1, \"append\": {\"nodes\": 3}}",
+                r#"bad fragment: spec parse error: nodes: expected an array, got number"#,
+            ),
+            (
+                b"{\"append\": {\"nodes\": 3}, \"seq\": 2}",
+                r#"bad fragment: spec parse error: nodes: expected an array, got number"#,
+            ),
+            (
+                b"{\"append\": {\"nodes\": 3}}",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"append\": {\"nodes\": [{\"name\": \"T\", \"kind\": \"root\", \"home\": \"S\", \"x\": 1}]}, \"seq\": 2, \"op\": [}",
+                r#"not JSON: JSON parse error at 1:94: unexpected character '}'"#,
+            ),
+            (
+                b"[1]",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"7",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"seq\": 1, \"seq\": 2, \"append\": {}}",
+                r#"not JSON: JSON parse error at 1:17: duplicate object key "seq""#,
+            ),
+            (
+                b"{\"seq\": 1, \"append\": {}, \"op\": \"x\", \"extra\": {\"a\": [1, 2]}}",
+                r#"default 1 {"version":1,"schedules":[],"nodes":[],"auto_propagate":true}"#,
+            ),
+            (
+                b"{\"session\": \"s\\\"1\", \"seq\": 9007199254740992, \"append\": {\"schedules\": [\"S\"], \"nodes\": [{\"name\": \"T\\u00e9\", \"kind\": \"root\", \"home\": \"S\"}]}}",
+                r#"s"1 9007199254740992 {"version":1,"schedules":["S"],"nodes":[{"name":"Té","kind":"root","home":"S"}],"auto_propagate":true}"#,
+            ),
+            (
+                b"{\"append\": {\"version\": 2}, \"seq\": 3}",
+                r#"bad fragment: unsupported spec version 2 (this build reads version 1)"#,
+            ),
+        ];
+        for (line, want) in cases {
+            let got = match parse_record(line) {
+                Ok((session, seq, spec)) => {
+                    format!("{session} {seq} {}", spec.to_json().to_compact())
+                }
+                Err(e) => e,
+            };
+            assert_eq!(got, *want, "{}", String::from_utf8_lossy(line));
+        }
     }
 }

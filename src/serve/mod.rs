@@ -67,6 +67,7 @@
 pub mod client;
 mod conn;
 mod dispatch;
+mod envelope;
 mod journal;
 
 pub use dispatch::ServeReport;

@@ -15,7 +15,8 @@
 
 use crate::spec::{SpecError, SpecIndex, SpecMark, SystemSpec, SPEC_VERSION};
 use compc_core::{CheckOptions, Checker, SessionError, SessionStats, Verdict};
-use compc_json::Value;
+use compc_json::{ParseError, Reader, Value};
+use std::collections::HashSet;
 
 /// Why a [`SpecSession`] operation failed.
 #[derive(Debug)]
@@ -344,10 +345,10 @@ impl SpecSession {
         text: &str,
         options: CheckOptions,
     ) -> Result<SpecSession, SpecSessionError> {
-        let doc = parse_checkpoint(text)?;
-        match checkpoint_entries(&doc)?.as_slice() {
-            [entry] if entry.name.is_none() => {
-                SpecSession::from_parts(entry.appends, entry.spec, options)
+        let mut entries = checkpoint_entries(text)?;
+        match entries.pop() {
+            Some(entry) if entries.is_empty() && entry.name.is_none() => {
+                SpecSession::from_parts(text, 0, entry, options)
             }
             _ => Err(SpecSessionError::Checkpoint(
                 "a multi-session checkpoint holds named sessions; restore it with \
@@ -357,19 +358,23 @@ impl SpecSession {
         }
     }
 
-    /// Rebuilds one session from its checkpointed parts (shared by the
-    /// single-session and multi-session document formats).
+    /// Rebuilds one session from entry `index` of the checkpoint `text`
+    /// (shared by the single-session and multi-session document formats).
     fn from_parts(
-        recorded_appends: u64,
-        spec_value: &Value,
+        text: &str,
+        index: usize,
+        entry: CheckpointEntry,
         options: CheckOptions,
     ) -> Result<SpecSession, SpecSessionError> {
-        let spec = SystemSpec::from_json(spec_value)?;
+        let spec = match entry.spec {
+            Some(spec) => spec,
+            None => read_entry_spec(text, entry.name.is_some().then_some(index))?,
+        };
         let mut session = SpecSession::with_options(options);
         if !spec.nodes.is_empty() {
             session.append(&spec)?;
         }
-        session.appends = recorded_appends.max(session.appends);
+        session.appends = entry.appends.max(session.appends);
         Ok(session)
     }
 }
@@ -423,37 +428,130 @@ pub fn restore_sessions(
     text: &str,
     options: CheckOptions,
 ) -> Result<Vec<(String, SpecSession)>, SpecSessionError> {
-    let doc = parse_checkpoint(text)?;
-    checkpoint_entries(&doc)?
+    checkpoint_entries(text)?
         .into_iter()
-        .map(|entry| {
-            let name = entry.name.unwrap_or_else(|| DEFAULT_SESSION.to_string());
-            Ok((
-                name,
-                SpecSession::from_parts(entry.appends, entry.spec, options)?,
-            ))
+        .enumerate()
+        .map(|(index, entry)| {
+            let name = entry.name.clone();
+            let session = SpecSession::from_parts(text, index, entry, options)?;
+            Ok((name.unwrap_or_else(|| DEFAULT_SESSION.to_string()), session))
         })
         .collect()
 }
 
 /// One session of a checkpoint document.
-struct CheckpointEntry<'v> {
+#[derive(Default)]
+struct CheckpointEntry {
     /// The session's name; `None` in the single-session layout.
     name: Option<String>,
     /// The recorded append count.
     appends: u64,
-    /// The session's accumulated spec.
-    spec: &'v Value,
-}
-
-fn parse_checkpoint(text: &str) -> Result<Value, SpecSessionError> {
-    compc_json::parse(text).map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))
+    /// The session's accumulated spec; `None` until read, when the
+    /// document was validated as a tree.
+    spec: Option<SystemSpec>,
 }
 
 /// Validates a checkpoint document in either layout and lists its
 /// sessions: one unnamed entry for the single-session layout, one named
-/// entry per element of `"sessions"` otherwise.
-fn checkpoint_entries(doc: &Value) -> Result<Vec<CheckpointEntry<'_>>, SpecSessionError> {
+/// entry per element of `"sessions"` otherwise. A document as
+/// [`sessions_checkpoint_json`] writes it is read in one pass, specs
+/// included; any other is parsed as a tree, to name what is wrong with it
+/// in the order the checks below make, and its specs are read as each
+/// session is restored.
+fn checkpoint_entries(text: &str) -> Result<Vec<CheckpointEntry>, SpecSessionError> {
+    if let Some(entries) = read_checkpoint(text) {
+        return Ok(entries);
+    }
+    let doc = compc_json::parse(text)
+        .map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))?;
+    tree_entries(&doc)
+}
+
+/// Reads a checkpoint document in one pass; `None` on anything
+/// [`tree_entries`] would reject (and on a spec that does not read).
+fn read_checkpoint(text: &str) -> Option<Vec<CheckpointEntry>> {
+    let mut r = Reader::new(text);
+    let mut single = CheckpointEntry::default();
+    let mut single_fields = false;
+    let mut sessions = None;
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        match &*key {
+            "version" => (r.u64().ok()? == Some(SPEC_VERSION)).then_some(())?,
+            "sessions" => {
+                let mut list = Vec::new();
+                let mut names = HashSet::new();
+                r.begin_array().ok()?;
+                while r.next_item().ok()? {
+                    let mut entry = CheckpointEntry::default();
+                    r.begin_object().ok()?;
+                    while let Some(key) = r.next_key().ok()? {
+                        read_entry_field(&mut r, &key, &mut entry)?;
+                    }
+                    let fresh = names.insert(entry.name.clone()?);
+                    (fresh && entry.spec.is_some()).then_some(())?;
+                    list.push(entry);
+                }
+                sessions = Some(list);
+            }
+            "appends" | "spec" => {
+                read_entry_field(&mut r, &key, &mut single)?;
+                single_fields = true;
+            }
+            _ => return None,
+        }
+    }
+    r.end().ok()?;
+    match sessions {
+        Some(list) => (!single_fields).then_some(list),
+        None => single.spec.is_some().then(|| vec![single]),
+    }
+}
+
+/// Reads the value of a session's `key` into `entry`: `"session"` (a
+/// non-empty string), `"appends"` (an integer) or `"spec"`.
+fn read_entry_field(r: &mut Reader<'_>, key: &str, entry: &mut CheckpointEntry) -> Option<()> {
+    match key {
+        "session" => {
+            let name = r.str().ok()?;
+            entry.name = Some(name.into_owned()).filter(|name| !name.is_empty());
+            entry.name.as_ref()?;
+        }
+        "appends" => entry.appends = r.u64().ok()??,
+        "spec" => entry.spec = Some(SystemSpec::read(r).ok()?),
+        _ => return None,
+    }
+    Some(())
+}
+
+/// Reads the spec of session `entry` (`None` in the single-session
+/// layout) of a checkpoint that [`tree_entries`] accepted.
+fn read_entry_spec(text: &str, entry: Option<usize>) -> Result<SystemSpec, SpecError> {
+    // Opens the object that comes next and moves to the value of `key`.
+    fn seek(r: &mut Reader<'_>, key: &str) -> Result<(), ParseError> {
+        r.begin_object()?;
+        while r.next_key()?.is_some_and(|k| k != key) {
+            r.skip()?;
+        }
+        Ok(())
+    }
+    let mut r = Reader::new(text);
+    if let Some(index) = entry {
+        seek(&mut r, "sessions")?;
+        r.begin_array()?;
+        for _ in 0..index {
+            r.next_item()?;
+            r.skip()?;
+        }
+        r.next_item()?;
+    }
+    seek(&mut r, "spec")?;
+    SystemSpec::read(&mut r)
+}
+
+/// [`checkpoint_entries`] over a parsed document; the entries' specs are
+/// left to read.
+fn tree_entries(doc: &Value) -> Result<Vec<CheckpointEntry>, SpecSessionError> {
     let fail = |what: String| Err(SpecSessionError::Checkpoint(what));
     let Some(fields) = doc.as_object() else {
         return fail("top level must be an object".into());
@@ -495,12 +593,12 @@ fn checkpoint_entries(doc: &Value) -> Result<Vec<CheckpointEntry<'_>>, SpecSessi
 fn checkpoint_entry(
     fields: &[(String, Value)],
     index: Option<usize>,
-) -> Result<CheckpointEntry<'_>, SpecSessionError> {
+) -> Result<CheckpointEntry, SpecSessionError> {
     let at = index.map_or_else(String::new, |i| format!("sessions[{i}]: "));
     let fail = |what: &str| SpecSessionError::Checkpoint(format!("{at}{what}"));
     let mut name = None;
     let mut appends = 0u64;
-    let mut spec = None;
+    let mut spec = false;
     for (key, val) in fields {
         match (key.as_str(), index) {
             ("version", None) => check_version(val).map_err(|e| fail(&e))?,
@@ -516,15 +614,17 @@ fn checkpoint_entry(
                     .as_u64()
                     .ok_or_else(|| fail("appends must be an integer"))?;
             }
-            ("spec", _) => spec = Some(val),
+            ("spec", _) => spec = true,
             (other, _) => return Err(fail(&format!("unknown field \"{other}\""))),
         }
     }
-    let spec = spec.ok_or_else(|| fail("missing \"spec\" field"))?;
+    if !spec {
+        return Err(fail("missing \"spec\" field"));
+    }
     Ok(CheckpointEntry {
         name,
         appends,
-        spec,
+        spec: None,
     })
 }
 
@@ -768,5 +868,62 @@ mod tests {
         assert!(matches!(err, SpecSessionError::Spec(_)), "{err}");
         assert_eq!(session.spec(), &before);
         assert!(session.verdict().unwrap().is_correct());
+    }
+
+    /// Every checkpoint document's restore result, pinned: not JSON, then
+    /// the layout's fields in document order, every session's fields, then
+    /// each session's spec and build in session order.
+    #[test]
+    fn restore_results_are_pinned() {
+        let bad_kind =
+            r#"{"schedules": ["S"], "nodes": [{"name": "T", "kind": "odd", "home": "S"}]}"#;
+        let one = r#"{"schedules": ["S"], "nodes": [{"name": "T", "kind": "root", "home": "S"}]}"#;
+        let cases: Vec<(String, &str)> = vec![
+            (r#"{"spec": "#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:10: unexpected end of input | invalid checkpoint: not JSON: JSON parse error at 1:10: unexpected end of input"#),
+            ("[]".into(), r#"invalid checkpoint: top level must be an object | invalid checkpoint: top level must be an object"#),
+            (r#"{"version": 2, "spec": {}}"#.into(), r#"invalid checkpoint: unsupported checkpoint version 2 | invalid checkpoint: unsupported checkpoint version 2"#),
+            (r#"{"spec": {"nodes": 3}}"#.into(), r#"spec parse error: nodes: expected an array, got number | spec parse error: nodes: expected an array, got number"#),
+            (r#"{"spec": {"nodes": 3}, "version": 2}"#.into(), r#"invalid checkpoint: unsupported checkpoint version 2 | invalid checkpoint: unsupported checkpoint version 2"#),
+            (r#"{"spec": {"nodes": 3}, "appends": "x"}"#.into(), r#"invalid checkpoint: appends must be an integer | invalid checkpoint: appends must be an integer"#),
+            (r#"{"spec": {"nodes": [{"name": "T", "kind": null}]}, "appends": [}"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:64: unexpected character '}' | invalid checkpoint: not JSON: JSON parse error at 1:64: unexpected character '}'"#),
+            (r#"{"spec": {"nodes": []}} x"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:25: unexpected trailing characters | invalid checkpoint: not JSON: JSON parse error at 1:25: unexpected trailing characters"#),
+            (r#"{"appends": 2}"#.into(), r#"invalid checkpoint: missing "spec" field | invalid checkpoint: missing "spec" field"#),
+            (r#"{"appends": 2, "spec": {}, "session": "a"}"#.into(), r#"invalid checkpoint: unknown field "session" | invalid checkpoint: unknown field "session""#),
+            (format!(r#"{{"appends": 7, "spec": {one}}}"#), r#"default 7 {"version":1,"schedules":["S"],"nodes":[{"name":"T","kind":"root","home":"S"}],"auto_propagate":true} | 7 1"#),
+            (format!(r#"{{"spec": {bad_kind}}}"#), r#"inconsistent node declaration: nodes[0] ("T"): unknown kind "odd" | inconsistent node declaration: nodes[0] ("T"): unknown kind "odd""#),
+            (r#"{"sessions": {}}"#.into(), r#"invalid checkpoint: "sessions" must be an array | invalid checkpoint: "sessions" must be an array"#),
+            (r#"{"sessions": [3]}"#.into(), r#"invalid checkpoint: sessions[0] must be an object | invalid checkpoint: sessions[0] must be an object"#),
+            (r#"{"sessions": [{"spec": {}}]}"#.into(), r#"invalid checkpoint: sessions[0] is missing "session" | invalid checkpoint: sessions[0] is missing "session""#),
+            (r#"{"sessions": [{"session": "", "spec": {}}]}"#.into(), r#"invalid checkpoint: sessions[0]: session must be a non-empty string | invalid checkpoint: sessions[0]: session must be a non-empty string"#),
+            (r#"{"sessions": [{"session": "a", "spec": {}}], "spec": {}}"#.into(), r#"invalid checkpoint: unknown field "spec" | invalid checkpoint: unknown field "spec""#),
+            (r#"{"appends": 3, "sessions": []}"#.into(), r#"invalid checkpoint: unknown field "appends" | invalid checkpoint: unknown field "appends""#),
+            (r#"{"sessions": [{"session": "a", "spec": {}, "version": 1}]}"#.into(), r#"invalid checkpoint: sessions[0]: unknown field "version" | invalid checkpoint: sessions[0]: unknown field "version""#),
+            (r#"{"sessions": [{"session": "a", "spec": {"nodes": 3}}, {"session": "a", "spec": {}}]}"#.into(), r#"invalid checkpoint: duplicate session "a" | invalid checkpoint: duplicate session "a""#),
+            (r#"{"sessions": [{"session": "a", "spec": {}}, {"session": "b", "spec": {"nodes": 3}}]}"#.into(), r#"spec parse error: nodes: expected an array, got number | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
+            (format!(r#"{{"sessions": [{{"session": "a", "spec": {bad_kind}}}, {{"session": "b", "spec": {{"nodes": 3}}}}]}}"#), r#"inconsistent node declaration: nodes[0] ("T"): unknown kind "odd" | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
+            (format!(r#"{{"version": 1, "sessions": [{{"session": "b", "appends": 4, "spec": {one}}}, {{"spec": {{}}, "session": "a\"1"}}]}}"#), r#"b 4 {"version":1,"schedules":["S"],"nodes":[{"name":"T","kind":"root","home":"S"}],"auto_propagate":true}; a"1 0 {"version":1,"schedules":[],"nodes":[],"auto_propagate":false} | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
+            (format!(r#"{{"sessions": [{{"session": "a", "spec": {one}}}, {{"session": "b", "spec": {{"version": 2}}}}]}}"#), r#"unsupported spec version 2 (this build reads version 1) | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
+        ];
+        for (text, want) in &cases {
+            let restored = match restore_sessions(text, CheckOptions::default()) {
+                Ok(sessions) => sessions
+                    .iter()
+                    .map(|(name, s)| {
+                        format!(
+                            "{name} {} {}",
+                            s.stats().appends,
+                            s.spec().to_json().to_compact()
+                        )
+                    })
+                    .collect::<Vec<_>>()
+                    .join("; "),
+                Err(e) => e.to_string(),
+            };
+            let single = match SpecSession::from_checkpoint(text, CheckOptions::default()) {
+                Ok(s) => format!("{} {}", s.stats().appends, s.spec().nodes.len()),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(format!("{restored} | {single}"), *want, "{text}");
+        }
     }
 }

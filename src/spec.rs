@@ -26,7 +26,7 @@
 //! before their children. All relations refer to nodes by name, and every
 //! load error names the offending node or relation entry.
 
-use compc_json::Value;
+use compc_json::{Kind, ParseError, Reader, Value};
 use compc_model::{CompositeSystem, ModelError, NodeId, SchedId, SystemBuilder};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -155,75 +155,109 @@ fn parse_err(msg: impl Into<String>) -> SpecError {
     SpecError::Parse(msg.into())
 }
 
-/// `v` as a string. The error context is built only on failure: a load
-/// reads a string per node field and pair endpoint.
-fn expect_string(v: &Value, ctx: impl FnOnce() -> String) -> Result<String, SpecError> {
-    v.as_str().map(str::to_string).ok_or_else(|| {
-        parse_err(format!(
-            "{}: expected a string, got {}",
-            ctx(),
-            v.type_name()
-        ))
-    })
+impl From<ParseError> for SpecError {
+    fn from(e: ParseError) -> Self {
+        SpecError::Parse(e.to_string())
+    }
 }
 
-fn expect_array<'v>(v: &'v Value, ctx: &str) -> Result<&'v [Value], SpecError> {
-    v.as_array()
-        .ok_or_else(|| parse_err(format!("{ctx}: expected an array, got {}", v.type_name())))
+/// Checks that the next value is a `want`. The error context is built only
+/// on failure: a load checks a value per node field and pair endpoint.
+fn expect(r: &mut Reader<'_>, want: Kind, ctx: impl FnOnce() -> String) -> Result<(), SpecError> {
+    let got = r.peek()?;
+    if got == want {
+        return Ok(());
+    }
+    let want = match want {
+        Kind::Str => "a string",
+        Kind::Array => "an array",
+        _ => "an object",
+    };
+    Err(parse_err(format!(
+        "{}: expected {want}, got {}",
+        ctx(),
+        got.name()
+    )))
 }
 
-fn expect_string_list(v: &Value, ctx: &str) -> Result<Vec<String>, SpecError> {
-    (0..)
-        .zip(expect_array(v, ctx)?)
-        .map(|(i, item)| expect_string(item, || format!("{ctx}[{i}]")))
-        .collect()
+fn read_string(r: &mut Reader<'_>, ctx: impl FnOnce() -> String) -> Result<String, SpecError> {
+    expect(r, Kind::Str, ctx)?;
+    Ok(r.str()?.into_owned())
 }
 
-fn expect_pair_list(v: &Value, ctx: &str) -> Result<Vec<(String, String)>, SpecError> {
-    (0..)
-        .zip(expect_array(v, ctx)?)
-        .map(|(i, item)| {
-            let pair = item
-                .as_array()
-                .ok_or_else(|| parse_err(format!("{ctx}[{i}]: expected a [from, to] pair")))?;
-            if pair.len() != 2 {
-                return Err(parse_err(format!(
-                    "{ctx}[{i}]: expected exactly 2 names, got {}",
-                    pair.len()
-                )));
+fn read_string_list(r: &mut Reader<'_>, ctx: &str) -> Result<Vec<String>, SpecError> {
+    expect(r, Kind::Array, || ctx.to_string())?;
+    r.begin_array()?;
+    let mut list = Vec::new();
+    while r.next_item()? {
+        list.push(read_string(r, || format!("{ctx}[{}]", list.len()))?);
+    }
+    Ok(list)
+}
+
+/// Reads `[from, to]` pairs. A pair's length is checked before the types
+/// of its names, so a pair is read whole before either is reported.
+fn read_pair_list(r: &mut Reader<'_>, ctx: &str) -> Result<Vec<(String, String)>, SpecError> {
+    expect(r, Kind::Array, || ctx.to_string())?;
+    r.begin_array()?;
+    let mut pairs = Vec::new();
+    while r.next_item()? {
+        let i = pairs.len();
+        if r.peek()? != Kind::Array {
+            return Err(parse_err(format!("{ctx}[{i}]: expected a [from, to] pair")));
+        }
+        r.begin_array()?;
+        let mut names = [String::new(), String::new()];
+        let mut len = 0;
+        let mut not_string = None;
+        while r.next_item()? {
+            match r.peek()? {
+                Kind::Str if len < 2 => names[len] = r.str()?.into_owned(),
+                kind => {
+                    if len < 2 {
+                        not_string.get_or_insert((len, kind));
+                    }
+                    r.skip()?;
+                }
             }
-            Ok((
-                expect_string(&pair[0], || format!("{ctx}[{i}][0]"))?,
-                expect_string(&pair[1], || format!("{ctx}[{i}][1]"))?,
-            ))
-        })
-        .collect()
+            len += 1;
+        }
+        if len != 2 {
+            return Err(parse_err(format!(
+                "{ctx}[{i}]: expected exactly 2 names, got {len}"
+            )));
+        }
+        if let Some((j, kind)) = not_string {
+            return Err(parse_err(format!(
+                "{ctx}[{i}][{j}]: expected a string, got {}",
+                kind.name()
+            )));
+        }
+        let [from, to] = names;
+        pairs.push((from, to));
+    }
+    Ok(pairs)
 }
 
-fn node_from_json(v: &Value, idx: usize) -> Result<NodeSpec, SpecError> {
+fn read_node(r: &mut Reader<'_>, idx: usize) -> Result<NodeSpec, SpecError> {
     let ctx = || format!("nodes[{idx}]");
-    let entries = v.as_object().ok_or_else(|| {
-        parse_err(format!(
-            "{}: expected an object, got {}",
-            ctx(),
-            v.type_name()
-        ))
-    })?;
+    expect(r, Kind::Object, ctx)?;
+    r.begin_object()?;
     let mut name = None;
     let mut kind = None;
     let mut parent = None;
     let mut home = None;
-    for (key, val) in entries {
-        let field = || format!("{}.{key}", ctx());
-        match key.as_str() {
-            "name" => name = Some(expect_string(val, field)?),
-            "kind" => kind = Some(expect_string(val, field)?),
-            "parent" => parent = Some(expect_string(val, field)?),
-            "home" => home = Some(expect_string(val, field)?),
+    while let Some(key) = r.next_key()? {
+        let slot = match &*key {
+            "name" => &mut name,
+            "kind" => &mut kind,
+            "parent" => &mut parent,
+            "home" => &mut home,
             other => {
                 return Err(parse_err(format!("{}: unknown field \"{other}\"", ctx())));
             }
-        }
+        };
+        *slot = Some(read_string(r, || format!("{}.{key}", ctx()))?);
     }
     let name = name.ok_or_else(|| parse_err(format!("{}: missing \"name\"", ctx())))?;
     let kind =
@@ -237,55 +271,60 @@ fn node_from_json(v: &Value, idx: usize) -> Result<NodeSpec, SpecError> {
 }
 
 impl SystemSpec {
-    /// Reads a spec from JSON text. Errors carry source positions (for
-    /// malformed JSON) or the offending field/entry (for shape problems).
+    /// Reads a spec from JSON text in one pass, without building a JSON
+    /// tree. Errors carry source positions (for malformed JSON) or the
+    /// offending field/entry (for shape problems); a syntax error anywhere
+    /// in the text outranks a shape error before it.
     pub fn parse(input: &str) -> Result<SystemSpec, SpecError> {
-        let value = compc_json::parse(input).map_err(|e| SpecError::Parse(e.to_string()))?;
-        Self::from_json(&value)
+        let mut r = Reader::new(input);
+        Self::read(&mut r)
+            .and_then(|spec| Ok(r.end().map(|()| spec)?))
+            // On the error path only: the text's first syntax error, if it
+            // has one, outranks the error the pass stopped at.
+            .map_err(|e| match compc_json::parse(input) {
+                Err(syntax) => syntax.into(),
+                Ok(_) => e,
+            })
     }
 
-    /// Reads a spec from an already-parsed JSON value.
-    pub fn from_json(value: &Value) -> Result<SystemSpec, SpecError> {
-        let entries = value.as_object().ok_or_else(|| {
-            parse_err(format!(
-                "top level: expected an object, got {}",
-                value.type_name()
-            ))
-        })?;
-        let mut spec = SystemSpec {
-            auto_propagate: true,
-            ..SystemSpec::default()
-        };
-        for (key, val) in entries {
-            match key.as_str() {
+    /// Reads the spec value at the reader's position, stopping at the
+    /// first shape error in document order. The reader may not have seen
+    /// the rest of the text: whoever owns it decides between that error
+    /// and a later syntax error (see [`SystemSpec::parse`]).
+    pub fn read(r: &mut Reader<'_>) -> Result<SystemSpec, SpecError> {
+        expect(r, Kind::Object, || "top level".into())?;
+        r.begin_object()?;
+        let mut spec = SystemSpec::default();
+        while let Some(key) = r.next_key()? {
+            if let Some(at) = RELATIONS.iter().position(|name| *name == key) {
+                *spec.relations_mut()[at] = read_pair_list(r, RELATIONS[at])?;
+                continue;
+            }
+            match &*key {
                 "version" => {
-                    let v = val
-                        .as_u64()
-                        .ok_or_else(|| parse_err("version: expected a non-negative integer"))?;
+                    let v = match r.peek()? {
+                        Kind::Num => r.u64()?,
+                        _ => None,
+                    }
+                    .ok_or_else(|| parse_err("version: expected a non-negative integer"))?;
                     if v != SPEC_VERSION {
                         return Err(SpecError::UnsupportedVersion(v));
                     }
                     spec.version = v;
                 }
-                "schedules" => spec.schedules = expect_string_list(val, "schedules")?,
+                "schedules" => spec.schedules = read_string_list(r, "schedules")?,
                 "nodes" => {
-                    spec.nodes = expect_array(val, "nodes")?
-                        .iter()
-                        .enumerate()
-                        .map(|(i, item)| node_from_json(item, i))
-                        .collect::<Result<_, _>>()?;
+                    expect(r, Kind::Array, || "nodes".into())?;
+                    r.begin_array()?;
+                    while r.next_item()? {
+                        spec.nodes.push(read_node(r, spec.nodes.len())?);
+                    }
                 }
-                "conflicts" => spec.conflicts = expect_pair_list(val, "conflicts")?,
-                "output_weak" => spec.output_weak = expect_pair_list(val, "output_weak")?,
-                "output_strong" => spec.output_strong = expect_pair_list(val, "output_strong")?,
-                "input_weak" => spec.input_weak = expect_pair_list(val, "input_weak")?,
-                "input_strong" => spec.input_strong = expect_pair_list(val, "input_strong")?,
-                "tx_weak" => spec.tx_weak = expect_pair_list(val, "tx_weak")?,
-                "tx_strong" => spec.tx_strong = expect_pair_list(val, "tx_strong")?,
                 "auto_propagate" => {
-                    spec.auto_propagate = val
-                        .as_bool()
-                        .ok_or_else(|| parse_err("auto_propagate: expected a boolean"))?;
+                    if r.peek()? != Kind::Bool {
+                        return Err(parse_err("auto_propagate: expected a boolean"));
+                    }
+                    spec.auto_propagate = r.bool()?;
                 }
                 other => {
                     return Err(parse_err(format!("top level: unknown field \"{other}\"")));
@@ -293,6 +332,12 @@ impl SystemSpec {
             }
         }
         Ok(spec)
+    }
+
+    /// Reads a spec from an already-parsed JSON value, by writing it out
+    /// and reading the text back with [`SystemSpec::parse`].
+    pub fn from_json(value: &Value) -> Result<SystemSpec, SpecError> {
+        Self::parse(&value.to_compact())
     }
 
     /// Renders the spec as a JSON value (always stamped with the current

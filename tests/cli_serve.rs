@@ -516,6 +516,35 @@ fn deeply_nested_line_is_an_error_and_other_sessions_survive() {
     assert_eq!(daemon.wait_code(), 1);
 }
 
+/// An 80,000-key object fits one request line. Its keys are ignored
+/// envelope keys, found distinct in linear time (a quadratic check held
+/// the reader thread for seconds); a duplicate among them makes the line
+/// not JSON.
+#[test]
+fn wide_object_line_is_answered() {
+    let dir = tmpdir();
+    let socket = dir.join("wide.sock");
+    let daemon = Daemon::spawn(&["--socket", socket.to_str().unwrap()]);
+    let stream = wait_for_socket(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let keys: Vec<String> = (0..80_000).map(|i| format!("\"k{i}\":1")).collect();
+    let wide = format!("{{{}}}", keys.join(","));
+    let response = roundtrip(&mut reader, &mut writer, &wide);
+    assert_eq!(str_field(&response, "kind"), "protocol");
+    assert!(str_field(&response, "error").starts_with("request must be"));
+    let twice = format!("{{{},\"k40000\":2}}", keys.join(","));
+    let response = roundtrip(&mut reader, &mut writer, &twice);
+    assert_eq!(str_field(&response, "kind"), "protocol");
+    assert!(
+        str_field(&response, "error").ends_with("duplicate object key \"k40000\""),
+        "{}",
+        response.to_compact()
+    );
+    roundtrip(&mut reader, &mut writer, "{\"op\": \"shutdown\"}");
+    assert_eq!(daemon.wait_code(), 0);
+}
+
 #[test]
 fn idle_client_is_timed_out_without_stalling_the_daemon() {
     let dir = tmpdir();
