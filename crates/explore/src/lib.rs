@@ -361,8 +361,7 @@ pub fn explore_with_engine(
                                     if let (Some(dir), Ok(sys)) = (&cfg.repro_dir, &realized) {
                                         let stem =
                                             format!("constancy-{label}-c{}", join_idx(&class_idx));
-                                        let json =
-                                            SystemSpec::from_system(sys).to_json().to_pretty();
+                                        let json = SystemSpec::from_system(sys).to_pretty();
                                         let _ = corpus::write_reproducer(dir, &stem, &json);
                                     }
                                 }
@@ -509,7 +508,7 @@ fn record(
         detail: detail.to_string(),
         nodes_before: sys.node_count(),
         nodes_after: shrunk.node_count(),
-        shrunk_spec: SystemSpec::from_system(shrunk).to_json().to_pretty(),
+        shrunk_spec: SystemSpec::from_system(shrunk).to_pretty(),
     };
     if let Some(dir) = &cfg.repro_dir {
         let stem = format!("disagreement-{kind}-{label}");

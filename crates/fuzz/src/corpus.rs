@@ -170,7 +170,7 @@ pub fn write_corpus_entry(
     fs::create_dir_all(dir)?;
     let suffix = if correct { "correct" } else { "incorrect" };
     let path = dir.join(format!("{stem}.{suffix}.json"));
-    fs::write(&path, SystemSpec::from_system(sys).to_json().to_pretty())?;
+    fs::write(&path, SystemSpec::from_system(sys).to_pretty())?;
     Ok(path)
 }
 
@@ -244,7 +244,7 @@ pub fn harvest(seed: u64, want: usize) -> Vec<(String, CompositeSystem, bool)> {
 /// Sanity helper shared by the replay test and the fuzz binary: a corpus
 /// entry must survive a spec round-trip with its verdict intact.
 pub fn roundtrip_verdict(sys: &CompositeSystem) -> Result<bool, String> {
-    let json = SystemSpec::from_system(sys).to_json().to_pretty();
+    let json = SystemSpec::from_system(sys).to_pretty();
     let spec = SystemSpec::parse(&json).map_err(|e| format!("reparse failed: {e}"))?;
     let rebuilt = spec.build().map_err(|e| format!("rebuild failed: {e}"))?;
     let before = check(sys).is_correct();

@@ -219,7 +219,7 @@ fn record_disagreement(
             .err()
             .is_some_and(|m| m.kind() == kind)
     });
-    let spec = SystemSpec::from_system(&shrunk).to_json().to_pretty();
+    let spec = SystemSpec::from_system(&shrunk).to_pretty();
     let dis = Disagreement {
         label: label.to_string(),
         kind: kind.to_string(),

@@ -1,16 +1,19 @@
 //! Dependency-free JSON for the compc workspace.
 //!
 //! The build environment is fully offline, so instead of serde this crate
-//! has one lexer, the pull [`Reader`], with two APIs over it. A caller that
-//! knows the shape it expects walks the text with the reader itself
-//! (`begin_object`, `next_key`, `begin_array`, `next_item`, strings
-//! borrowed from the input) and builds its own types without an
-//! intermediate tree; the spec loader does. [`parse`] builds a [`Value`]
-//! tree with the same reader. Either way every syntax error carries a
-//! line/column position, duplicate keys are found in time linear in the
-//! object, and nesting stops at [`MAX_DEPTH`]. Compact and pretty writers
-//! render a [`Value`]; object key order is preserved (insertion order),
-//! which keeps emitted specs diffable.
+//! has one lexer, the pull [`Reader`], and one serializer, the streaming
+//! [`Writer`], each with two APIs over it. A caller that knows the shape it
+//! expects walks the text with the reader itself (`begin_object`,
+//! `next_key`, `begin_array`, `next_item`, strings borrowed from the input)
+//! and builds its own types without an intermediate tree; the spec loader
+//! does. [`parse`] builds a [`Value`] tree with the same reader. Either way
+//! every syntax error carries a line/column position, duplicate keys are
+//! found in time linear in the object, and nesting stops at [`MAX_DEPTH`].
+//! On the way out, a caller streams its own types through the writer
+//! (`begin_object`, `key`, `str`, ...), compact or pretty, and
+//! [`Value::to_compact`] / [`Value::to_pretty`] write a tree with the same
+//! writer. Object key order is preserved (insertion order), which keeps
+//! emitted specs diffable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,21 +105,19 @@ impl Value {
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        write_value(&mut out, self, None, 0);
+        self.write_compact_into(&mut out);
         out
     }
 
-    /// Compact rendering appended to a caller-owned buffer, so hot paths
-    /// (the serve journal writes one record per acked append) can reuse
-    /// one scratch allocation instead of paying a fresh `String` per call.
+    /// Compact rendering appended to a caller-owned buffer.
     pub fn write_compact_into(&self, out: &mut String) {
-        write_value(out, self, None, 0);
+        Writer::compact(out).value(self);
     }
 
     /// Indented multi-line rendering.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        write_value(&mut out, self, Some(2), 0);
+        Writer::pretty(&mut out).value(self);
         out
     }
 }
@@ -174,86 +175,227 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Spaces a pretty [`Writer`] indents with, appended a slice at a time.
+const INDENT: &str = "                                                                ";
+
+/// A streaming JSON writer: the crate's only serializer, the write-side
+/// mirror of [`Reader`].
+///
+/// The caller writes a document value by value. A scalar is written with
+/// [`Writer::null`], [`Writer::bool`], [`Writer::num`] or [`Writer::str`];
+/// an object between [`Writer::begin_object`] and [`Writer::end_object`],
+/// each entry a [`Writer::key`] followed by exactly one value; an array
+/// between [`Writer::begin_array`] and [`Writer::end_array`].
+/// [`Writer::value`] writes a [`Value`] tree. The writer places the
+/// commas and, in the pretty layout, the newlines, two spaces of
+/// indentation per level and the space after each `:`; an empty array or
+/// object is `[]` or `{}` in both layouts. Strings are escaped by copying
+/// the runs between characters that need an escape at once. Every method
+/// returns the writer, so calls chain.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Open arrays and objects.
+    depth: usize,
+    /// The innermost open array or object has no item or entry yet.
+    first: bool,
+    /// A key was just written: the next value is its entry's.
+    keyed: bool,
 }
 
-fn write_num(out: &mut String, n: f64) {
-    if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        out.push_str(&format!("{n}"));
+impl<'a> Writer<'a> {
+    /// A writer appending compact single-line JSON to `out`.
+    pub fn compact(out: &'a mut String) -> Writer<'a> {
+        Writer::new(out, false)
     }
-}
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => write_num(out, *n),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
+    /// A writer appending indented multi-line JSON to `out`.
+    pub fn pretty(out: &'a mut String) -> Writer<'a> {
+        Writer::new(out, true)
+    }
+
+    fn new(out: &'a mut String, pretty: bool) -> Writer<'a> {
+        Writer {
+            out,
+            pretty,
+            depth: 0,
+            first: true,
+            keyed: false,
         }
     }
-}
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
+    /// Starts a new line at the current depth (pretty layout only).
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            let mut spaces = 2 * self.depth;
+            while spaces > 0 {
+                let run = spaces.min(INDENT.len());
+                self.out.push_str(&INDENT[..run]);
+                spaces -= run;
+            }
+        }
+    }
+
+    /// Writes the `,` and the line break before an array item or an
+    /// object entry.
+    fn separate(&mut self) {
+        if !std::mem::replace(&mut self.first, false) {
+            self.out.push(',');
+        }
+        self.newline();
+    }
+
+    /// What goes before a value: nothing after a key or at the top level,
+    /// a separator inside an array.
+    fn before_value(&mut self) {
+        if !std::mem::take(&mut self.keyed) && self.depth > 0 {
+            self.separate();
+        }
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.before_value();
+        self.out.push_str("null");
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.before_value();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Writes a number: an integer of magnitude up to 2^53 without a
+    /// fraction, an infinity as `1e999` or `-1e999` (which read back as
+    /// the same infinity), NaN as `null`.
+    pub fn num(&mut self, n: f64) -> &mut Self {
+        use std::fmt::Write as _;
+        self.before_value();
+        // Writing to a `String` cannot fail.
+        let _ = if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+            write!(self.out, "{}", n as i64)
+        } else if n.is_finite() {
+            write!(self.out, "{n}")
+        } else if n.is_nan() {
+            self.out.write_str("null")
+        } else {
+            self.out.write_str(if n > 0.0 { "1e999" } else { "-1e999" })
+        };
+        self
+    }
+
+    /// Writes a string.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.before_value();
+        self.escaped(s);
+        self
+    }
+
+    fn escaped(&mut self, s: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.push('"');
+        let mut run = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0C => "\\f",
+                0..=0x1F => "",
+                _ => continue,
+            };
+            // `b` is ASCII, so `i` is a character boundary.
+            self.out.push_str(&s[run..i]);
+            if escape.is_empty() {
+                self.out.push_str("\\u00");
+                self.out.push(HEX[usize::from(b >> 4)] as char);
+                self.out.push(HEX[usize::from(b & 0xF)] as char);
+            } else {
+                self.out.push_str(escape);
+            }
+            run = i + 1;
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// Writes the key of the innermost open object's next entry, which
+    /// the next value written completes.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        self.escaped(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.keyed = true;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{')
+    }
+
+    /// Closes the innermost open object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.end('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[')
+    }
+
+    /// Closes the innermost open array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.end(']')
+    }
+
+    fn begin(&mut self, bracket: char) -> &mut Self {
+        self.before_value();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+        self
+    }
+
+    fn end(&mut self, bracket: char) -> &mut Self {
+        debug_assert!(self.depth > 0 && !self.keyed, "unbalanced writer");
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.first = false;
+        self
+    }
+
+    /// Writes a [`Value`] tree.
+    pub fn value(&mut self, v: &Value) -> &mut Self {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Num(n) => self.num(*n),
+            Value::Str(s) => self.str(s),
+            Value::Array(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array()
+            }
+            Value::Object(entries) => {
+                self.begin_object();
+                for (key, val) in entries {
+                    self.key(key).value(val);
+                }
+                self.end_object()
+            }
         }
     }
 }
@@ -1009,5 +1151,25 @@ mod tests {
     fn integers_write_without_fraction() {
         assert_eq!(Value::from(42u64).to_compact(), "42");
         assert_eq!(Value::from(2.5f64).to_compact(), "2.5");
+    }
+
+    /// Infinities are written as numbers that read back as the same
+    /// infinity, NaN as `null`: every number the writer writes is JSON.
+    #[test]
+    fn non_finite_numbers_write_as_json() {
+        let v = Value::Array(vec![
+            Value::Num(f64::INFINITY),
+            Value::Num(f64::NEG_INFINITY),
+            Value::Num(f64::NAN),
+        ]);
+        assert_eq!(v.to_compact(), "[1e999,-1e999,null]");
+        assert_eq!(
+            parse(&v.to_compact()).unwrap(),
+            Value::Array(vec![
+                Value::Num(f64::INFINITY),
+                Value::Num(f64::NEG_INFINITY),
+                Value::Null
+            ])
+        );
     }
 }

@@ -36,7 +36,10 @@
 #                              # the chain closing a cycle within 1.5 s and
 #                              # against its input order within 0.1 s, both
 #                              # exit 2 (fail if an invalid spec's replay
-#                              # gets slow again)
+#                              # gets slow again), and compc-serve restores
+#                              # an 8,000-leaf chain checkpoint and answers
+#                              # stats within 0.5 s (fails if a restored
+#                              # session is built pair by pair again)
 #   scripts/ci.sh batch-smoke  # a mixed compc-gen corpus reports the same at
 #                              # --jobs 1 and 2, and a --checkpoint rerun
 #                              # has nothing left with the same exit code
@@ -622,12 +625,45 @@ wide_object() {
     }'
 }
 
+# Restores the single-session checkpoint FILE in a `compc-serve --once`
+# daemon, asks it for stats and disconnects; fails unless the answer comes
+# and the daemon exits within SECONDS.
+restore_case() {
+    local what="$1" secs="$2" file="$3" log="$dir/restore.log" pid port="" response="" code
+    cp "$file" "$dir/restore.json"
+    : > "$log"
+    timeout "$secs" ./target/release/compc-serve --listen 127.0.0.1:0 \
+        --checkpoint "$dir/restore.json" --once 2> "$log" &
+    pid=$!
+    while [ -z "$port" ] && kill -0 "$pid" 2> /dev/null; do
+        port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")"
+        [ -n "$port" ] || sleep 0.01
+    done
+    if [ -n "$port" ]; then
+        exec 3<> "/dev/tcp/127.0.0.1/$port"
+        printf '{"op":"stats"}\n' >&3
+        IFS= read -r response <&3 || true
+        exec 3>&- 3<&-
+    fi
+    set +e
+    wait "$pid"
+    code=$?
+    set -e
+    [ "$code" -ne 124 ] \
+        || { echo "scale-smoke: $what took longer than $secs s" >&2; return 1; }
+    case "$response" in
+        *'"ok":true'*) ;;
+        *) echo "scale-smoke: $what: no stats answer (exit $code)" >&2; return 1 ;;
+    esac
+}
+
 # Timeouts are about 3x the measured wall time on a 2-vCPU host
-# (EXPERIMENTS.md E32, E33); the load path used to take 2.9 s on the
-# general system, 7.8-9.9 s on each chain and 11.3 s on the wide object.
+# (EXPERIMENTS.md E32, E33, E34); the load path used to take 2.9 s on the
+# general system, 7.8-9.9 s on each chain and 11.3 s on the wide object,
+# and restoring the 8,000-leaf chain checkpoint 1.09 s.
 scale_smoke() {
     echo "==> scale-smoke: large stack, general and chain systems and a wide object checked in time"
-    cargo build --release -q -p compc --bin compc-gen --bin compc-check
+    cargo build --release -q -p compc --bin compc-gen --bin compc-check --bin compc-serve
     dir="$(mktemp -d /tmp/compc-scale-XXXXXX)"
     trap 'rm -rf "$dir"' EXIT
     ./target/release/compc-gen --shape stack --roots 1200 --density 0.0002 --seed 7 \
@@ -638,6 +674,8 @@ scale_smoke() {
     chain_spec 4000 back > "$dir/chain-back.json"
     chain_spec 4000 input > "$dir/chain-input.json"
     wide_object 80000 > "$dir/wide.json"
+    { printf '{"version":1,"appends":1,"spec":'; chain_spec 8000; printf '}\n'; } \
+        > "$dir/chain-checkpoint.json"
     status=0
     scale_case "18,420-node stack" 3 1 "$dir/stack.json" || status=1
     scale_case "3,000-node general system" 0.25 1 "$dir/general.json" || status=1
@@ -645,6 +683,8 @@ scale_smoke() {
     scale_case "4,000-leaf chain closing a cycle" 1.5 2 "$dir/chain-back.json" || status=1
     scale_case "4,000-leaf chain against its input order" 0.1 2 "$dir/chain-input.json" || status=1
     scale_case "80,000-key object" 0.12 2 "$dir/wide.json" || status=1
+    restore_case "8,000-leaf chain checkpoint restore" 0.5 "$dir/chain-checkpoint.json" \
+        || status=1
     rm -rf "$dir"
     trap - EXIT
     [ "$status" -eq 0 ] || exit 1

@@ -40,5 +40,5 @@ fn main() {
     };
     let sys = generate(&params);
     let spec = SystemSpec::from_system(&sys);
-    println!("{}", spec.to_json().to_pretty());
+    println!("{}", spec.to_pretty());
 }

@@ -36,8 +36,7 @@
 //! over 1).
 
 use compc::cli::parse_check_flag;
-use compc::json::Value;
-use compc::serve::client::{stream_requests, BackoffPolicy, Target};
+use compc::serve::client::{append_request, stream_requests, BackoffPolicy, Target};
 use compc::serve::{serve, ServeConfig};
 use compc::spec::SystemSpec;
 use std::process::ExitCode;
@@ -326,8 +325,7 @@ fn split(path: &str) -> ExitCode {
         Err(code) => return code,
     };
     for fragment in spec.into_appends() {
-        let request = Value::Object(vec![("append".to_string(), fragment.to_json())]);
-        println!("{}", request.to_compact());
+        println!("{}", append_request(None, &fragment));
     }
     ExitCode::SUCCESS
 }
@@ -343,9 +341,7 @@ fn send(path: &str, target: &Target) -> ExitCode {
     let lines: Vec<String> = spec
         .into_appends()
         .into_iter()
-        .map(|fragment| {
-            Value::Object(vec![("append".to_string(), fragment.to_json())]).to_compact()
-        })
+        .map(|fragment| append_request(None, &fragment))
         .collect();
     let report = stream_requests(target, &lines, &BackoffPolicy::default(), |_, response| {
         println!("{}", response.to_compact());

@@ -28,6 +28,7 @@
 //! 2 = harness failure.
 
 use compc::json::Value;
+use compc::serve::client::append_request;
 use compc::spec::SystemSpec;
 use compc::workload::random::{generate, GenParams, Shape};
 use std::collections::VecDeque;
@@ -397,14 +398,7 @@ fn request_lines(args: &Args) -> Result<Vec<Vec<String>>, String> {
         let session = format!("b{s}");
         let lines = fragments
             .iter()
-            .map(|fragment| {
-                Value::Object(vec![
-                    ("session".to_string(), Value::from(session.as_str())),
-                    ("append".to_string(), fragment.to_json()),
-                ])
-                .to_compact()
-                    + "\n"
-            })
+            .map(|fragment| append_request(Some(&session), fragment) + "\n")
             .collect();
         per_session.push(lines);
     }

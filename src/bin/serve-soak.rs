@@ -25,7 +25,7 @@
 //! log tail is printed).
 
 use compc::json::Value;
-use compc::serve::client::{stream_requests_observed, BackoffPolicy, Target};
+use compc::serve::client::{append_request, stream_requests_observed, BackoffPolicy, Target};
 use compc::spec::SystemSpec;
 use compc::workload::random::{generate, GenParams, Shape};
 use std::io::{BufRead, BufReader, Write};
@@ -267,12 +267,7 @@ fn build_plan(args: &Args, round_seed: u64, client: usize) -> Result<Plan, Strin
     let mut is_append = Vec::new();
     let mut last_append_line = String::new();
     for (index, fragment) in fragments.iter().enumerate() {
-        let mut entries = Vec::new();
-        if let Some(name) = &session {
-            entries.push(("session".to_string(), Value::from(name.as_str())));
-        }
-        entries.push(("append".to_string(), fragment.to_json()));
-        last_append_line = Value::Object(entries).to_compact();
+        last_append_line = append_request(session.as_deref(), fragment);
         lines.push(last_append_line.clone());
         is_append.push(true);
         // A compaction op every few appends, so kills can land

@@ -13,12 +13,29 @@
 //! crash-recovery soak use this client as its canonical workload driver.
 
 use crate::session::DEFAULT_SESSION;
+use crate::spec::SystemSpec;
 
-use compc_json::Value;
+use compc_json::{Value, Writer};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
+
+/// The request line `{"session": name, "append": fragment}`, compact and
+/// without its newline; `None` leaves the session field out, which
+/// addresses the `"default"` session.
+pub fn append_request(session: Option<&str>, fragment: &SystemSpec) -> String {
+    let mut line = String::new();
+    let mut w = Writer::compact(&mut line);
+    w.begin_object();
+    if let Some(name) = session {
+        w.key("session").str(name);
+    }
+    w.key("append");
+    fragment.write(&mut w);
+    w.end_object();
+    line
+}
 
 /// Where the daemon lives.
 #[derive(Clone, Debug)]

@@ -14,6 +14,7 @@ use super::{Gauges, ServeConfig};
 use crate::session::DEFAULT_SESSION;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::catch_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -101,6 +102,37 @@ impl Listener {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
             Listener::Tcp(l, _) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+        }
+    }
+
+    /// Waits until a connection is pending or `timeout` passes, whichever
+    /// comes first.
+    fn wait_pending(&self, timeout: Duration) {
+        #[repr(C)]
+        struct PollFd {
+            fd: std::ffi::c_int,
+            events: std::ffi::c_short,
+            revents: std::ffi::c_short,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> i32;
+        }
+        const POLLIN: std::ffi::c_short = 1;
+        let fd = match self {
+            Listener::Unix(l, _) => l.as_raw_fd(),
+            Listener::Tcp(l, _) => l.as_raw_fd(),
+        };
+        let mut pending = PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        // SAFETY: `pending` is one valid `pollfd` for the whole call.
+        let ready = unsafe { poll(&mut pending, 1, timeout.as_millis() as std::ffi::c_int) };
+        if ready < 0 && std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+            // Without a working poll, wait out the period instead of
+            // spinning.
+            std::thread::sleep(timeout);
         }
     }
 }
@@ -196,8 +228,10 @@ pub(crate) fn accept_loop(
     stop: Arc<AtomicBool>,
     limits: ConnLimits,
 ) {
-    // Nonblocking accept lets the loop poll the stop flag; if the fcntl
+    // Nonblocking accept lets the loop look at the stop flag: it waits
+    // for a pending connection at most one period at a time. If the fcntl
     // somehow fails we still serve, just without prompt shutdown.
+    const STOP_PERIOD: Duration = Duration::from_millis(15);
     if let Err(e) = listener.set_nonblocking(true) {
         eprintln!("cannot make the listener pollable: {e}");
     }
@@ -207,12 +241,12 @@ pub(crate) fn accept_loop(
         let stream = match listener.accept() {
             Ok(s) => s,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(15));
+                listener.wait_pending(STOP_PERIOD);
                 continue;
             }
             Err(e) => {
                 eprintln!("accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(15));
+                std::thread::sleep(STOP_PERIOD);
                 continue;
             }
         };
@@ -616,10 +650,12 @@ fn send_request(
 /// client stops reading, then shuts the socket down — which also unblocks
 /// a reader parked in `read` during daemon shutdown.
 fn writer_loop(mut stream: Stream, rx: Receiver<String>) {
-    for line in rx {
+    for mut line in rx {
+        // One write per response: a client never wakes on a line without
+        // its newline.
+        line.push('\n');
         let write = stream
             .write_all(line.as_bytes())
-            .and_then(|_| stream.write_all(b"\n"))
             .and_then(|_| stream.flush());
         if write.is_err() {
             break;
@@ -637,7 +673,7 @@ mod tests {
     fn render(line: &str) -> String {
         let (session, flagged, body) = classify(line, &Some("PANIC-TOKEN".to_string()));
         let body = match body {
-            RequestBody::Append(spec) => format!("append {}", spec.to_json().to_compact()),
+            RequestBody::Append(spec) => format!("append {}", spec.to_compact()),
             RequestBody::Stats => "stats".into(),
             RequestBody::Checkpoint => "checkpoint".into(),
             RequestBody::Shutdown => "shutdown".into(),

@@ -32,7 +32,7 @@
 //!
 //! Global operations need every shard quiescent: the control thread sends
 //! `Freeze` into each shard's queue (so it lands after everything already
-//! queued), each shard flushes its batch, serializes its sessions, replies
+//! queued), each shard flushes its batch, copies its sessions out, replies
 //! and blocks; the control thread persists (checkpoint rewrite, then
 //! journal truncation — all shards are frozen, so every journaled record
 //! is covered), then resumes them. Only the control thread ever
@@ -41,7 +41,8 @@
 use super::journal::{BatchRecord, Journal};
 use super::{Gauges, ServeConfig};
 use crate::session::{
-    sessions_checkpoint_json, SpecSession, SpecSessionError, SpecSnapshot, DEFAULT_SESSION,
+    sessions_checkpoint, write_checkpoint, SpecSession, SpecSessionError, SpecSnapshot,
+    DEFAULT_SESSION,
 };
 use crate::spec::SystemSpec;
 use compc_core::{CheckOptions, SessionError, Verdict};
@@ -100,10 +101,10 @@ pub(crate) enum ShardMsg {
     },
 }
 
-/// One serialized session: `(name, appends, spec JSON)`.
-pub(crate) type SessionEntry = (String, u64, Value);
+/// One frozen session: `(name, appends, spec)`.
+pub(crate) type SessionEntry = (String, u64, SystemSpec);
 
-/// A frozen shard's serialized sessions.
+/// A frozen shard's sessions.
 pub(crate) struct FrozenShard {
     pub sessions: Vec<SessionEntry>,
 }
@@ -397,13 +398,14 @@ impl Shard {
         self.flush(batch);
     }
 
-    /// Serializes this shard's sessions for a checkpoint document.
+    /// Copies this shard's sessions for the control thread, which writes
+    /// them into a checkpoint document while the shard stays frozen.
     fn frozen(&self) -> FrozenShard {
         FrozenShard {
             sessions: self
                 .sessions
                 .iter()
-                .map(|(name, s)| (name.clone(), s.stats().appends, s.spec().to_json()))
+                .map(|(name, s)| (name.clone(), s.stats().appends, s.spec().clone()))
                 .collect(),
         }
     }
@@ -684,12 +686,7 @@ impl Shard {
         let Some(path) = &self.config.checkpoint else {
             return Ok(());
         };
-        let entries = self
-            .sessions
-            .iter()
-            .map(|(name, s)| (name.clone(), s.stats().appends, s.spec().to_json()))
-            .collect();
-        super::journal::write_checkpoint_file(path, &sessions_checkpoint_json(entries))
+        super::journal::write_checkpoint_file(path, &sessions_checkpoint(&self.sessions))
     }
 
     fn stats_response(&self, session_name: &str) -> Value {
@@ -900,7 +897,7 @@ pub(crate) fn control_loop(rx: Receiver<CtrlMsg>, control: Control) -> Result<()
 
 impl Control {
     /// Freezes every shard (optionally letting each drain its queue until
-    /// `drain_deadline` first) and collects their serialized sessions.
+    /// `drain_deadline` first) and collects their sessions.
     /// Returns the resume handles — the caller must resume every shard.
     fn freeze_all(
         &self,
@@ -951,11 +948,12 @@ impl Control {
         result
     }
 
-    fn persist(&self, sessions: Vec<(String, u64, Value)>, truncate: bool) -> Result<bool, String> {
+    fn persist(&self, sessions: Vec<SessionEntry>, truncate: bool) -> Result<bool, String> {
         let Some(path) = &self.config.checkpoint else {
             return Ok(false);
         };
-        super::journal::write_checkpoint_file(path, &sessions_checkpoint_json(sessions))?;
+        let doc = write_checkpoint(sessions, |w, spec| spec.write(w));
+        super::journal::write_checkpoint_file(path, &doc)?;
         if truncate {
             if let Some(journal) = &self.journal {
                 lock_journal(journal).truncate()?;

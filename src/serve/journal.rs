@@ -36,7 +36,7 @@ use super::envelope::Envelope;
 use crate::session::{SpecSession, DEFAULT_SESSION};
 use crate::spec::SystemSpec;
 use compc_core::CheckOptions;
-use compc_json::Value;
+use compc_json::Writer;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 
@@ -98,16 +98,17 @@ impl Journal {
         }
         self.scratch.clear();
         for (session, seq, fragment) in records {
-            let mut entries = Vec::with_capacity(3);
+            let mut w = Writer::compact(&mut self.scratch);
+            w.begin_object();
             // The default session omits its name, so a daemon that never
             // saw a named session writes pre-multi-session records,
             // byte for byte.
             if *session != DEFAULT_SESSION {
-                entries.push(("session".to_string(), Value::from(*session)));
+                w.key("session").str(session);
             }
-            entries.push(("seq".to_string(), Value::from(*seq)));
-            entries.push(("append".to_string(), fragment.to_json()));
-            Value::Object(entries).write_compact_into(&mut self.scratch);
+            w.key("seq").num(*seq as f64).key("append");
+            fragment.write(&mut w);
+            w.end_object();
             self.scratch.push('\n');
         }
         self.file
@@ -184,7 +185,7 @@ pub(crate) fn replay(
         torn: false,
     };
     let mut records = Vec::with_capacity(lines.len() + 1);
-    for (index, line) in lines.into_iter().enumerate() {
+    for (index, line) in lines.iter().enumerate() {
         let record = parse_record(line)
             .map_err(|e| format!("journal {path} record {} is corrupt: {e}", index + 1))?;
         records.push(record);
@@ -195,11 +196,18 @@ pub(crate) fn replay(
     let mut torn = false;
     if let Some(tail) = torn_candidate {
         match parse_record(tail) {
-            Ok(record) => records.push(record),
+            Ok(record) => {
+                records.push(record);
+                lines.push(tail);
+            }
             Err(_) => torn = true,
         }
     }
-    apply_records(records, sessions, options, &mut report)
+    let fragment = |number: usize| {
+        let record = parse_record(lines[number - 1]);
+        record.expect("a record that parsed once parses again").2
+    };
+    apply_records(records, sessions, options, &mut report, fragment)
         .map_err(|(number, e)| format!("journal {path} record {number} failed to replay: {e}"))?;
     if torn {
         // The torn record's bytes must go too, or the next batch would
@@ -259,15 +267,17 @@ fn parse_record(line: &[u8]) -> Result<(String, u64, SystemSpec), String> {
 }
 
 /// Applies parsed records, skipping those a session's checkpoint already
-/// covers. Each session's uncovered records are merged and checked once
-/// ([`SpecSession::append_all`]); if that fails, the session is rolled
-/// back and replayed record by record, so the error names the record
-/// (1-based) that fails.
+/// covers. Each session's uncovered records are handed to it and checked
+/// once ([`SpecSession::append_all`]); if that fails, the session is
+/// rolled back and replayed record by record, each record's fragment read
+/// again with `fragment` (by 1-based record number), so the error names
+/// the record that fails.
 fn apply_records(
     records: Vec<(String, u64, SystemSpec)>,
     sessions: &mut HashMap<String, SpecSession>,
     options: CheckOptions,
     report: &mut ReplayReport,
+    fragment: impl Fn(usize) -> SystemSpec,
 ) -> Result<(), (usize, String)> {
     let mut pending: BTreeMap<String, Vec<(usize, SystemSpec)>> = BTreeMap::new();
     for (number, (name, seq, fragment)) in (1..).zip(records) {
@@ -288,15 +298,15 @@ fn apply_records(
         let session = sessions.get_mut(&name).expect("created above");
         let mark = session.snapshot();
         let (numbers, fragments): (Vec<usize>, Vec<SystemSpec>) = queued.into_iter().unzip();
-        if session.append_all(&fragments).is_err() {
+        if session.append_all(fragments).is_err() {
             session.restore(mark);
-            for (number, fragment) in numbers.into_iter().zip(&fragments) {
+            for &number in &numbers {
                 session
-                    .append(fragment)
+                    .append(&fragment(number))
                     .map_err(|e| (number, e.to_string()))?;
             }
         }
-        report.applied += fragments.len() as u64;
+        report.applied += numbers.len() as u64;
     }
     Ok(())
 }
@@ -335,6 +345,8 @@ pub(crate) fn write_checkpoint_file(path: &str, doc: &str) -> Result<(), String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::restore_sessions;
+    use crate::spec::NodeSpec;
 
     fn fragments() -> Vec<SystemSpec> {
         SystemSpec::parse(
@@ -385,6 +397,120 @@ mod tests {
         assert_eq!(
             format!("{:?}", replayed.verdict()),
             format!("{:?}", sessions["covered"].verdict())
+        );
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A chain of `n` roots with a leaf each, the leaves in one weak
+    /// output order and each conflicting with the next.
+    fn chain(n: usize) -> SystemSpec {
+        let mut spec = SystemSpec {
+            schedules: vec!["S".into()],
+            ..SystemSpec::default()
+        };
+        for i in 0..n {
+            spec.nodes.push(NodeSpec {
+                name: format!("T{i}"),
+                kind: "root".into(),
+                parent: None,
+                home: Some("S".into()),
+            });
+            spec.nodes.push(NodeSpec {
+                name: format!("o{i}"),
+                kind: "leaf".into(),
+                parent: Some(format!("T{i}")),
+                home: None,
+            });
+        }
+        let links: Vec<_> = (1..n)
+            .map(|i| (format!("o{}", i - 1), format!("o{i}")))
+            .collect();
+        spec.output_weak = links.clone();
+        spec.conflicts = links;
+        spec
+    }
+
+    /// A session restored from a checkpoint and one replayed from the
+    /// journal are each built whole: both hold the build of their merged
+    /// spec and the verdict appending the records one by one reaches, for
+    /// a multi-fragment chain with a fragment that re-sends earlier items.
+    #[test]
+    fn restored_and_replayed_sessions_are_built_whole() {
+        let mut fragments = chain(6).into_appends();
+        let mut resend = fragments[1].clone();
+        resend.merge(&fragments[2]).unwrap();
+        resend.merge(&fragments[3]).unwrap();
+        fragments[3] = resend;
+        let mut one_by_one = SpecSession::new();
+        for fragment in &fragments {
+            one_by_one.append(fragment).unwrap();
+        }
+        let want = (
+            one_by_one.spec().build().ok(),
+            format!("{:?}", one_by_one.verdict()),
+            one_by_one.stats().appends,
+        );
+        let observed = |s: &SpecSession| {
+            assert_eq!(s.spec(), one_by_one.spec());
+            (
+                s.system().cloned(),
+                format!("{:?}", s.verdict()),
+                s.stats().appends,
+            )
+        };
+
+        let restored = restore_sessions(&one_by_one.checkpoint_json(), CheckOptions::default())
+            .unwrap()
+            .pop()
+            .unwrap()
+            .1;
+        assert_eq!(observed(&restored), want);
+
+        let path =
+            std::env::temp_dir().join(format!("compc-journal-whole-{}.ndjson", std::process::id()));
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let records: Vec<BatchRecord<'_>> = (1..)
+            .zip(&fragments)
+            .map(|(seq, fragment)| ("chain", seq, fragment))
+            .collect();
+        Journal::open(path).unwrap().append_batch(&records).unwrap();
+        let mut sessions = HashMap::new();
+        let report = replay(path, &mut sessions, CheckOptions::default()).unwrap();
+        assert_eq!(report.applied, fragments.len() as u64);
+        assert_eq!(observed(&sessions["chain"]), want);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A session whose records fail to replay together is replayed record
+    /// by record, each read again from the journal, and the error names
+    /// the first record that fails, counted over the whole journal.
+    #[test]
+    fn a_failed_replay_names_the_failing_record() {
+        let fragments = fragments();
+        let mut bad = fragments[1].clone();
+        bad.conflicts.push(("o1".into(), "zz".into()));
+        let path = std::env::temp_dir().join(format!(
+            "compc-journal-failing-{}.ndjson",
+            std::process::id()
+        ));
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let records: Vec<BatchRecord<'_>> = vec![
+            (DEFAULT_SESSION, 1, &fragments[0]),
+            ("other", 1, &fragments[0]),
+            (DEFAULT_SESSION, 2, &bad),
+        ];
+        Journal::open(path).unwrap().append_batch(&records).unwrap();
+        let err = replay(path, &mut HashMap::new(), CheckOptions::default())
+            .err()
+            .unwrap();
+        assert_eq!(
+            err,
+            format!(
+                "journal {path} record 3 failed to replay: unknown name \"zz\" in \
+                 conflicts[1] [o1, zz]"
+            )
         );
         std::fs::remove_file(path).unwrap();
     }

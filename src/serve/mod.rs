@@ -72,7 +72,7 @@ mod journal;
 
 pub use dispatch::ServeReport;
 
-use crate::session::{restore_sessions, sessions_checkpoint_json, SpecSession, DEFAULT_SESSION};
+use crate::session::{restore_sessions, sessions_checkpoint, SpecSession, DEFAULT_SESSION};
 use compc_core::CheckOptions;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -446,9 +446,5 @@ fn save_checkpoint(
     let Some(path) = &config.checkpoint else {
         return Ok(());
     };
-    let entries = sessions
-        .iter()
-        .map(|(name, s)| (name.clone(), s.stats().appends, s.spec().to_json()))
-        .collect();
-    journal::write_checkpoint_file(path, &sessions_checkpoint_json(entries))
+    journal::write_checkpoint_file(path, &sessions_checkpoint(sessions))
 }

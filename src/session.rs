@@ -15,7 +15,7 @@
 
 use crate::spec::{SpecError, SpecIndex, SpecMark, SystemSpec, SPEC_VERSION};
 use compc_core::{CheckOptions, Checker, SessionError, SessionStats, Verdict};
-use compc_json::{ParseError, Reader, Value};
+use compc_json::{ParseError, Reader, Value, Writer};
 use std::collections::HashSet;
 
 /// Why a [`SpecSession`] operation failed.
@@ -191,37 +191,48 @@ impl SpecSession {
     /// re-appending the same fragment merges nothing new and checks the
     /// system again.
     pub fn append(&mut self, fragment: &SystemSpec) -> Result<&Verdict, SpecSessionError> {
-        self.append_all(std::slice::from_ref(fragment))
+        self.append_all(vec![fragment.clone()])
     }
 
     /// Appends `fragments` as one extension and one check, counting one
     /// append each (an empty list counts as one empty fragment): the end
-    /// state is the one appending them one by one reaches. Journal
-    /// recovery uses it to replay a session's records.
-    pub fn append_all(&mut self, fragments: &[SystemSpec]) -> Result<&Verdict, SpecSessionError> {
+    /// state is the one appending them one by one reaches. The fragments'
+    /// new entries move into the session's spec. A session that has no
+    /// system yet builds the merged spec whole ([`SystemSpec::build`]);
+    /// one that has extends its system by the new items. Checkpoint
+    /// restore and journal recovery use it to rebuild a session.
+    pub fn append_all(&mut self, fragments: Vec<SystemSpec>) -> Result<&Verdict, SpecSessionError> {
         let mark = self.snapshot();
+        let count = fragments.len().max(1) as u64;
         for fragment in fragments {
             if let Err(e) = self.spec.merge_indexed(&mut self.index, fragment) {
                 self.spec.roll_back(&mark.spec, &mut self.index);
                 return Err(e.into());
             }
         }
-        let builder = self.inner.reopen();
-        let sys = match self.spec.extend(builder, &self.index, &mark.spec) {
-            Ok(extended) => extended,
+        let built = if mark.had_system {
+            let builder = self.inner.reopen();
+            // A full build reports the first error in declaration order,
+            // whatever order the extension met them.
+            self.spec
+                .extend(builder, &self.index, &mark.spec)
+                .map_err(|e| self.spec.build().err().unwrap_or(e))
+        } else {
+            self.spec.build()
+        };
+        let sys = match built {
+            Ok(sys) => sys,
             Err(e) => {
-                // The builder consumed the system: rebuild it from the
-                // spec as it was. A full build reports the first error in
-                // declaration order, whatever order the extension met them.
-                let e = self.spec.build().err().unwrap_or(e);
                 self.spec.roll_back(&mark.spec, &mut self.index);
                 if mark.had_system {
+                    // The builder consumed the system: rebuild it from the
+                    // spec as it was.
                     self.inner.reinstate(self.rebuild());
                 }
                 return Err(e.into());
             }
         };
-        self.appends += fragments.len().max(1) as u64;
+        self.appends += count;
         self.inner.append_extension(sys)?;
         let verdict = self.inner.verdict().expect("append just completed");
         if self.options().oracle {
@@ -330,11 +341,10 @@ impl SpecSession {
     /// Serializes the session's accumulated spec as a versioned JSON
     /// checkpoint document (pretty-printed, trailing newline).
     pub fn checkpoint_json(&self) -> String {
-        sessions_checkpoint_json(vec![(
-            DEFAULT_SESSION.to_string(),
-            self.stats().appends,
-            self.spec.to_json(),
-        )])
+        write_checkpoint(
+            vec![(DEFAULT_SESSION, self.stats().appends, &self.spec)],
+            |w, spec| spec.write(w),
+        )
     }
 
     /// Rebuilds a session from a [`SpecSession::checkpoint_json`] document:
@@ -359,7 +369,9 @@ impl SpecSession {
     }
 
     /// Rebuilds one session from entry `index` of the checkpoint `text`
-    /// (shared by the single-session and multi-session document formats).
+    /// (shared by the single-session and multi-session document formats):
+    /// the entry's spec is handed to an empty session, which builds it
+    /// whole.
     fn from_parts(
         text: &str,
         index: usize,
@@ -372,7 +384,7 @@ impl SpecSession {
         };
         let mut session = SpecSession::with_options(options);
         if !spec.nodes.is_empty() {
-            session.append(&spec)?;
+            session.append_all(vec![spec])?;
         }
         session.appends = entry.appends.max(session.appends);
         Ok(session)
@@ -389,31 +401,54 @@ pub const DEFAULT_SESSION: &str = "default";
 /// [`SpecSession::checkpoint_json`] produces, so a daemon that never saw a
 /// named session stays byte-compatible with pre-multi-session checkpoints.
 /// Anything else becomes `{"version": V, "sessions": [...]}` with entries
-/// sorted by name (deterministic, diffable).
-pub fn sessions_checkpoint_json(mut entries: Vec<(String, u64, Value)>) -> String {
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let version = ("version".to_string(), Value::from(SPEC_VERSION));
-    let fields = if entries.len() == 1 && entries[0].0 == DEFAULT_SESSION {
-        let (_, appends, spec) = entries.pop().expect("one entry");
-        vec![
-            version,
-            ("appends".into(), Value::from(appends)),
-            ("spec".into(), spec),
-        ]
-    } else {
-        let sessions = entries
-            .into_iter()
-            .map(|(name, appends, spec)| {
-                Value::Object(vec![
-                    ("session".into(), Value::from(name)),
-                    ("appends".into(), Value::from(appends)),
-                    ("spec".into(), spec),
-                ])
-            })
-            .collect();
-        vec![version, ("sessions".into(), Value::Array(sessions))]
-    };
-    let mut text = Value::Object(fields).to_pretty();
+/// sorted by name (deterministic, diffable). The daemon streams each spec
+/// from its session instead of taking it as a tree.
+pub fn sessions_checkpoint_json(entries: Vec<(String, u64, Value)>) -> String {
+    write_checkpoint(entries, |w, spec| {
+        w.value(spec);
+    })
+}
+
+/// The checkpoint document of `sessions`, as [`sessions_checkpoint_json`]
+/// lays it out, each spec streamed from its session.
+pub(crate) fn sessions_checkpoint<'a>(
+    sessions: impl IntoIterator<Item = (&'a String, &'a SpecSession)>,
+) -> String {
+    let entries = sessions
+        .into_iter()
+        .map(|(name, s)| (name, s.stats().appends, s.spec()))
+        .collect();
+    write_checkpoint(entries, |w, spec| spec.write(w))
+}
+
+/// Writes the checkpoint document of `(name, appends, spec)` entries in
+/// the layout [`sessions_checkpoint_json`] describes; `write_spec` writes
+/// one entry's spec.
+pub(crate) fn write_checkpoint<N: AsRef<str>, S>(
+    mut entries: Vec<(N, u64, S)>,
+    write_spec: impl Fn(&mut Writer<'_>, &S),
+) -> String {
+    entries.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+    let mut text = String::new();
+    let mut w = Writer::pretty(&mut text);
+    w.begin_object().key("version").num(SPEC_VERSION as f64);
+    match &entries[..] {
+        [(name, appends, spec)] if name.as_ref() == DEFAULT_SESSION => {
+            w.key("appends").num(*appends as f64).key("spec");
+            write_spec(&mut w, spec);
+        }
+        _ => {
+            w.key("sessions").begin_array();
+            for (name, appends, spec) in &entries {
+                w.begin_object().key("session").str(name.as_ref());
+                w.key("appends").num(*appends as f64).key("spec");
+                write_spec(&mut w, spec);
+                w.end_object();
+            }
+            w.end_array();
+        }
+    }
+    w.end_object();
     text.push('\n');
     text
 }
@@ -825,7 +860,7 @@ mod tests {
             one_by_one.append(fragment).unwrap();
         }
         let mut batched = SpecSession::new();
-        batched.append_all(&fragments).unwrap();
+        batched.append_all(fragments.clone()).unwrap();
         assert_eq!(batched.spec(), one_by_one.spec());
         assert_eq!(observed(&batched), observed(&one_by_one));
         // Both answer a further (idempotent) append alike.

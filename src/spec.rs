@@ -26,7 +26,7 @@
 //! before their children. All relations refer to nodes by name, and every
 //! load error names the offending node or relation entry.
 
-use compc_json::{Kind, ParseError, Reader, Value};
+use compc_json::{Kind, ParseError, Reader, Value, Writer};
 use compc_model::{CompositeSystem, ModelError, NodeId, SchedId, SystemBuilder};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -340,51 +340,29 @@ impl SystemSpec {
         Self::parse(&value.to_compact())
     }
 
-    /// Renders the spec as a JSON value (always stamped with the current
-    /// [`SPEC_VERSION`]).
-    pub fn to_json(&self) -> Value {
-        let pairs = |rel: &[(String, String)]| -> Value {
-            Value::Array(
-                rel.iter()
-                    .map(|(a, b)| {
-                        Value::Array(vec![Value::from(a.as_str()), Value::from(b.as_str())])
-                    })
-                    .collect(),
-            )
-        };
-        let mut entries: Vec<(String, Value)> = vec![
-            ("version".into(), Value::from(SPEC_VERSION)),
-            (
-                "schedules".into(),
-                Value::Array(
-                    self.schedules
-                        .iter()
-                        .map(|s| Value::from(s.as_str()))
-                        .collect(),
-                ),
-            ),
-            (
-                "nodes".into(),
-                Value::Array(
-                    self.nodes
-                        .iter()
-                        .map(|n| {
-                            let mut e: Vec<(String, Value)> = vec![
-                                ("name".into(), Value::from(n.name.as_str())),
-                                ("kind".into(), Value::from(n.kind.as_str())),
-                            ];
-                            if let Some(p) = &n.parent {
-                                e.push(("parent".into(), Value::from(p.as_str())));
-                            }
-                            if let Some(h) = &n.home {
-                                e.push(("home".into(), Value::from(h.as_str())));
-                            }
-                            Value::Object(e)
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
+    /// Writes the spec as one JSON object, always stamped with the current
+    /// [`SPEC_VERSION`]: `version`, `schedules`, `nodes` (`parent` and
+    /// `home` only when set), each relation family that has pairs, then
+    /// `auto_propagate`.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        w.begin_object().key("version").num(SPEC_VERSION as f64);
+        w.key("schedules").begin_array();
+        for s in &self.schedules {
+            w.str(s);
+        }
+        w.end_array().key("nodes").begin_array();
+        for n in &self.nodes {
+            w.begin_object().key("name").str(&n.name);
+            w.key("kind").str(&n.kind);
+            if let Some(p) = &n.parent {
+                w.key("parent").str(p);
+            }
+            if let Some(h) = &n.home {
+                w.key("home").str(h);
+            }
+            w.end_object();
+        }
+        w.end_array();
         for (key, rel) in [
             ("conflicts", &self.conflicts),
             ("output_weak", &self.output_weak),
@@ -395,11 +373,35 @@ impl SystemSpec {
             ("tx_strong", &self.tx_strong),
         ] {
             if !rel.is_empty() {
-                entries.push((key.into(), pairs(rel)));
+                w.key(key).begin_array();
+                for (a, b) in rel {
+                    w.begin_array().str(a).str(b).end_array();
+                }
+                w.end_array();
             }
         }
-        entries.push(("auto_propagate".into(), Value::Bool(self.auto_propagate)));
-        Value::Object(entries)
+        w.key("auto_propagate")
+            .bool(self.auto_propagate)
+            .end_object();
+    }
+
+    /// The spec as compact JSON text ([`SystemSpec::write`]).
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut Writer::compact(&mut out));
+        out
+    }
+
+    /// The spec as indented JSON text ([`SystemSpec::write`]).
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut Writer::pretty(&mut out));
+        out
+    }
+
+    /// The spec as a JSON tree: [`SystemSpec::write`]'s text, read back.
+    pub fn to_json(&self) -> Value {
+        compc_json::parse(&self.to_compact()).expect("the writer writes JSON")
     }
 }
 
@@ -884,15 +886,16 @@ impl SystemSpec {
     /// was — appends may only extend.
     pub fn merge(&mut self, fragment: &SystemSpec) -> Result<(), SpecError> {
         let mut index = SpecIndex::of(self);
-        self.merge_indexed(&mut index, fragment)
+        self.merge_indexed(&mut index, fragment.clone())
     }
 
-    /// [`SystemSpec::merge`] against an index of this spec, which it keeps
-    /// up to date.
+    /// [`SystemSpec::merge`] of a fragment handed over whole, against an
+    /// index of this spec, which it keeps up to date. The new entries move
+    /// into the spec; none is copied.
     pub(crate) fn merge_indexed(
         &mut self,
         index: &mut SpecIndex,
-        fragment: &SystemSpec,
+        fragment: SystemSpec,
     ) -> Result<(), SpecError> {
         if fragment.version != SPEC_VERSION {
             return Err(SpecError::UnsupportedVersion(fragment.version));
@@ -917,43 +920,60 @@ impl SystemSpec {
                 }
             }
         }
-        for s in &fragment.schedules {
+        let SystemSpec {
+            schedules,
+            nodes,
+            conflicts,
+            output_weak,
+            output_strong,
+            input_weak,
+            input_strong,
+            tx_weak,
+            tx_strong,
+            auto_propagate,
+            ..
+        } = fragment;
+        for s in schedules {
             if !index.names.schedules.contains_key(s.as_str()) {
                 let at = self.schedules.len() as u32;
                 index.names.schedules.insert(s.as_str().into(), at);
-                self.schedules.push(s.clone());
+                self.schedules.push(s);
             }
         }
-        for n in &fragment.nodes {
+        for n in nodes {
             if !index.names.nodes.contains_key(n.name.as_str()) {
                 let at = self.nodes.len() as u32;
                 index.names.nodes.insert(n.name.as_str().into(), at);
-                self.nodes.push(n.clone());
+                self.nodes.push(n);
             }
         }
-        for (r, (have, add)) in self
-            .relations_mut()
-            .into_iter()
-            .zip(fragment.relations())
-            .enumerate()
-        {
+        let added = [
+            conflicts,
+            tx_weak,
+            tx_strong,
+            output_weak,
+            output_strong,
+            input_weak,
+            input_strong,
+        ];
+        for (r, (have, add)) in self.relations_mut().into_iter().zip(added).enumerate() {
             for pair in add {
                 // While unresolved pairs are around, a pair may sit in the
                 // spec without its position in the index: compare names.
-                let new = if index.unresolved[r] == 0 && index.position(pair).is_some() {
-                    index.note_pair(r, pair)
-                } else if have.contains(pair) {
+                let new = if index.unresolved[r] == 0 && index.position(&pair).is_some() {
+                    index.note_pair(r, &pair)
+                } else if have.contains(&pair) {
                     false
                 } else {
-                    index.note_pair(r, pair);
+                    index.note_pair(r, &pair);
                     true
                 };
                 if new {
-                    have.push(pair.clone());
+                    have.push(pair);
                 }
             }
         }
-        self.auto_propagate |= fragment.auto_propagate;
+        self.auto_propagate |= auto_propagate;
         Ok(())
     }
 }
@@ -1223,6 +1243,19 @@ mod tests {
                 "{input}"
             );
         }
+    }
+
+    /// A number past the range of `f64` reads as an infinity. The
+    /// `from_json` adapter writes it back as a number the reader takes, so
+    /// the error names the field, not a position in text it wrote itself.
+    #[test]
+    fn infinite_numbers_survive_from_json() {
+        let request = compc_json::parse(r#"{"append": {"version": 1e400}}"#).unwrap();
+        let err = SystemSpec::from_json(request.get("append").unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "spec parse error: version: expected a non-negative integer"
+        );
     }
 
     #[test]

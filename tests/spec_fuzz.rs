@@ -2,7 +2,7 @@
 //! panic — every failure mode is a typed error.
 
 use compc::spec::{NodeSpec, SystemSpec};
-use compc_json::Value;
+use compc_json::{Value, Writer};
 use proptest::prelude::*;
 
 /// A short random lowercase identifier (1–4 chars), built from combinators
@@ -463,6 +463,270 @@ mod reference {
     }
 }
 
+/// The writer's reference: the tree builder and the recursive tree writer
+/// that wrote JSON before the streaming writer, kept as they were.
+mod write_reference {
+    use compc::spec::{SystemSpec, SPEC_VERSION};
+    use compc_json::Value;
+
+    fn write_escaped(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn write_num(out: &mut String, n: f64) {
+        if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
+            out.push_str(&format!("{}", n as i64));
+        } else {
+            out.push_str(&format!("{n}"));
+        }
+    }
+
+    /// `v` written compact (`indent` = `None`) or pretty (`Some(2)`).
+    pub fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(true) => out.push_str("true"),
+            Value::Bool(false) => out.push_str("false"),
+            Value::Num(n) => write_num(out, *n),
+            Value::Str(s) => write_escaped(out, s),
+            Value::Array(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    write_value(out, item, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push(']');
+            }
+            Value::Object(entries) => {
+                if entries.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (key, val)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline_indent(out, indent, depth + 1);
+                    write_escaped(out, key);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    write_value(out, val, indent, depth + 1);
+                }
+                newline_indent(out, indent, depth);
+                out.push('}');
+            }
+        }
+    }
+
+    fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            for _ in 0..width * depth {
+                out.push(' ');
+            }
+        }
+    }
+
+    /// The spec as the tree `SystemSpec::to_json` built before it was
+    /// written by the streaming writer.
+    pub fn spec_tree(spec: &SystemSpec) -> Value {
+        let pairs = |rel: &[(String, String)]| -> Value {
+            Value::Array(
+                rel.iter()
+                    .map(|(a, b)| {
+                        Value::Array(vec![Value::from(a.as_str()), Value::from(b.as_str())])
+                    })
+                    .collect(),
+            )
+        };
+        let mut entries: Vec<(String, Value)> = vec![
+            ("version".into(), Value::from(SPEC_VERSION)),
+            (
+                "schedules".into(),
+                Value::Array(
+                    spec.schedules
+                        .iter()
+                        .map(|s| Value::from(s.as_str()))
+                        .collect(),
+                ),
+            ),
+            (
+                "nodes".into(),
+                Value::Array(
+                    spec.nodes
+                        .iter()
+                        .map(|n| {
+                            let mut e: Vec<(String, Value)> = vec![
+                                ("name".into(), Value::from(n.name.as_str())),
+                                ("kind".into(), Value::from(n.kind.as_str())),
+                            ];
+                            if let Some(p) = &n.parent {
+                                e.push(("parent".into(), Value::from(p.as_str())));
+                            }
+                            if let Some(h) = &n.home {
+                                e.push(("home".into(), Value::from(h.as_str())));
+                            }
+                            Value::Object(e)
+                        })
+                        .collect(),
+                ),
+            ),
+        ];
+        for (key, rel) in [
+            ("conflicts", &spec.conflicts),
+            ("output_weak", &spec.output_weak),
+            ("output_strong", &spec.output_strong),
+            ("input_weak", &spec.input_weak),
+            ("input_strong", &spec.input_strong),
+            ("tx_weak", &spec.tx_weak),
+            ("tx_strong", &spec.tx_strong),
+        ] {
+            if !rel.is_empty() {
+                entries.push((key.into(), pairs(rel)));
+            }
+        }
+        entries.push(("auto_propagate".into(), Value::Bool(spec.auto_propagate)));
+        Value::Object(entries)
+    }
+}
+
+/// Characters that exercise every escape the writer makes and the runs it
+/// copies whole: quote, backslash, the named and the `\u` control
+/// escapes, DEL (written raw), multi-byte and astral characters.
+const WRITE_PALETTE: [char; 16] = [
+    'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{1}', '\u{1f}', '\u{7f}',
+    'é', '😀',
+];
+
+/// Finite numbers the writer formats in each of its ways: integers up to
+/// 2^53 in magnitude, the next integers past it, fractions and exponents.
+const WRITE_NUMBERS: [f64; 12] = [
+    0.0,
+    -0.0,
+    1.0,
+    -7.0,
+    9_007_199_254_740_992.0,
+    -9_007_199_254_740_992.0,
+    9_007_199_254_740_994.0,
+    0.5,
+    -2.25,
+    1e300,
+    1.5e-7,
+    123_456_789.0,
+];
+
+/// A string of palette characters.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..WRITE_PALETTE.len(), 0..7)
+        .prop_map(|picks| picks.into_iter().map(|i| WRITE_PALETTE[i]).collect())
+}
+
+/// The next draw below `n` of the xorshift generator at `seed`.
+fn draw(seed: &mut u64, n: u64) -> u64 {
+    *seed ^= *seed << 13;
+    *seed ^= *seed >> 7;
+    *seed ^= *seed << 17;
+    *seed % n
+}
+
+/// A string of up to four palette characters drawn from `seed`.
+fn text_from(seed: &mut u64) -> String {
+    let len = draw(seed, 5);
+    (0..len)
+        .map(|_| WRITE_PALETTE[draw(seed, WRITE_PALETTE.len() as u64) as usize])
+        .collect()
+}
+
+/// A pseudo-random JSON tree drawn from `seed`: up to `depth` levels of
+/// empty and non-empty arrays and objects, palette strings and keys,
+/// `WRITE_NUMBERS` and integers up to 2^53.
+fn value_from(seed: &mut u64, depth: usize) -> Value {
+    match draw(seed, if depth == 0 { 5 } else { 7 }) {
+        0 => Value::Null,
+        1 => Value::Bool(draw(seed, 2) == 1),
+        2 => Value::Num(WRITE_NUMBERS[draw(seed, WRITE_NUMBERS.len() as u64) as usize]),
+        3 => Value::Num(draw(seed, (1 << 53) + 1) as f64),
+        4 => Value::Str(text_from(seed)),
+        5 => {
+            let len = draw(seed, 4);
+            Value::Array((0..len).map(|_| value_from(seed, depth - 1)).collect())
+        }
+        _ => {
+            let len = draw(seed, 4);
+            Value::Object(
+                (0..len)
+                    .map(|i| {
+                        (
+                            format!("{i}{}", text_from(seed)),
+                            value_from(seed, depth - 1),
+                        )
+                    })
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// `v` streamed through the writer's call API, not [`Writer::value`].
+fn stream(w: &mut Writer<'_>, v: &Value) {
+    match v {
+        Value::Null => {
+            w.null();
+        }
+        Value::Bool(b) => {
+            w.bool(*b);
+        }
+        Value::Num(n) => {
+            w.num(*n);
+        }
+        Value::Str(s) => {
+            w.str(s);
+        }
+        Value::Array(items) => {
+            w.begin_array();
+            for item in items {
+                stream(w, item);
+            }
+            w.end_array();
+        }
+        Value::Object(entries) => {
+            w.begin_object();
+            for (key, val) in entries {
+                w.key(key);
+                stream(w, val);
+            }
+            w.end_object();
+        }
+    }
+}
+
 /// The `k`-th value of `v` in preorder (`v` itself is the 0th).
 fn nth_value<'v>(v: &'v mut Value, k: &mut usize) -> Option<&'v mut Value> {
     if *k == 0 {
@@ -718,5 +982,63 @@ proptest! {
         let json = spec.to_json().to_compact();
         let back = SystemSpec::parse(&json).unwrap();
         prop_assert_eq!(spec, back);
+    }
+
+    /// The streaming writer writes what the recursive tree writer wrote,
+    /// byte for byte, compact and pretty: a tree through the call API,
+    /// `Value::to_compact`, `to_pretty` and `write_compact_into`, and a
+    /// spec through `SystemSpec::write` against its old tree.
+    #[test]
+    fn writer_matches_the_tree_reference(
+        seed in 1u64..1 << 62,
+        schedules in proptest::collection::vec(arb_text(), 0..3),
+        nodes in proptest::collection::vec(arb_node(), 0..4),
+        names in proptest::collection::vec(arb_text(), 0..4),
+        conflicts in arb_pairs(),
+        input_strong in arb_pairs(),
+        tx_weak in arb_pairs(),
+        auto_propagate in proptest::bool::ANY,
+    ) {
+        let reference = |v: &Value, pretty: bool| {
+            let mut out = String::new();
+            write_reference::write_value(&mut out, v, pretty.then_some(2), 0);
+            out
+        };
+        let mut draw = seed;
+        let value = Value::Array((0..3).map(|_| value_from(&mut draw, 4)).collect());
+        for pretty in [false, true] {
+            let mut streamed = String::new();
+            let mut w = if pretty {
+                Writer::pretty(&mut streamed)
+            } else {
+                Writer::compact(&mut streamed)
+            };
+            stream(&mut w, &value);
+            prop_assert_eq!(&streamed, &reference(&value, pretty));
+        }
+        prop_assert_eq!(value.to_compact(), reference(&value, false));
+        prop_assert_eq!(value.to_pretty(), reference(&value, true));
+        let mut appended = "prefix ".to_string();
+        value.write_compact_into(&mut appended);
+        prop_assert_eq!(appended, format!("prefix {}", reference(&value, false)));
+
+        let mut nodes = nodes;
+        for (node, name) in nodes.iter_mut().zip(names) {
+            node.name = name;
+        }
+        let spec = SystemSpec {
+            version: 1,
+            schedules,
+            nodes,
+            conflicts,
+            input_strong,
+            tx_weak,
+            auto_propagate,
+            ..SystemSpec::default()
+        };
+        let tree = write_reference::spec_tree(&spec);
+        prop_assert_eq!(spec.to_compact(), reference(&tree, false));
+        prop_assert_eq!(spec.to_pretty(), reference(&tree, true));
+        prop_assert_eq!(spec.to_json(), tree);
     }
 }
