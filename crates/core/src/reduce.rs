@@ -743,9 +743,7 @@ impl<'a> Reducer<'a> {
         // member is a leaf; the conflicting-output rule otherwise).
         let mut leaf_members = ChunkedRow::new();
         leaf_members.or_masked(&new_members, Some(&self.leaves), None, n);
-        for &t in &new_txs {
-            entry_pairs(sys, t, &leaf_members, &mut observed);
-        }
+        entry_pairs(sys, &new_txs, &leaf_members, &mut observed);
         // Rule 4: transitive closure.
         let pre_closure_edges = observed.edge_count();
         closure::transitive_closure(&mut observed, self.options.backend, &mut self.scratch);
@@ -848,34 +846,47 @@ impl<'a> Reducer<'a> {
     }
 }
 
-/// Observed pairs created when `t` enters the front, against members of
-/// the schedule that contains `t` as an operation. Definition 10 rule 1
-/// relates a pair as soon as *either* side is a leaf, in the schedule's
-/// weak output order. Internal–internal pairs of a common schedule are
-/// deliberately NOT added to `<ₒ` — no rule derives them; their
-/// conflicting instances constrain calculations via
+/// Observed pairs created when the transactions `entering` enter the
+/// front, against members of the schedules that contain them as
+/// operations. Definition 10 rule 1 relates a pair as soon as *either*
+/// side is a leaf, in the schedule's weak output order. Internal–internal
+/// pairs of a common schedule are deliberately NOT added to `<ₒ` — no rule
+/// derives them; their conflicting instances constrain calculations via
 /// [`Front::constraint_graph`] instead, and their parent-level effect is
-/// rule 2's serialization pairs. Reads only `t`'s row and transpose row in
-/// the container's output order, masked by the leaf members: `t`'s own
-/// row is one masked OR.
+/// rule 2's serialization pairs. Reads only successor rows of the
+/// containers' output orders: an entering transaction's row masked by the
+/// leaf members (one masked OR), and a leaf member's row masked by the
+/// entering transactions.
 fn entry_pairs(
     sys: &CompositeSystem,
-    t: NodeId,
+    entering: &[NodeId],
     leaf_members: &ChunkedRow,
     observed: &mut ChunkedBitGraph,
 ) {
-    let Some(container) = sys.node(t).container else {
-        return; // roots are operations of nothing
-    };
-    let weak = sys.schedule(container).output.weak();
-    let (t, n) = (t.index(), observed.node_count());
-    observed
-        .row_mut(t)
-        .or_masked(weak.above_row(t), Some(leaf_members), None, n);
-    weak.below_row(t)
-        .for_each_masked(Some(leaf_members), None, |other| {
-            observed.add_edge(other, t);
-        });
+    let n = observed.node_count();
+    let (mut entered, mut containers) = (ChunkedRow::new(), Vec::new());
+    for &t in entering {
+        let Some(container) = sys.node(t).container else {
+            continue; // roots are operations of nothing
+        };
+        let (t, weak) = (t.index(), sys.schedule(container).output.weak());
+        observed
+            .row_mut(t)
+            .or_masked(weak.above_row(t), Some(leaf_members), None, n);
+        entered.insert(t, n);
+        containers.push(container);
+    }
+    containers.sort_unstable();
+    containers.dedup();
+    for c in containers {
+        for (member, row) in sys.schedule(c).output.weak().rows() {
+            if leaf_members.contains(member) {
+                row.for_each_masked(Some(&entered), None, |t| {
+                    observed.add_edge(member, t);
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]

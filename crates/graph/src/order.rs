@@ -3,11 +3,13 @@
 //! The paper's weak (`<`, `≺`, `→`) and strong (`≪`, `→→`) orders are all
 //! *transitively closed strict partial orders* (Definition 1: "These orders
 //! are, in all cases, transitively closed"). [`PartialOrderRel`] keeps that
-//! closure: [`PartialOrderRel::insert`] closes pair by pair and rejects any
-//! pair that would create a cycle (i.e. a contradiction `a < b` and
-//! `b < a`) or a reflexive pair, and [`PartialOrderRel::from_pairs`] takes
-//! every pair first and closes once.
+//! closure. It grows one way: [`PartialOrderRel::extend`] takes a batch of
+//! pairs and closes them over the order in one sweep, or rejects the batch
+//! with the first pair that is reflexive or would close a cycle (i.e. a
+//! contradiction `a < b` and `b < a`), leaving the order as it was.
+//! [`PartialOrderRel::from_pairs`] extends the empty order.
 
+use crate::bitgraph::words_for;
 use crate::{ChunkedRow, DiGraph};
 
 /// Errors from mutating a [`PartialOrderRel`].
@@ -35,35 +37,29 @@ impl std::fmt::Display for OrderError {
 
 impl std::error::Error for OrderError {}
 
-/// [`PartialOrderRel::from_pairs`] inserts this few pairs one by one: the
-/// sweep's adjacency lists and topological order cost more than a handful
-/// of row ORs (closing every input once made the `batch` corpus's build
-/// 8–10 % slower; cutovers of 4 and 16 measured the same as 8, E32).
-const INSERT_EACH_UP_TO: usize = 8;
-
 /// The row of an element outside the span.
 static EMPTY: ChunkedRow = ChunkedRow::Sparse(Vec::new());
 
 /// A strict partial order over `usize` elements, closed under transitivity.
 ///
-/// The closure is stored as successor rows (`a -> b` means `a < b`) plus
-/// the transposed predecessor rows, both [`ChunkedRow`]s over absolute
-/// element ids (sorted ids while cold, dense words once hot), covering
-/// only the *span* `[lo, lo + rows)` of elements the order relates: a
-/// transaction's intra order over three ops with ids near 4,000 holds
-/// three short rows, not 4,000. `lt` is one row lookup, and a row ORs
-/// straight into any other row over the same ids.
+/// The closure is stored as successor rows (`a -> b` means `a < b`),
+/// [`ChunkedRow`]s over absolute element ids (sorted ids while cold, dense
+/// words once hot), covering only the *span* `[lo, lo + rows)` of elements
+/// the order relates: a transaction's intra order over three ops with ids
+/// near 4,000 holds three short rows, not 4,000. `lt` is one row lookup,
+/// and a row ORs straight into any other row over the same ids.
 ///
 /// Equality is "same pairs and same [`PartialOrderRel::element_count`]",
-/// whatever the insertion order or row representation.
+/// whatever the order the pairs came in or the row representation.
 ///
 /// ```
-/// use compc_graph::PartialOrderRel;
-/// let mut rel = PartialOrderRel::new();
-/// rel.insert(0, 1).unwrap();
-/// rel.insert(1, 2).unwrap();
+/// use compc_graph::{OrderError, PartialOrderRel};
+/// let mut rel = PartialOrderRel::from_pairs([(0, 1)]).unwrap();
+/// rel.extend(&[(1, 2)]).unwrap();
 /// assert!(rel.lt(0, 2));               // transitive closure is maintained
-/// assert!(rel.insert(2, 0).is_err());  // contradictions are rejected
+/// let cycle = OrderError::Contradiction { attempted: (2, 0) };
+/// assert_eq!(rel.extend(&[(3, 4), (2, 0)]), Err((1, cycle)));
+/// assert!(!rel.lt(3, 4));              // a rejected batch changes nothing
 /// assert_eq!(PartialOrderRel::from_pairs([(0, 1), (1, 2)]).unwrap(), rel);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -72,10 +68,6 @@ pub struct PartialOrderRel {
     lo: usize,
     /// `above[i]`: the elements `b` with `lo + i < b`.
     above: Vec<ChunkedRow>,
-    /// `below[i]`: the elements `a` with `a < lo + i` — the transpose, kept
-    /// in lockstep so an insert reads `pred(a)` directly instead of
-    /// scanning every row.
-    below: Vec<ChunkedRow>,
     /// Max element index + 1, or the `with_elements` count if larger; the
     /// rows' column count.
     elements: usize,
@@ -106,95 +98,103 @@ impl PartialOrderRel {
         }
     }
 
-    /// Builds the order the pairs close to, failing as inserting them one
-    /// by one would: with the first pair, in the given order, that is
-    /// reflexive or contradicts the closure of the pairs before it.
-    ///
-    /// All pairs are taken first and closed once, by an OR sweep over
-    /// their graph in reverse topological order (and one in topological
-    /// order for the transpose), at one row OR per pair. Only when that
-    /// finds a reflexive pair or a cycle are the pairs inserted one by one,
-    /// to name the offending pair (and a handful of pairs always are).
+    /// The order the pairs close to: the empty order extended by them
+    /// ([`PartialOrderRel::extend`]), failing with the error of the first
+    /// offending pair.
     pub fn from_pairs<I: IntoIterator<Item = (usize, usize)>>(
         pairs: I,
     ) -> Result<Self, OrderError> {
         let pairs: Vec<(usize, usize)> = pairs.into_iter().collect();
-        if pairs.len() > INSERT_EACH_UP_TO {
-            if let Some(rel) = Self::close_once(&pairs) {
-                return Ok(rel);
-            }
-        }
-        // One allocation for the span, not one per insert that widens it.
-        // (On success some pair holds the largest element, so the element
-        // count is what the inserts alone would reach.)
         let mut rel = PartialOrderRel::new();
-        if let (Some(lo), Some(hi)) = (
-            pairs.iter().map(|&(a, b)| a.min(b)).min(),
-            pairs.iter().map(|&(a, b)| a.max(b)).max(),
-        ) {
-            rel.cover(lo, hi);
-        }
-        for (a, b) in pairs {
-            rel.insert(a, b)?;
-        }
+        rel.extend(&pairs).map_err(|(_, e)| e)?;
         Ok(rel)
     }
 
-    /// The closure of `pairs`, or `None` if one is reflexive or they close
-    /// a cycle.
-    fn close_once(pairs: &[(usize, usize)]) -> Option<Self> {
-        if pairs.iter().any(|&(a, b)| a == b) {
-            return None;
-        }
-        let Some(lo) = pairs.iter().map(|&(a, b)| a.min(b)).min() else {
-            return Some(Self::new());
+    /// Adds `pairs` and closes them over the order in one sweep.
+    ///
+    /// Fails as inserting the pairs one by one, in the given order, would
+    /// first fail: with the index of the first pair that is reflexive or
+    /// closes a cycle with the order and the pairs before it, and with
+    /// [`OrderError::Reflexive`] or [`OrderError::Contradiction`] for it.
+    /// On failure the order is left as it was.
+    ///
+    /// The sweep runs over a graph of the span: each pair is an edge, and
+    /// each row that already reaches a source of a pair gets an edge to
+    /// that source (found by a scan of the rows masked by the sources: no
+    /// predecessor rows are kept). Every cycle of the extended order shows
+    /// in that graph, so Kahn's algorithm over it either finds one or
+    /// orders the rows. Rows with edges are then closed in reverse
+    /// topological order, each gaining the rows of its targets, closed
+    /// before it, at one row OR per target not already reached. A cycle
+    /// is named by bisecting on the pairs: whether a prefix closes a cycle
+    /// only grows with the prefix, and each probe is one Kahn pass.
+    pub fn extend(&mut self, pairs: &[(usize, usize)]) -> Result<(), (usize, OrderError)> {
+        let (Some(lo), Some(hi)) = (
+            pairs.iter().map(|&(a, b)| a.min(b)).min(),
+            pairs.iter().map(|&(a, b)| a.max(b)).max(),
+        ) else {
+            return Ok(());
         };
-        let cols = pairs.iter().map(|&(a, b)| a.max(b)).max().unwrap_or(lo) + 1;
-        let len = cols - lo;
-        let succ = Adjacency::new(len, pairs.iter().map(|&(a, b)| (a - lo, b - lo)));
-        let pred = Adjacency::new(len, pairs.iter().map(|&(a, b)| (b - lo, a - lo)));
-        // Kahn's order; a cycle leaves some element unlisted.
-        let mut indegree: Vec<u32> = (0..len).map(|v| pred.of(v).len() as u32).collect();
-        let mut order: Vec<u32> = (0..len as u32)
-            .filter(|&v| indegree[v as usize] == 0)
-            .collect();
-        let mut next = 0;
-        while let Some(&u) = order.get(next) {
-            next += 1;
-            for &v in succ.of(u as usize) {
-                indegree[v as usize] -= 1;
-                if indegree[v as usize] == 0 {
-                    order.push(v);
-                }
+        let (lo, hi) = match self.above.len() {
+            0 => (lo, hi),
+            rows => (lo.min(self.lo), hi.max(self.lo + rows - 1)),
+        };
+        let (len, cols) = (hi + 1 - lo, self.elements.max(hi + 1));
+        // Edge `i` of the graph is pair `i`; the rows' edges to the sources
+        // they reach come after, and belong to every prefix.
+        let mut edges: Vec<(usize, usize)> = pairs.iter().map(|&(a, b)| (a - lo, b - lo)).collect();
+        if self.pairs > 0 {
+            let mut words = vec![0u64; words_for(cols)];
+            for &(a, _) in pairs {
+                words[a / 64] |= 1 << (a % 64);
+            }
+            let sources = ChunkedRow::from_words(&words, cols);
+            for (x, row) in self.rows() {
+                row.for_each_masked(Some(&sources), None, |s| edges.push((x - lo, s - lo)));
             }
         }
-        if order.len() < len {
-            return None;
-        }
-        // A row is the union of its neighbours and their rows, closed
-        // before it; a neighbour already in the row brings nothing new.
-        let sweep = |adjacency: &Adjacency, order: &mut dyn Iterator<Item = &u32>| {
-            let mut rows = vec![ChunkedRow::new(); len];
-            for &u in order {
-                let mut row = ChunkedRow::new();
-                for &v in adjacency.of(u as usize) {
-                    if row.insert(lo + v as usize, cols) {
-                        row.or_from(&rows[v as usize], cols);
-                    }
+        let graph = Adjacency::new(len, &edges);
+        let Some(order) = graph.topological(pairs.len(), pairs.len()) else {
+            // The shortest failing prefix ends with the offending pair.
+            let (mut ok, mut fails) = (0, pairs.len());
+            while fails - ok > 1 {
+                let mid = (ok + fails) / 2;
+                match graph.topological(pairs.len(), mid) {
+                    Some(_) => ok = mid,
+                    None => fails = mid,
                 }
-                rows[u as usize] = row;
             }
-            rows
+            let (a, b) = pairs[fails - 1];
+            let error = if a == b {
+                OrderError::Reflexive(a)
+            } else {
+                OrderError::Contradiction { attempted: (a, b) }
+            };
+            return Err((fails - 1, error));
         };
-        let above = sweep(&succ, &mut order.iter().rev());
-        let below = sweep(&pred, &mut order.iter());
-        Some(PartialOrderRel {
-            lo,
-            pairs: above.iter().map(ChunkedRow::count).sum(),
-            above,
-            below,
-            elements: cols,
-        })
+        self.cover(lo, hi);
+        // A row gains each target and the target's row, closed before it;
+        // a target already gained brings nothing new.
+        for &u in order.iter().rev() {
+            let targets = graph.of(u as usize);
+            if targets.is_empty() {
+                continue;
+            }
+            let mut gained = ChunkedRow::new();
+            for &v in targets {
+                if gained.insert(lo + v as usize, cols) {
+                    gained.or_from(&self.above[v as usize], cols);
+                }
+            }
+            let row = &mut self.above[u as usize];
+            self.pairs += gained.count() - row.count_and(&gained);
+            if row.is_empty() {
+                *row = gained;
+            } else {
+                row.or_from(&gained, cols);
+            }
+        }
+        Ok(())
     }
 
     /// Number of elements the order currently spans (max index + 1).
@@ -224,12 +224,6 @@ impl PartialOrderRel {
         self.row(a).map_or(&EMPTY, |i| &self.above[i])
     }
 
-    /// The row of elements below `b` (every `a` with `a < b`).
-    #[inline]
-    pub fn below_row(&self, b: usize) -> &ChunkedRow {
-        self.row(b).map_or(&EMPTY, |i| &self.below[i])
-    }
-
     /// The nonempty successor rows `(a, above_row(a))`, by ascending `a`.
     pub fn rows(&self) -> impl Iterator<Item = (usize, &ChunkedRow)> + '_ {
         let lo = self.lo;
@@ -241,11 +235,6 @@ impl PartialOrderRel {
         self.above_row(a).iter()
     }
 
-    /// The elements below `b` (every `a` with `a < b`), ascending.
-    pub fn below(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
-        self.below_row(b).iter()
-    }
-
     /// Grows the rows to cover `[lo, hi]`, prepending rows when `lo` lies
     /// below the current span.
     fn cover(&mut self, lo: usize, hi: usize) {
@@ -255,62 +244,11 @@ impl PartialOrderRel {
             let fresh = self.lo - lo;
             self.above
                 .splice(0..0, (0..fresh).map(|_| ChunkedRow::new()));
-            self.below
-                .splice(0..0, (0..fresh).map(|_| ChunkedRow::new()));
             self.lo = lo;
         }
         let len = (hi + 1).max(self.lo + self.above.len()) - self.lo;
         self.above.resize_with(len, ChunkedRow::new);
-        self.below.resize_with(len, ChunkedRow::new);
         self.elements = self.elements.max(hi + 1);
-    }
-
-    /// Inserts `a < b` and closes transitively. Returns whether the pair
-    /// was new.
-    ///
-    /// Every element of `pred(a) ∪ {a}` gains `succ(b) ∪ {b}` as one row
-    /// OR, and every element of `succ(b) ∪ {b}` gains `pred(a) ∪ {a}` in
-    /// the transpose: O(|pred(a)| + |succ(b)|) row ORs, each
-    /// O(min(entries, elements / 64)). Building a whole order this way
-    /// costs a row OR per pair *of the closure*; [`PartialOrderRel::from_pairs`]
-    /// closes once at a row OR per given pair (DESIGN.md §5.1).
-    pub fn insert(&mut self, a: usize, b: usize) -> Result<bool, OrderError> {
-        if a == b {
-            return Err(OrderError::Reflexive(a));
-        }
-        if self.lt(b, a) {
-            return Err(OrderError::Contradiction { attempted: (a, b) });
-        }
-        if self.lt(a, b) {
-            return Ok(false); // already known
-        }
-        self.cover(a.min(b), a.max(b));
-        // preds(a) ∪ {a}  must all precede  succs(b) ∪ {b}. Both sides are
-        // inside the span, and they are disjoint: a shared element would
-        // mean b < a, which was rejected above.
-        let (lo, cols) = (self.lo, self.elements);
-        if self.below[a - lo].is_empty() && self.above[b - lo].is_empty() {
-            self.above[a - lo].insert(b, cols);
-            self.below[b - lo].insert(a, cols);
-            self.pairs += 1;
-            return Ok(true);
-        }
-        let mut lhs = self.below[a - lo].clone();
-        lhs.insert(a, cols);
-        let mut rhs = self.above[b - lo].clone();
-        rhs.insert(b, cols);
-        // Counted before each OR, by `rhs`'s entries when it is sparse:
-        // a row's own count would read all its words.
-        let rhs_count = rhs.count();
-        for x in lhs.iter() {
-            let row = &mut self.above[x - lo];
-            self.pairs += rhs_count - row.count_and(&rhs);
-            row.or_from(&rhs, cols);
-        }
-        for y in rhs.iter() {
-            self.below[y - lo].or_from(&lhs, cols);
-        }
-        Ok(true)
     }
 
     /// All pairs `(a, b)` with `a < b`, lexicographically.
@@ -356,32 +294,66 @@ impl PartialOrderRel {
 }
 
 /// Adjacency lists over `0..len` in one flat buffer, each list in the
-/// order its pairs were given.
+/// order its edges were given, each target with the index of its edge.
 struct Adjacency {
     start: Vec<u32>,
     items: Vec<u32>,
+    edge: Vec<u32>,
 }
 
 impl Adjacency {
-    fn new(len: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+    fn new(len: usize, edges: &[(usize, usize)]) -> Self {
         let mut start = vec![0u32; len + 1];
-        for (u, _) in pairs.clone() {
+        for &(u, _) in edges {
             start[u + 1] += 1;
         }
         for i in 0..len {
             start[i + 1] += start[i];
         }
         let mut fill = start.clone();
-        let mut items = vec![0u32; start[len] as usize];
-        for (u, v) in pairs {
+        let mut items = vec![0u32; edges.len()];
+        let mut edge = vec![0u32; edges.len()];
+        for (i, &(u, v)) in edges.iter().enumerate() {
             items[fill[u] as usize] = v as u32;
+            edge[fill[u] as usize] = i as u32;
             fill[u] += 1;
         }
-        Adjacency { start, items }
+        Adjacency { start, items, edge }
     }
 
     fn of(&self, u: usize) -> &[u32] {
         &self.items[self.start[u] as usize..self.start[u + 1] as usize]
+    }
+
+    /// Kahn's order over the first `prefix` of the `pairs` pair edges and
+    /// every later edge, or `None` if they close a cycle (a self-loop is
+    /// one).
+    fn topological(&self, pairs: usize, prefix: usize) -> Option<Vec<u32>> {
+        let len = self.start.len() - 1;
+        let live = |i: u32| (i as usize) < prefix || i as usize >= pairs;
+        let mut indegree = vec![0u32; len];
+        for (&v, &i) in self.items.iter().zip(&self.edge) {
+            if live(i) {
+                indegree[v as usize] += 1;
+            }
+        }
+        let mut order: Vec<u32> = (0..len as u32)
+            .filter(|&v| indegree[v as usize] == 0)
+            .collect();
+        let mut next = 0;
+        while let Some(&u) = order.get(next) {
+            next += 1;
+            let at = self.start[u as usize] as usize..self.start[u as usize + 1] as usize;
+            for (&v, &i) in self.items[at.clone()].iter().zip(&self.edge[at]) {
+                if live(i) {
+                    indegree[v as usize] -= 1;
+                    if indegree[v as usize] == 0 {
+                        order.push(v);
+                    }
+                }
+            }
+        }
+        (order.len() == len).then_some(order)
     }
 }
 
@@ -399,44 +371,41 @@ mod tests {
     #[test]
     fn reflexive_rejected() {
         let mut rel = PartialOrderRel::new();
-        assert_eq!(rel.insert(3, 3), Err(OrderError::Reflexive(3)));
+        assert_eq!(rel.extend(&[(3, 3)]), Err((0, OrderError::Reflexive(3))));
     }
 
     #[test]
     fn contradiction_rejected() {
-        let mut rel = PartialOrderRel::new();
-        rel.insert(0, 1).unwrap();
+        let mut rel = PartialOrderRel::from_pairs([(0, 1)]).unwrap();
+        let before = rel.clone();
         assert_eq!(
-            rel.insert(1, 0),
-            Err(OrderError::Contradiction { attempted: (1, 0) })
+            rel.extend(&[(1, 0)]),
+            Err((0, OrderError::Contradiction { attempted: (1, 0) }))
         );
+        assert_eq!(rel, before);
     }
 
     #[test]
     fn transitive_contradiction_rejected() {
-        let mut rel = PartialOrderRel::new();
-        rel.insert(0, 1).unwrap();
-        rel.insert(1, 2).unwrap();
-        assert!(rel.insert(2, 0).is_err());
+        let mut rel = PartialOrderRel::from_pairs([(0, 1), (1, 2)]).unwrap();
+        assert!(rel.extend(&[(2, 0)]).is_err());
     }
 
     #[test]
     fn closure_maintained_incrementally() {
-        let mut rel = PartialOrderRel::new();
-        rel.insert(0, 1).unwrap();
-        rel.insert(2, 3).unwrap();
+        let mut rel = PartialOrderRel::from_pairs([(0, 1), (2, 3)]).unwrap();
         assert!(!rel.lt(0, 3));
-        rel.insert(1, 2).unwrap();
+        rel.extend(&[(1, 2)]).unwrap();
         assert!(rel.lt(0, 3));
         assert!(rel.lt(0, 2));
         assert!(rel.lt(1, 3));
+        assert_eq!(rel.pair_count(), 6);
     }
 
     #[test]
-    fn duplicate_insert_idempotent() {
-        let mut rel = PartialOrderRel::new();
-        rel.insert(0, 1).unwrap();
-        rel.insert(0, 1).unwrap();
+    fn duplicate_pairs_idempotent() {
+        let mut rel = PartialOrderRel::from_pairs([(0, 1), (0, 1)]).unwrap();
+        rel.extend(&[(0, 1)]).unwrap();
         assert_eq!(rel.pair_count(), 1);
     }
 
@@ -515,33 +484,28 @@ mod tests {
     }
 
     #[test]
-    fn insert_below_the_span_keeps_earlier_pairs() {
+    fn extending_below_the_span_keeps_earlier_pairs() {
         let mut rel = PartialOrderRel::from_pairs([(20, 21), (21, 25)]).unwrap();
-        rel.insert(3, 20).unwrap();
+        rel.extend(&[(3, 20)]).unwrap();
         assert_eq!(
             rel.pairs().collect::<Vec<_>>(),
             vec![(3, 20), (3, 21), (3, 25), (20, 21), (20, 25), (21, 25)]
         );
-        assert_eq!(rel.below(25).collect::<Vec<_>>(), vec![3, 20, 21]);
         assert_eq!(rel.above(3).collect::<Vec<_>>(), vec![20, 21, 25]);
         assert_eq!(rel.element_count(), 26);
-        assert!(rel.insert(25, 3).is_err());
+        assert!(rel.extend(&[(25, 3)]).is_err());
     }
 
     #[test]
-    fn closing_once_matches_inserting_each() {
+    fn extending_in_batches_matches_closing_once() {
         let pairs = [(7, 9), (2, 7), (9, 12), (2, 4), (4, 9), (2, 9)];
-        let mut each = PartialOrderRel::new();
-        for (a, b) in pairs {
-            each.insert(a, b).unwrap();
-        }
-        let once = PartialOrderRel::from_pairs(pairs).unwrap();
-        assert_eq!(once, each);
-        for x in 0..14 {
-            assert!(once.below(x).eq(each.below(x)), "transpose row {x}");
-        }
-        // A cycle or a reflexive pair is named as the per-pair inserts
-        // name it.
+        let mut batches = PartialOrderRel::from_pairs(pairs[..2].iter().copied()).unwrap();
+        batches.extend(&pairs[2..4]).unwrap();
+        batches.extend(&pairs[4..]).unwrap();
+        assert_eq!(batches, PartialOrderRel::from_pairs(pairs).unwrap());
+        // A cycle or a reflexive pair is named as inserting the pairs one
+        // by one would name it, also when the cycle runs through pairs
+        // closed earlier.
         let cyclic = [(1, 2), (2, 3), (5, 6), (3, 1), (6, 5)];
         assert_eq!(
             PartialOrderRel::from_pairs(cyclic),
@@ -551,22 +515,31 @@ mod tests {
             PartialOrderRel::from_pairs([(1, 2), (4, 4)]),
             Err(OrderError::Reflexive(4))
         );
+        let mut closed = PartialOrderRel::from_pairs([(1, 2), (3, 4)]).unwrap();
+        assert_eq!(
+            closed.extend(&[(2, 3), (6, 6), (4, 1)]),
+            Err((1, OrderError::Reflexive(6)))
+        );
+        assert_eq!(
+            closed.extend(&[(2, 3), (0, 5), (4, 1), (6, 6)]),
+            Err((2, OrderError::Contradiction { attempted: (4, 1) }))
+        );
+        assert_eq!(
+            closed,
+            PartialOrderRel::from_pairs([(1, 2), (3, 4)]).unwrap()
+        );
     }
 
     /// A dense row promoted while the order spanned few columns widens when
     /// the order grows, and compares equal to a row promoted wide.
     #[test]
     fn rows_widen_as_the_order_grows() {
-        let mut grown = PartialOrderRel::new();
-        for b in 1..40 {
-            grown.insert(0, b).unwrap();
-        }
-        grown.insert(39, 1_000).unwrap();
+        let mut grown = PartialOrderRel::from_pairs((1..40).map(|b| (0, b))).unwrap();
+        grown.extend(&[(39, 1_000)]).unwrap();
         assert!(grown.lt(0, 1_000));
         let once = PartialOrderRel::from_pairs(grown.pairs()).unwrap();
         assert_eq!(grown, once);
         assert_eq!(grown.above_row(0), once.above_row(0));
-        assert_eq!(grown.below(1_000).collect::<Vec<_>>(), vec![0, 39]);
     }
 
     #[test]

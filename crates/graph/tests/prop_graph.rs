@@ -98,7 +98,7 @@ proptest! {
         // a valid strict partial order.
         let mut rel = PartialOrderRel::with_elements(g.node_count());
         for (u, v) in g.edges() {
-            prop_assert!(rel.insert(u, v).is_ok());
+            prop_assert!(rel.extend(&[(u, v)]).is_ok());
         }
         // The incremental closure equals the batch closure.
         let batch = transitive_closure(&g);
@@ -111,15 +111,12 @@ proptest! {
 
     #[test]
     fn order_rejects_exactly_cycle_closing_pairs(g in arb_dag(10, 25)) {
-        let mut rel = PartialOrderRel::with_elements(g.node_count());
-        for (u, v) in g.edges() {
-            rel.insert(u, v).unwrap();
-        }
+        let rel = PartialOrderRel::from_pairs(g.edges()).unwrap();
         for u in 0..g.node_count() {
             for v in 0..g.node_count() {
                 if u == v { continue; }
                 let mut probe = rel.clone();
-                let res = probe.insert(u, v);
+                let res = probe.extend(&[(u, v)]);
                 if rel.lt(v, u) {
                     prop_assert!(res.is_err());
                 } else {
@@ -132,7 +129,7 @@ proptest! {
     #[test]
     fn linear_extension_is_permutation(g in arb_dag(12, 40)) {
         let mut rel = PartialOrderRel::with_elements(g.node_count());
-        for (u, v) in g.edges() { rel.insert(u, v).unwrap(); }
+        rel.extend(&g.edges().collect::<Vec<_>>()).unwrap();
         let ext = rel.linear_extension();
         let mut sorted = ext.clone();
         sorted.sort_unstable();

@@ -20,9 +20,13 @@ use std::collections::BTreeSet;
 /// in place: the builder then records which schedules the new items touch,
 /// and `build()` re-validates only those.
 ///
-/// A builder from [`SystemBuilder::new`] closes each order relation on
-/// every pair; one from [`SystemBuilder::bulk`] declares all pairs first
-/// and closes each relation once.
+/// The order methods record their pairs, and [`SystemBuilder::close_orders`]
+/// (which [`SystemBuilder::propagate_orders`] and [`SystemBuilder::build`]
+/// call) closes each relation once over the pairs it already holds. So the
+/// order methods report only structural errors (unknown nodes, pairs
+/// outside a schedule); a reflexive or contradictory pair fails the close,
+/// naming the first pair in declaration order that closing on every pair
+/// would have rejected.
 ///
 /// ```
 /// use compc_model::SystemBuilder;
@@ -49,9 +53,10 @@ pub struct SystemBuilder {
     slot: Vec<u32>,
     /// Set when reopened from a built (hence valid) system.
     reopened: Option<Reopened>,
-    /// Set for a [`SystemBuilder::bulk`] builder: the order pairs declared
-    /// and not closed yet, in declaration order.
-    pending: Option<Vec<Declared>>,
+    /// The order pairs declared and not closed yet.
+    pending: Vec<Declared>,
+    /// How many order pairs were declared, closed or not.
+    declared: usize,
 }
 
 /// An order relation of the system under construction.
@@ -65,13 +70,15 @@ enum Relation {
     Intra(NodeId),
 }
 
-/// A declared order pair `a < b` (also `a ≪ b` when `strong`).
+/// A declared order pair `a < b` (also `a ≪ b` when `strong`), and how
+/// many order pairs were declared before it.
 #[derive(Clone, Copy, Debug)]
 struct Declared {
     rel: Relation,
     a: NodeId,
     b: NodeId,
     strong: bool,
+    at: usize,
 }
 
 /// The state a reopened builder keeps about the system it extends.
@@ -89,27 +96,6 @@ impl SystemBuilder {
     /// A fresh, empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh, empty builder that closes each order relation once: the
-    /// order methods record their pairs, and [`SystemBuilder::close_orders`]
-    /// (which [`SystemBuilder::build`] calls) closes every relation with
-    /// one sweep (the output orders close earlier, when
-    /// [`SystemBuilder::propagate_orders`] reads them).
-    ///
-    /// The pair methods then report only structural errors (unknown
-    /// nodes, pairs outside a schedule). A reflexive or contradictory pair
-    /// fails `close_orders` instead, naming some offending pair: which one
-    /// is unspecified. A caller that must name the pair a
-    /// [`SystemBuilder::new`] builder rejects first declares again into
-    /// such a builder when declaring or closing fails. Once `close_orders`
-    /// succeeds, the builder holds the relations a `new` builder would, so
-    /// `build` reports the same validation errors.
-    pub fn bulk() -> Self {
-        SystemBuilder {
-            pending: Some(Vec::new()),
-            ..Self::default()
-        }
     }
 
     /// Reopens a built system's parts; see [`CompositeSystem::into_builder`].
@@ -138,7 +124,8 @@ impl SystemBuilder {
             schedules,
             txs,
             slot,
-            pending: None,
+            pending: Vec::new(),
+            declared: 0,
         }
     }
 
@@ -216,27 +203,31 @@ impl SystemBuilder {
     /// schedule.
     pub fn output_weak(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
         let s = self.shared_container(a, b)?;
-        self.order_pair(Relation::Output(s), a, b, false)
+        self.order_pair(Relation::Output(s), a, b, false);
+        Ok(())
     }
 
     /// Records the strong output order `a ≪_S b` on the common container
     /// schedule.
     pub fn output_strong(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
         let s = self.shared_container(a, b)?;
-        self.order_pair(Relation::Output(s), a, b, true)
+        self.order_pair(Relation::Output(s), a, b, true);
+        Ok(())
     }
 
     /// Records the weak input order `t → t'` on the common home schedule of
     /// two transactions.
     pub fn input_weak(&mut self, t: NodeId, t2: NodeId) -> Result<(), ModelError> {
         let s = self.shared_home(t, t2)?;
-        self.order_pair(Relation::Input(s), t, t2, false)
+        self.order_pair(Relation::Input(s), t, t2, false);
+        Ok(())
     }
 
     /// Records the strong input order `t →→ t'`.
     pub fn input_strong(&mut self, t: NodeId, t2: NodeId) -> Result<(), ModelError> {
         let s = self.shared_home(t, t2)?;
-        self.order_pair(Relation::Input(s), t, t2, true)
+        self.order_pair(Relation::Input(s), t, t2, true);
+        Ok(())
     }
 
     /// Derives each schedule's conflict predicate from leaf [`OpSpec`]s via a
@@ -266,8 +257,10 @@ impl SystemBuilder {
     /// spelling the propagation out by hand. A reopened builder reads only
     /// the schedules the extension touched: the system it was reopened from
     /// was valid, so every other schedule's pairs are already propagated.
+    ///
+    /// Closes the orders declared so far first, and the copied pairs after.
     pub fn propagate_orders(&mut self) -> Result<(), ModelError> {
-        self.close_pending(|rel| matches!(rel, Relation::Output(_)))?;
+        self.close_orders().map_err(|(_, e)| e)?;
         // Collect first to appease the borrow checker. Each row is read
         // masked by the operations homed where its own operation is, so
         // the pairs come out lexicographically.
@@ -302,18 +295,44 @@ impl SystemBuilder {
             }
         }
         for (home, a, b) in weak {
-            self.order_pair(Relation::Input(home), a, b, false)?;
+            self.order_pair(Relation::Input(home), a, b, false);
         }
         for (home, a, b) in strong {
-            self.order_pair(Relation::Input(home), a, b, true)?;
+            self.order_pair(Relation::Input(home), a, b, true);
         }
-        Ok(())
+        self.close_orders().map_err(|(_, e)| e)
     }
 
-    /// Closes every order relation declared so far: a no-op except for a
-    /// [`SystemBuilder::bulk`] builder, whose contradictions fail here.
-    pub fn close_orders(&mut self) -> Result<(), ModelError> {
-        self.close_pending(|_| true)
+    /// Closes every order pair declared so far, each relation once
+    /// ([`OrderPair::extend_closing_once`]).
+    ///
+    /// On a reflexive or contradictory pair it fails with the error of the
+    /// first pair, in declaration order across all relations, that
+    /// closing on every declared pair would have rejected, and with that
+    /// pair's position: how many order pairs were declared into this
+    /// builder before it (since [`SystemBuilder::new`] or the reopen). The
+    /// relations that failed keep their pairs pending, so the error
+    /// recurs until the builder is dropped.
+    pub fn close_orders(&mut self) -> Result<(), (usize, ModelError)> {
+        let mut pending = std::mem::take(&mut self.pending);
+        // Stable: each relation's pairs stay in declaration order.
+        pending.sort_by_key(|d| d.rel);
+        let mut first: Option<(usize, ModelError)> = None;
+        for group in pending.chunk_by(|x, y| x.rel == y.rel) {
+            let rel = group[0].rel;
+            let pairs: Vec<_> = group.iter().map(|d| (d.a, d.b, d.strong)).collect();
+            match self.relation_mut(rel).extend_closing_once(&pairs) {
+                Ok(true) => self.touch(self.schedule_of(rel)),
+                Ok(false) => {}
+                Err((i, e)) => {
+                    self.pending.extend_from_slice(group);
+                    if first.as_ref().is_none_or(|(at, _)| group[i].at < *at) {
+                        first = Some((group[i].at, e));
+                    }
+                }
+            }
+        }
+        first.map_or(Ok(()), Err)
     }
 
     /// Finalizes and validates the system. A reopened builder re-validates
@@ -321,7 +340,7 @@ impl SystemBuilder {
     /// valid system stays valid: its relations are unchanged and the input
     /// orders it propagates into only grew).
     pub fn build(mut self) -> Result<CompositeSystem, ModelError> {
-        self.close_orders()?;
+        self.close_orders().map_err(|(_, e)| e)?;
         for (s_idx, txs) in self.txs.into_iter().enumerate() {
             self.schedules[s_idx].transactions = txs;
         }
@@ -345,29 +364,6 @@ impl SystemBuilder {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
-
-    /// Closes the pending pairs of the relations `which` selects, each
-    /// relation once; the others stay pending.
-    fn close_pending(&mut self, which: fn(Relation) -> bool) -> Result<(), ModelError> {
-        let Some(pending) = &mut self.pending else {
-            return Ok(());
-        };
-        let (mut closing, rest): (Vec<Declared>, Vec<Declared>) =
-            pending.drain(..).partition(|d| which(d.rel));
-        *pending = rest;
-        // Stable: each relation's pairs stay in declaration order.
-        closing.sort_by_key(|d| d.rel);
-        let mut pairs = Vec::new();
-        for (i, d) in closing.iter().enumerate() {
-            pairs.push((d.a, d.b, d.strong));
-            if closing.get(i + 1).is_some_and(|next| next.rel == d.rel) {
-                continue;
-            }
-            self.relation_mut(d.rel).extend_closing_once(&pairs)?;
-            pairs.clear();
-        }
-        Ok(())
-    }
 
     fn relation_mut(&mut self, rel: Relation) -> &mut OrderPair {
         match rel {
@@ -423,30 +419,29 @@ impl SystemBuilder {
 
     fn tx_order(&mut self, a: NodeId, b: NodeId, strong: bool) -> Result<(), ModelError> {
         let tx = self.shared_parent(a, b)?;
-        self.order_pair(Relation::Intra(tx), a, b, strong)
+        self.order_pair(Relation::Intra(tx), a, b, strong);
+        Ok(())
     }
 
-    /// Adds `a < b` (and `a ≪ b` when `strong`) to relation `rel`, or
-    /// declares it for a bulk builder.
-    fn order_pair(
-        &mut self,
-        rel: Relation,
-        a: NodeId,
-        b: NodeId,
-        strong: bool,
-    ) -> Result<(), ModelError> {
-        if let Some(pending) = &mut self.pending {
-            pending.push(Declared { rel, a, b, strong });
-            return Ok(());
+    /// Declares `a < b` (and `a ≪ b` when `strong`) in relation `rel`.
+    fn order_pair(&mut self, rel: Relation, a: NodeId, b: NodeId, strong: bool) {
+        let at = self.declared;
+        self.declared += 1;
+        self.pending.push(Declared {
+            rel,
+            a,
+            b,
+            strong,
+            at,
+        });
+    }
+
+    /// The schedule whose value a change to `rel` changes.
+    fn schedule_of(&self, rel: Relation) -> SchedId {
+        match rel {
+            Relation::Output(s) | Relation::Input(s) => s,
+            Relation::Intra(tx) => self.nodes[tx.index()].home.expect("a transaction"),
         }
-        if self.relation_mut(rel).insert(a, b, strong)? {
-            let s = match rel {
-                Relation::Output(s) | Relation::Input(s) => s,
-                Relation::Intra(tx) => self.nodes[tx.index()].home.expect("a transaction"),
-            };
-            self.touch(s);
-        }
-        Ok(())
     }
 
     fn home_of(&self, parent: NodeId) -> SchedId {
@@ -671,6 +666,30 @@ mod tests {
         let o1 = b.leaf("o1", t1);
         let o2 = b.leaf("o2", t2);
         assert!(b.tx_weak_order(o1, o2).is_err());
+    }
+
+    /// A reopened builder closes new pairs over the rows it holds: `o0`
+    /// reaches `o2` only through the closed row of `o0` reaching `o1`.
+    #[test]
+    fn reopened_builder_closes_over_existing_rows() {
+        let mut b = SystemBuilder::new();
+        let s = b.schedule("S");
+        let t0 = b.root("T0", s);
+        let t1 = b.root("T1", s);
+        let o0 = b.leaf("o0", t0);
+        let o1 = b.leaf("o1", t1);
+        b.output_weak(o0, o1).unwrap();
+        let mut b = b.build().unwrap().into_builder();
+        let t2 = b.root("T2", s);
+        let o2 = b.leaf("o2", t2);
+        b.output_weak(o1, o2).unwrap();
+        b.conflict(o0, o2).unwrap();
+        let sys = b.build().unwrap();
+        assert!(sys.schedule(s).output.weak_lt(o0, o2));
+        // And a pair closing a cycle through them is rejected at the close.
+        let mut b = sys.into_builder();
+        b.output_weak(o2, o0).unwrap();
+        assert!(matches!(b.build(), Err(ModelError::OrderViolation { .. })));
     }
 
     #[test]

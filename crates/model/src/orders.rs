@@ -8,12 +8,13 @@
 //! * `A ‖ B` — unrestricted parallelism.
 //!
 //! Both orders are transitively closed, and every strong pair is also a weak
-//! pair (`≪ ⊆ <`). [`OrderPair`] packages the two relations and enforces the
-//! inclusion at insertion time, so an ill-formed pair is unrepresentable.
+//! pair (`≪ ⊆ <`). [`OrderPair`] packages the two relations and grows them
+//! only through [`OrderPair::extend_closing_once`], which adds every strong
+//! pair to both, so an ill-formed pair is unrepresentable.
 
 use crate::error::ModelError;
 use crate::ids::NodeId;
-use compc_graph::{OrderError, PartialOrderRel};
+use compc_graph::PartialOrderRel;
 
 /// The three Definition-1 relations between two nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -40,64 +41,36 @@ impl OrderPair {
         Self::default()
     }
 
-    /// Adds a weak pair `a < b`.
-    pub fn add_weak(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
-        self.insert(a, b, false).map(drop)
-    }
-
-    /// Adds a strong pair `a ≪ b`; this also records `a < b` so the
-    /// inclusion `≪ ⊆ <` holds by construction.
-    pub fn add_strong(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {
-        self.insert(a, b, true).map(drop)
-    }
-
-    /// Adds `a < b`, and `a ≪ b` too when `strong`. Returns whether either
-    /// relation gained the pair.
-    pub fn insert(&mut self, a: NodeId, b: NodeId, strong: bool) -> Result<bool, ModelError> {
-        let fail = |kind| move |source| ModelError::OrderViolation { a, b, kind, source };
-        let (x, y) = (a.index(), b.index());
-        // Weak first: if the weak insert succeeds, the strong insert cannot
-        // fail (strong ⊆ weak means any strong contradiction is also a weak
-        // one), so the inclusion invariant survives the error path.
-        let mut changed = self.weak.insert(x, y).map_err(fail(OrderKind::Weak))?;
-        if strong {
-            changed |= self.strong.insert(x, y).map_err(fail(OrderKind::Strong))?;
-        }
-        Ok(changed)
-    }
-
-    /// Adds the pairs `(a, b, strong)` as [`OrderPair::insert`] would, one
-    /// after the other, but closes each relation once
-    /// ([`PartialOrderRel::from_pairs`]); on a violation it fails with
-    /// the error the first offending insert would return, and leaves the
-    /// orders as they were.
+    /// Adds the pairs `(a, b, strong)`: `a < b`, and `a ≪ b` too when
+    /// `strong`, closing each relation once
+    /// ([`PartialOrderRel::extend`]). Returns whether either relation grew.
+    ///
+    /// On a reflexive or contradictory pair it fails with the pair's index
+    /// in `pairs` and its error, naming the first pair that adding them one
+    /// by one would reject, and leaves the orders as they were. Only the
+    /// weak relation can fail: it takes every pair, so a strong
+    /// contradiction is also a weak one.
     pub fn extend_closing_once(
         &mut self,
         pairs: &[(NodeId, NodeId, bool)],
-    ) -> Result<(), ModelError> {
-        let fail = |kind| {
-            move |source: OrderError| {
-                let (a, b) = match source {
-                    OrderError::Reflexive(a) => (a, a),
-                    OrderError::Contradiction { attempted } => attempted,
-                };
-                let (a, b) = (NodeId(a as u32), NodeId(b as u32));
-                ModelError::OrderViolation { a, b, kind, source }
-            }
-        };
-        let close = |rel: &PartialOrderRel, strong_only: bool| {
-            let added = pairs
-                .iter()
-                .filter(|p| p.2 || !strong_only)
-                .map(|&(a, b, _)| (a.index(), b.index()));
-            PartialOrderRel::from_pairs(rel.pairs().chain(added))
-        };
-        let weak = close(&self.weak, false).map_err(fail(OrderKind::Weak))?;
-        if pairs.iter().any(|p| p.2) {
-            self.strong = close(&self.strong, true).map_err(fail(OrderKind::Strong))?;
-        }
-        self.weak = weak;
-        Ok(())
+    ) -> Result<bool, (usize, ModelError)> {
+        let before = (self.weak.pair_count(), self.strong.pair_count());
+        let all: Vec<(usize, usize)> = pairs
+            .iter()
+            .map(|&(a, b, _)| (a.index(), b.index()))
+            .collect();
+        self.weak.extend(&all).map_err(|(i, source)| {
+            let (a, b, _) = pairs[i];
+            let kind = OrderKind::Weak;
+            (i, ModelError::OrderViolation { a, b, kind, source })
+        })?;
+        let strong: Vec<(usize, usize)> = (pairs.iter().zip(all))
+            .filter_map(|(p, pair)| p.2.then_some(pair))
+            .collect();
+        self.strong
+            .extend(&strong)
+            .expect("the weak order took every strong pair");
+        Ok((self.weak.pair_count(), self.strong.pair_count()) != before)
     }
 
     /// Whether `a < b` (weakly ordered, closure included).
@@ -160,10 +133,14 @@ mod tests {
         NodeId(i)
     }
 
+    fn add(p: &mut OrderPair, a: u32, b: u32, strong: bool) -> Result<bool, (usize, ModelError)> {
+        p.extend_closing_once(&[(n(a), n(b), strong)])
+    }
+
     #[test]
     fn strong_implies_weak() {
         let mut p = OrderPair::new();
-        p.add_strong(n(0), n(1)).unwrap();
+        add(&mut p, 0, 1, true).unwrap();
         assert!(p.weak_lt(n(0), n(1)));
         assert!(p.strong_lt(n(0), n(1)));
         assert_eq!(p.kind(n(0), n(1)), OrderKind::Strong);
@@ -172,7 +149,7 @@ mod tests {
     #[test]
     fn weak_does_not_imply_strong() {
         let mut p = OrderPair::new();
-        p.add_weak(n(0), n(1)).unwrap();
+        add(&mut p, 0, 1, false).unwrap();
         assert_eq!(p.kind(n(0), n(1)), OrderKind::Weak);
         assert_eq!(p.kind(n(1), n(0)), OrderKind::Unordered);
     }
@@ -180,23 +157,23 @@ mod tests {
     #[test]
     fn weak_cycle_rejected() {
         let mut p = OrderPair::new();
-        p.add_weak(n(0), n(1)).unwrap();
-        assert!(p.add_weak(n(1), n(0)).is_err());
+        add(&mut p, 0, 1, false).unwrap();
+        assert!(add(&mut p, 1, 0, false).is_err());
     }
 
     #[test]
     fn strong_contradicting_weak_rejected() {
         // a < b weakly, then b ≪ a must fail because ≪ ⊆ < would break.
         let mut p = OrderPair::new();
-        p.add_weak(n(0), n(1)).unwrap();
-        assert!(p.add_strong(n(1), n(0)).is_err());
+        add(&mut p, 0, 1, false).unwrap();
+        assert!(add(&mut p, 1, 0, true).is_err());
     }
 
     #[test]
     fn transitive_closure_spans_both() {
         let mut p = OrderPair::new();
-        p.add_strong(n(0), n(1)).unwrap();
-        p.add_strong(n(1), n(2)).unwrap();
+        add(&mut p, 0, 1, true).unwrap();
+        add(&mut p, 1, 2, true).unwrap();
         assert!(p.strong_lt(n(0), n(2)));
         assert!(p.weak_lt(n(0), n(2)));
     }
@@ -204,8 +181,8 @@ mod tests {
     #[test]
     fn mixed_chain_closes_weakly_only() {
         let mut p = OrderPair::new();
-        p.add_strong(n(0), n(1)).unwrap();
-        p.add_weak(n(1), n(2)).unwrap();
+        add(&mut p, 0, 1, true).unwrap();
+        add(&mut p, 1, 2, false).unwrap();
         assert!(p.weak_lt(n(0), n(2)));
         assert!(!p.strong_lt(n(0), n(2)));
     }

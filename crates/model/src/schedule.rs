@@ -320,7 +320,9 @@ mod tests {
     fn axiom1c_satisfied_by_either_direction() {
         let mut s = two_tx_schedule();
         s.conflicts.insert(n(2), n(4));
-        s.output.add_weak(n(4), n(2)).unwrap();
+        s.output
+            .extend_closing_once(&[(n(4), n(2), false)])
+            .unwrap();
         assert!(s.validate().is_ok());
     }
 
@@ -328,8 +330,10 @@ mod tests {
     fn axiom1a_input_order_forces_output_direction() {
         let mut s = two_tx_schedule();
         s.conflicts.insert(n(2), n(4));
-        s.input.add_weak(n(0), n(1)).unwrap(); // t0 → t1
-        s.output.add_weak(n(4), n(2)).unwrap(); // but executed o4 before o2
+        s.input.extend_closing_once(&[(n(0), n(1), false)]).unwrap(); // t0 → t1
+        s.output
+            .extend_closing_once(&[(n(4), n(2), false)])
+            .unwrap(); // but executed o4 before o2
         let err = s.validate().unwrap_err();
         assert!(matches!(err, ModelError::InputOrderNotHonored { .. }));
     }
@@ -337,18 +341,28 @@ mod tests {
     #[test]
     fn axiom2_intra_order_must_be_respected() {
         let mut s = two_tx_schedule();
-        s.transactions[0].intra.add_weak(n(2), n(3)).unwrap();
+        s.transactions[0]
+            .intra
+            .extend_closing_once(&[(n(2), n(3), false)])
+            .unwrap();
         let err = s.validate().unwrap_err();
         assert!(matches!(err, ModelError::IntraTxOrderNotHonored { .. }));
-        s.output.add_weak(n(2), n(3)).unwrap();
+        s.output
+            .extend_closing_once(&[(n(2), n(3), false)])
+            .unwrap();
         assert!(s.validate().is_ok());
     }
 
     #[test]
     fn axiom2_strong_intra_needs_strong_output() {
         let mut s = two_tx_schedule();
-        s.transactions[0].intra.add_strong(n(2), n(3)).unwrap();
-        s.output.add_weak(n(2), n(3)).unwrap(); // weak is not enough
+        s.transactions[0]
+            .intra
+            .extend_closing_once(&[(n(2), n(3), true)])
+            .unwrap();
+        s.output
+            .extend_closing_once(&[(n(2), n(3), false)])
+            .unwrap(); // weak is not enough
         let err = s.validate().unwrap_err();
         assert!(matches!(
             err,
@@ -362,12 +376,12 @@ mod tests {
     #[test]
     fn axiom3_strong_input_needs_total_strong_output() {
         let mut s = two_tx_schedule();
-        s.input.add_strong(n(0), n(1)).unwrap();
+        s.input.extend_closing_once(&[(n(0), n(1), true)]).unwrap();
         let err = s.validate().unwrap_err();
         assert!(matches!(err, ModelError::StrongInputNotHonored { .. }));
         for &a in &[n(2), n(3)] {
             for &b in &[n(4), n(5)] {
-                s.output.add_strong(a, b).unwrap();
+                s.output.extend_closing_once(&[(a, b, true)]).unwrap();
             }
         }
         assert!(s.validate().is_ok());
@@ -377,14 +391,18 @@ mod tests {
     fn serialization_pairs_follow_conflicting_output() {
         let mut s = two_tx_schedule();
         s.conflicts.insert(n(3), n(4));
-        s.output.add_weak(n(3), n(4)).unwrap();
+        s.output
+            .extend_closing_once(&[(n(3), n(4), false)])
+            .unwrap();
         assert_eq!(s.serialization_pairs(), vec![(n(0), n(1))]);
     }
 
     #[test]
     fn non_conflicting_output_produces_no_serialization() {
         let mut s = two_tx_schedule();
-        s.output.add_weak(n(3), n(4)).unwrap();
+        s.output
+            .extend_closing_once(&[(n(3), n(4), false)])
+            .unwrap();
         assert!(s.serialization_pairs().is_empty());
     }
 
@@ -392,8 +410,10 @@ mod tests {
     fn cc_detects_input_vs_serialization_cycle() {
         let mut s = two_tx_schedule();
         s.conflicts.insert(n(3), n(4));
-        s.output.add_weak(n(3), n(4)).unwrap(); // serializes t0 before t1
-        s.input.add_weak(n(1), n(0)).unwrap(); // but input demands t1 → t0
+        s.output
+            .extend_closing_once(&[(n(3), n(4), false)])
+            .unwrap(); // serializes t0 before t1
+        s.input.extend_closing_once(&[(n(1), n(0), false)]).unwrap(); // but input demands t1 → t0
         assert!(!s.is_conflict_consistent());
     }
 
@@ -401,8 +421,10 @@ mod tests {
     fn cc_holds_when_orders_agree() {
         let mut s = two_tx_schedule();
         s.conflicts.insert(n(3), n(4));
-        s.output.add_weak(n(3), n(4)).unwrap();
-        s.input.add_weak(n(0), n(1)).unwrap();
+        s.output
+            .extend_closing_once(&[(n(3), n(4), false)])
+            .unwrap();
+        s.input.extend_closing_once(&[(n(0), n(1), false)]).unwrap();
         assert!(s.is_conflict_consistent());
     }
 }

@@ -3,7 +3,7 @@
 use crate::builder::{homed_ops, SystemBuilder};
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
-use crate::orders::OrderKind;
+use crate::orders::{OrderKind, OrderPair};
 use crate::schedule::{Schedule, Transaction};
 use crate::semantics::OpSpec;
 use compc_graph::{find_cycle, longest_path_lengths, DiGraph};
@@ -467,7 +467,6 @@ impl CompositeSystem {
         for &r in keep {
             kept.extend(self.composite_transaction(r));
         }
-        let keep_idx: Vec<usize> = kept.iter().map(|n| n.index()).collect();
         let mut nodes = Vec::new();
         // Old id -> new id (dense renumbering).
         let mut remap = vec![None; self.node_count()];
@@ -488,11 +487,19 @@ impl CompositeSystem {
                 .parent
                 .map(|p| remap[p.index()].expect("parents are kept"));
         }
-        let remap_pairs = |rel: &compc_graph::PartialOrderRel| {
-            rel.restricted_to(&keep_idx)
-                .pairs()
-                .map(|(a, b)| (remap[a].expect("kept"), remap[b].expect("kept")))
-                .collect::<Vec<_>>()
+        // The kept pairs of a closed order pair, renumbered and closed once.
+        let restrict = |orders: &OrderPair| {
+            let pairs: Vec<_> = orders
+                .weak_pairs()
+                .filter_map(|(a, b)| {
+                    let strong = orders.strong_lt(a, b);
+                    Some((remap[a.index()]?, remap[b.index()]?, strong))
+                })
+                .collect();
+            let mut out = OrderPair::new();
+            out.extend_closing_once(&pairs)
+                .expect("restriction stays valid");
+            out
         };
         let schedules = self
             .schedules()
@@ -508,12 +515,7 @@ impl CompositeSystem {
                         .iter()
                         .map(|o| remap[o.index()].expect("ops of kept txs are kept"))
                         .collect();
-                    for (a, b) in remap_pairs(t.intra.weak()) {
-                        nt.intra.add_weak(a, b).expect("restriction stays valid");
-                    }
-                    for (a, b) in remap_pairs(t.intra.strong()) {
-                        nt.intra.add_strong(a, b).expect("restriction stays valid");
-                    }
+                    nt.intra = restrict(&t.intra);
                     out.transactions.push(nt);
                 }
                 for (a, b) in s.conflicts.iter() {
@@ -524,20 +526,8 @@ impl CompositeSystem {
                         );
                     }
                 }
-                for (a, b) in remap_pairs(s.input.weak()) {
-                    out.input.add_weak(a, b).expect("restriction stays valid");
-                }
-                for (a, b) in remap_pairs(s.input.strong()) {
-                    out.input.add_strong(a, b).expect("restriction stays valid");
-                }
-                for (a, b) in remap_pairs(s.output.weak()) {
-                    out.output.add_weak(a, b).expect("restriction stays valid");
-                }
-                for (a, b) in remap_pairs(s.output.strong()) {
-                    out.output
-                        .add_strong(a, b)
-                        .expect("restriction stays valid");
-                }
+                out.input = restrict(&s.input);
+                out.output = restrict(&s.output);
                 out
             })
             .collect();

@@ -75,7 +75,9 @@ fn order_violation_displays() {
     let o1 = b.leaf("o1", t);
     let o2 = b.leaf("o2", t);
     b.output_weak(o1, o2).unwrap();
-    let err = b.output_weak(o2, o1).unwrap_err();
+    // Declaring records the pair; the close in `build` rejects it.
+    b.output_weak(o2, o1).unwrap();
+    let err = b.build().unwrap_err();
     assert!(matches!(err, ModelError::OrderViolation { .. }));
     assert!(err.to_string().contains("cannot order"));
 }

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate + lint gate + CLI smoke test. Run from the workspace root.
 #
-#   scripts/ci.sh          # everything (tier-1, workspace tests, clippy, fmt, smoke, soak, bench-smoke, fuzz-smoke, explore-smoke, scale-smoke, batch-smoke, serve-smoke, serve-soak, perf-selftest)
+#   scripts/ci.sh          # everything (tier-1, workspace tests, clippy, fmt, smoke, claims, soak, bench-smoke, fuzz-smoke, explore-smoke, scale-smoke, batch-smoke, serve-smoke, serve-soak, perf-selftest)
 #   scripts/ci.sh tier1    # just the build + test gate
 #   scripts/ci.sh workspace-tests # every workspace crate's tests (tier-1's
 #                              # root `cargo test` runs only the compc package)
 #   scripts/ci.sh lint     # clippy + rustfmt + rustdoc links + no threads inside a check
 #   scripts/ci.sh smoke    # compc-check observability smoke test + Figures 1-4
 #                          # output and DOT diffed against docs/results/
+#   scripts/ci.sh claims   # the E6-E13 paper-claim harnesses diffed against
+#                          # their committed docs/results/ files
 #   scripts/ci.sh soak     # chaos sweep + deadline smoke (robustness gate)
 #   scripts/ci.sh bench-smoke  # E21 kernel table + capped E22 scaling sweep +
 #                              # tri-backend verdict equivalence + BENCH schemas
@@ -33,13 +35,16 @@
 #                              # general system within 0.25 s and a
 #                              # 4,000-leaf chain within 0.2 s (fail if a
 #                              # load closes orders pair by pair again);
-#                              # the chain closing a cycle within 1.5 s and
+#                              # the chain closing a cycle within 0.05 s and
 #                              # against its input order within 0.1 s, both
-#                              # exit 2 (fail if an invalid spec's replay
-#                              # gets slow again), and compc-serve restores
-#                              # an 8,000-leaf chain checkpoint and answers
-#                              # stats within 0.5 s (fails if a restored
-#                              # session is built pair by pair again)
+#                              # exit 2 (fail if naming the offending pair
+#                              # closes pair by pair again), compc-serve
+#                              # restores an 8,000-leaf chain checkpoint and
+#                              # answers stats within 0.5 s (fails if a
+#                              # restored session is built pair by pair
+#                              # again), and answers a 4,000-leaf append to
+#                              # a 4,000-leaf chain session within 0.4 s
+#                              # (fails if an append closes pair by pair)
 #   scripts/ci.sh batch-smoke  # a mixed compc-gen corpus reports the same at
 #                              # --jobs 1 and 2, and a --checkpoint rerun
 #                              # has nothing left with the same exit code
@@ -595,15 +600,18 @@ scale_case() {
 # invalid: `back` ends the chain with a pair back to its first leaf (a
 # cycle, found when the order closes); `input` adds a conflict between the
 # first two leaves and an input order against the chain's (found by
-# validation, after the order closes).
+# validation, after the order closes). FROM > 0 declares only the roots
+# and leaves from FROM on, chained on from leaf FROM - 1: the rest of a
+# FROM-leaf chain, as an append to it.
 chain_spec() {
-    awk -v n="$1" -v fault="${2:-}" 'BEGIN {
+    awk -v n="$1" -v fault="${2:-}" -v from="${3:-0}" 'BEGIN {
         printf "{\"version\":1,\"schedules\":[\"S\"],\"nodes\":[";
-        for (i = 0; i < n; i++)
-            printf "%s{\"name\":\"T%d\",\"kind\":\"root\",\"home\":\"S\"},{\"name\":\"o%d\",\"kind\":\"leaf\",\"parent\":\"T%d\"}", (i ? "," : ""), i, i, i;
+        for (i = from; i < n; i++)
+            printf "%s{\"name\":\"T%d\",\"kind\":\"root\",\"home\":\"S\"},{\"name\":\"o%d\",\"kind\":\"leaf\",\"parent\":\"T%d\"}", (i > from ? "," : ""), i, i, i;
         printf "],\"output_weak\":[";
-        for (i = 0; i + 1 < n; i++)
-            printf "%s[\"o%d\",\"o%d\"]", (i ? "," : ""), i, i + 1;
+        first = from ? from - 1 : 0;
+        for (i = first; i + 1 < n; i++)
+            printf "%s[\"o%d\",\"o%d\"]", (i > first ? "," : ""), i, i + 1;
         if (fault == "back")
             printf ",[\"o%d\",\"o0\"]", n - 1;
         printf "]";
@@ -657,10 +665,42 @@ restore_case() {
     esac
 }
 
+# Sends the one-line spec files FIRST and SECOND as appends to one session
+# of a `compc-serve --once` daemon; fails unless the answer to the second
+# comes within SECONDS of sending it.
+append_case() {
+    local what="$1" secs="$2" log="$dir/append.log" pid port="" response="" code
+    : > "$log"
+    ./target/release/compc-serve --listen 127.0.0.1:0 --once 2> "$log" &
+    pid=$!
+    while [ -z "$port" ] && kill -0 "$pid" 2> /dev/null; do
+        port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")"
+        [ -n "$port" ] || sleep 0.01
+    done
+    exec 3<> "/dev/tcp/127.0.0.1/$port"
+    printf '{"session":"chain","append":%s}\n' "$(cat "$3")" >&3
+    IFS= read -r response <&3 || true
+    printf '{"session":"chain","append":%s}\n' "$(cat "$4")" >&3
+    set +e
+    IFS= read -r -t "$secs" response <&3
+    code=$?
+    set -e
+    exec 3>&- 3<&-
+    wait "$pid" || true
+    [ "$code" -le 128 ] \
+        || { echo "scale-smoke: $what took longer than $secs s" >&2; return 1; }
+    case "$response" in
+        *'"ok":true'*'"appends":2'*) ;;
+        *) echo "scale-smoke: $what: no verdict for the second append" >&2; return 1 ;;
+    esac
+}
+
 # Timeouts are about 3x the measured wall time on a 2-vCPU host
-# (EXPERIMENTS.md E32, E33, E34); the load path used to take 2.9 s on the
-# general system, 7.8-9.9 s on each chain and 11.3 s on the wide object,
-# and restoring the 8,000-leaf chain checkpoint 1.09 s.
+# (EXPERIMENTS.md E32, E33, E34, E35); the load path used to take 2.9 s on
+# the general system, 7.8-9.9 s on each chain and 11.3 s on the wide
+# object, naming the pair that closes the chain's cycle 0.3-0.5 s,
+# restoring the 8,000-leaf chain checkpoint 1.09 s, and appending the
+# second half of the 8,000-leaf chain 0.71-0.80 s.
 scale_smoke() {
     echo "==> scale-smoke: large stack, general and chain systems and a wide object checked in time"
     cargo build --release -q -p compc --bin compc-gen --bin compc-check --bin compc-serve
@@ -673,6 +713,7 @@ scale_smoke() {
     chain_spec 4000 > "$dir/chain.json"
     chain_spec 4000 back > "$dir/chain-back.json"
     chain_spec 4000 input > "$dir/chain-input.json"
+    chain_spec 8000 "" 4000 > "$dir/chain-rest.json"
     wide_object 80000 > "$dir/wide.json"
     { printf '{"version":1,"appends":1,"spec":'; chain_spec 8000; printf '}\n'; } \
         > "$dir/chain-checkpoint.json"
@@ -680,15 +721,41 @@ scale_smoke() {
     scale_case "18,420-node stack" 3 1 "$dir/stack.json" || status=1
     scale_case "3,000-node general system" 0.25 1 "$dir/general.json" || status=1
     scale_case "4,000-leaf chain" 0.2 0 "$dir/chain.json" || status=1
-    scale_case "4,000-leaf chain closing a cycle" 1.5 2 "$dir/chain-back.json" || status=1
+    scale_case "4,000-leaf chain closing a cycle" 0.05 2 "$dir/chain-back.json" || status=1
     scale_case "4,000-leaf chain against its input order" 0.1 2 "$dir/chain-input.json" || status=1
     scale_case "80,000-key object" 0.12 2 "$dir/wide.json" || status=1
     restore_case "8,000-leaf chain checkpoint restore" 0.5 "$dir/chain-checkpoint.json" \
         || status=1
+    append_case "4,000-leaf append to a 4,000-leaf chain session" 0.4 "$dir/chain.json" \
+        "$dir/chain-rest.json" || status=1
     rm -rf "$dir"
     trap - EXIT
     [ "$status" -eq 0 ] || exit 1
     echo "==> scale-smoke: OK"
+}
+
+# The paper-claim tables E6-E13 (EXPERIMENTS.md): each harness is
+# deterministic, so its output must match the committed file byte for byte.
+# Regenerate a file with the command in docs/results/README.md only when a
+# change means to move a count, and update EXPERIMENTS.md with it.
+claims() {
+    echo "==> claims: E6-E13 harnesses reproduce docs/results/"
+    cargo build --release -q -p compc-bench --bin exp_equivalence --bin exp_permissiveness \
+        --bin exp_simulator --bin exp_semantics --bin exp_expressiveness
+    local status=0 file cmd
+    while read -r file cmd; do
+        # shellcheck disable=SC2086 # cmd is a binary and its arguments
+        ./target/release/$cmd | cmp -s - "docs/results/$file.txt" \
+            || { echo "claims: $cmd differs from docs/results/$file.txt" >&2; status=1; }
+    done <<'TABLE'
+e6_e8_equivalence exp_equivalence 300
+e9_permissiveness exp_permissiveness 300
+e11_simulator exp_simulator 10 12
+e12_semantics exp_semantics 10 16
+e13_expressiveness exp_expressiveness 300
+TABLE
+    [ "$status" -eq 0 ] || exit 1
+    echo "==> claims: OK"
 }
 
 # The benchmark's own tests (perfbench/selftest.py). perfbench/driver builds
@@ -705,6 +772,7 @@ case "$stage" in
     workspace-tests) workspace_tests ;;
     lint) lint ;;
     smoke) smoke ;;
+    claims) claims ;;
     soak) soak ;;
     bench-smoke) bench_smoke ;;
     fuzz-smoke) fuzz_smoke ;;
@@ -719,6 +787,7 @@ case "$stage" in
         workspace_tests
         lint
         smoke
+        claims
         soak
         bench_smoke
         fuzz_smoke
@@ -730,7 +799,7 @@ case "$stage" in
         perf_selftest
         ;;
     *)
-        echo "usage: scripts/ci.sh [tier1|workspace-tests|lint|smoke|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|scale-smoke|batch-smoke|perf-selftest|all]" >&2
+        echo "usage: scripts/ci.sh [tier1|workspace-tests|lint|smoke|claims|soak|bench-smoke|fuzz-smoke|serve-smoke|serve-soak|explore-smoke|scale-smoke|batch-smoke|perf-selftest|all]" >&2
         exit 2
         ;;
 esac

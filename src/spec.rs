@@ -449,30 +449,18 @@ impl SystemSpec {
 
     /// Builds and validates the composite system this spec describes.
     ///
-    /// Every pair is declared first and each order relation closed once
-    /// ([`SystemBuilder::bulk`]). If declaring or closing fails, the spec
-    /// is declared again into a builder that closes pair by pair, so the
-    /// error names the first offending entry in declaration order; a
-    /// validation error after the close is already that builder's.
+    /// Every pair is declared first and each order relation closed once.
+    /// An error still names the first offending entry in declaration
+    /// order: an entry that fails to declare closes the pairs before it
+    /// first, and a close error names the entry of the pair that closing
+    /// on every pair would have rejected first.
     pub fn build(&self) -> Result<CompositeSystem, SpecError> {
-        let names = Names::of(self);
-        let model = |source| SpecError::Model {
+        let mut b = SystemBuilder::new();
+        self.declare(&mut b, &Names::of(self), &SpecMark::default())?;
+        b.build().map_err(|source| SpecError::Model {
             context: "build".into(),
             source,
-        };
-        let mut bulk = SystemBuilder::bulk();
-        let b = match self
-            .declare(&mut bulk, &names, &SpecMark::default())
-            .and_then(|()| bulk.close_orders().map_err(model))
-        {
-            Ok(()) => bulk,
-            Err(_) => {
-                let mut b = SystemBuilder::new();
-                self.declare(&mut b, &names, &SpecMark::default())?;
-                b
-            }
-        };
-        b.build().map_err(model)
+        })
     }
 
     /// Declares the items past `from` into `b`, which already holds the
@@ -481,7 +469,9 @@ impl SystemSpec {
     /// reopened system. Node `i` of the spec is `NodeId(i)` and schedule
     /// `j` is `SchedId(j)`, so `names` resolves a name to its (first)
     /// declaration; a node may name as parent only a node declared before
-    /// it. Errors name the entry by its index in the whole spec.
+    /// it. Errors name the entry by its index in the whole spec. The order
+    /// pairs close once, after the last entry, as [`SystemSpec::build`]
+    /// describes.
     fn declare<K: Borrow<str> + Hash + Eq>(
         &self,
         b: &mut SystemBuilder,
@@ -568,8 +558,8 @@ impl SystemSpec {
             SystemBuilder::input_strong,
         ];
         for (r, pairs) in self.relations().into_iter().enumerate() {
-            for (i, (from, to)) in pairs.iter().enumerate().skip(from.relations[r]) {
-                let context = || format!("{}[{i}] [{from}, {to}]", RELATIONS[r]);
+            for (i, (x, y)) in pairs.iter().enumerate().skip(from.relations[r]) {
+                let context = || format!("{}[{i}] [{x}, {y}]", RELATIONS[r]);
                 let look = |name: &String| -> Result<NodeId, SpecError> {
                     names.node(name).map(|n| NodeId(n as u32)).ok_or_else(|| {
                         SpecError::UnknownName {
@@ -578,12 +568,19 @@ impl SystemSpec {
                         }
                     })
                 };
-                apply[r](b, look(from)?, look(to)?).map_err(|source| SpecError::Model {
-                    context: context(),
-                    source,
-                })?;
+                let declared = look(x).and_then(|a| {
+                    apply[r](b, a, look(y)?).map_err(|source| SpecError::Model {
+                        context: context(),
+                        source,
+                    })
+                });
+                if let Err(e) = declared {
+                    self.close_orders(b, from)?;
+                    return Err(e);
+                }
             }
         }
+        self.close_orders(b, from)?;
         if self.auto_propagate {
             b.propagate_orders().map_err(|source| SpecError::Model {
                 context: "propagate_orders".into(),
@@ -591,6 +588,25 @@ impl SystemSpec {
             })?;
         }
         Ok(())
+    }
+
+    /// Closes the order pairs [`SystemSpec::declare`] declared into `b` so
+    /// far, naming a failing pair by its entry.
+    fn close_orders(&self, b: &mut SystemBuilder, from: &SpecMark) -> Result<(), SpecError> {
+        b.close_orders().map_err(|(mut at, source)| {
+            // Pair `at` is the `at`-th order entry past `from`; conflicts
+            // (family 0) declare no order pair.
+            let relations = self.relations();
+            let mut r = 1;
+            while at >= relations[r].len() - from.relations[r] {
+                at -= relations[r].len() - from.relations[r];
+                r += 1;
+            }
+            let i = from.relations[r] + at;
+            let (x, y) = &relations[r][i];
+            let context = format!("{}[{i}] [{x}, {y}]", RELATIONS[r]);
+            SpecError::Model { context, source }
+        })
     }
 }
 

@@ -10,8 +10,9 @@
 //! masked operations are checked against set algebra at the 63/64/65 and
 //! 127/128/129 word boundaries, in every mix of sparse and dense operands,
 //! and each in-place row closure against the sparse closure. `PartialOrderRel`'s
-//! incremental insert is checked against a brute-force reference closure,
-//! including the exact `OrderError` on every failing step.
+//! extension is checked against a brute-force reference closure that takes
+//! one pair at a time, including the exact `OrderError` on every failing
+//! step and on every failing batch.
 
 use compc::core::{Backend, CheckOptions, Checker, Verdict, COMPRESSED_CROSSOVER_DEFAULT};
 use compc::graph::{
@@ -103,6 +104,11 @@ impl ReferenceOrder {
         self.closed = transitive_closure(&self.accepted);
         Ok(true)
     }
+}
+
+/// Extends `rel` by the one pair `(a, b)`.
+fn extend_one(rel: &mut PartialOrderRel, a: usize, b: usize) -> Result<(), OrderError> {
+    rel.extend(&[(a, b)]).map_err(|(_, e)| e)
 }
 
 /// A random column set over `n` columns that favours the columns next to a
@@ -267,8 +273,8 @@ proptest! {
             let a = rng.gen_range(0..n);
             let b = rng.gen_range(0..n);
             prop_assert_eq!(
-                rel.insert(a, b),
-                reference.insert(a, b),
+                extend_one(&mut rel, a, b),
+                reference.insert(a, b).map(drop),
                 "step {} inserting ({}, {})", step, a, b
             );
         }
@@ -280,11 +286,11 @@ proptest! {
         prop_assert_eq!(rel.element_count(), reference.closed.node_count());
     }
 
-    /// Closing once (`from_pairs`) gives what inserting each pair gives:
-    /// the same order — pairs, transpose rows and element count — or the
-    /// same first error. Pairs mostly follow a random topological order,
-    /// so the sweep closes long acyclic inputs; a few go backwards, so
-    /// cycles (and reflexive pairs) send it to the per-pair replay.
+    /// Closing once (`from_pairs`) gives what inserting each pair into the
+    /// reference gives: the same pairs, or the same first error. Pairs
+    /// mostly follow a random topological order, so the sweep closes long
+    /// acyclic inputs; a few go backwards, so cycles (and reflexive pairs)
+    /// send it to the bisection that names the offending pair.
     #[test]
     fn order_from_pairs_matches_inserting_each(
         seed in 0u64..100_000,
@@ -304,18 +310,63 @@ proptest! {
                 if forward || rng.gen_range(0u32..400) < backwards { (a, b) } else { (b, a) }
             })
             .collect();
-        let mut each = PartialOrderRel::new();
-        let expected = pairs.iter().try_for_each(|&(a, b)| each.insert(a, b).map(drop));
+        let mut reference = ReferenceOrder::with_elements(n);
+        let expected = pairs.iter().try_for_each(|&(a, b)| reference.insert(a, b).map(drop));
         let once = PartialOrderRel::from_pairs(pairs.iter().copied());
         match (once, expected) {
             (Ok(once), Ok(())) => {
-                prop_assert_eq!(&once, &each);
-                for x in 0..n {
-                    prop_assert!(once.below(x).eq(each.below(x)), "transpose row {}", x);
-                }
+                prop_assert_eq!(
+                    once.pairs().collect::<Vec<_>>(),
+                    reference.closed.edges().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(once.pair_count(), reference.closed.edge_count());
+                let span = pairs.iter().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0);
+                prop_assert_eq!(once.element_count(), span);
             }
             (once, expected) => prop_assert_eq!(once.map(drop), expected),
         }
+    }
+
+    /// Extending an order in `k` random batches gives the order closing
+    /// all the pairs at once gives, or fails on the batch holding the
+    /// reference's first failing pair, at that pair and with its error,
+    /// leaving the order the earlier batches built.
+    #[test]
+    fn order_extend_in_batches_matches_closing_once(
+        seed in 0u64..100_000,
+        n in 2usize..=140,
+        count in 0usize..=200,
+        backwards in 0u32..4,
+        k in 1usize..=6,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pairs: Vec<(usize, usize)> = (0..count)
+            .map(|_| {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a <= b || rng.gen_range(0u32..400) < backwards { (a, b) } else { (b, a) }
+            })
+            .collect();
+        let mut cuts: Vec<usize> = (1..k).map(|_| rng.gen_range(0..=count)).collect();
+        cuts.extend([0, count]);
+        cuts.sort_unstable();
+        let mut reference = ReferenceOrder::with_elements(n);
+        let first_error = pairs.iter().enumerate().find_map(|(i, &(a, b))| {
+            reference.insert(a, b).err().map(|e| (i, e))
+        });
+        let mut rel = PartialOrderRel::new();
+        for batch in cuts.windows(2) {
+            let before = rel.clone();
+            match rel.extend(&pairs[batch[0]..batch[1]]) {
+                Ok(()) => prop_assert!(first_error.as_ref().is_none_or(|&(i, _)| i >= batch[1])),
+                Err((i, e)) => {
+                    prop_assert_eq!(Some((batch[0] + i, e)), first_error);
+                    prop_assert_eq!(rel, before);
+                    return Ok(());
+                }
+            }
+        }
+        prop_assert_eq!(first_error, None);
+        prop_assert_eq!(rel, PartialOrderRel::from_pairs(pairs.iter().copied()).unwrap());
     }
 
     /// `restricted_to` keeps exactly the reference closure's pairs whose
@@ -331,7 +382,7 @@ proptest! {
         let mut reference = ReferenceOrder::with_elements(n);
         for _ in 0..pairs {
             let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            prop_assert_eq!(rel.insert(a, b), reference.insert(a, b));
+            prop_assert_eq!(extend_one(&mut rel, a, b), reference.insert(a, b).map(drop));
         }
         let keep: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.5)).collect();
         prop_assert_eq!(
@@ -576,8 +627,8 @@ fn grow_across_word_boundary_then_query() {
             (big - 1, big - 2),
         ] {
             assert_eq!(
-                rel.insert(a, b),
-                reference.insert(a, b),
+                extend_one(&mut rel, a, b),
+                reference.insert(a, b).map(drop),
                 "{small}->{big} grow-insert ({a}, {b})"
             );
         }

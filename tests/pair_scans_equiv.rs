@@ -629,8 +629,8 @@ fn plant(
         let s = &mut schedules[si];
         let ok = match kind {
             Plant::Axiom1 => s.conflicts.insert(a, b),
-            Plant::Axiom3 => s.input.add_strong(a, b).is_ok(),
-            Plant::Def47 => s.output.add_weak(a, b).is_ok(),
+            Plant::Axiom3 => s.input.extend_closing_once(&[(a, b, true)]).is_ok(),
+            Plant::Def47 => s.output.extend_closing_once(&[(a, b, false)]).is_ok(),
         };
         planted += usize::from(ok);
     }
