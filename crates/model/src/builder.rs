@@ -1,4 +1,9 @@
 //! Ergonomic construction of composite systems.
+//!
+//! A [`SystemBuilder`] has one mode: its order methods record pairs, and
+//! each order relation closes once over all of them, in one sweep
+//! (`compc_graph::PartialOrderRel::extend`), whether the builder is fresh
+//! or reopened from a built system for a session append.
 
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
