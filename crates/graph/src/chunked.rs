@@ -99,7 +99,8 @@ impl ChunkedRow {
         }
     }
 
-    fn clear(&mut self) {
+    /// Empties the row, keeping a sparse row's buffer.
+    pub(crate) fn clear(&mut self) {
         *self = ChunkedRow::Sparse(match std::mem::take(self) {
             ChunkedRow::Sparse(mut v) => {
                 v.clear();
@@ -328,6 +329,47 @@ impl ChunkedRow {
                         bits &= bits - 1;
                     }
                 }
+            }
+        }
+    }
+
+    /// Calls `f` for every column of `self` not in `seen` when the walk
+    /// reaches it, ascending; `f` may add columns to `seen`, and a dense
+    /// row skips what they cover a word at a time.
+    pub(crate) fn for_each_outside<F: FnMut(usize, &mut ChunkedRow)>(
+        &self,
+        seen: &mut ChunkedRow,
+        mut f: F,
+    ) {
+        match self {
+            ChunkedRow::Sparse(s) => {
+                for &v in s {
+                    if !seen.contains(v as usize) {
+                        f(v as usize, seen);
+                    }
+                }
+            }
+            ChunkedRow::Dense(w) => {
+                for (k, &sw) in w.iter().enumerate() {
+                    let mut bits = sw & !seen.word(k);
+                    while bits != 0 {
+                        f(k * 64 + bits.trailing_zeros() as usize, seen);
+                        bits &= (bits - 1) & !seen.word(k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Word `k` of the row: columns `64k..64k + 64`.
+    fn word(&self, k: usize) -> u64 {
+        match self {
+            ChunkedRow::Dense(w) => w.get(k).copied().unwrap_or(0),
+            ChunkedRow::Sparse(s) => {
+                let from = s.partition_point(|&v| (v as usize) < k * 64);
+                (s[from..].iter())
+                    .take_while(|&&v| (v as usize) < (k + 1) * 64)
+                    .fold(0, |word, &v| word | 1 << (v % 64))
             }
         }
     }

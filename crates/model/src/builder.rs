@@ -185,6 +185,11 @@ impl SystemBuilder {
         id
     }
 
+    /// A node declared so far (of the reopened system too).
+    pub fn node(&self, n: NodeId) -> Option<&NodeInfo> {
+        self.nodes.get(n.index())
+    }
+
     /// Records the weak intra-transaction order `a ≺_t b`; `a` and `b` must
     /// share a parent transaction.
     pub fn tx_weak_order(&mut self, a: NodeId, b: NodeId) -> Result<(), ModelError> {

@@ -695,12 +695,60 @@ append_case() {
     esac
 }
 
+# Streams `compc-serve --split SPEC` (one append per root subtree) into a
+# `compc-serve --once` daemon with a checkpoint and a journal, then sends
+# the checkpoint op; fails unless the last verdict names the level, phase
+# and cycle `compc-check SPEC` reports and the checkpoint written holds at
+# most BYTES. The checkpoint lands in $dir/stream-checkpoint.json.
+checkpoint_case() {
+    local what="$1" bytes="$2" spec="$3" log="$dir/stream.log" pid port="" out want
+    local count n=0 response="" answer="" size
+    ./target/release/compc-serve --split "$spec" > "$dir/appends.ndjson"
+    count="$(wc -l < "$dir/appends.ndjson")"
+    out="$(./target/release/compc-check "$spec" --trace || true)"
+    want="$(sed -n 's/.*"failed_level":\([0-9]*\),"failed_phase":"\([a-z-]*\)".*/"level":\1,"phase":"\2"/p' <<< "$out")"
+    want="$want,\"cycle\":[\"$(sed -n 's/.*: cycle //p' <<< "$out" | sed 's/ -> /","/g')\"]"
+    rm -f "$dir/stream-checkpoint.json" "$dir/stream-journal.ndjson"
+    : > "$log"
+    ./target/release/compc-serve --listen 127.0.0.1:0 --once \
+        --checkpoint "$dir/stream-checkpoint.json" --journal "$dir/stream-journal.ndjson" \
+        2> "$log" &
+    pid=$!
+    while [ -z "$port" ] && kill -0 "$pid" 2> /dev/null; do
+        port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")"
+        [ -n "$port" ] || sleep 0.01
+    done
+    exec 3<> "/dev/tcp/127.0.0.1/$port"
+    { cat "$dir/appends.ndjson"; printf '{"op":"checkpoint"}\n'; } >&3 &
+    while [ "$n" -lt "$count" ] && IFS= read -r -t 60 response <&3; do
+        n=$((n + 1))
+    done
+    IFS= read -r -t 60 answer <&3 || true
+    exec 3>&- 3<&-
+    wait "$pid" || true
+    case "$response" in
+        *'"verdict":"not-comp-c"'*"$want"*) ;;
+        *) echo "scale-smoke: $what: last verdict is not compc-check's ($want)" >&2; return 1 ;;
+    esac
+    case "$answer" in
+        *'"saved":true'*) ;;
+        *) echo "scale-smoke: $what: the checkpoint op failed" >&2; return 1 ;;
+    esac
+    size="$(wc -c < "$dir/stream-checkpoint.json")"
+    [ "$size" -le "$bytes" ] \
+        || { echo "scale-smoke: $what: checkpoint of $size bytes, over $bytes" >&2; return 1; }
+}
+
 # Timeouts are about 3x the measured wall time on a 2-vCPU host
 # (EXPERIMENTS.md E32, E33, E34, E35); the load path used to take 2.9 s on
 # the general system, 7.8-9.9 s on each chain and 11.3 s on the wide
 # object, naming the pair that closes the chain's cycle 0.3-0.5 s,
 # restoring the 8,000-leaf chain checkpoint 1.09 s, and appending the
-# second half of the 8,000-leaf chain 0.71-0.80 s.
+# second half of the 8,000-leaf chain 0.71-0.80 s. A streamed session's
+# checkpoint holds covering pairs: 2.48 MB for the general system, under a
+# bound of 1.5x; it held the closed order families (28.8 MB) when the
+# session kept every pair it was sent, and restored in about 1.0 s
+# instead of 0.11-0.13 s.
 scale_smoke() {
     echo "==> scale-smoke: large stack, general and chain systems and a wide object checked in time"
     cargo build --release -q -p compc --bin compc-gen --bin compc-check --bin compc-serve
@@ -728,6 +776,12 @@ scale_smoke() {
         || status=1
     append_case "4,000-leaf append to a 4,000-leaf chain session" 0.4 "$dir/chain.json" \
         "$dir/chain-rest.json" || status=1
+    if checkpoint_case "streamed general system" 3700000 "$dir/general.json"; then
+        restore_case "streamed general system checkpoint restore" 0.4 \
+            "$dir/stream-checkpoint.json" || status=1
+    else
+        status=1
+    fi
     rm -rf "$dir"
     trap - EXIT
     [ "$status" -eq 0 ] || exit 1

@@ -20,9 +20,9 @@
 //! → {"op": "shutdown"}     ← {"ok": true, "shutdown": true, "saved": false}   (drains, exits)
 //! ```
 //!
-//! Each `append` merges its fragment into the accumulated spec, extends
-//! the system in place, and checks it from scratch — verdicts are
-//! bit-identical to a `compc-check` run of the merged spec. With
+//! Each `append` merges its fragment against the session's system,
+//! extends the system in place, and checks it from scratch — verdicts are
+//! bit-identical to a `compc-check` run of the merged fragments. With
 //! `--journal FILE` every accepted append is fsynced to a write-ahead
 //! journal before its verdict is acked, so **an acked verdict survives any
 //! single crash**; `--checkpoint FILE` adds snapshot/restore and journal

@@ -405,7 +405,7 @@ impl Shard {
             sessions: self
                 .sessions
                 .iter()
-                .map(|(name, s)| (name.clone(), s.stats().appends, s.spec().clone()))
+                .map(|(name, s)| (name.clone(), s.stats().appends, s.spec()))
                 .collect(),
         }
     }
@@ -525,7 +525,7 @@ impl Shard {
                 entry.violation = !verdict.is_correct();
             }
             Ok(Err(SpecSessionError::Session(SessionError::Interrupted(e)))) => {
-                // The merged spec is kept, so the session stays (even a
+                // The extended system is kept, so the session stays (even a
                 // fresh one) — re-appending the same fragment merges
                 // nothing new and checks the system again. An append that
                 // merged something changed the state, so it is journaled
@@ -648,7 +648,9 @@ impl Shard {
                 for (name, mark) in marks {
                     if let Some(session) = self.sessions.get_mut(name) {
                         session.restore(mark.clone());
-                        if session.stats().appends == 0 && session.spec().nodes.is_empty() {
+                        if session.stats().appends == 0
+                            && session.system().is_none_or(|s| s.node_count() == 0)
+                        {
                             self.remove_fresh(name);
                         }
                     }

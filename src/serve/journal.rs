@@ -298,7 +298,7 @@ fn apply_records(
         let session = sessions.get_mut(&name).expect("created above");
         let mark = session.snapshot();
         let (numbers, fragments): (Vec<usize>, Vec<SystemSpec>) = queued.into_iter().unzip();
-        if session.append_all(fragments).is_err() {
+        if session.append_all(&fragments).is_err() {
             session.restore(mark);
             for &number in &numbers {
                 session
@@ -431,9 +431,10 @@ mod tests {
     }
 
     /// A session restored from a checkpoint and one replayed from the
-    /// journal are each built whole: both hold the build of their merged
-    /// spec and the verdict appending the records one by one reaches, for
-    /// a multi-fragment chain with a fragment that re-sends earlier items.
+    /// journal are each built whole: both hold the build of the fragments
+    /// merged by `SystemSpec::merge` and the verdict appending the records
+    /// one by one reaches, for a multi-fragment chain with a fragment that
+    /// re-sends earlier items.
     #[test]
     fn restored_and_replayed_sessions_are_built_whole() {
         let mut fragments = chain(6).into_appends();
@@ -442,11 +443,13 @@ mod tests {
         resend.merge(&fragments[3]).unwrap();
         fragments[3] = resend;
         let mut one_by_one = SpecSession::new();
+        let mut merged = SystemSpec::default();
         for fragment in &fragments {
             one_by_one.append(fragment).unwrap();
+            merged.merge(fragment).unwrap();
         }
         let want = (
-            one_by_one.spec().build().ok(),
+            Some(merged.build().unwrap()),
             format!("{:?}", one_by_one.verdict()),
             one_by_one.stats().appends,
         );

@@ -1,11 +1,16 @@
 //! Incremental checking over the JSON spec format.
 //!
 //! [`SpecSession`] is the data-layer face of [`compc_core::Session`]: it
-//! accumulates [`SystemSpec`] *fragments* (the same versioned JSON format
-//! `compc-check` reads — see [`SystemSpec::merge`]), extends the system in
-//! place by each append's new items, and hands it to the core session,
-//! which checks it from scratch. The `compc-serve` daemon speaks exactly
-//! this layer over a socket.
+//! takes [`SystemSpec`] *fragments* (the same versioned JSON format
+//! `compc-check` reads — see [`SystemSpec::merge`]), merges each against
+//! the closed system it holds, extends that system in place by the items
+//! it does not hold yet, and hands it to the core session, which checks it
+//! from scratch. The session keeps no spec: its state is the system, one
+//! name → id map, and a log of the merged declarations in id form that a
+//! roll-back rebuilds the system from. [`SpecSession::spec`] and the
+//! checkpoints are rendered from the system
+//! ([`SystemSpec::from_system`]'s covering pairs). The `compc-serve`
+//! daemon speaks exactly this layer over a socket.
 //!
 //! With [`compc_core::CheckOptions::oracle`] set, every verdict on a system
 //! within [`compc_oracle::RECOMMENDED_NODE_CAP`] nodes is additionally
@@ -13,9 +18,10 @@
 //! disagreement surfaces as [`SpecSessionError::OracleDisagreement`] (an
 //! engine bug, never expected on a healthy build).
 
-use crate::spec::{SpecError, SpecIndex, SpecMark, SystemSpec, SPEC_VERSION};
+use crate::spec::{self, Names, NodeSpec, SpecError, SystemSpec, SPEC_VERSION};
 use compc_core::{CheckOptions, Checker, SessionError, SessionStats, Verdict};
 use compc_json::{ParseError, Reader, Value, Writer};
+use compc_model::{CompositeSystem, NodeId, NodeRole, SchedId, SystemBuilder};
 use std::collections::HashSet;
 
 /// Why a [`SpecSession`] operation failed.
@@ -79,7 +85,7 @@ impl From<SessionError> for SpecSessionError {
 /// [`SpecSession::restore`] rolls the session back to it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecSnapshot {
-    spec: SpecMark,
+    log: LogMark,
     had_system: bool,
     appends: u64,
     stats: SessionStats,
@@ -106,13 +112,36 @@ pub struct SpecSnapshot {
 /// assert!(verdict.is_correct());
 /// ```
 pub struct SpecSession {
-    spec: SystemSpec,
-    index: SpecIndex,
+    /// The id of every schedule and node the system holds, by name.
+    names: Names<Box<str>>,
+    /// Every declaration merged so far, in id form.
+    log: Log,
     /// Appends counted so far. The inner session counts only the
     /// extensions it saw; a checkpoint restore replays the whole prefix as
     /// one, but this counter resumes where the recorded one stood.
     appends: u64,
     inner: compc_core::Session,
+}
+
+/// The declarations a session merged, in id form and merge order, enough
+/// to rebuild its system with the names of the session's map: each node's
+/// parent and home, each relation family's pairs ([`spec::RELATIONS`]
+/// order), and whether the orders propagate.
+#[derive(Debug, Default)]
+struct Log {
+    nodes: Vec<(Option<NodeId>, Option<SchedId>)>,
+    pairs: [Vec<(u32, u32)>; 7],
+    auto_propagate: bool,
+}
+
+/// Where the names and the [`Log`] stand: their lengths and the
+/// `auto_propagate` flag (which a merge may only turn on).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LogMark {
+    schedules: usize,
+    nodes: usize,
+    pairs: [usize; 7],
+    auto_propagate: bool,
 }
 
 impl Default for SpecSession {
@@ -131,11 +160,8 @@ impl SpecSession {
     /// enables the per-append brute-force cross-check).
     pub fn with_options(options: CheckOptions) -> SpecSession {
         SpecSession {
-            spec: SystemSpec {
-                auto_propagate: false,
-                ..SystemSpec::default()
-            },
-            index: SpecIndex::default(),
+            names: Names::default(),
+            log: Log::default(),
             appends: 0,
             inner: compc_core::Session::with_options(options),
         }
@@ -153,13 +179,20 @@ impl SpecSession {
         self.inner.set_deadline(deadline);
     }
 
-    /// The accumulated spec (every accepted fragment merged).
-    pub fn spec(&self) -> &SystemSpec {
-        &self.spec
+    /// The session's system as a spec, rendered with
+    /// [`SystemSpec::from_system`] (covering order pairs) and the
+    /// session's `auto_propagate` flag. It builds a system `==` to
+    /// [`SpecSession::system`].
+    pub fn spec(&self) -> SystemSpec {
+        let system = self.inner.system();
+        SystemSpec {
+            auto_propagate: self.log.auto_propagate,
+            ..system.map_or_else(SystemSpec::default, SystemSpec::from_system)
+        }
     }
 
     /// The current merged system, if any append was accepted.
-    pub fn system(&self) -> Option<&compc_model::CompositeSystem> {
+    pub fn system(&self) -> Option<&CompositeSystem> {
         self.inner.system()
     }
 
@@ -184,54 +217,76 @@ impl SpecSession {
         self.inner.cancel_token()
     }
 
-    /// Merges `fragment` into the accumulated spec, extends the system in
-    /// place by the new items and checks it. On a spec-level error (parse,
-    /// merge, build, invalid extension) the session is unchanged; on an
-    /// interruption the merged spec is kept with no verdict, and
-    /// re-appending the same fragment merges nothing new and checks the
-    /// system again.
+    /// Merges `fragment` against the session's system, extends the system
+    /// in place by the items it does not hold and checks it. On a
+    /// spec-level error (merge, build, invalid extension) the session is
+    /// unchanged; on an interruption the extended system is kept with no
+    /// verdict, and re-appending the same fragment merges nothing new and
+    /// checks the system again.
     pub fn append(&mut self, fragment: &SystemSpec) -> Result<&Verdict, SpecSessionError> {
-        self.append_all(vec![fragment.clone()])
+        self.append_all(std::slice::from_ref(fragment))
     }
 
     /// Appends `fragments` as one extension and one check, counting one
     /// append each (an empty list counts as one empty fragment): the end
-    /// state is the one appending them one by one reaches. The fragments'
-    /// new entries move into the session's spec. A session that has no
-    /// system yet builds the merged spec whole ([`SystemSpec::build`]);
-    /// one that has extends its system by the new items. Checkpoint
+    /// state is the one appending them one by one reaches. Names resolve
+    /// through the session's map; a node the system holds must be declared
+    /// as it was, and a pair the system's closed relation (or conflict set)
+    /// holds merges nothing. The rest is declared into the reopened system,
+    /// or into a fresh builder when the session has none yet, so a restored
+    /// session is built whole. An error is the one a whole build of
+    /// [`SpecSession::spec`] merged with `fragments` reports. Checkpoint
     /// restore and journal recovery use it to rebuild a session.
-    pub fn append_all(&mut self, fragments: Vec<SystemSpec>) -> Result<&Verdict, SpecSessionError> {
+    pub fn append_all(&mut self, fragments: &[SystemSpec]) -> Result<&Verdict, SpecSessionError> {
         let mark = self.snapshot();
         let count = fragments.len().max(1) as u64;
-        for fragment in fragments {
-            if let Err(e) = self.spec.merge_indexed(&mut self.index, fragment) {
-                self.spec.roll_back(&mark.spec, &mut self.index);
-                return Err(e.into());
-            }
+        let (names, sys) = (&self.names, self.inner.system());
+        let mut items = spec::new_items(
+            fragments,
+            |n| {
+                names
+                    .node(&n.name)
+                    .map(|id| sys.is_some_and(|s| declares(s, id, n)))
+            },
+            |s| names.schedule(s).is_some(),
+            |r, (x, y)| {
+                sys.is_some_and(|sys| match (names.node(x), names.node(y)) {
+                    (Some(a), Some(c)) => spec::holds(sys, r, a, c),
+                    _ => false,
+                })
+            },
+        )?;
+        items.auto_propagate |= self.log.auto_propagate;
+        let base = (mark.log.schedules, mark.log.nodes);
+        for (id, s) in (base.0..).zip(&items.schedules) {
+            self.names.schedules.insert(s.as_str().into(), id as u32);
         }
-        let built = if mark.had_system {
-            let builder = self.inner.reopen();
-            // A full build reports the first error in declaration order,
-            // whatever order the extension met them.
-            self.spec
-                .extend(builder, &self.index, &mark.spec)
-                .map_err(|e| self.spec.build().err().unwrap_or(e))
-        } else {
-            self.spec.build()
-        };
-        let sys = match built {
+        for (id, n) in (base.1..).zip(&items.nodes) {
+            self.names.nodes.insert(n.name.as_str().into(), id as u32);
+        }
+        let sys = match spec::extend(&items, self.inner.reopen(), &self.names, base) {
             Ok(sys) => sys,
             Err(e) => {
-                self.spec.roll_back(&mark.spec, &mut self.index);
-                if mark.had_system {
-                    // The builder consumed the system: rebuild it from the
-                    // spec as it was.
-                    self.inner.reinstate(self.rebuild());
+                self.back_to(&mark.log);
+                if !mark.had_system {
+                    return Err(e.into());
                 }
+                // The builder consumed the system: rebuild it, and report
+                // what a whole build reports first, in declaration order.
+                self.inner.reinstate(self.rebuild());
+                let mut spec = self.spec();
+                let merged = fragments.iter().try_for_each(|f| spec.merge(f));
+                let e = merged.and_then(|()| spec.build()).err().unwrap_or(e);
                 return Err(e.into());
             }
         };
+        let new_nodes = sys.nodes().skip(base.1);
+        self.log.nodes.extend(new_nodes.map(|n| (n.parent, n.home)));
+        let node = |name: &String| self.names.node(name).expect("a declared node") as u32;
+        for (log, pairs) in self.log.pairs.iter_mut().zip(&items.relations) {
+            log.extend(pairs.iter().map(|(x, y)| (node(x), node(y))));
+        }
+        self.log.auto_propagate = items.auto_propagate;
         self.appends += count;
         self.inner.append_extension(sys)?;
         let verdict = self.inner.verdict().expect("append just completed");
@@ -247,17 +302,56 @@ impl SpecSession {
         Ok(verdict)
     }
 
-    /// The system of the accumulated spec, which built before.
-    fn rebuild(&self) -> compc_model::CompositeSystem {
-        self.spec
-            .build()
-            .expect("a spec the session accepted builds again")
+    /// Drops the names and the log entries past `mark`.
+    fn back_to(&mut self, mark: &LogMark) {
+        let (schedules, nodes) = (mark.schedules as u32, mark.nodes as u32);
+        self.names.schedules.retain(|_, id| *id < schedules);
+        self.names.nodes.retain(|_, id| *id < nodes);
+        self.log.nodes.truncate(mark.nodes);
+        for (pairs, len) in self.log.pairs.iter_mut().zip(mark.pairs) {
+            pairs.truncate(len);
+        }
+        self.log.auto_propagate = mark.auto_propagate;
+    }
+
+    /// The session's system, rebuilt from the log and the names.
+    fn rebuild(&self) -> CompositeSystem {
+        let mut schedules = vec![""; self.names.schedules.len()];
+        for (name, &id) in &self.names.schedules {
+            schedules[id as usize] = name;
+        }
+        let mut nodes = vec![""; self.log.nodes.len()];
+        for (name, &id) in &self.names.nodes {
+            nodes[id as usize] = name;
+        }
+        let mut b = SystemBuilder::new();
+        for name in schedules {
+            b.schedule(name);
+        }
+        for (name, &node) in nodes.into_iter().zip(&self.log.nodes) {
+            match node {
+                (Some(parent), Some(home)) => b.subtx(name, parent, home),
+                (Some(parent), None) => b.leaf(name, parent),
+                (None, home) => b.root(name, home.expect("a root has a home")),
+            };
+        }
+        for (declare, pairs) in spec::DECLARE.iter().zip(&self.log.pairs) {
+            for &(a, c) in pairs {
+                declare(&mut b, NodeId(a), NodeId(c)).expect("a merged pair declares again");
+            }
+        }
+        if self.log.auto_propagate {
+            b.propagate_orders().expect("merged orders propagate again");
+        }
+        b.build().expect("a system the session held builds again")
     }
 
     /// Replays `fragments` append-by-append through a fresh session with
     /// `options`, demanding after **every** append that the session's
-    /// verdict is bit-identical (full `Debug` structure: fronts, witness,
-    /// cycle) to a from-scratch batch check of the merged prefix. This is
+    /// system is the from-scratch build of the fragments so far merged by
+    /// [`SystemSpec::merge`] — a reference that shares no state with the
+    /// session — and that its verdict is bit-identical (full `Debug`
+    /// structure: fronts, witness, cycle) to a batch check of it. This is
     /// [`SystemSpec::into_appends`] prefix-validity as an executable
     /// contract: each prefix must build and decide exactly like a batch
     /// submission of the same fragments. Returns the per-append verdicts;
@@ -268,6 +362,10 @@ impl SpecSession {
         options: CheckOptions,
     ) -> Result<Vec<Verdict>, String> {
         let mut session = SpecSession::with_options(options);
+        let mut merged = SystemSpec {
+            auto_propagate: false,
+            ..SystemSpec::default()
+        };
         let mut verdicts = Vec::with_capacity(fragments.len());
         for (i, fragment) in fragments.iter().enumerate() {
             let incremental = session
@@ -277,15 +375,16 @@ impl SpecSession {
             let prefix = session
                 .system()
                 .ok_or_else(|| format!("no system after fragment {} appended", i + 1))?;
-            if session.spec.build().ok().as_ref() != Some(prefix) {
+            let reference = merged.merge(fragment).and_then(|()| merged.build());
+            let Some(reference) = reference.ok().filter(|sys| sys == prefix) else {
                 return Err(format!(
                     "system after fragment {} of {} is not the from-scratch build of the \
-                     merged spec",
+                     merged fragments",
                     i + 1,
                     fragments.len()
                 ));
-            }
-            let batch = Checker::with_options(options).check(prefix);
+            };
+            let batch = Checker::with_options(options).check(&reference);
             if format!("{incremental:?}") != format!("{batch:?}") {
                 return Err(format!(
                     "verdict after fragment {} of {} not bit-identical to a batch \
@@ -301,10 +400,19 @@ impl SpecSession {
         Ok(verdicts)
     }
 
+    fn mark(&self) -> LogMark {
+        LogMark {
+            schedules: self.names.schedules.len(),
+            nodes: self.log.nodes.len(),
+            pairs: self.log.pairs.each_ref().map(Vec::len),
+            auto_propagate: self.log.auto_propagate,
+        }
+    }
+
     /// A watermark of the session's state: O(1), nothing is copied.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
-            spec: self.spec.mark(),
+            log: self.mark(),
             had_system: self.inner.system().is_some(),
             appends: self.appends,
             stats: self.inner.stats(),
@@ -312,37 +420,40 @@ impl SpecSession {
     }
 
     /// Rolls the session back to a watermark taken earlier with
-    /// [`SpecSession::snapshot`]: truncates the spec to it, rebuilds the
-    /// system and checks it from scratch, and resets the counters. That is
-    /// the slow path, for a failed journal write or a panicked handler; a
-    /// session still at the watermark is left as it is.
+    /// [`SpecSession::snapshot`]: truncates the log and the names to it,
+    /// rebuilds the system from them and checks it from scratch, and
+    /// resets the counters. That is the slow path, for a failed journal
+    /// write or a panicked handler; a session still at the watermark is
+    /// left as it is.
     pub fn restore(&mut self, mark: SpecSnapshot) {
         if self.snapshot() == mark {
             return;
         }
-        self.spec.roll_back(&mark.spec, &mut self.index);
+        self.back_to(&mark.log);
         self.appends = mark.appends;
         let sys = mark.had_system.then(|| self.rebuild());
         self.inner.recheck(sys, mark.stats);
     }
 
     /// Uncounts an append that merged nothing since `mark` — an interrupted
-    /// re-send of fragments the session already holds — and returns
-    /// whether it did. Such an append changed no state a restart has to
-    /// rebuild, so it needs no journal record and keeps no `seq`.
+    /// re-send of items the session already holds, declared or implied —
+    /// and returns whether it did. Such an append changed no state a
+    /// restart has to rebuild, so it needs no journal record and keeps no
+    /// `seq`.
     pub fn uncount_unmerged(&mut self, mark: &SpecSnapshot) -> bool {
-        let unmerged = self.spec.mark() == mark.spec;
+        let unmerged = self.mark() == mark.log;
         if unmerged {
             self.appends = mark.appends;
         }
         unmerged
     }
 
-    /// Serializes the session's accumulated spec as a versioned JSON
-    /// checkpoint document (pretty-printed, trailing newline).
+    /// Serializes the session's rendered spec ([`SpecSession::spec`]) as a
+    /// versioned JSON checkpoint document (pretty-printed, trailing
+    /// newline).
     pub fn checkpoint_json(&self) -> String {
         write_checkpoint(
-            vec![(DEFAULT_SESSION, self.stats().appends, &self.spec)],
+            vec![(DEFAULT_SESSION, self.stats().appends, self.spec())],
             |w, spec| spec.write(w),
         )
     }
@@ -384,10 +495,25 @@ impl SpecSession {
         };
         let mut session = SpecSession::with_options(options);
         if !spec.nodes.is_empty() {
-            session.append_all(vec![spec])?;
+            session.append_all(std::slice::from_ref(&spec))?;
         }
         session.appends = entry.appends.max(session.appends);
         Ok(session)
+    }
+}
+
+/// Whether node `id` of `sys` is the node `n` declares: of its kind, with
+/// its parent and home where the kind has them (a field the kind ignores
+/// is not compared, as the system does not keep it).
+fn declares(sys: &CompositeSystem, id: usize, n: &NodeSpec) -> bool {
+    let info = sys.node(NodeId(id as u32));
+    let parent = || n.parent.as_deref() == info.parent.map(|p| sys.name(p));
+    let home = || n.home.as_deref() == info.home.map(|s| sys.schedule(s).name.as_str());
+    match (n.kind.as_str(), info.role()) {
+        ("root", NodeRole::Root) => home(),
+        ("subtx", NodeRole::Internal) => parent() && home(),
+        ("leaf", NodeRole::Leaf) => parent(),
+        _ => false,
     }
 }
 
@@ -481,7 +607,7 @@ struct CheckpointEntry {
     name: Option<String>,
     /// The recorded append count.
     appends: u64,
-    /// The session's accumulated spec; `None` until read, when the
+    /// The session's spec; `None` until read, when the
     /// document was validated as a tree.
     spec: Option<SystemSpec>,
 }
@@ -860,7 +986,7 @@ mod tests {
             one_by_one.append(fragment).unwrap();
         }
         let mut batched = SpecSession::new();
-        batched.append_all(fragments.clone()).unwrap();
+        batched.append_all(&fragments).unwrap();
         assert_eq!(batched.spec(), one_by_one.spec());
         assert_eq!(observed(&batched), observed(&one_by_one));
         // Both answer a further (idempotent) append alike.
@@ -901,8 +1027,203 @@ mod tests {
         };
         let err = session.append(&bad).unwrap_err();
         assert!(matches!(err, SpecSessionError::Spec(_)), "{err}");
-        assert_eq!(session.spec(), &before);
+        assert_eq!(session.spec(), before);
         assert!(session.verdict().unwrap().is_correct());
+    }
+
+    /// One schedule, three roots with a leaf each; the leaves conflict and
+    /// are weakly ordered along the chain, declared by covering pairs only,
+    /// so `o1 < o3` is implied and never declared.
+    fn covering_chain() -> SystemSpec {
+        SystemSpec::parse(
+            r#"{
+                "schedules": ["S"],
+                "nodes": [
+                    {"name": "T1", "kind": "root", "home": "S"},
+                    {"name": "T2", "kind": "root", "home": "S"},
+                    {"name": "T3", "kind": "root", "home": "S"},
+                    {"name": "o1", "kind": "leaf", "parent": "T1"},
+                    {"name": "o2", "kind": "leaf", "parent": "T2"},
+                    {"name": "o3", "kind": "leaf", "parent": "T3"}
+                ],
+                "conflicts": [["o1", "o2"], ["o2", "o3"]],
+                "output_weak": [["o1", "o2"], ["o2", "o3"]]
+            }"#,
+        )
+        .unwrap()
+    }
+
+    /// A re-sent fragment and a pair the closed order implies (or the
+    /// conflict set holds, in either direction) merge nothing: the session
+    /// is as it was, and an interrupted re-send of either is uncounted, so
+    /// the daemon journals nothing for it.
+    #[test]
+    fn re_sent_and_implied_pairs_merge_nothing() {
+        let chain = covering_chain();
+        let implied =
+            SystemSpec::parse(r#"{"conflicts": [["o3", "o2"]], "output_weak": [["o1", "o3"]]}"#)
+                .unwrap();
+        let mut session = SpecSession::new();
+        session.append(&chain).unwrap();
+        let before = (session.spec(), observed(&session));
+        for fragment in [&chain, &implied] {
+            let mark = session.snapshot();
+            session.append(fragment).unwrap();
+            assert!(session.uncount_unmerged(&mark), "{}", fragment.to_compact());
+            assert_eq!((session.spec(), observed(&session)), before);
+        }
+        session.set_deadline(Some(std::time::Duration::ZERO));
+        for fragment in [&chain, &implied] {
+            let mark = session.snapshot();
+            let err = session.append(fragment).unwrap_err();
+            assert!(
+                matches!(err, SpecSessionError::Session(SessionError::Interrupted(_))),
+                "{err}"
+            );
+            assert!(session.uncount_unmerged(&mark), "{}", fragment.to_compact());
+            assert_eq!(session.snapshot().appends, mark.appends);
+            assert_eq!(session.stats().appends, 1);
+        }
+        // A pair the order does not imply does merge.
+        let mut fresh = SpecSession::new();
+        fresh.append(&chain).unwrap();
+        let mark = fresh.snapshot();
+        let reversed = SystemSpec::parse(r#"{"output_weak": [["o3", "o1"]]}"#).unwrap();
+        assert!(fresh.append(&reversed).is_err());
+        assert_eq!(fresh.snapshot(), mark);
+    }
+
+    /// A node the system holds must be sent again as it was declared: its
+    /// kind, and the parent and home its kind has. A field the kind
+    /// ignores is not compared (the system does not keep it).
+    #[test]
+    fn a_node_the_system_holds_must_be_redeclared_as_it_was() {
+        let mut session = SpecSession::new();
+        session.append(&covering_chain()).unwrap();
+        let before = observed(&session);
+        for node in [
+            r#"{"name": "o1", "kind": "leaf", "parent": "T2"}"#,
+            r#"{"name": "T1", "kind": "subtx", "parent": "T2", "home": "S"}"#,
+            r#"{"name": "T1", "kind": "root", "home": "X"}"#,
+        ] {
+            let text = format!(r#"{{"schedules": ["X"], "nodes": [{node}]}}"#);
+            let err = session
+                .append(&SystemSpec::parse(&text).unwrap())
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("re-declares node"),
+                "{node}: {err}"
+            );
+            assert_eq!(observed(&session), before);
+        }
+        let ignored = r#"{"nodes": [{"name": "T1", "kind": "root", "home": "S", "parent": "T2"}]}"#;
+        assert!(session.append(&SystemSpec::parse(ignored).unwrap()).is_ok());
+    }
+
+    /// Both roll-backs rebuild the system from the log: after appends that
+    /// declared pairs, a restore and a failed extension leave the session
+    /// as one that never took the later append.
+    #[test]
+    fn roll_backs_rebuild_the_pairs_earlier_appends_declared() {
+        let fragments = covering_chain().into_appends();
+        let mut steady = SpecSession::new();
+        let mut rolled = SpecSession::new();
+        for fragment in &fragments[..2] {
+            steady.append(fragment).unwrap();
+            rolled.append(fragment).unwrap();
+        }
+        let mark = rolled.snapshot();
+        rolled.append(&fragments[2]).unwrap();
+        rolled.restore(mark);
+        assert_eq!(observed(&rolled), observed(&steady));
+        let mut bad = fragments[2].clone();
+        bad.conflicts.push(("T1".into(), "o3".into()));
+        assert!(rolled.append(&bad).is_err());
+        assert_eq!(observed(&rolled), observed(&steady));
+        steady.append(&fragments[2]).unwrap();
+        rolled.append(&fragments[2]).unwrap();
+        assert_eq!(observed(&rolled), observed(&steady));
+    }
+
+    /// Generated systems with output, input and intra-transaction orders.
+    fn generated() -> impl Iterator<Item = compc_model::CompositeSystem> {
+        use compc_workload::random::{generate, GenParams, Shape};
+        (0..8).map(|seed| {
+            generate(&GenParams {
+                shape: Shape::General {
+                    levels: 3,
+                    scheds_per_level: 2,
+                },
+                roots: 5,
+                ops_per_tx: (1, 3),
+                conflict_density: 0.5,
+                sequential_tx_prob: 0.7,
+                client_input_prob: 0.0,
+                strong_input_prob: 0.0,
+                sound_abstractions: false,
+                seed,
+            })
+        })
+    }
+
+    /// A checkpoint written in the layout sessions wrote before they
+    /// rendered theirs (the fragments merged by `SystemSpec::merge`: every
+    /// order family closed) restores to the system, verdict and count the
+    /// rendered checkpoint restores to.
+    #[test]
+    fn closed_family_checkpoints_restore_like_rendered_ones() {
+        for (seed, sys) in generated().enumerate() {
+            let fragments = SystemSpec::from_system(&sys).into_appends();
+            let mut session = SpecSession::new();
+            let mut merged = SystemSpec {
+                auto_propagate: false,
+                ..SystemSpec::default()
+            };
+            for fragment in &fragments {
+                session.append(fragment).unwrap();
+                merged.merge(fragment).unwrap();
+            }
+            let appends = session.stats().appends;
+            let closed = sessions_checkpoint_json(vec![(
+                DEFAULT_SESSION.to_string(),
+                appends,
+                merged.to_json(),
+            )]);
+            let rendered = session.checkpoint_json();
+            let restore = |doc: &str| SpecSession::from_checkpoint(doc, CheckOptions::default());
+            let (old, new) = (restore(&closed).unwrap(), restore(&rendered).unwrap());
+            assert_eq!(old.system(), new.system(), "seed {seed}");
+            assert_eq!(new.system(), merged.build().ok().as_ref(), "seed {seed}");
+            assert_eq!(
+                format!("{:?}", old.verdict()),
+                format!("{:?}", new.verdict()),
+                "seed {seed}"
+            );
+            assert_eq!(old.stats().appends, appends);
+            assert_eq!(new.stats().appends, appends);
+        }
+    }
+
+    /// A session streamed from `into_appends` (every order family sent
+    /// closed) checkpoints exactly the covering pairs of its system.
+    #[test]
+    fn a_streamed_session_checkpoints_covering_pairs() {
+        let mut fewer = 0;
+        for (seed, sys) in generated().enumerate() {
+            let covering = SystemSpec::from_system(&sys);
+            let fragments = covering.into_appends();
+            let mut session = SpecSession::new();
+            for fragment in &fragments {
+                session.append(fragment).unwrap();
+            }
+            let doc = compc_json::parse(&session.checkpoint_json()).unwrap();
+            let written = SystemSpec::from_json(doc.get("spec").unwrap()).unwrap();
+            let count = |spec: &SystemSpec| spec.relations().map(Vec::len);
+            assert_eq!(count(&written), count(&covering), "seed {seed}");
+            let sent: usize = fragments.iter().flat_map(count).sum();
+            fewer += usize::from(count(&written).iter().sum::<usize>() < sent);
+        }
+        assert!(fewer > 0, "no generated system had an implied pair");
     }
 
     /// Every checkpoint document's restore result, pinned: not JSON, then

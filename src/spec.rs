@@ -27,7 +27,9 @@
 //! load error names the offending node or relation entry.
 
 use compc_json::{Kind, ParseError, Reader, Value, Writer};
-use compc_model::{CompositeSystem, ModelError, NodeId, SchedId, SystemBuilder};
+use compc_model::{
+    CompositeSystem, ModelError, NodeId, NodeInfo, NodeRole, OrderPair, SchedId, SystemBuilder,
+};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hash;
@@ -411,7 +413,7 @@ impl SystemSpec {
 
 /// A spec's relation families, in the order [`SystemSpec::build`] applies
 /// them.
-const RELATIONS: [&str; 7] = [
+pub(crate) const RELATIONS: [&str; 7] = [
     "conflicts",
     "tx_weak",
     "tx_strong",
@@ -423,7 +425,7 @@ const RELATIONS: [&str; 7] = [
 
 impl SystemSpec {
     /// The relation families in [`RELATIONS`] order.
-    fn relations(&self) -> [&Vec<(String, String)>; 7] {
+    pub(crate) fn relations(&self) -> [&Vec<(String, String)>; 7] {
         [
             &self.conflicts,
             &self.tx_weak,
@@ -455,176 +457,277 @@ impl SystemSpec {
     /// first, and a close error names the entry of the pair that closing
     /// on every pair would have rejected first.
     pub fn build(&self) -> Result<CompositeSystem, SpecError> {
-        let mut b = SystemBuilder::new();
-        self.declare(&mut b, &Names::of(self), &SpecMark::default())?;
-        b.build().map_err(|source| SpecError::Model {
-            context: "build".into(),
-            source,
-        })
-    }
-
-    /// Declares the items past `from` into `b`, which already holds the
-    /// items before it: the whole spec into a fresh builder
-    /// ([`SystemSpec::build`]), or an appended suffix into the session's
-    /// reopened system. Node `i` of the spec is `NodeId(i)` and schedule
-    /// `j` is `SchedId(j)`, so `names` resolves a name to its (first)
-    /// declaration; a node may name as parent only a node declared before
-    /// it. Errors name the entry by its index in the whole spec. The order
-    /// pairs close once, after the last entry, as [`SystemSpec::build`]
-    /// describes.
-    fn declare<K: Borrow<str> + Hash + Eq>(
-        &self,
-        b: &mut SystemBuilder,
-        names: &Names<K>,
-        from: &SpecMark,
-    ) -> Result<(), SpecError> {
         if self.version != SPEC_VERSION {
             return Err(SpecError::UnsupportedVersion(self.version));
         }
-        for (idx, name) in self.schedules.iter().enumerate().skip(from.schedules) {
-            if names.schedule(name) != Some(idx) {
-                return Err(SpecError::DuplicateName(name.clone()));
-            }
-            b.schedule(name.clone());
-        }
-        for (idx, n) in self.nodes.iter().enumerate().skip(from.nodes) {
-            let declared = |name: &String| names.node(name).filter(|&i| i < idx);
-            // The builder panics (by contract) when a leaf is used as a
-            // parent; the data layer must turn that into a typed error.
-            if let Some(parent) = &n.parent {
-                if declared(parent).is_some_and(|p| self.nodes[p].kind == "leaf") {
-                    return Err(SpecError::BadNode(format!(
-                        "nodes[{idx}] (\"{}\"): parent \"{parent}\" is a leaf",
-                        n.name
-                    )));
-                }
-            }
-            let lookup_home = || -> Result<SchedId, SpecError> {
-                let home = n.home.as_ref().ok_or_else(|| {
-                    SpecError::BadNode(format!(
-                        "nodes[{idx}] (\"{}\"): kind \"{}\" requires \"home\"",
-                        n.name, n.kind
-                    ))
-                })?;
-                names
-                    .schedule(home)
-                    .map(|s| SchedId(s as u32))
-                    .ok_or_else(|| SpecError::UnknownName {
-                        name: home.clone(),
-                        context: format!("nodes[{idx}].home (\"{}\")", n.name),
-                    })
-            };
-            let lookup_parent = || -> Result<NodeId, SpecError> {
-                let parent = n.parent.as_ref().ok_or_else(|| {
-                    SpecError::BadNode(format!(
-                        "nodes[{idx}] (\"{}\"): kind \"{}\" requires \"parent\"",
-                        n.name, n.kind
-                    ))
-                })?;
-                declared(parent)
-                    .map(|p| NodeId(p as u32))
-                    .ok_or_else(|| SpecError::UnknownName {
-                        name: parent.clone(),
-                        context: format!("nodes[{idx}].parent (\"{}\")", n.name),
-                    })
-            };
-            match n.kind.as_str() {
-                "root" => b.root(n.name.clone(), lookup_home()?),
-                "subtx" => {
-                    let parent = lookup_parent()?;
-                    b.subtx(n.name.clone(), parent, lookup_home()?)
-                }
-                "leaf" => b.leaf(n.name.clone(), lookup_parent()?),
-                other => {
-                    return Err(SpecError::BadNode(format!(
-                        "nodes[{idx}] (\"{}\"): unknown kind \"{other}\"",
-                        n.name
-                    )))
-                }
-            };
-            if names.node(&n.name) != Some(idx) {
-                return Err(SpecError::DuplicateName(n.name.clone()));
-            }
-        }
-
-        type Apply = fn(&mut SystemBuilder, NodeId, NodeId) -> Result<(), ModelError>;
-        let apply: [Apply; 7] = [
-            SystemBuilder::conflict,
-            SystemBuilder::tx_weak_order,
-            SystemBuilder::tx_strong_order,
-            SystemBuilder::output_weak,
-            SystemBuilder::output_strong,
-            SystemBuilder::input_weak,
-            SystemBuilder::input_strong,
-        ];
-        for (r, pairs) in self.relations().into_iter().enumerate() {
-            for (i, (x, y)) in pairs.iter().enumerate().skip(from.relations[r]) {
-                let context = || format!("{}[{i}] [{x}, {y}]", RELATIONS[r]);
-                let look = |name: &String| -> Result<NodeId, SpecError> {
-                    names.node(name).map(|n| NodeId(n as u32)).ok_or_else(|| {
-                        SpecError::UnknownName {
-                            name: name.clone(),
-                            context: context(),
-                        }
-                    })
-                };
-                let declared = look(x).and_then(|a| {
-                    apply[r](b, a, look(y)?).map_err(|source| SpecError::Model {
-                        context: context(),
-                        source,
-                    })
-                });
-                if let Err(e) = declared {
-                    self.close_orders(b, from)?;
-                    return Err(e);
-                }
-            }
-        }
-        self.close_orders(b, from)?;
-        if self.auto_propagate {
-            b.propagate_orders().map_err(|source| SpecError::Model {
-                context: "propagate_orders".into(),
-                source,
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Closes the order pairs [`SystemSpec::declare`] declared into `b` so
-    /// far, naming a failing pair by its entry.
-    fn close_orders(&self, b: &mut SystemBuilder, from: &SpecMark) -> Result<(), SpecError> {
-        b.close_orders().map_err(|(mut at, source)| {
-            // Pair `at` is the `at`-th order entry past `from`; conflicts
-            // (family 0) declare no order pair.
-            let relations = self.relations();
-            let mut r = 1;
-            while at >= relations[r].len() - from.relations[r] {
-                at -= relations[r].len() - from.relations[r];
-                r += 1;
-            }
-            let i = from.relations[r] + at;
-            let (x, y) = &relations[r][i];
-            let context = format!("{}[{i}] [{x}, {y}]", RELATIONS[r]);
-            SpecError::Model { context, source }
-        })
+        let items = Items {
+            schedules: self.schedules.iter().collect(),
+            nodes: self.nodes.iter().collect(),
+            relations: self.relations().map(|pairs| pairs.iter().collect()),
+            auto_propagate: self.auto_propagate,
+        };
+        extend(&items, SystemBuilder::new(), &Names::of(self), (0, 0))
     }
 }
 
-/// Where each name of a spec is first declared: node `i` is `NodeId(i)`,
-/// schedule `j` is `SchedId(j)`. `K` is `&str` for a one-off build and
-/// `Box<str>` for an index a session keeps across appends.
+/// Entries of one or more specs, borrowed: what [`extend`] declares, and
+/// what [`new_items`] finds new in appended fragments.
+pub(crate) struct Items<'a> {
+    pub(crate) schedules: Vec<&'a String>,
+    pub(crate) nodes: Vec<&'a NodeSpec>,
+    /// The relation families in [`RELATIONS`] order.
+    pub(crate) relations: [Vec<&'a (String, String)>; 7],
+    pub(crate) auto_propagate: bool,
+}
+
+/// The entries of `fragments` that are not declared yet, each once, in
+/// fragment order (each relation family's pairs after all the nodes): the
+/// merge rule [`SystemSpec::merge`] and a session share. `node` says
+/// whether a node named so is declared already, and if so whether as the
+/// fragment declares it; a node declared differently is rejected with
+/// nothing changed. `schedule` and `pair` say whether one is declared
+/// already (pair by [`RELATIONS`] index). `auto_propagate` is set if any
+/// fragment sets it.
+pub(crate) fn new_items<'a>(
+    fragments: &'a [SystemSpec],
+    node: impl Fn(&NodeSpec) -> Option<bool>,
+    schedule: impl Fn(&str) -> bool,
+    pair: impl Fn(usize, &(String, String)) -> bool,
+) -> Result<Items<'a>, SpecError> {
+    let mut fresh: HashMap<&str, &NodeSpec> = HashMap::new();
+    let mut items = Items {
+        schedules: Vec::new(),
+        nodes: Vec::new(),
+        relations: Default::default(),
+        auto_propagate: false,
+    };
+    let mut names = HashSet::new();
+    for fragment in fragments {
+        if fragment.version != SPEC_VERSION {
+            return Err(SpecError::UnsupportedVersion(fragment.version));
+        }
+        for n in &fragment.nodes {
+            let same = match node(n).or_else(|| fresh.get(n.name.as_str()).map(|&m| m == n)) {
+                Some(same) => same,
+                None => {
+                    fresh.insert(&n.name, n);
+                    items.nodes.push(n);
+                    true
+                }
+            };
+            if !same {
+                return Err(SpecError::BadNode(format!(
+                    "append re-declares node \"{}\" differently",
+                    n.name
+                )));
+            }
+        }
+        for s in &fragment.schedules {
+            if !schedule(s) && names.insert(s) {
+                items.schedules.push(s);
+            }
+        }
+        items.auto_propagate |= fragment.auto_propagate;
+    }
+    for (r, add) in items.relations.iter_mut().enumerate() {
+        let mut seen = HashSet::new();
+        let pairs = fragments.iter().flat_map(|f| f.relations()[r]);
+        add.extend(pairs.filter(|p| !pair(r, p) && seen.insert(*p)));
+    }
+    Ok(items)
+}
+
+/// A relation family's builder method.
+type Declare = fn(&mut SystemBuilder, NodeId, NodeId) -> Result<(), ModelError>;
+
+/// The relation families' builder methods, in [`RELATIONS`] order.
+pub(crate) const DECLARE: [Declare; 7] = [
+    SystemBuilder::conflict,
+    SystemBuilder::tx_weak_order,
+    SystemBuilder::tx_strong_order,
+    SystemBuilder::output_weak,
+    SystemBuilder::output_strong,
+    SystemBuilder::input_weak,
+    SystemBuilder::input_strong,
+];
+
+/// Declares `items` into `b` and builds the system: the whole spec into a
+/// fresh builder ([`SystemSpec::build`]), or a session's new items into
+/// its reopened system. `b` holds `base` = (schedules, nodes) already, so
+/// item node `i` is `NodeId(base.1 + i)` and item schedule `j` is
+/// `SchedId(base.0 + j)`; `names` resolves every name of `b` and of
+/// `items` to its (first) declaration. A node may name as parent only a
+/// node declared before it. Errors name the entry by its index in
+/// `items`. The order pairs close once, after the last entry, as
+/// [`SystemSpec::build`] describes.
+pub(crate) fn extend<K: Borrow<str> + Hash + Eq>(
+    items: &Items<'_>,
+    mut b: SystemBuilder,
+    names: &Names<K>,
+    base: (usize, usize),
+) -> Result<CompositeSystem, SpecError> {
+    for (idx, &name) in items.schedules.iter().enumerate() {
+        if names.schedule(name) != Some(base.0 + idx) {
+            return Err(SpecError::DuplicateName(name.clone()));
+        }
+        b.schedule(name.clone());
+    }
+    for (idx, &n) in items.nodes.iter().enumerate() {
+        let id = base.1 + idx;
+        let declared = |name: &String| names.node(name).filter(|&i| i < id);
+        // The builder panics (by contract) when a leaf is used as a
+        // parent; the data layer must turn that into a typed error.
+        if let Some(parent) = &n.parent {
+            let leaf =
+                |p: usize| b.node(NodeId(p as u32)).map(NodeInfo::role) == Some(NodeRole::Leaf);
+            if declared(parent).is_some_and(leaf) {
+                return Err(SpecError::BadNode(format!(
+                    "nodes[{idx}] (\"{}\"): parent \"{parent}\" is a leaf",
+                    n.name
+                )));
+            }
+        }
+        let lookup_home = || -> Result<SchedId, SpecError> {
+            let home = n.home.as_ref().ok_or_else(|| {
+                SpecError::BadNode(format!(
+                    "nodes[{idx}] (\"{}\"): kind \"{}\" requires \"home\"",
+                    n.name, n.kind
+                ))
+            })?;
+            names
+                .schedule(home)
+                .map(|s| SchedId(s as u32))
+                .ok_or_else(|| SpecError::UnknownName {
+                    name: home.clone(),
+                    context: format!("nodes[{idx}].home (\"{}\")", n.name),
+                })
+        };
+        let lookup_parent = || -> Result<NodeId, SpecError> {
+            let parent = n.parent.as_ref().ok_or_else(|| {
+                SpecError::BadNode(format!(
+                    "nodes[{idx}] (\"{}\"): kind \"{}\" requires \"parent\"",
+                    n.name, n.kind
+                ))
+            })?;
+            declared(parent)
+                .map(|p| NodeId(p as u32))
+                .ok_or_else(|| SpecError::UnknownName {
+                    name: parent.clone(),
+                    context: format!("nodes[{idx}].parent (\"{}\")", n.name),
+                })
+        };
+        match n.kind.as_str() {
+            "root" => b.root(n.name.clone(), lookup_home()?),
+            "subtx" => {
+                let parent = lookup_parent()?;
+                b.subtx(n.name.clone(), parent, lookup_home()?)
+            }
+            "leaf" => b.leaf(n.name.clone(), lookup_parent()?),
+            other => {
+                return Err(SpecError::BadNode(format!(
+                    "nodes[{idx}] (\"{}\"): unknown kind \"{other}\"",
+                    n.name
+                )))
+            }
+        };
+        if names.node(&n.name) != Some(id) {
+            return Err(SpecError::DuplicateName(n.name.clone()));
+        }
+    }
+
+    for (r, pairs) in items.relations.iter().enumerate() {
+        for (i, &(x, y)) in pairs.iter().enumerate() {
+            let context = || format!("{}[{i}] [{x}, {y}]", RELATIONS[r]);
+            let look = |name: &String| -> Result<NodeId, SpecError> {
+                names
+                    .node(name)
+                    .map(|n| NodeId(n as u32))
+                    .ok_or_else(|| SpecError::UnknownName {
+                        name: name.clone(),
+                        context: context(),
+                    })
+            };
+            let declared = look(x).and_then(|a| {
+                DECLARE[r](&mut b, a, look(y)?).map_err(|source| SpecError::Model {
+                    context: context(),
+                    source,
+                })
+            });
+            if let Err(e) = declared {
+                close_orders(items, &mut b)?;
+                return Err(e);
+            }
+        }
+    }
+    close_orders(items, &mut b)?;
+    if items.auto_propagate {
+        b.propagate_orders().map_err(|source| SpecError::Model {
+            context: "propagate_orders".into(),
+            source,
+        })?;
+    }
+    b.build().map_err(|source| SpecError::Model {
+        context: "build".into(),
+        source,
+    })
+}
+
+/// Closes the order pairs [`extend`] declared into `b` so far, naming a
+/// failing pair by its entry.
+fn close_orders(items: &Items<'_>, b: &mut SystemBuilder) -> Result<(), SpecError> {
+    b.close_orders().map_err(|(mut at, source)| {
+        // Pair `at` is the `at`-th order entry; conflicts (family 0)
+        // declare no order pair.
+        let mut r = 1;
+        while at >= items.relations[r].len() {
+            at -= items.relations[r].len();
+            r += 1;
+        }
+        let (x, y) = items.relations[r][at];
+        let context = format!("{}[{at}] [{x}, {y}]", RELATIONS[r]);
+        SpecError::Model { context, source }
+    })
+}
+
+/// Whether `sys` already holds the pair `a`, `c` of relation family `r`
+/// ([`RELATIONS`] order): a conflict of their schedule, or an order pair
+/// its closed relation contains (a strong pair holds a weak one too).
+pub(crate) fn holds(sys: &CompositeSystem, r: usize, a: usize, c: usize) -> bool {
+    let (a, c) = (NodeId(a as u32), NodeId(c as u32));
+    let (x, y) = (sys.node(a), sys.node(c));
+    let shared = |p: Option<SchedId>, q: Option<SchedId>| p.filter(|_| p == q);
+    let lt = |pair: &OrderPair| match r % 2 {
+        0 => pair.strong_lt(a, c),
+        _ => pair.weak_lt(a, c),
+    };
+    match r {
+        0 => shared(x.container, y.container)
+            .is_some_and(|s| sys.schedule(s).conflicts.conflicts(a, c)),
+        1 | 2 => x
+            .parent
+            .filter(|_| x.parent == y.parent)
+            .and_then(|t| sys.transaction(t))
+            .is_some_and(|t| lt(&t.intra)),
+        3 | 4 => shared(x.container, y.container).is_some_and(|s| lt(&sys.schedule(s).output)),
+        _ => shared(x.home, y.home).is_some_and(|s| lt(&sys.schedule(s).input)),
+    }
+}
+
+/// Where each name is first declared: node `i` is `NodeId(i)`, schedule
+/// `j` is `SchedId(j)`. `K` is `&str` for a one-off build and `Box<str>`
+/// for the map a session keeps across appends.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Names<K> {
-    schedules: HashMap<K, u32>,
-    nodes: HashMap<K, u32>,
+    pub(crate) schedules: HashMap<K, u32>,
+    pub(crate) nodes: HashMap<K, u32>,
 }
 
 impl<K: Borrow<str> + Hash + Eq> Names<K> {
-    fn schedule(&self, name: &str) -> Option<usize> {
+    pub(crate) fn schedule(&self, name: &str) -> Option<usize> {
         self.schedules.get(name).map(|&i| i as usize)
     }
 
-    fn node(&self, name: &str) -> Option<usize> {
+    pub(crate) fn node(&self, name: &str) -> Option<usize> {
         self.nodes.get(name).map(|&i| i as usize)
     }
 }
@@ -639,107 +742,6 @@ impl<'a> Names<&'a str> {
             names.nodes.entry(n.name.as_str()).or_insert(i);
         }
         names
-    }
-}
-
-/// Where an append-only spec stands: the lengths of its lists (where an
-/// appended suffix starts) and its `auto_propagate` flag (which a merge
-/// may only turn on). A session rolls back to it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct SpecMark {
-    schedules: usize,
-    nodes: usize,
-    relations: [usize; 7],
-    auto_propagate: bool,
-}
-
-/// A spec's names and relation pairs, indexed so a fragment merges in time
-/// proportional to the fragment, not to the spec.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct SpecIndex {
-    names: Names<Box<str>>,
-    /// Per relation family, its pairs by node position.
-    pairs: [HashSet<(u32, u32)>; 7],
-    /// Per relation family, how many pairs name an undeclared node. Such a
-    /// pair cannot be indexed by position, so while there are any, merging
-    /// falls back to comparing names.
-    unresolved: [usize; 7],
-}
-
-impl SpecIndex {
-    /// Indexes a whole spec.
-    pub(crate) fn of(spec: &SystemSpec) -> SpecIndex {
-        let mut index = SpecIndex::default();
-        for (i, s) in (0..).zip(&spec.schedules) {
-            index.names.schedules.entry(s.as_str().into()).or_insert(i);
-        }
-        for (i, n) in (0..).zip(&spec.nodes) {
-            index.names.nodes.entry(n.name.as_str().into()).or_insert(i);
-        }
-        for (r, pairs) in spec.relations().into_iter().enumerate() {
-            for pair in pairs {
-                index.note_pair(r, pair);
-            }
-        }
-        index
-    }
-
-    fn position(&self, pair: &(String, String)) -> Option<(u32, u32)> {
-        let node = |name: &String| self.names.nodes.get(name.as_str()).copied();
-        Some((node(&pair.0)?, node(&pair.1)?))
-    }
-
-    /// Records a pair of relation `r`; returns whether it was new.
-    fn note_pair(&mut self, r: usize, pair: &(String, String)) -> bool {
-        match self.position(pair) {
-            Some(at) => self.pairs[r].insert(at),
-            None => {
-                self.unresolved[r] += 1;
-                true
-            }
-        }
-    }
-}
-
-impl SystemSpec {
-    /// Where this spec stands.
-    pub(crate) fn mark(&self) -> SpecMark {
-        SpecMark {
-            schedules: self.schedules.len(),
-            nodes: self.nodes.len(),
-            relations: self.relations().map(Vec::len),
-            auto_propagate: self.auto_propagate,
-        }
-    }
-
-    /// Rolls the spec back to `mark` and re-indexes what is left.
-    pub(crate) fn roll_back(&mut self, mark: &SpecMark, index: &mut SpecIndex) {
-        if self.mark() == *mark {
-            return;
-        }
-        self.schedules.truncate(mark.schedules);
-        self.nodes.truncate(mark.nodes);
-        for (pairs, len) in self.relations_mut().into_iter().zip(mark.relations) {
-            pairs.truncate(len);
-        }
-        self.auto_propagate = mark.auto_propagate;
-        *index = SpecIndex::of(self);
-    }
-
-    /// Builds the system the spec's suffix past `from` extends `b` to:
-    /// `b` holds the system of the prefix, reopened (see
-    /// [`compc_model::CompositeSystem::into_builder`]).
-    pub(crate) fn extend(
-        &self,
-        mut b: SystemBuilder,
-        index: &SpecIndex,
-        from: &SpecMark,
-    ) -> Result<CompositeSystem, SpecError> {
-        self.declare(&mut b, &index.names, from)?;
-        b.build().map_err(|source| SpecError::Model {
-            context: "build".into(),
-            source,
-        })
     }
 }
 
@@ -901,95 +903,26 @@ impl SystemSpec {
     /// an existing node differently is rejected, and leaves the spec as it
     /// was — appends may only extend.
     pub fn merge(&mut self, fragment: &SystemSpec) -> Result<(), SpecError> {
-        let mut index = SpecIndex::of(self);
-        self.merge_indexed(&mut index, fragment.clone())
-    }
-
-    /// [`SystemSpec::merge`] of a fragment handed over whole, against an
-    /// index of this spec, which it keeps up to date. The new entries move
-    /// into the spec; none is copied.
-    pub(crate) fn merge_indexed(
-        &mut self,
-        index: &mut SpecIndex,
-        fragment: SystemSpec,
-    ) -> Result<(), SpecError> {
-        if fragment.version != SPEC_VERSION {
-            return Err(SpecError::UnsupportedVersion(fragment.version));
+        let mut nodes: HashMap<&str, &NodeSpec> = HashMap::new();
+        for n in &self.nodes {
+            nodes.entry(&n.name).or_insert(n);
         }
-        // Reject before changing anything.
-        let mut fresh: HashMap<&str, &NodeSpec> = HashMap::new();
-        for n in &fragment.nodes {
-            let have = match index.names.node(&n.name) {
-                Some(i) => Some(&self.nodes[i]),
-                None => fresh.get(n.name.as_str()).copied(),
-            };
-            match have {
-                None => {
-                    fresh.insert(&n.name, n);
-                }
-                Some(have) if have == n => {}
-                Some(_) => {
-                    return Err(SpecError::BadNode(format!(
-                        "append re-declares node \"{}\" differently",
-                        n.name
-                    )))
-                }
-            }
+        let schedules: HashSet<&str> = self.schedules.iter().map(String::as_str).collect();
+        let pairs = self
+            .relations()
+            .map(|pairs| pairs.iter().collect::<HashSet<_>>());
+        let new = new_items(
+            std::slice::from_ref(fragment),
+            |n| nodes.get(n.name.as_str()).map(|&have| have == n),
+            |s| schedules.contains(s),
+            |r, pair| pairs[r].contains(pair),
+        )?;
+        self.schedules.extend(new.schedules.into_iter().cloned());
+        self.nodes.extend(new.nodes.into_iter().cloned());
+        for (have, add) in self.relations_mut().into_iter().zip(new.relations) {
+            have.extend(add.into_iter().cloned());
         }
-        let SystemSpec {
-            schedules,
-            nodes,
-            conflicts,
-            output_weak,
-            output_strong,
-            input_weak,
-            input_strong,
-            tx_weak,
-            tx_strong,
-            auto_propagate,
-            ..
-        } = fragment;
-        for s in schedules {
-            if !index.names.schedules.contains_key(s.as_str()) {
-                let at = self.schedules.len() as u32;
-                index.names.schedules.insert(s.as_str().into(), at);
-                self.schedules.push(s);
-            }
-        }
-        for n in nodes {
-            if !index.names.nodes.contains_key(n.name.as_str()) {
-                let at = self.nodes.len() as u32;
-                index.names.nodes.insert(n.name.as_str().into(), at);
-                self.nodes.push(n);
-            }
-        }
-        let added = [
-            conflicts,
-            tx_weak,
-            tx_strong,
-            output_weak,
-            output_strong,
-            input_weak,
-            input_strong,
-        ];
-        for (r, (have, add)) in self.relations_mut().into_iter().zip(added).enumerate() {
-            for pair in add {
-                // While unresolved pairs are around, a pair may sit in the
-                // spec without its position in the index: compare names.
-                let new = if index.unresolved[r] == 0 && index.position(&pair).is_some() {
-                    index.note_pair(r, &pair)
-                } else if have.contains(&pair) {
-                    false
-                } else {
-                    index.note_pair(r, &pair);
-                    true
-                };
-                if new {
-                    have.push(pair);
-                }
-            }
-        }
-        self.auto_propagate |= auto_propagate;
+        self.auto_propagate |= fragment.auto_propagate;
         Ok(())
     }
 }

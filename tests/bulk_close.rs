@@ -352,10 +352,15 @@ proptest! {
     ) {
         let spec = SystemSpec::from_system(&generated(pick, roots, density, seed));
         let mut session = SpecSession::new();
+        let mut merged = SystemSpec {
+            auto_propagate: false,
+            ..SystemSpec::default()
+        };
         for fragment in spec.into_appends() {
             prop_assert!(session.append(&fragment).is_ok());
+            merged.merge(&fragment).unwrap();
         }
-        let fresh = session.spec().build().unwrap();
+        let fresh = merged.build().unwrap();
         prop_assert_eq!(session.system().unwrap(), &fresh);
     }
 }

@@ -1591,6 +1591,57 @@ fn interrupted_appends_are_journaled_and_survive_a_kill() {
     assert_eq!(daemon.wait_code(), 1);
 }
 
+/// A re-sent fragment, and a pair that the session's closed order (or
+/// conflict set) already holds though no fragment declared it, merge
+/// nothing: interrupted, neither takes a `seq` or a journal record.
+#[test]
+fn interrupted_implied_pairs_are_not_journaled() {
+    let dir = tmpdir();
+    let socket = dir.join("ip.sock");
+    let checkpoint = dir.join("ip.checkpoint.json");
+    let journal = dir.join("ip.journal.ndjson");
+    let daemon = Daemon::spawn(&[
+        "--socket",
+        socket.to_str().unwrap(),
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
+        "--deadline-ms",
+        "0",
+    ]);
+    let stream = wait_for_socket(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let chain = r#"{"append": {"schedules": ["S"], "nodes": [
+        {"name": "T1", "kind": "root", "home": "S"},
+        {"name": "T2", "kind": "root", "home": "S"},
+        {"name": "T3", "kind": "root", "home": "S"},
+        {"name": "o1", "kind": "leaf", "parent": "T1"},
+        {"name": "o2", "kind": "leaf", "parent": "T2"},
+        {"name": "o3", "kind": "leaf", "parent": "T3"}],
+        "conflicts": [["o1", "o2"], ["o2", "o3"]],
+        "output_weak": [["o1", "o2"], ["o2", "o3"]]}}"#
+        .replace('\n', " ");
+    let implied = r#"{"append": {"conflicts": [["o3", "o2"]], "output_weak": [["o1", "o3"]]}}"#;
+    for request in [chain.as_str(), &chain, implied] {
+        let response = roundtrip(&mut reader, &mut writer, request);
+        assert_eq!(
+            str_field(&response, "kind"),
+            "interrupted",
+            "{}",
+            response.to_compact()
+        );
+    }
+    let stats = roundtrip(&mut reader, &mut writer, "{\"op\": \"stats\"}");
+    assert_eq!(u64_field(&stats, "interruptions"), 3);
+    assert_eq!(u64_field(&stats, "journal_records"), 1);
+    let records = std::fs::read_to_string(&journal).unwrap();
+    assert_eq!(records.lines().count(), 1, "{records}");
+    roundtrip(&mut reader, &mut writer, "{\"op\": \"shutdown\"}");
+    assert_eq!(daemon.wait_code(), 3);
+}
+
 /// A handler panic inside a commit batch rolls back only its own request:
 /// the batch's earlier appends stay applied, acked and journaled, and a
 /// restart recovers exactly them.

@@ -32,15 +32,22 @@ fn fingerprint(v: &Verdict) -> String {
 }
 
 /// Replays `spec` through a session with `options`, asserting after every
-/// fragment that the session's verdict equals a from-scratch check of the
-/// session's merged system and, when `options` only force a backend, that
+/// fragment that the session's system is the from-scratch build of the
+/// fragments so far merged by `SystemSpec::merge` (a reference that shares
+/// no state with the session), that its verdict equals a from-scratch
+/// check of that system and, when `options` only force a backend, that
 /// the stepped fronts equal the default backend's. Returns the final
 /// verdict.
 fn replay_and_pin(spec: &SystemSpec, options: CheckOptions, context: &str) -> Verdict {
     let fragments = spec.into_appends();
     assert!(!fragments.is_empty(), "{context}: no fragments");
     let mut session = SpecSession::with_options(options);
+    let mut merged = SystemSpec {
+        auto_propagate: false,
+        ..SystemSpec::default()
+    };
     for (k, fragment) in fragments.iter().enumerate() {
+        merged.merge(fragment).unwrap();
         let incremental = session
             .append(fragment)
             .unwrap_or_else(|e| {
@@ -54,7 +61,7 @@ fn replay_and_pin(spec: &SystemSpec, options: CheckOptions, context: &str) -> Ve
         let prefix = session.system().expect("append installed a system");
         assert_eq!(
             Some(prefix),
-            session.spec().build().ok().as_ref(),
+            merged.build().ok().as_ref(),
             "{context}: prefix {}/{} extended in place differs from a from-scratch build",
             k + 1,
             fragments.len()
