@@ -330,35 +330,6 @@ pub struct BatchReport {
     pub metrics: BatchMetrics,
 }
 
-impl BatchReport {
-    /// Labels of the systems that were checked and were *not* Comp-C.
-    pub fn incorrect_labels(&self) -> Vec<&str> {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(&o.result, Ok(v) if !v.is_correct()))
-            .map(|o| o.label.as_str())
-            .collect()
-    }
-
-    /// Labels of the items that faulted (panicked).
-    pub fn fault_labels(&self) -> Vec<&str> {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(&o.result, Err(BatchFault::Panic { .. })))
-            .map(|o| o.label.as_str())
-            .collect()
-    }
-
-    /// Labels of the items whose check exceeded the [`CheckOptions::deadline`].
-    pub fn timeout_labels(&self) -> Vec<&str> {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(&o.result, Err(BatchFault::Timeout { .. })))
-            .map(|o| o.label.as_str())
-            .collect()
-    }
-}
-
 /// A configured batch-checking session — the across-systems counterpart of
 /// [`compc_core::Checker`].
 ///
@@ -697,6 +668,16 @@ mod tests {
         items
     }
 
+    /// Labels of the systems that were checked and were not Comp-C.
+    fn incorrect_labels(report: &BatchReport) -> Vec<&str> {
+        report
+            .outcomes
+            .iter()
+            .filter(|o| matches!(&o.result, Ok(v) if !v.is_correct()))
+            .map(|o| o.label.as_str())
+            .collect()
+    }
+
     #[test]
     fn sequential_batch_reports_everything_in_order() {
         let report = Batch::new().workers(1).check_all(batch_items());
@@ -705,7 +686,7 @@ mod tests {
         assert_eq!(report.stats.incorrect, 1);
         assert_eq!(report.stats.faults, 0);
         assert_eq!(report.stats.workers, 1);
-        assert_eq!(report.incorrect_labels(), vec!["bad"]);
+        assert_eq!(incorrect_labels(&report), vec!["bad"]);
         assert_eq!(report.outcomes[5].label, "bad");
         assert_eq!(report.outcomes[0].label, "ok-0");
         assert!(report.stats.nodes > 0);
@@ -796,8 +777,14 @@ mod tests {
             assert_eq!(report.stats.faults, 1, "workers={workers}");
             assert_eq!(report.stats.correct, 16, "workers={workers}");
             assert_eq!(report.stats.incorrect, 1, "workers={workers}");
-            assert_eq!(report.fault_labels(), vec!["ok-9"]);
-            assert_eq!(report.incorrect_labels(), vec!["bad"]);
+            let faulted: Vec<&str> = report
+                .outcomes
+                .iter()
+                .filter(|o| matches!(o.fault(), Some(BatchFault::Panic { .. })))
+                .map(|o| o.label.as_str())
+                .collect();
+            assert_eq!(faulted, vec!["ok-9"]);
+            assert_eq!(incorrect_labels(&report), vec!["bad"]);
             let faulted = report.outcomes.iter().find(|o| o.label == "ok-9").unwrap();
             let fault = faulted.fault().expect("ok-9 must carry a fault");
             assert!(!fault.is_timeout());
@@ -932,7 +919,6 @@ mod tests {
             assert_eq!(report.stats.incorrect, 1);
             assert_eq!(report.stats.faults, 0);
             assert_eq!(report.metrics.check_ns.count(), 17);
-            assert!(report.fault_labels().is_empty());
         }
     }
 
@@ -949,8 +935,6 @@ mod tests {
             assert_eq!(report.stats.timeouts, 18, "workers={workers}");
             assert_eq!(report.stats.faults, 0, "workers={workers}");
             assert_eq!(report.stats.correct + report.stats.incorrect, 0);
-            assert_eq!(report.timeout_labels().len(), 18);
-            assert!(report.fault_labels().is_empty());
             for o in &report.outcomes {
                 assert_eq!(o.fault(), Some(&BatchFault::Timeout { level: 1 }));
             }

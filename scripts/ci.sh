@@ -44,7 +44,11 @@
 #                              # restored session is built pair by pair
 #                              # again), and answers a 4,000-leaf append to
 #                              # a 4,000-leaf chain session within 0.4 s
-#                              # (fails if an append closes pair by pair)
+#                              # (fails if an append closes pair by pair);
+#                              # eight concurrent 1 MB request lines and a
+#                              # 20 MB spec, each rejected at its first
+#                              # field, keep the daemon under 48 MiB and
+#                              # compc-check under 64 MiB of peak RSS
 #   scripts/ci.sh batch-smoke  # a mixed compc-gen corpus reports the same at
 #                              # --jobs 1 and 2, and a --checkpoint rerun
 #                              # has nothing left with the same exit code
@@ -739,6 +743,75 @@ checkpoint_case() {
         || { echo "scale-smoke: $what: checkpoint of $size bytes, over $bytes" >&2; return 1; }
 }
 
+# One JSON array of N + 1 zeros between PREFIX and SUFFIX, on one line:
+# input that is rejected at its first field however long it is.
+zeros_line() {
+    awk -v n="$1" -v prefix="$2" -v suffix="$3" 'BEGIN {
+        chunk = "";
+        for (i = 0; i < 1000; i++)
+            chunk = chunk "0,";
+        printf "%s", prefix;
+        for (i = 0; i < n / 1000; i++)
+            printf "%s", chunk;
+        printf "0%s\n", suffix;
+    }'
+}
+
+# Sends the request line FILE on eight connections at once to one
+# `compc-serve` daemon; fails unless each gets an error answer and the
+# daemon's peak resident set (VmHWM) stays under MIB MiB.
+hostile_case() {
+    local what="$1" mib="$2" file="$3" log="$dir/hostile.log" pid port="" fd
+    local fds=() writers=() answered=0 response hwm
+    : > "$log"
+    ./target/release/compc-serve --listen 127.0.0.1:0 2> "$log" &
+    pid=$!
+    while [ -z "$port" ] && kill -0 "$pid" 2> /dev/null; do
+        port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")"
+        [ -n "$port" ] || sleep 0.01
+    done
+    for _ in 1 2 3 4 5 6 7 8; do
+        exec {fd}<> "/dev/tcp/127.0.0.1/$port"
+        fds+=("$fd")
+    done
+    for fd in "${fds[@]}"; do
+        cat "$file" >&"$fd" &
+        writers+=("$!")
+    done
+    wait "${writers[@]}" || true
+    for fd in "${fds[@]}"; do
+        if IFS= read -r -t 30 response <&"$fd"; then
+            case "$response" in
+                *'"ok":false'*) answered=$((answered + 1)) ;;
+            esac
+        fi
+        exec {fd}>&-
+    done
+    hwm="$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$pid/status")"
+    kill "$pid" 2> /dev/null || true
+    wait "$pid" || true
+    [ "$answered" -eq 8 ] \
+        || { echo "scale-smoke: $what: $answered of 8 lines answered" >&2; return 1; }
+    [ "${hwm:-0}" -gt 0 ] && [ "$hwm" -lt $((mib * 1024)) ] \
+        || { echo "scale-smoke: $what: peak RSS ${hwm:-unknown} KiB, not under $mib MiB" >&2; return 1; }
+}
+
+# Runs `compc-check FILE`; fails unless it exits 2 with a peak resident
+# set (the child's rusage) under MIB MiB.
+rejected_case() {
+    local what="$1" mib="$2" file="$3" out code kib
+    out="$(python3 -c '
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+' ./target/release/compc-check "$file")"
+    read -r code kib <<< "$out"
+    [ "$code" -eq 2 ] \
+        || { echo "scale-smoke: $what: expected exit 2, got $code" >&2; return 1; }
+    [ "$kib" -lt $((mib * 1024)) ] \
+        || { echo "scale-smoke: $what: peak RSS $kib KiB, not under $mib MiB" >&2; return 1; }
+}
+
 # Timeouts are about 3x the measured wall time on a 2-vCPU host
 # (EXPERIMENTS.md E32, E33, E34, E35); the load path used to take 2.9 s on
 # the general system, 7.8-9.9 s on each chain and 11.3 s on the wide
@@ -748,7 +821,11 @@ checkpoint_case() {
 # checkpoint holds covering pairs: 2.48 MB for the general system, under a
 # bound of 1.5x; it held the closed order families (28.8 MB) when the
 # session kept every pair it was sent, and restored in about 1.0 s
-# instead of 0.11-0.13 s.
+# instead of 0.11-0.13 s. Input rejected at its first field is never read
+# again as a JSON tree: eight concurrent 1 MB request lines keep the
+# daemon's peak RSS under 48 MiB and a 20 MB spec keeps compc-check's
+# under 64 MiB (EXPERIMENTS.md E37: about 19 and 21 MiB; the tree
+# reread took 188 and 479 MiB).
 scale_smoke() {
     echo "==> scale-smoke: large stack, general and chain systems and a wide object checked in time"
     cargo build --release -q -p compc --bin compc-gen --bin compc-check --bin compc-serve
@@ -765,6 +842,8 @@ scale_smoke() {
     wide_object 80000 > "$dir/wide.json"
     { printf '{"version":1,"appends":1,"spec":'; chain_spec 8000; printf '}\n'; } \
         > "$dir/chain-checkpoint.json"
+    zeros_line 499000 '{"append":{"nodes":3,"schedules":[' ']}}' > "$dir/hostile.ndjson"
+    zeros_line 10000000 '{"pad":[' ']}' > "$dir/hostile.json"
     status=0
     scale_case "18,420-node stack" 3 1 "$dir/stack.json" || status=1
     scale_case "3,000-node general system" 0.25 1 "$dir/general.json" || status=1
@@ -776,6 +855,10 @@ scale_smoke() {
         || status=1
     append_case "4,000-leaf append to a 4,000-leaf chain session" 0.4 "$dir/chain.json" \
         "$dir/chain-rest.json" || status=1
+    hostile_case "eight 1 MB request lines rejected at their first field" 48 \
+        "$dir/hostile.ndjson" || status=1
+    rejected_case "20 MB spec rejected at its second token" 64 "$dir/hostile.json" \
+        || status=1
     if checkpoint_case "streamed general system" 3700000 "$dir/general.json"; then
         restore_case "streamed general system checkpoint restore" 0.4 \
             "$dir/stream-checkpoint.json" || status=1

@@ -718,6 +718,18 @@ mod tests {
                 r#"None false protocol: "session" must be a non-empty string"#,
             ),
             (
+                r#"{"append": {"version": 2}, "op": "stats", "session": ["x"]}"#,
+                r#"None false protocol: "session" must be a non-empty string"#,
+            ),
+            (
+                r#"{"append": {"nodes": 3}, "op": "stats", "session": "s", "seq": 4}"#,
+                r#"Some("s") false spec: spec parse error: nodes: expected an array, got number"#,
+            ),
+            (
+                r#"{"append": {"nodes": 3}, "session": 7, "x": {"a": 1, "a": 2}}"#,
+                r#"None false protocol: request is not JSON: JSON parse error at 1:57: duplicate object key "a""#,
+            ),
+            (
                 r#"{"append": {"nodes": 3}} x"#,
                 r#"None false protocol: request is not JSON: JSON parse error at 1:26: unexpected trailing characters"#,
             ),

@@ -12,7 +12,10 @@
 //! batch's verdicts acked. That ordering (ack strictly after the fsync
 //! that covers the record) is the whole durability contract; batching
 //! amortizes the fsync without weakening it, because *no* member of a
-//! batch is acked before the one fsync that covers *all* of them.
+//! batch is acked before the one fsync that covers *all* of them. A
+//! batch whose write or fsync fails is cut back off the file before the
+//! error returns (the daemon exits if even that fails), so no later
+//! batch is appended after its partial bytes.
 //!
 //! At startup [`replay`] applies the journal suffix past the restored
 //! checkpoint, demultiplexing records into their named sessions (records
@@ -111,10 +114,29 @@ impl Journal {
             w.end_object();
             self.scratch.push('\n');
         }
-        self.file
+        let written = self
+            .file
             .write_all(self.scratch.as_bytes())
-            .and_then(|_| self.file.sync_data())
-            .map_err(|e| format!("cannot journal batch to {}: {e}", self.path))?;
+            .and_then(|_| self.file.sync_data());
+        if let Err(e) = written {
+            // A failed write may have left part of the batch in the file,
+            // and the next batch would be appended after it. Cut the file
+            // back to its last whole batch; if that fails too, no later
+            // append could be acked safely, so the daemon stops here.
+            let cut = self
+                .file
+                .set_len(self.bytes)
+                .and_then(|_| self.file.sync_data());
+            if let Err(cut) = cut {
+                eprintln!(
+                    "cannot journal batch to {} ({e}) nor cut it back to {} bytes ({cut}); \
+                     exiting",
+                    self.path, self.bytes
+                );
+                std::process::exit(2);
+            }
+            return Err(format!("cannot journal batch to {}: {e}", self.path));
+        }
         self.records += records.len() as u64;
         self.bytes += self.scratch.len() as u64;
         Ok(())
@@ -345,7 +367,7 @@ pub(crate) fn write_checkpoint_file(path: &str, doc: &str) -> Result<(), String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::restore_sessions;
+    use crate::session::{restore_sessions, sessions_checkpoint};
     use crate::spec::NodeSpec;
 
     fn fragments() -> Vec<SystemSpec> {
@@ -462,7 +484,9 @@ mod tests {
             )
         };
 
-        let restored = restore_sessions(&one_by_one.checkpoint_json(), CheckOptions::default())
+        let name = DEFAULT_SESSION.to_string();
+        let checkpoint = sessions_checkpoint([(&name, &one_by_one)]);
+        let restored = restore_sessions(&checkpoint, CheckOptions::default())
             .unwrap()
             .pop()
             .unwrap()
@@ -583,6 +607,18 @@ mod tests {
             (
                 b"{\"append\": {\"nodes\": 3}}",
                 r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"append\": {\"nodes\": 3}, \"seq\": 1, \"session\": 3}",
+                r#""session" must be a non-empty string"#,
+            ),
+            (
+                b"{\"append\": {\"nodes\": 3}, \"seq\": \"1\", \"session\": \"s\"}",
+                r#"missing integer "seq" field"#,
+            ),
+            (
+                b"{\"append\": {\"nodes\": 3}, \"session\": \"s\", \"seq\": 1, \"x\": [1,]}",
+                r#"not JSON: JSON parse error at 1:60: unexpected character ']'"#,
             ),
             (
                 b"{\"append\": {\"nodes\": [{\"name\": \"T\", \"kind\": \"root\", \"home\": \"S\", \"x\": 1}]}, \"seq\": 2, \"op\": [}",

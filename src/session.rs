@@ -20,7 +20,7 @@
 
 use crate::spec::{self, Names, NodeSpec, SpecError, SystemSpec, SPEC_VERSION};
 use compc_core::{CheckOptions, Checker, SessionError, SessionStats, Verdict};
-use compc_json::{ParseError, Reader, Value, Writer};
+use compc_json::{Kind, ParseError, Reader, Value, Writer};
 use compc_model::{CompositeSystem, NodeId, NodeRole, SchedId, SystemBuilder};
 use std::collections::HashSet;
 
@@ -202,8 +202,8 @@ impl SpecSession {
     }
 
     /// Session counters. `appends` counts across checkpoint restores: a
-    /// session rebuilt with [`SpecSession::from_checkpoint`] resumes the
-    /// recorded count.
+    /// session rebuilt with [`restore_sessions`] resumes the recorded
+    /// count.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             appends: self.appends,
@@ -447,59 +447,6 @@ impl SpecSession {
         }
         unmerged
     }
-
-    /// Serializes the session's rendered spec ([`SpecSession::spec`]) as a
-    /// versioned JSON checkpoint document (pretty-printed, trailing
-    /// newline).
-    pub fn checkpoint_json(&self) -> String {
-        write_checkpoint(
-            vec![(DEFAULT_SESSION, self.stats().appends, self.spec())],
-            |w, spec| spec.write(w),
-        )
-    }
-
-    /// Rebuilds a session from a [`SpecSession::checkpoint_json`] document:
-    /// the checkpointed spec is re-appended as one batch and checked once.
-    /// The recorded append count is resumed, so `stats().appends` keeps
-    /// counting across the restore.
-    pub fn from_checkpoint(
-        text: &str,
-        options: CheckOptions,
-    ) -> Result<SpecSession, SpecSessionError> {
-        let mut entries = checkpoint_entries(text)?;
-        match entries.pop() {
-            Some(entry) if entries.is_empty() && entry.name.is_none() => {
-                SpecSession::from_parts(text, 0, entry, options)
-            }
-            _ => Err(SpecSessionError::Checkpoint(
-                "a multi-session checkpoint holds named sessions; restore it with \
-                 restore_sessions"
-                    .into(),
-            )),
-        }
-    }
-
-    /// Rebuilds one session from entry `index` of the checkpoint `text`
-    /// (shared by the single-session and multi-session document formats):
-    /// the entry's spec is handed to an empty session, which builds it
-    /// whole.
-    fn from_parts(
-        text: &str,
-        index: usize,
-        entry: CheckpointEntry,
-        options: CheckOptions,
-    ) -> Result<SpecSession, SpecSessionError> {
-        let spec = match entry.spec {
-            Some(spec) => spec,
-            None => read_entry_spec(text, entry.name.is_some().then_some(index))?,
-        };
-        let mut session = SpecSession::with_options(options);
-        if !spec.nodes.is_empty() {
-            session.append_all(std::slice::from_ref(&spec))?;
-        }
-        session.appends = entry.appends.max(session.appends);
-        Ok(session)
-    }
 }
 
 /// Whether node `id` of `sys` is the node `n` declares: of its kind, with
@@ -523,9 +470,10 @@ pub const DEFAULT_SESSION: &str = "default";
 /// Serializes named sessions as one checkpoint document.
 ///
 /// Entries are `(name, recorded appends, spec JSON)`. A lone `"default"`
-/// session is written in the exact single-session layout
-/// [`SpecSession::checkpoint_json`] produces, so a daemon that never saw a
-/// named session stays byte-compatible with pre-multi-session checkpoints.
+/// session is written in the single-session layout
+/// (`{"version": V, "appends": N, "spec": {...}}`), so a daemon that never
+/// saw a named session stays byte-compatible with pre-multi-session
+/// checkpoints.
 /// Anything else becomes `{"version": V, "sessions": [...]}` with entries
 /// sorted by name (deterministic, diffable). The daemon streams each spec
 /// from its session instead of taking it as a tree.
@@ -584,20 +532,51 @@ pub(crate) fn write_checkpoint<N: AsRef<str>, S>(
 /// `{"version", "sessions": [...]}` document restores every named entry.
 /// Unknown fields and duplicate session names are hard errors — a
 /// checkpoint is the durability root, so anything unexpected in one means
-/// state may be unrecoverable and must not be silently dropped.
+/// state may be unrecoverable and must not be silently dropped. Each
+/// session's spec is handed to an empty session, which builds it whole,
+/// and its recorded append count is resumed.
+///
+/// Errors rank as they are checked: not JSON, then the layout's fields,
+/// then every session's fields, then each session's spec and build in
+/// session order. The document is read once; a pass stopped by a syntax
+/// error or by a spec that does not read is followed by one that skips
+/// every spec, to find a syntax or layout error past where the first
+/// stopped, which outranks the spec's error.
 pub fn restore_sessions(
     text: &str,
     options: CheckOptions,
 ) -> Result<Vec<(String, SpecSession)>, SpecSessionError> {
-    checkpoint_entries(text)?
-        .into_iter()
-        .enumerate()
-        .map(|(index, entry)| {
-            let name = entry.name.clone();
-            let session = SpecSession::from_parts(text, index, entry, options)?;
-            Ok((name.unwrap_or_else(|| DEFAULT_SESSION.to_string()), session))
-        })
-        .collect()
+    let mut entries = Vec::new();
+    let (wrong, unread) = match read_checkpoint(text, &mut entries, &mut SystemSpec::read) {
+        Ok(wrong) => (wrong, None),
+        // The pass stopped at a syntax error or a spec that does not
+        // read: a pass that skips every spec finds any syntax or layout
+        // error, which outranks the spec's.
+        Err(e) => {
+            let mut skip = |r: &mut Reader<'_>| r.skip().map(|()| SystemSpec::default());
+            let wrong = read_checkpoint(text, &mut Vec::new(), &mut skip)
+                .map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))?;
+            (wrong, Some(e))
+        }
+    };
+    if let Some(wrong) = wrong {
+        return Err(SpecSessionError::Checkpoint(wrong));
+    }
+    let mut sessions = Vec::with_capacity(entries.len());
+    for entry in entries {
+        let mut session = SpecSession::with_options(options);
+        let spec = entry.spec.expect("a listed session has a spec");
+        if !spec.nodes.is_empty() {
+            session.append_all(std::slice::from_ref(&spec))?;
+        }
+        session.appends = entry.appends.max(session.appends);
+        let name = entry.name.unwrap_or_else(|| DEFAULT_SESSION.to_string());
+        sessions.push((name, session));
+    }
+    match unread {
+        Some(e) => Err(e.into()),
+        None => Ok(sessions),
+    }
 }
 
 /// One session of a checkpoint document.
@@ -607,195 +586,163 @@ struct CheckpointEntry {
     name: Option<String>,
     /// The recorded append count.
     appends: u64,
-    /// The session's spec; `None` until read, when the
-    /// document was validated as a tree.
+    /// The session's spec; `None` until its field is read.
     spec: Option<SystemSpec>,
 }
 
-/// Validates a checkpoint document in either layout and lists its
-/// sessions: one unnamed entry for the single-session layout, one named
-/// entry per element of `"sessions"` otherwise. A document as
-/// [`sessions_checkpoint_json`] writes it is read in one pass, specs
-/// included; any other is parsed as a tree, to name what is wrong with it
-/// in the order the checks below make, and its specs are read as each
-/// session is restored.
-fn checkpoint_entries(text: &str) -> Result<Vec<CheckpointEntry>, SpecSessionError> {
-    if let Some(entries) = read_checkpoint(text) {
-        return Ok(entries);
+/// Reads a checkpoint document in one pass, each session's spec with
+/// `spec`, and lists its sessions in `entries`: one unnamed entry for the
+/// single-session layout, one named entry per element of `"sessions"`
+/// otherwise. Returns the first error in a field, in the order
+/// [`restore_sessions`] ranks them: an error is held until the pass has
+/// read every field that outranks it. Whether the layout has named
+/// sessions is known only once the top-level object closes, so each
+/// top-level field is checked as a field of both layouts. Fails on a
+/// syntax error or an error `spec` returns.
+fn read_checkpoint<E: From<ParseError>>(
+    text: &str,
+    entries: &mut Vec<CheckpointEntry>,
+    spec: &mut impl FnMut(&mut Reader<'_>) -> Result<SystemSpec, E>,
+) -> Result<Option<String>, E> {
+    let r = &mut Reader::new(text);
+    if r.peek()? != Kind::Object {
+        r.skip()?;
+        r.end()?;
+        return Ok(Some("top level must be an object".into()));
     }
-    let doc = compc_json::parse(text)
-        .map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))?;
-    tree_entries(&doc)
-}
-
-/// Reads a checkpoint document in one pass; `None` on anything
-/// [`tree_entries`] would reject (and on a spec that does not read).
-fn read_checkpoint(text: &str) -> Option<Vec<CheckpointEntry>> {
-    let mut r = Reader::new(text);
+    r.begin_object()?;
     let mut single = CheckpointEntry::default();
-    let mut single_fields = false;
+    let (mut wrong_single, mut wrong_top) = (None, None);
     let mut sessions = None;
-    r.begin_object().ok()?;
-    while let Some(key) = r.next_key().ok()? {
-        match &*key {
-            "version" => (r.u64().ok()? == Some(SPEC_VERSION)).then_some(())?,
-            "sessions" => {
-                let mut list = Vec::new();
-                let mut names = HashSet::new();
-                r.begin_array().ok()?;
-                while r.next_item().ok()? {
-                    let mut entry = CheckpointEntry::default();
-                    r.begin_object().ok()?;
-                    while let Some(key) = r.next_key().ok()? {
-                        read_entry_field(&mut r, &key, &mut entry)?;
-                    }
-                    let fresh = names.insert(entry.name.clone()?);
-                    (fresh && entry.spec.is_some()).then_some(())?;
-                    list.push(entry);
-                }
-                sessions = Some(list);
-            }
-            "appends" | "spec" => {
-                read_entry_field(&mut r, &key, &mut single)?;
-                single_fields = true;
-            }
-            _ => return None,
+    while let Some(key) = r.next_key()? {
+        if key == "sessions" {
+            sessions = Some(read_sessions(r, entries, spec)?);
+            continue;
         }
-    }
-    r.end().ok()?;
-    match sessions {
-        Some(list) => (!single_fields).then_some(list),
-        None => single.spec.is_some().then(|| vec![single]),
-    }
-}
-
-/// Reads the value of a session's `key` into `entry`: `"session"` (a
-/// non-empty string), `"appends"` (an integer) or `"spec"`.
-fn read_entry_field(r: &mut Reader<'_>, key: &str, entry: &mut CheckpointEntry) -> Option<()> {
-    match key {
-        "session" => {
-            let name = r.str().ok()?;
-            entry.name = Some(name.into_owned()).filter(|name| !name.is_empty());
-            entry.name.as_ref()?;
-        }
-        "appends" => entry.appends = r.u64().ok()??,
-        "spec" => entry.spec = Some(SystemSpec::read(r).ok()?),
-        _ => return None,
-    }
-    Some(())
-}
-
-/// Reads the spec of session `entry` (`None` in the single-session
-/// layout) of a checkpoint that [`tree_entries`] accepted.
-fn read_entry_spec(text: &str, entry: Option<usize>) -> Result<SystemSpec, SpecError> {
-    // Opens the object that comes next and moves to the value of `key`.
-    fn seek(r: &mut Reader<'_>, key: &str) -> Result<(), ParseError> {
-        r.begin_object()?;
-        while r.next_key()?.is_some_and(|k| k != key) {
-            r.skip()?;
-        }
-        Ok(())
-    }
-    let mut r = Reader::new(text);
-    if let Some(index) = entry {
-        seek(&mut r, "sessions")?;
-        r.begin_array()?;
-        for _ in 0..index {
-            r.next_item()?;
-            r.skip()?;
-        }
-        r.next_item()?;
-    }
-    seek(&mut r, "spec")?;
-    SystemSpec::read(&mut r)
-}
-
-/// [`checkpoint_entries`] over a parsed document; the entries' specs are
-/// left to read.
-fn tree_entries(doc: &Value) -> Result<Vec<CheckpointEntry>, SpecSessionError> {
-    let fail = |what: String| Err(SpecSessionError::Checkpoint(what));
-    let Some(fields) = doc.as_object() else {
-        return fail("top level must be an object".into());
-    };
-    let Some(sessions) = doc.get("sessions") else {
-        return Ok(vec![checkpoint_entry(fields, None)?]);
-    };
-    for (key, val) in fields {
-        match key.as_str() {
-            "version" => check_version(val).map_err(SpecSessionError::Checkpoint)?,
-            "sessions" => {}
-            other => return fail(format!("unknown field \"{other}\"")),
-        }
-    }
-    let Some(sessions) = sessions.as_array() else {
-        return fail("\"sessions\" must be an array".into());
-    };
-    let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(sessions.len());
-    for (index, session) in sessions.iter().enumerate() {
-        let Some(fields) = session.as_object() else {
-            return fail(format!("sessions[{index}] must be an object"));
+        let wrong = read_field(r, &key, &mut single, None, spec)?;
+        let wrong_here = match &*key {
+            "version" => wrong.clone(),
+            _ => Some(format!("unknown field \"{key}\"")),
         };
-        let entry = checkpoint_entry(fields, Some(index))?;
-        let Some(name) = &entry.name else {
-            return fail(format!("sessions[{index}] is missing \"session\""));
-        };
-        if entries.iter().any(|e| e.name.as_ref() == Some(name)) {
-            return fail(format!("duplicate session \"{name}\""));
+        wrong_single = wrong_single.or(wrong);
+        wrong_top = wrong_top.or(wrong_here);
+    }
+    r.end()?;
+    Ok(match sessions {
+        Some(wrong_sessions) => wrong_top.or(wrong_sessions),
+        None if wrong_single.is_some() => wrong_single,
+        None if single.spec.is_none() => Some("missing \"spec\" field".into()),
+        None => {
+            entries.push(single);
+            None
         }
-        entries.push(entry);
-    }
-    Ok(entries)
-}
-
-/// Reads one session's fields: the whole single-session document
-/// (`index` = `None`: `version`, `appends`, `spec`) or element `index` of
-/// `"sessions"` (`session`, `appends`, `spec`). `spec` is required; any
-/// other field is an error.
-fn checkpoint_entry(
-    fields: &[(String, Value)],
-    index: Option<usize>,
-) -> Result<CheckpointEntry, SpecSessionError> {
-    let at = index.map_or_else(String::new, |i| format!("sessions[{i}]: "));
-    let fail = |what: &str| SpecSessionError::Checkpoint(format!("{at}{what}"));
-    let mut name = None;
-    let mut appends = 0u64;
-    let mut spec = false;
-    for (key, val) in fields {
-        match (key.as_str(), index) {
-            ("version", None) => check_version(val).map_err(|e| fail(&e))?,
-            ("session", Some(_)) => {
-                let text = val.as_str().filter(|s| !s.is_empty());
-                name = Some(
-                    text.ok_or_else(|| fail("session must be a non-empty string"))?
-                        .to_string(),
-                );
-            }
-            ("appends", _) => {
-                appends = val
-                    .as_u64()
-                    .ok_or_else(|| fail("appends must be an integer"))?;
-            }
-            ("spec", _) => spec = true,
-            (other, _) => return Err(fail(&format!("unknown field \"{other}\""))),
-        }
-    }
-    if !spec {
-        return Err(fail("missing \"spec\" field"));
-    }
-    Ok(CheckpointEntry {
-        name,
-        appends,
-        spec: None,
     })
 }
 
-/// Accepts only the checkpoint format version this build writes.
-fn check_version(val: &Value) -> Result<(), String> {
-    match val.as_u64() {
-        Some(SPEC_VERSION) => Ok(()),
-        Some(v) => Err(format!("unsupported checkpoint version {v}")),
-        None => Err("version must be an integer".into()),
+/// Reads the `"sessions"` array: the first error in its sessions' fields
+/// or names, if any.
+fn read_sessions<E: From<ParseError>>(
+    r: &mut Reader<'_>,
+    entries: &mut Vec<CheckpointEntry>,
+    spec: &mut impl FnMut(&mut Reader<'_>) -> Result<SystemSpec, E>,
+) -> Result<Option<String>, E> {
+    if r.peek()? != Kind::Array {
+        r.skip()?;
+        return Ok(Some("\"sessions\" must be an array".into()));
     }
+    r.begin_array()?;
+    let mut names = HashSet::new();
+    let mut wrong = None;
+    let mut index = 0;
+    while r.next_item()? {
+        let at = index;
+        index += 1;
+        if r.peek()? != Kind::Object {
+            r.skip()?;
+            wrong = wrong.or_else(|| Some(format!("sessions[{at}] must be an object")));
+            continue;
+        }
+        r.begin_object()?;
+        let mut entry = CheckpointEntry::default();
+        let mut wrong_field = None;
+        while let Some(key) = r.next_key()? {
+            let field = read_field(r, &key, &mut entry, Some(at), spec)?;
+            wrong_field = wrong_field.or(field);
+        }
+        if wrong.is_some() {
+            continue;
+        }
+        wrong = match &entry.name {
+            _ if wrong_field.is_some() => wrong_field,
+            _ if entry.spec.is_none() => Some(format!("sessions[{at}]: missing \"spec\" field")),
+            None => Some(format!("sessions[{at}] is missing \"session\"")),
+            Some(name) if !names.insert(name.clone()) => {
+                Some(format!("duplicate session \"{name}\""))
+            }
+            Some(_) => {
+                entries.push(entry);
+                None
+            }
+        };
+    }
+    Ok(wrong)
+}
+
+/// Reads the value of field `key` of a session into `entry`: `"appends"`,
+/// `"spec"`, and `"session"` for element `index` of `"sessions"` or
+/// `"version"` for the single-session layout (`index` = `None`). Returns
+/// what is wrong with the field, if anything.
+fn read_field<E: From<ParseError>>(
+    r: &mut Reader<'_>,
+    key: &str,
+    entry: &mut CheckpointEntry,
+    index: Option<usize>,
+    spec: &mut impl FnMut(&mut Reader<'_>) -> Result<SystemSpec, E>,
+) -> Result<Option<String>, E> {
+    // The next value as an integer, `None` if it is not one.
+    fn integer(r: &mut Reader<'_>) -> Result<Option<u64>, ParseError> {
+        match r.peek()? {
+            Kind::Num => r.u64(),
+            _ => r.skip().map(|()| None),
+        }
+    }
+    let wrong = match (key, index) {
+        ("version", None) => match integer(r)? {
+            Some(SPEC_VERSION) => None,
+            Some(v) => Some(format!("unsupported checkpoint version {v}")),
+            None => Some("version must be an integer".into()),
+        },
+        ("session", Some(_)) => {
+            if r.peek()? == Kind::Str {
+                entry.name = Some(r.str()?.into_owned()).filter(|name| !name.is_empty());
+            } else {
+                r.skip()?;
+            }
+            entry
+                .name
+                .is_none()
+                .then(|| "session must be a non-empty string".into())
+        }
+        ("appends", _) => match integer(r)? {
+            Some(appends) => {
+                entry.appends = appends;
+                None
+            }
+            None => Some("appends must be an integer".into()),
+        },
+        ("spec", _) => {
+            entry.spec = Some(spec(r)?);
+            None
+        }
+        _ => {
+            r.skip()?;
+            Some(format!("unknown field \"{key}\""))
+        }
+    };
+    Ok(wrong.map(|what| match index {
+        Some(at) => format!("sessions[{at}]: {what}"),
+        None => what,
+    }))
 }
 
 #[cfg(test)]
@@ -857,6 +804,18 @@ mod tests {
         assert!(matches!(acc.merge(&bad), Err(SpecError::BadNode(_))));
     }
 
+    /// The checkpoint document of `session` as the lone default session.
+    fn checkpoint(session: &SpecSession) -> String {
+        sessions_checkpoint([(&DEFAULT_SESSION.to_string(), session)])
+    }
+
+    /// The one session the checkpoint document `text` restores.
+    fn restore_one(text: &str) -> Result<SpecSession, SpecSessionError> {
+        let mut sessions = restore_sessions(text, CheckOptions::default())?;
+        assert_eq!(sessions.len(), 1, "{text}");
+        Ok(sessions.pop().expect("one session").1)
+    }
+
     #[test]
     fn checkpoint_roundtrip_restores_the_session() {
         let mut session = SpecSession::new();
@@ -865,8 +824,7 @@ mod tests {
             session.append(fragment).unwrap();
         }
         assert_eq!(session.stats().appends, fragments.len() as u64);
-        let checkpoint = session.checkpoint_json();
-        let restored = SpecSession::from_checkpoint(&checkpoint, CheckOptions::default()).unwrap();
+        let restored = restore_one(&checkpoint(&session)).unwrap();
         assert_eq!(restored.spec(), session.spec());
         assert_eq!(
             format!("{:?}", restored.verdict().unwrap()),
@@ -875,7 +833,7 @@ mod tests {
         // The append counter resumes from the recorded count even though
         // the restore replayed the whole prefix as one batch append.
         assert_eq!(restored.stats().appends, fragments.len() as u64);
-        let junk = SpecSession::from_checkpoint("{]", CheckOptions::default());
+        let junk = restore_sessions("{]", CheckOptions::default());
         assert!(matches!(junk, Err(SpecSessionError::Checkpoint(_))));
     }
 
@@ -894,7 +852,7 @@ mod tests {
         }
         // A lone "default" session serializes byte-identically to the
         // single-session format, and that format restores as "default".
-        let legacy = session.checkpoint_json();
+        let legacy = checkpoint(&session);
         let entries = vec![(
             DEFAULT_SESSION.to_string(),
             session.stats().appends,
@@ -920,11 +878,6 @@ mod tests {
         assert_eq!(restored[1].0, "beta");
         assert_eq!(restored[1].1.stats().appends, session.stats().appends);
         assert_eq!(restored[1].1.spec(), session.spec());
-        // The single-session restore refuses a document of named sessions.
-        assert!(matches!(
-            SpecSession::from_checkpoint(&doc, CheckOptions::default()),
-            Err(SpecSessionError::Checkpoint(_))
-        ));
 
         // Duplicate names and unknown fields are hard errors.
         let dup = sessions_checkpoint_json(vec![
@@ -1189,9 +1142,11 @@ mod tests {
                 appends,
                 merged.to_json(),
             )]);
-            let rendered = session.checkpoint_json();
-            let restore = |doc: &str| SpecSession::from_checkpoint(doc, CheckOptions::default());
-            let (old, new) = (restore(&closed).unwrap(), restore(&rendered).unwrap());
+            let rendered = checkpoint(&session);
+            let (old, new) = (
+                restore_one(&closed).unwrap(),
+                restore_one(&rendered).unwrap(),
+            );
             assert_eq!(old.system(), new.system(), "seed {seed}");
             assert_eq!(new.system(), merged.build().ok().as_ref(), "seed {seed}");
             assert_eq!(
@@ -1216,7 +1171,7 @@ mod tests {
             for fragment in &fragments {
                 session.append(fragment).unwrap();
             }
-            let doc = compc_json::parse(&session.checkpoint_json()).unwrap();
+            let doc = compc_json::parse(&checkpoint(&session)).unwrap();
             let written = SystemSpec::from_json(doc.get("spec").unwrap()).unwrap();
             let count = |spec: &SystemSpec| spec.relations().map(Vec::len);
             assert_eq!(count(&written), count(&covering), "seed {seed}");
@@ -1235,30 +1190,48 @@ mod tests {
             r#"{"schedules": ["S"], "nodes": [{"name": "T", "kind": "odd", "home": "S"}]}"#;
         let one = r#"{"schedules": ["S"], "nodes": [{"name": "T", "kind": "root", "home": "S"}]}"#;
         let cases: Vec<(String, &str)> = vec![
-            (r#"{"spec": "#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:10: unexpected end of input | invalid checkpoint: not JSON: JSON parse error at 1:10: unexpected end of input"#),
-            ("[]".into(), r#"invalid checkpoint: top level must be an object | invalid checkpoint: top level must be an object"#),
-            (r#"{"version": 2, "spec": {}}"#.into(), r#"invalid checkpoint: unsupported checkpoint version 2 | invalid checkpoint: unsupported checkpoint version 2"#),
-            (r#"{"spec": {"nodes": 3}}"#.into(), r#"spec parse error: nodes: expected an array, got number | spec parse error: nodes: expected an array, got number"#),
-            (r#"{"spec": {"nodes": 3}, "version": 2}"#.into(), r#"invalid checkpoint: unsupported checkpoint version 2 | invalid checkpoint: unsupported checkpoint version 2"#),
-            (r#"{"spec": {"nodes": 3}, "appends": "x"}"#.into(), r#"invalid checkpoint: appends must be an integer | invalid checkpoint: appends must be an integer"#),
-            (r#"{"spec": {"nodes": [{"name": "T", "kind": null}]}, "appends": [}"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:64: unexpected character '}' | invalid checkpoint: not JSON: JSON parse error at 1:64: unexpected character '}'"#),
-            (r#"{"spec": {"nodes": []}} x"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:25: unexpected trailing characters | invalid checkpoint: not JSON: JSON parse error at 1:25: unexpected trailing characters"#),
-            (r#"{"appends": 2}"#.into(), r#"invalid checkpoint: missing "spec" field | invalid checkpoint: missing "spec" field"#),
-            (r#"{"appends": 2, "spec": {}, "session": "a"}"#.into(), r#"invalid checkpoint: unknown field "session" | invalid checkpoint: unknown field "session""#),
-            (format!(r#"{{"appends": 7, "spec": {one}}}"#), r#"default 7 {"version":1,"schedules":["S"],"nodes":[{"name":"T","kind":"root","home":"S"}],"auto_propagate":true} | 7 1"#),
-            (format!(r#"{{"spec": {bad_kind}}}"#), r#"inconsistent node declaration: nodes[0] ("T"): unknown kind "odd" | inconsistent node declaration: nodes[0] ("T"): unknown kind "odd""#),
-            (r#"{"sessions": {}}"#.into(), r#"invalid checkpoint: "sessions" must be an array | invalid checkpoint: "sessions" must be an array"#),
-            (r#"{"sessions": [3]}"#.into(), r#"invalid checkpoint: sessions[0] must be an object | invalid checkpoint: sessions[0] must be an object"#),
-            (r#"{"sessions": [{"spec": {}}]}"#.into(), r#"invalid checkpoint: sessions[0] is missing "session" | invalid checkpoint: sessions[0] is missing "session""#),
-            (r#"{"sessions": [{"session": "", "spec": {}}]}"#.into(), r#"invalid checkpoint: sessions[0]: session must be a non-empty string | invalid checkpoint: sessions[0]: session must be a non-empty string"#),
-            (r#"{"sessions": [{"session": "a", "spec": {}}], "spec": {}}"#.into(), r#"invalid checkpoint: unknown field "spec" | invalid checkpoint: unknown field "spec""#),
-            (r#"{"appends": 3, "sessions": []}"#.into(), r#"invalid checkpoint: unknown field "appends" | invalid checkpoint: unknown field "appends""#),
-            (r#"{"sessions": [{"session": "a", "spec": {}, "version": 1}]}"#.into(), r#"invalid checkpoint: sessions[0]: unknown field "version" | invalid checkpoint: sessions[0]: unknown field "version""#),
-            (r#"{"sessions": [{"session": "a", "spec": {"nodes": 3}}, {"session": "a", "spec": {}}]}"#.into(), r#"invalid checkpoint: duplicate session "a" | invalid checkpoint: duplicate session "a""#),
-            (r#"{"sessions": [{"session": "a", "spec": {}}, {"session": "b", "spec": {"nodes": 3}}]}"#.into(), r#"spec parse error: nodes: expected an array, got number | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
-            (format!(r#"{{"sessions": [{{"session": "a", "spec": {bad_kind}}}, {{"session": "b", "spec": {{"nodes": 3}}}}]}}"#), r#"inconsistent node declaration: nodes[0] ("T"): unknown kind "odd" | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
-            (format!(r#"{{"version": 1, "sessions": [{{"session": "b", "appends": 4, "spec": {one}}}, {{"spec": {{}}, "session": "a\"1"}}]}}"#), r#"b 4 {"version":1,"schedules":["S"],"nodes":[{"name":"T","kind":"root","home":"S"}],"auto_propagate":true}; a"1 0 {"version":1,"schedules":[],"nodes":[],"auto_propagate":false} | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
-            (format!(r#"{{"sessions": [{{"session": "a", "spec": {one}}}, {{"session": "b", "spec": {{"version": 2}}}}]}}"#), r#"unsupported spec version 2 (this build reads version 1) | invalid checkpoint: a multi-session checkpoint holds named sessions; restore it with restore_sessions"#),
+            (r#"{"spec": "#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:10: unexpected end of input"#),
+            ("[]".into(), r#"invalid checkpoint: top level must be an object"#),
+            (r#"{"version": 2, "spec": {}}"#.into(), r#"invalid checkpoint: unsupported checkpoint version 2"#),
+            (r#"{"spec": {"nodes": 3}}"#.into(), r#"spec parse error: nodes: expected an array, got number"#),
+            (r#"{"spec": {"nodes": 3}, "version": 2}"#.into(), r#"invalid checkpoint: unsupported checkpoint version 2"#),
+            (r#"{"spec": {"nodes": 3}, "appends": "x"}"#.into(), r#"invalid checkpoint: appends must be an integer"#),
+            (r#"{"spec": {"nodes": [{"name": "T", "kind": null}]}, "appends": [}"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:64: unexpected character '}'"#),
+            (r#"{"spec": {"nodes": []}} x"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:25: unexpected trailing characters"#),
+            (r#"{"appends": 2}"#.into(), r#"invalid checkpoint: missing "spec" field"#),
+            (r#"{"appends": 2, "spec": {}, "session": "a"}"#.into(), r#"invalid checkpoint: unknown field "session""#),
+            (format!(r#"{{"appends": 7, "spec": {one}}}"#), r#"default 7 {"version":1,"schedules":["S"],"nodes":[{"name":"T","kind":"root","home":"S"}],"auto_propagate":true}"#),
+            (format!(r#"{{"spec": {bad_kind}}}"#), r#"inconsistent node declaration: nodes[0] ("T"): unknown kind "odd""#),
+            (r#"{"sessions": {}}"#.into(), r#"invalid checkpoint: "sessions" must be an array"#),
+            (r#"{"sessions": [3]}"#.into(), r#"invalid checkpoint: sessions[0] must be an object"#),
+            (r#"{"sessions": [{"spec": {}}]}"#.into(), r#"invalid checkpoint: sessions[0] is missing "session""#),
+            (r#"{"sessions": [{"session": "", "spec": {}}]}"#.into(), r#"invalid checkpoint: sessions[0]: session must be a non-empty string"#),
+            (r#"{"sessions": [{"session": "a", "spec": {}}], "spec": {}}"#.into(), r#"invalid checkpoint: unknown field "spec""#),
+            (r#"{"appends": 3, "sessions": []}"#.into(), r#"invalid checkpoint: unknown field "appends""#),
+            (r#"{"sessions": [{"session": "a", "spec": {}, "version": 1}]}"#.into(), r#"invalid checkpoint: sessions[0]: unknown field "version""#),
+            (r#"{"sessions": [{"session": "a", "spec": {"nodes": 3}}, {"session": "a", "spec": {}}]}"#.into(), r#"invalid checkpoint: duplicate session "a""#),
+            (r#"{"sessions": [{"session": "a", "spec": {}}, {"session": "b", "spec": {"nodes": 3}}]}"#.into(), r#"spec parse error: nodes: expected an array, got number"#),
+            (format!(r#"{{"sessions": [{{"session": "a", "spec": {bad_kind}}}, {{"session": "b", "spec": {{"nodes": 3}}}}]}}"#), r#"inconsistent node declaration: nodes[0] ("T"): unknown kind "odd""#),
+            (format!(r#"{{"version": 1, "sessions": [{{"session": "b", "appends": 4, "spec": {one}}}, {{"spec": {{}}, "session": "a\"1"}}]}}"#), r#"b 4 {"version":1,"schedules":["S"],"nodes":[{"name":"T","kind":"root","home":"S"}],"auto_propagate":true}; a"1 0 {"version":1,"schedules":[],"nodes":[],"auto_propagate":false}"#),
+            (format!(r#"{{"sessions": [{{"session": "a", "spec": {one}}}, {{"session": "b", "spec": {{"version": 2}}}}]}}"#), r#"unsupported spec version 2 (this build reads version 1)"#),
+            // Phase order against document order: a later field of the
+            // layout outranks an earlier session's, a later session's
+            // field an earlier session's spec, and a later syntax error
+            // everything.
+            (r#"{"sessions": [3], "bogus": 1}"#.into(), r#"invalid checkpoint: unknown field "bogus""#),
+            (r#"{"sessions": {}, "version": "1"}"#.into(), r#"invalid checkpoint: version must be an integer"#),
+            (r#"{"sessions": [{"session": "a", "spec": {"nodes": 3}}], "version": 2}"#.into(), r#"invalid checkpoint: unsupported checkpoint version 2"#),
+            (r#"{"spec": {}, "appends": "x", "sessions": []}"#.into(), r#"invalid checkpoint: unknown field "spec""#),
+            (r#"{"spec": {"nodes": 3}, "session": "a"}"#.into(), r#"invalid checkpoint: unknown field "session""#),
+            (r#"{"version": 1.5, "spec": {"nodes": 3}}"#.into(), r#"invalid checkpoint: version must be an integer"#),
+            (r#"{"sessions": [{"session": "a", "spec": {"nodes": 3}}, {"session": "b", "spec": {]}}"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:81: expected '"'"#),
+            (r#"{"sessions": [{"session": "a", "spec": {"nodes": 3}}, {"session": ""}]}"#.into(), r#"invalid checkpoint: sessions[1]: session must be a non-empty string"#),
+            (r#"{"sessions": [{"spec": {"nodes": 3}, "session": "a", "mystery": 1}]}"#.into(), r#"invalid checkpoint: sessions[0]: unknown field "mystery""#),
+            (r#"{"sessions": [{"session": "a"}, {"session": 5}]}"#.into(), r#"invalid checkpoint: sessions[0]: missing "spec" field"#),
+            (r#"{"sessions": [{"session": "a", "spec": {}}, 7, {"session": "a", "spec": {}}]}"#.into(), r#"invalid checkpoint: sessions[1] must be an object"#),
+            (r#"{"sessions": [{"spec": {"nodes": 3}, "appends": -1, "session": "a"}]}"#.into(), r#"invalid checkpoint: sessions[0]: appends must be an integer"#),
+            (format!(r#"{{"sessions": [{{"session": "a", "spec": {bad_kind}}}, {{"session": "b", "spec": {{"nodes": 3}}}}], "extra": 1}}"#), r#"invalid checkpoint: unknown field "extra""#),
+            (r#"{"spec": {"nodes": [], "nodes": []}, "appends": "x"}"#.into(), r#"invalid checkpoint: not JSON: JSON parse error at 1:31: duplicate object key "nodes""#),
         ];
         for (text, want) in &cases {
             let restored = match restore_sessions(text, CheckOptions::default()) {
@@ -1275,11 +1248,7 @@ mod tests {
                     .join("; "),
                 Err(e) => e.to_string(),
             };
-            let single = match SpecSession::from_checkpoint(text, CheckOptions::default()) {
-                Ok(s) => format!("{} {}", s.stats().appends, s.spec().nodes.len()),
-                Err(e) => e.to_string(),
-            };
-            assert_eq!(format!("{restored} | {single}"), *want, "{text}");
+            assert_eq!(restored, *want, "{text}");
         }
     }
 }

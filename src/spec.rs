@@ -281,11 +281,15 @@ impl SystemSpec {
         let mut r = Reader::new(input);
         Self::read(&mut r)
             .and_then(|spec| Ok(r.end().map(|()| spec)?))
-            // On the error path only: the text's first syntax error, if it
-            // has one, outranks the error the pass stopped at.
-            .map_err(|e| match compc_json::parse(input) {
-                Err(syntax) => syntax.into(),
-                Ok(_) => e,
+            // On the error path only: a second pass skips the whole text,
+            // building nothing, to find the first syntax error, which
+            // outranks the error the first pass stopped at.
+            .map_err(|e| {
+                let mut r = Reader::new(input);
+                match r.skip().and_then(|()| r.end()) {
+                    Err(syntax) => syntax.into(),
+                    Ok(()) => e,
+                }
             })
     }
 
@@ -1183,6 +1187,19 @@ mod tests {
             ),
             (r#"{"mystery": 1}"#, r#"top level: unknown field "mystery""#),
             ("[1, 2]", "top level: expected an object, got array"),
+            // A syntax error anywhere outranks a shape error before it.
+            (
+                r#"{"nodes": 3, "schedules": [}"#,
+                "JSON parse error at 1:28: unexpected character '}'",
+            ),
+            (
+                r#"[1, 2] x"#,
+                "JSON parse error at 1:8: unexpected trailing characters",
+            ),
+            (
+                r#"{"mystery": {"a": 1, "a": 2}}"#,
+                r#"JSON parse error at 1:25: duplicate object key "a""#,
+            ),
         ];
         for (input, want) in cases {
             let err = SystemSpec::parse(input).unwrap_err();

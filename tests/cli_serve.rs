@@ -957,6 +957,96 @@ fn torn_journal_tail_cannot_poison_later_acked_appends() {
     assert_eq!(daemon.wait_code(), 0);
 }
 
+/// Regression: a batch write that failed part-way left its partial bytes
+/// in the journal, and the next acked batch was appended after them,
+/// fusing into one unparseable record that the next restart refused —
+/// losing every acked append. A failed write must cut the journal back
+/// to its last whole batch. The write fails at the soft file-size limit
+/// (with SIGXFSZ ignored, the write returns an error instead of killing
+/// the daemon); the limit is then lifted so that later appends succeed.
+#[test]
+fn a_failed_journal_write_cannot_poison_later_acked_appends() {
+    let dir = tmpdir();
+    let socket = dir.join("w.sock");
+    let checkpoint = dir.join("w.checkpoint.json");
+    let journal = dir.join("w.journal.ndjson");
+    let serve_args = [
+        "--socket",
+        socket.to_str().unwrap(),
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
+    ];
+    let child = Command::new("sh")
+        .arg("-c")
+        .arg(format!(
+            "trap '' XFSZ; ulimit -S -f 4; exec '{}' '{}'",
+            env!("CARGO_BIN_EXE_compc-serve"),
+            serve_args.join("' '")
+        ))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("daemon spawns under a file-size limit");
+    let daemon = Daemon(child);
+    let root = |i: usize| {
+        format!(
+            r#"{{"append": {{"schedules": ["S"], "nodes": [{{"name": "T{i}", "kind": "root", "home": "S"}}, {{"name": "o{i}", "kind": "leaf", "parent": "T{i}"}}]}}}}"#
+        )
+    };
+    let mut acked = 0;
+    {
+        let stream = wait_for_socket(&socket);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let failed = loop {
+            assert!(acked < 1000, "the file-size limit never failed a write");
+            let response = roundtrip(&mut reader, &mut writer, &root(acked));
+            if response.get("ok").and_then(Value::as_bool) != Some(true) {
+                break response;
+            }
+            acked += 1;
+        };
+        assert_eq!(
+            str_field(&failed, "kind"),
+            "journal",
+            "{}",
+            failed.to_compact()
+        );
+        let lifted = Command::new("prlimit")
+            .arg(format!("--pid={}", daemon.0.id()))
+            .arg("--fsize=unlimited:")
+            .status()
+            .expect("prlimit runs");
+        assert!(lifted.success(), "prlimit lifts the file-size limit");
+        let next = roundtrip(&mut reader, &mut writer, &root(acked));
+        assert_eq!(
+            next.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "the append after a failed write is acked: {}",
+            next.to_compact()
+        );
+        acked += 1;
+    }
+    sigkill(daemon);
+
+    // Every acked append replays; the restart must not refuse the journal.
+    let daemon = Daemon::spawn(&serve_args);
+    let stream = wait_for_socket(&socket);
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let stats = roundtrip(&mut reader, &mut writer, "{\"op\": \"stats\"}");
+    assert_eq!(
+        stats.get("appends").and_then(Value::as_u64),
+        Some(acked as u64),
+        "every acked append must survive the failed write and the kill: {}",
+        stats.to_compact()
+    );
+    roundtrip(&mut reader, &mut writer, "{\"op\": \"shutdown\"}");
+    assert_eq!(daemon.wait_code(), 0);
+}
+
 /// A journal can only be compacted against a checkpoint that covers its
 /// records; without one it would grow without bound, so the combination
 /// is refused at startup.

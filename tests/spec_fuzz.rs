@@ -1,7 +1,9 @@
 //! Robustness of the JSON spec layer: arbitrary (garbage) specs must never
 //! panic — every failure mode is a typed error.
 
+use compc::session::{restore_sessions, SpecSession, SpecSessionError};
 use compc::spec::{NodeSpec, SystemSpec};
+use compc_core::CheckOptions;
 use compc_json::{Value, Writer};
 use proptest::prelude::*;
 
@@ -463,6 +465,157 @@ mod reference {
     }
 }
 
+/// The checkpoint reader's reference: the tree path that validated a
+/// checkpoint document before the one-pass reader reported its own
+/// errors, kept as it was. The whole text is parsed as a tree; the
+/// layout's fields, then every session's fields are checked on the tree;
+/// then each session's spec is read from its place in the text and built,
+/// in session order.
+mod checkpoint_reference {
+    use compc::session::{SpecSession, SpecSessionError, DEFAULT_SESSION};
+    use compc::spec::{SpecError, SystemSpec, SPEC_VERSION};
+    use compc_core::CheckOptions;
+    use compc_json::{ParseError, Reader, Value};
+
+    /// One session of a checkpoint document.
+    struct CheckpointEntry {
+        /// The session's name; `None` in the single-session layout.
+        name: Option<String>,
+        /// The recorded append count.
+        appends: u64,
+    }
+
+    /// Restores the sessions of `text`: each session's name, recorded
+    /// append count and session.
+    pub fn restore(text: &str) -> Result<Vec<(String, u64, SpecSession)>, SpecSessionError> {
+        let doc = compc_json::parse(text)
+            .map_err(|e| SpecSessionError::Checkpoint(format!("not JSON: {e}")))?;
+        tree_entries(&doc)?
+            .into_iter()
+            .enumerate()
+            .map(|(index, entry)| {
+                let spec = read_entry_spec(text, entry.name.is_some().then_some(index))?;
+                let mut session = SpecSession::with_options(CheckOptions::default());
+                if !spec.nodes.is_empty() {
+                    session.append_all(std::slice::from_ref(&spec))?;
+                }
+                let appends = entry.appends.max(session.stats().appends);
+                let name = entry.name.unwrap_or_else(|| DEFAULT_SESSION.to_string());
+                Ok((name, appends, session))
+            })
+            .collect()
+    }
+
+    /// Reads the spec of session `entry` (`None` in the single-session
+    /// layout) of a checkpoint that [`tree_entries`] accepted.
+    fn read_entry_spec(text: &str, entry: Option<usize>) -> Result<SystemSpec, SpecError> {
+        // Opens the object that comes next and moves to the value of `key`.
+        fn seek(r: &mut Reader<'_>, key: &str) -> Result<(), ParseError> {
+            r.begin_object()?;
+            while r.next_key()?.is_some_and(|k| k != key) {
+                r.skip()?;
+            }
+            Ok(())
+        }
+        let mut r = Reader::new(text);
+        if let Some(index) = entry {
+            seek(&mut r, "sessions")?;
+            r.begin_array()?;
+            for _ in 0..index {
+                r.next_item()?;
+                r.skip()?;
+            }
+            r.next_item()?;
+        }
+        seek(&mut r, "spec")?;
+        SystemSpec::read(&mut r)
+    }
+
+    /// Validates a parsed checkpoint document in either layout and lists
+    /// its sessions; their specs are left to read.
+    fn tree_entries(doc: &Value) -> Result<Vec<CheckpointEntry>, SpecSessionError> {
+        let fail = |what: String| Err(SpecSessionError::Checkpoint(what));
+        let Some(fields) = doc.as_object() else {
+            return fail("top level must be an object".into());
+        };
+        let Some(sessions) = doc.get("sessions") else {
+            return Ok(vec![checkpoint_entry(fields, None)?]);
+        };
+        for (key, val) in fields {
+            match key.as_str() {
+                "version" => check_version(val).map_err(SpecSessionError::Checkpoint)?,
+                "sessions" => {}
+                other => return fail(format!("unknown field \"{other}\"")),
+            }
+        }
+        let Some(sessions) = sessions.as_array() else {
+            return fail("\"sessions\" must be an array".into());
+        };
+        let mut entries: Vec<CheckpointEntry> = Vec::with_capacity(sessions.len());
+        for (index, session) in sessions.iter().enumerate() {
+            let Some(fields) = session.as_object() else {
+                return fail(format!("sessions[{index}] must be an object"));
+            };
+            let entry = checkpoint_entry(fields, Some(index))?;
+            let Some(name) = &entry.name else {
+                return fail(format!("sessions[{index}] is missing \"session\""));
+            };
+            if entries.iter().any(|e| e.name.as_ref() == Some(name)) {
+                return fail(format!("duplicate session \"{name}\""));
+            }
+            entries.push(entry);
+        }
+        Ok(entries)
+    }
+
+    /// Reads one session's fields: the whole single-session document
+    /// (`index` = `None`: `version`, `appends`, `spec`) or element `index`
+    /// of `"sessions"` (`session`, `appends`, `spec`). `spec` is required;
+    /// any other field is an error.
+    fn checkpoint_entry(
+        fields: &[(String, Value)],
+        index: Option<usize>,
+    ) -> Result<CheckpointEntry, SpecSessionError> {
+        let at = index.map_or_else(String::new, |i| format!("sessions[{i}]: "));
+        let fail = |what: &str| SpecSessionError::Checkpoint(format!("{at}{what}"));
+        let mut name = None;
+        let mut appends = 0u64;
+        let mut spec = false;
+        for (key, val) in fields {
+            match (key.as_str(), index) {
+                ("version", None) => check_version(val).map_err(|e| fail(&e))?,
+                ("session", Some(_)) => {
+                    let text = val.as_str().filter(|s| !s.is_empty());
+                    name = Some(
+                        text.ok_or_else(|| fail("session must be a non-empty string"))?
+                            .to_string(),
+                    );
+                }
+                ("appends", _) => {
+                    appends = val
+                        .as_u64()
+                        .ok_or_else(|| fail("appends must be an integer"))?;
+                }
+                ("spec", _) => spec = true,
+                (other, _) => return Err(fail(&format!("unknown field \"{other}\""))),
+            }
+        }
+        if !spec {
+            return Err(fail("missing \"spec\" field"));
+        }
+        Ok(CheckpointEntry { name, appends })
+    }
+
+    /// Accepts only the checkpoint format version this build writes.
+    fn check_version(val: &Value) -> Result<(), String> {
+        match val.as_u64() {
+            Some(SPEC_VERSION) => Ok(()),
+            Some(v) => Err(format!("unsupported checkpoint version {v}")),
+            None => Err("version must be an integer".into()),
+        }
+    }
+}
+
 /// The writer's reference: the tree builder and the recursive tree writer
 /// that wrote JSON before the streaming writer, kept as they were.
 mod write_reference {
@@ -811,6 +964,29 @@ fn cut(text: &str, at: usize) -> &str {
     &text[..at]
 }
 
+/// `text` with a syntax error at its end, drawn from `b`: its last byte
+/// cut, trailing garbage, or a `]` doubled.
+fn break_syntax(text: String, b: u64) -> String {
+    match b % 3 {
+        0 => cut(&text, text.len() - 1).to_string(),
+        1 => text + " x",
+        _ => text.replacen(']', "]]", 1 + (b / 3) as usize % 3),
+    }
+}
+
+/// `text` with one character, at a byte drawn from `b`, replaced by a
+/// JSON delimiter drawn from `a`.
+fn replace_byte(text: &str, a: u64, b: u64) -> String {
+    let at = cut(text, b as usize % (text.len() + 1)).len();
+    let mut out = text[..at].to_string();
+    let delimiters = b"{}[],:\"\\ 0-t";
+    out.push(delimiters[a as usize % delimiters.len()] as char);
+    if let Some(c) = text[at..].chars().next() {
+        out.push_str(&text[at + c.len_utf8()..]);
+    }
+    out
+}
+
 /// A spec's JSON text, mutated by `how` (picks drawn from `a` and `b`).
 fn mutated(spec: &SystemSpec, how: u32, a: u64, b: u64) -> String {
     let mut doc = spec.to_json();
@@ -890,28 +1066,203 @@ fn mutated(spec: &SystemSpec, how: u32, a: u64, b: u64) -> String {
         // A syntax error after a shape error.
         9 => {
             swap_type(&mut doc, a);
-            let text = render(&doc);
-            return match b % 3 {
-                0 => cut(&text, text.len() - 1).to_string(),
-                1 => text + " x",
-                _ => text.replacen(']', "]]", 1 + (b / 3) as usize % 3),
-            };
+            return break_syntax(render(&doc), b);
         }
         // One byte replaced by a JSON delimiter.
-        10 => {
-            let text = render(&doc);
-            let at = cut(&text, b as usize % (text.len() + 1)).len();
-            let mut out = text[..at].to_string();
-            let delimiters = b"{}[],:\"\\ 0-t";
-            out.push(delimiters[a as usize % delimiters.len()] as char);
-            if let Some(c) = text[at..].chars().next() {
-                out.push_str(&text[at + c.len_utf8()..]);
-            }
-            return out;
-        }
+        10 => return replace_byte(&render(&doc), a, b),
         _ => {}
     }
     render(&doc)
+}
+
+/// The `k`-th object of `v` in preorder, as its entries.
+fn nth_object<'v>(v: &'v mut Value, k: &mut usize) -> Option<&'v mut Vec<(String, Value)>> {
+    match v {
+        Value::Object(entries) => {
+            if *k == 0 {
+                return Some(entries);
+            }
+            *k -= 1;
+            entries.iter_mut().find_map(|(_, v)| nth_object(v, k))
+        }
+        Value::Array(items) => items.iter_mut().find_map(|v| nth_object(v, k)),
+        _ => None,
+    }
+}
+
+fn count_objects(v: &Value) -> usize {
+    match v {
+        Value::Object(entries) => 1 + entries.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
+        Value::Array(items) => items.iter().map(count_objects).sum(),
+        _ => 0,
+    }
+}
+
+/// A random object of `doc` (picked by `pick`), as its entries.
+fn some_object(doc: &mut Value, pick: u64) -> Option<&mut Vec<(String, Value)>> {
+    let mut k = pick as usize % count_objects(doc).max(1);
+    nth_object(doc, &mut k)
+}
+
+/// A checkpoint document of `specs`: the single-session layout for one
+/// unnamed session, else one session per spec named from `names`.
+fn checkpoint_doc(specs: &[SystemSpec], names: &[String], single: bool, a: u64) -> Value {
+    let field = |key: &str, v: Value| (key.to_string(), v);
+    let mut top = Vec::new();
+    if !a.is_multiple_of(5) {
+        top.push(field("version", Value::Num(1.0)));
+    }
+    if single {
+        top.push(field("appends", Value::Num((a % 4) as f64)));
+        top.push(field("spec", specs[0].to_json()));
+    } else {
+        let sessions = specs
+            .iter()
+            .zip(names)
+            .enumerate()
+            .map(|(i, (spec, name))| {
+                Value::Object(vec![
+                    field("session", Value::Str(name.clone())),
+                    field("appends", Value::Num(((a >> i) % 4) as f64)),
+                    field("spec", spec.to_json()),
+                ])
+            })
+            .collect();
+        top.push(field("sessions", Value::Array(sessions)));
+    }
+    Value::Object(top)
+}
+
+/// A checkpoint document's text, mutated by `how` (picks drawn from `a`
+/// and `b`): most mutations move an error between the layout, a
+/// session's fields, a spec and the syntax, or reorder an object so the
+/// phase order and the document order of two errors differ.
+fn mutated_checkpoint(mut doc: Value, how: u32, a: u64, b: u64) -> String {
+    let render = |doc: &Value| {
+        if a & 1 == 0 {
+            doc.to_compact()
+        } else {
+            doc.to_pretty()
+        }
+    };
+    match how {
+        // A value's type swapped, once or twice.
+        1 | 2 => {
+            swap_type(&mut doc, a);
+            if how == 2 {
+                swap_type(&mut doc, b);
+            }
+        }
+        // A duplicate key in some object.
+        3 => {
+            if let Some(object) = some_object(&mut doc, a).filter(|o| !o.is_empty()) {
+                let entry = object[b as usize % object.len()].clone();
+                let at = (b / 7) as usize % (object.len() + 1);
+                object.insert(at, entry);
+            }
+        }
+        // An unknown or misplaced field in some object.
+        4 => {
+            let keys = [
+                "mystery", "session", "spec", "appends", "version", "sessions",
+            ];
+            let field = (keys[b as usize % keys.len()].to_string(), Value::Num(1.0));
+            if let Some(object) = some_object(&mut doc, a) {
+                let at = (b / 7) as usize % (object.len() + 1);
+                object.insert(at, field);
+            }
+        }
+        // A field removed from some object.
+        5 => {
+            if let Some(object) = some_object(&mut doc, a).filter(|o| !o.is_empty()) {
+                object.remove(b as usize % object.len());
+            }
+        }
+        // An object's fields reordered, with a value retyped first.
+        6 => {
+            swap_type(&mut doc, b);
+            if let Some(object) = some_object(&mut doc, a).filter(|o| !o.is_empty()) {
+                let n = object.len();
+                object.rotate_left(b as usize % n);
+            }
+        }
+        // A session's name emptied or copied from another's.
+        7 => {
+            let names: Vec<Value> = match doc.get("sessions").and_then(Value::as_array) {
+                Some(items) => items
+                    .iter()
+                    .filter_map(|s| s.get("session"))
+                    .cloned()
+                    .collect(),
+                None => Vec::new(),
+            };
+            if let Some(object) = some_object(&mut doc, a) {
+                if let Some((_, v)) = object.iter_mut().find(|(k, _)| k == "session") {
+                    *v = names
+                        .get(b as usize % (names.len() + 1))
+                        .cloned()
+                        .unwrap_or(Value::Str(String::new()));
+                }
+            }
+        }
+        // Truncation at a random byte.
+        8 => {
+            let text = render(&doc);
+            return cut(&text, b as usize % (text.len() + 1)).to_string();
+        }
+        // A syntax error after a shape error.
+        9 => {
+            swap_type(&mut doc, a);
+            return break_syntax(render(&doc), b);
+        }
+        // One byte replaced by a JSON delimiter.
+        10 => return replace_byte(&render(&doc), a, b),
+        _ => {}
+    }
+    render(&doc)
+}
+
+/// A restore's outcome as text: each session's name, append count and
+/// rendered spec, or the error.
+fn restored_text(restored: Result<Vec<(String, u64, SpecSession)>, SpecSessionError>) -> String {
+    match restored {
+        Ok(sessions) => sessions
+            .iter()
+            .map(|(name, appends, s)| format!("{name} {appends} {}", s.spec().to_compact()))
+            .collect::<Vec<_>>()
+            .join("; "),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// A spec that builds, so that some sessions restore and a later
+/// session's error has an earlier build to be ranked against.
+fn valid_spec() -> SystemSpec {
+    SystemSpec::parse(
+        r#"{"schedules": ["S"], "nodes": [
+            {"name": "a", "kind": "root", "home": "S"},
+            {"name": "b", "kind": "root", "home": "S"},
+            {"name": "c", "kind": "leaf", "parent": "a"}
+        ]}"#,
+    )
+    .unwrap()
+}
+
+fn arb_spec() -> impl Strategy<Value = SystemSpec> {
+    let arbitrary = (
+        proptest::collection::vec(arb_name(), 0..3),
+        proptest::collection::vec(arb_node(), 0..4),
+        arb_pairs(),
+        arb_pairs(),
+    )
+        .prop_map(|(schedules, nodes, conflicts, output_weak)| SystemSpec {
+            schedules,
+            nodes,
+            conflicts,
+            output_weak,
+            ..SystemSpec::default()
+        });
+    prop_oneof![Just(valid_spec()), Just(SystemSpec::default()), arbitrary]
 }
 
 proptest! {
@@ -948,6 +1299,31 @@ proptest! {
         let got = SystemSpec::parse(&text).map_err(|e| e.to_string());
         let want = reference::spec(&text).map_err(|e| e.to_string());
         prop_assert_eq!(got, want, "{}", text);
+    }
+
+    /// The checkpoint reader restores every checkpoint document and every
+    /// mutation of one as the tree path did: the same sessions, or the
+    /// same error text. Not JSON outranks the layout's fields, which
+    /// outrank every session's fields, which outrank each session's spec
+    /// and build, taken in session order.
+    #[test]
+    fn checkpoint_reader_matches_the_tree_reference(
+        specs in proptest::collection::vec(arb_spec(), 1..4),
+        names in proptest::collection::vec(arb_name(), 3),
+        single in proptest::bool::ANY,
+        how in 0u32..11,
+        a in 0u64..1_000_000,
+        b in 0u64..1_000_000,
+    ) {
+        let text = mutated_checkpoint(checkpoint_doc(&specs, &names, single, a), how, a, b);
+        let got = restore_sessions(&text, CheckOptions::default()).map(|sessions| {
+            sessions
+                .into_iter()
+                .map(|(name, s)| (name, s.stats().appends, s))
+                .collect()
+        });
+        let want = checkpoint_reference::restore(&text);
+        prop_assert_eq!(restored_text(got), restored_text(want), "{}", text);
     }
 
     /// `SystemSpec::build` is total: any input yields `Ok` or a typed
