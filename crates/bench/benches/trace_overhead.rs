@@ -11,19 +11,18 @@
 //! * `memory` — `Checker::try_check` into a [`compc_trace::MemorySink`],
 //!   the per-item event capture the batch engine's `tracing(true)` uses.
 //!
-//! Every variant allocates a fresh `CheckScratch` per check, as
+//! Every variant runs in the bench thread's check buffers, as
 //! `Checker::check` does, so they differ only in the sink.
 
-use compc_core::{CheckCtx, CheckScratch, Checker};
+use compc_core::{CheckCtx, Checker};
 use compc_model::CompositeSystem;
 use compc_trace::{MemorySink, TraceSink, TraceStats};
 use compc_workload::random::{generate, GenParams, Shape};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn traced_check(checker: Checker, sys: &CompositeSystem, sink: &mut dyn TraceSink) -> bool {
-    let mut scratch = CheckScratch::new();
     checker
-        .try_check(sys, &mut CheckCtx::new(&mut scratch).traced(sink))
+        .try_check(sys, &mut CheckCtx::new().traced(sink))
         .expect("no deadline set")
         .is_correct()
 }

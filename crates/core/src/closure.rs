@@ -1,12 +1,18 @@
-//! Closure backend routing: the observed order's transitive closure is the
-//! one step of a check with several algorithms. This module picks the
-//! per-source, dense or condensed closure of the front's rows by
-//! [`Backend`] and node count, counts the choices, and holds the reusable
-//! buffers the backends close in ([`CheckScratch`]). Every choice gives the
-//! same closure (the backend-equivalence property tests pin this down).
+//! Closure backend routing and the per-thread check scratch: the observed
+//! order's transitive closure is the one step of a check with several
+//! algorithms. This module picks the per-source, dense or condensed
+//! closure of the front's rows by [`Backend`] and node count, and holds the
+//! reusable buffers a check's levels build in ([`CheckScratch`]). Every
+//! choice gives the same closure (the backend-equivalence property tests
+//! pin this down).
 
+use crate::front::Front;
 use crate::reduce::Backend;
-use compc_graph::{BitGraph, ChunkedBitGraph, SccScratch};
+use compc_graph::{
+    BitGraph, ChunkedBitGraph, ChunkedRow, CloseScratch, SccScratch, SearchScratch, WalkScratch,
+};
+use compc_model::{NodeId, SchedId};
+use std::cell::Cell;
 
 /// Default node-count crossover above which closures run on the dense
 /// word-parallel [`BitGraph`] backend instead of the sparse per-source DFS.
@@ -26,7 +32,7 @@ pub const DENSE_CROSSOVER_DEFAULT: usize = 64;
 /// [`Backend::Auto`] applies it; the other backends ignore it.
 pub const COMPRESSED_CROSSOVER_DEFAULT: usize = 4096;
 
-/// How many transitive closures a [`CheckScratch`] has run on each backend.
+/// How many transitive closures a check ran on each backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackendCounts {
     /// Closures on the flat dense bitset rows.
@@ -37,40 +43,100 @@ pub struct BackendCounts {
     pub compressed: u64,
 }
 
-/// Reusable allocation state for one checking session.
-///
-/// Holds the dense backend's flat rows and a Tarjan scratch. A
-/// `CheckScratch` kept across systems — as the batch engine's workers do —
-/// makes repeated checks allocation-light: buffers grow to the largest
-/// system seen and are then reused.
+impl BackendCounts {
+    /// Counts one closure on `backend` (never [`Backend::Auto`]).
+    fn count(&mut self, backend: Backend) {
+        match backend {
+            Backend::Compressed => self.compressed += 1,
+            Backend::Dense => self.dense += 1,
+            Backend::Sparse | Backend::Auto => self.sparse += 1,
+        }
+    }
+
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: BackendCounts) {
+        self.dense += other.dense;
+        self.sparse += other.sparse;
+        self.compressed += other.compressed;
+    }
+}
+
+/// The buffers the closure backends close in.
 #[derive(Debug, Default)]
-pub struct CheckScratch {
-    /// Exposed for callers that interleave their own SCC passes with checks.
-    pub scc: SccScratch,
-    /// Reusable flat rows for the word-parallel dense closure: one load
-    /// per closure reuses this allocation, so batch items reallocate
-    /// nothing once the buffer has grown.
-    pub(crate) dense: BitGraph,
-    counts: BackendCounts,
+pub(crate) struct ClosureScratch {
+    scc: SccScratch,
+    /// Flat rows for the word-parallel dense closure, and its sort buffers.
+    dense: BitGraph,
+    close: CloseScratch,
+    /// Walk buffers, shared with the calculation graph's shortcut walk.
+    pub(crate) walk: WalkScratch,
+    /// Closures run on each backend since the current reducer was made.
+    pub(crate) counts: BackendCounts,
+}
+
+/// Everything a check's levels build in, kept per thread: a [`Reducer`]
+/// takes its thread's scratch when it is made and puts it back when it is
+/// dropped, so a thread's checks reuse one set of buffers. Each buffer
+/// grows to the largest system the thread has checked and is reset, keeping
+/// its capacity, before every use. A second reducer alive on the same
+/// thread gets a fresh scratch; a reducer dropped by a panic, or of a
+/// system past [`COMPRESSED_CROSSOVER_DEFAULT`], drops its own.
+///
+/// [`Reducer`]: crate::Reducer
+#[derive(Debug, Default)]
+pub(crate) struct CheckScratch {
+    pub(crate) closure: ClosureScratch,
+    pub(crate) search: SearchScratch,
+    /// The front a dropped reducer left, reused for the next front 0.
+    pub(crate) front: Front,
+    /// The system's leaves, the level-0 members.
+    pub(crate) leaves: ChunkedRow,
+    /// Per level: the schedules reduced and the transactions entering.
+    pub(crate) scheds: Vec<SchedId>,
+    pub(crate) new_txs: Vec<NodeId>,
+    /// Per node, its transaction if reduced at this level, else itself.
+    pub(crate) comp: Vec<usize>,
+    /// The operations reduced at this level, all and per schedule.
+    pub(crate) replaced: ChunkedRow,
+    pub(crate) ops_of: Vec<ChunkedRow>,
+    /// Per schedule, the front members it contains.
+    pub(crate) by_container: Vec<ChunkedRow>,
+    /// The constraint rows of front members, the calculation graph and its
+    /// contraction.
+    pub(crate) constraint: ChunkedBitGraph,
+    pub(crate) calc: ChunkedBitGraph,
+    pub(crate) contracted: ChunkedBitGraph,
+    /// The next front's members and observed order, swapped with the
+    /// current front's once the level is done.
+    pub(crate) members: ChunkedRow,
+    pub(crate) observed: ChunkedBitGraph,
+    /// The next front's leaf members, the transactions entering at this
+    /// level, their containers, and the serialization pairs.
+    pub(crate) leaf_members: ChunkedRow,
+    pub(crate) entered: ChunkedRow,
+    pub(crate) containers: Vec<SchedId>,
+    pub(crate) pairs: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Option<CheckScratch>> = const { Cell::new(None) };
 }
 
 impl CheckScratch {
-    /// An empty scratch; buffers are created on first use.
-    pub fn new() -> Self {
-        CheckScratch::default()
+    /// The calling thread's scratch, or a fresh one if it is in use.
+    pub(crate) fn take() -> CheckScratch {
+        SCRATCH.with(Cell::take).unwrap_or_default()
     }
 
-    /// How many transitive closures this scratch has run on each backend
-    /// since creation — the engine snapshots these around each item so
-    /// `compc-check --stats` can report which representation a check
-    /// actually used.
-    pub fn backend_counts(&self) -> BackendCounts {
-        self.counts
+    /// Hands the scratch back to the calling thread.
+    pub(crate) fn put_back(self) {
+        // During thread teardown the scratch is simply dropped.
+        let _ = SCRATCH.try_with(|s| s.set(Some(self)));
     }
 }
 
 /// Closes `g` transitively in place on the calling thread, reusing
-/// `scratch` buffers.
+/// `scratch` buffers and counting the backend used.
 ///
 /// `backend` and the node count pick the algorithm. Under
 /// [`Backend::Auto`], graphs of at least [`COMPRESSED_CROSSOVER_DEFAULT`]
@@ -83,7 +149,7 @@ impl CheckScratch {
 pub(crate) fn transitive_closure(
     g: &mut ChunkedBitGraph,
     backend: Backend,
-    scratch: &mut CheckScratch,
+    scratch: &mut ClosureScratch,
 ) {
     let n = g.node_count();
     let backend = match backend {
@@ -91,19 +157,11 @@ pub(crate) fn transitive_closure(
         Backend::Auto if n >= DENSE_CROSSOVER_DEFAULT => Backend::Dense,
         other => other,
     };
+    scratch.counts.count(backend);
     match backend {
-        Backend::Compressed => {
-            scratch.counts.compressed += 1;
-            g.close_condensed(&mut scratch.scc);
-        }
-        Backend::Dense => {
-            scratch.counts.dense += 1;
-            g.close_dense(&mut scratch.dense);
-        }
-        Backend::Sparse | Backend::Auto => {
-            scratch.counts.sparse += 1;
-            g.close_by_dfs();
-        }
+        Backend::Compressed => g.close_condensed(&mut scratch.scc),
+        Backend::Dense => g.close_dense_with(&mut scratch.dense, &mut scratch.close),
+        Backend::Sparse | Backend::Auto => g.close_by_dfs_with(&mut scratch.walk),
     }
 }
 
@@ -134,7 +192,7 @@ mod tests {
         ];
         for backend in backends {
             let mut closed = rows.clone();
-            transitive_closure(&mut closed, backend, &mut CheckScratch::new());
+            transitive_closure(&mut closed, backend, &mut ClosureScratch::default());
             assert_eq!(
                 seq.edges().collect::<Vec<_>>(),
                 closed.edges().collect::<Vec<_>>(),
@@ -147,7 +205,7 @@ mod tests {
     fn backend_counters_track_routing() {
         let mut g = ChunkedBitGraph::with_nodes(10);
         g.add_edge(0, 1);
-        let mut scratch = CheckScratch::new();
+        let mut scratch = ClosureScratch::default();
         for backend in [
             Backend::Sparse,
             Backend::Dense,
@@ -157,7 +215,7 @@ mod tests {
             transitive_closure(&mut g, backend, &mut scratch);
         }
         assert_eq!(
-            scratch.backend_counts(),
+            scratch.counts,
             BackendCounts {
                 dense: 2,
                 sparse: 1,

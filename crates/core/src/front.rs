@@ -1,7 +1,7 @@
 //! Computational fronts (Definition 12) and conflict consistency
 //! (Definition 13).
 
-use compc_graph::{dot_escape, find_cycle_by, ChunkedBitGraph, ChunkedRow};
+use compc_graph::{dot_escape, ChunkedBitGraph, ChunkedRow, SearchScratch};
 use compc_model::{CompositeSystem, NodeId, Schedule};
 use std::collections::BTreeSet;
 
@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 ///
 /// Equality is structural: same level, members, closed observed order and
 /// input order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Front {
     pub(crate) level: usize,
     pub(crate) members: ChunkedRow,
@@ -48,27 +48,32 @@ impl Front {
     /// closed, so is its restriction to the schedule's leaves, and no pair
     /// relates two schedules.
     pub fn level0(sys: &CompositeSystem) -> Front {
+        let mut front = Front::default();
+        front.reset_to_level0(sys);
+        front
+    }
+
+    /// Rebuilds this front as [`Front::level0`] of `sys` in its own buffers.
+    pub(crate) fn reset_to_level0(&mut self, sys: &CompositeSystem) {
         let n = sys.node_count();
-        let mut members = ChunkedRow::new();
+        self.level = 0;
+        self.members.clear();
         for l in sys.leaves() {
-            members.insert(l.index(), n);
+            self.members.insert(l.index(), n);
         }
-        let mut observed = ChunkedBitGraph::with_nodes(n);
-        for l in members.iter() {
+        self.observed.reset(n);
+        for l in self.members.iter() {
             let Some(c) = sys.node(NodeId(l as u32)).container else {
                 continue;
             };
             let row = sys.schedule(c).output.weak().above_row(l);
             if !row.is_empty() {
-                observed.row_mut(l).or_masked(row, Some(&members), None, n);
+                self.observed
+                    .row_mut(l)
+                    .or_masked(row, Some(&self.members), None, n);
             }
         }
-        Front {
-            level: 0,
-            members,
-            observed,
-            input: ChunkedBitGraph::with_nodes(n),
-        }
+        self.input.reset(n);
     }
 
     /// Which reduction step produced this front (0 = all leaves).
@@ -137,41 +142,64 @@ impl Front {
     /// pairs: a member `u`'s row is `input[u] ∪ (observed[u] ∖ same[u])`,
     /// where `same[u]` holds the members of `u`'s container schedule, and
     /// then every declared conflict of a container adds its
-    /// schedule-ordered and observed directions.
+    /// schedule-ordered and observed directions. Any other node's row is
+    /// its input row.
     pub fn constraint_graph(&self, sys: &CompositeSystem) -> ChunkedBitGraph {
-        let n = self.observed.node_count();
-        let mut g = self.input.clone();
-        let by_container = self.members_by_container(sys);
-        for u in self.members.iter() {
-            let same = sys
-                .node(NodeId(u as u32))
-                .container
-                .map(|c| &by_container[c.index()]);
-            let row = g.row_mut(u);
-            row.or_masked(self.observed.row(u), None, same, n);
-            row.remove(u); // no pair of a member with itself conflicts
-        }
-        for (s, a, b) in self.declared_conflicts(sys, &by_container) {
-            if s.output.weak_lt(a, b) || self.has_observed(a, b) {
-                g.add_edge(a.index(), b.index());
-            }
-            if s.output.weak_lt(b, a) || self.has_observed(b, a) {
-                g.add_edge(b.index(), a.index());
+        let mut g = ChunkedBitGraph::new();
+        self.constraint_rows_into(sys, &mut Vec::new(), &mut g);
+        for u in 0..g.node_count() {
+            if !self.members.contains(u) {
+                *g.row_mut(u) = self.input.row(u).clone();
             }
         }
         g
     }
 
-    /// Per schedule id, the members whose container it is.
-    fn members_by_container(&self, sys: &CompositeSystem) -> Vec<ChunkedRow> {
+    /// The members' rows of [`Front::constraint_graph`] written into `out`,
+    /// whose other rows are left empty; `by_container` is a buffer for
+    /// [`Front::members_by_container`].
+    pub(crate) fn constraint_rows_into(
+        &self,
+        sys: &CompositeSystem,
+        by_container: &mut Vec<ChunkedRow>,
+        out: &mut ChunkedBitGraph,
+    ) {
         let n = self.observed.node_count();
-        let mut rows = vec![ChunkedRow::new(); sys.schedule_count()];
+        out.reset(n);
+        self.members_by_container(sys, by_container);
+        for u in self.members.iter() {
+            let same = sys
+                .node(NodeId(u as u32))
+                .container
+                .map(|c| &by_container[c.index()]);
+            let row = out.row_mut(u);
+            row.or_from(self.input.row(u), n);
+            row.or_masked(self.observed.row(u), None, same, n);
+            row.remove(u); // no pair of a member with itself conflicts
+        }
+        for (s, a, b) in self.declared_conflicts(sys, by_container) {
+            if s.output.weak_lt(a, b) || self.has_observed(a, b) {
+                out.add_edge(a.index(), b.index());
+            }
+            if s.output.weak_lt(b, a) || self.has_observed(b, a) {
+                out.add_edge(b.index(), a.index());
+            }
+        }
+    }
+
+    /// Fills `rows` with, per schedule id, the members whose container it
+    /// is.
+    fn members_by_container(&self, sys: &CompositeSystem, rows: &mut Vec<ChunkedRow>) {
+        let n = self.observed.node_count();
+        rows.resize_with(sys.schedule_count(), ChunkedRow::default);
+        for row in &mut rows[..sys.schedule_count()] {
+            row.clear();
+        }
         for m in self.members.iter() {
             if let Some(c) = sys.node(NodeId(m as u32)).container {
                 rows[c.index()].insert(m, n);
             }
         }
-        rows
     }
 
     /// The declared conflicts `(a, b)` between two members whose common
@@ -193,6 +221,13 @@ impl Front {
                     })
                     .map(move |(a, b)| (s, a, b))
             })
+    }
+
+    /// The nodes with successors in `<ₒ ∪ →`, ascending, and maybe more:
+    /// the members and the nodes with input pairs.
+    pub(crate) fn ordered_nodes(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.observed.node_count())
+            .filter(|&u| self.members.contains(u) || !self.input.row(u).is_empty())
     }
 
     /// Pushes the successors of `u` in `<ₒ ∪ →` onto `out`, ascending.
@@ -221,10 +256,18 @@ impl Front {
     /// (b) to the calculation search (Definition 16 step 1), not to this
     /// check.
     pub fn is_cc(&self) -> Option<Vec<NodeId>> {
-        find_cycle_by(self.observed.node_count(), |u, out| {
-            self.order_successors(u, out)
-        })
-        .map(|c| c.nodes.into_iter().map(|i| NodeId(i as u32)).collect())
+        self.cc_cycle(&mut SearchScratch::new())
+    }
+
+    /// [`Front::is_cc`] in `search`'s buffers, started only from the nodes
+    /// that have successors.
+    pub(crate) fn cc_cycle(&self, search: &mut SearchScratch) -> Option<Vec<NodeId>> {
+        let n = self.observed.node_count();
+        search
+            .find_cycle(n, self.ordered_nodes(), |u, out| {
+                self.order_successors(u, out)
+            })
+            .map(|c| c.nodes.into_iter().map(|i| NodeId(i as u32)).collect())
     }
 
     /// Observed pairs restricted to front members, as `NodeId` tuples.
@@ -251,7 +294,8 @@ impl Front {
     /// sorted: the declared conflicts of a common container, plus the
     /// observed pairs between members with no common container.
     pub fn conflict_pairs(&self, sys: &CompositeSystem) -> Vec<(NodeId, NodeId)> {
-        let by_container = self.members_by_container(sys);
+        let mut by_container = Vec::new();
+        self.members_by_container(sys, &mut by_container);
         let mut out: Vec<(NodeId, NodeId)> = self
             .declared_conflicts(sys, &by_container)
             .map(|(_, a, b)| (a, b))

@@ -80,9 +80,7 @@ mod reduce;
 mod session;
 
 pub use calculation::calculations_exist_bruteforce;
-pub use closure::{
-    BackendCounts, CheckScratch, COMPRESSED_CROSSOVER_DEFAULT, DENSE_CROSSOVER_DEFAULT,
-};
+pub use closure::{BackendCounts, COMPRESSED_CROSSOVER_DEFAULT, DENSE_CROSSOVER_DEFAULT};
 pub use explain::Explanation;
 pub use front::Front;
 pub use minimize::{minimize, MinimalCounterexample};

@@ -1,10 +1,10 @@
 //! The level-by-level reduction (Definition 16) and the Comp-C decision
 //! procedure (Definition 20 / Theorem 1).
 
-use crate::closure::{self, CheckScratch};
+use crate::closure::{self, BackendCounts, CheckScratch, COMPRESSED_CROSSOVER_DEFAULT};
 use crate::front::Front;
-use compc_graph::{find_cycle_by, topological_sort_by, ChunkedBitGraph, ChunkedRow};
-use compc_model::{CompositeSystem, NodeId};
+use compc_graph::{ChunkedBitGraph, ChunkedRow};
+use compc_model::{CompositeSystem, NodeId, SchedId};
 use compc_trace::{TraceEvent, TraceSink};
 use std::time::Instant;
 
@@ -288,29 +288,27 @@ impl CheckOptions {
     }
 }
 
-/// Per-call state for [`Checker::try_check`]: the caller's reusable
-/// [`CheckScratch`] and an optional [`TraceSink`].
+/// Per-call state for [`Checker::try_check`]: an optional [`TraceSink`] in,
+/// the check's closure-backend counts out.
 ///
-/// A hot loop keeps one scratch per thread and wraps it in a fresh
-/// `CheckCtx` per system; the check moves the buffers into its [`Reducer`]
-/// and back, so nothing is reallocated once they have grown. With a sink
-/// attached the check emits `check_start`, one `level` event per
-/// reduction step and `check_end`; an interrupted check emits its
-/// `check_start` and completed `level` events but no `check_end`.
+/// A check's buffers are its thread's (see [`Checker`]), so a hot loop
+/// needs nothing but a fresh `CheckCtx` per system. With a sink attached
+/// the check emits `check_start`, one `level` event per reduction step and
+/// `check_end`; an interrupted check emits its `check_start` and completed
+/// `level` events but no `check_end`.
+#[derive(Default)]
 pub struct CheckCtx<'a> {
-    /// Reusable graph buffers.
-    pub scratch: &'a mut CheckScratch,
     /// Receives the check's structured events, if set.
     pub sink: Option<&'a mut dyn TraceSink>,
+    /// The transitive closures the checks run with this context took on
+    /// each backend, added to by every check.
+    pub closures: BackendCounts,
 }
 
 impl<'a> CheckCtx<'a> {
-    /// A context over `scratch` with no sink.
-    pub fn new(scratch: &'a mut CheckScratch) -> Self {
-        CheckCtx {
-            scratch,
-            sink: None,
-        }
+    /// A context with no sink and zero counts.
+    pub fn new() -> Self {
+        CheckCtx::default()
     }
 
     /// Attaches a [`TraceSink`].
@@ -324,7 +322,7 @@ impl<'a> CheckCtx<'a> {
 /// anything beyond the plain [`check`] convenience wrapper.
 ///
 /// ```
-/// use compc_core::{CheckCtx, CheckOptions, CheckScratch, Checker};
+/// use compc_core::{CheckCtx, CheckOptions, Checker};
 /// # use compc_model::SystemBuilder;
 /// # let mut b = SystemBuilder::new();
 /// # let s = b.schedule("S");
@@ -333,13 +331,18 @@ impl<'a> CheckCtx<'a> {
 /// let checker = Checker::with_options(CheckOptions::new());
 /// assert!(checker.check(&sys).is_correct());
 ///
-/// // Hot loops reuse one scratch across systems and observe deadlines.
-/// let mut scratch = CheckScratch::new();
-/// let verdict = checker.try_check(&sys, &mut CheckCtx::new(&mut scratch));
+/// // Deadlines and cancellation surface as errors; the context counts
+/// // the closure backends the check used.
+/// let mut ctx = CheckCtx::new();
+/// let verdict = checker.try_check(&sys, &mut ctx);
 /// assert!(verdict.unwrap().is_correct());
+/// assert_eq!(ctx.closures.sparse, 1);
 /// ```
 ///
-/// A `Checker` is `Copy` and cheap: it is just validated options.
+/// A `Checker` is `Copy` and cheap: it is just validated options. Every
+/// check runs in its thread's buffers, which grow to the largest system
+/// the thread has checked and are then reused, so checking many systems
+/// on one thread reallocates next to nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Checker {
     options: CheckOptions,
@@ -373,30 +376,31 @@ impl Checker {
     /// If [`CheckOptions::deadline`] is set and expires mid-check; use
     /// [`Checker::try_check`] to handle interruption.
     pub fn check(&self, sys: &CompositeSystem) -> Verdict {
-        self.try_check(sys, &mut CheckCtx::new(&mut CheckScratch::new()))
+        self.try_check(sys, &mut CheckCtx::new())
             .unwrap_or_else(interruption_panic)
     }
 
-    /// [`Checker::check`] reusing `ctx`'s buffers and emitting to its
-    /// sink, surfacing deadline/cancel interruption instead of panicking.
+    /// [`Checker::check`] emitting to `ctx`'s sink and counting into its
+    /// closure counts, surfacing deadline/cancel interruption instead of
+    /// panicking.
     pub fn try_check(
         &self,
         sys: &CompositeSystem,
         ctx: &mut CheckCtx<'_>,
     ) -> Result<Verdict, Interrupted> {
-        let mut reducer = Reducer::with_scratch(sys, self.options, std::mem::take(ctx.scratch));
+        let mut reducer = Reducer::with_options(sys, self.options);
         if let Some(sink) = ctx.sink.as_deref_mut() {
             reducer = reducer.traced(sink);
         }
         let verdict = reducer.try_run();
-        *ctx.scratch = reducer.into_scratch();
+        ctx.closures.add(reducer.backend_counts());
         verdict
     }
 
     /// A stepwise [`Reducer`] over `sys` under this configuration, for
     /// traces and per-level inspection.
     pub fn reducer<'a>(&self, sys: &'a CompositeSystem) -> Reducer<'a> {
-        Reducer::with_scratch(sys, self.options, CheckScratch::new())
+        Reducer::with_options(sys, self.options)
     }
 }
 
@@ -423,13 +427,17 @@ struct LevelCounts {
 /// The stepwise reduction engine. Use [`check`] for the one-shot API; the
 /// `Reducer` itself exposes per-level stepping, the one way to inspect the
 /// fronts ([`Reducer::step`], then [`Reducer::front`]).
+///
+/// A reducer works in its thread's check buffers: it takes them when it
+/// is made and hands them back, with its last front, when it is dropped.
 pub struct Reducer<'a> {
     sys: &'a CompositeSystem,
     front: Front,
-    /// The system's leaves (the level-0 members).
-    leaves: ChunkedRow,
     options: CheckOptions,
     scratch: CheckScratch,
+    /// How long taking the scratch and building front 0 took, so a traced
+    /// run's `check_end` covers them.
+    setup: std::time::Duration,
     /// Structured-event sink. `None` costs one branch per level — the
     /// `trace_overhead` bench pins the disabled path at <2% of a check.
     sink: Option<&'a mut dyn TraceSink>,
@@ -440,31 +448,50 @@ pub struct Reducer<'a> {
     cancel: Option<&'a std::sync::atomic::AtomicBool>,
 }
 
+impl Drop for Reducer<'_> {
+    fn drop(&mut self) {
+        // A reducer unwound mid-level may leave its buffers half updated:
+        // its scratch is dropped, and the thread's next reducer starts
+        // from a fresh one. So is the scratch of a system past the
+        // compressed crossover, so that a thread does not hold a large
+        // system's buffers once it is done with it; reuse saves little
+        // next to such a check's own work.
+        if !std::thread::panicking() && self.sys.node_count() < COMPRESSED_CROSSOVER_DEFAULT {
+            let mut scratch = std::mem::take(&mut self.scratch);
+            std::mem::swap(&mut scratch.front, &mut self.front);
+            scratch.put_back();
+        }
+    }
+}
+
 impl<'a> Reducer<'a> {
     /// Starts a reduction at the level-0 front with default options.
     pub fn new(sys: &'a CompositeSystem) -> Self {
-        Self::with_scratch(sys, CheckOptions::default(), CheckScratch::new())
+        Self::with_options(sys, CheckOptions::default())
     }
 
-    /// Starts a reduction with explicit options and pre-allocated buffers
-    /// (the [`Checker`] entry points construct reducers through this). The
-    /// options' deadline, if any, starts counting now.
-    pub(crate) fn with_scratch(
-        sys: &'a CompositeSystem,
-        options: CheckOptions,
-        scratch: CheckScratch,
-    ) -> Self {
-        let front = Front::level0(sys);
+    /// Starts a reduction with explicit options (the [`Checker`] entry
+    /// points construct reducers through this). The options' deadline, if
+    /// any, starts counting now.
+    pub(crate) fn with_options(sys: &'a CompositeSystem, options: CheckOptions) -> Self {
+        let t0 = Instant::now();
+        let deadline = options
+            .deadline
+            .map_or_else(Deadline::none, Deadline::after);
+        let mut scratch = CheckScratch::take();
+        let mut front = std::mem::take(&mut scratch.front);
+        front.reset_to_level0(sys);
+        scratch.leaves.clear();
+        scratch.leaves.or_from(&front.members, sys.node_count());
+        scratch.closure.counts = BackendCounts::default();
         Reducer {
-            leaves: front.members.clone(),
             sys,
             front,
             options,
             scratch,
+            setup: t0.elapsed(),
             sink: None,
-            deadline: options
-                .deadline
-                .map_or_else(Deadline::none, Deadline::after),
+            deadline,
             cancel: None,
         }
     }
@@ -503,9 +530,9 @@ impl<'a> Reducer<'a> {
         &self.front
     }
 
-    /// Recovers the reusable buffers (for scratch-pooling callers).
-    pub fn into_scratch(self) -> CheckScratch {
-        self.scratch
+    /// How many transitive closures this reducer has run on each backend.
+    pub fn backend_counts(&self) -> BackendCounts {
+        self.scratch.closure.counts
     }
 
     /// Runs the reduction to completion. Idempotent only from a fresh
@@ -523,7 +550,8 @@ impl<'a> Reducer<'a> {
 
     /// [`Reducer::run`] that surfaces deadline/cancel interruption instead
     /// of panicking. An interrupted traced run has emitted `check_start`
-    /// and the completed `level` events, but no `check_end`.
+    /// and the completed `level` events, but no `check_end`, whose
+    /// `elapsed_ns` covers building front 0 as well as the run.
     pub fn try_run(&mut self) -> Result<Verdict, Interrupted> {
         let t0 = self.sink.is_some().then(Instant::now);
         if let Some(sink) = self.sink.as_deref_mut() {
@@ -549,7 +577,7 @@ impl<'a> Reducer<'a> {
                 levels_completed,
                 failed_level,
                 failed_phase,
-                elapsed_ns: t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                elapsed_ns: t0.map_or(0, |t| (self.setup + t.elapsed()).as_nanos() as u64),
             });
         }
         Ok(verdict)
@@ -559,7 +587,10 @@ impl<'a> Reducer<'a> {
         // Front 0 is CC by construction: its observed order is a union of
         // strict partial orders over disjoint leaf sets (one per schedule),
         // and it has no input orders.
-        debug_assert!(self.front.is_cc().is_none(), "front 0 is acyclic");
+        debug_assert!(
+            self.front.cc_cycle(&mut self.scratch.search).is_none(),
+            "front 0 is acyclic"
+        );
         for level in 1..=self.sys.order() {
             // The cooperative cancellation point: one branch per level when
             // no deadline/token is set.
@@ -570,9 +601,8 @@ impl<'a> Reducer<'a> {
                 return Ok(Verdict::Incorrect(cex));
             }
         }
-        debug_assert_eq!(
-            self.front.members().collect::<Vec<_>>(),
-            self.sys.roots().collect::<Vec<_>>(),
+        debug_assert!(
+            self.front.members().eq(self.sys.roots()),
             "a completed reduction must leave exactly the roots"
         );
         Ok(Verdict::Correct(Proof {
@@ -587,9 +617,12 @@ impl<'a> Reducer<'a> {
     /// contracted constraint graph), the new cyclic front for a
     /// conflict-consistency failure.
     pub fn step(&mut self, level: usize) -> Result<(), Counterexample> {
-        let scheds: Vec<compc_model::SchedId> =
-            self.sys.schedules_at_level(level).map(|s| s.id).collect();
-        self.step_schedules(&scheds, level)
+        let mut scheds = std::mem::take(&mut self.scratch.scheds);
+        scheds.clear();
+        scheds.extend(self.sys.schedules_at_level(level).map(|s| s.id));
+        let stepped = self.step_schedules(&scheds, level);
+        self.scratch.scheds = scheds;
+        stepped
     }
 
     /// Reduces an arbitrary set of schedules at once — the level-by-level
@@ -600,54 +633,107 @@ impl<'a> Reducer<'a> {
     /// verdict as the canonical level order.
     pub fn step_schedules(
         &mut self,
-        scheds: &[compc_model::SchedId],
+        scheds: &[SchedId],
         level: usize,
     ) -> Result<(), Counterexample> {
         let t0 = self.sink.is_some().then(Instant::now);
-        let sys = self.sys;
-        let n = sys.node_count();
-        let front = &self.front;
-        let members = &front.members;
-        let front_before = front.member_count();
-        // The transactions to reduce. `comp` maps each of their operations
-        // to the owning transaction and every other node to itself;
-        // `replaced` holds those operations, `ops_of` them per schedule.
-        let mut comp: Vec<usize> = (0..n).collect();
-        let mut replaced = ChunkedRow::new();
-        let mut ops_of = vec![ChunkedRow::new(); sys.schedule_count()];
-        let mut new_txs: Vec<NodeId> = Vec::new();
+        let front_before = self.front.member_count();
+        let mut counts = LevelCounts {
+            level,
+            schedules_reduced: scheds.len(),
+            front_before,
+            front_after: front_before,
+            constraint_edges: 0,
+            closure_edges: 0,
+            pairs_forgotten: 0,
+            serialization_pairs: 0,
+            ok: false,
+        };
+        self.group_operations(scheds, level);
+        if let Some(cycle) = self.calculation_cycle(t0.map(|_| &mut counts.constraint_edges)) {
+            self.emit_level(t0, counts);
+            return Err(self.counterexample(level, FailurePhase::Calculation, cycle));
+        }
+        self.pull_up(scheds, level, t0.is_some(), &mut counts);
+        counts.front_after = self.front.member_count();
+        // --- Step 6: the new front must be conflict consistent.
+        if let Some(cycle) = self.front.cc_cycle(&mut self.scratch.search) {
+            self.emit_level(t0, counts);
+            return Err(self.counterexample(level, FailurePhase::ConflictConsistency, cycle));
+        }
+        self.emit_level(t0, LevelCounts { ok: true, ..counts });
+        Ok(())
+    }
+
+    /// Groups the operations of `scheds`' transactions: `comp` maps each of
+    /// them to the owning transaction and every other node to itself,
+    /// `replaced` holds them, `ops_of` them per schedule, and the scratch
+    /// members become the next front's (step 5, propagation: kept members
+    /// stay, the new transactions enter).
+    fn group_operations(&mut self, scheds: &[SchedId], level: usize) {
+        let (sys, n) = (self.sys, self.sys.node_count());
+        let members = &self.front.members;
+        let sc = &mut self.scratch;
+        sc.comp.clear();
+        sc.comp.extend(0..n);
+        sc.replaced.clear();
+        sc.ops_of
+            .resize_with(sys.schedule_count(), ChunkedRow::default);
+        sc.new_txs.clear();
         for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
+            let ops = &mut sc.ops_of[s.id.index()];
+            ops.clear();
             for t in &s.transactions {
-                new_txs.push(t.id);
+                sc.new_txs.push(t.id);
                 for &o in &t.ops {
                     debug_assert!(
                         members.contains(o.index()),
                         "operation {o} of {t:?} must be in the level-{} front",
                         level - 1
                     );
-                    comp[o.index()] = t.id.index();
-                    replaced.insert(o.index(), n);
-                    ops_of[s.id.index()].insert(o.index(), n);
+                    sc.comp[o.index()] = t.id.index();
+                    sc.replaced.insert(o.index(), n);
+                    ops.insert(o.index(), n);
                 }
             }
         }
+        sc.members.clear();
+        sc.members.or_masked(members, None, Some(&sc.replaced), n);
+        for &t in &sc.new_txs {
+            sc.members.insert(t.index(), n);
+        }
+    }
 
-        // --- Step 1: simultaneous calculations exist iff the constraint
-        // graph, contracted by transaction grouping, is acyclic — and each
-        // group's *internal* constraints are acyclic too (a calculation is a
-        // single execution sequence, so a contradictory non-reorderable pair
-        // between two operations of one transaction also rules it out;
-        // contraction alone cannot see those, it drops self-edges). Under
-        // the no-forgetting ablation every observed pair constrains.
-        let constraint = if self.options.forgetting {
-            front.constraint_graph(sys)
+    /// Definition 16 step 1: simultaneous calculations exist iff the
+    /// constraint graph, contracted by transaction grouping, is acyclic —
+    /// and each group's *internal* constraints are acyclic too (a
+    /// calculation is a single execution sequence, so a contradictory
+    /// non-reorderable pair between two operations of one transaction also
+    /// rules it out; contraction alone cannot see those, it drops
+    /// self-edges). Under the no-forgetting ablation every observed pair
+    /// constrains. Returns the cycle if calculations do not exist; with
+    /// `constraint_edges` set, counts the constraint graph's edges into it.
+    fn calculation_cycle(&mut self, constraint_edges: Option<&mut usize>) -> Option<Vec<NodeId>> {
+        let (sys, n) = (self.sys, self.sys.node_count());
+        let front = &self.front;
+        let sc = &mut self.scratch;
+        // Only the members' constraint rows are built: every other node's
+        // row is its input row, which the shortcut walk reads in place.
+        if self.options.forgetting {
+            front.constraint_rows_into(sys, &mut sc.by_container, &mut sc.constraint);
         } else {
-            let mut g = front.input.clone();
-            for u in members.iter() {
-                g.row_mut(u).or_from(front.observed.row(u), n);
+            sc.constraint.reset(n);
+            for u in front.members.iter() {
+                let row = sc.constraint.row_mut(u);
+                row.or_from(front.input.row(u), n);
+                row.or_from(front.observed.row(u), n);
             }
-            g
-        };
+        }
+        if let Some(edges) = constraint_edges {
+            let outside = (0..n).filter(|&u| !front.members.contains(u));
+            *edges = sc.constraint.edge_count()
+                + outside.map(|u| front.input.row(u).count()).sum::<usize>();
+        }
         // Definition 14 constrains a calculation only through *pairs of
         // front members*. Accumulated input pairs keep their original
         // endpoints (step 6 stores them verbatim), so an endpoint reduced
@@ -658,45 +744,47 @@ impl<'a> Reducer<'a> {
         // stale nodes as distinct vertices instead would manufacture
         // phantom group -> stale -> group cycles out of chains that live
         // entirely inside one transaction (and break Theorem 2 on stacks).
-        let calc = constraint.shortcut_outside(members);
-        let contracted = calc.contract(&comp, &replaced);
-        let constraint_edges = constraint.edge_count();
-        let calc_cycle =
-            find_cycle_by(n, |v, out| out.extend(contracted.successors(v))).or_else(|| {
-                // The edges inside one transaction (only replaced operations
-                // share a transaction).
-                find_cycle_by(n, |u, out| {
+        sc.constraint.shortcut_outside(
+            &front.input,
+            &front.members,
+            &mut sc.calc,
+            &mut sc.closure.walk,
+        );
+        sc.calc.contract(&sc.comp, &sc.replaced, &mut sc.contracted);
+        // Contracted rows belong to the next front's members; edges inside
+        // one transaction start at replaced operations.
+        let (calc, contracted, comp) = (&sc.calc, &sc.contracted, &sc.comp);
+        sc.search
+            .find_cycle(n, sc.members.iter(), |v, out| {
+                out.extend(contracted.successors(v))
+            })
+            .or_else(|| {
+                sc.search.find_cycle(n, sc.replaced.iter(), |u, out| {
                     out.extend(calc.successors(u).filter(|&v| v != u && comp[v] == comp[u]))
                 })
-            });
-        if let Some(cycle) = calc_cycle {
-            let cycle: Vec<NodeId> = cycle.nodes.into_iter().map(|i| NodeId(i as u32)).collect();
-            self.emit_level(
-                t0,
-                LevelCounts {
-                    level,
-                    schedules_reduced: scheds.len(),
-                    front_before,
-                    front_after: front_before,
-                    constraint_edges,
-                    closure_edges: 0,
-                    pairs_forgotten: 0,
-                    serialization_pairs: 0,
-                    ok: false,
-                },
-            );
-            return Err(self.counterexample(level, FailurePhase::Calculation, cycle));
-        }
+            })
+            .map(|c| c.nodes.into_iter().map(|i| NodeId(i as u32)).collect())
+    }
 
-        // --- Steps 2–4: replace operations by their transactions and pull
-        // the observed order up (Definition 10 rules 2–4, Definition 11).
-        // Step 5 (propagation): kept nodes stay; the new transactions enter.
-        let mut new_members = ChunkedRow::new();
-        new_members.or_masked(members, None, Some(&replaced), n);
-        for &t in &new_txs {
-            new_members.insert(t.index(), n);
-        }
-
+    /// Steps 2–6 for `scheds`, whose operations are grouped: replaces the
+    /// operations by their transactions, pulls the observed order up
+    /// (Definition 10 rules 2–4, Definition 11), closes it, adds the
+    /// schedules' input orders and installs the result as the level-`level`
+    /// front. When `traced`, fills the level's trace counts.
+    fn pull_up(
+        &mut self,
+        scheds: &[SchedId],
+        level: usize,
+        traced: bool,
+        counts: &mut LevelCounts,
+    ) {
+        let (sys, n) = (self.sys, self.sys.node_count());
+        let forgetting = self.options.forgetting;
+        let front = &mut self.front;
+        let sc = &mut self.scratch;
+        let (comp, replaced, ops_of) = (&sc.comp, &sc.replaced, &sc.ops_of);
+        let observed = &mut sc.observed;
+        observed.reset(n);
         // Per observed row: a pair between kept members persists, and a
         // pair from a replaced operation to a kept member is pushed to the
         // transaction (rule 3: no reduced schedule contains a kept member,
@@ -706,85 +794,79 @@ impl<'a> Reducer<'a> {
         // schedule is pushed only via rule 2 — the schedule's own order and
         // conflict declaration, added below from schedule data. Pairs inside
         // one transaction are absorbed.
-        let mut observed = ChunkedBitGraph::with_nodes(n);
-        let mut pairs_forgotten = 0usize;
-        for a in members.iter() {
+        for a in front.members.iter() {
             let row = front.observed.row(a);
             let big_a = comp[a];
             let same = match sys.node(NodeId(a as u32)).container {
-                Some(c) if self.options.forgetting && big_a != a => Some(&ops_of[c.index()]),
+                Some(c) if forgetting && big_a != a => Some(&ops_of[c.index()]),
                 _ => None,
             };
-            if let Some(same) = same {
+            if let Some(same) = same.filter(|_| traced) {
                 let absorbed = sys.children(NodeId(big_a as u32));
-                pairs_forgotten += row.count_and(same)
+                counts.pairs_forgotten += row.count_and(same)
                     - absorbed.iter().filter(|o| row.contains(o.index())).count();
             }
             let dst = observed.row_mut(big_a);
-            dst.or_masked(row, None, Some(&replaced), n);
-            row.for_each_masked(Some(&replaced), same, |b| {
+            dst.or_masked(row, None, Some(replaced), n);
+            row.for_each_masked(Some(replaced), same, |b| {
                 dst.insert(comp[b], n);
             });
             dst.remove(big_a);
         }
         // Rule 2 for the schedules being reduced: conflicting operation
-        // pairs executed `o ≺_S o'` serialize their parents. This also
-        // covers conflicting internal pairs whose subtrees never interacted.
-        let mut serialization_pairs = 0usize;
-        for &sid in scheds {
-            let pairs = sys.schedule(sid).serialization_pairs();
-            serialization_pairs += pairs.len();
-            for (t, t2) in pairs {
-                observed.add_edge(t.index(), t2.index());
+        // pairs executed `o ≺_S o'` serialize their parents (the
+        // schedule's serialization pairs). This also covers conflicting
+        // internal pairs whose subtrees never interacted.
+        for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
+            sc.pairs.clear();
+            for (o, o2) in s.conflicts.iter() {
+                let (t, t2) = (comp[o.index()], comp[o2.index()]);
+                if t == t2 || !replaced.contains(o.index()) || !replaced.contains(o2.index()) {
+                    continue;
+                }
+                if s.output.weak_lt(o, o2) {
+                    sc.pairs.push((t, t2));
+                }
+                if s.output.weak_lt(o2, o) {
+                    sc.pairs.push((t2, t));
+                }
+            }
+            sc.pairs.sort_unstable();
+            sc.pairs.dedup();
+            counts.serialization_pairs += sc.pairs.len();
+            for &(t, t2) in &sc.pairs {
+                observed.add_edge(t, t2);
             }
         }
         // Entry-time observed pairs between new transactions and other
         // members of their *container* schedules (rule 1 when the other
         // member is a leaf; the conflicting-output rule otherwise).
-        let mut leaf_members = ChunkedRow::new();
-        leaf_members.or_masked(&new_members, Some(&self.leaves), None, n);
-        entry_pairs(sys, &new_txs, &leaf_members, &mut observed);
+        sc.leaf_members.clear();
+        sc.leaf_members
+            .or_masked(&sc.members, Some(&sc.leaves), None, n);
+        entry_pairs(
+            sys,
+            &sc.new_txs,
+            &sc.leaf_members,
+            (&mut sc.entered, &mut sc.containers),
+            observed,
+        );
         // Rule 4: transitive closure.
-        let pre_closure_edges = observed.edge_count();
-        closure::transitive_closure(&mut observed, self.options.backend, &mut self.scratch);
-        let closure_edges = observed.edge_count().saturating_sub(pre_closure_edges);
-
-        // --- Step 6: add the level's input orders and check CC.
-        let mut input = std::mem::take(&mut self.front.input);
+        let pre_closure_edges = traced.then(|| observed.edge_count());
+        closure::transitive_closure(observed, self.options.backend, &mut sc.closure);
+        if let Some(pre) = pre_closure_edges {
+            counts.closure_edges = observed.edge_count().saturating_sub(pre);
+        }
+        // Step 6: add the level's input orders; the old front's member and
+        // observed buffers go back to the scratch.
         for s in scheds.iter().map(|&sid| sys.schedule(sid)) {
             for (a, row) in s.input.weak().rows() {
-                input.row_mut(a).or_from(row, n);
+                front.input.row_mut(a).or_from(row, n);
             }
         }
-        self.front = Front {
-            level,
-            members: new_members,
-            observed,
-            input,
-        };
-        let counts = LevelCounts {
-            level,
-            schedules_reduced: scheds.len(),
-            front_before,
-            front_after: self.front.member_count(),
-            constraint_edges,
-            closure_edges,
-            pairs_forgotten,
-            serialization_pairs,
-            ok: true,
-        };
-        if let Some(cycle) = self.front.is_cc() {
-            self.emit_level(
-                t0,
-                LevelCounts {
-                    ok: false,
-                    ..counts
-                },
-            );
-            return Err(self.counterexample(level, FailurePhase::ConflictConsistency, cycle));
-        }
-        self.emit_level(t0, counts);
-        Ok(())
+        std::mem::swap(&mut front.members, &mut sc.members);
+        std::mem::swap(&mut front.observed, &mut sc.observed);
+        front.level = level;
     }
 
     /// Emits a `level` event for the step just performed (no-op without a
@@ -813,17 +895,22 @@ impl<'a> Reducer<'a> {
     /// topologically sorting `<ₒ ∪ →` — the constructive half of Theorem 1's
     /// proof ("by topological sorting, we convert (<ₒ, →) into a total
     /// order").
-    fn serial_witness(&self) -> Vec<NodeId> {
+    fn serial_witness(&mut self) -> Vec<NodeId> {
         let front = &self.front;
-        let order = topological_sort_by(self.sys.node_count(), |u, out| {
-            front.order_successors(u, out)
-        })
-        .expect("a conflict-consistent front's order union is acyclic");
-        order
-            .into_iter()
-            .filter(|&i| front.members.contains(i))
-            .map(|i| NodeId(i as u32))
-            .collect()
+        let order = self
+            .scratch
+            .search
+            .topological_sort(self.sys.node_count(), front.ordered_nodes(), |u, out| {
+                front.order_successors(u, out)
+            })
+            .expect("a conflict-consistent front's order union is acyclic");
+        let mut witness = Vec::with_capacity(front.member_count());
+        witness.extend(
+            (order.iter().copied())
+                .filter(|&i| front.members.contains(i))
+                .map(|i| NodeId(i as u32)),
+        );
+        witness
     }
 
     /// Resolves a failure cycle's names against the system.
@@ -857,14 +944,17 @@ impl<'a> Reducer<'a> {
 /// containers' output orders: an entering transaction's row masked by the
 /// leaf members (one masked OR), and a leaf member's row masked by the
 /// entering transactions.
+/// `buffers` are the entered-transaction row and container list it fills.
 fn entry_pairs(
     sys: &CompositeSystem,
     entering: &[NodeId],
     leaf_members: &ChunkedRow,
+    (entered, containers): (&mut ChunkedRow, &mut Vec<SchedId>),
     observed: &mut ChunkedBitGraph,
 ) {
     let n = observed.node_count();
-    let (mut entered, mut containers) = (ChunkedRow::new(), Vec::new());
+    entered.clear();
+    containers.clear();
     for &t in entering {
         let Some(container) = sys.node(t).container else {
             continue; // roots are operations of nothing
@@ -878,10 +968,10 @@ fn entry_pairs(
     }
     containers.sort_unstable();
     containers.dedup();
-    for c in containers {
+    for &c in containers.iter() {
         for (member, row) in sys.schedule(c).output.weak().rows() {
             if leaf_members.contains(member) {
-                row.for_each_masked(Some(&entered), None, |t| {
+                row.for_each_masked(Some(&*entered), None, |t| {
                     observed.add_edge(member, t);
                 });
             }
@@ -941,13 +1031,12 @@ mod tests {
         let sys = flat_two_root_system();
         let checker =
             Checker::with_options(CheckOptions::new().deadline(std::time::Duration::ZERO));
-        let mut scratch = CheckScratch::new();
         assert!(matches!(
-            checker.try_check(&sys, &mut CheckCtx::new(&mut scratch)),
+            checker.try_check(&sys, &mut CheckCtx::new()),
             Err(Interrupted { level: 1 })
         ));
-        // Without a deadline the same scratch completes normally.
-        let v = Checker::new().try_check(&sys, &mut CheckCtx::new(&mut scratch));
+        // Without a deadline the thread's next check completes normally.
+        let v = Checker::new().try_check(&sys, &mut CheckCtx::new());
         assert!(v.unwrap().is_correct());
     }
 
@@ -958,7 +1047,7 @@ mod tests {
         let v = Checker::with_options(
             CheckOptions::new().deadline(std::time::Duration::from_secs(3600)),
         )
-        .try_check(&sys, &mut CheckCtx::new(&mut CheckScratch::new()))
+        .try_check(&sys, &mut CheckCtx::new())
         .expect("an hour is plenty");
         assert!(v.is_correct());
     }
@@ -984,8 +1073,7 @@ mod tests {
         let mut sink = MemorySink::new();
         let checker =
             Checker::with_options(CheckOptions::new().deadline(std::time::Duration::ZERO));
-        let mut scratch = CheckScratch::new();
-        let r = checker.try_check(&sys, &mut CheckCtx::new(&mut scratch).traced(&mut sink));
+        let r = checker.try_check(&sys, &mut CheckCtx::new().traced(&mut sink));
         assert!(matches!(r, Err(Interrupted { level: 1 })));
         let kinds: Vec<&str> = sink.events.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["check_start"]);
@@ -1291,9 +1379,8 @@ mod trace_tests {
     use compc_trace::{MemorySink, TraceEvent};
 
     fn traced_check(sys: &CompositeSystem, sink: &mut MemorySink) -> Verdict {
-        let mut scratch = CheckScratch::new();
         Checker::new()
-            .try_check(sys, &mut CheckCtx::new(&mut scratch).traced(sink))
+            .try_check(sys, &mut CheckCtx::new().traced(sink))
             .expect("no deadline set")
     }
 
@@ -1331,6 +1418,71 @@ mod trace_tests {
     /// A correct check emits check_start, one ok level event per reduction
     /// step, and a correct check_end — and the traced verdict matches the
     /// untraced one.
+    /// One schedule running `roots` transactions of `leaves` leaf
+    /// operations each, serially except that the first operation of `T1`
+    /// runs between the first two of `T0`, conflicting with both: front
+    /// 0's observed order holds every pair of the leaf chain, and level 1
+    /// finds no calculation.
+    fn interleaved_chain(roots: usize, leaves: usize) -> CompositeSystem {
+        let mut b = SystemBuilder::new();
+        let s = b.schedule("S");
+        let txs: Vec<NodeId> = (0..roots).map(|r| b.root(format!("T{r}"), s)).collect();
+        let ops: Vec<Vec<NodeId>> = (0..roots)
+            .map(|r| {
+                (0..leaves)
+                    .map(|l| b.leaf(format!("o{r}.{l}"), txs[r]))
+                    .collect()
+            })
+            .collect();
+        let mut run = vec![ops[0][0], ops[1][0]];
+        run.extend(&ops[0][1..]);
+        run.extend(&ops[1][1..]);
+        run.extend(ops[2..].iter().flatten());
+        for w in run.windows(2) {
+            b.output_weak(w[0], w[1]).unwrap();
+        }
+        b.conflict(ops[0][0], ops[1][0]).unwrap();
+        b.conflict(ops[1][0], ops[0][1]).unwrap();
+        b.build().unwrap()
+    }
+
+    /// `check_end.elapsed_ns` covers building front 0, which happens when
+    /// the reducer is made. The check fails at level 1, so no serial
+    /// witness is sorted: what it spends outside its one level is front 0
+    /// and the events, at least half of what building front 0 alone takes.
+    #[test]
+    fn check_end_covers_building_front_zero() {
+        let sys = interleaved_chain(40, 50);
+        let front0 = (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(Front::level0(&sys));
+                t.elapsed().as_nanos() as u64
+            })
+            .min()
+            .unwrap();
+        let outside_levels = (0..5)
+            .map(|_| {
+                let mut sink = MemorySink::new();
+                assert!(!traced_check(&sys, &mut sink).is_correct());
+                let (mut total, mut levels) = (0, 0);
+                for e in &sink.events {
+                    match e {
+                        TraceEvent::Level { elapsed_ns, .. } => levels += elapsed_ns,
+                        TraceEvent::CheckEnd { elapsed_ns, .. } => total = *elapsed_ns,
+                        _ => {}
+                    }
+                }
+                total.saturating_sub(levels)
+            })
+            .max()
+            .unwrap();
+        assert!(
+            outside_levels >= front0 / 2,
+            "{outside_levels} ns outside the levels, front 0 takes {front0} ns"
+        );
+    }
+
     #[test]
     fn traced_check_narrates_every_level() {
         let sys = two_level_correct();

@@ -18,7 +18,6 @@
 //! check at every measured size (DESIGN.md §8.2, EXPERIMENTS.md E24 and
 //! E27).
 
-use crate::closure::CheckScratch;
 use crate::reduce::{CheckOptions, Deadline, Interrupted, Reducer, Verdict};
 use compc_model::{CompositeSystem, NodeId, Schedule, SystemBuilder};
 use std::sync::atomic::AtomicBool;
@@ -101,7 +100,6 @@ pub struct SessionStats {
 pub struct Session {
     options: CheckOptions,
     sys: Option<CompositeSystem>,
-    scratch: CheckScratch,
     cancel: Arc<AtomicBool>,
     last_verdict: Option<Verdict>,
     stats: SessionStats,
@@ -126,7 +124,6 @@ impl Session {
         Session {
             options,
             sys: None,
-            scratch: CheckScratch::new(),
             cancel: Arc::new(AtomicBool::new(false)),
             last_verdict: None,
             stats: SessionStats::default(),
@@ -249,12 +246,10 @@ impl Session {
     fn run(&mut self, sys: CompositeSystem, deadline: Deadline) -> Result<&Verdict, SessionError> {
         self.last_verdict = None;
         let sys = self.sys.insert(sys);
-        let mut reducer =
-            Reducer::with_scratch(sys, self.options, std::mem::take(&mut self.scratch))
-                .deadline(deadline)
-                .cancel_token(&self.cancel);
-        let outcome = reducer.try_run();
-        self.scratch = reducer.into_scratch();
+        let outcome = Reducer::with_options(sys, self.options)
+            .deadline(deadline)
+            .cancel_token(&self.cancel)
+            .try_run();
         Ok(self.last_verdict.insert(outcome?))
     }
 

@@ -1,6 +1,5 @@
 //! Batch-checking engine: run Comp-C checks over many composite systems
-//! concurrently, one pipeline per item, reusing per-worker scratch buffers
-//! and reporting aggregate throughput.
+//! concurrently, one pipeline per item, and report aggregate throughput.
 //!
 //! Every item is a [`BatchJob`]: a label, a size and a source. A worker
 //! claims the largest unclaimed job, loads its system from the source,
@@ -12,15 +11,16 @@
 //! Outcomes come back in input order whatever the claim order.
 //!
 //! A batch runs on `workers` threads, the calling thread being one of
-//! them, and each check runs sequentially on its worker's thread with one
-//! [`compc_core::CheckScratch`] kept across systems; verdicts are
-//! independent of the worker count.
+//! them, and each check runs sequentially on its worker's thread, in the
+//! check buffers that thread keeps across systems (see
+//! [`compc_core::Checker`]); verdicts are independent of the worker count.
 //!
 //! **Fault isolation:** an item whose load fails reports a
 //! [`BatchFault::Invalid`]; an item whose load, check or finishing step
-//! panics reports a [`BatchFault::Panic`], its worker replaces its scratch
-//! buffers and moves on, and every other item still completes. A batch is
-//! never poisoned by one bad system.
+//! panics reports a [`BatchFault::Panic`] and its worker moves on (a check
+//! unwound mid-level drops its buffers, so none is reused half updated),
+//! and every other item still completes. A batch is never poisoned by one
+//! bad system.
 //!
 //! **Observability:** [`Batch::tracing`] records the reduction's structured
 //! events per item (see [`compc_trace`]), and every report carries
@@ -44,7 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use compc_core::{CheckCtx, CheckOptions, CheckScratch, Checker, Interrupted, Verdict};
+use compc_core::{CheckCtx, CheckOptions, Checker, Interrupted, Verdict};
 use compc_model::CompositeSystem;
 use compc_trace::{replay, Histogram, MemorySink, TraceEvent, TraceStats};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -157,8 +157,7 @@ pub struct BatchOutcome {
     /// Structured reduction events, when [`Batch::tracing`] is on (empty
     /// otherwise, and after a fault).
     pub events: Vec<TraceEvent>,
-    /// Transitive closures this check ran on the dense bitset backend
-    /// (snapshot of the worker scratch's counters around the item).
+    /// Transitive closures this check ran on the dense bitset backend.
     pub dense_closures: u64,
     /// Transitive closures this check ran on the sparse DFS backend.
     pub sparse_closures: u64,
@@ -335,7 +334,7 @@ pub struct BatchReport {
 ///
 /// `workers = 0` (the default) means one worker per available core;
 /// `workers = 1` checks sequentially on the calling thread (no thread
-/// spawned). Each worker keeps one `CheckScratch` for its whole lifetime.
+/// spawned).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Batch {
     options: CheckOptions,
@@ -437,15 +436,13 @@ impl Batch {
         let on_done = Mutex::new(on_done);
 
         let work = || {
-            let mut scratch = CheckScratch::new();
             let mut done: Vec<(usize, BatchOutcome)> = Vec::new();
             loop {
                 let next = queue.lock().expect("claiming a job cannot panic").next();
                 let Some((idx, job)) = next else {
                     break;
                 };
-                let (outcome, finished) =
-                    run_item(checker, tracing, job, &load, &finish, &mut scratch);
+                let (outcome, finished) = run_item(checker, tracing, job, &load, &finish);
                 let mut on_done = on_done.lock().expect("the completion hook panicked");
                 on_done(idx, &outcome, finished);
                 done.push((idx, outcome));
@@ -519,15 +516,14 @@ fn collect_metrics(outcomes: &[BatchOutcome]) -> BatchMetrics {
 }
 
 /// One item's pipeline — load, check, finish — under panic isolation. On a
-/// panic the scratch is discarded (its buffers may be mid-update) and the
-/// item reports a [`BatchFault::Panic`] carrying the panic message.
+/// panic the item reports a [`BatchFault::Panic`] carrying the panic
+/// message.
 fn run_item<S, E, R, L, F>(
     checker: Checker,
     tracing: bool,
     job: BatchJob<S>,
     load: &L,
     finish: &F,
-    scratch: &mut CheckScratch,
 ) -> (BatchOutcome, Option<R>)
 where
     E: std::fmt::Display,
@@ -563,9 +559,8 @@ where
             }
         };
         outcome.nodes = system.node_count();
-        let counts0 = scratch.backend_counts();
         let mut sink = MemorySink::new();
-        let mut ctx = CheckCtx::new(scratch);
+        let mut ctx = CheckCtx::new();
         if tracing {
             ctx = ctx.traced(&mut sink);
         }
@@ -574,22 +569,21 @@ where
         let t1 = Instant::now();
         outcome.result = checker.try_check(&system, &mut ctx).map_err(timeout_fault);
         outcome.elapsed = t1.elapsed();
+        let counts = ctx.closures;
         outcome.levels_completed = match &outcome.result {
             Ok(Verdict::Correct(_)) => system.order(),
             Ok(Verdict::Incorrect(c)) => c.level.saturating_sub(1),
             Err(_) => 0,
         };
         outcome.events = sink.events;
-        let counts1 = scratch.backend_counts();
-        outcome.dense_closures = counts1.dense - counts0.dense;
-        outcome.sparse_closures = counts1.sparse - counts0.sparse;
-        outcome.compressed_closures = counts1.compressed - counts0.compressed;
+        outcome.dense_closures = counts.dense;
+        outcome.sparse_closures = counts.sparse;
+        outcome.compressed_closures = counts.compressed;
         finish(checker, Ok(&system), &outcome)
     }));
     match finished {
         Ok(r) => (outcome, Some(r)),
         Err(payload) => {
-            *scratch = CheckScratch::new();
             outcome.result = Err(BatchFault::Panic {
                 message: panic_message(payload),
             });
@@ -799,9 +793,8 @@ mod tests {
         }
     }
 
-    /// Every worker keeps checking after a fault (scratch replacement does
-    /// not lose items): many panics, interleaved, all non-panicking items
-    /// still complete.
+    /// Every worker keeps checking after a fault: many panics,
+    /// interleaved, all non-panicking items still complete.
     #[test]
     fn repeated_faults_still_complete_everything_else() {
         // ok-2 and ok-12 panic.
@@ -810,33 +803,34 @@ mod tests {
         assert_eq!(report.stats.correct + report.stats.incorrect, 16);
     }
 
-    /// A panic anywhere in an item's pipeline replaces the worker's
-    /// scratch: buffers that may be mid-update are never reused.
+    /// A panic in an item's pipeline leaves the worker's next item checked
+    /// and counted as if it came first: the counts are the item's own.
     #[test]
-    fn a_panicking_loader_replaces_the_worker_scratch() {
-        let mut scratch = CheckScratch::new();
+    fn a_panicking_loader_leaves_the_next_item_counted() {
         let checker =
             Checker::with_options(CheckOptions::new().backend(compc_core::Backend::Sparse));
-        checker
-            .try_check(&serializable(0), &mut CheckCtx::new(&mut scratch))
-            .expect("no deadline set");
-        assert!(scratch.backend_counts().sparse > 0);
         let (outcome, finished) = run_item(
             checker,
             false,
             BatchJob::new("boom", 1, ()),
             &|()| -> Result<CompositeSystem, String> { panic!("loader panic") },
             &|_, _, _| (),
-            &mut scratch,
         );
         assert!(finished.is_none());
         assert!(
             matches!(outcome.fault(), Some(BatchFault::Panic { message }) if message == "loader panic")
         );
-        assert_eq!(
-            scratch.backend_counts(),
-            compc_core::BackendCounts::default()
+        assert_eq!(outcome.sparse_closures, 0);
+        let (outcome, finished) = run_item(
+            checker,
+            false,
+            BatchJob::new("ok", 1, serializable(0)),
+            &Ok::<_, String>,
+            &|_, _, _| (),
         );
+        assert!(finished.is_some());
+        assert!(outcome.verdict().is_some_and(Verdict::is_correct));
+        assert_eq!(outcome.sparse_closures, 1, "one level, one closure");
     }
 
     /// Jobs sized smallest first in input order are claimed in reverse, yet

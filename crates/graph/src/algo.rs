@@ -53,41 +53,13 @@ pub fn topological_sort(g: &DiGraph) -> Result<Vec<usize>, TopoError> {
 /// [`topological_sort`] over any adjacency source on `0..n`: `succs(v, out)`
 /// pushes `v`'s successors, ascending, into `out`. The same relation gives
 /// the same order (or cycle) as a [`DiGraph`] holding it.
-pub fn topological_sort_by<F>(n: usize, mut succs: F) -> Result<Vec<usize>, TopoError>
+pub fn topological_sort_by<F>(n: usize, succs: F) -> Result<Vec<usize>, TopoError>
 where
     F: FnMut(usize, &mut Vec<usize>),
 {
-    let mut indeg = vec![0usize; n];
-    let mut buf = Vec::new();
-    for v in 0..n {
-        buf.clear();
-        succs(v, &mut buf);
-        for &w in &buf {
-            indeg[w] += 1;
-        }
-    }
-    // A BinaryHeap<Reverse<_>> would be asymptotically nicer for huge graphs,
-    // but fronts here are small; a BTreeSet keeps the code simple and ordered.
-    let mut ready: std::collections::BTreeSet<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-    let mut out = Vec::with_capacity(n);
-    while let Some(v) = ready.pop_first() {
-        out.push(v);
-        buf.clear();
-        succs(v, &mut buf);
-        for &w in &buf {
-            indeg[w] -= 1;
-            if indeg[w] == 0 {
-                ready.insert(w);
-            }
-        }
-    }
-    if out.len() == n {
-        Ok(out)
-    } else {
-        Err(TopoError(
-            find_cycle_by(n, succs).expect("Kahn's algorithm stalled, so a cycle must exist"),
-        ))
-    }
+    SearchScratch::new()
+        .topological_sort(n, 0..n, succs)
+        .map(<[usize]>::to_vec)
 }
 
 /// Finds some directed cycle, if any, via iterative DFS with colors.
@@ -100,65 +72,152 @@ pub fn find_cycle(g: &DiGraph) -> Option<CycleInfo> {
 /// ascending order and each node's successors are explored from the
 /// largest down, so the same relation gives the same witness as a
 /// [`DiGraph`] holding it.
-pub fn find_cycle_by<F>(n: usize, mut succs: F) -> Option<CycleInfo>
+pub fn find_cycle_by<F>(n: usize, succs: F) -> Option<CycleInfo>
 where
     F: FnMut(usize, &mut Vec<usize>),
 {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
+    SearchScratch::new().find_cycle(n, 0..n, succs)
+}
+
+/// Reusable buffers for the searches behind [`find_cycle_by`] and
+/// [`topological_sort_by`]: a caller that keeps one allocates nothing but
+/// a cycle witness once the buffers have grown to its largest graph.
+#[derive(Clone, Debug, Default)]
+pub struct SearchScratch {
+    /// Per node: 0 unvisited, 1 on the DFS path, 2 finished (cycle search);
+    /// the in-degree left (topological sort).
+    state: Vec<usize>,
+    parent: Vec<usize>,
+    /// The DFS path: each frame's node and where its successors start in
+    /// `pending`.
+    frames: Vec<(usize, usize)>,
+    /// Successors the path's frames have still to visit, frame after frame.
+    pending: Vec<usize>,
+    succ: Vec<usize>,
+    ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>>,
+    order: Vec<usize>,
+}
+
+const UNVISITED: usize = 0;
+const ON_PATH: usize = 1;
+const FINISHED: usize = 2;
+
+impl SearchScratch {
+    /// An empty scratch.
+    pub fn new() -> Self {
+        SearchScratch::default()
     }
-    let mut color = vec![Color::White; n];
-    let mut parent = vec![usize::MAX; n];
-    // Successor buffers of finished frames, reused by later ones.
-    let mut spare: Vec<Vec<usize>> = Vec::new();
-    let mut frame = |v: usize, spare: &mut Vec<Vec<usize>>| {
-        let mut out = spare.pop().unwrap_or_default();
-        out.clear();
-        succs(v, &mut out);
-        (v, out)
-    };
-    for start in 0..n {
-        if color[start] != Color::White {
-            continue;
-        }
-        // Iterative DFS; stack entries are (node, successors left to visit).
-        let mut stack: Vec<(usize, Vec<usize>)> = Vec::new();
-        color[start] = Color::Gray;
-        stack.push(frame(start, &mut spare));
-        while let Some((u, succ)) = stack.last_mut() {
-            if let Some(v) = succ.pop() {
-                let u = *u;
-                match color[v] {
-                    Color::White => {
-                        parent[v] = u;
-                        color[v] = Color::Gray;
-                        stack.push(frame(v, &mut spare));
+
+    /// [`find_cycle_by`] with the DFS started only from `starts`, which
+    /// must be ascending. Leaving out nodes without successors gives the
+    /// same witness as starting from every node: such a start finishes at
+    /// once and touches no other node.
+    pub fn find_cycle<F>(
+        &mut self,
+        n: usize,
+        starts: impl IntoIterator<Item = usize>,
+        mut succs: F,
+    ) -> Option<CycleInfo>
+    where
+        F: FnMut(usize, &mut Vec<usize>),
+    {
+        self.state.clear();
+        self.state.resize(n, UNVISITED);
+        self.parent.resize(n, usize::MAX);
+        self.frames.clear();
+        self.pending.clear();
+        for start in starts {
+            if self.state[start] != UNVISITED {
+                continue;
+            }
+            self.enter(start, &mut succs);
+            while let Some(&(u, base)) = self.frames.last() {
+                if self.pending.len() == base {
+                    self.state[u] = FINISHED;
+                    self.frames.pop();
+                    continue;
+                }
+                let v = self.pending.pop().expect("the frame has successors left");
+                match self.state[v] {
+                    UNVISITED => {
+                        self.parent[v] = u;
+                        self.enter(v, &mut succs);
                     }
-                    Color::Gray => {
+                    ON_PATH => {
                         // Back edge u -> v closes a cycle v ..-> u -> v.
                         let mut nodes = vec![u];
                         let mut cur = u;
                         while cur != v {
-                            cur = parent[cur];
+                            cur = self.parent[cur];
                             nodes.push(cur);
                         }
                         nodes.reverse();
                         return Some(CycleInfo { nodes }.canonicalize());
                     }
-                    Color::Black => {}
-                }
-            } else {
-                color[*u] = Color::Black;
-                if let Some((_, buf)) = stack.pop() {
-                    spare.push(buf);
+                    _ => {}
                 }
             }
         }
+        None
     }
-    None
+
+    /// Puts `v` on the DFS path with its successors pending.
+    fn enter<F: FnMut(usize, &mut Vec<usize>)>(&mut self, v: usize, succs: &mut F) {
+        self.state[v] = ON_PATH;
+        self.succ.clear();
+        succs(v, &mut self.succ);
+        self.frames.push((v, self.pending.len()));
+        self.pending.extend_from_slice(&self.succ);
+    }
+
+    /// [`topological_sort_by`] into this scratch's buffers, started from the
+    /// ascending `nodes` alone, which must include every node with
+    /// successors. The nodes it emits (`nodes` and those they reach) come
+    /// in the order sorting every node gives them: a left-out node frees no
+    /// other when it is emitted.
+    pub fn topological_sort<F>(
+        &mut self,
+        n: usize,
+        nodes: impl IntoIterator<Item = usize> + Clone,
+        mut succs: F,
+    ) -> Result<&[usize], TopoError>
+    where
+        F: FnMut(usize, &mut Vec<usize>),
+    {
+        let (indeg, succ, ready) = (&mut self.state, &mut self.succ, &mut self.ready);
+        indeg.clear();
+        indeg.resize(n, 0);
+        for v in nodes.clone() {
+            succ.clear();
+            succs(v, succ);
+            for &w in succ.iter() {
+                indeg[w] += 1;
+            }
+        }
+        ready.clear();
+        let roots = nodes.clone().into_iter().filter(|&v| indeg[v] == 0);
+        ready.extend(roots.map(std::cmp::Reverse));
+        self.order.clear();
+        while let Some(std::cmp::Reverse(v)) = ready.pop() {
+            self.order.push(v);
+            succ.clear();
+            succs(v, succ);
+            for &w in succ.iter() {
+                indeg[w] -= 1;
+                if indeg[w] == 0 {
+                    ready.push(std::cmp::Reverse(w));
+                }
+            }
+        }
+        if nodes.clone().into_iter().all(|v| self.state[v] == 0) {
+            Ok(&self.order)
+        } else {
+            Err(TopoError(
+                self.find_cycle(n, nodes, succs)
+                    .expect("Kahn's algorithm stalled, so a cycle must exist"),
+            ))
+        }
+    }
 }
 
 /// The set of nodes reachable from `start` by paths of length ≥ 1.

@@ -12,6 +12,17 @@
 use crate::DiGraph;
 use std::collections::BTreeSet;
 
+/// Reusable buffers for [`BitGraph::close_transitively_with`]: the
+/// topological sort's in-degrees, ready set and order, and one row's
+/// successors.
+#[derive(Clone, Debug, Default)]
+pub struct CloseScratch {
+    indeg: Vec<u32>,
+    ready: Vec<u64>,
+    order: Vec<usize>,
+    direct: Vec<usize>,
+}
+
 /// A dense directed graph over `0..n`: row `u` is a bitset of successors,
 /// `words_per_row` `u64`s wide. Bits past `n` in the last word are always
 /// zero (every mutating operation maintains that invariant, so whole-row
@@ -164,8 +175,22 @@ impl BitGraph {
     /// A topological order (smallest-ready-first, matching
     /// [`crate::topological_sort`]'s determinism), or `None` if cyclic.
     pub fn topo_order(&self) -> Option<Vec<usize>> {
+        let mut scratch = CloseScratch::default();
+        self.topo_order_into(&mut scratch).then_some(scratch.order)
+    }
+
+    /// [`BitGraph::topo_order`] into `scratch.order`; whether it covers
+    /// every node.
+    fn topo_order_into(&self, scratch: &mut CloseScratch) -> bool {
         let n = self.n;
-        let mut indeg = vec![0u32; n];
+        let CloseScratch {
+            indeg,
+            ready,
+            order,
+            ..
+        } = scratch;
+        indeg.clear();
+        indeg.resize(n, 0);
         for u in 0..n {
             for v in self.successors(u) {
                 indeg[v] += 1;
@@ -173,19 +198,20 @@ impl BitGraph {
         }
         // The ready set is itself a bitset; popping the lowest set bit keeps
         // the order deterministic without a heap.
-        let mut ready = vec![0u64; self.words];
+        ready.clear();
+        ready.resize(self.words, 0);
         for (v, &d) in indeg.iter().enumerate() {
             if d == 0 {
                 ready[v / 64] |= 1u64 << (v % 64);
             }
         }
-        let mut out = Vec::with_capacity(n);
+        order.clear();
         loop {
-            let Some(v) = row_bits(&ready).next() else {
+            let Some(v) = row_bits(ready).next() else {
                 break;
             };
             ready[v / 64] &= !(1u64 << (v % 64));
-            out.push(v);
+            order.push(v);
             for w in self.successors(v) {
                 indeg[w] -= 1;
                 if indeg[w] == 0 {
@@ -193,7 +219,7 @@ impl BitGraph {
                 }
             }
         }
-        (out.len() == n).then_some(out)
+        order.len() == n
     }
 
     /// Transitive closure in place: edge `u -> v` in the result iff the
@@ -207,18 +233,22 @@ impl BitGraph {
     /// and expands each component row back — `O(V + E + output)` instead of
     /// the `O(n³/64)` bitset Floyd–Warshall this path used to run.
     pub fn close_transitively(&mut self) {
-        match self.topo_order() {
-            Some(order) => {
-                let mut direct: Vec<usize> = Vec::new();
-                for &u in order.iter().rev() {
-                    direct.clear();
-                    direct.extend(self.successors(u));
-                    for &v in &direct {
-                        self.or_row_into(u, v);
-                    }
-                }
+        self.close_transitively_with(&mut CloseScratch::default());
+    }
+
+    /// [`BitGraph::close_transitively`] reusing `scratch`'s buffers on the
+    /// acyclic path.
+    pub fn close_transitively_with(&mut self, scratch: &mut CloseScratch) {
+        if !self.topo_order_into(scratch) {
+            return self.close_via_condensation();
+        }
+        let CloseScratch { order, direct, .. } = scratch;
+        for &u in order.iter().rev() {
+            direct.clear();
+            direct.extend(self.successors(u));
+            for &v in direct.iter() {
+                self.or_row_into(u, v);
             }
-            None => self.close_via_condensation(),
         }
     }
 

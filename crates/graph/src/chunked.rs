@@ -24,7 +24,7 @@
 //! backends compare row for row.
 
 use crate::bitgraph::{row_bits, words_for};
-use crate::{BitGraph, DiGraph, SccScratch};
+use crate::{BitGraph, CloseScratch, DiGraph, SccScratch};
 use std::collections::BTreeSet;
 
 /// Sparse rows promote to dense words once they hold more than
@@ -40,6 +40,11 @@ const fn promote_cap(columns: usize) -> usize {
         cap
     }
 }
+
+/// The widest dense row, in words, whose buffer [`ChunkedRow::clear`]
+/// keeps: 4,096 columns, the compressed backend's crossover. Up to there a
+/// kept buffer costs at most 64 words per scan; wider rows are freed.
+const KEEP_WORDS: usize = 64;
 
 /// One relation row (or one set of node ids): sorted sparse indices while
 /// cold, dense words once hot. Every operation takes the column count from
@@ -91,23 +96,67 @@ impl ChunkedRow {
 
     /// The row holding the set bits of `words`, sparse when they are few.
     pub fn from_words(words: &[u64], columns: usize) -> Self {
-        let count: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-        if count > promote_cap(columns) {
-            ChunkedRow::Dense(words.to_vec())
-        } else {
-            ChunkedRow::Sparse(row_bits(words).map(|v| v as u32).collect())
+        let mut row = ChunkedRow::new();
+        row.set_words(words, columns);
+        row
+    }
+
+    /// Empties the row, keeping its buffer: a sparse row's entries, or the
+    /// words of a dense row at most 64 words (4,096 columns) wide, which
+    /// then stays dense. A wider dense row is freed, so a kept buffer stays
+    /// small and cheap to scan.
+    pub fn clear(&mut self) {
+        match self {
+            ChunkedRow::Sparse(s) => s.clear(),
+            ChunkedRow::Dense(w) if w.capacity() <= KEEP_WORDS => w.clear(),
+            ChunkedRow::Dense(_) => *self = ChunkedRow::Sparse(Vec::new()),
         }
     }
 
-    /// Empties the row, keeping a sparse row's buffer.
-    pub(crate) fn clear(&mut self) {
-        *self = ChunkedRow::Sparse(match std::mem::take(self) {
-            ChunkedRow::Sparse(mut v) => {
-                v.clear();
-                v
+    /// Overwrites the row with the set bits of `words`, in the
+    /// representation [`ChunkedRow::from_words`] picks, reusing the row's
+    /// buffer when it already has that representation. A dense row whose
+    /// buffer [`ChunkedRow::clear`] would keep stays dense.
+    pub(crate) fn set_words(&mut self, words: &[u64], columns: usize) {
+        let count: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        match self {
+            ChunkedRow::Dense(d) if count > promote_cap(columns) || d.capacity() <= KEEP_WORDS => {
+                d.clear();
+                d.extend_from_slice(words);
             }
-            ChunkedRow::Dense(_) => Vec::new(),
-        });
+            ChunkedRow::Sparse(s) if count <= promote_cap(columns) => {
+                s.clear();
+                s.extend(row_bits(words).map(|v| v as u32));
+            }
+            _ if count > promote_cap(columns) => *self = ChunkedRow::Dense(words.to_vec()),
+            _ => *self = ChunkedRow::Sparse(row_bits(words).map(|v| v as u32).collect()),
+        }
+    }
+
+    /// Overwrites the row with `entries` (ascending), in the representation
+    /// [`ChunkedRow::set_words`] picks for them.
+    fn set_sorted(&mut self, entries: &[u32], columns: usize) {
+        if entries.len() <= promote_cap(columns) {
+            match self {
+                ChunkedRow::Sparse(s) => {
+                    s.clear();
+                    s.extend_from_slice(entries);
+                }
+                ChunkedRow::Dense(_) => *self = ChunkedRow::Sparse(entries.to_vec()),
+            }
+            return;
+        }
+        if let ChunkedRow::Sparse(_) = self {
+            *self = ChunkedRow::Dense(Vec::new());
+        }
+        let ChunkedRow::Dense(d) = self else {
+            unreachable!("made dense above")
+        };
+        d.clear();
+        d.resize(words_for(columns), 0);
+        for &v in entries {
+            d[v as usize / 64] |= 1u64 << (v % 64);
+        }
     }
 
     /// Whether column `v` is set.
@@ -279,9 +328,11 @@ impl ChunkedRow {
                 total <= promote_cap(columns)
             });
             if fits {
-                let mut add = Vec::new();
-                src.for_each_masked(keep, drop, |v| add.push(v as u32));
-                merge_in_place(s, &add);
+                // Two ascending runs, sorted in place: at most the cap's
+                // worth of entries.
+                src.for_each_masked(keep, drop, |v| s.push(v as u32));
+                s.sort_unstable();
+                s.dedup();
                 return;
             }
         }
@@ -458,6 +509,15 @@ impl<'a> WordCursor<'a> {
     }
 }
 
+/// Reusable buffers for the walks of [`ChunkedBitGraph::shortcut_outside`]
+/// and [`ChunkedBitGraph::close_by_dfs_with`].
+#[derive(Clone, Debug, Default)]
+pub struct WalkScratch {
+    seen: Vec<usize>,
+    stack: Vec<usize>,
+    words: Vec<u64>,
+}
+
 /// A directed graph over `0..n` with per-row hybrid storage: memory tracks
 /// the edge count (4 bytes per sparse edge) instead of `BitGraph`'s flat
 /// `n²/64` words, while hot rows promote to dense words and keep their
@@ -576,15 +636,35 @@ impl ChunkedBitGraph {
         &mut self.rows[u]
     }
 
-    /// The graph on `keep`'s nodes in which `u -> v` iff this graph has a
-    /// path from `u` to `v` whose inner nodes all lie outside `keep`: paths
-    /// through other nodes are cut short at their first node in `keep`, and
-    /// rows of nodes outside `keep` are empty.
-    pub fn shortcut_outside(&self, keep: &ChunkedRow) -> ChunkedBitGraph {
+    /// Empties the graph to `n` nodes, keeping each row's buffer (see
+    /// [`ChunkedRow::clear`]).
+    pub fn reset(&mut self, n: usize) {
+        self.rows.truncate(n);
+        for row in &mut self.rows {
+            row.clear();
+        }
+        self.rows.resize_with(n, ChunkedRow::default);
+        self.n = n;
+    }
+
+    /// Writes into `out` (reset to this graph's node count) the graph on
+    /// `keep`'s nodes in which `u -> v` iff there is a path from `u` to `v`
+    /// whose inner nodes all lie outside `keep`, over this graph's rows for
+    /// `keep`'s nodes and `outside`'s for the others: paths through other
+    /// nodes are cut short at their first node in `keep`, and rows of nodes
+    /// outside `keep` are empty.
+    pub fn shortcut_outside(
+        &self,
+        outside: &ChunkedBitGraph,
+        keep: &ChunkedRow,
+        out: &mut ChunkedBitGraph,
+        walk: &mut WalkScratch,
+    ) {
         let n = self.n;
-        let mut out = ChunkedBitGraph::with_nodes(n);
-        let mut seen = vec![usize::MAX; n];
-        let mut stack: Vec<usize> = Vec::new();
+        out.reset(n);
+        let (seen, stack) = (&mut walk.seen, &mut walk.stack);
+        seen.clear();
+        seen.resize(n, usize::MAX);
         for a in keep.iter() {
             let (row, dst) = (&self.rows[a], &mut out.rows[a]);
             dst.or_masked(row, Some(keep), None, n);
@@ -593,7 +673,7 @@ impl ChunkedBitGraph {
                 stack.push(s);
             });
             while let Some(s) = stack.pop() {
-                for t in self.rows[s].iter() {
+                for t in outside.rows[s].iter() {
                     if keep.contains(t) {
                         dst.insert(t, n);
                     } else if seen[t] != a {
@@ -603,16 +683,16 @@ impl ChunkedBitGraph {
                 }
             }
         }
-        out
     }
 
-    /// The graph with every node `u` merged into `comp[u]`: an edge
-    /// `comp[u] -> comp[v]` for each edge `u -> v` with `comp[u] !=
-    /// comp[v]`. `moved` holds the nodes with `comp[u] != u`; the rest of a
-    /// row moves with word operations.
-    pub fn contract(&self, comp: &[usize], moved: &ChunkedRow) -> ChunkedBitGraph {
+    /// Writes into `out` (reset to this graph's node count) the graph with
+    /// every node `u` merged into `comp[u]`: an edge `comp[u] -> comp[v]`
+    /// for each edge `u -> v` with `comp[u] != comp[v]`. `moved` holds the
+    /// nodes with `comp[u] != u`; the rest of a row moves with word
+    /// operations.
+    pub fn contract(&self, comp: &[usize], moved: &ChunkedRow, out: &mut ChunkedBitGraph) {
         let n = self.n;
-        let mut out = ChunkedBitGraph::with_nodes(n);
+        out.reset(n);
         for (u, row) in self.rows.iter().enumerate() {
             if row.is_empty() {
                 continue;
@@ -626,33 +706,49 @@ impl ChunkedBitGraph {
             // Every edge into `c` from a node merged into `c` is internal.
             dst.remove(c);
         }
-        out
     }
 
     /// Closes the relation transitively in place, one reachability pass
     /// per source (the sparse backend). A row already closed only adds
     /// reachable nodes to later passes, so rewriting rows as it goes keeps
-    /// every pass exact.
+    /// every pass exact; an empty row closes to itself and is skipped.
     pub fn close_by_dfs(&mut self) {
-        let mut reach = vec![0u64; self.words_per_row()];
+        self.close_by_dfs_with(&mut WalkScratch::default());
+    }
+
+    /// [`ChunkedBitGraph::close_by_dfs`] reusing `walk`'s buffers.
+    pub fn close_by_dfs_with(&mut self, walk: &mut WalkScratch) {
+        walk.words.clear();
+        walk.words.resize(self.words_per_row(), 0);
         for u in 0..self.n {
-            self.reachable_into(u, &mut reach);
-            self.rows[u] = ChunkedRow::from_words(&reach, self.n);
+            if self.rows[u].is_empty() {
+                continue;
+            }
+            self.reach(u, &mut walk.words, &mut walk.stack);
+            self.rows[u].set_words(&walk.words, self.n);
         }
     }
 
     /// Closes the relation transitively in place on the flat dense rows of
     /// `dense`, a reusable buffer (the dense backend).
     pub fn close_dense(&mut self, dense: &mut BitGraph) {
+        self.close_dense_with(dense, &mut CloseScratch::default());
+    }
+
+    /// [`ChunkedBitGraph::close_dense`] reusing `scratch`'s buffers too.
+    pub fn close_dense_with(&mut self, dense: &mut BitGraph, scratch: &mut CloseScratch) {
         dense.reset(self.n);
         for (u, row) in self.rows.iter().enumerate() {
             for v in row.iter() {
                 dense.add_edge(u, v);
             }
         }
-        dense.close_transitively();
+        dense.close_transitively_with(scratch);
         for (u, row) in self.rows.iter_mut().enumerate() {
-            *row = ChunkedRow::from_words(dense.row(u), self.n);
+            // A row without successors has none in the closure either.
+            if !row.is_empty() {
+                row.set_words(dense.row(u), self.n);
+            }
         }
     }
 
@@ -670,18 +766,13 @@ impl ChunkedBitGraph {
             if closed.cyclic[c] {
                 row.extend(members);
             }
+            // An empty closed row means every member's row was empty.
+            if row.is_empty() {
+                continue;
+            }
             row.sort_unstable();
-            let shared = if row.len() > promote_cap(self.n) {
-                let mut words = vec![0u64; words_for(self.n)];
-                for &v in &row {
-                    words[v as usize / 64] |= 1u64 << (v % 64);
-                }
-                ChunkedRow::Dense(words)
-            } else {
-                ChunkedRow::Sparse(row.clone())
-            };
             for &m in members {
-                self.rows[m as usize] = shared.clone();
+                self.rows[m as usize].set_sorted(&row, self.n);
             }
         }
     }
@@ -696,8 +787,14 @@ impl ChunkedBitGraph {
             self.words_per_row(),
             "reachable_into needs a buffer of exactly words_per_row() words"
         );
+        self.reach(start, out, &mut Vec::new());
+    }
+
+    /// [`ChunkedBitGraph::reachable_into`] with a caller's stack.
+    fn reach(&self, start: usize, out: &mut [u64], stack: &mut Vec<usize>) {
         out.fill(0);
-        let mut stack: Vec<usize> = self.successors(start).collect();
+        stack.clear();
+        stack.extend(self.successors(start));
         while let Some(v) = stack.pop() {
             let slot = &mut out[v / 64];
             let bit = 1u64 << (v % 64);
@@ -996,7 +1093,9 @@ mod tests {
         for v in [0, 1, 2, 3] {
             keep.insert(v, 7);
         }
-        let cut = ChunkedBitGraph::from_digraph(&g).shortcut_outside(&keep);
+        let g = ChunkedBitGraph::from_digraph(&g);
+        let mut cut = ChunkedBitGraph::new();
+        g.shortcut_outside(&g, &keep, &mut cut, &mut WalkScratch::default());
         let edges: Vec<_> = cut.edges().collect();
         assert_eq!(edges, vec![(0, 0), (0, 1), (0, 2), (3, 0), (3, 1)]);
     }
@@ -1010,7 +1109,8 @@ mod tests {
         for v in [0, 1, 2] {
             moved.insert(v, 6);
         }
-        let c = ChunkedBitGraph::from_digraph(&g).contract(&comp, &moved);
+        let mut c = ChunkedBitGraph::new();
+        ChunkedBitGraph::from_digraph(&g).contract(&comp, &moved, &mut c);
         let edges: Vec<_> = c.edges().collect();
         assert_eq!(edges, vec![(3, 4), (4, 3), (4, 5), (5, 3)]);
     }

@@ -24,10 +24,10 @@ pub use algo::{
     find_cycle, find_cycle_by, longest_path_lengths, reachable_from, reachable_from_with,
     strongly_connected_components, strongly_connected_components_with, topological_sort,
     topological_sort_by, transitive_closure, transitive_closure_with, CycleInfo, ReachScratch,
-    SccScratch, TopoError,
+    SccScratch, SearchScratch, TopoError,
 };
-pub use bitgraph::BitGraph;
-pub use chunked::{ChunkedBitGraph, ChunkedRow, CondensedClosure};
+pub use bitgraph::{BitGraph, CloseScratch};
+pub use chunked::{ChunkedBitGraph, ChunkedRow, CondensedClosure, WalkScratch};
 pub use digraph::DiGraph;
 pub use dot::{dot_escape, dot_string};
 pub use order::{OrderError, PartialOrderRel};

@@ -50,7 +50,7 @@
 //! (takes precedence over 1).
 
 use compc::cli::parse_check_flag;
-use compc::core::{CheckCtx, CheckOptions, CheckScratch, Checker, Verdict};
+use compc::core::{CheckCtx, CheckOptions, Checker, Verdict};
 use compc::engine::{Batch, BatchFault, BatchJob, BatchOutcome};
 use compc::spec::SystemSpec;
 use compc::trace::{event_to_ndjson_line, replay, MemorySink, TraceStats};
@@ -337,12 +337,12 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
         println!("{}", system.forest_dot());
     }
     let mut sink = MemorySink::new();
-    let mut scratch = CheckScratch::new();
-    let mut ctx = CheckCtx::new(&mut scratch);
+    let mut ctx = CheckCtx::new();
     if flags.trace || flags.stats {
         ctx = ctx.traced(&mut sink);
     }
     let result = Checker::with_options(flags.options).try_check(&system, &mut ctx);
+    let counts = ctx.closures;
     if flags.trace {
         print!("{}", ndjson(path, &sink.events));
     }
@@ -350,7 +350,6 @@ fn check_single(path: &str, flags: &Flags) -> ExitCode {
         let mut stats = TraceStats::default();
         replay(&sink.events, &mut stats);
         println!("{stats}");
-        let counts = scratch.backend_counts();
         println!(
             "closure backend: {}",
             backend_line(counts.dense, counts.sparse, counts.compressed)
