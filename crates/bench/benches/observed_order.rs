@@ -43,7 +43,7 @@ fn bench_order_strategies(c: &mut Criterion) {
                 b.iter(|| {
                     let mut rel = PartialOrderRel::with_elements(n);
                     for &pair in edges {
-                        rel.extend(&[pair]).unwrap();
+                        rel.extend(&[pair], None).unwrap();
                     }
                     std::hint::black_box(rel.pair_count())
                 })

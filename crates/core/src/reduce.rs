@@ -38,7 +38,7 @@ impl FailurePhase {
 
 /// Why a composite schedule is not Comp-C: the reduction level that failed,
 /// the phase, and a cycle witness over (representatives of) front nodes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Counterexample {
     /// The reduction step (1-based level) at which the failure occurred.
     pub level: usize,
@@ -68,14 +68,14 @@ impl std::fmt::Display for Counterexample {
 /// to which the execution is conflict equivalent (the topological sort of
 /// the level-N front's `<ₒ ∪ →` from Theorem 1's proof). The fronts that
 /// lead there are recomputed by stepping a [`Reducer`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proof {
     /// The equivalent serial order over the root transactions.
     pub serial_witness: Vec<NodeId>,
 }
 
 /// The outcome of a Comp-C check: the certificate, witness or cycle.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// The composite schedule is Comp-C (has a level-N front, Theorem 1).
     Correct(Proof),

@@ -1,14 +1,10 @@
-//! A long-lived [`Session`] over a growing composite system: every append
-//! installs the extended system and checks it from scratch with the
-//! ordinary [`crate::Reducer`], so a session verdict is bit-identical to
-//! [`crate::Checker`]'s on the same system by construction.
-//!
-//! # Two entry points
-//!
-//! [`Session::append`] takes a whole new system and first validates that it
-//! extends the current one. [`Session::reopen`] hands the current system out
-//! as a [`SystemBuilder`] instead; the caller extends it in place and hands
-//! the result back through [`Session::append_extension`].
+//! A [`Session`] over a growing composite system: every append installs a
+//! whole extended system, checks that it extends the current one, and
+//! checks it from scratch with the ordinary [`crate::Reducer`], so a
+//! session verdict is bit-identical to [`crate::Checker`]'s on the same
+//! system by construction. The spec-level session of the `compc` crate
+//! extends its system in place instead and runs the reducer itself; this
+//! type serves callers that hold whole systems.
 //!
 //! # Why there is no level cache
 //!
@@ -18,10 +14,8 @@
 //! check at every measured size (DESIGN.md §8.2, EXPERIMENTS.md E24 and
 //! E27).
 
-use crate::reduce::{CheckOptions, Deadline, Interrupted, Reducer, Verdict};
-use compc_model::{CompositeSystem, NodeId, Schedule, SystemBuilder};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use crate::reduce::{CheckOptions, Checker, Interrupted, Verdict};
+use compc_model::{CompositeSystem, NodeId, Schedule};
 
 /// Why a [`Session`] operation failed.
 #[derive(Clone, Debug)]
@@ -80,7 +74,7 @@ pub struct SessionStats {
 /// A Comp-C checker over a growing composite system.
 ///
 /// ```
-/// use compc_core::Session;
+/// use compc_core::{CheckOptions, Session};
 /// use compc_model::SystemBuilder;
 ///
 /// let mut b = SystemBuilder::new();
@@ -89,8 +83,8 @@ pub struct SessionStats {
 /// let _o1 = b.leaf("o1", t1);
 /// let sys = b.build().unwrap();
 ///
-/// let mut session = Session::open(sys).unwrap();
-/// assert!(session.verdict().unwrap().is_correct());
+/// let mut session = Session::with_options(CheckOptions::default());
+/// assert!(session.append(sys).unwrap().is_correct());
 /// ```
 ///
 /// Every append replaces the session's system with the given *extension*
@@ -100,23 +94,11 @@ pub struct SessionStats {
 pub struct Session {
     options: CheckOptions,
     sys: Option<CompositeSystem>,
-    cancel: Arc<AtomicBool>,
-    last_verdict: Option<Verdict>,
+    verdict: Option<Verdict>,
     stats: SessionStats,
 }
 
-impl Default for Session {
-    fn default() -> Self {
-        Session::new()
-    }
-}
-
 impl Session {
-    /// An empty session with default [`CheckOptions`].
-    pub fn new() -> Session {
-        Session::with_options(CheckOptions::default())
-    }
-
     /// An empty session with the given options. The `oracle` flag is
     /// ignored at this layer (the core crate cannot see the oracle);
     /// spec-level wrappers honor it.
@@ -124,59 +106,14 @@ impl Session {
         Session {
             options,
             sys: None,
-            cancel: Arc::new(AtomicBool::new(false)),
-            last_verdict: None,
+            verdict: None,
             stats: SessionStats::default(),
         }
-    }
-
-    /// Opens a session over an initial system and checks it.
-    pub fn open(sys: CompositeSystem) -> Result<Session, SessionError> {
-        Session::open_with_options(sys, CheckOptions::default())
-    }
-
-    /// [`Session::open`] with explicit options.
-    pub fn open_with_options(
-        sys: CompositeSystem,
-        options: CheckOptions,
-    ) -> Result<Session, SessionError> {
-        let mut session = Session::with_options(options);
-        session.append(sys)?;
-        Ok(session)
-    }
-
-    /// The options this session checks with.
-    pub fn options(&self) -> CheckOptions {
-        self.options
-    }
-
-    /// Replaces the per-append wall-clock budget (`None` disables it).
-    ///
-    /// The deadline is read afresh at the start of every append, so this
-    /// is safe mid-session.
-    /// `compc-serve` uses this to replay its write-ahead journal at
-    /// startup without the replay itself being interrupted by
-    /// `--deadline-ms`.
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Duration>) {
-        self.options.deadline = deadline;
-    }
-
-    /// The session's cooperative cancel token: set it to `true` (from any
-    /// thread) to interrupt the current or next append at a level boundary.
-    /// The token is *not* auto-reset; clear it to resume.
-    pub fn cancel_token(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
     }
 
     /// The current system, if any append has been accepted.
     pub fn system(&self) -> Option<&CompositeSystem> {
         self.sys.as_ref()
-    }
-
-    /// The verdict of the last *completed* append (`None` before the first
-    /// append or after an interrupted one).
-    pub fn verdict(&self) -> Option<&Verdict> {
-        self.last_verdict.as_ref()
     }
 
     /// Session counters.
@@ -186,71 +123,18 @@ impl Session {
 
     /// Replaces the session's system with the given extension and returns
     /// the verdict for it, after checking that `sys` extends the current
-    /// system. [`Session::append_extension`] is the entry point for a
-    /// caller that extended the system in place.
+    /// system.
     ///
     /// On [`SessionError::Invalid`] the session is left untouched. On
     /// [`SessionError::Interrupted`] the session keeps the new system with
     /// no verdict; re-appending the identical system checks it again.
     pub fn append(&mut self, sys: CompositeSystem) -> Result<&Verdict, SessionError> {
         self.validate_extension(&sys)?;
-        self.append_extension(sys)
-    }
-
-    /// Moves the current system out so the caller can extend it in place
-    /// (an empty builder before the first append). The session has no
-    /// system until the extension comes back through
-    /// [`Session::append_extension`] (or [`Session::reinstate`] or
-    /// [`Session::recheck`]).
-    pub fn reopen(&mut self) -> SystemBuilder {
-        self.sys
-            .take()
-            .map_or_else(SystemBuilder::new, CompositeSystem::into_builder)
-    }
-
-    /// Puts back a rebuilt copy of the system [`Session::reopen`] took, for
-    /// an extension that failed before it was appended: the verdict and
-    /// counters are still that system's.
-    pub fn reinstate(&mut self, sys: CompositeSystem) {
-        self.sys = Some(sys);
-    }
-
-    /// [`Session::append`] for a system extended in place from
-    /// [`Session::reopen`]'s builder: no extension check against the
-    /// previous system is needed, and none is possible (it was moved).
-    pub fn append_extension(&mut self, sys: CompositeSystem) -> Result<&Verdict, SessionError> {
-        let deadline = self
-            .options
-            .deadline
-            .map_or_else(Deadline::none, Deadline::after);
         self.stats.appends += 1;
-        self.run(sys, deadline)
-    }
-
-    /// Checks `sys` without a deadline, then sets the counters to `stats`:
-    /// the slow path of a rollback, which rebuilds an earlier system and
-    /// must leave the session as if the later appends never happened.
-    /// `None` empties the session.
-    pub fn recheck(&mut self, sys: Option<CompositeSystem>, stats: SessionStats) {
-        self.sys = None;
-        self.last_verdict = None;
-        if let Some(sys) = sys {
-            // Only the cancel token can interrupt it; an interrupted check
-            // leaves the system installed with no verdict.
-            let _ = self.run(sys, Deadline::none());
-        }
-        self.stats = stats;
-    }
-
-    /// Installs `sys` and checks it from scratch.
-    fn run(&mut self, sys: CompositeSystem, deadline: Deadline) -> Result<&Verdict, SessionError> {
-        self.last_verdict = None;
+        self.verdict = None;
         let sys = self.sys.insert(sys);
-        let outcome = Reducer::with_options(sys, self.options)
-            .deadline(deadline)
-            .cancel_token(&self.cancel)
-            .try_run();
-        Ok(self.last_verdict.insert(outcome?))
+        let verdict = Checker::with_options(self.options).reducer(sys).try_run()?;
+        Ok(self.verdict.insert(verdict))
     }
 
     /// Checks that `new` extends the current system: every existing node
@@ -348,7 +232,6 @@ mod tests {
     use super::*;
     use crate::reduce::Checker;
     use compc_model::SystemBuilder;
-    use std::sync::atomic::Ordering;
 
     /// A compact structural fingerprint of a verdict, for bit-identity
     /// assertions between the session and the from-scratch checker.
@@ -386,16 +269,23 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A session whose first append was `sys`.
+    fn opened(sys: CompositeSystem) -> Session {
+        let mut session = Session::with_options(CheckOptions::default());
+        assert!(session.append(sys).unwrap().is_correct());
+        session
+    }
+
     #[test]
-    fn open_checks_the_initial_system() {
-        let session = Session::open(stack(false)).unwrap();
-        assert!(session.verdict().unwrap().is_correct());
+    fn first_append_checks_the_initial_system() {
+        let session = opened(stack(false));
+        assert_eq!(session.system(), Some(&stack(false)));
         assert_eq!(session.stats().appends, 1);
     }
 
     #[test]
     fn append_matches_from_scratch_check() {
-        let mut session = Session::open(stack(false)).unwrap();
+        let mut session = opened(stack(false));
         let extended = stack(true);
         let batch = Checker::new().check(&extended);
         let incremental = session.append(extended).unwrap().clone();
@@ -407,7 +297,7 @@ mod tests {
 
     #[test]
     fn invalid_extension_is_rejected_and_state_kept() {
-        let mut session = Session::open(stack(false)).unwrap();
+        let mut session = opened(stack(false));
         // A different system entirely: same node count but renamed nodes.
         let mut b = SystemBuilder::new();
         let s = b.schedule("other");
@@ -415,33 +305,11 @@ mod tests {
         let _o = b.leaf("y", t);
         let err = session.append(b.build().unwrap()).unwrap_err();
         assert!(matches!(err, SessionError::Invalid(_)), "{err}");
-        assert!(
-            session.verdict().unwrap().is_correct(),
-            "rejected appends must leave the previous verdict intact"
-        );
+        assert_eq!(session.system(), Some(&stack(false)));
+        assert_eq!(session.stats().appends, 1);
         // Error plumbing: Display + Error are wired.
         let _: &dyn std::error::Error = &err;
         assert!(err.to_string().contains("invalid append"));
-    }
-
-    #[test]
-    fn cancelled_append_checks_again_when_resent() {
-        let sys = stack(false);
-        let mut session = Session::open(sys.clone()).unwrap();
-        let token = session.cancel_token();
-        token.store(true, Ordering::Relaxed);
-        let err = session.append(sys.clone()).unwrap_err();
-        assert!(matches!(
-            err,
-            SessionError::Interrupted(Interrupted { level: 1 })
-        ));
-        assert!(
-            session.verdict().is_none(),
-            "interrupted append has no verdict"
-        );
-        token.store(false, Ordering::Relaxed);
-        let v = session.append(sys).unwrap();
-        assert!(v.is_correct());
     }
 
     #[test]
@@ -456,38 +324,6 @@ mod tests {
         assert_eq!(i.level, 1);
         use std::error::Error;
         assert!(err.source().is_some(), "Interrupted is the source");
-    }
-
-    #[test]
-    fn recheck_rolls_back_to_an_earlier_system() {
-        let mut session = Session::open(stack(false)).unwrap();
-        let stats = session.stats();
-        assert!(!session.append(stack(true)).unwrap().is_correct());
-        session.recheck(Some(stack(false)), stats);
-        assert!(session.verdict().unwrap().is_correct());
-        assert_eq!(session.stats(), stats);
-        // The rolled-back session keeps checking correctly from there.
-        let v = session.append(stack(true)).unwrap().clone();
-        let batch = Checker::new().check(&stack(true));
-        assert_eq!(fingerprint(&v), fingerprint(&batch));
-    }
-
-    #[test]
-    fn extension_in_place_matches_a_whole_system_append() {
-        let mut whole = Session::open(stack(false)).unwrap();
-        let mut in_place = Session::open(stack(false)).unwrap();
-        let mut b = in_place.reopen();
-        let (u1, u2) = (NodeId(2), NodeId(3));
-        let o3 = b.leaf("o3", u1);
-        let o4 = b.leaf("o4", u2);
-        b.conflict(o3, o4).unwrap();
-        b.output_weak(o4, o3).unwrap();
-        let sys = b.build().unwrap();
-        assert_eq!(sys, stack(true), "the extension is the from-scratch build");
-        let v = in_place.append_extension(sys).unwrap().clone();
-        let w = whole.append(stack(true)).unwrap();
-        assert_eq!(fingerprint(&v), fingerprint(w));
-        assert_eq!(in_place.stats(), whole.stats());
     }
 
     /// Every front a stepped reduction of `sys` under `options` reaches,

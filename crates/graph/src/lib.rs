@@ -30,4 +30,4 @@ pub use bitgraph::{BitGraph, CloseScratch};
 pub use chunked::{ChunkedBitGraph, ChunkedRow, CondensedClosure, WalkScratch};
 pub use digraph::DiGraph;
 pub use dot::{dot_escape, dot_string};
-pub use order::{OrderError, PartialOrderRel};
+pub use order::{Added, Gain, OrderError, PartialOrderRel};

@@ -7,7 +7,9 @@
 //! pairs and closes them over the order in one sweep, or rejects the batch
 //! with the first pair that is reflexive or would close a cycle (i.e. a
 //! contradiction `a < b` and `b < a`), leaving the order as it was.
-//! [`PartialOrderRel::from_pairs`] extends the empty order.
+//! [`PartialOrderRel::from_pairs`] extends the empty order. A batch's
+//! extension reports what it added, for [`PartialOrderRel::undo`] to take
+//! it back.
 
 use crate::bitgraph::words_for;
 use crate::{ChunkedRow, DiGraph};
@@ -55,10 +57,10 @@ static EMPTY: ChunkedRow = ChunkedRow::Sparse(Vec::new());
 /// ```
 /// use compc_graph::{OrderError, PartialOrderRel};
 /// let mut rel = PartialOrderRel::from_pairs([(0, 1)]).unwrap();
-/// rel.extend(&[(1, 2)]).unwrap();
+/// rel.extend(&[(1, 2)], None).unwrap();
 /// assert!(rel.lt(0, 2));               // transitive closure is maintained
 /// let cycle = OrderError::Contradiction { attempted: (2, 0) };
-/// assert_eq!(rel.extend(&[(3, 4), (2, 0)]), Err((1, cycle)));
+/// assert_eq!(rel.extend(&[(3, 4), (2, 0)], None), Err((1, cycle)));
 /// assert!(!rel.lt(3, 4));              // a rejected batch changes nothing
 /// assert_eq!(PartialOrderRel::from_pairs([(0, 1), (1, 2)]).unwrap(), rel);
 /// ```
@@ -73,6 +75,22 @@ pub struct PartialOrderRel {
     elements: usize,
     pairs: usize,
 }
+
+/// What one [`PartialOrderRel::extend`] added to an order: the
+/// span and pair count the order had, and where the [`Gain`]s of the rows
+/// of that span start in the caller's buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Added {
+    lo: usize,
+    rows: usize,
+    elements: usize,
+    pairs: usize,
+    gains: usize,
+}
+
+/// The columns a row gained in one word: the row's element, the word's
+/// index `i` (columns `64 i` to `64 i + 63`) and the word's bits.
+pub type Gain = (u32, u32, u64);
 
 impl PartialEq for PartialOrderRel {
     fn eq(&self, other: &Self) -> bool {
@@ -106,7 +124,7 @@ impl PartialOrderRel {
     ) -> Result<Self, OrderError> {
         let pairs: Vec<(usize, usize)> = pairs.into_iter().collect();
         let mut rel = PartialOrderRel::new();
-        rel.extend(&pairs).map_err(|(_, e)| e)?;
+        rel.extend(&pairs, None).map_err(|(_, e)| e)?;
         Ok(rel)
     }
 
@@ -128,12 +146,28 @@ impl PartialOrderRel {
     /// before it, at one row OR per target not already reached. A cycle
     /// is named by bisecting on the pairs: whether a prefix closes a cycle
     /// only grows with the prefix, and each probe is one Kahn pass.
-    pub fn extend(&mut self, pairs: &[(usize, usize)]) -> Result<(), (usize, OrderError)> {
+    ///
+    /// Returns what the batch added, for [`PartialOrderRel::undo`]: the
+    /// span and pair count the order had and, when `gains` is given, a
+    /// [`Gain`] pushed to it for each word a row of that span gained (rows
+    /// new to the span go with it).
+    pub fn extend(
+        &mut self,
+        pairs: &[(usize, usize)],
+        mut gains: Option<&mut Vec<Gain>>,
+    ) -> Result<Added, (usize, OrderError)> {
+        let added = Added {
+            lo: self.lo,
+            rows: self.above.len(),
+            elements: self.elements,
+            pairs: self.pairs,
+            gains: gains.as_ref().map_or(0, |g| g.len()),
+        };
         let (Some(lo), Some(hi)) = (
             pairs.iter().map(|&(a, b)| a.min(b)).min(),
             pairs.iter().map(|&(a, b)| a.max(b)).max(),
         ) else {
-            return Ok(());
+            return Ok(added);
         };
         let (lo, hi) = match self.above.len() {
             0 => (lo, hi),
@@ -187,6 +221,18 @@ impl PartialOrderRel {
                 }
             }
             let row = &mut self.above[u as usize];
+            let at = lo + u as usize;
+            let spanned = |_: &&mut Vec<Gain>| (added.lo..added.lo + added.rows).contains(&at);
+            if let Some(gains) = gains.as_deref_mut().filter(spanned) {
+                gained.for_each_masked(None, Some(&*row), |b| {
+                    let (word, bit) = ((b / 64) as u32, 1u64 << (b % 64));
+                    // Only a gain of this extension may take the bit.
+                    match gains[added.gains..].last_mut() {
+                        Some((r, w, bits)) if (*r as usize, *w) == (at, word) => *bits |= bit,
+                        _ => gains.push((at as u32, word, bit)),
+                    }
+                });
+            }
             self.pairs += gained.count() - row.count_and(&gained);
             if row.is_empty() {
                 *row = gained;
@@ -194,7 +240,24 @@ impl PartialOrderRel {
                 row.or_from(&gained, cols);
             }
         }
-        Ok(())
+        Ok(added)
+    }
+
+    /// Takes back what [`PartialOrderRel::extend`] added, which must be
+    /// the last change to the order not undone yet, and removes its gains,
+    /// the last ones, from `gains`.
+    pub fn undo(&mut self, added: Added, gains: &mut Vec<Gain>) {
+        for (a, word, bits) in gains.drain(added.gains..) {
+            let row = &mut self.above[a as usize - self.lo];
+            for bit in (0..64).filter(|i| bits >> i & 1 == 1) {
+                row.remove(64 * word as usize + bit);
+            }
+        }
+        self.pairs = added.pairs;
+        self.above.drain(..added.lo.saturating_sub(self.lo));
+        self.above.truncate(added.rows);
+        self.lo = added.lo;
+        self.elements = added.elements;
     }
 
     /// Number of elements the order currently spans (max index + 1).
@@ -384,7 +447,10 @@ mod tests {
     #[test]
     fn reflexive_rejected() {
         let mut rel = PartialOrderRel::new();
-        assert_eq!(rel.extend(&[(3, 3)]), Err((0, OrderError::Reflexive(3))));
+        assert_eq!(
+            rel.extend(&[(3, 3)], None),
+            Err((0, OrderError::Reflexive(3)))
+        );
     }
 
     #[test]
@@ -392,7 +458,7 @@ mod tests {
         let mut rel = PartialOrderRel::from_pairs([(0, 1)]).unwrap();
         let before = rel.clone();
         assert_eq!(
-            rel.extend(&[(1, 0)]),
+            rel.extend(&[(1, 0)], None),
             Err((0, OrderError::Contradiction { attempted: (1, 0) }))
         );
         assert_eq!(rel, before);
@@ -401,14 +467,14 @@ mod tests {
     #[test]
     fn transitive_contradiction_rejected() {
         let mut rel = PartialOrderRel::from_pairs([(0, 1), (1, 2)]).unwrap();
-        assert!(rel.extend(&[(2, 0)]).is_err());
+        assert!(rel.extend(&[(2, 0)], None).is_err());
     }
 
     #[test]
     fn closure_maintained_incrementally() {
         let mut rel = PartialOrderRel::from_pairs([(0, 1), (2, 3)]).unwrap();
         assert!(!rel.lt(0, 3));
-        rel.extend(&[(1, 2)]).unwrap();
+        rel.extend(&[(1, 2)], None).unwrap();
         assert!(rel.lt(0, 3));
         assert!(rel.lt(0, 2));
         assert!(rel.lt(1, 3));
@@ -418,7 +484,7 @@ mod tests {
     #[test]
     fn duplicate_pairs_idempotent() {
         let mut rel = PartialOrderRel::from_pairs([(0, 1), (0, 1)]).unwrap();
-        rel.extend(&[(0, 1)]).unwrap();
+        rel.extend(&[(0, 1)], None).unwrap();
         assert_eq!(rel.pair_count(), 1);
     }
 
@@ -530,22 +596,22 @@ mod tests {
     #[test]
     fn extending_below_the_span_keeps_earlier_pairs() {
         let mut rel = PartialOrderRel::from_pairs([(20, 21), (21, 25)]).unwrap();
-        rel.extend(&[(3, 20)]).unwrap();
+        rel.extend(&[(3, 20)], None).unwrap();
         assert_eq!(
             rel.pairs().collect::<Vec<_>>(),
             vec![(3, 20), (3, 21), (3, 25), (20, 21), (20, 25), (21, 25)]
         );
         assert_eq!(rel.above(3).collect::<Vec<_>>(), vec![20, 21, 25]);
         assert_eq!(rel.element_count(), 26);
-        assert!(rel.extend(&[(25, 3)]).is_err());
+        assert!(rel.extend(&[(25, 3)], None).is_err());
     }
 
     #[test]
     fn extending_in_batches_matches_closing_once() {
         let pairs = [(7, 9), (2, 7), (9, 12), (2, 4), (4, 9), (2, 9)];
         let mut batches = PartialOrderRel::from_pairs(pairs[..2].iter().copied()).unwrap();
-        batches.extend(&pairs[2..4]).unwrap();
-        batches.extend(&pairs[4..]).unwrap();
+        batches.extend(&pairs[2..4], None).unwrap();
+        batches.extend(&pairs[4..], None).unwrap();
         assert_eq!(batches, PartialOrderRel::from_pairs(pairs).unwrap());
         // A cycle or a reflexive pair is named as inserting the pairs one
         // by one would name it, also when the cycle runs through pairs
@@ -561,11 +627,11 @@ mod tests {
         );
         let mut closed = PartialOrderRel::from_pairs([(1, 2), (3, 4)]).unwrap();
         assert_eq!(
-            closed.extend(&[(2, 3), (6, 6), (4, 1)]),
+            closed.extend(&[(2, 3), (6, 6), (4, 1)], None),
             Err((1, OrderError::Reflexive(6)))
         );
         assert_eq!(
-            closed.extend(&[(2, 3), (0, 5), (4, 1), (6, 6)]),
+            closed.extend(&[(2, 3), (0, 5), (4, 1), (6, 6)], None),
             Err((2, OrderError::Contradiction { attempted: (4, 1) }))
         );
         assert_eq!(
@@ -574,12 +640,62 @@ mod tests {
         );
     }
 
+    /// Undoing batches in reverse gives back each earlier order, whether
+    /// a batch extended the span below, above or not at all, and whether
+    /// it failed (a failed batch reports nothing to undo).
+    #[test]
+    fn undo_takes_back_each_batch() {
+        let batches: [&[(usize, usize)]; 5] = [
+            &[(20, 21), (21, 25)],
+            &[(3, 20)],
+            &[(25, 40), (3, 21)],
+            &[(22, 23)],
+            &(1..70).map(|b| (0, b)).collect::<Vec<_>>(),
+        ];
+        let mut rel = PartialOrderRel::with_elements(30);
+        let mut history = vec![(rel.clone(), rel.lo, rel.above.len())];
+        let (mut undos, mut gains) = (Vec::new(), Vec::new());
+        for batch in batches {
+            undos.push(rel.extend(batch, Some(&mut gains)).unwrap());
+            let failed = rel.extend(&[(21, 22), (5, 5)], Some(&mut gains));
+            assert!(failed.is_err());
+            history.push((rel.clone(), rel.lo, rel.above.len()));
+        }
+        for added in undos.into_iter().rev() {
+            history.pop();
+            rel.undo(added, &mut gains);
+            let (before, lo, rows) = history.last().unwrap();
+            assert_eq!(&rel, before);
+            assert_eq!((rel.lo, rel.above.len()), (*lo, *rows));
+            assert_eq!(rel.pairs().count(), rel.pair_count());
+        }
+        assert_eq!(rel, PartialOrderRel::with_elements(30));
+        assert!(gains.is_empty());
+    }
+
+    /// Orders that share one gains buffer each take back only their own
+    /// gains, also when two gains fall in the same row and word.
+    #[test]
+    fn orders_sharing_a_gains_buffer_undo_their_own_gains() {
+        let mut gains = Vec::new();
+        let (mut a, mut b) = (PartialOrderRel::new(), PartialOrderRel::new());
+        a.extend(&[(1, 2)], None).unwrap();
+        b.extend(&[(1, 2)], None).unwrap();
+        let before = (a.clone(), b.clone());
+        let added_a = a.extend(&[(1, 3)], Some(&mut gains)).unwrap();
+        let added_b = b.extend(&[(1, 3)], Some(&mut gains)).unwrap();
+        b.undo(added_b, &mut gains);
+        a.undo(added_a, &mut gains);
+        assert_eq!((a, b), before);
+        assert!(gains.is_empty());
+    }
+
     /// A dense row promoted while the order spanned few columns widens when
     /// the order grows, and compares equal to a row promoted wide.
     #[test]
     fn rows_widen_as_the_order_grows() {
         let mut grown = PartialOrderRel::from_pairs((1..40).map(|b| (0, b))).unwrap();
-        grown.extend(&[(39, 1_000)]).unwrap();
+        grown.extend(&[(39, 1_000)], None).unwrap();
         assert!(grown.lt(0, 1_000));
         let once = PartialOrderRel::from_pairs(grown.pairs()).unwrap();
         assert_eq!(grown, once);

@@ -98,7 +98,7 @@ proptest! {
         // a valid strict partial order.
         let mut rel = PartialOrderRel::with_elements(g.node_count());
         for (u, v) in g.edges() {
-            prop_assert!(rel.extend(&[(u, v)]).is_ok());
+            prop_assert!(rel.extend(&[(u, v)], None).is_ok());
         }
         // The incremental closure equals the batch closure.
         let batch = transitive_closure(&g);
@@ -116,7 +116,7 @@ proptest! {
             for v in 0..g.node_count() {
                 if u == v { continue; }
                 let mut probe = rel.clone();
-                let res = probe.extend(&[(u, v)]);
+                let res = probe.extend(&[(u, v)], None);
                 if rel.lt(v, u) {
                     prop_assert!(res.is_err());
                 } else {
@@ -129,7 +129,7 @@ proptest! {
     #[test]
     fn linear_extension_is_permutation(g in arb_dag(12, 40)) {
         let mut rel = PartialOrderRel::with_elements(g.node_count());
-        rel.extend(&g.edges().collect::<Vec<_>>()).unwrap();
+        rel.extend(&g.edges().collect::<Vec<_>>(), None).unwrap();
         let ext = rel.linear_extension();
         let mut sorted = ext.clone();
         sorted.sort_unstable();

@@ -3,7 +3,8 @@
 //! A [`SystemBuilder`] has one mode: its order methods record pairs, and
 //! each order relation closes once over all of them, in one sweep
 //! (`compc_graph::PartialOrderRel::extend`), whether the builder is fresh
-//! or reopened from a built system for a session append.
+//! or holds a validated system that a session append extends in place,
+//! recording each change so that it can be undone.
 
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
@@ -11,8 +12,7 @@ use crate::orders::OrderPair;
 use crate::schedule::{Schedule, Transaction};
 use crate::semantics::{CommutativityTable, OpSpec};
 use crate::system::{CompositeSystem, NodeInfo};
-use compc_graph::ChunkedRow;
-use std::collections::BTreeSet;
+use compc_graph::{Added, ChunkedRow, Gain};
 
 /// Incremental builder for a [`CompositeSystem`].
 ///
@@ -21,9 +21,10 @@ use std::collections::BTreeSet;
 /// input/output orders); `build()` assembles and validates everything against
 /// Definitions 2–4.
 ///
-/// [`CompositeSystem::into_builder`] reopens a built system for extension
-/// in place: the builder then records which schedules the new items touch,
-/// and `build()` re-validates only those.
+/// The system grows in place, and [`SystemBuilder::validate`] checks the
+/// schedules declared or changed since the last validation. A fresh
+/// builder records nothing; once told to [`SystemBuilder::forget`], it
+/// records every change it makes, for [`SystemBuilder::undo_to`].
 ///
 /// The order methods record their pairs, and [`SystemBuilder::close_orders`]
 /// (which [`SystemBuilder::propagate_orders`] and [`SystemBuilder::build`]
@@ -50,18 +51,24 @@ use std::collections::BTreeSet;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SystemBuilder {
-    nodes: Vec<NodeInfo>,
-    schedules: Vec<Schedule>,
-    /// Parallel to `schedules`: transactions under construction.
-    txs: Vec<Vec<Transaction>>,
-    /// Per node, its index in its home schedule's `txs` (0 for leaves).
+    /// The system under construction; its levels are computed by
+    /// [`SystemBuilder::validate`].
+    sys: CompositeSystem,
+    /// Per node, its index in its home schedule's transactions (0 for
+    /// leaves).
     slot: Vec<u32>,
-    /// Set when reopened from a built (hence valid) system.
-    reopened: Option<Reopened>,
+    /// Per schedule, whether it was declared or changed since the last
+    /// validation.
+    touched: Vec<bool>,
     /// The order pairs declared and not closed yet.
     pending: Vec<Declared>,
-    /// How many order pairs were declared, closed or not.
+    /// How many order pairs were declared since the last validation,
+    /// closed or not.
     declared: usize,
+    /// The changes made, oldest first, once the builder records them.
+    undo: Option<Vec<Change>>,
+    /// The words the recorded order extensions added to rows.
+    gains: Vec<Gain>,
 }
 
 /// An order relation of the system under construction.
@@ -86,15 +93,17 @@ struct Declared {
     at: usize,
 }
 
-/// The state a reopened builder keeps about the system it extends.
-#[derive(Clone, Debug, Default)]
-struct Reopened {
-    /// Nodes the system had when it was reopened.
-    base_nodes: usize,
-    /// The system's children lists, extended by the new nodes on build.
-    children: Vec<Vec<NodeId>>,
-    /// Schedules that are new or whose value changed since the reopen.
-    touched: BTreeSet<SchedId>,
+/// One change a recording builder made to its system.
+#[derive(Clone, Debug)]
+enum Change {
+    /// A schedule was declared.
+    Schedule,
+    /// The last node was declared, into its parent and its home.
+    Node,
+    /// A conflict pair was inserted into a schedule.
+    Conflict(SchedId, NodeId, NodeId),
+    /// An order relation's weak and strong orders grew.
+    Order(Relation, [Added; 2]),
 }
 
 impl SystemBuilder {
@@ -103,51 +112,18 @@ impl SystemBuilder {
         Self::default()
     }
 
-    /// Reopens a built system's parts; see [`CompositeSystem::into_builder`].
-    pub(crate) fn reopen(
-        nodes: Vec<NodeInfo>,
-        mut schedules: Vec<Schedule>,
-        children: Vec<Vec<NodeId>>,
-    ) -> Self {
-        let txs: Vec<Vec<Transaction>> = schedules
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.transactions))
-            .collect();
-        let mut slot = vec![0; nodes.len()];
-        for list in &txs {
-            for (i, t) in (0..).zip(list) {
-                slot[t.id.index()] = i;
-            }
-        }
-        SystemBuilder {
-            reopened: Some(Reopened {
-                base_nodes: nodes.len(),
-                children,
-                touched: BTreeSet::new(),
-            }),
-            nodes,
-            schedules,
-            txs,
-            slot,
-            pending: Vec::new(),
-            declared: 0,
-        }
-    }
-
     /// Declares a new schedule (scheduler component) and returns its id.
     pub fn schedule(&mut self, name: impl Into<String>) -> SchedId {
-        let id = SchedId(self.schedules.len() as u32);
-        self.schedules.push(Schedule::new(id, name));
-        self.txs.push(Vec::new());
-        self.touch(id);
+        let id = SchedId(self.sys.schedules.len() as u32);
+        self.sys.schedules.push(Schedule::new(id, name));
+        self.touched.push(true);
+        self.record(Change::Schedule);
         id
     }
 
     /// Declares a root transaction homed at `home`.
     pub fn root(&mut self, name: impl Into<String>, home: SchedId) -> NodeId {
-        let id = self.push_node(name, None, Some(home), None);
-        self.push_tx(id, home);
-        id
+        self.push_node(name.into(), None, Some(home), None)
     }
 
     /// Declares a subtransaction: an operation of `parent` that is itself a
@@ -157,11 +133,7 @@ impl SystemBuilder {
     /// Panics if `parent` is unknown or is a leaf. (Misuse is a programming
     /// error in scenario construction, not a recoverable condition.)
     pub fn subtx(&mut self, name: impl Into<String>, parent: NodeId, home: SchedId) -> NodeId {
-        let container = self.home_of(parent);
-        let id = self.push_node(name, Some(parent), Some(home), Some(container));
-        self.push_tx(id, home);
-        self.attach_op(parent, id);
-        id
+        self.push_node(name.into(), Some(parent), Some(home), None)
     }
 
     /// Declares a leaf operation of `parent`.
@@ -169,25 +141,13 @@ impl SystemBuilder {
     /// # Panics
     /// Panics if `parent` is unknown or is a leaf.
     pub fn leaf(&mut self, name: impl Into<String>, parent: NodeId) -> NodeId {
-        let container = self.home_of(parent);
-        let id = self.push_node(name, Some(parent), None, Some(container));
-        self.attach_op(parent, id);
-        id
+        self.push_node(name.into(), Some(parent), None, None)
     }
 
     /// Declares a leaf operation with item/mode semantics; its display name
     /// is derived from the spec (e.g. `r(x3)`).
     pub fn leaf_spec(&mut self, parent: NodeId, spec: OpSpec) -> NodeId {
-        let container = self.home_of(parent);
-        let id = self.push_node(spec.to_string(), Some(parent), None, Some(container));
-        self.nodes[id.index()].spec = Some(spec);
-        self.attach_op(parent, id);
-        id
-    }
-
-    /// A node declared so far (of the reopened system too).
-    pub fn node(&self, n: NodeId) -> Option<&NodeInfo> {
-        self.nodes.get(n.index())
+        self.push_node(spec.to_string(), Some(parent), None, Some(spec))
     }
 
     /// Records the weak intra-transaction order `a ≺_t b`; `a` and `b` must
@@ -244,8 +204,9 @@ impl SystemBuilder {
     /// commutativity table. Only pairs with both specs present are touched;
     /// hand-declared conflicts are kept.
     pub fn derive_conflicts(&mut self, table: &CommutativityTable) {
-        for s_idx in 0..self.schedules.len() {
+        for s_idx in 0..self.sys.schedules.len() {
             let ops: Vec<(NodeId, OpSpec)> = self
+                .sys
                 .nodes
                 .iter()
                 .filter(|n| n.container == Some(SchedId(s_idx as u32)))
@@ -264,9 +225,9 @@ impl SystemBuilder {
     /// Applies Definition 4.7 automatically: copies every output-order pair
     /// whose endpoints are both transactions of one schedule into that
     /// schedule's input orders. Call after declaring output orders to avoid
-    /// spelling the propagation out by hand. A reopened builder reads only
-    /// the schedules the extension touched: the system it was reopened from
-    /// was valid, so every other schedule's pairs are already propagated.
+    /// spelling the propagation out by hand. Only the schedules declared or
+    /// changed since the last validation are read: every other schedule's
+    /// pairs were propagated when it was validated.
     ///
     /// Closes the orders declared so far first, and the copied pairs after.
     pub fn propagate_orders(&mut self) -> Result<(), ModelError> {
@@ -276,13 +237,11 @@ impl SystemBuilder {
         // the pairs come out lexicographically.
         let mut weak = Vec::new();
         let mut strong = Vec::new();
-        for (s, txs) in self.schedules.iter().zip(&self.txs) {
-            if let Some(r) = &self.reopened {
-                if !r.touched.contains(&s.id) {
-                    continue;
-                }
+        for s in &self.sys.schedules {
+            if !self.touched[s.id.index()] {
+                continue;
             }
-            let homed = homed_ops(&self.nodes, txs.iter().flat_map(|t| &t.ops).copied());
+            let homed = homed_ops(&self.sys.nodes, s.ops());
             if homed.is_empty() {
                 continue;
             }
@@ -291,7 +250,7 @@ impl SystemBuilder {
                 (s.output.strong(), &mut strong),
             ] {
                 for (a, row) in rel.rows() {
-                    let Some(home) = self.nodes[a].home else {
+                    let Some(home) = self.sys.nodes[a].home else {
                         continue;
                     };
                     let Some((_, same)) = homed.iter().find(|(h, _)| *h == home) else {
@@ -320,20 +279,24 @@ impl SystemBuilder {
     /// first pair, in declaration order across all relations, that
     /// closing on every declared pair would have rejected, and with that
     /// pair's position: how many order pairs were declared into this
-    /// builder before it (since [`SystemBuilder::new`] or the reopen). The
-    /// relations that failed keep their pairs pending, so the error
-    /// recurs until the builder is dropped.
+    /// builder before it since its last validation (or since
+    /// [`SystemBuilder::new`]). The relations that failed keep their pairs
+    /// pending, so the error recurs until the builder is dropped or undone.
     pub fn close_orders(&mut self) -> Result<(), (usize, ModelError)> {
         let mut pending = std::mem::take(&mut self.pending);
         // Stable: each relation's pairs stay in declaration order.
         pending.sort_by_key(|d| d.rel);
         let mut first: Option<(usize, ModelError)> = None;
+        let mut gains = std::mem::take(&mut self.gains);
         for group in pending.chunk_by(|x, y| x.rel == y.rel) {
             let rel = group[0].rel;
             let pairs: Vec<_> = group.iter().map(|d| (d.a, d.b, d.strong)).collect();
-            match self.relation_mut(rel).extend_closing_once(&pairs) {
-                Ok(true) => self.touch(self.schedule_of(rel)),
-                Ok(false) => {}
+            let recording = self.undo.is_some().then_some(&mut gains);
+            match self.relation_mut(rel).extend(&pairs, recording) {
+                Ok(added) => {
+                    self.touch(self.schedule_of(rel));
+                    self.record(Change::Order(rel, added));
+                }
                 Err((i, e)) => {
                     self.pending.extend_from_slice(group);
                     if first.as_ref().is_none_or(|(at, _)| group[i].at < *at) {
@@ -342,88 +305,149 @@ impl SystemBuilder {
                 }
             }
         }
+        self.gains = gains;
         first.map_or(Ok(()), Err)
     }
 
-    /// Finalizes and validates the system. A reopened builder re-validates
-    /// only the schedules the extension touched (an untouched schedule of a
-    /// valid system stays valid: its relations are unchanged and the input
-    /// orders it propagates into only grew).
-    pub fn build(mut self) -> Result<CompositeSystem, ModelError> {
+    /// Closes the pending order pairs, computes the levels and validates
+    /// the schedules declared or changed since the last validation (an
+    /// unchanged schedule of a valid system stays valid: its relations are
+    /// unchanged and the input orders it propagates into only grew).
+    pub fn validate(&mut self) -> Result<&CompositeSystem, ModelError> {
         self.close_orders().map_err(|(_, e)| e)?;
-        for (s_idx, txs) in self.txs.into_iter().enumerate() {
-            self.schedules[s_idx].transactions = txs;
-        }
-        let Some(Reopened {
-            base_nodes,
-            mut children,
-            touched,
-        }) = self.reopened
-        else {
-            return CompositeSystem::assemble(self.nodes, self.schedules);
-        };
-        children.resize(self.nodes.len(), Vec::new());
-        for n in &self.nodes[base_nodes..] {
-            if let Some(p) = n.parent {
-                children[p.index()].push(n.id);
+        self.sys.levels = self.sys.compute_levels()?;
+        let touched = &self.touched;
+        self.sys.validate_where(|s| touched[s.index()])?;
+        self.touched.fill(false);
+        self.declared = 0;
+        Ok(&self.sys)
+    }
+
+    /// Finalizes and validates the system ([`SystemBuilder::validate`]).
+    pub fn build(mut self) -> Result<CompositeSystem, ModelError> {
+        self.validate()?;
+        Ok(self.sys)
+    }
+
+    /// The system as it stands: valid from a successful
+    /// [`SystemBuilder::validate`] to the next declaration.
+    pub fn system(&self) -> &CompositeSystem {
+        &self.sys
+    }
+
+    /// How many changes the builder has recorded: a mark for
+    /// [`SystemBuilder::undo_to`].
+    pub fn changes(&self) -> usize {
+        self.undo.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Drops the recorded changes, keeping what they made, and records
+    /// every change from here on.
+    pub fn forget(&mut self) {
+        self.undo = Some(Vec::new());
+        self.gains = Vec::new();
+    }
+
+    /// Takes back, newest first, every change recorded after `mark` (a
+    /// [`SystemBuilder::changes`] count taken when no declaration was
+    /// pending), and drops the pairs not closed yet: the system is then
+    /// `==` the one the builder held at the mark.
+    pub fn undo_to(&mut self, mark: usize) {
+        let mut undo = self.undo.take().unwrap_or_default();
+        let mut gains = std::mem::take(&mut self.gains);
+        for change in undo.drain(mark..).rev() {
+            match change {
+                Change::Schedule => {
+                    self.sys.schedules.pop();
+                    self.touched.pop();
+                }
+                Change::Node => self.pop_node(),
+                Change::Conflict(s, a, b) => {
+                    self.sys.schedules[s.index()].conflicts.remove(a, b);
+                }
+                Change::Order(rel, added) => self.relation_mut(rel).undo(added, &mut gains),
             }
         }
-        CompositeSystem::assemble_extension(self.nodes, self.schedules, children, &touched)
+        (self.undo, self.gains) = (Some(undo), gains);
+        self.pending.clear();
+        self.declared = 0;
+        self.touched.fill(false);
+        self.sys.levels = (self.sys.compute_levels()).expect("a marked system has levels");
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    fn relation_mut(&mut self, rel: Relation) -> &mut OrderPair {
-        match rel {
-            Relation::Output(s) => &mut self.schedules[s.index()].output,
-            Relation::Input(s) => &mut self.schedules[s.index()].input,
-            Relation::Intra(tx) => {
-                let home = self.nodes[tx.index()]
-                    .home
-                    .expect("intra orders belong to a transaction");
-                &mut self.txs[home.index()][self.slot[tx.index()] as usize].intra
-            }
+    fn record(&mut self, change: Change) {
+        if let Some(undo) = &mut self.undo {
+            undo.push(change);
         }
     }
 
-    fn push_tx(&mut self, id: NodeId, home: SchedId) {
-        self.slot[id.index()] = self.txs[home.index()].len() as u32;
-        self.txs[home.index()].push(Transaction::new(id));
-        self.touch(home);
-    }
-
+    /// Declares a node: an operation of `parent`'s transaction (if any)
+    /// and a transaction of `home` (if any). Panics before any change if
+    /// `parent` is unknown or a leaf, or `home` unknown.
     fn push_node(
         &mut self,
-        name: impl Into<String>,
+        name: String,
         parent: Option<NodeId>,
         home: Option<SchedId>,
-        container: Option<SchedId>,
+        spec: Option<OpSpec>,
     ) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.slot.push(0);
-        self.nodes.push(NodeInfo {
+        let container = parent.map(|p| self.home_of(p));
+        let slot = home.map_or(0, |h| {
+            self.sys.schedules[h.index()].transactions.len() as u32
+        });
+        let id = NodeId(self.sys.nodes.len() as u32);
+        self.sys.nodes.push(NodeInfo {
             id,
-            name: name.into(),
+            name,
             parent,
             home,
             container,
-            spec: None,
+            spec,
         });
+        self.sys.children.push(Vec::new());
+        self.slot.push(slot);
+        if let Some(home) = home {
+            self.sys.schedules[home.index()]
+                .transactions
+                .push(Transaction::new(id));
+            self.touch(home);
+        }
+        if let (Some(parent), Some(container)) = (parent, container) {
+            self.sys.children[parent.index()].push(id);
+            self.transaction_mut(parent).ops.push(id);
+            self.touch(container);
+        }
+        self.record(Change::Node);
         id
     }
 
-    /// Marks schedule `s` changed (only a reopened builder keeps track).
-    fn touch(&mut self, s: SchedId) {
-        if let Some(r) = &mut self.reopened {
-            r.touched.insert(s);
+    /// Takes the last node back out of its parent and its home.
+    fn pop_node(&mut self) {
+        let n = self.sys.nodes.pop().expect("a recorded node");
+        self.sys.children.pop();
+        self.slot.pop();
+        if let Some(home) = n.home {
+            self.sys.schedules[home.index()].transactions.pop();
+        }
+        if let Some(parent) = n.parent {
+            self.sys.children[parent.index()].pop();
+            self.transaction_mut(parent).ops.pop();
         }
     }
 
+    /// Marks schedule `s` changed since the last validation.
+    fn touch(&mut self, s: SchedId) {
+        self.touched[s.index()] = true;
+    }
+
     fn add_conflict(&mut self, s: SchedId, a: NodeId, b: NodeId) {
-        if self.schedules[s.index()].conflicts.insert(a, b) {
+        if self.sys.schedules[s.index()].conflicts.insert(a, b) {
             self.touch(s);
+            self.record(Change::Conflict(s, a, b));
         }
     }
 
@@ -450,25 +474,18 @@ impl SystemBuilder {
     fn schedule_of(&self, rel: Relation) -> SchedId {
         match rel {
             Relation::Output(s) | Relation::Input(s) => s,
-            Relation::Intra(tx) => self.nodes[tx.index()].home.expect("a transaction"),
+            Relation::Intra(tx) => self.sys.nodes[tx.index()].home.expect("a transaction"),
         }
     }
 
     fn home_of(&self, parent: NodeId) -> SchedId {
         let info = self
+            .sys
             .nodes
             .get(parent.index())
             .unwrap_or_else(|| panic!("unknown parent {parent}"));
         info.home
             .unwrap_or_else(|| panic!("{parent} is a leaf and cannot have children"))
-    }
-
-    fn attach_op(&mut self, parent: NodeId, op: NodeId) {
-        let home = self.home_of(parent);
-        self.txs[home.index()][self.slot[parent.index()] as usize]
-            .ops
-            .push(op);
-        self.touch(home);
     }
 
     fn shared_parent(&self, a: NodeId, b: NodeId) -> Result<NodeId, ModelError> {
@@ -506,8 +523,26 @@ impl SystemBuilder {
         }
     }
 
+    /// The order relation `rel` of the system.
+    fn relation_mut(&mut self, rel: Relation) -> &mut OrderPair {
+        match rel {
+            Relation::Output(s) => &mut self.sys.schedules[s.index()].output,
+            Relation::Input(s) => &mut self.sys.schedules[s.index()].input,
+            Relation::Intra(tx) => &mut self.transaction_mut(tx).intra,
+        }
+    }
+
+    /// The transaction of node `tx`.
+    fn transaction_mut(&mut self, tx: NodeId) -> &mut Transaction {
+        let home = self.sys.nodes[tx.index()].home.expect("a transaction");
+        &mut self.sys.schedules[home.index()].transactions[self.slot[tx.index()] as usize]
+    }
+
     fn info(&self, n: NodeId) -> Result<&NodeInfo, ModelError> {
-        self.nodes.get(n.index()).ok_or(ModelError::UnknownNode(n))
+        self.sys
+            .nodes
+            .get(n.index())
+            .ok_or(ModelError::UnknownNode(n))
     }
 }
 
@@ -678,10 +713,10 @@ mod tests {
         assert!(b.tx_weak_order(o1, o2).is_err());
     }
 
-    /// A reopened builder closes new pairs over the rows it holds: `o0`
+    /// A validated builder closes new pairs over the rows it holds: `o0`
     /// reaches `o2` only through the closed row of `o0` reaching `o1`.
     #[test]
-    fn reopened_builder_closes_over_existing_rows() {
+    fn an_extension_closes_over_existing_rows() {
         let mut b = SystemBuilder::new();
         let s = b.schedule("S");
         let t0 = b.root("T0", s);
@@ -689,17 +724,90 @@ mod tests {
         let o0 = b.leaf("o0", t0);
         let o1 = b.leaf("o1", t1);
         b.output_weak(o0, o1).unwrap();
-        let mut b = b.build().unwrap().into_builder();
+        b.validate().unwrap();
         let t2 = b.root("T2", s);
         let o2 = b.leaf("o2", t2);
         b.output_weak(o1, o2).unwrap();
         b.conflict(o0, o2).unwrap();
-        let sys = b.build().unwrap();
+        let sys = b.validate().unwrap();
         assert!(sys.schedule(s).output.weak_lt(o0, o2));
         // And a pair closing a cycle through them is rejected at the close.
-        let mut b = sys.into_builder();
         b.output_weak(o2, o0).unwrap();
         assert!(matches!(b.build(), Err(ModelError::OrderViolation { .. })));
+    }
+
+    /// Two roots of `top`, each with a subtransaction at `bot` holding a
+    /// leaf; the leaves conflict and are ordered. `extra` adds a second
+    /// leaf under each subtransaction, conflicting and ordered the other
+    /// way.
+    fn stack(extra: bool) -> CompositeSystem {
+        stack_builder(extra).build().unwrap()
+    }
+
+    /// The builder of [`stack`], before its build.
+    fn stack_builder(extra: bool) -> SystemBuilder {
+        let mut b = SystemBuilder::new();
+        let s_top = b.schedule("top");
+        let s_bot = b.schedule("bot");
+        let t1 = b.root("T1", s_top);
+        let t2 = b.root("T2", s_top);
+        let u1 = b.subtx("u1", t1, s_bot);
+        let u2 = b.subtx("u2", t2, s_bot);
+        let o1 = b.leaf("o1", u1);
+        let o2 = b.leaf("o2", u2);
+        b.conflict(o1, o2).unwrap();
+        b.output_weak(o1, o2).unwrap();
+        if extra {
+            let o3 = b.leaf("o3", u1);
+            let o4 = b.leaf("o4", u2);
+            b.conflict(o3, o4).unwrap();
+            b.output_weak(o4, o3).unwrap();
+        }
+        assert_eq!(b.changes(), 0, "a fresh builder records nothing");
+        b
+    }
+
+    /// A validated system extended in place is the system a fresh builder
+    /// builds from all the declarations, and undoing the extension, or a
+    /// failed one, gives back the system as it was validated.
+    #[test]
+    fn extension_in_place_matches_a_whole_build_and_undoes() {
+        let mut b = stack_builder(false);
+        b.validate().unwrap();
+        b.forget();
+        let mark = b.changes();
+        let (u1, u2) = (NodeId(2), NodeId(3));
+        let o3 = b.leaf("o3", u1);
+        let o4 = b.leaf("o4", u2);
+        b.conflict(o3, o4).unwrap();
+        b.output_weak(o4, o3).unwrap();
+        assert_eq!(
+            b.validate().unwrap(),
+            &stack(true),
+            "in place == whole build"
+        );
+        b.undo_to(mark);
+        assert_eq!(b.system(), &stack(false));
+        // A new schedule and root, new pairs in both orders of `bot`, one
+        // of them closing a cycle: the close fails and the undo takes
+        // back what the other relations gained.
+        let s = b.schedule("side");
+        let t3 = b.root("T3", s);
+        let o5 = b.leaf("o5", t3);
+        let (o1, o2) = (NodeId(4), NodeId(5));
+        b.tx_weak_order(o1, o1).unwrap();
+        b.input_weak(u1, u2).unwrap();
+        b.output_weak(o2, o1).unwrap();
+        assert!(b.conflict(o5, o1).is_err());
+        assert!(b.validate().is_err());
+        assert!(b.changes() > mark);
+        b.undo_to(mark);
+        assert_eq!(b.system(), &stack(false));
+        assert_eq!(
+            b.validate().unwrap(),
+            &stack(false),
+            "nothing stays pending"
+        );
     }
 
     #[test]

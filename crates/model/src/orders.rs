@@ -14,7 +14,7 @@
 
 use crate::error::ModelError;
 use crate::ids::NodeId;
-use compc_graph::PartialOrderRel;
+use compc_graph::{Added, Gain, PartialOrderRel};
 
 /// The three Definition-1 relations between two nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -43,7 +43,7 @@ impl OrderPair {
 
     /// Adds the pairs `(a, b, strong)`: `a < b`, and `a ≪ b` too when
     /// `strong`, closing each relation once
-    /// ([`PartialOrderRel::extend`]). Returns whether either relation grew.
+    /// ([`PartialOrderRel::extend`]).
     ///
     /// On a reflexive or contradictory pair it fails with the pair's index
     /// in `pairs` and its error, naming the first pair that adding them one
@@ -53,13 +53,23 @@ impl OrderPair {
     pub fn extend_closing_once(
         &mut self,
         pairs: &[(NodeId, NodeId, bool)],
-    ) -> Result<bool, (usize, ModelError)> {
-        let before = (self.weak.pair_count(), self.strong.pair_count());
+    ) -> Result<(), (usize, ModelError)> {
+        self.extend(pairs, None).map(drop)
+    }
+
+    /// [`OrderPair::extend_closing_once`] that reports what the weak and
+    /// the strong relation added, their rows' gains pushed to `gains` when
+    /// it is given.
+    pub(crate) fn extend(
+        &mut self,
+        pairs: &[(NodeId, NodeId, bool)],
+        mut gains: Option<&mut Vec<Gain>>,
+    ) -> Result<[Added; 2], (usize, ModelError)> {
         let all: Vec<(usize, usize)> = pairs
             .iter()
             .map(|&(a, b, _)| (a.index(), b.index()))
             .collect();
-        self.weak.extend(&all).map_err(|(i, source)| {
+        let weak = (self.weak.extend(&all, gains.as_deref_mut())).map_err(|(i, source)| {
             let (a, b, _) = pairs[i];
             let kind = OrderKind::Weak;
             (i, ModelError::OrderViolation { a, b, kind, source })
@@ -67,10 +77,15 @@ impl OrderPair {
         let strong: Vec<(usize, usize)> = (pairs.iter().zip(all))
             .filter_map(|(p, pair)| p.2.then_some(pair))
             .collect();
-        self.strong
-            .extend(&strong)
-            .expect("the weak order took every strong pair");
-        Ok((self.weak.pair_count(), self.strong.pair_count()) != before)
+        let strong =
+            (self.strong.extend(&strong, gains)).expect("the weak order took every strong pair");
+        Ok([weak, strong])
+    }
+
+    /// Takes back what [`OrderPair::extend`] reported.
+    pub(crate) fn undo(&mut self, [weak, strong]: [Added; 2], gains: &mut Vec<Gain>) {
+        self.strong.undo(strong, gains);
+        self.weak.undo(weak, gains);
     }
 
     /// Whether `a < b` (weakly ordered, closure included).
@@ -133,7 +148,7 @@ mod tests {
         NodeId(i)
     }
 
-    fn add(p: &mut OrderPair, a: u32, b: u32, strong: bool) -> Result<bool, (usize, ModelError)> {
+    fn add(p: &mut OrderPair, a: u32, b: u32, strong: bool) -> Result<(), (usize, ModelError)> {
         p.extend_closing_once(&[(n(a), n(b), strong)])
     }
 

@@ -1,13 +1,12 @@
 //! Composite systems (Definitions 4–9).
 
-use crate::builder::{homed_ops, SystemBuilder};
+use crate::builder::homed_ops;
 use crate::error::ModelError;
 use crate::ids::{NodeId, SchedId};
 use crate::orders::{OrderKind, OrderPair};
 use crate::schedule::{Schedule, Transaction};
 use crate::semantics::OpSpec;
 use compc_graph::{find_cycle, longest_path_lengths, DiGraph};
-use std::collections::BTreeSet;
 
 /// The role a node plays in the computational forest: the sets `R`, `I`, `L`
 /// of Definition 4 (points 3–5).
@@ -59,14 +58,14 @@ impl NodeInfo {
 /// Construct via [`crate::SystemBuilder`]; the builder's `build()` runs
 /// [`CompositeSystem::validate`] so every value of this type satisfies
 /// Definitions 2–4.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CompositeSystem {
-    nodes: Vec<NodeInfo>,
-    schedules: Vec<Schedule>,
+    pub(crate) nodes: Vec<NodeInfo>,
+    pub(crate) schedules: Vec<Schedule>,
     /// Children of each node (its operation list if it is a transaction).
-    children: Vec<Vec<NodeId>>,
+    pub(crate) children: Vec<Vec<NodeId>>,
     /// level[s] = Definition-9 level of schedule `s` (1-based).
-    levels: Vec<usize>,
+    pub(crate) levels: Vec<usize>,
 }
 
 impl CompositeSystem {
@@ -89,34 +88,6 @@ impl CompositeSystem {
         sys.levels = sys.compute_levels()?;
         sys.validate()?;
         Ok(sys)
-    }
-
-    /// Assembles an extension of a valid system from its reopened parts
-    /// (see [`SystemBuilder::build`]): the levels are recomputed, but only
-    /// the `touched` schedules are validated again.
-    pub(crate) fn assemble_extension(
-        nodes: Vec<NodeInfo>,
-        schedules: Vec<Schedule>,
-        children: Vec<Vec<NodeId>>,
-        touched: &BTreeSet<SchedId>,
-    ) -> Result<Self, ModelError> {
-        let mut sys = CompositeSystem {
-            nodes,
-            schedules,
-            children,
-            levels: Vec::new(),
-        };
-        sys.levels = sys.compute_levels()?;
-        sys.validate_where(|s| touched.contains(&s))?;
-        Ok(sys)
-    }
-
-    /// Reopens the system for extension in place, by move: the builder
-    /// declares new schedules, nodes and relation pairs on top of this
-    /// system, and [`SystemBuilder::build`] re-validates only the schedules
-    /// they touched.
-    pub fn into_builder(self) -> SystemBuilder {
-        SystemBuilder::reopen(self.nodes, self.schedules, self.children)
     }
 
     // ------------------------------------------------------------------
@@ -252,7 +223,7 @@ impl CompositeSystem {
     // Validation
     // ------------------------------------------------------------------
 
-    fn compute_levels(&self) -> Result<Vec<usize>, ModelError> {
+    pub(crate) fn compute_levels(&self) -> Result<Vec<usize>, ModelError> {
         let ig = self.invocation_graph();
         if let Some(cycle) = find_cycle(&ig) {
             return Err(ModelError::RecursiveInvocation {
@@ -271,7 +242,7 @@ impl CompositeSystem {
     }
 
     /// Validates Definitions 3 and 4 for the schedules `check` selects.
-    fn validate_where(&self, check: impl Fn(SchedId) -> bool) -> Result<(), ModelError> {
+    pub(crate) fn validate_where(&self, check: impl Fn(SchedId) -> bool) -> Result<(), ModelError> {
         let checked = || self.schedules.iter().filter(|s| check(s.id));
         // Definition 3 per schedule.
         for s in checked() {

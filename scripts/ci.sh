@@ -699,6 +699,60 @@ append_case() {
     esac
 }
 
+# Appends the spec FILE (one line) to two sessions of a `compc-serve
+# --once` daemon. Session "s" is then sent BAD, a fragment the system
+# rejects, three times, and GOOD, a valid fragment; session "ref" is sent
+# GOOD alone. Fails unless every BAD is refused within twice the time GOOD
+# takes on "s", and "s" answers GOOD as "ref", which never saw BAD, does.
+reject_case() {
+    local what="$1" file="$2" bad="$3" good="$4" log="$dir/reject.log" pid port=""
+    local line want answer slowest=0 t0 t1 took i session
+    : > "$log"
+    timeout 60 ./target/release/compc-serve --listen 127.0.0.1:0 --once \
+        --max-line-bytes 8000000 2> "$log" &
+    pid=$!
+    while [ -z "$port" ] && kill -0 "$pid" 2> /dev/null; do
+        port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")"
+        [ -n "$port" ] || sleep 0.01
+    done
+    exec 3<> "/dev/tcp/127.0.0.1/$port"
+    for session in ref s; do
+        printf '{"session":"%s","append":%s}\n' "$session" "$(cat "$file")" >&3
+        IFS= read -r line <&3 || true
+    done
+    printf '{"session":"ref","append":%s}\n' "$good" >&3
+    IFS= read -r want <&3 || true
+    for i in 1 2 3; do
+        t0=$EPOCHREALTIME
+        printf '{"session":"s","append":%s}\n' "$bad" >&3
+        IFS= read -r line <&3 || true
+        t1=$EPOCHREALTIME
+        took=$(( 10#${t1//[.,]/} - 10#${t0//[.,]/} ))
+        [ "$took" -le "$slowest" ] || slowest=$took
+        case "$line" in
+            *'"ok":false'*) ;;
+            *) echo "scale-smoke: $what: the rejected fragment was accepted" >&2; slowest=-1 ;;
+        esac
+    done
+    t0=$EPOCHREALTIME
+    printf '{"session":"s","append":%s}\n' "$good" >&3
+    IFS= read -r answer <&3 || true
+    t1=$EPOCHREALTIME
+    took=$(( 10#${t1//[.,]/} - 10#${t0//[.,]/} ))
+    exec 3>&- 3<&-
+    wait "$pid" || true
+    [ "$slowest" -ge 0 ] || return 1
+    echo "    $what: slowest reject ${slowest} us, valid append ${took} us"
+    [ "$slowest" -le $((2 * took)) ] \
+        || { echo "scale-smoke: $what: a reject took ${slowest} us, over twice a valid append (${took} us)" >&2; return 1; }
+    case "$want" in
+        *'"ok":true'*) ;;
+        *) echo "scale-smoke: $what: the valid fragment was refused" >&2; return 1 ;;
+    esac
+    [ "$answer" = "${want/\"session\":\"ref\"/\"session\":\"s\"}" ] \
+        || { echo "scale-smoke: $what: after the reject the session answers $answer" >&2; return 1; }
+}
+
 # Streams `compc-serve --split SPEC` (one append per root subtree) into a
 # `compc-serve --once` daemon with a checkpoint and a journal, then sends
 # the checkpoint op; fails unless the last verdict names the level, phase
@@ -825,7 +879,10 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 # again as a JSON tree: eight concurrent 1 MB request lines keep the
 # daemon's peak RSS under 48 MiB and a 20 MB spec keeps compc-check's
 # under 64 MiB (EXPERIMENTS.md E37: about 19 and 21 MiB; the tree
-# reread took 188 and 479 MiB).
+# reread took 188 and 479 MiB). A stack session refuses a pair reversing
+# a declared one in 0.7-2.4 ms against 8-12 ms for a valid two-node
+# append; rolling back by rebuilding the session took 60-82 ms
+# (EXPERIMENTS.md E39).
 scale_smoke() {
     echo "==> scale-smoke: large stack, general and chain systems and a wide object checked in time"
     cargo build --release -q -p compc --bin compc-gen --bin compc-check --bin compc-serve
@@ -844,6 +901,10 @@ scale_smoke() {
         > "$dir/chain-checkpoint.json"
     zeros_line 499000 '{"append":{"nodes":3,"schedules":[' ']}}' > "$dir/hostile.ndjson"
     zeros_line 10000000 '{"pad":[' ']}' > "$dir/hostile.json"
+    tr -d '\n' < "$dir/stack.json" > "$dir/stack-line.json"
+    # The stack's first declared output pair, reversed.
+    reversed="$(sed -n 's/.*"output_weak": *\[ *\[ *\("[^"]*"\), *\("[^"]*"\).*/[\2,\1]/p' \
+        "$dir/stack-line.json")"
     status=0
     scale_case "18,420-node stack" 3 1 "$dir/stack.json" || status=1
     scale_case "3,000-node general system" 0.25 1 "$dir/general.json" || status=1
@@ -855,6 +916,10 @@ scale_smoke() {
         || status=1
     append_case "4,000-leaf append to a 4,000-leaf chain session" 0.4 "$dir/chain.json" \
         "$dir/chain-rest.json" || status=1
+    reject_case "cycle-closing pair sent to an 18,420-node stack session" \
+        "$dir/stack-line.json" "{\"output_weak\":[$reversed]}" \
+        '{"nodes":[{"name":"R1","kind":"root","home":"S0"},{"name":"r1","kind":"leaf","parent":"R1"}]}' \
+        || status=1
     hostile_case "eight 1 MB request lines rejected at their first field" 48 \
         "$dir/hostile.ndjson" || status=1
     rejected_case "20 MB spec rejected at its second token" 64 "$dir/hostile.json" \

@@ -538,6 +538,7 @@ impl Shard {
                 }
                 entry.response = response;
                 if session.uncount_unmerged(&mark) {
+                    session.release(mark);
                     batch.push(entry);
                     return;
                 }
@@ -556,6 +557,8 @@ impl Shard {
                 // again so checkpoints don't accumulate empty entries.
                 if fresh {
                     self.remove_fresh(&session_name);
+                } else {
+                    session.release(mark);
                 }
                 entry.response = match e {
                     SpecSessionError::Session(e) => error_object("invalid", e.to_string()),
@@ -660,16 +663,21 @@ impl Shard {
                      rolled back, no acks sent"
                 );
                 for entry in batch.drain(..) {
-                    let response = if entry.record.is_some() {
-                        error_object(kind, e.clone())
-                    } else {
-                        entry.response
+                    let response = match entry.record {
+                        Some(record) => {
+                            self.release(record);
+                            error_object(kind, e.clone())
+                        }
+                        None => entry.response,
                     };
                     let _ = entry.resp.send(response.to_compact());
                 }
             }
             None => {
                 for entry in batch.drain(..) {
+                    if let Some(record) = entry.record {
+                        self.release(record);
+                    }
                     if entry.acked {
                         self.gauges.appends.fetch_add(1, Ordering::SeqCst);
                         if entry.violation {
@@ -679,6 +687,14 @@ impl Shard {
                     let _ = entry.resp.send(entry.response.to_compact());
                 }
             }
+        }
+    }
+
+    /// Drops a flushed record's watermark: once its batch is durable or
+    /// rolled back, its session keeps nothing to undo.
+    fn release(&mut self, record: Record) {
+        if let Some(session) = self.sessions.get_mut(&record.session) {
+            session.release(record.mark);
         }
     }
 

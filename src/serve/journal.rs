@@ -320,7 +320,9 @@ fn apply_records(
         let session = sessions.get_mut(&name).expect("created above");
         let mark = session.snapshot();
         let (numbers, fragments): (Vec<usize>, Vec<SystemSpec>) = queued.into_iter().unzip();
-        if session.append_all(&fragments).is_err() {
+        if session.append_all(&fragments).is_ok() {
+            session.release(mark);
+        } else {
             session.restore(mark);
             for &number in &numbers {
                 session

@@ -1,14 +1,14 @@
 //! Incremental checking over the JSON spec format.
 //!
-//! [`SpecSession`] is the data-layer face of [`compc_core::Session`]: it
-//! takes [`SystemSpec`] *fragments* (the same versioned JSON format
-//! `compc-check` reads — see [`SystemSpec::merge`]), merges each against
-//! the closed system it holds, extends that system in place by the items
-//! it does not hold yet, and hands it to the core session, which checks it
-//! from scratch. The session keeps no spec: its state is the system, one
-//! name → id map, and a log of the merged declarations in id form that a
-//! roll-back rebuilds the system from. [`SpecSession::spec`] and the
-//! checkpoints are rendered from the system
+//! A [`SpecSession`] takes [`SystemSpec`] *fragments* (the same versioned
+//! JSON format `compc-check` reads — see [`SystemSpec::merge`]), merges
+//! each against the system it holds, extends that system in place by the
+//! items it does not hold yet, and checks it from scratch with the
+//! ordinary reducer. The session keeps no spec and no history: the system
+//! records what each append adds, so a failed extension, a panicked
+//! handler or a failed journal batch undoes exactly that, and the records
+//! go once no [`SpecSnapshot`] can ask for them. [`SpecSession::spec`]
+//! and the checkpoints are rendered from the system
 //! ([`SystemSpec::from_system`]'s covering pairs). The `compc-serve`
 //! daemon speaks exactly this layer over a socket.
 //!
@@ -21,8 +21,10 @@
 use crate::spec::{self, Names, NodeSpec, SpecError, SystemSpec, SPEC_VERSION};
 use compc_core::{CheckOptions, Checker, SessionError, SessionStats, Verdict};
 use compc_json::{Kind, ParseError, Reader, Value, Writer};
-use compc_model::{CompositeSystem, NodeId, NodeRole, SchedId, SystemBuilder};
+use compc_model::{CompositeSystem, NodeId, NodeRole, SystemBuilder};
 use std::collections::HashSet;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 /// Why a [`SpecSession`] operation failed.
 #[derive(Debug)]
@@ -81,14 +83,20 @@ impl From<SessionError> for SpecSessionError {
     }
 }
 
-/// A watermark of a [`SpecSession`]: where its append-only state stood.
-/// [`SpecSession::restore`] rolls the session back to it.
+/// A watermark of a [`SpecSession`]: where its append-only state stood,
+/// and its verdict, shared. [`SpecSession::restore`] rolls the session
+/// back to it; while a snapshot lives, the session keeps what it needs to.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecSnapshot {
-    log: LogMark,
-    had_system: bool,
+    /// The system's recorded changes; `None` when there was no system.
+    changes: Option<usize>,
+    /// The system's schedules and nodes.
+    size: (usize, usize),
+    auto_propagate: bool,
     appends: u64,
-    stats: SessionStats,
+    verdict: Option<Arc<Verdict>>,
+    /// Counts the session's live snapshots.
+    _live: Arc<()>,
 }
 
 /// A Comp-C checker fed by JSON spec fragments.
@@ -112,36 +120,22 @@ pub struct SpecSnapshot {
 /// assert!(verdict.is_correct());
 /// ```
 pub struct SpecSession {
+    options: CheckOptions,
     /// The id of every schedule and node the system holds, by name.
     names: Names<Box<str>>,
-    /// Every declaration merged so far, in id form.
-    log: Log,
-    /// Appends counted so far. The inner session counts only the
-    /// extensions it saw; a checkpoint restore replays the whole prefix as
-    /// one, but this counter resumes where the recorded one stood.
+    /// The system, grown in place; `None` until an append is accepted.
+    sys: Option<SystemBuilder>,
+    /// The verdict of the last completed append.
+    verdict: Option<Arc<Verdict>>,
+    /// Whether the merged fragments asked for order propagation.
+    auto_propagate: bool,
+    /// Appends counted so far; a checkpoint restore replays the whole
+    /// prefix as one, but this counter resumes where the recorded one
+    /// stood.
     appends: u64,
-    inner: compc_core::Session,
-}
-
-/// The declarations a session merged, in id form and merge order, enough
-/// to rebuild its system with the names of the session's map: each node's
-/// parent and home, each relation family's pairs ([`spec::RELATIONS`]
-/// order), and whether the orders propagate.
-#[derive(Debug, Default)]
-struct Log {
-    nodes: Vec<(Option<NodeId>, Option<SchedId>)>,
-    pairs: [Vec<(u32, u32)>; 7],
-    auto_propagate: bool,
-}
-
-/// Where the names and the [`Log`] stand: their lengths and the
-/// `auto_propagate` flag (which a merge may only turn on).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct LogMark {
-    schedules: usize,
-    nodes: usize,
-    pairs: [usize; 7],
-    auto_propagate: bool,
+    cancel: Arc<AtomicBool>,
+    /// Shared with every live [`SpecSnapshot`].
+    live: Arc<()>,
 }
 
 impl Default for SpecSession {
@@ -160,23 +154,29 @@ impl SpecSession {
     /// enables the per-append brute-force cross-check).
     pub fn with_options(options: CheckOptions) -> SpecSession {
         SpecSession {
+            options,
             names: Names::default(),
-            log: Log::default(),
+            sys: None,
+            verdict: None,
+            auto_propagate: false,
             appends: 0,
-            inner: compc_core::Session::with_options(options),
+            cancel: Arc::new(AtomicBool::new(false)),
+            live: Arc::new(()),
         }
     }
 
     /// The options this session checks with.
     pub fn options(&self) -> CheckOptions {
-        self.inner.options()
+        self.options
     }
 
-    /// Replaces the per-append deadline (see
-    /// [`compc_core::Session::set_deadline`]); `None` disables it. Safe
+    /// Replaces the per-append wall-clock budget; `None` disables it. Safe
     /// mid-session — the budget is read afresh at each append.
+    /// `compc-serve` uses this to replay its write-ahead journal at
+    /// startup without the replay itself being interrupted by
+    /// `--deadline-ms`.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Duration>) {
-        self.inner.set_deadline(deadline);
+        self.options.deadline = deadline;
     }
 
     /// The session's system as a spec, rendered with
@@ -184,21 +184,23 @@ impl SpecSession {
     /// session's `auto_propagate` flag. It builds a system `==` to
     /// [`SpecSession::system`].
     pub fn spec(&self) -> SystemSpec {
-        let system = self.inner.system();
         SystemSpec {
-            auto_propagate: self.log.auto_propagate,
-            ..system.map_or_else(SystemSpec::default, SystemSpec::from_system)
+            auto_propagate: self.auto_propagate,
+            ..self
+                .system()
+                .map_or_else(SystemSpec::default, SystemSpec::from_system)
         }
     }
 
     /// The current merged system, if any append was accepted.
     pub fn system(&self) -> Option<&CompositeSystem> {
-        self.inner.system()
+        self.sys.as_ref().map(SystemBuilder::system)
     }
 
-    /// The verdict of the last completed append.
+    /// The verdict of the last completed append (`None` before the first
+    /// append or after an interrupted one).
     pub fn verdict(&self) -> Option<&Verdict> {
-        self.inner.verdict()
+        self.verdict.as_deref()
     }
 
     /// Session counters. `appends` counts across checkpoint restores: a
@@ -207,14 +209,15 @@ impl SpecSession {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             appends: self.appends,
-            ..self.inner.stats()
+            ..SessionStats::default()
         }
     }
 
-    /// The cooperative cancel token (see
-    /// [`compc_core::Session::cancel_token`]).
-    pub fn cancel_token(&self) -> std::sync::Arc<std::sync::atomic::AtomicBool> {
-        self.inner.cancel_token()
+    /// The session's cooperative cancel token: set it to `true` (from any
+    /// thread) to interrupt the current or next append's check at a level
+    /// boundary. The token is *not* auto-reset; clear it to resume.
+    pub fn cancel_token(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.cancel)
     }
 
     /// Merges `fragment` against the session's system, extends the system
@@ -232,15 +235,26 @@ impl SpecSession {
     /// state is the one appending them one by one reaches. Names resolve
     /// through the session's map; a node the system holds must be declared
     /// as it was, and a pair the system's closed relation (or conflict set)
-    /// holds merges nothing. The rest is declared into the reopened system,
-    /// or into a fresh builder when the session has none yet, so a restored
-    /// session is built whole. An error is the one a whole build of
-    /// [`SpecSession::spec`] merged with `fragments` reports. Checkpoint
-    /// restore and journal recovery use it to rebuild a session.
+    /// holds merges nothing. The rest is declared into the system in place,
+    /// or into a fresh builder when the session has none yet (so a
+    /// restored session is built whole, recording nothing to undo). An
+    /// error names its entry by its index in the fragment that declares
+    /// it, and the extension is undone. Checkpoint restore and journal
+    /// recovery use it to rebuild a session.
     pub fn append_all(&mut self, fragments: &[SystemSpec]) -> Result<&Verdict, SpecSessionError> {
         let mark = self.snapshot();
-        let count = fragments.len().max(1) as u64;
-        let (names, sys) = (&self.names, self.inner.system());
+        let outcome = self.extend_and_check(fragments);
+        match outcome {
+            Err(SpecSessionError::Spec(_)) => self.restore(mark),
+            _ => self.release(mark),
+        }
+        outcome?;
+        Ok(self.verdict().expect("append just completed"))
+    }
+
+    fn extend_and_check(&mut self, fragments: &[SystemSpec]) -> Result<(), SpecSessionError> {
+        let sys = self.system();
+        let names = &self.names;
         let mut items = spec::new_items(
             fragments,
             |n| {
@@ -256,94 +270,38 @@ impl SpecSession {
                 })
             },
         )?;
-        items.auto_propagate |= self.log.auto_propagate;
-        let base = (mark.log.schedules, mark.log.nodes);
+        items.auto_propagate |= self.auto_propagate;
+        let base = (self.names.schedules.len(), self.names.nodes.len());
         for (id, s) in (base.0..).zip(&items.schedules) {
             self.names.schedules.insert(s.as_str().into(), id as u32);
         }
-        for (id, n) in (base.1..).zip(&items.nodes) {
+        for (id, (_, n)) in (base.1..).zip(&items.nodes) {
             self.names.nodes.insert(n.name.as_str().into(), id as u32);
         }
-        let sys = match spec::extend(&items, self.inner.reopen(), &self.names, base) {
-            Ok(sys) => sys,
-            Err(e) => {
-                self.back_to(&mark.log);
-                if !mark.had_system {
-                    return Err(e.into());
-                }
-                // The builder consumed the system: rebuild it, and report
-                // what a whole build reports first, in declaration order.
-                self.inner.reinstate(self.rebuild());
-                let mut spec = self.spec();
-                let merged = fragments.iter().try_for_each(|f| spec.merge(f));
-                let e = merged.and_then(|()| spec.build()).err().unwrap_or(e);
-                return Err(e.into());
-            }
-        };
-        let new_nodes = sys.nodes().skip(base.1);
-        self.log.nodes.extend(new_nodes.map(|n| (n.parent, n.home)));
-        let node = |name: &String| self.names.node(name).expect("a declared node") as u32;
-        for (log, pairs) in self.log.pairs.iter_mut().zip(&items.relations) {
-            log.extend(pairs.iter().map(|(x, y)| (node(x), node(y))));
+        let fresh = self.sys.is_none();
+        let b = self.sys.get_or_insert_with(SystemBuilder::new);
+        spec::extend(&items, b, &self.names, base)
+            .and_then(|()| b.validate().map(drop).map_err(spec::invalid))?;
+        if fresh {
+            // A fresh build recorded nothing; later appends record.
+            b.forget();
         }
-        self.log.auto_propagate = items.auto_propagate;
-        self.appends += count;
-        self.inner.append_extension(sys)?;
-        let verdict = self.inner.verdict().expect("append just completed");
-        if self.options().oracle {
-            let sys = self.inner.system().expect("append just completed");
-            if sys.node_count() <= compc_oracle::RECOMMENDED_NODE_CAP {
-                let engine_correct = verdict.is_correct();
-                if compc_oracle::decide(sys).accepted() != engine_correct {
-                    return Err(SpecSessionError::OracleDisagreement { engine_correct });
-                }
-            }
+        self.verdict = None;
+        self.auto_propagate = items.auto_propagate;
+        self.appends += fragments.len().max(1) as u64;
+        let sys = b.system();
+        let verdict = Checker::with_options(self.options)
+            .reducer(sys)
+            .cancel_token(&self.cancel)
+            .try_run()
+            .map_err(SessionError::from)?;
+        let engine_correct = verdict.is_correct();
+        self.verdict = Some(Arc::new(verdict));
+        let oracle = self.options.oracle && sys.node_count() <= compc_oracle::RECOMMENDED_NODE_CAP;
+        if oracle && compc_oracle::decide(sys).accepted() != engine_correct {
+            return Err(SpecSessionError::OracleDisagreement { engine_correct });
         }
-        Ok(verdict)
-    }
-
-    /// Drops the names and the log entries past `mark`.
-    fn back_to(&mut self, mark: &LogMark) {
-        let (schedules, nodes) = (mark.schedules as u32, mark.nodes as u32);
-        self.names.schedules.retain(|_, id| *id < schedules);
-        self.names.nodes.retain(|_, id| *id < nodes);
-        self.log.nodes.truncate(mark.nodes);
-        for (pairs, len) in self.log.pairs.iter_mut().zip(mark.pairs) {
-            pairs.truncate(len);
-        }
-        self.log.auto_propagate = mark.auto_propagate;
-    }
-
-    /// The session's system, rebuilt from the log and the names.
-    fn rebuild(&self) -> CompositeSystem {
-        let mut schedules = vec![""; self.names.schedules.len()];
-        for (name, &id) in &self.names.schedules {
-            schedules[id as usize] = name;
-        }
-        let mut nodes = vec![""; self.log.nodes.len()];
-        for (name, &id) in &self.names.nodes {
-            nodes[id as usize] = name;
-        }
-        let mut b = SystemBuilder::new();
-        for name in schedules {
-            b.schedule(name);
-        }
-        for (name, &node) in nodes.into_iter().zip(&self.log.nodes) {
-            match node {
-                (Some(parent), Some(home)) => b.subtx(name, parent, home),
-                (Some(parent), None) => b.leaf(name, parent),
-                (None, home) => b.root(name, home.expect("a root has a home")),
-            };
-        }
-        for (declare, pairs) in spec::DECLARE.iter().zip(&self.log.pairs) {
-            for &(a, c) in pairs {
-                declare(&mut b, NodeId(a), NodeId(c)).expect("a merged pair declares again");
-            }
-        }
-        if self.log.auto_propagate {
-            b.propagate_orders().expect("merged orders propagate again");
-        }
-        b.build().expect("a system the session held builds again")
+        Ok(())
     }
 
     /// Replays `fragments` append-by-append through a fresh session with
@@ -400,39 +358,56 @@ impl SpecSession {
         Ok(verdicts)
     }
 
-    fn mark(&self) -> LogMark {
-        LogMark {
-            schedules: self.names.schedules.len(),
-            nodes: self.log.nodes.len(),
-            pairs: self.log.pairs.each_ref().map(Vec::len),
-            auto_propagate: self.log.auto_propagate,
-        }
-    }
-
-    /// A watermark of the session's state: O(1), nothing is copied.
+    /// A watermark of the session's state: O(1), nothing is copied. Until
+    /// it is dropped, released or restored, the session keeps what it
+    /// needs to undo the appends made after it.
     pub fn snapshot(&self) -> SpecSnapshot {
         SpecSnapshot {
-            log: self.mark(),
-            had_system: self.inner.system().is_some(),
+            changes: self.sys.as_ref().map(SystemBuilder::changes),
+            size: (self.names.schedules.len(), self.names.nodes.len()),
+            auto_propagate: self.auto_propagate,
             appends: self.appends,
-            stats: self.inner.stats(),
+            verdict: self.verdict.clone(),
+            _live: Arc::clone(&self.live),
         }
     }
 
     /// Rolls the session back to a watermark taken earlier with
-    /// [`SpecSession::snapshot`]: truncates the log and the names to it,
-    /// rebuilds the system from them and checks it from scratch, and
-    /// resets the counters. That is the slow path, for a failed journal
-    /// write or a panicked handler; a session still at the watermark is
-    /// left as it is.
+    /// [`SpecSession::snapshot`], after a failed extension, a panicked
+    /// handler or a failed journal write: undoes what the appends since
+    /// added to the system and puts back the verdict and the counters. A
+    /// session still at the watermark is left as it is.
     pub fn restore(&mut self, mark: SpecSnapshot) {
-        if self.snapshot() == mark {
-            return;
+        match (mark.changes, &mut self.sys) {
+            (Some(changes), Some(b)) => b.undo_to(changes),
+            _ => self.sys = None,
         }
-        self.back_to(&mark.log);
+        let names = &mut self.names;
+        for (ids, len) in [
+            (&mut names.schedules, mark.size.0),
+            (&mut names.nodes, mark.size.1),
+        ] {
+            if ids.len() > len {
+                ids.retain(|_, id| (*id as usize) < len);
+            }
+        }
+        self.auto_propagate = mark.auto_propagate;
         self.appends = mark.appends;
-        let sys = mark.had_system.then(|| self.rebuild());
-        self.inner.recheck(sys, mark.stats);
+        self.verdict = mark.verdict.clone();
+        self.release(mark);
+    }
+
+    /// Drops `mark`: once no snapshot is live, the session keeps nothing
+    /// to undo the appends made since.
+    pub(crate) fn release(&mut self, mark: SpecSnapshot) {
+        drop(mark);
+        if let Some(b) = self
+            .sys
+            .as_mut()
+            .filter(|_| Arc::strong_count(&self.live) == 1)
+        {
+            b.forget();
+        }
     }
 
     /// Uncounts an append that merged nothing since `mark` — an interrupted
@@ -441,7 +416,9 @@ impl SpecSession {
     /// restart has to rebuild, so it needs no journal record and keeps no
     /// `seq`.
     pub fn uncount_unmerged(&mut self, mark: &SpecSnapshot) -> bool {
-        let unmerged = self.mark() == mark.log;
+        let now = self.snapshot();
+        let changes = |s: &SpecSnapshot| (s.changes.unwrap_or(0), s.size, s.auto_propagate);
+        let unmerged = changes(&now) == changes(mark);
         if unmerged {
             self.appends = mark.appends;
         }
@@ -948,6 +925,8 @@ mod tests {
         assert_eq!(observed(&batched), observed(&one_by_one));
     }
 
+    /// A failed extension names its entry by its index in the fragment
+    /// sent, and leaves the session as it was.
     #[test]
     fn an_extension_that_fails_midway_leaves_the_session_untouched() {
         let fragments = two_stack_spec().into_appends();
@@ -959,14 +938,34 @@ mod tests {
         let mut bad = fragments[1].clone();
         bad.conflicts.push(("T1".into(), "w2".into()));
         let err = session.append(&bad).unwrap_err();
-        let batch_err = {
-            let mut merged = session.spec().clone();
-            merged.merge(&bad).unwrap();
-            merged.build().unwrap_err()
-        };
-        assert_eq!(err.to_string(), batch_err.to_string());
+        assert_eq!(
+            err.to_string(),
+            "model violation at conflicts[1] [T1, w2]: (n0,n5) are not both operations of S1"
+        );
         assert_eq!((session.spec().clone(), observed(&session)), before);
         assert!(session.append(&fragments[1]).unwrap().is_correct());
+
+        // The first pair is implied and merges nothing, the second closes
+        // a cycle: it is output_weak[1] of the fragment, output_weak[3]
+        // of the session's spec merged with it.
+        let mut session = SpecSession::new();
+        session.append(&covering_chain()).unwrap();
+        let before = (session.spec(), observed(&session));
+        let cycle = SystemSpec::parse(r#"{"output_weak": [["o1", "o3"], ["o3", "o1"]]}"#).unwrap();
+        let err = session.append(&cycle).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "model violation at output_weak[1] [o3, o1]: cannot order n5 before n3 (Weak): \
+             inserting 5 < 3 contradicts existing 3 < 5"
+        );
+        let mut merged = session.spec();
+        merged.merge(&cycle).unwrap();
+        assert_eq!(
+            merged.build().unwrap_err().to_string(),
+            "model violation at output_weak[3] [o3, o1]: cannot order n5 before n3 (Weak): \
+             inserting 5 < 3 contradicts existing 3 < 5"
+        );
+        assert_eq!((session.spec(), observed(&session)), before);
     }
 
     #[test]
@@ -1073,11 +1072,11 @@ mod tests {
         assert!(session.append(&SystemSpec::parse(ignored).unwrap()).is_ok());
     }
 
-    /// Both roll-backs rebuild the system from the log: after appends that
-    /// declared pairs, a restore and a failed extension leave the session
-    /// as one that never took the later append.
+    /// Both roll-backs undo only what the later append added: after
+    /// appends that declared pairs, a restore and a failed extension leave
+    /// the session as one that never took the later append.
     #[test]
-    fn roll_backs_rebuild_the_pairs_earlier_appends_declared() {
+    fn roll_backs_undo_what_later_appends_added() {
         let fragments = covering_chain().into_appends();
         let mut steady = SpecSession::new();
         let mut rolled = SpecSession::new();
@@ -1096,6 +1095,98 @@ mod tests {
         steady.append(&fragments[2]).unwrap();
         rolled.append(&fragments[2]).unwrap();
         assert_eq!(observed(&rolled), observed(&steady));
+    }
+
+    /// A panic raised inside an extension, once its order pairs are
+    /// closed, leaves the session's system partly extended; restoring the
+    /// snapshot taken before the append gives back the session as it was,
+    /// which then answers the append as a session that never panicked.
+    #[test]
+    fn a_panic_mid_extension_restores_to_the_snapshot() {
+        let fragments = covering_chain().into_appends();
+        let (mut steady, mut rolled) = (SpecSession::new(), SpecSession::new());
+        for fragment in &fragments[..2] {
+            steady.append(fragment).unwrap();
+            rolled.append(fragment).unwrap();
+        }
+        let mark = rolled.snapshot();
+        spec::PANIC_MIDWAY.set(true);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rolled.append(&fragments[2]).map(drop)
+        }));
+        spec::PANIC_MIDWAY.set(false);
+        assert!(panicked.is_err());
+        assert!(rolled.system().unwrap().node_count() > steady.system().unwrap().node_count());
+        rolled.restore(mark.clone());
+        assert_eq!(rolled.snapshot(), mark);
+        assert_eq!(rolled.spec(), steady.spec());
+        assert_eq!(observed(&rolled), observed(&steady));
+        assert_eq!(rolled.stats(), steady.stats());
+        steady.append(&fragments[2]).unwrap();
+        rolled.append(&fragments[2]).unwrap();
+        assert_eq!(observed(&rolled), observed(&steady));
+    }
+
+    /// Whether the session holds anything to undo.
+    fn holds_undo(session: &SpecSession) -> bool {
+        session.sys.as_ref().is_some_and(|b| b.changes() > 0)
+    }
+
+    /// Undo records live only while a snapshot can ask for them: an append
+    /// with no live snapshot (even one taken and dropped) keeps none, and
+    /// releasing or restoring the last live snapshot drops them.
+    #[test]
+    fn undo_records_are_held_only_while_a_snapshot_lives() {
+        let fragments = covering_chain().into_appends();
+        let mut session = SpecSession::new();
+        drop(session.snapshot());
+        session.append(&fragments[0]).unwrap();
+        assert!(!holds_undo(&session));
+        drop(session.snapshot());
+        session.append(&fragments[1]).unwrap();
+        assert!(!holds_undo(&session));
+        let (first, second) = (session.snapshot(), session.snapshot());
+        session.append(&fragments[2]).unwrap();
+        assert!(holds_undo(&session));
+        session.release(first);
+        assert!(holds_undo(&session), "the second snapshot still lives");
+        session.release(second);
+        assert!(!holds_undo(&session));
+        let mark = session.snapshot();
+        let more = r#"{"nodes": [{"name": "T4", "kind": "root", "home": "S"}]}"#;
+        session.append(&SystemSpec::parse(more).unwrap()).unwrap();
+        assert!(holds_undo(&session));
+        session.restore(mark);
+        assert!(!holds_undo(&session));
+        let restored = restore_one(&checkpoint(&session)).unwrap();
+        assert!(!holds_undo(&restored));
+    }
+
+    /// A cancelled append keeps its system with no verdict, and sending
+    /// the fragment again once the token is cleared checks it again.
+    #[test]
+    fn cancelled_append_checks_again_when_resent() {
+        let chain = covering_chain();
+        let mut session = SpecSession::new();
+        session.append(&chain).unwrap();
+        let token = session.cancel_token();
+        token.store(true, std::sync::atomic::Ordering::Relaxed);
+        let err = session.append(&chain).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecSessionError::Session(SessionError::Interrupted(compc_core::Interrupted {
+                    level: 1
+                }))
+            ),
+            "{err}"
+        );
+        assert!(
+            session.verdict().is_none(),
+            "an interrupted append has no verdict"
+        );
+        token.store(false, std::sync::atomic::Ordering::Relaxed);
+        assert!(session.append(&chain).unwrap().is_correct());
     }
 
     /// Generated systems with output, input and intra-transaction orders.

@@ -28,7 +28,7 @@
 
 use compc_json::{Kind, ParseError, Reader, Value, Writer};
 use compc_model::{
-    CompositeSystem, ModelError, NodeId, NodeInfo, NodeRole, OrderPair, SchedId, SystemBuilder,
+    CompositeSystem, ModelError, NodeId, NodeRole, OrderPair, SchedId, SystemBuilder,
 };
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -466,21 +466,35 @@ impl SystemSpec {
         }
         let items = Items {
             schedules: self.schedules.iter().collect(),
-            nodes: self.nodes.iter().collect(),
-            relations: self.relations().map(|pairs| pairs.iter().collect()),
+            nodes: self.nodes.iter().enumerate().collect(),
+            relations: self
+                .relations()
+                .map(|pairs| pairs.iter().enumerate().collect()),
             auto_propagate: self.auto_propagate,
         };
-        extend(&items, SystemBuilder::new(), &Names::of(self), (0, 0))
+        let mut b = SystemBuilder::new();
+        extend(&items, &mut b, &Names::of(self), (0, 0))?;
+        b.build().map_err(invalid)
+    }
+}
+
+/// A validation error, as [`SystemSpec::build`] reports it.
+pub(crate) fn invalid(source: ModelError) -> SpecError {
+    SpecError::Model {
+        context: "build".into(),
+        source,
     }
 }
 
 /// Entries of one or more specs, borrowed: what [`extend`] declares, and
-/// what [`new_items`] finds new in appended fragments.
+/// what [`new_items`] finds new in appended fragments. Each node and pair
+/// comes with its index in the spec that declares it, which an error
+/// names it by.
 pub(crate) struct Items<'a> {
     pub(crate) schedules: Vec<&'a String>,
-    pub(crate) nodes: Vec<&'a NodeSpec>,
+    pub(crate) nodes: Vec<(usize, &'a NodeSpec)>,
     /// The relation families in [`RELATIONS`] order.
-    pub(crate) relations: [Vec<&'a (String, String)>; 7],
+    pub(crate) relations: [Vec<(usize, &'a (String, String))>; 7],
     pub(crate) auto_propagate: bool,
 }
 
@@ -510,12 +524,12 @@ pub(crate) fn new_items<'a>(
         if fragment.version != SPEC_VERSION {
             return Err(SpecError::UnsupportedVersion(fragment.version));
         }
-        for n in &fragment.nodes {
+        for (i, n) in fragment.nodes.iter().enumerate() {
             let same = match node(n).or_else(|| fresh.get(n.name.as_str()).map(|&m| m == n)) {
                 Some(same) => same,
                 None => {
                     fresh.insert(&n.name, n);
-                    items.nodes.push(n);
+                    items.nodes.push((i, n));
                     true
                 }
             };
@@ -535,8 +549,10 @@ pub(crate) fn new_items<'a>(
     }
     for (r, add) in items.relations.iter_mut().enumerate() {
         let mut seen = HashSet::new();
-        let pairs = fragments.iter().flat_map(|f| f.relations()[r]);
-        add.extend(pairs.filter(|p| !pair(r, p) && seen.insert(*p)));
+        let pairs = fragments
+            .iter()
+            .flat_map(|f| f.relations()[r].iter().enumerate());
+        add.extend(pairs.filter(|&(_, p)| !pair(r, p) && seen.insert(p)));
     }
     Ok(items)
 }
@@ -555,35 +571,34 @@ pub(crate) const DECLARE: [Declare; 7] = [
     SystemBuilder::input_strong,
 ];
 
-/// Declares `items` into `b` and builds the system: the whole spec into a
-/// fresh builder ([`SystemSpec::build`]), or a session's new items into
-/// its reopened system. `b` holds `base` = (schedules, nodes) already, so
-/// item node `i` is `NodeId(base.1 + i)` and item schedule `j` is
-/// `SchedId(base.0 + j)`; `names` resolves every name of `b` and of
-/// `items` to its (first) declaration. A node may name as parent only a
-/// node declared before it. Errors name the entry by its index in
-/// `items`. The order pairs close once, after the last entry, as
-/// [`SystemSpec::build`] describes.
+/// Declares `items` into `b`, closes their order pairs and propagates
+/// the orders if asked: the whole spec into a fresh builder
+/// ([`SystemSpec::build`]), or a session's new items into its system,
+/// extended in place. Validation is left to the caller. `b` holds `base`
+/// = (schedules, nodes) already, so item node `i` is `NodeId(base.1 + i)`
+/// and item schedule `j` is `SchedId(base.0 + j)`; `names` resolves every
+/// name of `b` and of `items` to its (first) declaration. A node may name
+/// as parent only a node declared before it. Errors name the entry by its
+/// index in the spec that declares it. The order pairs close once, after
+/// the last entry, as [`SystemSpec::build`] describes.
 pub(crate) fn extend<K: Borrow<str> + Hash + Eq>(
     items: &Items<'_>,
-    mut b: SystemBuilder,
+    b: &mut SystemBuilder,
     names: &Names<K>,
     base: (usize, usize),
-) -> Result<CompositeSystem, SpecError> {
+) -> Result<(), SpecError> {
     for (idx, &name) in items.schedules.iter().enumerate() {
         if names.schedule(name) != Some(base.0 + idx) {
             return Err(SpecError::DuplicateName(name.clone()));
         }
         b.schedule(name.clone());
     }
-    for (idx, &n) in items.nodes.iter().enumerate() {
-        let id = base.1 + idx;
+    for (id, &(idx, n)) in (base.1..).zip(&items.nodes) {
         let declared = |name: &String| names.node(name).filter(|&i| i < id);
         // The builder panics (by contract) when a leaf is used as a
         // parent; the data layer must turn that into a typed error.
         if let Some(parent) = &n.parent {
-            let leaf =
-                |p: usize| b.node(NodeId(p as u32)).map(NodeInfo::role) == Some(NodeRole::Leaf);
+            let leaf = |p: usize| b.system().node(NodeId(p as u32)).role() == NodeRole::Leaf;
             if declared(parent).is_some_and(leaf) {
                 return Err(SpecError::BadNode(format!(
                     "nodes[{idx}] (\"{}\"): parent \"{parent}\" is a leaf",
@@ -640,7 +655,7 @@ pub(crate) fn extend<K: Borrow<str> + Hash + Eq>(
     }
 
     for (r, pairs) in items.relations.iter().enumerate() {
-        for (i, &(x, y)) in pairs.iter().enumerate() {
+        for &(i, (x, y)) in pairs {
             let context = || format!("{}[{i}] [{x}, {y}]", RELATIONS[r]);
             let look = |name: &String| -> Result<NodeId, SpecError> {
                 names
@@ -652,28 +667,33 @@ pub(crate) fn extend<K: Borrow<str> + Hash + Eq>(
                     })
             };
             let declared = look(x).and_then(|a| {
-                DECLARE[r](&mut b, a, look(y)?).map_err(|source| SpecError::Model {
+                DECLARE[r](b, a, look(y)?).map_err(|source| SpecError::Model {
                     context: context(),
                     source,
                 })
             });
             if let Err(e) = declared {
-                close_orders(items, &mut b)?;
+                close_orders(items, b)?;
                 return Err(e);
             }
         }
     }
-    close_orders(items, &mut b)?;
+    close_orders(items, b)?;
+    #[cfg(test)]
+    assert!(!PANIC_MIDWAY.get(), "injected panic mid-extension");
     if items.auto_propagate {
         b.propagate_orders().map_err(|source| SpecError::Model {
             context: "propagate_orders".into(),
             source,
         })?;
     }
-    b.build().map_err(|source| SpecError::Model {
-        context: "build".into(),
-        source,
-    })
+    Ok(())
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Makes [`extend`] panic once its order pairs are closed.
+    pub(crate) static PANIC_MIDWAY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Closes the order pairs [`extend`] declared into `b` so far, naming a
@@ -687,8 +707,8 @@ fn close_orders(items: &Items<'_>, b: &mut SystemBuilder) -> Result<(), SpecErro
             at -= items.relations[r].len();
             r += 1;
         }
-        let (x, y) = items.relations[r][at];
-        let context = format!("{}[{at}] [{x}, {y}]", RELATIONS[r]);
+        let (i, (x, y)) = items.relations[r][at];
+        let context = format!("{}[{i}] [{x}, {y}]", RELATIONS[r]);
         SpecError::Model { context, source }
     })
 }
@@ -922,9 +942,10 @@ impl SystemSpec {
             |r, pair| pairs[r].contains(pair),
         )?;
         self.schedules.extend(new.schedules.into_iter().cloned());
-        self.nodes.extend(new.nodes.into_iter().cloned());
+        self.nodes
+            .extend(new.nodes.into_iter().map(|(_, n)| n.clone()));
         for (have, add) in self.relations_mut().into_iter().zip(new.relations) {
-            have.extend(add.into_iter().cloned());
+            have.extend(add.into_iter().map(|(_, p)| p.clone()));
         }
         self.auto_propagate |= fragment.auto_propagate;
         Ok(())

@@ -108,7 +108,7 @@ impl ReferenceOrder {
 
 /// Extends `rel` by the one pair `(a, b)`.
 fn extend_one(rel: &mut PartialOrderRel, a: usize, b: usize) -> Result<(), OrderError> {
-    rel.extend(&[(a, b)]).map_err(|(_, e)| e)
+    rel.extend(&[(a, b)], None).map(drop).map_err(|(_, e)| e)
 }
 
 /// A random column set over `n` columns that favours the columns next to a
@@ -356,8 +356,8 @@ proptest! {
         let mut rel = PartialOrderRel::new();
         for batch in cuts.windows(2) {
             let before = rel.clone();
-            match rel.extend(&pairs[batch[0]..batch[1]]) {
-                Ok(()) => prop_assert!(first_error.as_ref().is_none_or(|&(i, _)| i >= batch[1])),
+            match rel.extend(&pairs[batch[0]..batch[1]], None) {
+                Ok(_) => prop_assert!(first_error.as_ref().is_none_or(|&(i, _)| i >= batch[1])),
                 Err((i, e)) => {
                     prop_assert_eq!(Some((batch[0] + i, e)), first_error);
                     prop_assert_eq!(rel, before);

@@ -16,6 +16,7 @@
 use compc::core::{Front, Reducer};
 use compc::graph::{transitive_closure, DiGraph};
 use compc::model::{CompositeSystem, ModelError, NodeId, NodeRole, OrderKind, OrderPair, Schedule};
+use compc::spec::{NodeSpec, SystemSpec};
 use compc::workload::random::{generate, GenParams, Shape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -360,23 +361,28 @@ fn system_of_size(pick: u8, nodes: usize, density: u8, seed: u64) -> CompositeSy
         .last()
         .expect("two roots make fewer nodes than the filler leaves room for");
     let leaves = nodes - base.node_count() - 2;
-    let mut b = base.into_builder();
-    let s = b.schedule("filler");
-    let roots = [b.root("F0", s), b.root("F1", s)];
-    let mut chain: Vec<NodeId> = Vec::new();
-    for i in 0..leaves {
-        let leaf = b.leaf(format!("f{i}"), roots[usize::from(2 * i >= leaves)]);
-        if let Some(&last) = chain.last() {
-            b.output_weak(last, leaf).unwrap();
-        }
-        chain.push(leaf);
+    let mut spec = SystemSpec::from_system(&base);
+    spec.schedules.push("filler".into());
+    let node = |name: &str, parent: Option<&str>| NodeSpec {
+        name: name.into(),
+        kind: if parent.is_some() { "leaf" } else { "root" }.into(),
+        parent: parent.map(Into::into),
+        home: parent.is_none().then(|| "filler".into()),
+    };
+    spec.nodes.extend([node("F0", None), node("F1", None)]);
+    let chain: Vec<String> = (0..leaves).map(|i| format!("f{i}")).collect();
+    for (i, leaf) in chain.iter().enumerate() {
+        spec.nodes
+            .push(node(leaf, Some(["F0", "F1"][usize::from(2 * i >= leaves)])));
     }
-    for &first in chain.iter().take(leaves.div_ceil(2)) {
-        for &second in chain.iter().skip(leaves.div_ceil(2)) {
-            b.conflict(first, second).unwrap();
-        }
+    let pair = |a: &String, b: &String| (a.clone(), b.clone());
+    spec.output_weak
+        .extend(chain.windows(2).map(|w| pair(&w[0], &w[1])));
+    let (first, second) = chain.split_at(leaves.div_ceil(2));
+    for a in first {
+        spec.conflicts.extend(second.iter().map(|b| pair(a, b)));
     }
-    let sys = b.build().unwrap();
+    let sys = spec.build().unwrap();
     assert_eq!(sys.node_count(), nodes);
     sys
 }

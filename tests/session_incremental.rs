@@ -12,12 +12,15 @@
 //! systems under proptest, and against the brute-force oracle on systems
 //! within its node cap. The system the
 //! session extends in place must equal a from-scratch build of the merged
-//! spec at every prefix, on the corpus and on simulator exports.
+//! spec at every prefix, on the corpus and on simulator exports. A failed
+//! append, and a restored batch of valid ones, must leave the session as
+//! one that never saw them.
 
-use compc::core::{Backend, CheckOptions, Checker, SessionError, Verdict};
+use compc::core::{Backend, CheckOptions, Checker, SessionError, SessionStats, Verdict};
+use compc::model::CompositeSystem;
 use compc::session::{SpecSession, SpecSessionError};
 use compc::sim::{Engine, Protocol, SimConfig};
-use compc::spec::SystemSpec;
+use compc::spec::{NodeSpec, SystemSpec};
 use compc::workload::random::{generate, GenParams, Shape};
 use compc::workload::random_sim::{generate_sim, SimGenParams};
 use compc_fuzz::corpus::stepped_fronts;
@@ -260,5 +263,198 @@ proptest! {
             compc::oracle::decide(merged).accepted(),
             "seed {}: replayed verdict contradicts the oracle", seed
         );
+    }
+}
+
+/// What a client can observe of a session: its system, its verdict's
+/// `Debug`, its counters and its rendered spec.
+fn observed(session: &SpecSession) -> (Option<CompositeSystem>, String, SessionStats, SystemSpec) {
+    (
+        session.system().cloned(),
+        format!("{:?}", session.verdict()),
+        session.stats(),
+        session.spec(),
+    )
+}
+
+/// A generated layered system's append fragments.
+fn generated_fragments(seed: u64, roots: usize, density: u8) -> Vec<SystemSpec> {
+    let sys = generate(&GenParams {
+        shape: Shape::General {
+            levels: 3,
+            scheds_per_level: 2,
+        },
+        roots,
+        ops_per_tx: (1, 3),
+        conflict_density: density as f64 / 100.0,
+        sequential_tx_prob: 0.7,
+        client_input_prob: 0.0,
+        strong_input_prob: 0.0,
+        sound_abstractions: false,
+        seed,
+    });
+    SystemSpec::from_system(&sys).into_appends()
+}
+
+/// `next` (the next valid fragment, so the undo has nodes, conflicts and
+/// order pairs to take back) plus two new schedules `X` and `Y`, a root
+/// `R` at `X` with leaves `lx` and `ly`, a leaf `lt` ordered after an
+/// operation of a transaction of `held` (the session's system), in its
+/// intra and output orders, and one failure of kind `plant`:
+/// 0. a pair closing a cycle: a declared output pair reversed, or
+///    `lx < ly < lx`;
+/// 1. a conflict across two schedules;
+/// 2. an output pair of `X` between two subtransactions homed at `Y`, not
+///    propagated as an input order;
+/// 3. a subtransaction home that makes the invocation graph cyclic;
+/// 4. an unknown name;
+/// 5. a re-declared node.
+fn planted(plant: usize, held: Option<&CompositeSystem>, next: &SystemSpec) -> SystemSpec {
+    let node = |name: &str, kind: &str, parent: Option<&str>, home: Option<&str>| NodeSpec {
+        name: name.into(),
+        kind: kind.into(),
+        parent: parent.map(Into::into),
+        home: home.map(Into::into),
+    };
+    let pair = |a: &str, b: &str| (a.to_string(), b.to_string());
+    let (x, y) = ("planted-X", "planted-Y");
+    let mut f = SystemSpec {
+        auto_propagate: false,
+        ..next.clone()
+    };
+    f.schedules.extend([x.to_string(), y.to_string()]);
+    f.nodes.extend([
+        node("planted-R", "root", None, Some(x)),
+        node("planted-lx", "leaf", Some("planted-R"), None),
+        node("planted-ly", "leaf", Some("planted-R"), None),
+    ]);
+    let nodes = || {
+        held.into_iter()
+            .flat_map(|sys| sys.nodes().map(move |n| (sys, n)))
+    };
+    let op = nodes().find_map(|(sys, n)| Some((n, sys.name(*sys.children(n.id).first()?))));
+    if let Some((tx, op)) = op {
+        f.nodes
+            .push(node("planted-lt", "leaf", Some(&tx.name), None));
+        f.tx_weak.push(pair(op, "planted-lt"));
+        f.output_weak.push(pair(op, "planted-lt"));
+    }
+    match plant {
+        0 => {
+            let declared = held.and_then(|sys| {
+                let (a, b) = sys.schedules().find_map(|s| s.output.weak_pairs().next())?;
+                Some(pair(sys.name(b), sys.name(a)))
+            });
+            f.output_weak.extend(declared.map_or_else(
+                || {
+                    vec![
+                        pair("planted-lx", "planted-ly"),
+                        pair("planted-ly", "planted-lx"),
+                    ]
+                },
+                |reversed| vec![reversed],
+            ));
+        }
+        1 => {
+            let other = nodes().find(|(_, n)| n.container.is_some());
+            let other = other.map_or("planted-R", |(_, n)| n.name.as_str());
+            f.conflicts.push(pair("planted-lx", other));
+        }
+        2 => {
+            f.nodes.extend([
+                node("planted-u1", "subtx", Some("planted-R"), Some(y)),
+                node("planted-u2", "subtx", Some("planted-R"), Some(y)),
+            ]);
+            f.output_weak.push(pair("planted-u1", "planted-u2"));
+        }
+        3 => {
+            // An invocation S -> T the system has, closed by T -> S; or
+            // X -> Y closed by Y -> X.
+            let edge = nodes().find_map(|(sys, n)| {
+                let (s, t) = (n.container?, n.home?);
+                Some((sys.schedule(s).name.clone(), sys.schedule(t).name.clone()))
+            });
+            let (s, t) = edge.unwrap_or_else(|| {
+                f.nodes
+                    .push(node("planted-u", "subtx", Some("planted-R"), Some(y)));
+                (x.to_string(), y.to_string())
+            });
+            f.nodes.extend([
+                node("planted-RT", "root", None, Some(&t)),
+                node("planted-v", "subtx", Some("planted-RT"), Some(&s)),
+            ]);
+        }
+        4 => f.conflicts.push(pair("planted-lx", "planted-nowhere")),
+        _ => {
+            let name = nodes().next().map_or("planted-R", |(_, n)| n.name.as_str());
+            f.nodes.push(node(name, "root", None, Some(y)));
+        }
+    }
+    f
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A fragment that fails, whatever the failure and wherever in the
+    /// stream it comes, leaves the session `==` one that never saw it:
+    /// system, verdict, counters and spec, and both answer the next
+    /// fragment alike.
+    #[test]
+    fn a_failed_append_leaves_the_session_as_one_that_never_saw_it(
+        seed in 0u64..100_000,
+        roots in 2usize..=6,
+        density in 0u8..=90,
+        at in 0usize..8,
+        plant in 0usize..6,
+    ) {
+        let fragments = generated_fragments(seed, roots, density);
+        let k = at % (fragments.len() + 1);
+        let (mut steady, mut rolled) = (SpecSession::new(), SpecSession::new());
+        for fragment in &fragments[..k] {
+            steady.append(fragment).unwrap();
+            rolled.append(fragment).unwrap();
+        }
+        let empty = SystemSpec { auto_propagate: false, ..SystemSpec::default() };
+        let next = fragments.get(k).unwrap_or(&empty);
+        let bad = planted(plant, steady.system(), next);
+        let err = rolled.append(&bad).map(drop);
+        prop_assert!(err.is_err(), "seed {} plant {} at {}: accepted", seed, plant, k);
+        prop_assert_eq!(observed(&rolled), observed(&steady), "seed {} plant {} at {}", seed, plant, k);
+        if k < fragments.len() {
+            steady.append(next).unwrap();
+            rolled.append(next).unwrap();
+            prop_assert_eq!(observed(&rolled), observed(&steady), "seed {} plant {} at {}", seed, plant, k);
+        }
+    }
+
+    /// Two valid fragments appended after one snapshot, as a commit batch
+    /// whose journal write failed, and restored: the session is `==` one
+    /// that never took them, and both answer the rest of the stream alike.
+    #[test]
+    fn a_restored_batch_leaves_the_session_as_one_that_never_took_it(
+        seed in 0u64..100_000,
+        roots in 2usize..=6,
+        density in 0u8..=90,
+        at in 0usize..8,
+    ) {
+        let fragments = generated_fragments(seed, roots, density);
+        let k = at % fragments.len();
+        let (mut steady, mut rolled) = (SpecSession::new(), SpecSession::new());
+        for fragment in &fragments[..k] {
+            steady.append(fragment).unwrap();
+            rolled.append(fragment).unwrap();
+        }
+        let mark = rolled.snapshot();
+        for fragment in fragments[k..].iter().take(2) {
+            rolled.append(fragment).unwrap();
+        }
+        rolled.restore(mark);
+        prop_assert_eq!(observed(&rolled), observed(&steady), "seed {} at {}", seed, k);
+        for fragment in &fragments[k..] {
+            steady.append(fragment).unwrap();
+            rolled.append(fragment).unwrap();
+        }
+        prop_assert_eq!(observed(&rolled), observed(&steady), "seed {} at {}", seed, k);
     }
 }
